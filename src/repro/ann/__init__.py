@@ -6,10 +6,6 @@ shared by IVF training and Hermes's datastore disaggregation.
 """
 
 from .base import INDEX_REGISTRY, VectorIndex, build_index, register_index
-from .early_termination import (
-    EarlyTerminationResult,
-    search_with_early_termination,
-)
 from .distances import (
     VALID_METRICS,
     inner_product,
@@ -54,8 +50,6 @@ __all__ = [
     "load_index",
     "save_flat",
     "save_ivf",
-    "EarlyTerminationResult",
-    "search_with_early_termination",
     "HNSWIndex",
     "IVFIndex",
     "default_nlist",

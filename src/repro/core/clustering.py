@@ -100,16 +100,29 @@ class IndexShard:
 
     # -- mutation ------------------------------------------------------------
     def insert(self, vectors: np.ndarray, global_ids: np.ndarray) -> None:
-        """Append new rows to the delta memtable (local ids stay monotone)."""
+        """Append new rows to the delta memtable (local ids stay monotone).
+
+        The shard centroid moves as a running mean over the live rows. The
+        update lives here rather than in the datastore because shard wrappers
+        (:class:`~repro.serving.faults.FaultyShard`, replica groups) delegate
+        calls and reads but not attribute writes.
+        """
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         global_ids = np.asarray(global_ids, dtype=np.int64)
         if len(vectors) != len(global_ids):
             raise ValueError(f"{len(vectors)} vectors for {len(global_ids)} ids")
+        if not len(vectors):
+            return
         with self._mutate_lock, self._lock:
+            old_size = len(self)
             if self.delta is None:
                 self.delta = DeltaIndex(self.index)
             self.delta.add(vectors)
             self.global_ids = np.concatenate([self.global_ids, global_ids])
+            total = old_size + len(vectors)
+            self.centroid = (
+                (self.centroid * old_size + vectors.mean(axis=0) * len(vectors)) / total
+            ).astype(np.float32)
 
     def delete(self, global_ids: np.ndarray) -> int:
         """Tombstone rows by global id; returns the number deleted.
@@ -425,15 +438,7 @@ class ClusteredDatastore:
         new_ids = np.arange(start, start + len(vecs), dtype=np.int64)
         for shard_id in np.unique(targets):
             members = np.flatnonzero(targets == shard_id)
-            shard = self.shards[shard_id]
-            old_size = len(shard)
-            shard.insert(vecs[members], new_ids[members])
-            # Running-mean centroid update.
-            batch_mean = vecs[members].mean(axis=0)
-            total = old_size + len(members)
-            shard.centroid = (
-                (shard.centroid * old_size + batch_mean * len(members)) / total
-            ).astype(np.float32)
+            self.shards[shard_id].insert(vecs[members], new_ids[members])
         self.assignments = np.concatenate(
             [self.assignments, targets.astype(np.int64)]
         )

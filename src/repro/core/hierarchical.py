@@ -605,7 +605,6 @@ class HierarchicalSearcher:
         clusters_to_search: int | None = None,
         deep_nprobe: int | None = None,
         exclude_clusters: "frozenset | set | None" = None,
-        deep_patience: int | None = None,
         parallel: bool | None = None,
         trace: bool = False,
         routing: "RoutingDecision | None" = None,
@@ -649,11 +648,6 @@ class HierarchicalSearcher:
         ``ValueError``; excluding every shard raises
         :class:`RetrievalUnavailableError`. Shards whose circuit breaker is
         open (see :class:`ShardHealth`) are excluded automatically.
-
-        ``deep_patience`` enables adaptive early termination inside each
-        shard's deep search (the §7 complementary optimisation): probing
-        stops once the shard-local top-k has not improved for that many
-        consecutive cells.
 
         ``parallel`` fans the per-shard deep searches out over a thread pool
         (numpy's BLAS kernels release the GIL), mirroring the paper's
@@ -752,7 +746,6 @@ class HierarchicalSearcher:
                 nprobe,
                 exclude,
                 breaker_open,
-                deep_patience,
                 parallel,
                 tracer,
                 root,
@@ -778,7 +771,6 @@ class HierarchicalSearcher:
         nprobe: int,
         exclude: frozenset,
         breaker_open: frozenset,
-        deep_patience: int | None,
         parallel: bool | None,
         tracer: Tracer,
         root,
@@ -837,38 +829,22 @@ class HierarchicalSearcher:
                 tasks.append((shard, hit_q, hit_slot))
         shard_queries = sum(len(hit_q) for _, hit_q, _ in tasks)
 
-        # Early termination needs the adaptive probe loop in-process; only
-        # plain deep searches fan out to the worker-process pool.
         shard_pool = (
             self._ensure_shard_pool()
-            if self.workers_mode == "process" and deep_patience is None and tasks
+            if self.workers_mode == "process" and tasks
             else None
         )
 
         def deep_search_once(shard, hit_q):
-            # The sealed-half kernel for this worker mode; ``None`` means the
-            # shard's own in-process scan. Either way it returns global ids,
-            # so a live shard can merge its delta/tombstone state parent-side
+            # Two sealed-half kernels: the shard's own in-process scan, or
+            # the worker-process pool. The pool returns global ids, so a live
+            # shard can merge its delta/tombstone state parent-side
             # (IndexShard.search's ``sealed=`` hook) and thread and process
             # modes stay bit-identical after mutation.
-            sealed = None
-            if shard_pool is not None:
-                sid = int(shard.shard_id)
-                sealed = lambda qq, kk, npb: shard_pool.search(sid, qq, kk, nprobe=npb)
-            elif deep_patience is not None:
-                from ..ann.early_termination import search_with_early_termination
-
-                def sealed(qq, kk, npb):
-                    result = search_with_early_termination(
-                        shard.index, qq, kk, max_nprobe=npb, patience=deep_patience
-                    )
-                    ids = np.full_like(result.ids, -1)
-                    valid = result.ids >= 0
-                    ids[valid] = shard.global_ids[result.ids[valid]]
-                    return result.distances, ids
-
-            if sealed is None:
+            if shard_pool is None:
                 return shard.search(q[hit_q], k, nprobe=nprobe)
+            sid = int(shard.shard_id)
+            sealed = lambda qq, kk, npb: shard_pool.search(sid, qq, kk, nprobe=npb)
             if getattr(shard, "has_mutations", False):
                 return shard.search(q[hit_q], k, nprobe=nprobe, sealed=sealed)
             return sealed(q[hit_q], k, nprobe)

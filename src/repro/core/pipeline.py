@@ -31,6 +31,7 @@ from ..llm.generation import (
     GenerationResult,
     RetrievalCost,
     constant_retrieval,
+    inference_block_s,
     simulate_generation,
 )
 from ..llm.inference import InferenceModel
@@ -138,22 +139,17 @@ class HermesSystem:
         """Hierarchical retrieval: real results, modelled fleet cost."""
         embeddings = self.encode(queries)
         search = self.searcher.search(embeddings, k=k)
-        target = self._inference_window()
+        # Enhanced DVFS may stretch retrieval into the pipelined inference block.
         modelled = self.scheduler.dispatch(
             search.routing,
             dvfs=self.dvfs,
-            latency_target_s=target if self.dvfs is DVFSPolicy.ENHANCED else None,
+            latency_target_s=inference_block_s(self.inference, self.generation_config)
+            if self.dvfs is DVFSPolicy.ENHANCED
+            else None,
         )
         return RetrievalOutcome(
             search=search, latency_s=modelled.latency_s, energy_j=modelled.energy_j
         )
-
-    def _inference_window(self) -> float:
-        """The pipelined inference latency enhanced DVFS may stretch into."""
-        cfg = self.generation_config
-        prefill = self.inference.prefill(cfg.batch, cfg.input_tokens).latency_s
-        decode = self.inference.decode(cfg.batch, cfg.stride).latency_s
-        return prefill + decode
 
     # -- full service --------------------------------------------------------------
     def serve(

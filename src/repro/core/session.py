@@ -24,10 +24,10 @@ stride's retrieved ids through a real LRU cache *during* the run, so the
 RAGCache baseline's "ideal 100% hit rate" becomes a measured number on the
 session trace (``SessionTrace.prefix_stats``).
 
-Generation is simulated deterministically: each stride emits tokens sampled
-from the top retrieved chunk mixed with the query's own tokens (a grounded
-"copy mechanism"), which preserves the topical drift real RAG generation
-exhibits without needing a language model.
+Generation is simulated deterministically (:func:`grounded_decode`): each
+stride emits tokens sampled from the top retrieved chunk mixed with the
+query's own tokens (a grounded "copy mechanism"), which preserves the topical
+drift real RAG generation exhibits without needing a language model.
 """
 
 from __future__ import annotations
@@ -42,6 +42,35 @@ from ..llm.kvcache import CacheStats, PrefixCache
 from ..obs.metrics import get_registry
 from .hierarchical import HierarchicalSearcher
 from .router import RoutingDecision
+
+
+def grounded_decode(
+    rng: np.random.Generator,
+    context: np.ndarray,
+    retrieved_ids,
+    chunk_store: ChunkStore,
+    *,
+    stride_tokens: int,
+    grounding: float,
+) -> np.ndarray:
+    """One stride of grounded pseudo-generation.
+
+    ``grounding`` of the stride's tokens are sampled from the top retrieved
+    chunk, the rest from the running *context*. Returns an empty array when
+    there is nothing to sample from (no valid top id and no context share).
+    """
+    top_id = int(retrieved_ids[0]) if len(retrieved_ids) else -1
+    top_tokens = chunk_store.get(top_id).tokens if top_id >= 0 else ()
+    n_grounded = int(round(stride_tokens * grounding))
+    n_context = stride_tokens - n_grounded
+    parts = []
+    if n_grounded and len(top_tokens):
+        parts.append(rng.choice(top_tokens, size=n_grounded))
+    if n_context and len(context):
+        parts.append(rng.choice(context, size=n_context))
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(parts).astype(np.int64)
 
 
 def _jaccard(a: np.ndarray, b: np.ndarray) -> float:
@@ -188,21 +217,6 @@ class StridedRAGSession:
         self.prefix_cache = prefix_cache
         self._rng = np.random.default_rng(seed)
 
-    def _generate_stride(
-        self, context: np.ndarray, top_chunk_tokens: np.ndarray
-    ) -> np.ndarray:
-        """Emit one stride of grounded pseudo-generation."""
-        n_grounded = int(round(self.stride_tokens * self.grounding))
-        n_context = self.stride_tokens - n_grounded
-        parts = []
-        if n_grounded and len(top_chunk_tokens):
-            parts.append(self._rng.choice(top_chunk_tokens, size=n_grounded))
-        if n_context and len(context):
-            parts.append(self._rng.choice(context, size=n_context))
-        if not parts:
-            raise ValueError("cannot generate from empty context and chunk")
-        return np.concatenate(parts).astype(np.int64)
-
     def run(self, query_tokens: np.ndarray, *, n_strides: int = 8) -> SessionTrace:
         """Execute *n_strides* of the retrieve→generate loop."""
         if n_strides <= 0:
@@ -250,13 +264,16 @@ class StridedRAGSession:
             ids = result.ids[0]
             if self.prefix_cache is not None:
                 self._replay_prefix_cache(ids)
-            top_id = int(ids[0]) if ids[0] >= 0 else -1
-            top_tokens = (
-                self.chunk_store.get(top_id).tokens
-                if top_id >= 0
-                else np.empty(0, dtype=np.int64)
+            generated = grounded_decode(
+                self._rng,
+                context,
+                ids,
+                self.chunk_store,
+                stride_tokens=self.stride_tokens,
+                grounding=self.grounding,
             )
-            generated = self._generate_stride(context, top_tokens)
+            if not len(generated):
+                raise ValueError("cannot generate from empty context and chunk")
             trace.steps.append(
                 StrideStep(
                     stride_index=stride,

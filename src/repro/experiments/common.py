@@ -32,6 +32,7 @@ from ..llm.generation import (
     GenerationResult,
     RetrievalCost,
     constant_retrieval,
+    inference_block_s,
     simulate_generation,
 )
 from ..llm.inference import InferenceModel
@@ -234,10 +235,7 @@ def compare_strategies(
     # Standalone Hermes runs baseline DVFS (no latency cost); the combined
     # stack is pipelined, so it runs the paper's enhanced DVFS, stretching
     # retrieval into the inference window it hides under (§4.2, Fig. 21).
-    window = (
-        inference.prefill(generation.batch, generation.input_tokens).latency_s
-        + inference.decode(generation.batch, generation.stride).latency_s
-    )
+    window = inference_block_s(inference, generation)
     hermes = hermes_retrieval_cost(
         fleet,
         generation.batch,

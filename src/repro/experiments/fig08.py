@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..llm.generation import GenerationConfig, constant_retrieval, simulate_generation
+from ..llm.generation import (
+    GenerationConfig,
+    constant_retrieval,
+    inference_block_s,
+    simulate_generation,
+)
 from ..llm.inference import InferenceModel
 from ..metrics.reporting import FigureResult
 from .common import monolithic_retrieval_cost
@@ -79,11 +84,7 @@ def crossover_size(
     calibrated cost model.
     """
     cfg = config or GenerationConfig()
-    inference = InferenceModel()
-    block = (
-        inference.prefill(cfg.batch, cfg.input_tokens).latency_s
-        + inference.decode(cfg.batch, cfg.stride).latency_s
-    )
+    block = inference_block_s(InferenceModel(), cfg)
     for _ in range(80):
         mid = (lo * hi) ** 0.5
         if monolithic_retrieval_cost(mid, cfg.batch).latency_s < block:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..llm.generation import GenerationConfig
+from ..llm.generation import GenerationConfig, inference_block_s
 from ..llm.inference import InferenceModel
 from ..metrics.reporting import FigureResult
 from .common import monolithic_retrieval_cost
@@ -38,22 +38,12 @@ class ClusterSizingPoint:
         return self.pipeline_gap_s >= 0
 
 
-def inference_window(config: GenerationConfig | None = None) -> float:
-    """Per-stride inference latency (prefill + stride decode)."""
-    cfg = config or GenerationConfig()
-    inference = InferenceModel()
-    return (
-        inference.prefill(cfg.batch, cfg.input_tokens).latency_s
-        + inference.decode(cfg.batch, cfg.stride).latency_s
-    )
-
-
 def run(
     sizes: tuple[float, ...] = SIZES, *, config: GenerationConfig | None = None
 ) -> list[ClusterSizingPoint]:
     """Sweep cluster sizes against the inference window."""
     cfg = config or GenerationConfig()
-    window = inference_window(cfg)
+    window = inference_block_s(InferenceModel(), cfg)
     return [
         ClusterSizingPoint(
             cluster_tokens=s,
@@ -71,7 +61,7 @@ def max_hidden_cluster_tokens(*, config: GenerationConfig | None = None) -> floa
     closed form.
     """
     cfg = config or GenerationConfig()
-    window = inference_window(cfg)
+    window = inference_block_s(InferenceModel(), cfg)
     unit = monolithic_retrieval_cost(1e9, cfg.batch).latency_s  # s per 1B tokens
     return 1e9 * window / unit
 

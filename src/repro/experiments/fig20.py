@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..llm.generation import GenerationConfig
+from ..llm.generation import GenerationConfig, inference_block_s
 from ..llm.inference import InferenceModel
 from ..perfmodel.aggregate import expected_deep_loads
 from .common import build_fleet
@@ -72,12 +72,7 @@ def run(
 
 def inference_latency_line(*, batch: int = 128) -> float:
     """The Gemma2-9B per-stride inference latency reference line."""
-    cfg = GenerationConfig(batch=batch)
-    inference = InferenceModel()
-    return (
-        inference.prefill(cfg.batch, cfg.input_tokens).latency_s
-        + inference.decode(cfg.batch, cfg.stride).latency_s
-    )
+    return inference_block_s(InferenceModel(), GenerationConfig(batch=batch))
 
 
 def best_platform(points: list[PlatformPoint], *, clusters_searched: int = 3) -> str:

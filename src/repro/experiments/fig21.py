@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..llm.generation import GenerationConfig
+from ..llm.generation import GenerationConfig, inference_block_s
 from ..llm.inference import InferenceModel
 from ..perfmodel.aggregate import DVFSPolicy, expected_deep_loads
 from .common import FleetSetup, build_fleet
@@ -57,11 +57,7 @@ def run(
     """Sweep fan-out under the three DVFS policies."""
     fleet = fleet or build_fleet(total_tokens)
     cfg = config or GenerationConfig(batch=batch)
-    inference = InferenceModel()
-    window = (
-        inference.prefill(cfg.batch, cfg.input_tokens).latency_s
-        + inference.decode(cfg.batch, cfg.stride).latency_s
-    )
+    window = inference_block_s(InferenceModel(), cfg)
     points = []
     for m in clusters:
         loads = expected_deep_loads(batch, fleet.access_frequency, m)

@@ -2,16 +2,21 @@
 
 Composes the four pipeline stages of the paper's Fig. 3 — query encoding,
 retrieval, prefill, decode — into TTFT / end-to-end latency and per-device
-energy, under the execution disciplines the paper compares:
+energy. The overlap rule is written once, in :func:`stride_timeline`: each
+stride's query side (encode + retrieval) either blocks after the previous
+stride's inference block or was issued at that block's start and ran under
+it. The analytic model (:func:`simulate_generation`) and the live stride
+scheduler (:mod:`repro.serving.pipeline`) both feed it per-stride durations
+and read back ``ttft_s``, ``e2e_s`` and the span intervals; the disciplines
+the paper compares are just different inputs:
 
-- **sequential** (unoptimized baseline): every stride runs
-  retrieve → prefill → decode back to back;
+- **sequential** (unoptimized baseline): no stride overlapped;
 - **prefix-cached** (RAGCache): prefill after the first stride shrinks to the
   newly generated tokens (ideal 100% KV hit rate, §3 Takeaway 3);
-- **pipelined** (PipeRAG): the retrieval for stride *i+1* overlaps the
-  inference of stride *i*, so each stride costs
-  ``max(retrieval, inference)`` after the first — which is why pipelining
-  stops helping once retrieval dwarfs inference on large datastores;
+- **pipelined** (PipeRAG) / accepted **lookahead** (TeleRAG): every later
+  stride overlapped, costing ``max(block, encode + retrieval)`` — which is
+  why pipelining stops helping once retrieval dwarfs inference on large
+  datastores;
 - any combination (Hermes composes with both).
 
 Retrieval is supplied per stride as a :class:`RetrievalCost`, so monolithic,
@@ -21,18 +26,16 @@ naively split, and Hermes retrieval all plug into the same timeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
-
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..obs.trace import Tracer
 from ..perfmodel.measurements import EncoderCostModel
-from .inference import InferenceModel
+from .inference import InferenceModel, StageCost
+from .kvcache import IdealPrefixCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hardware.power import EnergyMeter
-from .kvcache import IdealPrefixCache
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,150 @@ class GenerationResult:
         return self.first_retrieval_s / self.ttft_s
 
 
+@dataclass(frozen=True)
+class StrideTimes:
+    """Stage durations (seconds) of one stride of one request.
+
+    ``overlapped`` says the stride's query side (encode + retrieval) was
+    issued at the start of the previous stride's inference block and ran
+    under it. ``verify_s`` is the true-query encode a lookahead stride pays
+    after that block; ``wasted_s`` is a mis-speculated prefetch window that
+    ran under the block before the stride fell back to a blocking search.
+    ``retrieval_attrs`` ride on the stride's result-bearing retrieval span.
+    """
+
+    encode_s: float
+    retrieval_s: float
+    prefill_s: float
+    decode_s: float
+    verify_s: float = 0.0
+    wasted_s: float = 0.0
+    overlapped: bool = False
+    retrieval_attrs: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Timeline:
+    """One request's virtual timeline from t=0.
+
+    ``intervals`` is the ordered list of ``(stage, worker, start_s, end_s,
+    attrs)``; same-worker intervals are disjoint and the last one ends at
+    ``e2e_s``.
+    """
+
+    ttft_s: float
+    e2e_s: float
+    intervals: tuple
+
+
+def stride_timeline(
+    strides: Sequence[StrideTimes], *, encode_worker: str = "cpu"
+) -> Timeline:
+    """The stride-overlap rule: per-stride durations in, timeline out.
+
+    With ``block`` the previous stride's ``prefill + decode``, each stride
+    costs
+
+    - ``block + verify + encode + retrieval`` when it blocks (sequential, or
+      a mis-speculation whose ``wasted_s`` prefetch ran under the block —
+      clamped to the block on the cpu track, the full window in the attrs);
+    - ``max(block, encode + retrieval) + verify`` when ``overlapped``.
+
+    Nothing precedes stride 0, so it blocks whatever its flag says and
+    ``ttft = encode[0] + retrieval[0] + prefill[0]`` in every discipline.
+    Retrieval always runs on worker ``cpu`` and prefill/decode on ``gpu``;
+    the encoder is on the host in live serving and on the GPU in the
+    analytic model (which encodes once, up front), hence ``encode_worker``.
+    Zero-length encode/verify intervals are omitted.
+    """
+    intervals: list = []
+
+    def emit(stage: str, worker: str, start: float, end: float, **attrs) -> None:
+        intervals.append((stage, worker, start, end, attrs))
+
+    ttft_s = 0.0
+    t = 0.0  # start of the previous stride's inference block ...
+    block = 0.0  # ... and its length
+    for i, s in enumerate(strides):
+        window = s.encode_s + s.retrieval_s
+        spec = {"speculative": True} if s.overlapped else {}
+        if s.overlapped:
+            query_at = t
+            verify_at = t + max(block, window)
+            t = verify_at + s.verify_s
+        else:
+            if s.wasted_s:
+                emit(
+                    "retrieval", "cpu", t, t + min(s.wasted_s, block), stride=i,
+                    speculative=True, wasted=True, measured_window_s=s.wasted_s,
+                )
+            verify_at = t + block
+            query_at = verify_at + s.verify_s
+            t = query_at + window
+        if s.verify_s:
+            emit(
+                "encode", encode_worker, verify_at, verify_at + s.verify_s,
+                stride=i, verify=True,
+            )
+        if s.encode_s:
+            emit(
+                "encode", encode_worker, query_at, query_at + s.encode_s,
+                stride=i, **spec,
+            )
+        emit(
+            "retrieval", "cpu", query_at + s.encode_s, query_at + window,
+            stride=i, **s.retrieval_attrs, **spec,
+        )
+        block = s.prefill_s + s.decode_s
+        emit("prefill", "gpu", t, t + s.prefill_s, stride=i)
+        emit("decode", "gpu", t + s.prefill_s, t + block, stride=i)
+        if i == 0:
+            ttft_s = t + s.prefill_s
+    return Timeline(ttft_s=ttft_s, e2e_s=t + block, intervals=tuple(intervals))
+
+
+def record_timeline(tracer: Tracer, name: str, timeline: Timeline, **attrs) -> None:
+    """Emit *timeline* as one span tree: a ``timeline``-worker root closing
+    at ``e2e_s`` with one child span per interval."""
+    root = tracer.start_span(name, start_s=0.0, worker="timeline", **attrs)
+    for stage, worker, start_s, end_s, span_attrs in timeline.intervals:
+        tracer.record(
+            stage, start_s=start_s, end_s=end_s, parent=root, worker=worker,
+            **span_attrs,
+        )
+    root.finish(timeline.e2e_s)
+
+
+def stride_costs(
+    inference: InferenceModel, config: GenerationConfig, stride_index: int
+) -> tuple[StageCost, StageCost]:
+    """Modelled ``(prefill, decode)`` cost of one stride.
+
+    Prefill covers the full context, or only the newly generated tokens
+    after stride 0 under prefix caching; the last stride decodes whatever
+    output remains. Every consumer of a per-stride inference cost (the
+    timeline, the DES stage plan, the inference window) reads it from here.
+    """
+    fraction = 1.0
+    if config.prefix_cached:
+        fraction = IdealPrefixCache(
+            input_tokens=config.input_tokens, stride_tokens=config.stride
+        ).prefill_fraction(stride_index)
+    tokens = max(1, int(round(config.input_tokens * fraction)))
+    remaining = config.output_tokens - stride_index * config.stride
+    return (
+        inference.prefill(config.batch, tokens),
+        inference.decode(config.batch, min(config.stride, remaining)),
+    )
+
+
+def inference_block_s(inference: InferenceModel, config: GenerationConfig) -> float:
+    """Stride 0's inference block (full prefill + one stride of decode): the
+    window a retrieval must fit in to hide under pipelined inference."""
+    prefill, decode = stride_costs(inference, config, 0)
+    return prefill.latency_s + decode.latency_s
+
+
 def simulate_generation(
     retrieval: RetrievalProvider,
     inference: InferenceModel,
@@ -133,45 +280,26 @@ def simulate_generation(
 
     The query is encoded once; each of the ``n_strides`` strides retrieves,
     prefills (full context, or the cached fraction under RAGCache), and
-    decodes ``stride`` tokens. Under pipelining, stride *i*'s retrieval
-    overlaps stride *i-1*'s inference; energy is unaffected by overlap (both
-    devices are busy), only wall-clock latency changes.
+    decodes ``stride`` tokens. Under pipelining, every later stride's
+    retrieval overlaps the previous stride's inference; energy is unaffected
+    by overlap (both devices are busy), only wall-clock latency changes.
 
     A :class:`~repro.hardware.power.EnergyMeter` may be passed to receive
     per-stage energy intervals (RAPL-style device + label accounting),
     letting the Figs. 7/14/17 energy breakdowns be audited stage by stage.
+    With an enabled ``tracer`` the timeline is emitted as a ``generation``
+    span tree on a virtual clock from t=0.
     """
     encoder = encoder or EncoderCostModel()
     n_strides = config.n_strides
-    cache = IdealPrefixCache(
-        input_tokens=config.input_tokens, stride_tokens=config.stride
+    encode_s = encoder.batch_latency(config.batch)
+    retrieval_costs = [retrieval(i) for i in range(n_strides)]
+    prefill_costs, decode_costs = zip(
+        *(stride_costs(inference, config, i) for i in range(n_strides))
     )
 
-    encode_s = encoder.batch_latency(config.batch)
-    cpu_energy = 0.0
-    gpu_energy = encoder.batch_energy(config.batch)
-
-    retrieval_costs = [retrieval(i) for i in range(n_strides)]
-    prefill_costs = []
-    decode_costs = []
-    for i in range(n_strides):
-        fraction = cache.prefill_fraction(i) if config.prefix_cached else 1.0
-        tokens = max(1, int(round(config.input_tokens * fraction)))
-        prefill_costs.append(inference.prefill(config.batch, tokens))
-        remaining = config.output_tokens - i * config.stride
-        decode_costs.append(inference.decode(config.batch, min(config.stride, remaining)))
-
-    retrieval_s = sum(r.latency_s for r in retrieval_costs)
-    prefill_s = sum(p.latency_s for p in prefill_costs)
-    decode_s = sum(d.latency_s for d in decode_costs)
-    cpu_energy += sum(r.energy_j for r in retrieval_costs)
-    gpu_energy += sum(p.energy_j for p in prefill_costs)
-    gpu_energy += sum(d.energy_j for d in decode_costs)
-
     if meter is not None:
-        meter.record(
-            "gpu", encoder.power_w, encode_s, label="encoding"
-        )
+        meter.record("gpu", encoder.power_w, encode_s, label="encoding")
         for r in retrieval_costs:
             power = r.energy_j / r.latency_s if r.latency_s > 0 else 0.0
             meter.record("cpu", power, r.latency_s, label="retrieval")
@@ -180,126 +308,48 @@ def simulate_generation(
         for d in decode_costs:
             meter.record("gpu", d.power_w, d.latency_s, label="decoding")
 
-    ttft_s = encode_s + retrieval_costs[0].latency_s + prefill_costs[0].latency_s
-
-    if not config.pipelined:
-        e2e_s = encode_s + retrieval_s + prefill_s + decode_s
-    else:
-        # Stride i's retrieval overlaps stride i-1's prefill+decode.
-        e2e_s = encode_s + retrieval_costs[0].latency_s
-        for i in range(n_strides):
-            inference_block = prefill_costs[i].latency_s + decode_costs[i].latency_s
-            if i + 1 < n_strides:
-                e2e_s += max(inference_block, retrieval_costs[i + 1].latency_s)
-            else:
-                e2e_s += inference_block
-
+    timeline = stride_timeline(
+        [
+            StrideTimes(
+                encode_s=encode_s if i == 0 else 0.0,
+                retrieval_s=r.latency_s,
+                prefill_s=p.latency_s,
+                decode_s=d.latency_s,
+                overlapped=config.pipelined and i > 0,
+            )
+            for i, (r, p, d) in enumerate(
+                zip(retrieval_costs, prefill_costs, decode_costs)
+            )
+        ],
+        encode_worker="gpu",
+    )
     if tracer is not None and tracer.enabled:
-        _emit_generation_trace(
-            tracer, config, encode_s, retrieval_costs, prefill_costs, decode_costs, e2e_s
+        record_timeline(
+            tracer,
+            "generation",
+            timeline,
+            batch=config.batch,
+            strides=n_strides,
+            pipelined=config.pipelined,
+            prefix_cached=config.prefix_cached,
+            e2e_s=timeline.e2e_s,
         )
 
     return GenerationResult(
-        ttft_s=ttft_s,
-        e2e_s=e2e_s,
+        ttft_s=timeline.ttft_s,
+        e2e_s=timeline.e2e_s,
         encode_s=encode_s,
-        retrieval_s=retrieval_s,
-        prefill_s=prefill_s,
-        decode_s=decode_s,
+        retrieval_s=sum(r.latency_s for r in retrieval_costs),
+        prefill_s=sum(p.latency_s for p in prefill_costs),
+        decode_s=sum(d.latency_s for d in decode_costs),
         first_retrieval_s=retrieval_costs[0].latency_s,
         first_prefill_s=prefill_costs[0].latency_s,
-        cpu_energy_j=cpu_energy,
-        gpu_energy_j=gpu_energy,
+        cpu_energy_j=sum(r.energy_j for r in retrieval_costs),
+        gpu_energy_j=encoder.batch_energy(config.batch)
+        + sum(p.energy_j for p in prefill_costs)
+        + sum(d.energy_j for d in decode_costs),
         config=config,
     )
-
-
-def _emit_generation_trace(
-    tracer: Tracer,
-    config: GenerationConfig,
-    encode_s: float,
-    retrieval_costs: list,
-    prefill_costs: list,
-    decode_costs: list,
-    e2e_s: float,
-) -> None:
-    """Reconstruct the strided timeline as a span tree on a virtual clock.
-
-    Time runs from 0; retrieval spans live on worker ``"cpu"``, GPU stages on
-    ``"gpu"``. Under pipelining, stride *i+1*'s retrieval span starts with
-    stride *i*'s prefill — the cross-worker overlap is visible in the trace —
-    and the cursor advances by ``max(inference, retrieval)``, mirroring the
-    latency arithmetic above. The root closes at the final cursor, which
-    equals ``e2e_s`` up to floating-point association order.
-    """
-    n = config.n_strides
-    root = tracer.start_span(
-        "generation",
-        start_s=0.0,
-        worker="timeline",
-        batch=config.batch,
-        strides=n,
-        pipelined=config.pipelined,
-        prefix_cached=config.prefix_cached,
-        e2e_s=e2e_s,
-    )
-    tracer.record("encode", start_s=0.0, end_s=encode_s, parent=root, worker="gpu")
-    t = encode_s
-    if not config.pipelined:
-        for i in range(n):
-            r = retrieval_costs[i].latency_s
-            tracer.record(
-                "retrieval", start_s=t, end_s=t + r, parent=root, worker="cpu", stride=i
-            )
-            t += r
-            p = prefill_costs[i].latency_s
-            tracer.record(
-                "prefill", start_s=t, end_s=t + p, parent=root, worker="gpu", stride=i
-            )
-            t += p
-            d = decode_costs[i].latency_s
-            tracer.record(
-                "decode", start_s=t, end_s=t + d, parent=root, worker="gpu", stride=i
-            )
-            t += d
-        root.finish(t)
-        return
-    r0 = retrieval_costs[0].latency_s
-    tracer.record(
-        "retrieval", start_s=t, end_s=t + r0, parent=root, worker="cpu", stride=0
-    )
-    t += r0
-    for i in range(n):
-        p = prefill_costs[i].latency_s
-        d = decode_costs[i].latency_s
-        block = p + d  # same grouping as the e2e arithmetic above
-        prefill_end = t + p
-        block_end = t + block
-        tracer.record(
-            "prefill", start_s=t, end_s=prefill_end, parent=root, worker="gpu", stride=i
-        )
-        tracer.record(
-            "decode",
-            start_s=prefill_end,
-            end_s=block_end,
-            parent=root,
-            worker="gpu",
-            stride=i,
-        )
-        if i + 1 < n:
-            r = retrieval_costs[i + 1].latency_s
-            tracer.record(
-                "retrieval",
-                start_s=t,
-                end_s=t + r,
-                parent=root,
-                worker="cpu",
-                stride=i + 1,
-            )
-            t += max(block, r)
-        else:
-            t = block_end
-    root.finish(t)
 
 
 def steady_state_throughput_qps(
@@ -316,9 +366,7 @@ def steady_state_throughput_qps(
     ``config.n_strides`` strides therefore completes at ``1/n_strides`` of
     this rate (see :mod:`repro.serving` for the event-driven validation).
     """
-    prefill = inference.prefill(config.batch, config.input_tokens).latency_s
-    decode = inference.decode(config.batch, config.stride).latency_s
-    bottleneck = max(retrieval_latency_s, prefill + decode)
+    bottleneck = max(retrieval_latency_s, inference_block_s(inference, config))
     if bottleneck <= 0:
         return math.inf
     return config.batch / bottleneck

@@ -19,8 +19,13 @@ stride by stride — where
   loop), exactly as the paper composes measured CPU-side retrieval with its
   GPU-side serving model.
 
-Each request owns a virtual timeline stitched from those two clocks. Three
-execution disciplines are supported (:attr:`PipelineConfig.mode`):
+Each request owns a virtual timeline stitched from those two clocks. The
+scheduler itself only does the I/O (encode, submit/resolve retrieval waves,
+verify, shed, charge energy) and records one :class:`StrideRecord` per
+stride; ``ttft_s``, ``e2e_s`` and the span tree are then derived from the
+records by :func:`repro.llm.generation.stride_timeline` — the one place the
+overlap rule is written. Three execution disciplines are supported
+(:attr:`PipelineConfig.mode`):
 
 - ``sequential`` — stride *i+1*'s query is encoded and retrieved only after
   stride *i*'s decode completes: each stride costs ``encode + retrieval +
@@ -42,11 +47,11 @@ execution disciplines are supported (:attr:`PipelineConfig.mode`):
 
 TTFT is identical under all three modes — ``encode + retrieval[0] +
 prefill[0]``, the first two measured live — because the first stride has
-nothing to overlap with. Generation itself is the same deterministic grounded
-pseudo-decode as :class:`~repro.core.session.StridedRAGSession`: each stride
-appends tokens sampled from the top retrieved chunk mixed with the running
-context, so the query genuinely drifts and speculation genuinely risks
-missing.
+nothing to overlap with. Generation itself is the deterministic
+:func:`~repro.core.session.grounded_decode` that
+:class:`~repro.core.session.StridedRAGSession` uses: each stride appends
+tokens sampled from the top retrieved chunk mixed with the running context,
+so the query genuinely drifts and speculation genuinely risks missing.
 
 Per-request span trees (encode/retrieval on worker ``cpu``, prefill/decode on
 worker ``gpu``) are emitted on the virtual timeline when tracing is enabled,
@@ -61,15 +66,18 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from ..core.errors import AdmissionRejectedError, DeadlineExceededError
 from ..core.hierarchical import HierarchicalSearcher
+from ..core.session import grounded_decode
 from ..datastore.chunkstore import ChunkStore
 from ..datastore.encoder import SyntheticEncoder
 from ..hardware.cpu import XEON_GOLD_6448Y
+from ..llm.generation import StrideTimes, record_timeline, stride_timeline
 from ..llm.inference import InferenceModel
 from ..obs.metrics import get_registry
 from ..obs.trace import Tracer, get_tracer
@@ -181,7 +189,12 @@ class StrideRecord:
 
 @dataclass(frozen=True)
 class RequestResult:
-    """One request's end-to-end outcome on its virtual timeline."""
+    """One request's end-to-end outcome on its virtual timeline.
+
+    ``ttft_s``/``e2e_s`` are :func:`~repro.llm.generation.stride_timeline`
+    over ``strides``; for a shed request that is the timeline of the strides
+    served before the shed (zero when none was).
+    """
 
     request_id: int
     mode: str
@@ -271,9 +284,8 @@ class _Request:
     """Mutable per-request scheduler state."""
 
     __slots__ = (
-        "rid", "context", "rng", "t", "records", "hits", "misses",
+        "rid", "context", "rng", "records", "hits", "misses",
         "wasted_s", "cpu_j", "gpu_j", "served", "deadline_at", "shed",
-        "ttft_s", "block_start",
     )
 
     def __init__(self, rid: int, tokens: np.ndarray, seed: int) -> None:
@@ -282,7 +294,6 @@ class _Request:
         if not len(self.context):
             raise ValueError(f"request {rid}: query tokens must be non-empty")
         self.rng = np.random.default_rng(seed)
-        self.t = 0.0  # virtual-timeline cursor (seconds since request start)
         self.records: list = []
         self.hits = 0
         self.misses = 0
@@ -292,8 +303,6 @@ class _Request:
         self.served: ServedQuery | None = None
         self.deadline_at: float | None = None
         self.shed: str | None = None
-        self.ttft_s = 0.0
-        self.block_start = 0.0
 
 
 class _Call:
@@ -379,23 +388,15 @@ class RAGServingPipeline:
     def _generate(self, req: _Request) -> None:
         """Grounded pseudo-decode of one stride (drifts the query)."""
         cfg = self.config
-        served = req.served
-        top_id = int(served.ids[0]) if served is not None and len(served.ids) else -1
-        top_tokens = (
-            self.chunk_store.get(top_id).tokens
-            if top_id >= 0
-            else np.empty(0, dtype=np.int64)
+        generated = grounded_decode(
+            req.rng,
+            req.context,
+            req.served.ids,
+            self.chunk_store,
+            stride_tokens=cfg.stride_tokens,
+            grounding=cfg.grounding,
         )
-        n_grounded = int(round(cfg.stride_tokens * cfg.grounding))
-        n_context = cfg.stride_tokens - n_grounded
-        parts = []
-        if n_grounded and len(top_tokens):
-            parts.append(req.rng.choice(top_tokens, size=n_grounded))
-        if n_context and len(req.context):
-            parts.append(req.rng.choice(req.context, size=n_context))
-        if parts:
-            generated = np.concatenate(parts).astype(np.int64)
-            req.context = np.concatenate([req.context, generated])
+        req.context = np.concatenate([req.context, generated])
 
     # -- retrieval waves -----------------------------------------------------
     def _shed(self, req: _Request, exc: BaseException, registry) -> None:
@@ -461,7 +462,12 @@ class RAGServingPipeline:
 
     # -- main loop -----------------------------------------------------------
     def serve(self, requests: Sequence[np.ndarray]) -> PipelineReport:
-        """Serve one cohort of token-id query requests end to end."""
+        """Serve one cohort of token-id query requests end to end.
+
+        Only the I/O happens here; each stride's measured and modelled
+        durations go into a :class:`StrideRecord`, and the request timelines
+        are derived from the records once the cohort is done.
+        """
         cfg = self.config
         registry = get_registry()
         tracer = self.tracer if self.tracer is not None else get_tracer()
@@ -482,89 +488,66 @@ class RAGServingPipeline:
         gpu_batch = cfg.gpu_batch if cfg.gpu_batch is not None else len(reqs)
         prefill = self.inference.prefill(gpu_batch, cfg.input_tokens)
         decode = self.inference.decode(gpu_batch, cfg.stride_tokens)
-        block_s = prefill.latency_s + decode.latency_s
         # Batch-shared modelled GPU energy per stride per request.
         gpu_stride_j = (prefill.energy_j + decode.energy_j) / gpu_batch
 
-        live = list(reqs)
+        record = partial(self._record_stride, prefill=prefill, decode=decode)
+
         # Stride 0: nothing to overlap with — encode + blocking retrieval in
-        # every mode, so TTFT = encode + retrieval[0] + prefill[0].
-        first = self._retrieve_blocking(live, registry)
-        live = [r for r in live if r.shed is None]
+        # every mode.
+        first = self._retrieve_blocking(reqs, registry)
+        live = [r for r in reqs if r.shed is None]
         for req in live:
-            call = first[req.rid]
-            req.served = call.served
-            req.t = call.window_s
-            req.ttft_s = call.window_s + prefill.latency_s
-            self._charge_cpu(req, call)
-            self._record_stride(req, 0, call, prefill, decode)
+            self._charge_cpu(req, first[req.rid])
+            record(req, 0, first[req.rid])
 
         overlap = cfg.mode in ("pipelined", "lookahead")
         for i in range(cfg.n_strides):
             if not live:
                 break
-            for req in live:
-                req.block_start = req.t
+            last = i + 1 >= cfg.n_strides
 
             # 1. Overlap modes issue stride i+1's retrieval at block-i start
             #    from the *current* (pre-decode) context — the stale query.
-            spec: dict = {}
-            if overlap and i + 1 < cfg.n_strides:
+            spec: list = []
+            if overlap and not last:
                 calls = []
                 for req in live:
                     emb, encode_s = self._encode(req)
                     calls.append(_Call(req, emb, encode_s))
-                spec = {c.req.rid: c for c in self._submit_wave(calls, registry)}
+                spec = self._submit_wave(calls, registry)
                 live = [r for r in live if r.shed is None]
 
-            # 2. The inference block advances the modelled GPU clock; the
+            # 2. The inference block runs on the modelled GPU clock; the
             #    pseudo-decode's tokens drift the context for the true query.
             for req in live:
                 self._generate(req)
                 req.gpu_j += gpu_stride_j
-
-            if i + 1 >= cfg.n_strides:
-                for req in live:
-                    req.t = req.block_start + block_s
+            if last:
                 break
 
             # 3. Obtain stride i+1's results per discipline.
             if not overlap:
-                for req in live:
-                    req.t = req.block_start + block_s
                 nxt = self._retrieve_blocking(live, registry)
                 live = [r for r in live if r.shed is None]
                 for req in live:
-                    call = nxt[req.rid]
-                    req.served = call.served
-                    req.t += call.window_s
-                    self._charge_cpu(req, call)
-                    self._record_stride(req, i + 1, call, prefill, decode)
+                    self._charge_cpu(req, nxt[req.rid])
+                    record(req, i + 1, nxt[req.rid])
                 continue
 
-            resolved = {
-                c.req.rid: c
-                for c in self._resolve_wave(list(spec.values()), registry)
-            }
+            resolved = {c.req.rid: c for c in self._resolve_wave(spec, registry)}
             live = [r for r in live if r.shed is None]
-            fallback_reqs = []
-            verify: dict = {}
+            fallback = []
             for req in live:
                 call = resolved[req.rid]
-                if cfg.mode == "pipelined":
-                    # PipeRAG: stale results are used unconditionally, no
-                    # verification encode. The true-query embedding is kept
-                    # for evaluation only (its cost is not on the timeline).
-                    req.served = call.served
-                    req.t = req.block_start + max(block_s, call.window_s)
-                    self._charge_cpu(req, call)
-                    self._record_stride(
-                        req, i + 1, call, prefill, decode,
-                        speculative=True, true_query=self._encode(req)[0],
-                    )
-                    continue
                 true_emb, verify_s = self._encode(req)
-                verify[req.rid] = (true_emb, verify_s)
+                if cfg.mode == "pipelined":
+                    # PipeRAG: stale results are used unconditionally. The
+                    # true-query embedding is kept for evaluation only (its
+                    # encode is neither charged nor on the timeline).
+                    self._charge_cpu(req, call)
+                    record(req, i + 1, call, speculative=True, true_query=true_emb)
+                    continue
                 self._charge_cpu(req, call, verify_s)
                 if float(call.emb @ true_emb) >= cfg.speculation_threshold:
                     req.hits += 1
@@ -572,10 +555,8 @@ class RAGServingPipeline:
                         "pipeline_lookahead_hits_total",
                         "speculative stride retrievals verified and reused",
                     ).inc()
-                    req.served = call.served
-                    req.t = req.block_start + max(block_s, call.window_s) + verify_s
-                    self._record_stride(
-                        req, i + 1, call, prefill, decode,
+                    record(
+                        req, i + 1, call,
                         speculative=True, verify_s=verify_s, true_query=true_emb,
                     )
                 else:
@@ -585,46 +566,28 @@ class RAGServingPipeline:
                         "pipeline_lookahead_misses_total",
                         "mis-speculated stride retrievals re-searched fresh",
                     ).inc()
-                    fallback_reqs.append(req)
-
-            if fallback_reqs:
-                calls = []
-                for req in fallback_reqs:
-                    true_emb, _ = verify[req.rid]
                     # Fresh search reuses the verify embedding: encode_s=0.
-                    calls.append(_Call(req, true_emb, 0.0))
-                fresh = {
-                    c.req.rid: c
-                    for c in self._resolve_wave(
-                        self._submit_wave(calls, registry), registry
-                    )
-                }
-                live = [r for r in live if r.shed is None]
-                for req in fallback_reqs:
-                    if req.shed is not None:
-                        continue
-                    call = fresh[req.rid]
-                    _, verify_s = verify[req.rid]
-                    req.served = call.served
-                    req.t = req.block_start + block_s + verify_s + call.wall_s
-                    req.cpu_j += cfg.retrieval_power_w * call.wall_s
-                    self._record_stride(
-                        req, i + 1, call, prefill, decode,
-                        verify_s=verify_s,
-                        fallback_s=resolved[req.rid].window_s,
-                    )
+                    fallback.append((_Call(req, true_emb, 0.0), verify_s, call.window_s))
 
-        results = []
-        for req in reqs:
-            result = self._finish_request(req, registry)
-            results.append(result)
-            if tracer.enabled and req.shed is None:
-                self._emit_trace(tracer, result, block_s)
+            if fallback:
+                self._resolve_wave(
+                    self._submit_wave([c for c, _, _ in fallback], registry), registry
+                )
+                live = [r for r in live if r.shed is None]
+                for call, verify_s, wasted_s in fallback:
+                    if call.req.shed is None:
+                        call.req.cpu_j += cfg.retrieval_power_w * call.wall_s
+                        record(
+                            call.req, i + 1, call,
+                            verify_s=verify_s, fallback_s=wasted_s,
+                        )
+
+        results = [self._finish_request(req, registry, tracer) for req in reqs]
         return PipelineReport(
             mode=cfg.mode,
             requests=tuple(results),
             gpu_batch=gpu_batch,
-            block_s=block_s,
+            block_s=prefill.latency_s + decode.latency_s,
         )
 
     # -- bookkeeping ---------------------------------------------------------
@@ -633,15 +596,16 @@ class RAGServingPipeline:
         req: _Request,
         stride: int,
         call: _Call,
+        *,
         prefill,
         decode,
-        *,
         speculative: bool = False,
         verify_s: float = 0.0,
         fallback_s: float = 0.0,
         true_query: np.ndarray | None = None,
     ) -> None:
-        served = call.served
+        """Adopt *call*'s results as the request's stride and log its costs."""
+        served = req.served = call.served
         req.records.append(
             StrideRecord(
                 stride=stride,
@@ -661,19 +625,48 @@ class RAGServingPipeline:
             )
         )
 
-    def _finish_request(self, req: _Request, registry) -> RequestResult:
+    def _finish_request(self, req: _Request, registry, tracer: Tracer) -> RequestResult:
+        """Derive the request's timeline (and span tree) from its records."""
+        timeline = stride_timeline(
+            [
+                StrideTimes(
+                    encode_s=rec.encode_s,
+                    retrieval_s=rec.retrieval_s,
+                    prefill_s=rec.prefill_s,
+                    decode_s=rec.decode_s,
+                    verify_s=rec.verify_s,
+                    wasted_s=rec.fallback_s,
+                    overlapped=rec.speculative,
+                    retrieval_attrs={"kind": rec.kind},
+                )
+                for rec in req.records
+            ]
+        )
         if req.shed is None:
             registry.histogram(
                 "pipeline_ttft_seconds", "measured time to first token"
-            ).observe(req.ttft_s)
+            ).observe(timeline.ttft_s)
             registry.histogram(
                 "pipeline_e2e_seconds", "measured end-to-end request latency"
-            ).observe(req.t)
+            ).observe(timeline.e2e_s)
+            if tracer.enabled:
+                record_timeline(
+                    tracer,
+                    "request",
+                    timeline,
+                    request=req.rid,
+                    mode=self.config.mode,
+                    strides=len(req.records),
+                    ttft_s=timeline.ttft_s,
+                    e2e_s=timeline.e2e_s,
+                    lookahead_hits=req.hits,
+                    lookahead_misses=req.misses,
+                )
         return RequestResult(
             request_id=req.rid,
             mode=self.config.mode,
-            ttft_s=req.ttft_s,
-            e2e_s=req.t,
+            ttft_s=timeline.ttft_s,
+            e2e_s=timeline.e2e_s,
             strides=tuple(req.records),
             lookahead_hits=req.hits,
             lookahead_misses=req.misses,
@@ -682,111 +675,3 @@ class RAGServingPipeline:
             gpu_energy_j=req.gpu_j,
             shed=req.shed,
         )
-
-    # -- tracing -------------------------------------------------------------
-    def _emit_trace(self, tracer: Tracer, result: RequestResult, block_s: float) -> None:
-        """Reconstruct the request's timeline as a span tree from t=0.
-
-        Mirrors the cursor arithmetic of :meth:`serve` exactly, so the root
-        closes at ``e2e_s`` (up to float association order) and the
-        cross-worker overlap (cpu retrieval under the gpu inference block)
-        is visible in the Chrome trace. Encode and retrieval live on worker
-        ``cpu`` — they are measured on the host — and prefill/decode on
-        ``gpu``. A wasted speculative window that outlives its block is
-        clamped to the block end on the ``cpu`` track (the full measured
-        window is in the span attrs) so same-worker spans stay disjoint.
-        """
-        cfg = self.config
-        records = result.strides
-        root = tracer.start_span(
-            "request",
-            start_s=0.0,
-            worker="timeline",
-            request=result.request_id,
-            mode=cfg.mode,
-            strides=len(records),
-            ttft_s=result.ttft_s,
-            e2e_s=result.e2e_s,
-            lookahead_hits=result.lookahead_hits,
-            lookahead_misses=result.lookahead_misses,
-        )
-        r0 = records[0]
-        tracer.record(
-            "encode", start_s=0.0, end_s=r0.encode_s, parent=root, worker="cpu"
-        )
-        t = r0.encode_s
-        tracer.record(
-            "retrieval", start_s=t, end_s=t + r0.retrieval_s,
-            parent=root, worker="cpu", stride=0, kind=r0.kind,
-        )
-        t += r0.retrieval_s
-        for i, rec in enumerate(records):
-            block_start = t
-            tracer.record(
-                "prefill", start_s=t, end_s=t + rec.prefill_s,
-                parent=root, worker="gpu", stride=i,
-            )
-            tracer.record(
-                "decode", start_s=t + rec.prefill_s, end_s=t + block_s,
-                parent=root, worker="gpu", stride=i,
-            )
-            if i + 1 >= len(records):
-                t = block_start + block_s
-                break
-            nxt = records[i + 1]
-            if nxt.speculative:
-                # Issued at block start, ran under the block.
-                tracer.record(
-                    "encode", start_s=block_start,
-                    end_s=block_start + nxt.encode_s,
-                    parent=root, worker="cpu", stride=i + 1, speculative=True,
-                )
-                spec_end = block_start + nxt.encode_s + nxt.retrieval_s
-                tracer.record(
-                    "retrieval", start_s=block_start + nxt.encode_s,
-                    end_s=spec_end, parent=root, worker="cpu",
-                    stride=i + 1, kind=nxt.kind, speculative=True,
-                )
-                t = block_start + max(block_s, nxt.encode_s + nxt.retrieval_s)
-                if nxt.verify_s:
-                    tracer.record(
-                        "encode", start_s=t, end_s=t + nxt.verify_s,
-                        parent=root, worker="cpu", stride=i + 1, verify=True,
-                    )
-                    t += nxt.verify_s
-            elif nxt.fallback_s:
-                # Mis-speculation: wasted prefetch under the block (clamped
-                # to the block on the cpu track), then verify encode + fresh
-                # search after the block.
-                tracer.record(
-                    "retrieval", start_s=block_start,
-                    end_s=block_start + min(nxt.fallback_s, block_s),
-                    parent=root, worker="cpu", stride=i + 1,
-                    speculative=True, wasted=True,
-                    measured_window_s=nxt.fallback_s,
-                )
-                t = block_start + block_s
-                tracer.record(
-                    "encode", start_s=t, end_s=t + nxt.verify_s,
-                    parent=root, worker="cpu", stride=i + 1, verify=True,
-                )
-                t += nxt.verify_s
-                tracer.record(
-                    "retrieval", start_s=t, end_s=t + nxt.retrieval_s,
-                    parent=root, worker="cpu", stride=i + 1, kind=nxt.kind,
-                )
-                t += nxt.retrieval_s
-            else:
-                # Sequential: encode + retrieve strictly after the block.
-                t = block_start + block_s
-                tracer.record(
-                    "encode", start_s=t, end_s=t + nxt.encode_s,
-                    parent=root, worker="cpu", stride=i + 1,
-                )
-                t += nxt.encode_s
-                tracer.record(
-                    "retrieval", start_s=t, end_s=t + nxt.retrieval_s,
-                    parent=root, worker="cpu", stride=i + 1, kind=nxt.kind,
-                )
-                t += nxt.retrieval_s
-        root.finish(result.e2e_s)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..llm.generation import GenerationConfig
+from ..llm.generation import GenerationConfig, stride_costs
 from ..llm.inference import InferenceModel
 from ..obs.trace import Tracer
 from ..perfmodel.measurements import EncoderCostModel, RetrievalCostModel
@@ -89,18 +89,15 @@ def plan_from_models(
             for tokens, load in zip(shard_tokens, loads)
         ]
     )
-    from ..llm.kvcache import IdealPrefixCache
-
-    cache = IdealPrefixCache(input_tokens=config.input_tokens, stride_tokens=config.stride)
-    later_fraction = cache.prefill_fraction(1) if config.prefix_cached else 1.0
-    later_tokens = max(1, int(round(config.input_tokens * later_fraction)))
+    first_prefill, decode = stride_costs(inference, config, 0)
+    later_prefill, _ = stride_costs(inference, config, min(1, config.n_strides - 1))
     return StagePlan(
         encode_s=encoder.batch_latency(config.batch),
         sample_seconds=sample,
         deep_seconds=deep,
-        first_prefill_s=inference.prefill(config.batch, config.input_tokens).latency_s,
-        later_prefill_s=inference.prefill(config.batch, later_tokens).latency_s,
-        decode_stride_s=inference.decode(config.batch, config.stride).latency_s,
+        first_prefill_s=first_prefill.latency_s,
+        later_prefill_s=later_prefill.latency_s,
+        decode_stride_s=decode.latency_s,
         n_strides=config.n_strides,
     )
 

@@ -180,3 +180,27 @@ class TestPruningState:
         before = counter.total()
         index.search(queries, 5, prune=True)
         assert counter.total() > before
+
+    @pytest.mark.parametrize(
+        "scheme, fires", [("flat", False), ("sq8", False), ("pq8", True), ("opq8", True)]
+    )
+    def test_default_scan_prunes_only_gather_codecs(self, scheme, fires):
+        """With ``prune`` left to the index, the streaming pruned scan runs on
+        the gather codecs (pq/opq) and never on the GEMM codecs (flat/sq8) —
+        and either way the ids match the reference."""
+        from repro.obs.metrics import get_registry
+
+        rng = np.random.default_rng(6)
+        centers = rng.normal(scale=6.0, size=(8, 16))
+        data = (
+            centers[rng.integers(0, 8, 2000)] + rng.normal(size=(2000, 16))
+        ).astype(np.float32)
+        queries = data[:16] + rng.normal(scale=0.05, size=(16, 16)).astype(np.float32)
+        index = IVFIndex(16, nlist=16, nprobe=16, quantizer=make_quantizer(scheme, 16))
+        index.train(data)
+        index.add(data)
+        counter = get_registry().counter("ivf_cells_pruned_total", "test")
+        before = counter.total()
+        _, ids = index.search(queries, 5)
+        assert (counter.total() > before) == fires
+        np.testing.assert_array_equal(index.search_reference(queries, 5)[1], ids)

@@ -149,3 +149,48 @@ class TestParallelBuilds:
         ids = datastore.add_documents(new)
         assert np.array_equal(datastore.assignments[before:], expected)
         assert len(ids) == 100
+
+
+class TestBuildQualityParity:
+    """The optimised build knobs (chunked/mini-batch K-means, parallel shard
+    builds, sampled codebook training) against the retained reference knobs:
+    clustering inertia within 5%, end-to-end recall@k within 2 points."""
+
+    INERTIA_RATIO_BOUND = 1.05
+    RECALL_GAP_BOUND = 0.02
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {},  # the defaults
+            {"kmeans_algorithm": "minibatch", "quantizer_train_sample": 1024},
+        ],
+        ids=["defaults", "minibatch-sampled"],
+    )
+    def test_optimised_build_matches_reference(self, knobs):
+        from dataclasses import replace
+
+        from repro.baselines.monolithic import MonolithicRetriever
+        from repro.core.hierarchical import HermesSearcher
+        from repro.datastore.embeddings import make_corpus
+        from repro.datastore.queries import trivia_queries
+
+        k = 5
+        corpus = make_corpus(4000, n_topics=4, dim=32, seed=0)
+        queries = trivia_queries(corpus.topic_model, 32).embeddings
+        _, truth = MonolithicRetriever(corpus.embeddings).ground_truth(queries, k)
+        base = HermesConfig(n_clusters=4, clusters_to_search=3)
+        reference = replace(
+            base, kmeans_algorithm="reference", build_workers=1, quantizer_train_sample=None
+        )
+
+        def build(config):
+            store = cluster_datastore(corpus.embeddings, config)
+            ids = HermesSearcher(store).search(queries, k=k).ids
+            hits = sum(len(set(f[f >= 0]) & set(t)) for f, t in zip(ids, truth))
+            return store.clustering.inertia, hits / truth.size
+
+        ref_inertia, ref_recall = build(reference)
+        inertia, recall = build(replace(base, **knobs))
+        assert inertia / ref_inertia <= self.INERTIA_RATIO_BOUND
+        assert abs(recall - ref_recall) <= self.RECALL_GAP_BOUND

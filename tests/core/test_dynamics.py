@@ -59,6 +59,26 @@ class TestAddDocuments:
         moved = np.linalg.norm(shard.centroid - before)
         assert moved > 0
 
+    def test_centroid_update_reaches_wrapped_shard(self, fresh_datastore):
+        """Shard wrappers delegate calls and reads, not attribute writes: the
+        running mean must land on the wrapped IndexShard, not the wrapper."""
+        from repro.serving.faults import FaultInjector
+
+        corpus, datastore = fresh_datastore
+        wrapped = FaultInjector(seed=3).wrap(
+            datastore, {i: [] for i in range(datastore.n_clusters)}
+        )
+        before = wrapped.centroids().copy()
+        new, _ = corpus.topic_model.sample_documents(120)
+        wrapped.add_documents(new)
+        after = wrapped.centroids()
+        moved = 0
+        for i, shard in enumerate(wrapped.shards):
+            assert "centroid" not in vars(shard)
+            np.testing.assert_array_equal(shard.inner.centroid, after[i])
+            moved += bool(np.linalg.norm(after[i] - before[i]) > 0)
+        assert moved > 0
+
     def test_dim_mismatch_rejected(self, fresh_datastore):
         _, datastore = fresh_datastore
         with pytest.raises(ValueError, match="dim"):

@@ -1,15 +1,26 @@
 """Tests for the strided-generation timeline."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.llm.generation import (
     GenerationConfig,
     RetrievalCost,
+    StrideTimes,
     constant_retrieval,
+    record_timeline,
     simulate_generation,
     steady_state_throughput_qps,
+    stride_costs,
+    stride_timeline,
 )
 from repro.llm.inference import InferenceModel
+from repro.obs.trace import Tracer
+from repro.obs.validate import validate_span_tree
+from repro.perfmodel.measurements import EncoderCostModel
 
 
 @pytest.fixture()
@@ -185,3 +196,130 @@ class TestMeterIntegration:
         provider = constant_retrieval(RetrievalCost(latency_s=0.0, energy_j=0.0))
         simulate_generation(provider, inference, GenerationConfig(), meter=meter)
         assert meter.joules_by_label()["retrieval"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The stride-overlap rule itself (property tests)
+# ---------------------------------------------------------------------------
+
+_seconds = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+
+
+@st.composite
+def stride_lists(draw):
+    """Random strides: each blocks, overlaps, or is a mis-speculation."""
+    strides = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        how = draw(st.sampled_from(("blocks", "overlapped", "missed")))
+        strides.append(
+            StrideTimes(
+                encode_s=draw(_seconds),
+                retrieval_s=draw(_seconds),
+                prefill_s=draw(_seconds),
+                decode_s=draw(_seconds),
+                verify_s=draw(_seconds) if how != "blocks" else 0.0,
+                wasted_s=draw(_seconds) if how == "missed" else 0.0,
+                overlapped=how == "overlapped",
+            )
+        )
+    return strides
+
+
+def _reference_e2e(strides):
+    """The rule spelled out stride by stride (the benchmark suite checks the
+    live pipeline against the same arithmetic from outside)."""
+    t = strides[0].encode_s + strides[0].retrieval_s + strides[0].verify_s
+    for prev, nxt in zip(strides, strides[1:]):
+        block = prev.prefill_s + prev.decode_s
+        window = nxt.encode_s + nxt.retrieval_s
+        if nxt.overlapped:
+            t += max(block, window) + nxt.verify_s
+        else:
+            t += block + nxt.verify_s + window
+    return t + strides[-1].prefill_s + strides[-1].decode_s
+
+
+class TestStrideTimeline:
+    @given(stride_lists(), st.sampled_from(("cpu", "gpu")))
+    def test_intervals_tile_the_request(self, strides, encode_worker):
+        if encode_worker == "gpu":
+            # the analytic model's shape: one up-front encode on the GPU
+            strides = strides[:1] + [
+                replace(s, encode_s=0.0, verify_s=0.0) for s in strides[1:]
+            ]
+        timeline = stride_timeline(strides, encode_worker=encode_worker)
+        assert timeline.e2e_s == pytest.approx(_reference_e2e(strides), abs=1e-9)
+        assert max(end for _, _, _, end, _ in timeline.intervals) == pytest.approx(
+            timeline.e2e_s, abs=1e-9
+        )
+        # same-worker intervals disjoint, every child inside the root: the
+        # span-tree validator at its default eps=0
+        tracer = Tracer(enabled=True)
+        record_timeline(tracer, "request", timeline)
+        (root,) = tracer.finished_roots()
+        assert validate_span_tree(root) == len(timeline.intervals) + 1
+        assert root.end_s == timeline.e2e_s
+
+    @given(stride_lists())
+    def test_ttft_ignores_the_flags(self, strides):
+        first = strides[0]
+        expected = first.verify_s + first.encode_s + first.retrieval_s + first.prefill_s
+        flipped = [replace(s, overlapped=not s.overlapped, wasted_s=0.0) for s in strides]
+        assert stride_timeline(strides).ttft_s == pytest.approx(expected, abs=1e-9)
+        assert stride_timeline(flipped).ttft_s == pytest.approx(expected, abs=1e-9)
+
+    @given(stride_lists())
+    def test_overlap_never_loses_to_sequential(self, strides):
+        sequential = [replace(s, overlapped=False) for s in strides]
+        assert (
+            stride_timeline(sequential).e2e_s >= stride_timeline(strides).e2e_s - 1e-9
+        )
+
+    def test_wasted_window_is_clamped_to_its_block(self):
+        strides = [
+            StrideTimes(0.1, 0.2, 0.3, 0.4),
+            StrideTimes(0.0, 0.2, 0.3, 0.4, verify_s=0.05, wasted_s=9.0),
+        ]
+        timeline = stride_timeline(strides)
+        (wasted,) = [iv for iv in timeline.intervals if iv[4].get("wasted")]
+        stage, worker, start, end, attrs = wasted
+        assert (stage, worker) == ("retrieval", "cpu")
+        assert end - start == pytest.approx(0.7)  # the block, not the 9 s window
+        assert attrs["measured_window_s"] == 9.0 and attrs["speculative"]
+        assert timeline.e2e_s == pytest.approx(0.3 + 0.7 + 0.05 + 0.2 + 0.7)
+
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=1, max_value=24),
+        st.booleans(),
+        st.booleans(),
+        st.lists(_seconds, min_size=1, max_size=8),
+    )
+    def test_simulate_generation_is_the_timeline(
+        self, batch, output_tokens, stride, pipelined, prefix_cached, latencies
+    ):
+        config = GenerationConfig(
+            batch=batch, output_tokens=output_tokens, stride=stride,
+            pipelined=pipelined, prefix_cached=prefix_cached,
+        )
+        inference = InferenceModel()
+        result = simulate_generation(
+            lambda i: RetrievalCost(latencies[i % len(latencies)], 1.0), inference, config
+        )
+        strides = []
+        for i in range(config.n_strides):
+            prefill, decode = stride_costs(inference, config, i)
+            strides.append(
+                StrideTimes(
+                    encode_s=EncoderCostModel().batch_latency(batch) if i == 0 else 0.0,
+                    retrieval_s=latencies[i % len(latencies)],
+                    prefill_s=prefill.latency_s,
+                    decode_s=decode.latency_s,
+                    overlapped=pipelined and i > 0,
+                )
+            )
+        timeline = stride_timeline(strides, encode_worker="gpu")
+        assert result.ttft_s == pytest.approx(timeline.ttft_s, abs=1e-9)
+        assert result.e2e_s == pytest.approx(timeline.e2e_s, abs=1e-9)
+        assert result.prefill_s == pytest.approx(sum(s.prefill_s for s in strides))

@@ -3,9 +3,16 @@ closed-form analytical model."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.datastore.embeddings import zipf_weights
-from repro.llm.generation import GenerationConfig, steady_state_throughput_qps
+from repro.llm.generation import (
+    GenerationConfig,
+    StrideTimes,
+    steady_state_throughput_qps,
+    stride_timeline,
+)
 from repro.llm.inference import InferenceModel
 from repro.perfmodel.aggregate import expected_deep_loads
 from repro.serving import PipelineSimulator, StagePlan, plan_from_models
@@ -78,6 +85,42 @@ class TestSingleBatch:
         plan = small_plan(deep_seconds=np.zeros(3))
         report = PipelineSimulator(plan, batch_size=8).run(1)
         assert report.batches[0].latency_s == pytest.approx(0.1 + 2 * (0.05 + 0.9))
+
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.lists(
+            st.tuples(*[st.floats(min_value=0.0, max_value=2.0)] * 2),
+            min_size=1, max_size=5,
+        ),
+        st.tuples(*[st.floats(min_value=0.001, max_value=2.0)] * 4),
+    )
+    def test_uncontended_batch_is_the_sequential_timeline(self, n_strides, nodes, gpu):
+        """The DES keeps its event loop for cross-batch contention; with one
+        fault-free batch nothing contends, and it must reduce to the pure
+        timeline with per-stride retrieval = slowest sample + slowest deep."""
+        encode_s, first_prefill_s, later_prefill_s, decode_s = gpu
+        sample = np.array([s for s, _ in nodes])
+        deep = np.array([d for _, d in nodes])
+        plan = StagePlan(
+            encode_s=encode_s, sample_seconds=sample, deep_seconds=deep,
+            first_prefill_s=first_prefill_s, later_prefill_s=later_prefill_s,
+            decode_stride_s=decode_s, n_strides=n_strides,
+        )
+        (batch,) = PipelineSimulator(plan, batch_size=8).run(1).batches
+        timeline = stride_timeline(
+            [
+                StrideTimes(
+                    encode_s=encode_s if i == 0 else 0.0,
+                    retrieval_s=float(sample.max() + deep.max()),
+                    prefill_s=first_prefill_s if i == 0 else later_prefill_s,
+                    decode_s=decode_s,
+                )
+                for i in range(n_strides)
+            ]
+        )
+        assert batch.ttft_s == pytest.approx(timeline.ttft_s, abs=1e-9)
+        assert batch.latency_s == pytest.approx(timeline.e2e_s, abs=1e-9)
 
 
 class TestPipelining:
