@@ -1,9 +1,10 @@
-"""Ablation: how many documents should the sampling phase retrieve?
+"""Ablation: how deep should the sampling phase probe?
 
-Hermes samples a *single* document per cluster (§4.2, ``sample_k=1``). This
-ablation asks whether sampling more documents per cluster buys routing
-quality, and how the sampling nProbe interacts — quantifying the design
-choice DESIGN.md calls out.
+Hermes samples a *single* document per cluster (§4.2) — the router scores a
+cluster by its best sampled document, so there is nothing to gain from
+retrieving more than one. What the sampling phase can vary is how hard it
+looks for that document: this ablation sweeps the sampling nProbe and
+quantifies the design choice DESIGN.md calls out.
 """
 
 from repro.core.hierarchical import HierarchicalSearcher
@@ -16,46 +17,33 @@ from repro.experiments.common import (
 from repro.metrics.ndcg import ndcg
 from repro.metrics.reporting import format_table
 
-SAMPLE_KS = (1, 3, 5)
-SAMPLE_NPROBES = (2, 8)
+SAMPLE_NPROBES = (1, 2, 8)
 
 
-def sweep_sampling(ks=SAMPLE_KS, nprobes=SAMPLE_NPROBES, *, m=2):
+def sweep_sampling(nprobes=SAMPLE_NPROBES, *, m=2):
     queries = accuracy_queries().embeddings
     _, truth = monolithic_accuracy_retriever().ground_truth(queries, 5)
     datastore = clustered_accuracy_datastore()
     rows = []
     for nprobe in nprobes:
-        for sample_k in ks:
-            searcher = HierarchicalSearcher(
-                datastore,
-                router=SampledRouter(sample_nprobe=nprobe, sample_k=sample_k),
-            )
-            result = searcher.search(queries, clusters_to_search=m)
-            rows.append(
-                {
-                    "sample_nprobe": nprobe,
-                    "sample_k": sample_k,
-                    "ndcg": ndcg(result.ids, truth),
-                }
-            )
+        searcher = HierarchicalSearcher(
+            datastore, router=SampledRouter(sample_nprobe=nprobe)
+        )
+        result = searcher.search(queries, clusters_to_search=m)
+        rows.append({"sample_nprobe": nprobe, "ndcg": ndcg(result.ids, truth)})
     return rows
 
 
 def test_ablation_sampling(run_once):
     rows = run_once(sweep_sampling)
     print("\n" + format_table(
-        ["sample nProbe", "sample k", "NDCG @ 2 clusters"],
-        [(r["sample_nprobe"], r["sample_k"], r["ndcg"]) for r in rows],
-        title="Ablation: sampling fan-out (paper uses k=1)",
+        ["sample nProbe", "NDCG @ 2 clusters"],
+        [(r["sample_nprobe"], r["ndcg"]) for r in rows],
+        title="Ablation: sampling depth (one document per cluster)",
     ))
 
-    at = lambda nprobe, k: next(
-        r["ndcg"] for r in rows
-        if r["sample_nprobe"] == nprobe and r["sample_k"] == k
-    )
-    # The paper's choice holds: one sampled document at nProbe 8 is already
-    # within a point of the richer sampling configurations...
-    assert at(8, 1) >= max(at(8, 3), at(8, 5)) - 0.015
-    # ...while sampling depth (nProbe) matters more than sample count.
-    assert at(8, 1) >= at(2, 5) - 0.02
+    at = {r["sample_nprobe"]: r["ndcg"] for r in rows}
+    # Sampling depth buys routing quality: the paper's nProbe 8 is at least
+    # as good as a shallower probe (up to fp noise on near-tied clusters).
+    assert at[8] >= at[2] - 0.005
+    assert at[8] >= at[1] - 0.005

@@ -428,7 +428,9 @@ class IVFIndex(VectorIndex):
           the query batch and each cell is scanned exactly once — one
           *shifted* ADC evaluation (or decode + GEMM) for every query probing
           it. Per-cell distance blocks land whole in a padded slot-major
-          buffer, so the scan loop does no per-cell selection.
+          buffer, so the scan loop does no per-cell selection — except at
+          ``k == 1``, where each cell is reduced to its winner on the spot
+          and the padded buffer never exists (:meth:`_scan_sparse_best`).
         - **Dense** (the batch's probes cover a large fraction of the stored
           codes, e.g. deep search at high nProbe): one kernel over *all*
           codes, then unprobed cells are masked to ``inf``. Same arithmetic,
@@ -485,6 +487,9 @@ class IVFIndex(VectorIndex):
         get_registry().counter(
             "ivf_scans_total", "IVF batched scans by strategy"
         ).inc(strategy=strategy)
+        # Nearest-neighbour sparse scans reduce per cell instead of
+        # collecting candidates (see _scan_sparse_best).
+        reduced = strategy == "sparse" and k == 1
         with get_tracer().span(
             "ivf_scan",
             strategy=strategy,
@@ -492,6 +497,7 @@ class IVFIndex(VectorIndex):
             nprobe=probe,
             pair_work=pair_work,
             adc=bool(use_adc),
+            reduced=reduced,
         ):
             if strategy == "streaming":
                 out_d, out_i, valid = self._scan_streaming(
@@ -499,7 +505,11 @@ class IVFIndex(VectorIndex):
                 )
             elif strategy == "dense":
                 out_d, out_i, valid = self._scan_dense(
-                    q, k, probe_cells, use_adc, table, norms, ws
+                    q, k, probe, probe_cells, use_adc, table, norms, ws
+                )
+            elif reduced:
+                out_d, out_i, valid = self._scan_sparse_best(
+                    q, probe, probe_cells, use_adc, table, norms, ws
                 )
             else:
                 out_d, out_i, valid = self._scan_sparse(
@@ -705,12 +715,9 @@ class IVFIndex(VectorIndex):
             ).inc(blocks_pruned)
         return cur_d, cur_i, np.isfinite(cur_d)
 
-    def _scan_dense(self, q, k, probe_cells, use_adc, table, norms, ws=None):
+    def _scan_dense(self, q, k, probe, probe_cells, use_adc, table, norms, ws):
         """Full-corpus kernel + probe mask; shifted distances, ids, validity."""
         nq = len(q)
-        if self._code_cells is None:
-            sizes = self._cell_offsets[1:] - self._cell_offsets[:-1]
-            self._code_cells = np.repeat(np.arange(self.nlist, dtype=np.int32), sizes)
         if use_adc:
             dists = self.quantizer.adc_distances(
                 table, self._codes, code_sqnorms=norms, shifted=True, ws=ws
@@ -718,15 +725,40 @@ class IVFIndex(VectorIndex):
         else:
             vecs, _ = self.reconstruct()
             dists = pairwise_distance(q, vecs, self.metric)
-        probed = np.zeros((nq, self.nlist), dtype=bool)
-        probed[np.arange(nq)[:, np.newaxis], probe_cells] = True
-        dists[~probed[:, self._code_cells]] = np.inf
+        if probe < self.nlist:
+            # A full probe (every deep search once nprobe >= nlist) masks
+            # nothing, so it skips the probe matrix and the per-code gather.
+            if self._code_cells is None:
+                sizes = self._cell_offsets[1:] - self._cell_offsets[:-1]
+                self._code_cells = np.repeat(
+                    np.arange(self.nlist, dtype=np.int32), sizes
+                )
+            probed = np.zeros((nq, self.nlist), dtype=bool)
+            probed[np.arange(nq)[:, np.newaxis], probe_cells] = True
+            dists[~probed[:, self._code_cells]] = np.inf
         out_d, pos = top_k(dists, k)
         valid = np.isfinite(out_d)
         out_i = np.where(valid, self._ids[np.clip(pos, 0, len(self._ids) - 1)], -1)
         return out_d, out_i, valid
 
-    def _scan_sparse(self, q, k, probe, probe_cells, use_adc, table, norms, ws=None):
+    @staticmethod
+    def _probe_groups(probe_cells):
+        """Invert the (query, slot) probe matrix into cell-major groups.
+
+        Returns ``(order, cells, bounds)``: ``order`` lists the flat
+        ``query * probe + slot`` pairs sorted by probed cell (stably, so a
+        group keeps query order) and group ``g`` — the pairs probing
+        ``cells[g]`` — is ``order[bounds[g]:bounds[g + 1]]``.
+        """
+        flat = probe_cells.ravel()
+        order = np.argsort(flat, kind="stable")
+        sorted_cells = flat[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1]))
+        )
+        return order, sorted_cells[starts], np.append(starts, len(order))
+
+    def _scan_sparse(self, q, k, probe, probe_cells, use_adc, table, norms, ws):
         """Per-probed-cell kernels scattered into a padded slot-major buffer.
 
         Slot r of query qi owns buffer columns ``[r*width, r*width + size)``
@@ -741,23 +773,11 @@ class IVFIndex(VectorIndex):
         out_i = np.full((nq, k), -1, dtype=np.int64)
         if width == 0:
             return out_d, out_i, np.zeros((nq, k), dtype=bool)
-        if ws is None:
-            buf = np.full((nq, probe * width), np.inf, dtype=np.float32)
-        else:
-            buf = ws.take("sparse_buf", (nq, probe * width), fill=np.inf)
-
-        # Invert the (query, cell) probe matrix into cell-major groups.
-        flat = probe_cells.ravel()
-        order = np.argsort(flat, kind="stable")
-        sorted_cells = flat[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1]))
-        )
-        bounds = np.append(starts, len(sorted_cells))
+        buf = ws.take("sparse_buf", (nq, probe * width), fill=np.inf)
+        order, cells, bounds = self._probe_groups(probe_cells)
         wcols = np.arange(width)
 
-        for b in range(len(starts)):
-            cell = int(sorted_cells[bounds[b]])
+        for b, cell in enumerate(cells):
             lo, hi = int(offsets[cell]), int(offsets[cell + 1])
             if hi == lo:
                 continue
@@ -793,6 +813,78 @@ class IVFIndex(VectorIndex):
         np.copyto(
             out_i, self._ids[np.clip(id_pos, 0, len(self._ids) - 1)], where=valid
         )
+        return out_d, out_i, valid
+
+    def _scan_sparse_best(self, q, probe, probe_cells, use_adc, table, norms, ws):
+        """The sparse scan at ``k == 1`` as a reduction: argmin, not top-k.
+
+        A nearest-neighbour query — Hermes's sample search — needs one number
+        per (query, probed cell): that cell's best distance. Each cell's tile
+        (:meth:`Quantizer.adc_tile_kernel`) is reduced to its winning column
+        as soon as it is computed; the winners land in an ``(nq, probe)``
+        slot matrix and one ``argmin`` over the slots finishes. Tiles sit
+        back to back in an arena of exactly the probed work, so the winners'
+        values are one gather after the loop — there is no padded
+        ``(nq, probe * width)`` buffer to fill, select from and map back.
+        First-occurrence ``argmin`` at both levels is the stable ``top_k``'s
+        order (probe slot, then within-cell storage position), and every
+        tile is the same BLAS call :meth:`_scan_sparse` makes, so
+        ``(distances, ids)`` are bit-identical to column 0 of any ``k``.
+        """
+        nq = len(q)
+        offsets = self._cell_offsets
+        order, cells, bounds = self._probe_groups(probe_cells)
+        pair_q = order // probe
+        if use_adc:
+            fill = self.quantizer.adc_tile_kernel(table, pair_q, ws=ws)
+        else:
+
+            def fill(codes, a, b, code_sqnorms, out):
+                out[...] = pairwise_distance(
+                    q[pair_q[a:b]], self.quantizer.decode(codes), self.metric
+                )
+
+        # Group g: pairs bounds[g]:bounds[g+1] against codes lo[g]:hi[g];
+        # its (pairs x codes) tile starts at arena offset tile_at[g].
+        lo, hi = offsets[cells], offsets[cells + 1]
+        n_pairs, n_codes = np.diff(bounds), hi - lo
+        tile_at = np.concatenate(([0], np.cumsum(n_pairs * n_codes)))
+        arena = ws.take("best_tiles", (int(tile_at[-1]),))
+        # Per (query, slot) pair in cell-major order: the winner's rank
+        # within its probed cell.
+        best = np.zeros(len(order), dtype=np.int64)
+        for a, b, c0, c1, t0, t1 in zip(
+            bounds[:-1].tolist(),
+            bounds[1:].tolist(),
+            lo.tolist(),
+            hi.tolist(),
+            tile_at[:-1].tolist(),
+            tile_at[1:].tolist(),
+        ):
+            if c1 > c0:
+                tile = arena[t0:t1].reshape(b - a, c1 - c0)
+                cell_norms = None if norms is None else norms[c0:c1]
+                fill(self._codes[c0:c1], a, b, cell_norms, tile)
+                best[a:b] = tile.argmin(axis=1)
+        # Winners' distances — arena[tile start + row * width + column],
+        # empty cells keep inf — and storage positions, back to slot-major.
+        width = np.repeat(n_codes, n_pairs)
+        row = np.arange(len(order)) - np.repeat(bounds[:-1], n_pairs)
+        at = np.repeat(tile_at[:-1], n_pairs) + row * width + best
+        live = np.flatnonzero(width)
+        best_d = np.full(len(order), np.inf, dtype=np.float32)
+        best_d[live] = arena[at[live]]
+        slot_d = np.empty((nq, probe), dtype=np.float32)
+        slot_pos = np.empty((nq, probe), dtype=np.int64)
+        slot_d.ravel()[order] = best_d
+        slot_pos.ravel()[order] = best + np.repeat(lo, n_pairs)
+        rows = np.arange(nq)
+        slot = slot_d.argmin(axis=1)
+        out_d = slot_d[rows, slot][:, np.newaxis]
+        valid = np.isfinite(out_d)
+        # A query probing only empty cells keeps a position past the end.
+        pos = np.minimum(slot_pos[rows, slot], len(self._ids) - 1)
+        out_i = np.where(valid, self._ids[pos][:, np.newaxis], -1)
         return out_d, out_i, valid
 
     def search(

@@ -122,6 +122,27 @@ class Quantizer(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} does not support ADC")
 
+    def adc_tile_kernel(self, table, rows: np.ndarray, *, ws=None):
+        """``tile(codes, a, b, code_sqnorms, out)`` for a cell-major scan.
+
+        *rows* names the table query of every (query, cell) pair the scan
+        will evaluate, in evaluation order; ``tile(codes, a, b, norms, out)``
+        writes the shifted distances of pairs ``a:b`` — the queries probing
+        one cell — to that cell's *codes* into ``out`` (``(b - a, len(codes))``
+        float32). It is ``adc_distances(..., rows=rows[a:b], shifted=True)``
+        bit for bit, shaped as a callable so a codec can do its per-scan work
+        (metric branch, query gather) once instead of once per cell; see
+        :func:`_gemm_tiles`.
+        """
+
+        def tile(codes, a, b, code_sqnorms, out):
+            out[...] = self.adc_distances(
+                table, codes, rows=rows[a:b], code_sqnorms=code_sqnorms,
+                shifted=True, ws=ws,
+            )
+
+        return tile
+
     def code_sqnorms(self, codes: np.ndarray) -> np.ndarray:
         """``|decode(code)|^2`` per code, chunked to bound peak memory."""
         codes = np.asarray(codes)
@@ -144,6 +165,28 @@ class Quantizer(abc.ABC):
 
     @abc.abstractmethod
     def _decode(self, codes: np.ndarray) -> np.ndarray: ...
+
+
+def _gemm_tiles(w, rows, metric, prepare):
+    """``adc_tile_kernel`` of the GEMM codecs: one product per tile.
+
+    The product is the BLAS call ``adc_distances`` makes on the same
+    operands, with that method's ``-sim`` (inner product) or ``-2 * sim``
+    (L2) folded into the query weights — negating or doubling one operand
+    negates or doubles every partial sum exactly, so tiles stay bit-identical
+    while the per-tile sign/scale pass disappears. The weights are gathered
+    into pair order here, once, so a cell's queries are a contiguous slice.
+    """
+    ip = metric == "ip"
+    pairs = w[rows]
+    pairs = np.negative(pairs, out=pairs) if ip else np.multiply(pairs, -2.0, out=pairs)
+
+    def tile(codes, a, b, code_sqnorms, out):
+        np.matmul(pairs[a:b], prepare(codes).T, out=out)
+        if not ip:
+            out += code_sqnorms
+
+    return tile
 
 
 class IdentityQuantizer(Quantizer):
@@ -204,6 +247,9 @@ class IdentityQuantizer(Quantizer):
             dists += bias[:, np.newaxis]
             np.maximum(dists, 0.0, out=dists)
         return dists
+
+    def adc_tile_kernel(self, table, rows, *, ws=None):
+        return _gemm_tiles(table["q"], rows, table["metric"], as_matrix)
 
 
 class ScalarQuantizer(Quantizer):
@@ -320,6 +366,9 @@ class ScalarQuantizer(Quantizer):
             if table["metric"] == "l2":
                 np.maximum(dists, 0.0, out=dists)
         return dists
+
+    def adc_tile_kernel(self, table, rows, *, ws=None):
+        return _gemm_tiles(table["w"], rows, table["metric"], self._unpack_levels)
 
 
 class ProductQuantizer(Quantizer):

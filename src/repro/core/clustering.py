@@ -76,6 +76,19 @@ class IndexShard:
         # running through a compaction. Order: ``_mutate_lock`` outermost.
         self._lock = threading.Lock()
         self._mutate_lock = threading.Lock()
+        self._index_tombstones()
+
+    def _index_tombstones(self) -> None:
+        """Derive the per-search view of ``tombstones`` (caller holds ``_lock``).
+
+        Searches read these instead of re-sorting the set on every call: the
+        sorted local ids, how many of them are sealed rows (the rest are
+        delta rows), and their global ids.
+        """
+        local = np.array(sorted(self.tombstones), dtype=np.int64)
+        self._tomb_local = local
+        self._tomb_sealed = int(np.searchsorted(local, self.index.ntotal))
+        self._tomb_global = self.global_ids[local]
 
     def quiesce(self):
         """Context manager blocking mutations (insert/delete/compact).
@@ -146,6 +159,7 @@ class IndexShard:
                     f"{[int(self.global_ids[p]) for p in stale[:5]]}"
                 )
             self.tombstones.update(int(p) for p in local)
+            self._index_tombstones()
         return len(targets)
 
     def compact(self) -> bool:
@@ -171,7 +185,7 @@ class IndexShard:
                 return False
             sealed = self.index
             delta = self.delta
-            tomb = np.array(sorted(self.tombstones), dtype=np.int64)
+            tomb = self._tomb_local
             gids = self.global_ids
         sealed_n = sealed.ntotal
         delta_n = delta.ntotal if delta is not None else 0
@@ -216,6 +230,7 @@ class IndexShard:
                 self.global_ids = new_gids
                 self.delta = None
                 self.tombstones = set()
+                self._index_tombstones()
                 self.generation += 1
         get_registry().counter(
             "datastore_compactions_total", "shard compaction passes"
@@ -224,8 +239,7 @@ class IndexShard:
 
     # -- search --------------------------------------------------------------
     def _tombstone_globals(self) -> np.ndarray:
-        tomb = np.array(sorted(self.tombstones), dtype=np.int64)
-        return self.global_ids[tomb] if len(tomb) else tomb
+        return self._tomb_global
 
     def search(
         self,
@@ -246,9 +260,9 @@ class IndexShard:
         Merge contract: sealed candidates occupy the left columns and delta
         candidates the right, so the stable :func:`top_k` resolves exact
         distance ties sealed-first — matching the insertion order a flat
-        rebuild over the live set would produce. Each side over-fetches by
-        its own tombstone count so dropping tombstoned rows can never
-        surface fewer than ``k`` live candidates.
+        rebuild over the live set would produce. Each side drops its own
+        tombstoned rows (:func:`_fetch_live`) without ever surfacing fewer
+        than ``k`` live candidates.
 
         Concurrency: the index/ids/delta/tombstone state is snapshotted in
         one locked read — the delta as a frozen :meth:`DeltaIndex.snapshot`
@@ -259,7 +273,8 @@ class IndexShard:
         with self._lock:
             index = self.index
             gids = self.global_ids
-            tomb_local = sorted(self.tombstones)
+            t_sealed = self._tomb_sealed
+            tomb_global = self._tomb_global
             delta = (
                 self.delta.snapshot()
                 if self.delta is not None and self.delta.ntotal
@@ -270,38 +285,24 @@ class IndexShard:
 
             def sealed(q, kq, probe):
                 dists, local = index.search(q, kq, nprobe=probe)
-                out = np.full_like(local, -1)
-                valid = local >= 0
-                out[valid] = gids[local[valid]]
-                return dists, out
+                return dists, _to_global(local, gids)
 
-        if not tomb_local and delta is None:
+        if not len(tomb_global) and delta is None:
             return sealed(queries, k, nprobe)
-        tomb_global = (
-            gids[np.array(tomb_local, dtype=np.int64)]
-            if tomb_local
-            else np.empty(0, dtype=np.int64)
+        cand_d, cand_g = _fetch_live(
+            lambda q, kq: sealed(q, kq, nprobe), queries, k, t_sealed, tomb_global
         )
-        t_sealed = sum(1 for t in tomb_local if t < sealed_n)
-        t_delta = len(tomb_local) - t_sealed
-        d_s, g_s = sealed(queries, k + t_sealed, nprobe)
-        if t_sealed:
-            dead = np.isin(g_s, tomb_global)
-            d_s = np.where(dead, np.inf, d_s)
-            g_s = np.where(dead, -1, g_s)
         if delta is not None:
-            d_d, pos = delta.search(queries, k + t_delta)
-            g_d = np.full_like(pos, -1)
-            valid = pos >= 0
-            g_d[valid] = gids[sealed_n + pos[valid]]
-            if t_delta:
-                dead = np.isin(g_d, tomb_global)
-                d_d = np.where(dead, np.inf, d_d)
-                g_d = np.where(dead, -1, g_d)
-            cand_d = np.concatenate([d_s, d_d], axis=1)
-            cand_g = np.concatenate([g_s, g_d], axis=1)
-        else:
-            cand_d, cand_g = d_s, g_s
+
+            def delta_side(q, kq):
+                dists, pos = delta.search(q, kq)
+                return dists, _to_global(pos, gids[sealed_n:])
+
+            d_d, g_d = _fetch_live(
+                delta_side, queries, k, len(tomb_global) - t_sealed, tomb_global
+            )
+            cand_d = np.concatenate([cand_d, d_d], axis=1)
+            cand_g = np.concatenate([cand_g, g_d], axis=1)
         out_d, cols = top_k(cand_d, k)
         rows = np.arange(len(out_d))[:, np.newaxis]
         out_g = cand_g[rows, np.clip(cols, 0, cand_d.shape[1] - 1)]
@@ -316,6 +317,45 @@ class IndexShard:
         if self.delta is not None:
             total += self.delta.memory_bytes()
         return total
+
+
+def _to_global(local: np.ndarray, gids: np.ndarray) -> np.ndarray:
+    """Positional local ids -> global ids, keeping the ``-1`` padding."""
+    out = np.full_like(local, -1)
+    valid = local >= 0
+    out[valid] = gids[local[valid]]
+    return out
+
+
+def _fetch_live(fetch, queries, k: int, n_dead: int, tomb_global: np.ndarray):
+    """``k`` candidates per query from one side of a live shard, dead rows out.
+
+    ``fetch(queries, kq) -> (distances, global_ids)`` searches the side
+    (sealed index or delta memtable) holding ``n_dead`` tombstoned rows.
+    Tombstoned candidates come back as ``(inf, -1)`` in place, so columns
+    keep the side's stable order for the merge. ``k > 1`` over-fetches by
+    ``n_dead`` — one call, and on the dense deep scan the extra columns are
+    nearly free. ``k == 1`` (the sample search) asks for the winner alone,
+    which keeps the index on its nearest-neighbour reduction, and repeats
+    with the over-fetch only for the queries whose winner is tombstoned.
+    """
+    if k > 1 or not n_dead:
+        dists, gids = fetch(queries, k + n_dead)
+        if n_dead:
+            dead = np.isin(gids, tomb_global)
+            dists = np.where(dead, np.inf, dists)
+            gids = np.where(dead, -1, gids)
+        return dists, gids
+    dists, gids = fetch(queries, 1)
+    redo = np.flatnonzero(np.isin(gids[:, 0], tomb_global))
+    if len(redo):
+        d_r, g_r = fetch(queries[redo], 1 + n_dead)
+        d_r = np.where(np.isin(g_r, tomb_global), np.inf, d_r)
+        rows = np.arange(len(redo))
+        first = d_r.argmin(axis=1)  # first occurrence: the side's own order
+        dists[redo, 0] = d_r[rows, first]
+        gids[redo, 0] = np.where(np.isfinite(d_r[rows, first]), g_r[rows, first], -1)
+    return dists, gids
 
 
 def _build_shard(

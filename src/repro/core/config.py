@@ -40,8 +40,6 @@ class HermesConfig:
     k: int = 5
     #: Documents kept after reranking and prepended to the prompt.
     rerank_top: int = 1
-    #: Documents sampled per cluster during the sampling phase.
-    sample_k: int = 1
     #: Inverted lists per cluster index; ``None`` uses the paper's
     #: ``nlist ≈ sqrt(N)`` heuristic at build time.
     nlist: int | None = None
@@ -82,8 +80,8 @@ class HermesConfig:
             )
         if self.sample_nprobe <= 0 or self.deep_nprobe <= 0:
             raise ValueError("nProbe values must be positive")
-        if self.k <= 0 or self.sample_k <= 0:
-            raise ValueError("k and sample_k must be positive")
+        if self.k <= 0:
+            raise ValueError("k must be positive")
         if not 1 <= self.rerank_top <= self.k:
             raise ValueError(f"rerank_top must be in [1, {self.k}]")
         if not self.kmeans_seeds:

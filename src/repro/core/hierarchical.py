@@ -1017,9 +1017,7 @@ class HermesSearcher(HierarchicalSearcher):
         cfg = config or datastore.config
         super().__init__(
             datastore,
-            router=SampledRouter(
-                sample_nprobe=cfg.sample_nprobe, sample_k=cfg.sample_k
-            ),
+            router=SampledRouter(sample_nprobe=cfg.sample_nprobe),
             config=cfg,
             max_workers=max_workers,
             policy=policy,

@@ -99,9 +99,8 @@ class SampledRouter(ClusterRouter):
 
     name = "hermes-sampled"
 
-    def __init__(self, *, sample_nprobe: int | None = None, sample_k: int | None = None) -> None:
+    def __init__(self, *, sample_nprobe: int | None = None) -> None:
         self.sample_nprobe = sample_nprobe
-        self.sample_k = sample_k
 
     def route(
         self,
@@ -112,9 +111,7 @@ class SampledRouter(ClusterRouter):
         exclude: frozenset = frozenset(),
     ) -> RoutingDecision:
         q = as_matrix(queries)
-        config = datastore.config
-        nprobe = self.sample_nprobe or config.sample_nprobe
-        sample_k = self.sample_k or config.sample_k
+        nprobe = self.sample_nprobe or datastore.config.sample_nprobe
         m = self._check_fanout(m, datastore, exclude)
         scores = np.full((len(q), datastore.n_clusters), np.inf, dtype=np.float32)
         failed = set()
@@ -124,11 +121,11 @@ class SampledRouter(ClusterRouter):
                 continue  # a failed node cannot be sampled
             with tracer.span("sample", shard=int(shard.shard_id), nprobe=nprobe):
                 try:
-                    dists, _ = shard.search(q, sample_k, nprobe=nprobe)
+                    # One document per cluster: its distance is the score.
+                    dists, _ = shard.search(q, 1, nprobe=nprobe)
                 except ShardError:
                     failed.add(int(shard.shard_id))
                     continue  # score stays inf: routing flows to survivors
-                # Best (smallest) sampled distance represents the cluster.
                 scores[:, shard.shard_id] = dists[:, 0]
         _, ranked = top_k(scores, m)
         return RoutingDecision(

@@ -141,6 +141,9 @@ def load_datastore(directory: "str | Path") -> ClusteredDatastore:
         raise FileNotFoundError(f"no manifest.json in {directory}")
     manifest = json.loads(manifest_path.read_text())
     config_dict = dict(manifest["config"])
+    # Manifests written before the knob was deleted carry it; every value
+    # routed identically, so dropping it loads the same datastore.
+    config_dict.pop("sample_k", None)
     config_dict["kmeans_seeds"] = tuple(config_dict["kmeans_seeds"])
     config = HermesConfig(**config_dict)
     shards = []

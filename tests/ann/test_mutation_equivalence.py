@@ -10,6 +10,7 @@ tests cover duplicates, delete-then-reinsert, and thread/process parity.
 """
 
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.ann.distances import pairwise_distance, top_k
 from repro.ann.ivf import IVFIndex
+from repro.ann.parallel import ProcessShardPool
 from repro.ann.quantization import make_quantizer
 from repro.core.clustering import IndexShard
 
@@ -430,3 +432,103 @@ class TestWorkerModeParity:
             np.testing.assert_array_equal(compacted.ids, reloaded.ids)
             np.testing.assert_array_equal(compacted.distances, reloaded.distances)
         threaded.close()
+
+
+class TestNearestNeighbourOnLiveShard:
+    """``k == 1`` (the sample search) on a shard with tombstones and a delta.
+
+    The live path asks each side for its winner alone and repeats with the
+    over-fetch only for queries whose winner is tombstoned; it must return
+    what the over-fetching top-k path returns in column 0, in thread mode
+    and with the sealed half served by the process pool.
+    """
+
+    NPROBE = 1  # of 6 cells: the sparse strategy, i.e. the k == 1 reduction
+
+    @staticmethod
+    @contextmanager
+    def searches(shard):
+        """``mode -> search(queries, k, nprobe)`` for both worker modes."""
+        with ProcessShardPool([shard], workers=1) as pool:
+            sealed = lambda q, k, probe: pool.search(0, q, k, nprobe=probe)
+            yield {
+                "thread": lambda q, k, probe: shard.search(q, k, nprobe=probe),
+                "process": lambda q, k, probe: shard.search(
+                    q, k, nprobe=probe, sealed=sealed
+                ),
+            }
+
+    def assert_k1_is_column_zero(self, shard, oracle, queries):
+        with self.searches(shard) as modes:
+            results = {}
+            for mode, search in modes.items():
+                for nprobe in (self.NPROBE, NLIST):
+                    d1, i1 = search(queries, 1, nprobe)
+                    dk, ik = search(queries, 3, nprobe)
+                    np.testing.assert_array_equal(i1[:, 0], ik[:, 0])
+                    # a re-fetched row is scanned in a smaller batch: fp noise
+                    finite = np.isfinite(dk[:, 0])
+                    np.testing.assert_array_equal(finite, np.isfinite(d1[:, 0]))
+                    np.testing.assert_allclose(
+                        d1[finite, 0], dk[finite, 0], rtol=1e-6, atol=1e-6
+                    )
+                    results[(mode, nprobe)] = (d1, i1)
+                # full probe is the regime the flat oracle describes
+                _, want_i = oracle.search(queries, 1)
+                assert_ids_match_up_to_duplicate_ties(
+                    results[(mode, NLIST)][1], want_i, oracle
+                )
+            for nprobe in (self.NPROBE, NLIST):
+                np.testing.assert_array_equal(
+                    results[("thread", nprobe)][1], results[("process", nprobe)][1]
+                )
+                np.testing.assert_array_equal(
+                    results[("thread", nprobe)][0], results[("process", nprobe)][0]
+                )
+        return results[("thread", self.NPROBE)]
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_tombstoned_winner_is_replaced_by_the_next_live_row(self, metric):
+        rng = np.random.default_rng(30)
+        base = rng.normal(size=(60, DIM)).astype(np.float32)
+        shard = build_shard("sq8", metric, base)
+        oracle = FlatOracle(shard.index.quantizer, metric, base)
+        queries = base[:8] * 1.01
+        _, winners = shard.search(queries, 1, nprobe=self.NPROBE)
+        doomed = np.unique(winners[:4, 0])  # half the batch loses its winner
+        shard.delete(doomed)
+        oracle.delete(doomed)
+        _, got = self.assert_k1_is_column_zero(shard, oracle, queries)
+        assert not np.isin(got, doomed).any()
+        np.testing.assert_array_equal(got[4:], winners[4:])  # untouched rows
+        assert (got >= 0).all()
+
+    def test_every_probed_row_tombstoned_pads(self):
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(40, DIM)).astype(np.float32)
+        shard = build_shard("sq8", "l2", base)
+        oracle = FlatOracle(shard.index.quantizer, "l2", base)
+        shard.delete(np.arange(40))
+        oracle.delete(np.arange(40))
+        queries = base[:5]
+        dists, ids = self.assert_k1_is_column_zero(shard, oracle, queries)
+        assert np.isinf(dists).all() and (ids == -1).all()
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_winner_in_the_delta(self, metric):
+        rng = np.random.default_rng(32)
+        base = rng.normal(size=(60, DIM)).astype(np.float32)
+        shard = build_shard("sq8", metric, base)
+        oracle = FlatOracle(shard.index.quantizer, metric, base)
+        queries = rng.normal(size=(6, DIM)).astype(np.float32) * 2.0
+        # The queries themselves become delta rows: under either metric each
+        # is (one of) its own nearest neighbours, far ahead of the base rows.
+        fresh = queries[:3] * 1.5 if metric == "ip" else queries[:3]
+        ids = oracle.insert(fresh)
+        shard.insert(fresh, ids)
+        # ...and a tombstone on each side keeps both re-fetch paths live.
+        shard.delete([0, int(ids[2])])
+        oracle.delete([0, int(ids[2])])
+        _, got = self.assert_k1_is_column_zero(shard, oracle, queries)
+        np.testing.assert_array_equal(got[:2, 0], ids[:2])
+        assert int(ids[2]) not in got and 0 not in got

@@ -153,6 +153,38 @@ class TestFactory:
             make_quantizer("dct", 16)
 
 
+class TestTileKernel:
+    """``adc_tile_kernel`` is ``adc_distances(rows=..., shifted=True)`` bit
+    for bit — including the GEMM codecs' sign/scale folded into the query
+    weights — for every group of a cell-major scan."""
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    @pytest.mark.parametrize("scheme", ["flat", "sq8", "sq4", "pq4", "opq4"])
+    def test_tiles_match_adc_distances_exactly(self, data, scheme, metric):
+        quantizer = make_quantizer(scheme, 16)
+        quantizer.train(data)
+        codes = quantizer.encode(data)
+        rng = np.random.default_rng(1)
+        queries = rng.normal(size=(9, 16)).astype(np.float32)
+        table = quantizer.adc_table(queries, metric)
+        norms = (
+            quantizer.code_sqnorms(codes)
+            if quantizer.needs_code_sqnorms(metric)
+            else None
+        )
+        # pairs in evaluation order: three groups of 1, 4 and 7 queries
+        rows = np.array([3, 0, 2, 5, 8, 1, 2, 3, 4, 6, 7, 8])
+        fill = quantizer.adc_tile_kernel(table, rows)
+        for (a, b), (lo, hi) in zip([(0, 1), (1, 5), (5, 12)], [(0, 33), (33, 34), (200, 500)]):
+            cell_norms = None if norms is None else norms[lo:hi]
+            want = quantizer.adc_distances(
+                table, codes[lo:hi], rows=rows[a:b], code_sqnorms=cell_norms, shifted=True
+            )
+            got = np.full((b - a, hi - lo), np.nan, dtype=np.float32)
+            fill(codes[lo:hi], a, b, cell_norms, got)
+            np.testing.assert_array_equal(got, want)
+
+
 class TestSampledTraining:
     """PQ/OPQ codebooks train on a bounded deterministic sample; the sample
     size must not change the API contract and must stay reproducible."""

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.ann.distances import top_k
 from repro.core.router import AllRouter, CentroidRouter, SampledRouter
+from repro.serving.faults import CrashStop, FaultInjector
 
 
 class TestSampledRouter:
@@ -47,6 +49,45 @@ class TestSampledRouter:
         )
         # Deeper sampling can only improve (lower) the best sampled distances.
         assert (high.scores.min(axis=1) <= low.scores.min(axis=1) + 1e-5).all()
+
+
+class TestSampledRouterOnTheFig11Datastore:
+    """The sample search is the shard's nearest-neighbour reduction; routing
+    must read exactly what the general top-k path puts in column 0."""
+
+    @pytest.fixture(scope="class")
+    def fig11(self):
+        from repro.experiments.common import (
+            accuracy_queries,
+            clustered_accuracy_datastore,
+        )
+
+        return clustered_accuracy_datastore(), accuracy_queries().embeddings
+
+    def test_scores_are_column_zero_of_a_top2_search(self, fig11):
+        datastore, queries = fig11
+        nprobe = datastore.config.sample_nprobe
+        decision = SampledRouter().route(queries, datastore, 3)
+        scores = np.stack(
+            [s.search(queries, 2, nprobe=nprobe)[0][:, 0] for s in datastore.shards],
+            axis=1,
+        )
+        np.testing.assert_array_equal(decision.scores, scores)
+        np.testing.assert_array_equal(decision.clusters, top_k(scores, 3)[1])
+        assert decision.failed_clusters == frozenset()
+
+    def test_crash_during_sampling_scores_inf_and_is_reported(self, fig11):
+        datastore, queries = fig11
+        healthy = SampledRouter().route(queries, datastore, 3)
+        chaotic = FaultInjector(seed=1).wrap(datastore, {4: CrashStop()})
+        decision = SampledRouter().route(queries, chaotic, 3)
+        assert decision.failed_clusters == frozenset({4})
+        assert np.isinf(decision.scores[:, 4]).all()
+        assert not (decision.clusters == 4).any()
+        alive = [c for c in range(datastore.n_clusters) if c != 4]
+        np.testing.assert_array_equal(
+            decision.scores[:, alive], healthy.scores[:, alive]
+        )
 
 
 class TestCentroidRouter:

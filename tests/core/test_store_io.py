@@ -68,6 +68,17 @@ class TestDatastoreRoundTrip:
         loaded = load_datastore(tmp_path / "store")
         assert loaded.config.search_workers_mode == "process"
 
+    def test_manifest_from_before_sample_k_was_deleted_loads(self, clustered, tmp_path):
+        # Stores (and build-cache entries) written while HermesConfig still
+        # had the no-op ``sample_k`` knob carry it in their manifest.
+        save_datastore(clustered, tmp_path / "store")
+        manifest_path = tmp_path / "store" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["sample_k"] = 3
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = load_datastore(tmp_path / "store")
+        assert loaded.config == clustered.config
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_datastore(tmp_path / "nothing")
