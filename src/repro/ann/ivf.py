@@ -11,10 +11,13 @@ The default ``nlist`` follows the paper's rule of thumb ``nlist ≈ sqrt(N)``.
 
 Performance architecture (see DESIGN.md):
 
-- **List compaction**: ``add()`` appends per-cell fragments; the first search
-  after an add compacts everything into contiguous CSR-style ``codes`` /
-  ``ids`` arrays indexed by ``cell_offsets``, so steady-state searches never
-  concatenate fragments.
+- **Sealed storage**: ``add()`` appends fragments; the first search after an
+  add folds everything into one immutable :class:`SealedLists` record —
+  contiguous CSR-style ``codes`` / ``ids`` indexed by ``offsets`` plus lazily
+  derived scan state — so steady-state searches never concatenate fragments.
+  This module is the only one that knows the record's fields; everything
+  else goes through :meth:`IVFIndex.export_state` /
+  :meth:`IVFIndex.from_state` / :meth:`IVFIndex.rows_by_local_id`.
 - **Cell-major batched scan**: the search loop is inverted — each probed cell
   is scanned once for *all* queries probing it (one distance kernel per
   cell), instead of assembling a candidate pool per query.
@@ -23,14 +26,15 @@ Performance architecture (see DESIGN.md):
   (:meth:`repro.ann.quantization.Quantizer.adc_distances`) without
   reconstructing vectors.
 - The pre-optimisation per-query path is retained as
-  :meth:`IVFIndex.search_reference` for equivalence testing and as the
-  benchmark baseline (``benchmarks/bench_retrieval.py``).
+  :meth:`IVFIndex.search_reference`, the oracle of the equivalence suites
+  (``tests/ann/test_search_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,17 +49,101 @@ from .pruning import (
     l2_radius_window,
     residual_radii,
 )
-from .quantization import IdentityQuantizer, Quantizer, make_quantizer
+from .quantization import IdentityQuantizer, Quantizer, make_quantizer, restore_quantizer
 from .workspace import Workspace
 
 #: Code-block granularity the block-pruning counter reports in: a skipped
 #: span of N codes counts as N // PRUNE_BLOCK blocks.
 PRUNE_BLOCK = 32
 
+#: Version of the exported index state (:meth:`IVFIndex.export_state`, and so
+#: of the ``.npz`` files and datastore directories built on it). Format 5 is
+#: the sealed CSR triple, the derived scan state a default search consumes,
+#: and — at the directory level — the live-mutation sidecars of
+#: :mod:`repro.core.store_io`. It is the only format read or written.
+FORMAT_VERSION = 5
+
+
+def check_format(found) -> None:
+    """Raise unless *found* is the one state format this code reads."""
+    if found != FORMAT_VERSION:
+        raise ValueError(
+            f"index format {found!r} is not the supported format "
+            f"{FORMAT_VERSION}; rebuild it with `hermes-repro build-index`"
+        )
+
 
 def default_nlist(n_vectors: int) -> int:
     """Paper heuristic: ``nlist ≈ sqrt(N)``, at least 1."""
     return max(1, int(round(math.sqrt(max(n_vectors, 1)))))
+
+
+@dataclass(frozen=True)
+class SealedLists:
+    """The sealed half of an IVF index: CSR storage plus derived scan state.
+
+    Cell ``c`` owns rows ``[offsets[c], offsets[c + 1])`` of ``codes`` /
+    ``ids``; ``cells`` is the row → cell map the dense scan masks with.
+    ``sqnorms`` (``|decode(code)|²``, for ADC metrics that need it) and
+    ``radii`` (residual radii ``|decode(code) - centroid|``, with each cell's
+    rows *stored radius-ascending* so a (query, cell) radius window is a
+    contiguous slice — see :mod:`repro.ann.pruning`) are ``None`` until a scan
+    that consumes them asks.
+
+    A record and its arrays are never modified once published (the arrays
+    are marked read-only): every builder makes a new record and
+    :class:`IVFIndex` swaps it in with one assignment, so a scan that read
+    the attribute once finishes on a consistent snapshot whatever is rebuilt
+    meanwhile.
+    """
+
+    codes: np.ndarray
+    ids: np.ndarray
+    offsets: np.ndarray
+    cells: np.ndarray
+    sqnorms: np.ndarray | None = None
+    radii: np.ndarray | None = None
+    #: per-cell radius extrema, for the cell-level pruning test
+    radius_max: np.ndarray | None = None
+    radius_min: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for array in vars(self).values():
+            if array is not None:
+                array.flags.writeable = False
+
+    @classmethod
+    def from_rows(
+        cls, codes: np.ndarray, cells: np.ndarray, ids: np.ndarray, nlist: int
+    ) -> "SealedLists":
+        """Group rows into CSR cell order with a *stable* sort, so rows
+        sharing a cell keep their input order — the stable tie-break of every
+        scan depends on it."""
+        order = np.argsort(cells, kind="stable")
+        offsets = np.zeros(nlist + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cells, minlength=nlist), out=offsets[1:])
+        return cls(
+            codes=np.ascontiguousarray(np.asarray(codes)[order]),
+            ids=ids[order],
+            offsets=offsets,
+            cells=cells[order].astype(np.int32),
+        )
+
+    def with_radii(self, radii: np.ndarray) -> "SealedLists":
+        """Adopt per-code radii (already matching the storage order) and
+        derive the per-cell extrema."""
+        radii = np.asarray(radii, dtype=np.float32)
+        lo, hi = self.offsets[:-1], self.offsets[1:]
+        rmax = np.zeros(len(lo), dtype=np.float32)
+        rmin = np.full(len(lo), np.inf, dtype=np.float32)
+        occupied = np.flatnonzero(hi > lo)
+        rmax[occupied] = radii[hi[occupied] - 1]
+        rmin[occupied] = radii[lo[occupied]]
+        return replace(self, radii=radii, radius_max=rmax, radius_min=rmin)
+
+
+def _invalid(field: str, problem: str) -> ValueError:
+    return ValueError(f"invalid IVF index state: {field} {problem}")
 
 
 class IVFIndex(VectorIndex):
@@ -106,30 +194,17 @@ class IVFIndex(VectorIndex):
         self.kmeans_algorithm = kmeans_algorithm
         self.kmeans_batch_size = kmeans_batch_size
         self.centroids: np.ndarray | None = None
-        # Per-cell fragments pending compaction (appended by add()).
-        self._pending_codes: list[list[np.ndarray]] = []
-        self._pending_ids: list[list[np.ndarray]] = []
-        # Compacted CSR storage: codes/ids are contiguous, cell c owns the
-        # slice [cell_offsets[c], cell_offsets[c+1]).
-        self._codes: np.ndarray | None = None
-        self._ids: np.ndarray | None = None
-        self._cell_offsets: np.ndarray | None = None
-        self._code_cells: np.ndarray | None = None
-        # |decode(code)|^2 per stored code, computed lazily for ADC metrics
-        # that need it (SQ under L2); invalidated on recompaction.
-        self._code_sqnorms: np.ndarray | None = None
-        # Streaming-scan pruning state (lazy, invalidated on recompaction):
-        # per-code residual radii |decode(code) - centroid|, with each cell's
-        # codes *stored sorted by radius* so a (query, cell) radius window is
-        # a contiguous slice, plus per-cell radius extrema for cell-level
-        # pruning. See ann/pruning.py for the bound derivations.
-        self._code_radii: np.ndarray | None = None
-        self._cell_radius_max: np.ndarray | None = None
-        self._cell_radius_min: np.ndarray | None = None
+        # ``(codes, cells)`` fragments appended by add() since the last
+        # compaction; their ids continue the sealed ids in append order.
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        # The published sealed record; replaced whole, never edited.
+        self._sealed: SealedLists | None = None
+        # Serialises the lazy builders (compaction, norms, radii) so two first
+        # searches on a cold index build once; warm scans never take it.
+        self._build_lock = threading.Lock()
         # Per-thread scratch arenas (created lazily: threading.local does not
         # survive copy/pickle, so it must not exist on a fresh index).
         self._ws_local: "threading.local | None" = None
-        self._dirty = False
         #: number of compaction passes run — a diagnostics counter used by
         #: the regression tests to prove steady-state searches don't rebuild.
         self.compactions = 0
@@ -149,81 +224,122 @@ class IVFIndex(VectorIndex):
         self.centroids = result.centroids
         if not self.quantizer.is_trained:
             self.quantizer.train(vectors)
-        self._pending_codes = [[] for _ in range(self.nlist)]
-        self._pending_ids = [[] for _ in range(self.nlist)]
-        self._codes = None
-        self._ids = None
-        self._cell_offsets = None
-        self._code_cells = None
-        self._code_sqnorms = None
-        self._code_radii = None
-        self._cell_radius_max = None
-        self._cell_radius_min = None
-        self._dirty = False
+        self._pending = []
+        self._sealed = None
 
     # -- population ---------------------------------------------------------
     def _add(self, vectors: np.ndarray) -> None:
         cells = assign_to_centroids(vectors, self.centroids, "l2")
-        codes = self.quantizer.encode(vectors)
-        base = self.ntotal
-        for cell in np.unique(cells):
-            members = np.flatnonzero(cells == cell)
-            self._pending_codes[cell].append(codes[members])
-            self._pending_ids[cell].append((base + members).astype(np.int64))
-        self._dirty = True
+        self._pending.append((self.quantizer.encode(vectors), cells))
 
     # -- storage ------------------------------------------------------------
     @property
     def is_compacted(self) -> bool:
-        """True when all payloads live in the contiguous CSR arrays."""
-        return self._codes is not None and not self._dirty
+        """True when all payloads live in the sealed record."""
+        return not self._pending and self._sealed is not None
+
+    @property
+    def _streams_by_default(self) -> bool:
+        """Whether ``prune=None`` means the streaming threshold-pruned scan —
+        and so whether this index's warm state includes radii. Gather codecs
+        (PQ/OPQ) get no batching advantage from the dense GEMM strategy, so
+        pruning is a pure win there; GEMM codecs keep their dense path (and
+        never build radii) unless a search asks for ``prune=True``."""
+        return self.quantizer.adc_dense_advantage <= 1.0
+
+    def _warm(self, *, sqnorms: bool = False, radii: bool = False) -> SealedLists:
+        """The sealed record, compacted and carrying the derived state asked for.
+
+        A warm call returns the published record without locking. Anything
+        missing is built under the per-index lock behind a second check, and
+        published as a *new* record: compaction folds the pending fragments
+        in behind the sealed rows (so the sealed-then-append order within a
+        cell survives), radii reorder rows within cells by a stable sort (so
+        codes with equal radii, e.g. duplicates, keep insertion order), norms
+        follow whatever order results.
+        """
+        # Read order matters: a builder publishes the record and *then*
+        # clears the fragments, so "no fragments" implies the record read
+        # after it already contains them.
+        stale = bool(self._pending)
+        s = self._sealed
+        if not (
+            stale
+            or s is None
+            or (sqnorms and s.sqnorms is None)
+            or (radii and s.radii is None)
+        ):
+            return s
+        with self._build_lock:
+            s = self._sealed
+            pending = self._pending
+            if pending or s is None:
+                with get_tracer().span("ivf_compact", nlist=self.nlist, ntotal=self.ntotal):
+                    s = self._compacted(s, pending)
+            if radii and s.radii is None:
+                s = self._radius_sorted(s)
+            if sqnorms and s.sqnorms is None:
+                s = replace(s, sqnorms=self.quantizer.code_sqnorms(s.codes))
+            self._sealed = s
+            if pending:
+                self._pending = []
+        return s
+
+    def _compacted(self, sealed: SealedLists | None, pending) -> SealedLists:
+        rows = list(pending)
+        n_sealed = 0 if sealed is None else len(sealed.ids)
+        if n_sealed:
+            rows.insert(0, (sealed.codes, sealed.cells))
+        self.compactions += 1
+        if not rows:
+            rows = [(np.empty((0, 0), dtype=np.uint8), np.empty(0, dtype=np.int64))]
+        if len(rows) == 1:  # the offline build: one add(), nothing to join
+            codes, cells = rows[0]
+        else:
+            codes = np.concatenate([r[0] for r in rows])
+            cells = np.concatenate([r[1] for r in rows])
+        ids = np.arange(len(cells), dtype=np.int64)
+        if n_sealed:
+            ids[:n_sealed] = sealed.ids
+        return SealedLists.from_rows(codes, cells, ids, self.nlist)
+
+    def _radius_sorted(self, s: SealedLists) -> SealedLists:
+        n = len(s.ids)
+        radii = np.empty(n, dtype=np.float32)
+        step = 16384
+        for lo in range(0, n, step):
+            decoded = self.quantizer.decode(s.codes[lo : lo + step])
+            radii[lo : lo + step] = residual_radii(
+                decoded, self.centroids[s.cells[lo : lo + step]]
+            )
+        perm = np.lexsort((radii, s.cells))
+        if not np.array_equal(perm, np.arange(n)):
+            s = replace(
+                s,
+                codes=np.ascontiguousarray(s.codes[perm]),
+                ids=s.ids[perm],
+                sqnorms=None if s.sqnorms is None else s.sqnorms[perm],
+            )
+            radii = radii[perm]
+        return s.with_radii(radii)
 
     def compact(self) -> None:
-        """Merge pending fragments into contiguous CSR code/id arrays.
+        """Merge pending fragments into the contiguous sealed record.
 
         Runs lazily on the first search after an ``add()``; idempotent and
         cheap (a no-op) when nothing changed since the last compaction.
         """
-        if self._codes is not None and not self._dirty:
-            return
-        with get_tracer().span("ivf_compact", nlist=self.nlist, ntotal=self.ntotal):
-            self._compact_now()
+        self._warm()
 
-    def _compact_now(self) -> None:
-        parts_codes: list[np.ndarray] = []
-        parts_ids: list[np.ndarray] = []
-        sizes = np.zeros(self.nlist, dtype=np.int64)
-        for cell in range(self.nlist):
-            if self._cell_offsets is not None:
-                lo, hi = int(self._cell_offsets[cell]), int(self._cell_offsets[cell + 1])
-                if hi > lo:
-                    parts_codes.append(self._codes[lo:hi])
-                    parts_ids.append(self._ids[lo:hi])
-                    sizes[cell] += hi - lo
-            for frag in self._pending_codes[cell]:
-                parts_codes.append(frag)
-                sizes[cell] += len(frag)
-            parts_ids.extend(self._pending_ids[cell])
-        offsets = np.zeros(self.nlist + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        if parts_codes:
-            self._codes = np.ascontiguousarray(np.concatenate(parts_codes, axis=0))
-            self._ids = np.concatenate(parts_ids)
-        else:
-            self._codes = np.empty((0, 0), dtype=np.uint8)
-            self._ids = np.empty(0, dtype=np.int64)
-        self._cell_offsets = offsets
-        # Cell id per stored code (row -> owning cell), used by the dense
-        # scan to mask unprobed cells without walking the CSR structure.
-        self._code_cells = np.repeat(np.arange(self.nlist, dtype=np.int32), sizes)
-        self._pending_codes = [[] for _ in range(self.nlist)]
-        self._pending_ids = [[] for _ in range(self.nlist)]
-        self._code_sqnorms = None
-        self._code_radii = None
-        self._cell_radius_max = None
-        self._cell_radius_min = None
-        self._dirty = False
-        self.compactions += 1
+    def warm_scan_state(self) -> None:
+        """Precompute every lazy structure a default search consumes
+        (compaction, ADC norms, and pruning radii iff the default scan
+        streams), so the next search runs entirely warm."""
+        q = self.quantizer
+        self._warm(
+            sqnorms=q.supports_adc(self.metric) and q.needs_code_sqnorms(self.metric),
+            radii=self._streams_by_default,
+        )
 
     def fresh_sealed_like(self) -> "IVFIndex":
         """An empty index sharing this one's trained coarse/fine quantizers.
@@ -247,19 +363,16 @@ class IVFIndex(VectorIndex):
         )
         clone.centroids = self.centroids
         clone.is_trained = True
-        clone._pending_codes = [[] for _ in range(self.nlist)]
-        clone._pending_ids = [[] for _ in range(self.nlist)]
         return clone
 
     def install_rows(self, codes: np.ndarray, cells: np.ndarray) -> None:
         """Adopt pre-encoded rows as the index's entire contents.
 
-        Row ``r`` of ``codes`` becomes local id ``r``; rows are grouped into
-        CSR cell order with a *stable* sort, so rows sharing a cell keep
-        their input order — the same within-cell insertion order ``add()``
-        produces, which the stable tie-break depends on. Used by shard
-        compaction to fold sealed survivors + delta rows into a fresh index
-        without re-encoding anything.
+        Row ``r`` of ``codes`` becomes local id ``r``; rows sharing a cell
+        keep their input order — the same within-cell insertion order
+        ``add()`` produces. Used by shard compaction to fold sealed survivors
+        + delta rows into a fresh index without re-encoding anything;
+        :meth:`rows_by_local_id` is its inverse.
         """
         if not self.is_trained:
             raise RuntimeError("IVFIndex must be trained before install_rows()")
@@ -269,32 +382,130 @@ class IVFIndex(VectorIndex):
             raise ValueError(f"{len(codes)} code rows for {n} cell assignments")
         if n and (cells.min() < 0 or cells.max() >= self.nlist):
             raise ValueError("cell assignment out of range")
-        order = np.argsort(cells, kind="stable")
-        sizes = np.bincount(cells, minlength=self.nlist)
-        offsets = np.zeros(self.nlist + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        if n:
-            self._codes = np.ascontiguousarray(np.asarray(codes)[order])
-        else:
-            self._codes = np.empty((0, 0), dtype=np.uint8)
-        self._ids = order.astype(np.int64)
-        self._cell_offsets = offsets
-        self._code_cells = cells[order].astype(np.int32)
-        self._pending_codes = [[] for _ in range(self.nlist)]
-        self._pending_ids = [[] for _ in range(self.nlist)]
-        self._code_sqnorms = None
-        self._code_radii = None
-        self._cell_radius_max = None
-        self._cell_radius_min = None
-        self._dirty = False
-        self.ntotal = n
-        self.compactions += 1
+        with self._build_lock:
+            self._sealed = self._compacted(None, [(codes, cells)])
+            self._pending = []
+            self.ntotal = n
+
+    def rows_by_local_id(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, cells)`` with row ``r`` holding local id ``r`` — what
+        :meth:`install_rows` would need to rebuild this index."""
+        s = self._warm()
+        codes = np.empty_like(s.codes)
+        codes[s.ids] = s.codes
+        cells = np.empty(len(s.ids), dtype=np.int64)
+        cells[s.ids] = s.cells
+        return codes, cells
+
+    def export_state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The trained index as ``(header, named arrays)``, scan state warm.
+
+        The one serialised form of an index: ``.npz`` persistence writes it,
+        the process pool ships it through shared memory, and
+        :meth:`from_state` rebuilds an index that searches bit-identically.
+        The arrays are the published record's own (not copies).
+        """
+        if not self.is_trained:
+            raise ValueError("cannot export an untrained IVF index")
+        self.warm_scan_state()
+        s = self._sealed
+        quantizer_spec, arrays = self.quantizer.export_state()
+        header = {
+            "format": FORMAT_VERSION,
+            "type": "ivf",
+            "dim": self.dim,
+            "metric": self.metric,
+            "nlist": self.nlist,
+            "nprobe": self.nprobe,
+            "ntotal": len(s.ids),
+            "quantizer": quantizer_spec,
+        }
+        arrays = dict(
+            arrays,
+            centroids=self.centroids,
+            codes=s.codes,
+            ids=s.ids,
+            cell_offsets=s.offsets,
+        )
+        if s.sqnorms is not None:
+            arrays["code_sqnorms"] = s.sqnorms
+        if s.radii is not None:
+            arrays["code_radii"] = s.radii
+        return header, arrays
+
+    @classmethod
+    def from_state(cls, header: dict, arrays) -> "IVFIndex":
+        """Rebuild an index from :meth:`export_state` output, validating it.
+
+        *arrays* is any mapping of names to arrays (an open ``.npz``, or
+        read-only shared-memory views — nothing here writes to them). The
+        state comes from outside the process, so every cross-field invariant
+        the scans rely on is checked; a violation raises ``ValueError``
+        naming the field.
+        """
+        check_format(header.get("format"))
+        index = cls(
+            header["dim"],
+            header["metric"],
+            nlist=header["nlist"],
+            nprobe=header["nprobe"],
+            quantizer=restore_quantizer(header["quantizer"], arrays),
+        )
+        ntotal = int(header["ntotal"])
+        centroids = arrays["centroids"]
+        codes = arrays["codes"]
+        ids = np.asarray(arrays["ids"], dtype=np.int64)
+        offsets = np.asarray(arrays["cell_offsets"], dtype=np.int64)
+        if centroids.shape != (index.nlist, index.dim):
+            raise _invalid("centroids", f"has shape {centroids.shape}, not (nlist, dim)")
+        if offsets.shape != (index.nlist + 1,):
+            raise _invalid("cell_offsets", f"has {offsets.size} entries, not nlist + 1")
+        if offsets[0] != 0 or (np.diff(offsets) < 0).any():
+            raise _invalid("cell_offsets", "is not non-decreasing from 0")
+        if offsets[-1] != ntotal:
+            raise _invalid("cell_offsets", f"ends at {offsets[-1]}, not ntotal={ntotal}")
+        if len(codes) != ntotal or (ntotal and codes.ndim != 2):
+            raise _invalid("codes", f"has shape {codes.shape} for ntotal={ntotal}")
+        if ntotal and codes.shape[1] * codes.itemsize != index.quantizer.code_size():
+            raise _invalid(
+                "codes",
+                f"rows are {codes.shape[1] * codes.itemsize} bytes, the quantizer's "
+                f"are {index.quantizer.code_size()}",
+            )
+        if ids.shape != (ntotal,):
+            raise _invalid("ids", f"has shape {ids.shape} for ntotal={ntotal}")
+        if ntotal and (ids.min() < 0 or ids.max() >= ntotal):
+            raise _invalid("ids", f"fall outside [0, {ntotal})")
+        sealed = SealedLists(
+            codes=codes,
+            ids=ids,
+            offsets=offsets,
+            cells=np.repeat(np.arange(index.nlist, dtype=np.int32), np.diff(offsets)),
+        )
+        derived = {
+            name: arrays[name] for name in ("code_sqnorms", "code_radii") if name in arrays
+        }
+        for name, values in derived.items():
+            if values.shape != (ntotal,):
+                raise _invalid(name, f"has shape {values.shape} for ntotal={ntotal}")
+        if "code_sqnorms" in derived:
+            sealed = replace(sealed, sqnorms=derived["code_sqnorms"])
+        if "code_radii" in derived:
+            sealed = sealed.with_radii(derived["code_radii"])
+            drops = np.flatnonzero(np.diff(sealed.radii) < 0) + 1
+            if not np.isin(drops, offsets).all():
+                raise _invalid("code_radii", "is not ascending within every cell")
+        index.centroids = centroids
+        index.is_trained = True
+        index.ntotal = ntotal
+        index._sealed = sealed
+        return index
 
     def cell_codes(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
         """Contiguous ``(codes, ids)`` views of one inverted list."""
-        self.compact()
-        lo, hi = int(self._cell_offsets[cell]), int(self._cell_offsets[cell + 1])
-        return self._codes[lo:hi], self._ids[lo:hi]
+        s = self._warm()
+        lo, hi = int(s.offsets[cell]), int(s.offsets[cell + 1])
+        return s.codes[lo:hi], s.ids[lo:hi]
 
     def cell_vectors(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
         """Decoded ``(vectors, ids)`` of one inverted list."""
@@ -303,29 +514,26 @@ class IVFIndex(VectorIndex):
             return np.empty((0, self.dim), dtype=np.float32), ids
         return self.quantizer.decode(codes), ids
 
+    def _decode_chunked(self, codes: np.ndarray) -> np.ndarray:
+        out = np.empty((len(codes), self.dim), dtype=np.float32)
+        step = 16384
+        for lo in range(0, len(codes), step):
+            out[lo : lo + step] = self.quantizer.decode(codes[lo : lo + step])
+        return out
+
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """Decode every stored vector; returns ``(vectors, local_ids)``."""
-        self.compact()
-        n = len(self._ids)
-        out = np.empty((n, self.dim), dtype=np.float32)
-        step = 16384
-        for s in range(0, n, step):
-            out[s : s + step] = self.quantizer.decode(self._codes[s : s + step])
-        return out, self._ids.copy()
+        s = self._warm()
+        return self._decode_chunked(s.codes), s.ids.copy()
 
     def list_sizes(self) -> np.ndarray:
         """Number of stored vectors per inverted list."""
         sizes = np.zeros(self.nlist, dtype=np.int64)
-        if self._cell_offsets is not None:
-            sizes += np.diff(self._cell_offsets)
-        for cell in range(self.nlist):
-            sizes[cell] += sum(len(ids) for ids in self._pending_ids[cell])
+        if self._sealed is not None:
+            sizes += np.diff(self._sealed.offsets)
+        for _, cells in self._pending:
+            sizes += np.bincount(cells, minlength=self.nlist)
         return sizes
-
-    def _adc_code_sqnorms(self) -> np.ndarray:
-        if self._code_sqnorms is None:
-            self._code_sqnorms = self.quantizer.code_sqnorms(self._codes)
-        return self._code_sqnorms
 
     @property
     def _workspace(self) -> Workspace:
@@ -337,63 +545,6 @@ class IVFIndex(VectorIndex):
         if ws is None:
             ws = local.ws = Workspace()
         return ws
-
-    def _install_radii(self, radii: np.ndarray) -> None:
-        """Adopt per-code radii (already matching the storage order) and
-        derive the per-cell extrema the cell-level pruning test uses."""
-        offsets = self._cell_offsets
-        sizes = offsets[1:] - offsets[:-1]
-        rmax = np.zeros(self.nlist, dtype=np.float32)
-        rmin = np.full(self.nlist, np.inf, dtype=np.float32)
-        occupied = np.flatnonzero(sizes > 0)
-        rmax[occupied] = radii[offsets[1:][occupied] - 1]
-        rmin[occupied] = radii[offsets[:-1][occupied]]
-        self._code_radii = np.asarray(radii, dtype=np.float32)
-        self._cell_radius_max = rmax
-        self._cell_radius_min = rmin
-
-    def _ensure_pruning_state(self) -> None:
-        """Compute residual radii and sort each cell's storage by radius.
-
-        The reorder permutes codes/ids/sqnorms *within* cells only (the CSR
-        offsets and row→cell map are unchanged), so every scan path sees the
-        same storage; the sort is stable, so codes with equal radii (e.g.
-        duplicates) keep their insertion order and tie-breaking stays
-        consistent with the reference path.
-        """
-        self.compact()
-        if self._code_radii is not None:
-            return
-        n = len(self._ids)
-        if n == 0:
-            self._install_radii(np.empty(0, dtype=np.float32))
-            return
-        radii = np.empty(n, dtype=np.float32)
-        step = 16384
-        for s in range(0, n, step):
-            decoded = self.quantizer.decode(self._codes[s : s + step])
-            radii[s : s + step] = residual_radii(
-                decoded, self.centroids[self._code_cells[s : s + step]]
-            )
-        perm = np.lexsort((radii, self._code_cells))
-        if not np.array_equal(perm, np.arange(n)):
-            self._codes = np.ascontiguousarray(self._codes[perm])
-            self._ids = self._ids[perm]
-            radii = radii[perm]
-            if self._code_sqnorms is not None:
-                self._code_sqnorms = self._code_sqnorms[perm]
-        self._install_radii(radii)
-
-    def warm_scan_state(self) -> None:
-        """Precompute every lazy scan structure (compaction, ADC norms,
-        pruning radii) so the next search runs entirely warm — used before
-        persistence and before exporting shards to worker processes."""
-        self.compact()
-        if self.quantizer.supports_adc(self.metric) and self.quantizer.needs_code_sqnorms(
-            self.metric
-        ):
-            self._adc_code_sqnorms()
-        self._ensure_pruning_state()
 
     # -- search --------------------------------------------------------------
     def _resolve_probe(self, nprobe: int | None) -> int:
@@ -442,38 +593,26 @@ class IVFIndex(VectorIndex):
         query's own ordering) are added once after selection in every path.
         """
         probe = self._resolve_probe(nprobe)
-        self.compact()
         q = queries
         nq = len(q)
-        out_d = np.full((nq, k), np.inf, dtype=np.float32)
-        out_i = np.full((nq, k), -1, dtype=np.int64)
-        n_codes = len(self._ids)
-        if not n_codes:
-            return out_d, out_i
         if use_adc is None:
             use_adc = self.quantizer.supports_adc(self.metric)
-        if prune is None:
-            # Gather codecs (PQ/OPQ) get no batching advantage from the
-            # dense GEMM strategy, so threshold pruning is a pure win there;
-            # GEMM codecs keep their dense path unless pruning is requested.
-            prune = self.quantizer.adc_dense_advantage <= 1.0
-        prune = bool(prune)
-        if prune:
-            # May reorder storage within cells — before norms are sliced.
-            self._ensure_pruning_state()
+        prune = self._streams_by_default if prune is None else bool(prune)
+        wants_norms = use_adc and self.quantizer.needs_code_sqnorms(self.metric)
+        # The one read of the sealed record: everything below scans `s`.
+        s = self._warm(sqnorms=wants_norms, radii=prune)
+        n_codes = len(s.ids)
+        if not n_codes:
+            return (
+                np.full((nq, k), np.inf, dtype=np.float32),
+                np.full((nq, k), -1, dtype=np.int64),
+            )
         ws = self._workspace
 
         cell_d = pairwise_distance(q, self.centroids, "l2")
         cell_dists, probe_cells = top_k(cell_d, probe)
         table = self.quantizer.adc_table(q, self.metric, ws=ws) if use_adc else None
-        norms = (
-            self._adc_code_sqnorms()
-            if use_adc and self.quantizer.needs_code_sqnorms(self.metric)
-            else None
-        )
-
-        offsets = self._cell_offsets
-        sizes = offsets[1:] - offsets[:-1]
+        sizes = s.offsets[1:] - s.offsets[:-1]
         # Probed work as a fraction of a full scan decides the strategy: the
         # dense kernel costs ~nq * n_codes regardless of probe, the sparse
         # loop costs the probed work plus fixed per-cell overhead. How the
@@ -501,19 +640,19 @@ class IVFIndex(VectorIndex):
         ):
             if strategy == "streaming":
                 out_d, out_i, valid = self._scan_streaming(
-                    q, k, probe, probe_cells, cell_dists, use_adc, table, norms, ws
+                    s, q, k, probe, probe_cells, cell_dists, use_adc, table, ws
                 )
             elif strategy == "dense":
                 out_d, out_i, valid = self._scan_dense(
-                    q, k, probe, probe_cells, use_adc, table, norms, ws
+                    s, q, k, probe, probe_cells, use_adc, table, ws
                 )
             elif reduced:
                 out_d, out_i, valid = self._scan_sparse_best(
-                    q, probe, probe_cells, use_adc, table, norms, ws
+                    s, q, probe, probe_cells, use_adc, table, ws
                 )
             else:
                 out_d, out_i, valid = self._scan_sparse(
-                    q, k, probe, probe_cells, use_adc, table, norms, ws
+                    s, q, k, probe, probe_cells, use_adc, table, ws
                 )
         if use_adc:
             bias = table.get("bias")
@@ -533,7 +672,7 @@ class IVFIndex(VectorIndex):
     _STREAM_CHUNK = 8
 
     def _scan_streaming(
-        self, q, k, probe, probe_cells, cell_dists, use_adc, table, norms, ws
+        self, s, q, k, probe, probe_cells, cell_dists, use_adc, table, ws
     ):
         """Threshold-pruned scan in ascending centroid-distance order.
 
@@ -556,11 +695,11 @@ class IVFIndex(VectorIndex):
         Returns ``(dists, ids, valid)`` like the other scan strategies.
         """
         nq = len(q)
-        offsets = self._cell_offsets
+        offsets = s.offsets
         sizes = offsets[1:] - offsets[:-1]
-        radii = self._code_radii
-        rmax = self._cell_radius_max
-        rmin = self._cell_radius_min
+        radii = s.radii
+        rmax = s.radius_max
+        rmin = s.radius_min
         metric = self.metric
 
         bias64 = None
@@ -579,7 +718,7 @@ class IVFIndex(VectorIndex):
         cur_d = np.full((nq, k), np.inf, dtype=np.float32)
         cur_i = np.full((nq, k), -1, dtype=np.int64)
         rows = np.arange(nq)[:, np.newaxis]
-        n_ids = len(self._ids)
+        n_ids = len(s.ids)
         cells_pruned = 0
         blocks_pruned = 0
 
@@ -668,14 +807,14 @@ class IVFIndex(VectorIndex):
             wcols = np.arange(wmax, dtype=np.int64)
             for gq, gs, a, b2 in groups:
                 span = b2 - a
-                codes = self._codes[a:b2]
+                codes = s.codes[a:b2]
                 sub_rows = None if len(gq) == nq else gq
                 if use_adc:
                     dists = self.quantizer.adc_distances(
                         table,
                         codes,
                         rows=sub_rows,
-                        code_sqnorms=None if norms is None else norms[a:b2],
+                        code_sqnorms=None if s.sqnorms is None else s.sqnorms[a:b2],
                         shifted=True,
                         ws=ws,
                     )
@@ -695,7 +834,7 @@ class IVFIndex(VectorIndex):
             src = srcpos[rows, slot] + within
             np.clip(src, 0, n_ids - 1, out=src)
             incumbent = cur_i[rows, np.minimum(pos, k - 1)]
-            new_i = np.where(from_new, self._ids[src], incumbent)
+            new_i = np.where(from_new, s.ids[src], incumbent)
             valid = np.isfinite(out_d)
             cur_d = out_d
             cur_i = np.where(valid, new_i, -1)
@@ -715,30 +854,24 @@ class IVFIndex(VectorIndex):
             ).inc(blocks_pruned)
         return cur_d, cur_i, np.isfinite(cur_d)
 
-    def _scan_dense(self, q, k, probe, probe_cells, use_adc, table, norms, ws):
+    def _scan_dense(self, s, q, k, probe, probe_cells, use_adc, table, ws):
         """Full-corpus kernel + probe mask; shifted distances, ids, validity."""
         nq = len(q)
         if use_adc:
             dists = self.quantizer.adc_distances(
-                table, self._codes, code_sqnorms=norms, shifted=True, ws=ws
+                table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws
             )
         else:
-            vecs, _ = self.reconstruct()
-            dists = pairwise_distance(q, vecs, self.metric)
+            dists = pairwise_distance(q, self._decode_chunked(s.codes), self.metric)
         if probe < self.nlist:
             # A full probe (every deep search once nprobe >= nlist) masks
             # nothing, so it skips the probe matrix and the per-code gather.
-            if self._code_cells is None:
-                sizes = self._cell_offsets[1:] - self._cell_offsets[:-1]
-                self._code_cells = np.repeat(
-                    np.arange(self.nlist, dtype=np.int32), sizes
-                )
             probed = np.zeros((nq, self.nlist), dtype=bool)
             probed[np.arange(nq)[:, np.newaxis], probe_cells] = True
-            dists[~probed[:, self._code_cells]] = np.inf
+            dists[~probed[:, s.cells]] = np.inf
         out_d, pos = top_k(dists, k)
         valid = np.isfinite(out_d)
-        out_i = np.where(valid, self._ids[np.clip(pos, 0, len(self._ids) - 1)], -1)
+        out_i = np.where(valid, s.ids[np.clip(pos, 0, len(s.ids) - 1)], -1)
         return out_d, out_i, valid
 
     @staticmethod
@@ -758,7 +891,7 @@ class IVFIndex(VectorIndex):
         )
         return order, sorted_cells[starts], np.append(starts, len(order))
 
-    def _scan_sparse(self, q, k, probe, probe_cells, use_adc, table, norms, ws):
+    def _scan_sparse(self, s, q, k, probe, probe_cells, use_adc, table, ws):
         """Per-probed-cell kernels scattered into a padded slot-major buffer.
 
         Slot r of query qi owns buffer columns ``[r*width, r*width + size)``
@@ -766,7 +899,7 @@ class IVFIndex(VectorIndex):
         to stored ids via the CSR offsets with pure arithmetic.
         """
         nq = len(q)
-        offsets = self._cell_offsets
+        offsets = s.offsets
         sizes = offsets[1:] - offsets[:-1]
         width = int(sizes[probe_cells].max())
         out_d = np.full((nq, k), np.inf, dtype=np.float32)
@@ -784,13 +917,13 @@ class IVFIndex(VectorIndex):
             members = order[bounds[b] : bounds[b + 1]]
             q_idx = members // probe
             slot = members % probe
-            codes = self._codes[lo:hi]
+            codes = s.codes[lo:hi]
             if use_adc:
                 dists = self.quantizer.adc_distances(
                     table,
                     codes,
                     rows=q_idx,
-                    code_sqnorms=None if norms is None else norms[lo:hi],
+                    code_sqnorms=None if s.sqnorms is None else s.sqnorms[lo:hi],
                     shifted=True,
                     ws=ws,
                 )
@@ -811,11 +944,11 @@ class IVFIndex(VectorIndex):
         id_pos = offsets[cells_of] + within
         valid = np.isfinite(out_d)
         np.copyto(
-            out_i, self._ids[np.clip(id_pos, 0, len(self._ids) - 1)], where=valid
+            out_i, s.ids[np.clip(id_pos, 0, len(s.ids) - 1)], where=valid
         )
         return out_d, out_i, valid
 
-    def _scan_sparse_best(self, q, probe, probe_cells, use_adc, table, norms, ws):
+    def _scan_sparse_best(self, s, q, probe, probe_cells, use_adc, table, ws):
         """The sparse scan at ``k == 1`` as a reduction: argmin, not top-k.
 
         A nearest-neighbour query — Hermes's sample search — needs one number
@@ -832,7 +965,7 @@ class IVFIndex(VectorIndex):
         ``(distances, ids)`` are bit-identical to column 0 of any ``k``.
         """
         nq = len(q)
-        offsets = self._cell_offsets
+        offsets = s.offsets
         order, cells, bounds = self._probe_groups(probe_cells)
         pair_q = order // probe
         if use_adc:
@@ -863,8 +996,8 @@ class IVFIndex(VectorIndex):
         ):
             if c1 > c0:
                 tile = arena[t0:t1].reshape(b - a, c1 - c0)
-                cell_norms = None if norms is None else norms[c0:c1]
-                fill(self._codes[c0:c1], a, b, cell_norms, tile)
+                cell_norms = None if s.sqnorms is None else s.sqnorms[c0:c1]
+                fill(s.codes[c0:c1], a, b, cell_norms, tile)
                 best[a:b] = tile.argmin(axis=1)
         # Winners' distances — arena[tile start + row * width + column],
         # empty cells keep inf — and storage positions, back to slot-major.
@@ -883,8 +1016,8 @@ class IVFIndex(VectorIndex):
         out_d = slot_d[rows, slot][:, np.newaxis]
         valid = np.isfinite(out_d)
         # A query probing only empty cells keeps a position past the end.
-        pos = np.minimum(slot_pos[rows, slot], len(self._ids) - 1)
-        out_i = np.where(valid, self._ids[pos][:, np.newaxis], -1)
+        pos = np.minimum(slot_pos[rows, slot], len(s.ids) - 1)
+        out_i = np.where(valid, s.ids[pos][:, np.newaxis], -1)
         return out_d, out_i, valid
 
     def search(
@@ -913,8 +1046,7 @@ class IVFIndex(VectorIndex):
 
         Scans query-major: per query, decode every probed cell (cached per
         call), concatenate the candidates, and run one decode-then-GEMM
-        top-k. This is the baseline the bench harness compares against; the
-        equivalence suite asserts :meth:`search` matches it exactly.
+        top-k. The equivalence suite asserts :meth:`search` matches it exactly.
         """
         if not self.is_trained:
             raise RuntimeError("IVFIndex must be trained before search_reference()")

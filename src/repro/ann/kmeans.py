@@ -22,7 +22,8 @@ offline cost, so the training path is engineered accordingly:
 - :func:`train_kmeans` dispatches between the variants (``auto`` picks
   mini-batch for large inputs) and is what the IVF/clustering build paths
   call; :func:`kmeans_reference` retains the pre-optimisation implementation
-  as the ``benchmarks/bench_build.py`` baseline.
+  (``algorithm="reference"``) as the quality-parity baseline of
+  ``tests/ann/test_kmeans.py`` and ``tests/core/test_clustering.py``.
 
 The module also provides the imbalance proxy the paper uses (ratio of largest
 to smallest cluster) and the concurrent seed sweep.
@@ -343,13 +344,12 @@ def kmeans_reference(
     tol: float = 1e-4,
     init: str = "k-means++",
 ) -> KMeansResult:
-    """Pre-optimisation Lloyd's, retained as the build-benchmark baseline.
+    """Pre-optimisation Lloyd's, retained as the quality-parity baseline.
 
     Materialises the full ``(n, k)`` distance matrix per iteration and
     accumulates the M-step with ``np.add.at`` scatter adds — exactly the
     implementation this repo shipped before the fast build path, kept (like
-    ``IVFIndex.search_reference``) so ``benchmarks/bench_build.py`` measures
-    an honest before/after and tests can assert quality parity.
+    ``IVFIndex.search_reference``) so tests can assert quality parity.
     """
     vecs = as_matrix(vectors)
     _validate_problem(vecs, k)

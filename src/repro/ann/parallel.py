@@ -96,34 +96,12 @@ def _shm_attach(spec: dict, segments: list) -> np.ndarray:
 def _pool_worker_init(token: int, shard_specs: "list[dict]") -> None:
     """Worker initializer: attach every shard once, rebuild index views."""
     from .ivf import IVFIndex
-    from .persistence import _restore_quantizer
 
     segments: list = []
     shards: dict = {}
     for spec in shard_specs:
         arrays = {key: _shm_attach(s, segments) for key, s in spec["arrays"].items()}
-        index = IVFIndex(
-            spec["dim"],
-            spec["metric"],
-            nlist=spec["nlist"],
-            nprobe=spec["nprobe"],
-            quantizer=_restore_quantizer(spec["quantizer"], arrays),
-        )
-        index.centroids = arrays["centroids"]
-        index.is_trained = True
-        index._pending_codes = [[] for _ in range(index.nlist)]
-        index._pending_ids = [[] for _ in range(index.nlist)]
-        index._codes = arrays["codes"]
-        index._ids = arrays["ids"]
-        index._cell_offsets = arrays["cell_offsets"]
-        index._code_cells = np.repeat(
-            np.arange(index.nlist, dtype=np.int32), np.diff(index._cell_offsets)
-        )
-        if "code_sqnorms" in arrays:
-            index._code_sqnorms = arrays["code_sqnorms"]
-        index._install_radii(arrays["code_radii"])
-        index.ntotal = len(arrays["ids"])
-        index._dirty = False
+        index = IVFIndex.from_state(spec["header"], arrays)
         shards[spec["shard_id"]] = (index, arrays["global_ids"])
     _WORKER_POOLS[token] = {"shards": shards, "segments": segments}
 
@@ -155,11 +133,12 @@ def _pool_worker_search(
 class ProcessShardPool:
     """Persistent worker processes searching shared-memory shard views.
 
-    Construction warms every shard's lazy scan state (compaction, ADC norms,
-    pruning radii — in the *parent's* shard objects, so thread-mode searches
-    on the same shards stay bit-identical), exports the shard arrays into
-    shared memory once, and spawns the workers, which attach at startup.
-    ``search`` then ships only ``(queries, k, nprobe)`` per call.
+    Construction takes every shard's :meth:`IVFIndex.export_state` (which
+    warms the lazy scan state in the *parent's* shard objects, so thread-mode
+    searches on the same shards stay bit-identical), copies the arrays into
+    shared memory once, and spawns the workers, which attach at startup and
+    rebuild each index with :meth:`IVFIndex.from_state`. ``search`` then
+    ships only ``(queries, k, nprobe)`` per call.
 
     The pool must be :meth:`close`-d (or used as a context manager) to free
     the shared segments; a broken pool (dead worker) raises
@@ -173,8 +152,6 @@ class ProcessShardPool:
         workers: "int | None" = None,
         start_timeout_s: float = 120.0,
     ) -> None:
-        from .persistence import _quantizer_state
-
         if not shards:
             raise ValueError("ProcessShardPool needs at least one shard")
         self._token = next(_POOL_TOKENS)
@@ -184,35 +161,15 @@ class ProcessShardPool:
         specs = []
         try:
             for shard in shards:
-                index = shard.index
-                index.warm_scan_state()
-                quant_spec, quant_arrays = _quantizer_state(index.quantizer)
-                arrays = {
-                    "centroids": index.centroids,
-                    "codes": index._codes,
-                    "ids": index._ids,
-                    "cell_offsets": index._cell_offsets,
-                    "code_radii": index._code_radii,
-                    "global_ids": shard.global_ids,
-                }
-                if index._code_sqnorms is not None:
-                    arrays["code_sqnorms"] = index._code_sqnorms
-                arrays.update(quant_arrays)
+                header, arrays = shard.index.export_state()
+                arrays["global_ids"] = shard.global_ids
                 exported = {}
                 for key, arr in arrays.items():
                     seg, spec = _shm_export(arr)
                     self._segments.append(seg)
                     exported[key] = spec
                 specs.append(
-                    {
-                        "shard_id": shard.shard_id,
-                        "dim": index.dim,
-                        "metric": index.metric,
-                        "nlist": index.nlist,
-                        "nprobe": index.nprobe,
-                        "quantizer": quant_spec,
-                        "arrays": exported,
-                    }
+                    {"shard_id": shard.shard_id, "header": header, "arrays": exported}
                 )
             self.shard_ids = [spec["shard_id"] for spec in specs]
             self._executor = ProcessPoolExecutor(

@@ -16,82 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .flat import FlatIndex
-from .ivf import IVFIndex
-from .quantization import (
-    IdentityQuantizer,
-    OPQQuantizer,
-    ProductQuantizer,
-    Quantizer,
-    ScalarQuantizer,
-)
-
-#: Bumped on any incompatible format change. Version 2 stores IVF payloads
-#: as the compacted CSR triple (``codes``/``ids``/``cell_offsets``) instead
-#: of one pair of arrays per cell; version 3 additionally persists the
-#: derived scan state (per-code squared norms for ADC metrics) so a loaded
-#: index serves its first search at warm-index latency instead of paying a
-#: full decode pass; version 4 also persists the per-code residual radii
-#: (cells stored radius-ascending) that drive the streaming scan's
-#: triangle-inequality pruning — loading an older file simply leaves the
-#: radii to be recomputed lazily on the first pruned search; version 5 adds
-#: live-mutation state at the *datastore directory* level (per-shard
-#: ``mutation_<i>.npz`` sidecars carrying delta codes/cells, tombstones,
-#: and the compaction generation — see :mod:`repro.core.store_io`) — the
-#: index ``.npz`` payload itself is unchanged, and directories saved by
-#: older versions simply load with no mutation state. Older versions are
-#: still readable.
-FORMAT_VERSION = 5
-_READABLE_FORMATS = (1, 2, 3, 4, 5)
-
-
-def _quantizer_state(quantizer: Quantizer) -> tuple[str, dict[str, np.ndarray]]:
-    """Serialize a codec to (spec-json, arrays)."""
-    if isinstance(quantizer, IdentityQuantizer):
-        return json.dumps({"kind": "identity", "dim": quantizer.dim}), {}
-    if isinstance(quantizer, ScalarQuantizer):
-        spec = {"kind": "scalar", "dim": quantizer.dim, "bits": quantizer.bits}
-        return json.dumps(spec), {
-            "sq_vmin": quantizer._vmin,
-            "sq_scale": quantizer._scale,
-        }
-    if isinstance(quantizer, OPQQuantizer):
-        spec = {"kind": "opq", "dim": quantizer.dim, "m": quantizer.m}
-        return json.dumps(spec), {
-            "opq_rotation": quantizer._rotation,
-            "pq_codebooks": quantizer.pq._codebooks,
-        }
-    if isinstance(quantizer, ProductQuantizer):
-        spec = {"kind": "pq", "dim": quantizer.dim, "m": quantizer.m}
-        return json.dumps(spec), {"pq_codebooks": quantizer._codebooks}
-    raise TypeError(f"cannot serialize quantizer type {type(quantizer).__name__}")
-
-
-def _restore_quantizer(spec_json: str, arrays) -> Quantizer:
-    spec = json.loads(spec_json)
-    kind = spec["kind"]
-    if kind == "identity":
-        quantizer = IdentityQuantizer(spec["dim"])
-        quantizer.is_trained = True
-        return quantizer
-    if kind == "scalar":
-        quantizer = ScalarQuantizer(spec["dim"], bits=spec["bits"])
-        quantizer._vmin = arrays["sq_vmin"]
-        quantizer._scale = arrays["sq_scale"]
-        quantizer.is_trained = True
-        return quantizer
-    if kind == "pq":
-        quantizer = ProductQuantizer(spec["dim"], m=spec["m"])
-        quantizer._codebooks = arrays["pq_codebooks"]
-        quantizer.is_trained = True
-        return quantizer
-    if kind == "opq":
-        quantizer = OPQQuantizer(spec["dim"], m=spec["m"])
-        quantizer._rotation = arrays["opq_rotation"]
-        quantizer.pq._codebooks = arrays["pq_codebooks"]
-        quantizer.pq.is_trained = True
-        quantizer.is_trained = True
-        return quantizer
-    raise ValueError(f"unknown quantizer kind {kind!r}")
+from .ivf import FORMAT_VERSION, IVFIndex, check_format
 
 
 def save_flat(index: FlatIndex, path: "str | Path") -> None:
@@ -108,92 +33,27 @@ def save_flat(index: FlatIndex, path: "str | Path") -> None:
 
 
 def save_ivf(index: IVFIndex, path: "str | Path") -> None:
-    """Persist a trained IVF index (any quantizer) to *path* (.npz)."""
-    if not index.is_trained:
-        raise ValueError("cannot save an untrained IVF index")
-    quant_spec, quant_arrays = _quantizer_state(index.quantizer)
-    header = json.dumps(
-        {
-            "format": FORMAT_VERSION,
-            "type": "ivf",
-            "dim": index.dim,
-            "metric": index.metric,
-            "nlist": index.nlist,
-            "nprobe": index.nprobe,
-            "ntotal": index.ntotal,
-            "quantizer": quant_spec,
-        }
-    )
-    arrays = {"header": header, "centroids": index.centroids}
-    arrays.update(quant_arrays)
-    # Derived scan state is persisted too, so a loaded index serves its first
-    # search fully warm: per-code squared norms (an expensive full decode
-    # pass for PQ/OPQ) and the pruning radii (another decode pass, plus the
-    # radius-ascending within-cell reorder the streaming scan relies on).
-    index.warm_scan_state()
-    arrays["codes"] = index._codes
-    arrays["ids"] = index._ids
-    arrays["cell_offsets"] = index._cell_offsets
-    arrays["code_radii"] = index._code_radii
-    if index.quantizer.supports_adc(index.metric) and index.quantizer.needs_code_sqnorms(
-        index.metric
-    ):
-        arrays["code_sqnorms"] = index._adc_code_sqnorms()
-    np.savez_compressed(path, **arrays)
+    """Persist a trained IVF index (any quantizer) to *path* (.npz).
+
+    Writes :meth:`IVFIndex.export_state` as is — the sealed storage plus the
+    derived scan state a default search consumes, so a loaded index serves
+    its first search fully warm.
+    """
+    header, arrays = index.export_state()
+    np.savez_compressed(path, header=json.dumps(header), **arrays)
 
 
 def load_index(path: "str | Path") -> "FlatIndex | IVFIndex":
     """Load an index saved by :func:`save_flat` or :func:`save_ivf`."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
-        if header["format"] not in _READABLE_FORMATS:
-            raise ValueError(
-                f"index format {header['format']} not in supported {_READABLE_FORMATS}"
-            )
-        if header["type"] == "flat":
-            index = FlatIndex(header["dim"], header["metric"])
-            vectors = data["vectors"]
-            if len(vectors):
-                index.add(vectors)
-            return index
-        if header["type"] != "ivf":
-            raise ValueError(f"unknown index type {header['type']!r}")
-
-        quantizer = _restore_quantizer(header["quantizer"], data)
-        index = IVFIndex(
-            header["dim"],
-            header["metric"],
-            nlist=header["nlist"],
-            nprobe=header["nprobe"],
-            quantizer=quantizer,
-        )
-        index.centroids = data["centroids"]
-        index.is_trained = True
-        index._pending_codes = [[] for _ in range(index.nlist)]
-        index._pending_ids = [[] for _ in range(index.nlist)]
-        if header["format"] >= 2:
-            index._codes = data["codes"]
-            index._ids = data["ids"]
-            index._cell_offsets = data["cell_offsets"]
-            # Rebuild the row->cell map eagerly (cheap) so the first search
-            # skips the lazy-compaction bookkeeping entirely.
-            sizes = np.diff(index._cell_offsets)
-            index._code_cells = np.repeat(
-                np.arange(index.nlist, dtype=np.int32), sizes
-            )
-            if "code_sqnorms" in data:
-                index._code_sqnorms = data["code_sqnorms"]
-            if header["format"] >= 4 and "code_radii" in data:
-                index._install_radii(data["code_radii"])
-            # Format <= 3 files predate radius-sorted cells: leave the radii
-            # unset so the first pruned search warms them lazily.
-            index._dirty = False
-        else:  # format 1: one (codes, ids) array pair per non-empty cell
-            for cell in range(index.nlist):
-                key = f"ids_{cell}"
-                if key in data:
-                    index._pending_codes[cell].append(data[f"codes_{cell}"])
-                    index._pending_ids[cell].append(data[key])
-            index._dirty = True
-        index.ntotal = header["ntotal"]
+        if header.get("type") == "ivf":
+            return IVFIndex.from_state(header, data)
+        check_format(header.get("format"))
+        if header.get("type") != "flat":
+            raise ValueError(f"unknown index type {header.get('type')!r}")
+        index = FlatIndex(header["dim"], header["metric"])
+        vectors = data["vectors"]
+        if len(vectors):
+            index.add(vectors)
         return index

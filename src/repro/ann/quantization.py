@@ -14,6 +14,7 @@ subquantizers = 256 B, PQ/OPQ with 384 subquantizers = 384 B.
 from __future__ import annotations
 
 import abc
+import json
 
 import numpy as np
 
@@ -64,6 +65,14 @@ class Quantizer(abc.ABC):
         if not self.is_trained:
             raise RuntimeError(f"{type(self).__name__} must be trained before decode()")
         return self._decode(np.asarray(codes))
+
+    def export_state(self) -> tuple[str, dict[str, np.ndarray]]:
+        """The trained codec as ``(JSON spec, named arrays)``.
+
+        :func:`restore_quantizer` is the inverse; index persistence and the
+        shared-memory process pool both carry codecs in this form.
+        """
+        raise TypeError(f"cannot serialize quantizer type {type(self).__name__}")
 
     # -- asymmetric distance computation ----------------------------------
     def supports_adc(self, metric: str) -> bool:
@@ -197,6 +206,14 @@ class IdentityQuantizer(Quantizer):
     def code_size(self) -> int:
         return self.dim * 4
 
+    def export_state(self):
+        return json.dumps({"kind": "identity", "dim": self.dim}), {}
+
+    @classmethod
+    def _restore(cls, spec, arrays):
+        del arrays
+        return cls(spec["dim"])
+
     def _train(self, vectors: np.ndarray) -> None:
         del vectors
 
@@ -275,6 +292,17 @@ class ScalarQuantizer(Quantizer):
         if self.bits == 8:
             return self.dim
         return (self.dim + 1) // 2
+
+    def export_state(self):
+        spec = {"kind": "scalar", "dim": self.dim, "bits": self.bits}
+        return json.dumps(spec), {"sq_vmin": self._vmin, "sq_scale": self._scale}
+
+    @classmethod
+    def _restore(cls, spec, arrays):
+        quantizer = cls(spec["dim"], bits=spec["bits"])
+        quantizer._vmin = arrays["sq_vmin"]
+        quantizer._scale = arrays["sq_scale"]
+        return quantizer
 
     def _train(self, vectors: np.ndarray) -> None:
         self._vmin = vectors.min(axis=0)
@@ -420,6 +448,16 @@ class ProductQuantizer(Quantizer):
 
     def code_size(self) -> int:
         return self.m
+
+    def export_state(self):
+        spec = {"kind": "pq", "dim": self.dim, "m": self.m}
+        return json.dumps(spec), {"pq_codebooks": self._codebooks}
+
+    @classmethod
+    def _restore(cls, spec, arrays):
+        quantizer = cls(spec["dim"], m=spec["m"])
+        quantizer._codebooks = arrays["pq_codebooks"]
+        return quantizer
 
     def _sample_rows(self, vectors: np.ndarray) -> np.ndarray:
         if self.train_sample is None or len(vectors) <= self.train_sample:
@@ -575,6 +613,21 @@ class OPQQuantizer(Quantizer):
     def code_size(self) -> int:
         return self.pq.code_size()
 
+    def export_state(self):
+        spec = {"kind": "opq", "dim": self.dim, "m": self.m}
+        return json.dumps(spec), {
+            "opq_rotation": self._rotation,
+            "pq_codebooks": self.pq._codebooks,
+        }
+
+    @classmethod
+    def _restore(cls, spec, arrays):
+        quantizer = cls(spec["dim"], m=spec["m"])
+        quantizer._rotation = arrays["opq_rotation"]
+        quantizer.pq._codebooks = arrays["pq_codebooks"]
+        quantizer.pq.is_trained = True
+        return quantizer
+
     def _train(self, vectors: np.ndarray) -> None:
         if self.train_sample is not None and len(vectors) > self.train_sample:
             rng = np.random.default_rng(self.train_seed)
@@ -614,6 +667,23 @@ class OPQQuantizer(Quantizer):
         return self.pq.adc_distances(
             table, codes, rows=rows, code_sqnorms=code_sqnorms, shifted=shifted, ws=ws
         )
+
+
+def restore_quantizer(spec_json: str, arrays) -> Quantizer:
+    """Rebuild a trained codec from :meth:`Quantizer.export_state` output
+    (*arrays* may hold other entries too, e.g. a whole index ``.npz``)."""
+    spec = json.loads(spec_json)
+    kinds = {
+        "identity": IdentityQuantizer,
+        "scalar": ScalarQuantizer,
+        "pq": ProductQuantizer,
+        "opq": OPQQuantizer,
+    }
+    if spec["kind"] not in kinds:
+        raise ValueError(f"unknown quantizer kind {spec['kind']!r}")
+    quantizer = kinds[spec["kind"]]._restore(spec, arrays)
+    quantizer.is_trained = True
+    return quantizer
 
 
 def make_quantizer(

@@ -168,9 +168,9 @@ class IndexShard:
         Survivor rows keep their *original codes* (no re-encode) and their
         insert-time cell assignments, ordered sealed-survivors-then-delta —
         exactly the rows an offline rebuild over the live set would install.
-        The new index is warmed (CSR + ADC norms + radius-sorted pruning
-        state) before the atomic swap, so no search ever observes a cold or
-        half-built sealed index. The shard's mutation lock is held for the
+        The new index is warmed (``IVFIndex.warm_scan_state``) before the
+        atomic swap, so no search ever observes a cold or half-built sealed
+        index. The shard's mutation lock is held for the
         whole rebuild, so a concurrent insert/delete blocks until the swap
         instead of landing in the rebuild window and being dropped by it;
         searches keep serving the old sealed state throughout. Returns True
@@ -196,13 +196,7 @@ class IndexShard:
             delta=delta_n,
             tombstones=len(tomb),
         ):
-            sealed.compact()
-            # Undo the CSR ordering: row local id -> (code, cell).
-            if sealed_n:
-                codes_by_local = np.empty_like(sealed._codes)
-                codes_by_local[sealed._ids] = sealed._codes
-                cells_by_local = np.empty(sealed_n, dtype=np.int64)
-                cells_by_local[sealed._ids] = sealed._code_cells
+            codes_by_local, cells_by_local = sealed.rows_by_local_id()
             survivors = np.setdiff1d(
                 np.arange(sealed_n + delta_n, dtype=np.int64), tomb,
                 assume_unique=True,
@@ -254,8 +248,8 @@ class IndexShard:
         ``sealed`` optionally overrides the sealed-index scan with a callable
         ``(queries, k, nprobe) -> (distances, global_ids)`` — the hook the
         hierarchical searcher uses to route the sealed half through the
-        process pool or early-termination kernels while the delta/tombstone
-        merge below stays identical across worker modes.
+        process pool while the delta/tombstone merge below stays identical
+        across worker modes.
 
         Merge contract: sealed candidates occupy the left columns and delta
         candidates the right, so the stable :func:`top_k` resolves exact

@@ -12,8 +12,9 @@ Mirrors the paper artifact's offline index-construction outputs so a built
 deployment can be constructed once and served many times. Format 5 adds the
 live-mutation state: shards with a delta memtable or tombstones persist them
 in a per-shard sidecar plus per-shard ``generation`` and the datastore-wide
-``mutations`` counter in the manifest; directories written by older formats
-simply load with no mutation state.
+``mutations`` counter in the manifest (a manifest without them loads as a
+frozen store). Shard files are :func:`repro.ann.persistence.save_ivf` output
+and only the current format loads.
 
 Every file is written via a temp file in the same directory followed by
 ``os.replace``, so a writer crash mid-save never corrupts an existing store:
@@ -152,8 +153,7 @@ def load_datastore(directory: "str | Path") -> ClusteredDatastore:
         index = load_index(directory / entry["file"])
         delta = None
         tombstones: set = set()
-        # Format-5 mutation sidecar; absent for frozen shards and for
-        # directories written by older format versions.
+        # Mutation sidecar; absent for frozen shards.
         mutation_file = entry.get("mutation_file")
         if mutation_file is not None:
             with np.load(directory / mutation_file, allow_pickle=False) as data:

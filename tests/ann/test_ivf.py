@@ -1,5 +1,10 @@
 """Tests for the IVF index."""
 
+import re
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -170,8 +175,96 @@ class TestCompaction:
     def test_cell_codes_are_contiguous_views(self, data):
         index = trained_ivf(data, nlist=16)
         codes, ids = index.cell_codes(0)
-        assert codes.base is index._codes or len(codes) == 0
+        assert codes.base is index.export_state()[1]["codes"] or len(codes) == 0
         assert len(codes) == len(ids)
+
+
+class TestSealedRecordSwap:
+    """Builders publish a new sealed record instead of editing the one a
+    scan may be holding, and lazy builds run once."""
+
+    @pytest.mark.parametrize("scheme", ["sq8", "pq8"])
+    @pytest.mark.parametrize("rebuild", ["warm_scan_state", "pruned_search"])
+    def test_scan_survives_a_concurrent_rebuild(self, data, queries, scheme, rebuild):
+        """A scan that already holds the sealed storage finishes on it while
+        another thread radius-sorts the cells: reading codes from one layout
+        and ids from the other would return ids of the wrong rows."""
+        index = trained_ivf(
+            data, nlist=16, nprobe=16, quantizer=make_quantizer(scheme, 24)
+        )
+        real = index.quantizer.adc_distances
+        fired = []
+
+        def reorder_then_scan(*args, **kwargs):
+            if not fired:  # from inside the outer search's first kernel
+                fired.append(True)
+                if rebuild == "warm_scan_state":
+                    worker = threading.Thread(target=index.warm_scan_state)
+                else:
+                    worker = threading.Thread(
+                        target=index.search, args=(queries, 5), kwargs={"prune": True}
+                    )
+                worker.start()
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            return real(*args, **kwargs)
+
+        index.quantizer.adc_distances = reorder_then_scan
+        try:
+            dists, ids = index.search(queries, 5, prune=False)
+        finally:
+            del index.quantizer.adc_distances
+        assert fired
+        ref_d, ref_i = index.search_reference(queries, 5)
+        np.testing.assert_array_equal(ids, ref_i)
+        np.testing.assert_allclose(dists, ref_d, rtol=1e-3, atol=5e-3)
+
+    def test_cold_index_builds_once_under_concurrent_first_searches(self, data, queries):
+        index = trained_ivf(
+            data, nlist=16, nprobe=16, quantizer=make_quantizer("sq8", 24)
+        )
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def first_search(slot):
+            barrier.wait(timeout=30)
+            results[slot] = index.search(queries, 5)
+
+        threads = [threading.Thread(target=first_search, args=(i,)) for i in range(2)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert index.compactions == 1
+        ref_d, ref_i = index.search_reference(queries, 5)
+        for dists, ids in results:
+            np.testing.assert_array_equal(ids, ref_i)
+            np.testing.assert_allclose(dists, ref_d, rtol=1e-3, atol=5e-3)
+
+
+def test_only_ivf_module_names_sealed_storage_fields():
+    """Layout fence: everything outside ``ann/ivf.py`` reaches the sealed
+    storage through export_state / from_state / rows_by_local_id."""
+    import repro
+
+    # (?<!\w): the attribute, not e.g. ``needs_code_sqnorms``.
+    fenced = re.compile(
+        r"(?<!\w)(_cell_offsets|_code_cells|_code_sqnorms|_code_radii"
+        r"|_pending_codes|_pending_ids|_install_radii)\b"
+    )
+    root = Path(repro.__file__).parent
+    offenders = [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "ann" / "ivf.py" and fenced.search(path.read_text())
+    ]
+    assert offenders == []
 
 
 class TestMemory:

@@ -1,12 +1,20 @@
-"""Tests for index save/load round-trips."""
+"""Tests for index save/load round-trips and the one index state codec.
+
+Spawned pool workers re-import this module, so module scope stays
+import-safe.
+"""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.ann.flat import FlatIndex
 from repro.ann.ivf import IVFIndex
+from repro.ann.parallel import ProcessShardPool
 from repro.ann.persistence import load_index, save_flat, save_ivf
 from repro.ann.quantization import make_quantizer
+from repro.core.clustering import IndexShard
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +92,140 @@ class TestErrors:
             load_index(path)
 
 
+SCHEMES = ("flat", "sq8", "sq4", "pq8", "opq8")
+METRICS = ("l2", "ip")
+ORIGINS = ("built", "compacted")
+
+
+def _shard(shard_id, scheme, metric, origin, data):
+    """One shard per case; ``compacted`` ones went through a live
+    insert + delete + ``IndexShard.compact()`` first."""
+    index = IVFIndex(16, metric, nlist=8, nprobe=4, quantizer=make_quantizer(scheme, 16))
+    index.train(data)
+    index.add(data[:360])
+    shard = IndexShard(
+        shard_id, index, np.arange(360, dtype=np.int64), data[:360].mean(axis=0)
+    )
+    if origin == "compacted":
+        shard.insert(data[360:], np.arange(360, len(data), dtype=np.int64))
+        shard.delete(np.arange(0, len(data), 7))
+        assert shard.compact()
+    return shard
+
+
+@pytest.fixture(scope="module")
+def zoo(data):
+    cases = [(s, m, o) for s in SCHEMES for m in METRICS for o in ORIGINS]
+    return {case: _shard(i, *case, data) for i, case in enumerate(cases)}
+
+
+@pytest.fixture(scope="module")
+def pool(zoo):
+    with ProcessShardPool(list(zoo.values()), workers=1) as pool:
+        yield pool
+
+
+class TestStateCodec:
+    """``export_state`` / ``from_state`` is the only serialised form of an
+    index: the ``.npz`` file and the shared-memory pool are transports."""
+
+    @pytest.mark.parametrize("origin", ORIGINS)
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_transport_searches_bit_identically(
+        self, zoo, pool, queries, tmp_path, scheme, metric, origin
+    ):
+        shard = zoo[scheme, metric, origin]
+        index = shard.index
+        header, arrays = index.export_state()
+        assert ("code_radii" in arrays) == (scheme in ("pq8", "opq8"))
+        assert ("code_sqnorms" in arrays) == (
+            metric == "l2" and scheme in ("flat", "sq8", "sq4")
+        )
+        want_d, want_i = index.search(queries, 5)
+        assert (want_i >= 0).all()
+
+        save_ivf(index, tmp_path / "idx.npz")
+        for copy in (IVFIndex.from_state(header, arrays), load_index(tmp_path / "idx.npz")):
+            assert copy.is_compacted and copy.ntotal == index.ntotal
+            before = copy.compactions
+            got_d, got_i = copy.search(queries, 5)
+            assert copy.compactions == before
+            np.testing.assert_array_equal(got_i, want_i)
+            np.testing.assert_array_equal(got_d, want_d)
+            if "code_radii" in arrays:  # the stored order is the pruning order
+                pruned_d, pruned_i = copy.search(queries, 5, prune=True)
+                np.testing.assert_array_equal(pruned_i, want_i)
+                np.testing.assert_array_equal(pruned_d, want_d)
+
+        pool_d, pool_g = pool.search(shard.shard_id, queries, 5)
+        np.testing.assert_array_equal(pool_g, shard.global_ids[want_i])
+        np.testing.assert_array_equal(pool_d, want_d)
+
+    def test_rows_by_local_id_inverts_install_rows(self, zoo):
+        index = zoo["pq8", "l2", "compacted"].index
+        codes, cells = index.rows_by_local_id()
+        twin = index.fresh_sealed_like()
+        twin.install_rows(codes, cells)
+        for name, values in twin.export_state()[1].items():
+            np.testing.assert_array_equal(values, index.export_state()[1][name])
+
+
+class TestStateValidation:
+    """State arrives from a file or a shared-memory segment: ``from_state``
+    checks every invariant the scans rely on and names the offending field."""
+
+    @pytest.fixture()
+    def state(self, data):
+        index = IVFIndex(16, nlist=8, nprobe=4, quantizer=make_quantizer("pq8", 16))
+        index.train(data)
+        index.add(data)
+        return index.export_state()
+
+    def test_intact_state_loads(self, state):
+        assert IVFIndex.from_state(*state).ntotal == 400
+
+    def test_truncated_codes_rejected(self, state):
+        header, arrays = state
+        arrays["codes"] = arrays["codes"][:-3]
+        with pytest.raises(ValueError, match="codes"):
+            IVFIndex.from_state(header, arrays)
+
+    def test_header_ntotal_mismatch_rejected(self, state):
+        header, arrays = state
+        with pytest.raises(ValueError, match="cell_offsets"):
+            IVFIndex.from_state(dict(header, ntotal=399), arrays)
+
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("ids", lambda a: a[:-1]),
+            ("ids", lambda a: a + 1),
+            ("cell_offsets", lambda a: a[:-1]),
+            ("cell_offsets", lambda a: a[::-1]),
+            ("centroids", lambda a: a[:, :-1]),
+            ("codes", lambda a: a[:, :-1]),
+            ("code_radii", lambda a: a[:-1]),
+            ("code_radii", lambda a: a[::-1]),
+        ],
+    )
+    def test_corrupt_array_names_its_field(self, state, name, corrupt):
+        header, arrays = state
+        arrays[name] = corrupt(arrays[name])
+        with pytest.raises(ValueError, match=name):
+            IVFIndex.from_state(header, arrays)
+
+    def test_old_format_file_says_rebuild(self, state, tmp_path):
+        header, arrays = state
+        path = tmp_path / "v4.npz"
+        np.savez_compressed(path, header=json.dumps(dict(header, format=4)), **arrays)
+        with pytest.raises(ValueError, match="format 4.*build-index"):
+            load_index(path)
+
+
 class TestScanStateRoundTrip:
-    """Format 3 persists the derived scan state, so a loaded index serves
-    its first search without recompaction or a decode pass (PR issue: the
-    load-then-search latency regression)."""
+    """The saved state carries the derived scan state, so a loaded index
+    serves its first search without recompaction or a decode pass."""
 
     def _built(self, data, scheme):
         index = IVFIndex(
@@ -103,9 +241,7 @@ class TestScanStateRoundTrip:
         index = self._built(data, scheme)
         path = tmp_path / "idx.npz"
         save_ivf(index, path)
-        loaded = load_index(path)
-        assert loaded.is_compacted
-        assert loaded._code_cells is not None
+        assert load_index(path).is_compacted
 
     @pytest.mark.parametrize("scheme", ["sq8", "pq4"])
     def test_first_search_triggers_no_compaction(self, scheme, data, queries, tmp_path):
@@ -125,81 +261,15 @@ class TestScanStateRoundTrip:
         index.search(queries, 5)  # materialise the norms
         path = tmp_path / "idx.npz"
         save_ivf(index, path)
-        loaded = load_index(path)
-        assert loaded._code_sqnorms is not None
-        assert np.allclose(loaded._code_sqnorms, index._code_sqnorms)
+        with np.load(path) as saved:
+            np.testing.assert_array_equal(
+                saved["code_sqnorms"], index.export_state()[1]["code_sqnorms"]
+            )
 
     def test_save_computes_missing_sqnorms(self, data, tmp_path):
         # Saving right after build (norms never materialised) must still
         # persist them rather than leaving the cost to the loader.
         index = self._built(data, "sq8")
-        assert index._code_sqnorms is None
         save_ivf(index, tmp_path / "idx.npz")
-        loaded = load_index(tmp_path / "idx.npz")
-        assert loaded._code_sqnorms is not None
-
-    @pytest.mark.parametrize("scheme", ["sq8", "pq4"])
-    def test_format4_persists_pruning_radii(self, scheme, data, queries, tmp_path):
-        # Format 4 carries the per-code residual radii in radius-sorted cell
-        # order, so the loaded index streams with pruning immediately --
-        # no decode pass on first search.
-        index = self._built(data, scheme)
-        index.warm_scan_state()
-        path = tmp_path / "idx.npz"
-        save_ivf(index, path)
-        loaded = load_index(path)
-        assert loaded._code_radii is not None
-        np.testing.assert_array_equal(loaded._code_radii, index._code_radii)
-        d0, i0 = index.search(queries, 5, prune=True)
-        d1, i1 = loaded.search(queries, 5, prune=True)
-        assert np.array_equal(i0, i1)
-        assert np.allclose(d0, d1, atol=1e-5)
-
-    def test_format3_files_warm_lazily(self, data, queries, tmp_path):
-        # A format-3 file has no radii: the loader leaves them unset and the
-        # first pruned search recomputes them (correctness over latency).
-        import json
-
-        from repro.ann import persistence
-
-        index = self._built(data, "pq4")
-        path = tmp_path / "v3.npz"
-        save_ivf(index, path)
-        with np.load(path, allow_pickle=False) as saved:
-            arrays = {name: saved[name] for name in saved.files}
-        header = json.loads(str(arrays["header"]))
-        header["format"] = 3
-        arrays["header"] = json.dumps(header)
-        arrays.pop("code_radii", None)
-        np.savez_compressed(path, **arrays)
-        assert persistence.FORMAT_VERSION >= 4
-        loaded = load_index(path)
-        assert loaded._code_radii is None
-        d0, i0 = index.search(queries, 5, prune=True)
-        d1, i1 = loaded.search(queries, 5, prune=True)
-        assert loaded._code_radii is not None
-        assert np.array_equal(i0, i1)
-        assert np.allclose(d0, d1, atol=1e-5)
-
-    def test_format2_files_still_load(self, data, queries, tmp_path):
-        import json
-
-        from repro.ann import persistence
-
-        index = self._built(data, "sq8")
-        path = tmp_path / "v2.npz"
-        save_ivf(index, path)
-        # Rewrite the file as a format-2 payload (no derived scan state).
-        with np.load(path, allow_pickle=False) as saved:
-            arrays = {name: saved[name] for name in saved.files}
-        header = json.loads(str(arrays["header"]))
-        header["format"] = 2
-        arrays["header"] = json.dumps(header)
-        arrays.pop("code_sqnorms", None)
-        np.savez_compressed(path, **arrays)
-        assert persistence.FORMAT_VERSION >= 3
-        loaded = load_index(path)
-        d0, i0 = index.search(queries, 5)
-        d1, i1 = loaded.search(queries, 5)
-        assert np.array_equal(i0, i1)
-        assert np.allclose(d0, d1)
+        with np.load(tmp_path / "idx.npz") as saved:
+            assert saved["code_sqnorms"].shape == (index.ntotal,)

@@ -133,23 +133,37 @@ class TestPruningState:
     def test_reorder_is_within_cells_only(self):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(300, 8)).astype(np.float32)
-        index = IVFIndex(8, nlist=8, nprobe=4, quantizer=make_quantizer("sq8", 8))
+        index = IVFIndex(8, nlist=8, nprobe=4, quantizer=make_quantizer("pq4", 8))
         index.train(data)
         index.add(data)
-        index.compact()
-        before_cells = index._code_cells.copy()
-        before_ids_by_cell = [
-            set(index._ids[index._cell_offsets[c] : index._cell_offsets[c + 1]])
-            for c in range(index.nlist)
-        ]
-        index.warm_scan_state()
-        np.testing.assert_array_equal(index._code_cells, before_cells)
+        before_ids_by_cell = [set(index.cell_codes(c)[1]) for c in range(index.nlist)]
+        before_sizes = index.list_sizes()
+        _, state = index.export_state()  # warms: a gather codec sorts by radius
+        offsets = state["cell_offsets"]
+        np.testing.assert_array_equal(np.diff(offsets), before_sizes)
         for c in range(index.nlist):
-            lo, hi = index._cell_offsets[c], index._cell_offsets[c + 1]
-            assert set(index._ids[lo:hi]) == before_ids_by_cell[c]
+            lo, hi = offsets[c], offsets[c + 1]
+            assert set(state["ids"][lo:hi]) == before_ids_by_cell[c]
             # radius-ascending within the cell
-            radii = index._code_radii[lo:hi]
-            assert (np.diff(radii) >= 0).all()
+            assert (np.diff(state["code_radii"][lo:hi]) >= 0).all()
+
+    @pytest.mark.parametrize(
+        "scheme, streams", [("flat", False), ("sq8", False), ("pq4", True), ("opq4", True)]
+    )
+    def test_warm_state_has_radii_iff_default_scan_streams(self, scheme, streams):
+        """Radii cost a decode pass and a reorder; only codecs whose default
+        scan consumes them build (and so persist and ship) them."""
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(200, 8)).astype(np.float32)
+        index = IVFIndex(8, nlist=4, nprobe=4, quantizer=make_quantizer(scheme, 8))
+        index.train(data)
+        index.add(data)
+        index.warm_scan_state()
+        assert ("code_radii" in index.export_state()[1]) == streams
+        # an explicit pruned search still builds them on demand
+        d, i = index.search(data[:2], 3, prune=True)
+        np.testing.assert_array_equal(index.search_reference(data[:2], 3)[1], i)
+        assert "code_radii" in index.export_state()[1]
 
     def test_add_invalidates_radii(self):
         rng = np.random.default_rng(5)
@@ -157,9 +171,10 @@ class TestPruningState:
         index = IVFIndex(8, nlist=4, nprobe=4, quantizer=make_quantizer("flat", 8))
         index.train(data)
         index.add(data)
-        index.warm_scan_state()
-        assert index._code_radii is not None
+        index.search(data[:2], 3, prune=True)
+        assert "code_radii" in index.export_state()[1]
         index.add(data[:10])
+        assert "code_radii" not in index.export_state()[1]
         d, i = index.search(data[:2], 3, prune=True)  # recomputes lazily
         ref_d, ref_i = index.search_reference(data[:2], 3)
         np.testing.assert_array_equal(ref_i, i)

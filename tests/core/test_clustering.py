@@ -123,10 +123,9 @@ class TestParallelBuilds:
         for a, b in zip(serial.shards, threaded.shards):
             assert np.array_equal(a.global_ids, b.global_ids)
             assert np.array_equal(a.centroid, b.centroid)
-            a.index.compact()
-            b.index.compact()
-            assert np.array_equal(a.index._codes, b.index._codes)
-            assert np.array_equal(a.index._ids, b.index._ids)
+            sa, sb = a.index.export_state()[1], b.index.export_state()[1]
+            assert np.array_equal(sa["codes"], sb["codes"])
+            assert np.array_equal(sa["ids"], sb["ids"])
 
     def test_split_bit_exact_across_workers(self, corpus):
         serial_cfg, threaded_cfg = self._configs()
@@ -134,9 +133,9 @@ class TestParallelBuilds:
         threaded = split_datastore_evenly(corpus, threaded_cfg, seed=3)
         assert np.array_equal(serial.assignments, threaded.assignments)
         for a, b in zip(serial.shards, threaded.shards):
-            a.index.compact()
-            b.index.compact()
-            assert np.array_equal(a.index._codes, b.index._codes)
+            assert np.array_equal(
+                a.index.export_state()[1]["codes"], b.index.export_state()[1]["codes"]
+            )
 
     def test_add_documents_chunked_routing(self, small_corpus):
         config = HermesConfig(n_clusters=4, clusters_to_search=2)

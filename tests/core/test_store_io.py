@@ -46,14 +46,19 @@ class TestDatastoreRoundTrip:
         assert np.allclose(loaded.centroids(), clustered.centroids())
 
     def test_warm_scan_state_survives_round_trip(self, clustered, tmp_path):
-        # save_datastore delegates to save_ivf, which warms the scan state:
-        # every reloaded shard must come back with its pruning radii so the
-        # first serve-time search streams with pruning immediately.
+        # save_datastore delegates to save_ivf, which writes the warm scan
+        # state: every reloaded shard comes back compacted, with what its
+        # default scan consumes (pruning radii iff the codec streams by
+        # default) and nothing it does not.
         save_datastore(clustered, tmp_path / "store")
         loaded = load_datastore(tmp_path / "store")
         for shard in loaded.shards:
-            assert shard.index._code_radii is not None
-            assert len(shard.index._code_radii) == shard.index.ntotal
+            assert shard.index.is_compacted
+            streams = shard.index.quantizer.adc_dense_advantage <= 1.0
+            _, arrays = shard.index.export_state()
+            assert ("code_radii" in arrays) == streams
+            with np.load(tmp_path / "store" / f"shard_{shard.shard_id}.npz") as saved:
+                assert ("code_radii" in saved.files) == streams
 
     def test_workers_mode_config_round_trips(self, clustered, tmp_path):
         import dataclasses
