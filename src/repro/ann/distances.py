@@ -49,11 +49,36 @@ def squared_l2(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """
     q = as_matrix(queries, name="queries")
     p = as_matrix(points, name="points")
-    q_norms = np.einsum("ij,ij->i", q, q)[:, np.newaxis]
-    p_norms = np.einsum("ij,ij->i", p, p)[np.newaxis, :]
-    dists = q_norms + p_norms - 2.0 * (q @ p.T)
-    np.maximum(dists, 0.0, out=dists)
-    return dists
+    shape = (len(q), len(p))
+    return squared_l2_into(
+        q, p,
+        np.einsum("ij,ij->i", q, q)[:, np.newaxis], np.einsum("ij,ij->i", p, p),
+        np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.float32),
+    )
+
+
+def squared_l2_into(
+    q: np.ndarray,
+    p: np.ndarray,
+    q_norms: np.ndarray,
+    p_norms: np.ndarray,
+    out: np.ndarray,
+    gram: np.ndarray,
+) -> np.ndarray:
+    """The arithmetic of :func:`squared_l2`, on float32 matrices and buffers.
+
+    ``q_norms`` is the ``(nq, 1)`` column of ``|q_i|^2`` and ``p_norms`` the
+    ``(np,)`` row of ``|p_j|^2``; ``out`` and ``gram`` are ``(nq, np)`` float32
+    arrays (result and GEMM scratch). A loop that calls this many times at one
+    shape (k-means++ seeding) hoists the norms of whichever side stays fixed
+    and reuses the buffers. Returns *out*.
+    """
+    np.matmul(q, p.T, out=gram)
+    np.multiply(gram, 2.0, out=gram)
+    np.add(q_norms, p_norms, out=out)
+    np.subtract(out, gram, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def inner_product(queries: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import as_matrix, pairwise_distance, validate_metric
+from .distances import as_matrix, pairwise_distance, squared_l2_into, validate_metric
 from .parallel import run_tasks
 
 #: Rows per E-step distance block; bounds peak memory at ``chunk * k`` floats.
@@ -88,6 +88,14 @@ def _kmeanspp_init(
     With *sample_size* the seeding runs on a random subset, which keeps the
     ``O(n * k)`` seeding cost bounded for large corpora while preserving the
     spread property on the sample.
+
+    On the small problems PQ sub-codebooks pose (hundreds of rows, 2-3 dims,
+    256 centroids) the ``k`` sequential steps are all per-call overhead, so
+    the loop hoists the row norms, reuses its buffers and draws from the D^2
+    distribution by inverse cdf directly — one uniform against the normalised
+    float64 cumulative sum, which is the draw ``rng.choice(n, p=probs)``
+    makes (same row, same generator consumption; pinned by
+    ``tests/ann/test_kmeans_seeding.py``) without its per-call validation.
     """
     n = len(vectors)
     if sample_size is not None and k <= sample_size < n:
@@ -96,18 +104,25 @@ def _kmeanspp_init(
     centroids = np.empty((k, vectors.shape[1]), dtype=vectors.dtype)
     first = rng.integers(n)
     centroids[0] = vectors[first]
-    closest = pairwise_distance(vectors, centroids[0:1], "l2")[:, 0]
+    closest = pairwise_distance(vectors, centroids[0:1], "l2")
+    row_sq = np.einsum("ij,ij->i", vectors, vectors)[:, np.newaxis]
+    d_new = np.empty_like(closest)
+    gram = np.empty_like(closest)
+    probs = np.empty(n, dtype=closest.dtype)
+    cdf = np.empty(n, dtype=np.float64)
     for i in range(1, k):
         total = closest.sum()
         if total <= 0:
             # All remaining points coincide with chosen centroids; fall back
             # to uniform sampling of distinct rows.
-            centroids[i] = vectors[rng.integers(n)]
+            choice = rng.integers(n)
         else:
-            probs = closest / total
-            choice = rng.choice(n, p=probs)
-            centroids[i] = vectors[choice]
-        d_new = pairwise_distance(vectors, centroids[i : i + 1], "l2")[:, 0]
+            np.divide(closest[:, 0], total, out=probs)
+            np.add.accumulate(probs, dtype=np.float64, out=cdf)
+            cdf /= cdf[-1]
+            choice = cdf.searchsorted(rng.random(), side="right")
+        centroids[i] = vectors[choice]
+        squared_l2_into(vectors, centroids[i : i + 1], row_sq, row_sq[choice], d_new, gram)
         np.minimum(closest, d_new, out=closest)
     return centroids
 

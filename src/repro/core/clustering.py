@@ -17,8 +17,8 @@ strategies differ only in how documents are assigned to shards.
 from __future__ import annotations
 
 import threading
-
 from dataclasses import dataclass, field
+from typing import ContextManager, Protocol
 
 import numpy as np
 
@@ -31,6 +31,70 @@ from ..ann.quantization import make_quantizer
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .config import HermesConfig
+
+
+class Shard(Protocol):
+    """What the rest of the system asks of a shard, in two groups.
+
+    :class:`IndexShard` is the implementation. Wrappers
+    (:class:`~repro.serving.faults.FaultyShard`,
+    :class:`~repro.serving.replication.ReplicaGroup`, benchmark and test
+    proxies) stand in for one in ``ClusteredDatastore.shards`` by putting
+    their behaviour around ``search`` and forwarding every other member to
+    the real shard — reads *and* calls, so a write never lands on the wrapper.
+    """
+
+    # -- serving: what the routers, the searcher and the datastore's
+    # mutation verbs use ----------------------------------------------------
+    shard_id: int
+    #: mean of the live rows; moves with every insert
+    centroid: np.ndarray
+    #: bumped by every compaction (sealed storage replaced)
+    generation: int
+
+    @property
+    def has_mutations(self) -> bool:
+        """True while a delta memtable or tombstones await compaction."""
+
+    def __len__(self) -> int:
+        """Live documents."""
+
+    def search(
+        self, queries: np.ndarray, k: int, *, nprobe: "int | None" = None, sealed=None
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Top-``k`` ``(distances, global_ids)`` per query.
+
+        ``sealed``, when given, replaces the scan of the sealed index with a
+        callable ``(queries, k, nprobe) -> (distances, global_ids)`` — how the
+        searcher routes that half through its worker-process pool. A wrapper
+        passes it through to the shard it wraps.
+        """
+
+    def insert(self, vectors: np.ndarray, global_ids: np.ndarray) -> None: ...
+
+    def delete(self, global_ids: np.ndarray) -> int: ...
+
+    def compact(self) -> bool: ...
+
+    def quiesce(self) -> ContextManager:
+        """Block mutations (not searches) while held."""
+
+    # -- storage: read, never written, by the datastore's accounting
+    # (``delta_rows``, ``memory_bytes``, ``reconstruct_vectors``,
+    # ``live_vectors``), persistence (``core.store_io``) and the process
+    # pool's export (``ann.parallel``) ---------------------------------------
+    index: IVFIndex
+    #: local id -> global id: sealed rows first, then delta rows
+    global_ids: np.ndarray
+    delta: "DeltaIndex | None"
+    #: local ids deleted since the last compaction
+    tombstones: set
+
+    @property
+    def tombstoned_ids(self) -> np.ndarray:
+        """Global ids of ``tombstones``."""
+
+    def memory_bytes(self) -> int: ...
 
 
 @dataclass
@@ -110,6 +174,11 @@ class IndexShard:
         return bool(self.tombstones) or (
             self.delta is not None and self.delta.ntotal > 0
         )
+
+    @property
+    def tombstoned_ids(self) -> np.ndarray:
+        """Global ids of ``tombstones`` (ascending local-id order)."""
+        return self._tomb_global
 
     # -- mutation ------------------------------------------------------------
     def insert(self, vectors: np.ndarray, global_ids: np.ndarray) -> None:
@@ -232,9 +301,6 @@ class IndexShard:
         return True
 
     # -- search --------------------------------------------------------------
-    def _tombstone_globals(self) -> np.ndarray:
-        return self._tomb_global
-
     def search(
         self,
         queries: np.ndarray,
@@ -248,8 +314,8 @@ class IndexShard:
         ``sealed`` optionally overrides the sealed-index scan with a callable
         ``(queries, k, nprobe) -> (distances, global_ids)`` — the hook the
         hierarchical searcher uses to route the sealed half through the
-        process pool while the delta/tombstone merge below stays identical
-        across worker modes.
+        process pool while the snapshot and the delta/tombstone merge below
+        stay identical across worker modes.
 
         Merge contract: sealed candidates occupy the left columns and delta
         candidates the right, so the stable :func:`top_k` resolves exact
@@ -393,7 +459,7 @@ def _build_shard(
 class ClusteredDatastore:
     """The distributed datastore: one IVF shard per K-means cluster."""
 
-    shards: list[IndexShard]
+    shards: "list[Shard]"
     config: HermesConfig
     clustering: KMeansResult | None = None
     #: per-document shard assignment, length = total ids ever allocated
@@ -479,9 +545,6 @@ class ClusteredDatastore:
         self._record_mutation("datastore_inserts_total", len(vecs))
         return new_ids
 
-    #: legacy alias kept for symmetry with :meth:`delete_documents`.
-    insert_documents = add_documents
-
     def delete_documents(self, global_ids) -> int:
         """Tombstone documents by global id; returns the number deleted.
 
@@ -529,9 +592,7 @@ class ClusteredDatastore:
 
     def delta_rows(self) -> int:
         """Rows currently in delta memtables across all shards."""
-        return sum(
-            s.delta.ntotal for s in self.shards if getattr(s, "delta", None) is not None
-        )
+        return sum(s.delta.ntotal for s in self.shards if s.delta is not None)
 
     def _record_mutation(self, counter: str, n: int) -> None:
         self.mutations += 1
@@ -562,7 +623,7 @@ class ClusteredDatastore:
             if shard.delta is not None and shard.delta.ntotal:
                 out[shard.global_ids[shard.index.ntotal :]] = shard.delta.reconstruct()
             if shard.tombstones:
-                out[shard._tombstone_globals()] = 0.0
+                out[shard.tombstoned_ids] = 0.0
         return out
 
     def live_vectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -574,7 +635,7 @@ class ClusteredDatastore:
         """
         vecs = self.reconstruct_vectors()
         dead = np.concatenate(
-            [s._tombstone_globals() for s in self.shards]
+            [s.tombstoned_ids for s in self.shards]
             + [np.empty(0, dtype=np.int64)]
         )
         live = np.setdiff1d(

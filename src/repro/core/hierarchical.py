@@ -1,14 +1,11 @@
 """Hermes hierarchical search: sample → rank → deep search → rerank (§4.2).
 
-The full online retrieval path over a :class:`ClusteredDatastore`:
-
-1. **Sample**: the router probes every cluster cheaply (low nProbe, one
-   document each) and ranks clusters per query;
-2. **Deep search**: only the top ``clusters_to_search`` clusters run the
-   expensive high-nProbe search for ``k`` documents each;
-3. **Merge + rerank**: per-query candidates from the searched clusters merge
-   into a global top-k by distance (equivalently, inner-product reranking for
-   the paper's normalised embeddings).
+The full online retrieval path over a :class:`ClusteredDatastore`. The
+router's sample search ranks clusters per query, only the top
+``clusters_to_search`` of them run the expensive high-nProbe search, and the
+per-query candidates merge into a global top-k by distance (equivalently,
+inner-product reranking for the paper's normalised embeddings).
+:meth:`HierarchicalSearcher.search` reads as those steps, top to bottom.
 
 The search result carries the routing matrix so schedulers and the
 performance model can account per-node load, and the number of
@@ -39,6 +36,10 @@ schedulers and the perfmodel can charge for retries and hedges.
 Without a policy the searcher is fail-fast: an unexpected shard exception
 propagates wrapped in :class:`~repro.core.errors.ShardSearchError` carrying
 the shard id and routed query count.
+
+Every deep search is a ``search`` call on the object in
+``datastore.shards``, in thread and in process mode alike, so whatever wraps
+a shard — fault models, replica failover, instrumentation — sees it.
 """
 
 from __future__ import annotations
@@ -47,14 +48,16 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ..ann.distances import as_matrix
 from ..obs.metrics import get_registry
 from ..obs.trace import Span, Tracer, get_tracer
-from .clustering import ClusteredDatastore
+from .clustering import ClusteredDatastore, Shard
 from .config import HermesConfig
 from .errors import (
     DeadlineExceededError,
@@ -210,35 +213,25 @@ class ShardHealth:
             self._open_for[shard_id] = 0
 
     def record_failure(self, shard_id: int) -> None:
-        shard_id = self._check(shard_id)
-        with self._lock:
-            self._consecutive[shard_id] += 1
-            if self._consecutive[shard_id] >= self.threshold:
-                newly_open = self._open_for[shard_id] == 0
-                self._open_for[shard_id] = self.cooldown
-                if newly_open:
-                    get_registry().counter(
-                        "retrieval_breaker_trips_total",
-                        "circuit-breaker open transitions",
-                    ).inc(shard=shard_id)
+        self._fail(shard_id, at_least=0)
 
     def trip(self, shard_id: int) -> None:
         """Open the circuit immediately (crash-stop: no point counting up)."""
+        self._fail(shard_id, at_least=self.threshold)
+
+    def _fail(self, shard_id: int, *, at_least: int) -> None:
+        """Count one failure (to ``at_least``); at the threshold, (re)open."""
         shard_id = self._check(shard_id)
         with self._lock:
-            self._consecutive[shard_id] = max(
-                self.threshold, int(self._consecutive[shard_id]) + 1
-            )
-            newly_open = self._open_for[shard_id] == 0
-            self._open_for[shard_id] = self.cooldown
+            count = max(at_least, int(self._consecutive[shard_id]) + 1)
+            self._consecutive[shard_id] = count
+            newly_open = count >= self.threshold and self._open_for[shard_id] == 0
+            if count >= self.threshold:
+                self._open_for[shard_id] = self.cooldown
         if newly_open:
             get_registry().counter(
-                "retrieval_breaker_trips_total",
-                "circuit-breaker open transitions",
+                "retrieval_breaker_trips_total", "circuit-breaker open transitions"
             ).inc(shard=shard_id)
-
-    def consecutive_failures(self, shard_id: int) -> int:
-        return int(self._consecutive[self._check(shard_id)])
 
     def is_open(self, shard_id: int) -> bool:
         return bool(self._open_for[self._check(shard_id)] > 0)
@@ -252,11 +245,6 @@ class ShardHealth:
         """Advance the breaker clock by one search batch."""
         with self._lock:
             np.maximum(self._open_for - 1, 0, out=self._open_for)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._consecutive[:] = 0
-            self._open_for[:] = 0
 
 
 @dataclass(frozen=True)
@@ -328,6 +316,56 @@ class SearchResult:
         return tuple(s.shard_id for s in self.shard_stats if s.hedged)
 
 
+class ShardTask(NamedTuple):
+    """One shard's slice of a batch — the unit the deep phase runs.
+
+    All queries routed to a shard search it together, exactly how per-node
+    batches form in the distributed system.
+    """
+
+    shard: Shard
+    #: batch rows of the queries routed to this shard
+    rows: np.ndarray
+    #: for each row, which of its ``clusters_to_search`` routing slots this is
+    slots: np.ndarray
+
+
+class ShardAnswer(NamedTuple):
+    """What one :class:`ShardTask` came back with.
+
+    ``distances`` / ``ids`` are ``(len(task.rows), k)``, or ``None`` when the
+    shard's call failed under a policy (the batch degrades around it).
+    """
+
+    task: ShardTask
+    distances: "np.ndarray | None"
+    ids: "np.ndarray | None"
+    stats: ShardCallStats
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """One ``search`` call's resolved inputs and trace handle, for its steps."""
+
+    queries: np.ndarray
+    k: int
+    nprobe: int
+    tracer: Tracer
+    root: "Span"
+
+
+#: What a shard call runs under when the searcher has no policy: one attempt,
+#: no deadline, no hedge — and a failure raises instead of degrading.
+_FAIL_FAST = RetrievalPolicy()
+
+
+def _count_deadline_exceeded(stage: str) -> None:
+    get_registry().counter(
+        "retrieval_deadline_exceeded_total",
+        "searches refused or cut short by an exhausted request budget",
+    ).inc(stage=stage)
+
+
 class HierarchicalSearcher:
     """Search driver combining a router with per-shard deep searches."""
 
@@ -378,24 +416,6 @@ class HierarchicalSearcher:
         self._clock = clock if clock is not None else time.perf_counter
         self._sleep = sleep if sleep is not None else time.sleep
 
-    # -- exclude validation -------------------------------------------------
-    def _validated_exclude(self, exclude_clusters) -> frozenset:
-        """Check user excludes up front (satellite: fail clearly, not deep
-        inside the router)."""
-        n = self.datastore.n_clusters
-        exclude = frozenset(int(c) for c in (exclude_clusters or ()))
-        unknown = sorted(c for c in exclude if c < 0 or c >= n)
-        if unknown:
-            raise ValueError(
-                f"exclude_clusters contains unknown shard ids {unknown}; "
-                f"datastore has shards 0..{n - 1}"
-            )
-        if len(exclude) >= n:
-            raise RetrievalUnavailableError(
-                f"exclude_clusters covers all {n} shards; no shard left to search"
-            )
-        return exclude
-
     # -- process-mode shard pool -------------------------------------------
     def _ensure_shard_pool(self):
         """Start (once) the worker-process pool backing process-mode search.
@@ -410,9 +430,7 @@ class HierarchicalSearcher:
         Delta inserts and tombstones do not invalidate the pool: they are
         merged parent-side by ``IndexShard.search``.
         """
-        generations = tuple(
-            int(getattr(s, "generation", 0)) for s in self.datastore.shards
-        )
+        generations = tuple(int(s.generation) for s in self.datastore.shards)
         if self._shard_pool is not None and generations != self._pool_generations:
             get_registry().counter(
                 "retrieval_pool_rebuilds_total",
@@ -440,163 +458,7 @@ class HierarchicalSearcher:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- policy-governed execution -----------------------------------------
-    def _attempt_with_deadline(
-        self,
-        shard_id: int,
-        attempt,
-        policy: RetrievalPolicy,
-        executor: ThreadPoolExecutor,
-        meta: dict,
-    ):
-        """One attempt under a deadline, with an optional hedged duplicate.
-
-        Returns the attempt's value; raises its failure (a
-        :class:`ShardTimeoutError` if the deadline elapsed first). A
-        launched hedge is recorded in ``meta["hedges"]`` immediately so the
-        duplicate work is charged even when the attempt ultimately fails.
-        """
-        start = time.perf_counter()
-        deadline = policy.deadline_s
-
-        def remaining() -> float | None:
-            if deadline is None:
-                return None
-            return deadline - (time.perf_counter() - start)
-
-        futures = [executor.submit(attempt)]
-        if policy.hedge_delay_s is not None:
-            hedge_wait = policy.hedge_delay_s
-            if deadline is not None:
-                hedge_wait = min(hedge_wait, deadline)
-            done, _ = wait(futures, timeout=hedge_wait)
-            if not done:
-                futures.append(executor.submit(attempt))
-                meta["hedges"] += 1
-
-        pending = set(futures)
-        failure: BaseException | None = None
-        while pending:
-            left = remaining()
-            if left is not None and left <= 0:
-                break
-            done, pending = wait(pending, timeout=left, return_when=FIRST_COMPLETED)
-            if not done:
-                break  # deadline elapsed with requests still in flight
-            for fut in done:
-                exc = fut.exception()
-                if exc is None:
-                    return fut.result()
-                failure = exc
-        if pending:
-            raise ShardTimeoutError(shard_id, deadline)
-        assert failure is not None
-        raise failure
-
-    def _run_with_policy(
-        self,
-        shard_id: int,
-        n_queries: int,
-        attempt,
-        policy: RetrievalPolicy,
-        executor: ThreadPoolExecutor | None,
-        tracer: "Tracer | None" = None,
-    ):
-        """Run one shard's deep search under the retry/deadline/hedge policy.
-
-        Returns ``(value_or_None, ShardCallStats)``; never raises — a
-        failed shard degrades the batch instead of aborting it.
-
-        Each attempt is timed individually *inside* the retry loop, so the
-        reported ``latency_s`` is time requests were in flight — retry
-        backoff sleeps land only in ``wall_s``. (Timing the whole loop with
-        one clock-pair straddles the sleeps and inflates shard latencies by
-        the full backoff schedule.)
-        """
-        clock = self._clock
-        tracer = tracer if tracer is not None else get_tracer()
-        t0 = clock()
-        busy = 0.0
-        attempts = 0
-        hedges = 0
-        outcome = "ok"
-        backoff = policy.backoff_s
-        budget = policy.retry_budget
-        if budget is not None:
-            budget.deposit()
-        value = None
-        while True:
-            attempts += 1
-            meta = {"hedges": 0}
-            attempt_start = clock()
-            try:
-                # Inner try/finally times exactly the in-flight attempt: the
-                # backoff sleep below runs in the except handler, after the
-                # finally has already banked this attempt's interval.
-                try:
-                    with tracer.span("attempt", try_index=attempts):
-                        if executor is None:
-                            value = attempt()
-                        else:
-                            value = self._attempt_with_deadline(
-                                shard_id, attempt, policy, executor, meta
-                            )
-                    break
-                finally:
-                    busy += clock() - attempt_start
-                    hedges += meta["hedges"]
-            except TransientShardError:
-                if attempts >= policy.max_attempts:
-                    outcome = "transient-exhausted"
-                    break
-                if budget is not None and not budget.try_spend():
-                    # Fleet-wide budget dry: degrade now rather than join a
-                    # retry storm already in progress.
-                    outcome = "retry-budget-exhausted"
-                    break
-                if backoff > 0:
-                    with tracer.span("backoff", seconds=backoff):
-                        self._sleep(backoff)
-                    backoff *= 2
-            except ShardTimeoutError:
-                outcome = "timeout"
-                break
-            except ShardCrashedError:
-                outcome = "crashed"
-                break
-            except FutureTimeoutError:
-                outcome = "timeout"
-                break
-            except Exception:  # noqa: BLE001 — degrade, never abort the batch
-                outcome = "error"
-                break
-        stats = ShardCallStats(
-            shard_id=shard_id,
-            queries=n_queries,
-            # hedged duplicates are issued requests: charge them as attempts
-            attempts=attempts + hedges,
-            latency_s=busy,
-            hedged=hedges > 0,
-            outcome=outcome,
-            wall_s=clock() - t0,
-        )
-        registry = get_registry()
-        if attempts > 1:
-            registry.counter(
-                "retrieval_retries_total",
-                "transient-error retries issued by the deep-search fan-out",
-            ).inc(attempts - 1)
-        if hedges:
-            registry.counter(
-                "retrieval_hedges_total", "hedged duplicate shard requests"
-            ).inc(hedges)
-        registry.histogram(
-            "retrieval_shard_latency_seconds",
-            "per-shard in-flight deep-search time (excludes backoff sleeps)",
-        ).observe(stats.latency_s, outcome=outcome)
-        return (value if outcome == "ok" else None), stats
-
-    # -- the search itself --------------------------------------------------
+    # -- the search: validate → route → plan → run → merge -------------------
     def search(
         self,
         queries: np.ndarray,
@@ -605,7 +467,6 @@ class HierarchicalSearcher:
         clusters_to_search: int | None = None,
         deep_nprobe: int | None = None,
         exclude_clusters: "frozenset | set | None" = None,
-        parallel: bool | None = None,
         trace: bool = False,
         routing: "RoutingDecision | None" = None,
         deadline_s: float | None = None,
@@ -649,145 +510,153 @@ class HierarchicalSearcher:
         :class:`RetrievalUnavailableError`. Shards whose circuit breaker is
         open (see :class:`ShardHealth`) are excluded automatically.
 
-        ``parallel`` fans the per-shard deep searches out over a thread pool
-        (numpy's BLAS kernels release the GIL), mirroring the paper's
-        one-index-per-node parallelism in wall-clock terms. ``None`` enables
-        threading iff the searcher was built with ``max_workers``.
+        The per-shard deep searches fan out over a thread pool (numpy's BLAS
+        kernels release the GIL), mirroring the paper's one-index-per-node
+        parallelism in wall-clock terms, iff the searcher was built with
+        ``max_workers`` or runs a process pool.
         """
         q = as_matrix(queries)
-        k = self.config.k if k is None else int(k)
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        k, m, nprobe = self.resolve_params(k, clusters_to_search, deep_nprobe)
+        user_exclude = self._validated_exclude(exclude_clusters)
+        self._validate_reuse(routing, len(q))
         deadline_at = None
         if deadline_s is not None:
             if deadline_s <= 0:
-                get_registry().counter(
-                    "retrieval_deadline_exceeded_total",
-                    "searches refused or cut short by an exhausted request budget",
-                ).inc(stage="submit")
+                _count_deadline_exceeded("submit")
                 raise DeadlineExceededError(deadline_s, stage="submit")
             deadline_at = self._clock() + float(deadline_s)
-        m = (
-            self.config.clusters_to_search
-            if clusters_to_search is None
-            else int(clusters_to_search)
-        )
-        if m <= 0:
-            raise ValueError(f"clusters_to_search must be positive, got {m}")
-        nprobe = self.config.deep_nprobe if deep_nprobe is None else int(deep_nprobe)
-        if nprobe <= 0:
-            raise ValueError(f"deep_nprobe must be positive, got {nprobe}")
-        n_shards = self.datastore.n_clusters
-        user_exclude = self._validated_exclude(exclude_clusters)
-        nq = len(q)
-        if routing is not None:
-            if routing.batch_size != nq:
-                raise ValueError(
-                    f"reused routing covers {routing.batch_size} queries, "
-                    f"batch has {nq}"
-                )
-            routed_ids = routing.clusters
-            if routed_ids.size and int(routed_ids.max()) >= n_shards:
-                raise ValueError(
-                    f"reused routing references shard {int(routed_ids.max())}; "
-                    f"datastore has shards 0..{n_shards - 1}"
-                )
 
         tracer = self.tracer if self.tracer is not None else get_tracer()
         if trace and not tracer.enabled:
             # Per-call opt-in: a private tracer so the caller gets a span
             # tree on the result without turning on process-wide tracing.
             tracer = Tracer(clock=self._clock)
-        registry = get_registry()
-        clock = self._clock
-        batch_start = clock()
-        latency = registry.histogram(
-            "retrieval_latency_seconds",
-            "hierarchical search phase latency (route/deep/merge/total)",
-        )
-
-        if self.health is not None:
-            self.health.tick()
-            breaker_open = self.health.open_shards()
-            registry.gauge(
-                "retrieval_breaker_open_shards",
-                "shards currently auto-excluded by their circuit breaker",
-            ).set(len(breaker_open))
-        else:
-            breaker_open = frozenset()
+        batch_start = self._clock()
+        breaker_open = self._tick_breakers()
         exclude = user_exclude | breaker_open
-        if len(exclude) >= n_shards:
+        if len(exclude) >= self.datastore.n_clusters:
             raise RetrievalUnavailableError(
-                f"all {n_shards} shards excluded ({len(user_exclude)} by caller, "
+                f"all {self.datastore.n_clusters} shards excluded "
+                f"({len(user_exclude)} by caller, "
                 f"{len(breaker_open)} by open circuit breakers)"
             )
-        if routing is not None and exclude:
-            used = {int(c) for c in np.unique(routing.clusters) if c >= 0}
-            if used & exclude:
-                # Stale decision routes to a dead/excluded shard: re-route.
-                registry.counter(
-                    "retrieval_route_reuse_invalidated_total",
-                    "reused routing decisions discarded for touching excluded shards",
-                ).inc()
-                routing = None
 
         root = tracer.start_span(
-            "retrieval",
-            batch=nq,
-            k=k,
-            clusters_to_search=m,
-            deep_nprobe=nprobe,
+            "retrieval", batch=len(q), k=k, clusters_to_search=m, deep_nprobe=nprobe
         )
+        batch = _Batch(q, k, nprobe, tracer, root)
         try:
-            return self._traced_search(
-                q,
-                k,
-                m,
-                nprobe,
-                exclude,
-                breaker_open,
-                parallel,
-                tracer,
-                root,
-                registry,
-                latency,
-                batch_start,
-                reuse=routing,
-                deadline_at=deadline_at,
-            )
+            decision = self._route(batch, m, exclude, routing)
+            tasks = self.plan(decision)
+            answers = self._run(batch, tasks, deadline_at)
+            return self._merge(batch, decision, answers, breaker_open)
         finally:
             if root.end_s is None:
                 root.finish(tracer.clock() if tracer.enabled else 0.0)
-            latency.observe(clock() - batch_start, phase="total")
-            registry.counter(
+            self._observe_phase("total", batch_start)
+            get_registry().counter(
                 "retrieval_batches_total", "hierarchical search batches served"
             ).inc()
 
-    def _traced_search(
+    # -- step 1: validate + resolve ------------------------------------------
+    def resolve_params(
         self,
-        q: np.ndarray,
-        k: int,
-        m: int,
-        nprobe: int,
-        exclude: frozenset,
-        breaker_open: frozenset,
-        parallel: bool | None,
-        tracer: Tracer,
-        root,
-        registry,
-        latency,
-        batch_start: float,
-        reuse: "RoutingDecision | None" = None,
-        deadline_at: float | None = None,
-    ) -> SearchResult:
-        """The sample → route → deep → merge body, under the batch's spans."""
-        n_shards = self.datastore.n_clusters
-        clock = self._clock
-        nq = len(q)
+        k: int | None = None,
+        clusters_to_search: int | None = None,
+        deep_nprobe: int | None = None,
+    ) -> "tuple[int, int, int]":
+        """``(k, clusters_to_search, deep_nprobe)`` as :meth:`search` uses them.
 
-        phase_start = clock()
-        with tracer.span(
-            "route", parent=root, router=type(self.router).__name__
+        ``None`` takes the config's value; anything else must be positive
+        (an explicit zero is rejected, not swallowed to a default). The
+        serving frontend keys its cache on this tuple, which is why it is the
+        searcher's resolution and not a copy of it.
+        """
+        cfg = self.config
+        k = cfg.k if k is None else int(k)
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        m = cfg.clusters_to_search if clusters_to_search is None else int(clusters_to_search)
+        if m <= 0:
+            raise ValueError(f"clusters_to_search must be positive, got {m}")
+        nprobe = cfg.deep_nprobe if deep_nprobe is None else int(deep_nprobe)
+        if nprobe <= 0:
+            raise ValueError(f"deep_nprobe must be positive, got {nprobe}")
+        return k, m, nprobe
+
+    def _validated_exclude(self, exclude_clusters) -> frozenset:
+        """Check user excludes up front: fail clearly, not deep inside the router."""
+        n = self.datastore.n_clusters
+        exclude = frozenset(int(c) for c in (exclude_clusters or ()))
+        unknown = sorted(c for c in exclude if c < 0 or c >= n)
+        if unknown:
+            raise ValueError(
+                f"exclude_clusters contains unknown shard ids {unknown}; "
+                f"datastore has shards 0..{n - 1}"
+            )
+        if len(exclude) >= n:
+            raise RetrievalUnavailableError(
+                f"exclude_clusters covers all {n} shards; no shard left to search"
+            )
+        return exclude
+
+    def _validate_reuse(self, routing: "RoutingDecision | None", nq: int) -> None:
+        """A reused decision must cover this batch and this datastore's shards."""
+        if routing is None:
+            return
+        if routing.batch_size != nq:
+            raise ValueError(
+                f"reused routing covers {routing.batch_size} queries, batch has {nq}"
+            )
+        n = self.datastore.n_clusters
+        if routing.clusters.size and int(routing.clusters.max()) >= n:
+            raise ValueError(
+                f"reused routing references shard {int(routing.clusters.max())}; "
+                f"datastore has shards 0..{n - 1}"
+            )
+
+    def _tick_breakers(self) -> frozenset:
+        """Advance the breaker clock one batch; the shards it keeps excluded."""
+        if self.health is None:
+            return frozenset()
+        self.health.tick()
+        breaker_open = self.health.open_shards()
+        get_registry().gauge(
+            "retrieval_breaker_open_shards",
+            "shards currently auto-excluded by their circuit breaker",
+        ).set(len(breaker_open))
+        return breaker_open
+
+    def _observe_phase(self, phase: str, start: float) -> None:
+        get_registry().histogram(
+            "retrieval_latency_seconds",
+            "hierarchical search phase latency (route/deep/merge/total)",
+        ).observe(self._clock() - start, phase=phase)
+
+    # -- step 2: route -------------------------------------------------------
+    def _route(
+        self,
+        batch: _Batch,
+        m: int,
+        exclude: frozenset,
+        reuse: "RoutingDecision | None",
+    ) -> RoutingDecision:
+        """Rank clusters per query — freshly, or by a still-valid reused decision."""
+        registry = get_registry()
+        if (
+            reuse is not None
+            and exclude
+            and not exclude.isdisjoint(np.unique(reuse.clusters).tolist())
+        ):
+            # Stale decision routes to a dead/excluded shard: re-route.
+            registry.counter(
+                "retrieval_route_reuse_invalidated_total",
+                "reused routing decisions discarded for touching excluded shards",
+            ).inc()
+            reuse = None
+        phase_start = self._clock()
+        with batch.tracer.span(
+            "route", parent=batch.root, router=type(self.router).__name__
         ) as route_span:
             if reuse is not None:
                 routing = reuse
@@ -797,189 +666,352 @@ class HierarchicalSearcher:
                     "sample-search phases skipped by reusing a prior RoutingDecision",
                 ).inc()
             else:
-                routing = self.router.route(q, self.datastore, m, exclude=exclude)
+                routing = self.router.route(
+                    batch.queries, self.datastore, m, exclude=exclude
+                )
             route_span.set(
                 fanout=routing.fanout, failed_clusters=len(routing.failed_clusters)
             )
-        latency.observe(clock() - phase_start, phase="route")
+        self._observe_phase("route", phase_start)
         if self.health is not None and reuse is None:
             # A reused decision's failed_clusters describe a *past* batch;
             # re-penalising them would double-count old failures.
             for sid in routing.failed_clusters:
                 self.health.record_failure(sid)
-        if len(exclude | routing.failed_clusters) >= n_shards:
+        if len(exclude | routing.failed_clusters) >= self.datastore.n_clusters:
             raise RetrievalUnavailableError(
                 f"no live shard left: {sorted(exclude)} excluded and "
                 f"{sorted(routing.failed_clusters)} failed during sampling"
             )
-        fanout = routing.fanout
+        return routing
 
-        # Candidate pool: k results from each of the query's routed shards.
-        # Slots of failed shards keep their (+inf, -1) fill — graceful
-        # degradation is "those candidates simply don't exist".
-        cand_d = np.full((nq, fanout * k), np.inf, dtype=np.float32)
-        cand_i = np.full((nq, fanout * k), -1, dtype=np.int64)
-
-        # Batch by shard: all queries routed to shard s search it together,
-        # exactly how per-node batches form in the distributed system.
+    # -- step 3: plan --------------------------------------------------------
+    def plan(self, routing: RoutingDecision) -> "list[ShardTask]":
+        """The deep phase's work list: one task per shard any query routed to."""
         tasks = []
         for shard in self.datastore.shards:
-            hit_q, hit_slot = np.nonzero(routing.clusters == shard.shard_id)
-            if len(hit_q):
-                tasks.append((shard, hit_q, hit_slot))
-        shard_queries = sum(len(hit_q) for _, hit_q, _ in tasks)
+            rows, slots = np.nonzero(routing.clusters == shard.shard_id)
+            if len(rows):
+                tasks.append(ShardTask(shard, rows, slots))
+        return tasks
 
-        shard_pool = (
+    # -- step 4: run ---------------------------------------------------------
+    def _deep_policy(
+        self, batch: _Batch, deadline_at: "float | None"
+    ) -> "RetrievalPolicy | None":
+        """The policy this batch's shard calls run under.
+
+        Deadline propagation: the per-attempt deep-search deadline is
+        whatever is left of the request budget after routing. An exhausted
+        budget sheds here, before any deep search launches.
+        """
+        if deadline_at is None:
+            return self.policy
+        remaining = deadline_at - self._clock()
+        if remaining <= 0:
+            _count_deadline_exceeded("route")
+            raise DeadlineExceededError(remaining, stage="route")
+        batch.root.set(budget_s=round(remaining, 6))
+        if self.policy is None:
+            return RetrievalPolicy(deadline_s=remaining)
+        if self.policy.deadline_s is None or self.policy.deadline_s > remaining:
+            return replace(self.policy, deadline_s=remaining)
+        return self.policy
+
+    def _run(
+        self, batch: _Batch, tasks: "list[ShardTask]", deadline_at: "float | None"
+    ) -> "list[ShardAnswer]":
+        """Deep phase: every task through :meth:`_run_task`, inline or fanned out."""
+        # Pool first: starting (or rebuilding) it spends request budget, so
+        # the policy's deadline is what is left once the pool is up.
+        pool = (
             self._ensure_shard_pool()
             if self.workers_mode == "process" and tasks
             else None
         )
-
-        def deep_search_once(shard, hit_q):
-            # Two sealed-half kernels: the shard's own in-process scan, or
-            # the worker-process pool. The pool returns global ids, so a live
-            # shard can merge its delta/tombstone state parent-side
-            # (IndexShard.search's ``sealed=`` hook) and thread and process
-            # modes stay bit-identical after mutation.
-            if shard_pool is None:
-                return shard.search(q[hit_q], k, nprobe=nprobe)
-            sid = int(shard.shard_id)
-            sealed = lambda qq, kk, npb: shard_pool.search(sid, qq, kk, nprobe=npb)
-            if getattr(shard, "has_mutations", False):
-                return shard.search(q[hit_q], k, nprobe=nprobe, sealed=sealed)
-            return sealed(q[hit_q], k, nprobe)
-
-        policy = self.policy
-        if deadline_at is not None:
-            # Deadline propagation: the per-attempt deep-search deadline is
-            # whatever is left of the request budget after routing. An
-            # exhausted budget sheds here, before any deep search launches.
-            remaining = deadline_at - clock()
-            if remaining <= 0:
-                registry.counter(
-                    "retrieval_deadline_exceeded_total",
-                    "searches refused or cut short by an exhausted request budget",
-                ).inc(stage="route")
-                raise DeadlineExceededError(remaining, stage="route")
-            root.set(budget_s=round(remaining, 6))
-            if policy is None:
-                policy = RetrievalPolicy(deadline_s=remaining)
-            elif policy.deadline_s is None or policy.deadline_s > remaining:
-                policy = replace(policy, deadline_s=remaining)
-        attempt_pool: ThreadPoolExecutor | None = None
+        policy = self._deep_policy(batch, deadline_at)
+        executor: ThreadPoolExecutor | None = None
         if policy is not None and policy.needs_executor and tasks:
             # Attempts need own threads so deadlines can abandon stragglers;
             # 2x head-room covers one hedge per in-flight shard.
-            attempt_pool = ThreadPoolExecutor(
+            executor = ThreadPoolExecutor(
                 max_workers=max(2, 2 * len(tasks)),
                 thread_name_prefix="shard-attempt",
             )
-
-        phase_start = clock()
-        with tracer.span(
-            "deep_search", parent=root, shards=len(tasks), nprobe=nprobe
+        phase_start = self._clock()
+        with batch.tracer.span(
+            "deep_search", parent=batch.root, shards=len(tasks), nprobe=batch.nprobe
         ) as deep_span:
-
-            def run_task(task):
-                shard, hit_q, hit_slot = task
-                sid = int(shard.shard_id)
-                with tracer.span(
-                    "shard_search",
-                    parent=deep_span,
-                    worker=f"shard{sid}",
-                    shard=sid,
-                    queries=len(hit_q),
-                ) as shard_span:
-                    if policy is None:
-                        t0 = clock()
-                        try:
-                            dists, ids = deep_search_once(shard, hit_q)
-                        except ShardError:
-                            raise  # already carries the shard id
-                        except Exception as exc:
-                            raise ShardSearchError(sid, len(hit_q), exc) from exc
-                        elapsed = clock() - t0
-                        stats = ShardCallStats(
-                            shard_id=sid,
-                            queries=len(hit_q),
-                            attempts=1,
-                            latency_s=elapsed,
-                            wall_s=elapsed,
-                        )
-                        shard_span.set(attempts=1, outcome="ok")
-                        return hit_q, hit_slot, dists, ids, stats
-                    if attempt_pool is None:
-                        attempt = lambda: deep_search_once(shard, hit_q)
-                    else:
-                        # Pool attempts may outlive their deadline (abandoned
-                        # hedges/stragglers); suppress their nested spans so
-                        # no orphan escapes into the tree after it closes.
-                        def attempt():
-                            with tracer.suppressed():
-                                return deep_search_once(shard, hit_q)
-
-                    value, stats = self._run_with_policy(
-                        sid, len(hit_q), attempt, policy, attempt_pool, tracer
-                    )
-                    shard_span.set(
-                        attempts=stats.attempts,
-                        outcome=stats.outcome,
-                        hedged=stats.hedged,
-                    )
-                    if self.health is not None:
-                        if stats.ok:
-                            self.health.record_success(sid)
-                        else:
-                            self.health.record_failure(sid)
-                    if value is None:
-                        return hit_q, hit_slot, None, None, stats
-                    dists, ids = value
-                    return hit_q, hit_slot, dists, ids, stats
-
+            run_one = lambda task: self._run_task(
+                batch, task, policy, executor, pool, deep_span
+            )
             try:
-                use_threads = (
-                    (self.max_workers is not None) if parallel is None else bool(parallel)
-                )
                 # Process mode always fans out from threads: submissions to
                 # the worker pool are thread-safe and each blocks until its
                 # shard's result ships back, so threads overlap the shards.
-                use_threads = use_threads or shard_pool is not None
-                if use_threads and len(tasks) > 1:
+                if (self.max_workers is not None or pool is not None) and len(tasks) > 1:
                     workers = min(self.max_workers or len(tasks), len(tasks))
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(run_task, tasks))
+                    with ThreadPoolExecutor(max_workers=workers) as threads:
+                        answers = list(threads.map(run_one, tasks))
                 else:
-                    results = [run_task(task) for task in tasks]
+                    answers = [run_one(task) for task in tasks]
             finally:
-                if attempt_pool is not None:
+                if executor is not None:
                     # Abandoned hedges/stragglers finish on their own; don't wait.
-                    attempt_pool.shutdown(wait=False)
-        latency.observe(clock() - phase_start, phase="deep")
+                    executor.shutdown(wait=False)
+        self._observe_phase("deep", phase_start)
+        return answers
 
-        phase_start = clock()
-        with tracer.span("merge", parent=root, k=k):
+    def _call_shard(self, batch: _Batch, task: ShardTask, pool):
+        """The deep phase's one shard call.
+
+        In process mode the worker pool stands in for the shard's *sealed
+        scan* (the ``sealed=`` hook of :meth:`Shard.search`; it returns
+        global ids) — the call itself still goes to the object in
+        ``datastore.shards``, so fault models, replica failover and the
+        shard's own delta/tombstone merge run in this process either way and
+        the two modes stay bit-identical, before and after mutation.
+        """
+        sealed = None
+        if pool is not None:
+            sid = int(task.shard.shard_id)
+            sealed = lambda q, k, nprobe: pool.search(sid, q, k, nprobe=nprobe)
+        return task.shard.search(
+            batch.queries[task.rows], batch.k, nprobe=batch.nprobe, sealed=sealed
+        )
+
+    def _run_task(
+        self,
+        batch: _Batch,
+        task: ShardTask,
+        policy: "RetrievalPolicy | None",
+        executor: "ThreadPoolExecutor | None",
+        pool,
+        deep_span,
+    ) -> ShardAnswer:
+        """Run one shard's deep search to its final outcome — the one runner.
+
+        Attempts repeat under ``policy`` (transient errors retry with
+        backoff while attempts and the fleet retry budget last; with an
+        ``executor`` each attempt runs under the deadline and may be hedged).
+        Each attempt is timed individually *inside* the loop, so the reported
+        ``latency_s`` is time requests were in flight — backoff sleeps land
+        only in ``wall_s``.
+
+        A failed shard under a policy *degrades*: the answer carries no
+        candidates and the batch merges around it. Without a policy the
+        searcher is fail-fast: the failure raises, a
+        :class:`~repro.core.errors.ShardError` as it is (it names its shard)
+        and anything else wrapped in :class:`ShardSearchError`.
+        """
+        sid = int(task.shard.shard_id)
+        n_queries = len(task.rows)
+        rules = policy if policy is not None else _FAIL_FAST
+        tracer = batch.tracer
+        clock = self._clock
+
+        def attempt():
+            # Attempts on the executor may outlive their deadline (abandoned
+            # hedges/stragglers); suppress their nested spans so no orphan
+            # escapes into the tree after it closes.
+            with tracer.suppressed() if executor is not None else nullcontext():
+                return self._call_shard(batch, task, pool)
+
+        with tracer.span(
+            "shard_search",
+            parent=deep_span,
+            worker=f"shard{sid}",
+            shard=sid,
+            queries=n_queries,
+        ) as shard_span:
+            t0 = clock()
+            busy = 0.0
+            attempts = 0
+            hedges = 0
+            outcome = "ok"
+            value = failure = None
+            backoff = rules.backoff_s
+            budget = rules.retry_budget
+            if budget is not None:
+                budget.deposit()
+            while True:
+                attempts += 1
+                meta = {"hedges": 0}
+                attempt_start = clock()
+                try:
+                    # Inner try/finally times exactly the in-flight attempt:
+                    # the backoff sleep below runs in the except handler,
+                    # after the finally has already banked this interval.
+                    try:
+                        with (
+                            tracer.span("attempt", try_index=attempts)
+                            if policy is not None
+                            else nullcontext()
+                        ):
+                            if executor is None:
+                                value = attempt()
+                            else:
+                                value = self._attempt_with_deadline(
+                                    sid, attempt, rules, executor, meta
+                                )
+                        break
+                    finally:
+                        busy += clock() - attempt_start
+                        hedges += meta["hedges"]
+                except TransientShardError as exc:
+                    failure = exc
+                    if attempts >= rules.max_attempts:
+                        outcome = "transient-exhausted"
+                        break
+                    if budget is not None and not budget.try_spend():
+                        # Fleet-wide budget dry: degrade now rather than join
+                        # a retry storm already in progress.
+                        outcome = "retry-budget-exhausted"
+                        break
+                    if backoff > 0:
+                        with tracer.span("backoff", seconds=backoff):
+                            self._sleep(backoff)
+                        backoff *= 2
+                except (ShardTimeoutError, FutureTimeoutError) as exc:
+                    failure, outcome = exc, "timeout"
+                    break
+                except ShardCrashedError as exc:
+                    failure, outcome = exc, "crashed"
+                    break
+                except Exception as exc:  # noqa: BLE001 — classified, then degrade or raise
+                    failure, outcome = exc, "error"
+                    break
+            stats = ShardCallStats(
+                shard_id=sid,
+                queries=n_queries,
+                # hedged duplicates are issued requests: charge them as attempts
+                attempts=attempts + hedges,
+                latency_s=busy,
+                hedged=hedges > 0,
+                outcome=outcome,
+                wall_s=clock() - t0,
+            )
+            shard_span.set(
+                attempts=stats.attempts, outcome=outcome, hedged=stats.hedged
+            )
+            if policy is not None:
+                self._account_policy_call(stats, attempts - 1, hedges)
+            elif not stats.ok:
+                if isinstance(failure, ShardError):
+                    raise failure  # already names its shard
+                raise ShardSearchError(sid, n_queries, failure) from failure
+            dists, ids = value if stats.ok else (None, None)
+            return ShardAnswer(task, dists, ids, stats)
+
+    def _account_policy_call(
+        self, stats: ShardCallStats, retries: int, hedges: int
+    ) -> None:
+        """Registry counters and breaker state for one policy-governed call."""
+        registry = get_registry()
+        if retries:
+            registry.counter(
+                "retrieval_retries_total",
+                "transient-error retries issued by the deep-search fan-out",
+            ).inc(retries)
+        if hedges:
+            registry.counter(
+                "retrieval_hedges_total", "hedged duplicate shard requests"
+            ).inc(hedges)
+        registry.histogram(
+            "retrieval_shard_latency_seconds",
+            "per-shard in-flight deep-search time (excludes backoff sleeps)",
+        ).observe(stats.latency_s, outcome=stats.outcome)
+        if self.health is not None:
+            if stats.ok:
+                self.health.record_success(stats.shard_id)
+            else:
+                self.health.record_failure(stats.shard_id)
+
+    def _attempt_with_deadline(
+        self,
+        shard_id: int,
+        attempt,
+        policy: RetrievalPolicy,
+        executor: ThreadPoolExecutor,
+        meta: dict,
+    ):
+        """One attempt under a deadline, with an optional hedged duplicate.
+
+        Returns the attempt's value; raises its failure (a
+        :class:`ShardTimeoutError` if the deadline elapsed first). A
+        launched hedge is recorded in ``meta["hedges"]`` immediately so the
+        duplicate work is charged even when the attempt ultimately fails.
+        """
+        start = time.perf_counter()
+        deadline = policy.deadline_s
+        futures = [executor.submit(attempt)]
+        if policy.hedge_delay_s is not None:
+            hedge_wait = policy.hedge_delay_s
+            if deadline is not None:
+                hedge_wait = min(hedge_wait, deadline)
+            done, _ = wait(futures, timeout=hedge_wait)
+            if not done:
+                futures.append(executor.submit(attempt))
+                meta["hedges"] += 1
+
+        pending = set(futures)
+        failure: BaseException | None = None
+        while pending:
+            left = None if deadline is None else deadline - (time.perf_counter() - start)
+            if left is not None and left <= 0:
+                break
+            done, pending = wait(pending, timeout=left, return_when=FIRST_COMPLETED)
+            if not done:
+                break  # deadline elapsed with requests still in flight
+            for fut in done:
+                exc = fut.exception()
+                if exc is None:
+                    return fut.result()
+                failure = exc
+        if pending:
+            raise ShardTimeoutError(shard_id, deadline)
+        assert failure is not None
+        raise failure
+
+    # -- step 5: merge -------------------------------------------------------
+    def _merge(
+        self,
+        batch: _Batch,
+        routing: RoutingDecision,
+        answers: "list[ShardAnswer]",
+        breaker_open: frozenset,
+    ) -> SearchResult:
+        """Global top-k by distance over every answered shard's candidates.
+
+        This is the rerank step; for normalised embeddings it is the paper's
+        inner-product rerank. The candidate pool holds ``k`` slots for each
+        of a query's routed shards; slots of failed shards keep their
+        ``(+inf, -1)`` fill — graceful degradation is "those candidates
+        simply don't exist".
+        """
+        nq, k = len(batch.queries), batch.k
+        phase_start = self._clock()
+        with batch.tracer.span("merge", parent=batch.root, k=k):
+            cand_d = np.full((nq, routing.fanout * k), np.inf, dtype=np.float32)
+            cand_i = np.full((nq, routing.fanout * k), -1, dtype=np.int64)
             kcols = np.arange(k)
-            all_stats = []
             deep_failed = []
-            for hit_q, hit_slot, dists, ids, stats in results:
-                all_stats.append(stats)
+            for task, dists, ids, stats in answers:
                 if dists is None:
                     deep_failed.append(stats.shard_id)
                     continue
-                cols = hit_slot[:, np.newaxis] * k + kcols[np.newaxis, :]
-                cand_d[hit_q[:, np.newaxis], cols] = dists
-                cand_i[hit_q[:, np.newaxis], cols] = ids
-
+                cols = task.slots[:, np.newaxis] * k + kcols[np.newaxis, :]
+                cand_d[task.rows[:, np.newaxis], cols] = dists
+                cand_i[task.rows[:, np.newaxis], cols] = ids
             failed = sorted(
                 set(deep_failed) | set(routing.failed_clusters) | breaker_open
             )
-
-            # Merge: global top-k by distance (the rerank step; for normalised
-            # embeddings this is the paper's inner-product rerank).
             order = np.argsort(cand_d, axis=1)[:, :k]
             rows = np.arange(nq)[:, np.newaxis]
-        latency.observe(clock() - phase_start, phase="merge")
+        self._observe_phase("merge", phase_start)
 
+        registry = get_registry()
+        shard_queries = sum(len(answer.task.rows) for answer in answers)
         registry.counter(
             "retrieval_shard_queries_total",
             "deep-search (query, shard) pairs issued",
@@ -989,15 +1021,15 @@ class HierarchicalSearcher:
                 "retrieval_degraded_batches_total",
                 "batches merged without at least one shard's candidates",
             ).inc()
-            root.set(failed_shards=list(failed))
+            batch.root.set(failed_shards=list(failed))
         return SearchResult(
             distances=cand_d[rows, order],
             ids=cand_i[rows, order],
             routing=routing,
             shard_queries=shard_queries,
             failed_shards=tuple(failed),
-            shard_stats=tuple(all_stats),
-            trace=root if tracer.enabled else None,
+            shard_stats=tuple(answer.stats for answer in answers),
+            trace=batch.root if batch.tracer.enabled else None,
         )
 
 
@@ -1009,9 +1041,6 @@ class HermesSearcher(HierarchicalSearcher):
         datastore: ClusteredDatastore,
         *,
         config: HermesConfig | None = None,
-        max_workers: int | None = None,
-        policy: RetrievalPolicy | None = None,
-        health: ShardHealth | None = None,
         **kwargs,
     ) -> None:
         cfg = config or datastore.config
@@ -1019,9 +1048,6 @@ class HermesSearcher(HierarchicalSearcher):
             datastore,
             router=SampledRouter(sample_nprobe=cfg.sample_nprobe),
             config=cfg,
-            max_workers=max_workers,
-            policy=policy,
-            health=health,
             **kwargs,
         )
 
@@ -1029,26 +1055,10 @@ class HermesSearcher(HierarchicalSearcher):
 class ExhaustiveSplitSearcher(HierarchicalSearcher):
     """Naive distributed baseline: deep-search every shard, aggregate all."""
 
-    def __init__(
-        self,
-        datastore: ClusteredDatastore,
-        *,
-        config: HermesConfig | None = None,
-        max_workers: int | None = None,
-        policy: RetrievalPolicy | None = None,
-        health: ShardHealth | None = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(
-            datastore,
-            router=AllRouter(),
-            config=config,
-            max_workers=max_workers,
-            policy=policy,
-            health=health,
-            **kwargs,
-        )
+    def __init__(self, datastore: ClusteredDatastore, **kwargs) -> None:
+        super().__init__(datastore, router=AllRouter(), **kwargs)
 
-    def search(self, queries: np.ndarray, *, k: int | None = None, **kwargs) -> SearchResult:
-        kwargs.setdefault("clusters_to_search", self.datastore.n_clusters)
-        return super().search(queries, k=k, **kwargs)
+    def resolve_params(self, k=None, clusters_to_search=None, deep_nprobe=None):
+        if clusters_to_search is None:
+            clusters_to_search = self.datastore.n_clusters
+        return super().resolve_params(k, clusters_to_search, deep_nprobe)

@@ -70,7 +70,7 @@ def save_datastore(datastore: ClusteredDatastore, directory: "str | Path") -> No
     manifest = {
         "config": dataclasses.asdict(datastore.config),
         "n_clusters": datastore.n_clusters,
-        "mutations": int(getattr(datastore, "mutations", 0)),
+        "mutations": int(datastore.mutations),
         "shards": [],
     }
     for shard in datastore.shards:
@@ -93,9 +93,9 @@ def save_datastore(datastore: ClusteredDatastore, directory: "str | Path") -> No
                 "shard_id": shard.shard_id,
                 "file": filename,
                 "size": len(shard),
-                "generation": int(getattr(shard, "generation", 0)),
+                "generation": int(shard.generation),
             }
-            if getattr(shard, "has_mutations", False):
+            if shard.has_mutations:
                 mutation_file = f"mutation_{shard.shard_id}.npz"
                 delta = shard.delta
                 _atomic_write(

@@ -20,8 +20,8 @@ updates cost and whether they are *correct*:
 
 ``hermes-repro mutate`` prints the sweep; ``--smoke`` additionally asserts
 the integrity/equivalence properties and exits non-zero on violation (the
-latency overhead bar is enforced by ``benchmarks/bench_serve.py``, where
-timing is controlled).
+live-read latency is measured by the ``mutate_mix`` workload of
+``benchmarks/suite``, where timing is controlled).
 """
 
 from __future__ import annotations

@@ -204,9 +204,10 @@ class FaultEvent:
 class FaultyShard:
     """Wraps a shard so its ``search`` passes through the fault models.
 
-    Everything else (``shard_id``, ``global_ids``, ``centroid``, ``index``,
-    ...) delegates to the wrapped shard, so a :class:`FaultyShard` drops
-    into a :class:`~repro.core.clustering.ClusteredDatastore` unchanged.
+    Every other member of the :class:`~repro.core.clustering.Shard` surface
+    (and the storage behind it) delegates to the wrapped shard, so a
+    :class:`FaultyShard` drops into a
+    :class:`~repro.core.clustering.ClusteredDatastore` unchanged.
     The injected-fault ``log`` records every call's outcome for determinism
     checks and chaos-test assertions.
     """
@@ -227,7 +228,6 @@ class FaultyShard:
         self._calls = 0
         self._lock = threading.Lock()
 
-    # Delegate the shard surface the searcher and routers use.
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
 
@@ -235,7 +235,7 @@ class FaultyShard:
         return len(self.inner)
 
     def search(
-        self, queries: np.ndarray, k: int, *, nprobe: int | None = None, **kwargs
+        self, queries: np.ndarray, k: int, *, nprobe: int | None = None, sealed=None
     ):
         with self._lock:
             idx = self._calls
@@ -253,7 +253,7 @@ class FaultyShard:
             self.log.append(FaultEvent(idx, "delay" if delay > 0 else "ok", delay))
         if delay > 0:
             self.sleep(delay)
-        return self.inner.search(queries, k, nprobe=nprobe, **kwargs)
+        return self.inner.search(queries, k, nprobe=nprobe, sealed=sealed)
 
     @property
     def calls(self) -> int:

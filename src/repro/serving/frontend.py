@@ -34,8 +34,9 @@ Exact-hit answers replay the cached rows bit-for-bit, so a warm pass is
 bit-identical to the search that populated it; when dedupe or partial hits
 shrink the sub-batch that re-searches, ids still match an uncached run of
 the whole batch exactly and distances to float32 GEMM accumulation
-(``tests/serving/test_frontend.py`` asserts both). The semantic tier's NDCG
-delta is measured by ``benchmarks/bench_serve.py``.
+(``tests/serving/test_frontend.py`` asserts both). The cache tiers' hit
+shares and the served NDCG are measured by the ``serve_zipf`` workload of
+``benchmarks/suite``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from ..ann.distances import as_matrix
 from ..core.errors import AdmissionRejectedError, DeadlineExceededError
-from ..core.hierarchical import HierarchicalSearcher, SearchResult
+from ..core.hierarchical import HierarchicalSearcher
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .admission import (
@@ -140,16 +141,6 @@ class ServingFrontend:
         self.cache = cache if cache is not None else RetrievalCache(cache_config)
         self._clock = clock if clock is not None else time.perf_counter
 
-    # -- parameter resolution (mirrors HierarchicalSearcher.search) ---------
-    def _params_key(
-        self, k: int | None, clusters_to_search: int | None, deep_nprobe: int | None
-    ) -> tuple:
-        cfg = self.searcher.config
-        k = cfg.k if k is None else int(k)
-        m = cfg.clusters_to_search if clusters_to_search is None else int(clusters_to_search)
-        nprobe = cfg.deep_nprobe if deep_nprobe is None else int(deep_nprobe)
-        return (k, m, nprobe)
-
     def search(
         self,
         queries: np.ndarray,
@@ -178,7 +169,9 @@ class ServingFrontend:
         """
         q = as_matrix(queries)
         nq = len(q)
-        k_eff, m_eff, nprobe_eff = self._params_key(k, clusters_to_search, deep_nprobe)
+        k_eff, m_eff, nprobe_eff = self.searcher.resolve_params(
+            k, clusters_to_search, deep_nprobe
+        )
         semantic_slack = 0.0
         if brownout is not None:
             m_eff, nprobe_eff = brownout.apply(m_eff, nprobe_eff)
@@ -204,7 +197,7 @@ class ServingFrontend:
         # Snapshot the datastore's mutation generation once per batch: entries
         # cached under an older generation were computed against a corpus that
         # has since changed and are invalidated inside the lookup.
-        generation = getattr(self.searcher.datastore, "generation", None)
+        generation = self.searcher.datastore.generation
         lookup = self.cache.lookup(
             q,
             k_eff,
@@ -278,15 +271,17 @@ class ServingFrontend:
 
         searched = 0
         shard_queries = 0
-
-        def run(rows: list, routing) -> SearchResult:
+        for rows, routing in (
+            (plain, None),
+            (routed, lookup.routing_for(np.asarray(routed)) if routed else None),
+        ):
+            if not rows:
+                continue
             sub = q[np.asarray(rows, dtype=np.int64)]
-            remaining = None
-            if deadline_at is not None:
-                # Re-measured per sub-batch: the routed sub-batch only gets
-                # what the plain one left of the budget.
-                remaining = deadline_at - self._clock()
-            return self.searcher.search(
+            # Re-measured per sub-batch: the routed sub-batch only gets what
+            # the plain one left of the budget.
+            remaining = None if deadline_at is None else deadline_at - self._clock()
+            result = self.searcher.search(
                 sub,
                 k=k_eff,
                 clusters_to_search=m_eff,
@@ -295,26 +290,13 @@ class ServingFrontend:
                 exclude_clusters=user_exclude or None,
                 deadline_s=remaining,
             )
-
-        for rows, routing in (
-            (plain, None),
-            (routed, lookup.routing_for(np.asarray(routed)) if routed else None),
-        ):
-            if not rows:
-                continue
-            result = run(rows, routing)
             searched += len(rows)
             shard_queries += result.shard_queries
             for j, rep in enumerate(rows):
                 for i in groups[rep]:
                     out_d[i] = result.distances[j]
                     out_i[i] = result.ids[j]
-            self.cache.insert(
-                q[np.asarray(rows, dtype=np.int64)],
-                result,
-                params_key,
-                generation=generation,
-            )
+            self.cache.insert(sub, result, params_key, generation=generation)
         return searched, shard_queries
 
 

@@ -6,10 +6,10 @@ but Hermes's one-index-per-node deployment makes it a permanent quality
 loss: semantic clusters are unique, so a dead node removes a topic until a
 human reboots it. Replication closes that gap: each cluster's index runs on
 ``n_replicas`` nodes, and a :class:`ReplicaGroup` wraps them behind the
-standard shard surface (``shard_id`` / ``global_ids`` / ``centroid`` /
-``search``) so it drops into a
+:class:`~repro.core.clustering.Shard` surface so it drops into a
 :class:`~repro.core.clustering.ClusteredDatastore` — and therefore under
-the routers, the hierarchical searcher, and the fault injector — unchanged.
+the routers, the hierarchical searcher (in either worker mode), and the
+fault injector — unchanged.
 
 Selection and failover:
 
@@ -90,8 +90,8 @@ class ReplicaGroup:
         self.failovers = 0
         self.recoveries = 0
 
-    # Delegate the passive shard surface (global_ids, centroid, index,
-    # memory_bytes, ...) to the first replica — replicas are exact copies.
+    # Everything but ``search`` goes to the first replica — replicas are exact
+    # copies over one shared index, so a mutation through it reaches them all.
     def __getattr__(self, name: str):
         return getattr(self.replicas[0], name)
 
@@ -163,35 +163,35 @@ class ReplicaGroup:
             ).inc(shard=self.shard_id)
 
     def search(
-        self, queries: np.ndarray, k: int, *, nprobe: int | None = None, **kwargs
+        self, queries: np.ndarray, k: int, *, nprobe: int | None = None, sealed=None
     ):
         """Serve from the first replica that answers; fail over on ShardError."""
         order, probing = self._attempt_order()
         registry = get_registry()
         last_exc: ShardError | None = None
-        for attempt, idx in enumerate(order):
-            try:
-                result = self.replicas[idx].search(queries, k, nprobe=nprobe, **kwargs)
-            except ShardError as exc:
-                self._record_failure(idx, exc, idx in probing)
-                last_exc = exc
-                if attempt + 1 < len(order):
-                    self.failovers += 1
-                    registry.counter(
-                        "retrieval_failovers_total",
-                        "calls failed over to another replica of the same shard",
-                    ).inc(shard=self.shard_id)
-                continue
-            self._record_success(idx, idx in probing)
+        try:
+            for attempt, idx in enumerate(order):
+                try:
+                    result = self.replicas[idx].search(
+                        queries, k, nprobe=nprobe, sealed=sealed
+                    )
+                except ShardError as exc:
+                    self._record_failure(idx, exc, idx in probing)
+                    last_exc = exc
+                    if attempt + 1 < len(order):
+                        self.failovers += 1
+                        registry.counter(
+                            "retrieval_failovers_total",
+                            "calls failed over to another replica of the same shard",
+                        ).inc(shard=self.shard_id)
+                    continue
+                self._record_success(idx, idx in probing)
+                return result
+        finally:
             registry.gauge(
                 "retrieval_replicas_out",
                 "replicas currently excluded from selection",
             ).set(len(self.out_replicas()), shard=self.shard_id)
-            return result
-        registry.gauge(
-            "retrieval_replicas_out",
-            "replicas currently excluded from selection",
-        ).set(len(self.out_replicas()), shard=self.shard_id)
         assert last_exc is not None
         raise last_exc
 

@@ -12,6 +12,7 @@ from repro.ann.distances import (
     normalize,
     pairwise_distance,
     squared_l2,
+    squared_l2_into,
     top_k,
     validate_metric,
 )
@@ -81,6 +82,30 @@ class TestSquaredL2:
     def test_symmetric_on_same_set(self, x):
         d = squared_l2(x, x)
         assert np.allclose(d, d.T, atol=1e-2)
+
+    @pytest.mark.parametrize(
+        "nq,npts,dim", [(1, 1, 1), (32, 64, 64), (800, 256, 3), (800, 1, 2), (5, 7, 768)]
+    )
+    def test_kernel_is_the_plain_expansion_bit_for_bit(self, nq, npts, dim):
+        """Every index is built through this arithmetic (k-means seeding calls
+        the kernel with norms gathered from a hoisted full-matrix pass), so a
+        last-bit drift would silently change every built index."""
+        rng = np.random.default_rng(nq + npts + dim)
+        rows = rng.normal(size=(nq + npts, dim)).astype(np.float32)
+        q, p = rows[:nq], rows[nq:]
+        norms = np.einsum("ij,ij->i", rows, rows)
+        plain = np.maximum(
+            np.einsum("ij,ij->i", q, q)[:, np.newaxis]
+            + np.einsum("ij,ij->i", p, p)[np.newaxis, :]
+            - 2.0 * (q @ p.T),
+            0.0,
+        )
+        np.testing.assert_array_equal(squared_l2(q, p), plain)
+        # dirty buffers: every cell must be overwritten, none read
+        out = np.full((nq, npts), np.nan, dtype=np.float32)
+        gram = np.full((nq, npts), np.nan, dtype=np.float32)
+        assert squared_l2_into(q, p, norms[:nq, np.newaxis], norms[nq:], out, gram) is out
+        np.testing.assert_array_equal(out, plain)
 
 
 class TestInnerProduct:

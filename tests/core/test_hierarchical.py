@@ -160,12 +160,6 @@ class TestParallelFanout:
             fast.distances, cand_d[rows, order], rtol=1e-3, atol=5e-3
         )
 
-    def test_parallel_flag_overrides_construction(self, clustered, small_queries):
-        searcher = HermesSearcher(clustered)
-        a = searcher.search(small_queries.embeddings, parallel=False)
-        b = searcher.search(small_queries.embeddings, parallel=True)
-        np.testing.assert_array_equal(a.ids, b.ids)
-
 
 class TestExhaustiveSplit:
     def test_searches_all_clusters(self, even_split, small_queries):
@@ -258,7 +252,7 @@ class _BoomShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, nprobe=None):
+    def search(self, queries, k, *, nprobe=None, sealed=None):
         raise RuntimeError("disk on fire")
 
 
@@ -267,11 +261,15 @@ class TestShardErrorContext:
     def test_deep_search_errors_carry_shard_context(
         self, clustered, small_queries, workers
     ):
-        """Without a policy the searcher fails fast, but the exception names
-        the shard and the routed query count (the debugging breadcrumbs)."""
+        """One runner, two endings for an unexpected shard exception.
+        Without a policy the searcher fails fast, but the exception names
+        the shard and the routed query count (the debugging breadcrumbs);
+        under a policy the same failure is an ``"error"`` outcome and the
+        batch degrades around the shard."""
         import dataclasses
 
         from repro.core.errors import ShardSearchError
+        from repro.core.hierarchical import RetrievalPolicy
 
         boom_id = 3
         shards = [
@@ -279,17 +277,32 @@ class TestShardErrorContext:
             for s in clustered.shards
         ]
         broken = dataclasses.replace(clustered, shards=shards)
+
         # CentroidRouter: sampling never touches shard.search, so the
         # explosion happens in the deep phase where it gets wrapped.
-        searcher = HierarchicalSearcher(
-            broken, router=CentroidRouter(), max_workers=workers
-        )
+        def searcher(policy):
+            return HierarchicalSearcher(
+                broken, router=CentroidRouter(), max_workers=workers, policy=policy
+            )
+
         with pytest.raises(ShardSearchError, match=f"shard {boom_id}") as exc:
-            searcher.search(small_queries.embeddings, clusters_to_search=10)
+            searcher(None).search(small_queries.embeddings, clusters_to_search=10)
         assert exc.value.shard_id == boom_id
         assert exc.value.n_queries == len(small_queries)
         assert "32 routed queries" in str(exc.value)
         assert isinstance(exc.value.__cause__, RuntimeError)
+
+        result = searcher(RetrievalPolicy()).search(
+            small_queries.embeddings, clusters_to_search=10
+        )
+        assert result.degraded
+        assert result.failed_shards == (boom_id,)
+        outcomes = {s.shard_id: s.outcome for s in result.shard_stats}
+        assert outcomes.pop(boom_id) == "error"
+        assert set(outcomes.values()) == {"ok"}
+        boom = next(s for s in result.shard_stats if s.shard_id == boom_id)
+        assert (boom.queries, boom.attempts) == (len(small_queries), 1)
+        assert (result.ids >= 0).all()  # nine shards still fill every top-k
 
 
 class _TimedFlakyShard:
@@ -307,14 +320,14 @@ class _TimedFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, nprobe=None):
+    def search(self, queries, k, *, nprobe=None, sealed=None):
         self.calls += 1
         self._clock.advance(self._busy_s)
         if self.calls == 1:
             from repro.core.errors import TransientShardError
 
             raise TransientShardError(self._inner.shard_id, "transient blip")
-        return self._inner.search(queries, k, nprobe=nprobe)
+        return self._inner.search(queries, k, nprobe=nprobe, sealed=sealed)
 
 
 class TestRetryLatencyAccounting:
@@ -399,7 +412,7 @@ class _AlwaysFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, nprobe=None):
+    def search(self, queries, k, *, nprobe=None, sealed=None):
         from repro.core.errors import TransientShardError
 
         self.calls += 1
@@ -502,6 +515,17 @@ class TestDeadlineBudget:
             searcher.search(small_queries.embeddings, deadline_s=0.1)
         assert exc.value.stage == "route"
         assert all(w.calls == 2 for w in timed)  # sampled once, never deep
+
+    def test_pool_startup_is_charged_to_the_budget(self, clustered, small_queries):
+        """Starting the process pool (spawned workers, shared-memory export)
+        happens inside the request: a budget it outlasts sheds at the route
+        stage instead of launching deep searches with a deadline already spent."""
+        from repro.core.errors import DeadlineExceededError
+
+        with HermesSearcher(clustered, workers_mode="process") as searcher:
+            with pytest.raises(DeadlineExceededError) as exc:
+                searcher.search(small_queries.embeddings, deadline_s=0.02)
+        assert exc.value.stage == "route"
 
     def test_generous_budget_leaves_results_intact(self, hermes, small_queries):
         base = hermes.search(small_queries.embeddings, k=5)

@@ -7,8 +7,13 @@ from repro.experiments import fig11, fig12, fig13, table1
 
 @pytest.fixture(scope="module")
 def table1_rows():
-    # A reduced but structurally identical Table 1 run.
-    return table1.run(n_docs=800, n_queries=24, dim=768)
+    # A reduced but structurally identical Table 1 run: all seven rows with
+    # the shipped quantizers. The PQ / OPQ rows are 4,480 sub-codebook k-means
+    # runs that cost their 255 sequential seeding steps each, nearly flat in
+    # corpus size — so the corpus is only as large as keeps every 256-word
+    # sub-codebook lossy (more rows than codewords) and the recall gaps the
+    # assertions below read well clear.
+    return table1.run(n_docs=350, n_queries=24, dim=768)
 
 
 class TestTable1:

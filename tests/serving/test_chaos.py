@@ -18,16 +18,21 @@ the acceptance criteria of the fault-tolerance layer:
 import numpy as np
 import pytest
 
+from repro.core.clustering import cluster_datastore
+from repro.core.config import HermesConfig
 from repro.core.errors import RetrievalUnavailableError
 from repro.core.hierarchical import HermesSearcher, RetrievalPolicy
+from repro.datastore.embeddings import make_corpus
 from repro.metrics.ndcg import ndcg_single
 from repro.serving.faults import (
+    CrashStop,
     FaultInjector,
     OutageWindow,
     Straggler,
     TransientFault,
     kill_shards,
 )
+from repro.serving.replication import replica_groups, replicate_datastore
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +292,73 @@ class TestDeterminism:
         assert logs_a == logs_b
         for a, b in zip(ids_a, ids_b):
             np.testing.assert_array_equal(a, b)
+
+
+class TestWrappersSeeEveryDeepSearch:
+    """Fault injection and replica failover act on deep searches identically
+    in thread and process mode, on frozen and on mutated shards.
+
+    Regression: process mode used to hand a frozen shard's deep search
+    straight to the worker pool, past whatever wrapped the shard — the same
+    chaotic fleet lost a shard under threads and served clean under
+    processes, and replica groups never saw a deep search to fail over."""
+
+    DIM = 16
+
+    @pytest.fixture(scope="class", params=["frozen", "mutated"])
+    def fleet(self, request):
+        corpus = make_corpus(600, n_topics=4, dim=self.DIM, seed=9)
+        # Full fan-out: every query deep-searches every shard, so each
+        # wrapper's call count is exact.
+        config = HermesConfig(n_clusters=4, clusters_to_search=4, nlist=4)
+        datastore = cluster_datastore(corpus.embeddings, config)
+        rng = np.random.default_rng(10)
+        if request.param == "mutated":
+            datastore.add_documents(rng.normal(size=(32, self.DIM)).astype(np.float32))
+            datastore.delete_documents(rng.choice(600, size=16, replace=False))
+            assert any(s.has_mutations for s in datastore.shards)
+        queries = rng.normal(size=(6, self.DIM)).astype(np.float32)
+        return datastore, queries
+
+    def test_crash_stop_degrades_in_both_worker_modes(self, fleet):
+        datastore, queries = fleet
+        seen = {}
+        for mode in ("thread", "process"):
+            # Call 0 is shard 0's sampling probe; its deep search crashes.
+            chaotic = FaultInjector(seed=0).wrap(datastore, {0: CrashStop(at_call=1)})
+            with HermesSearcher(
+                chaotic, policy=RetrievalPolicy(), workers_mode=mode
+            ) as searcher:
+                result = searcher.search(queries, k=5)
+            seen[mode] = (result.failed_shards, chaotic.shards[0].calls)
+            outcomes = {s.shard_id: s.outcome for s in result.shard_stats}
+            assert outcomes == {0: "crashed", 1: "ok", 2: "ok", 3: "ok"}
+        assert seen["thread"] == seen["process"] == ((0,), 2)
+
+    def test_replicas_fail_over_in_both_worker_modes(self, fleet):
+        datastore, queries = fleet
+        healthy = HermesSearcher(datastore).search(queries, k=5)
+        injector = FaultInjector(seed=0)
+
+        def kill_primary_after_probe(shard_id, replica, shard):
+            if replica == 0:
+                return injector.wrap_shard(shard, CrashStop(at_call=1))
+            return shard
+
+        seen = {}
+        for mode in ("thread", "process"):
+            replicated = replicate_datastore(
+                datastore, 2, wrap=kill_primary_after_probe
+            )
+            with HermesSearcher(replicated, workers_mode=mode) as searcher:
+                result = searcher.search(queries, k=5)
+            groups = replica_groups(replicated)
+            seen[mode] = (
+                result.failed_shards,
+                [g.failovers for g in groups],
+                [g.out_replicas() for g in groups],
+            )
+            # Node death cost an attempt, not an answer.
+            np.testing.assert_array_equal(result.ids, healthy.ids)
+            np.testing.assert_array_equal(result.distances, healthy.distances)
+        assert seen["thread"] == seen["process"] == ((), [1] * 4, [(0,)] * 4)
