@@ -4,7 +4,7 @@ Hermes's datastore is built offline and served frozen, but the north-star
 deployment needs the corpus to change while queries are in flight. The
 delta index is the classic LSM answer: recent inserts land in a small
 append-only *memtable* that is brute-force scanned alongside the sealed IVF
-index, deletes become tombstones that filter both sides, and a background
+index, deletes become tombstones that both scans mask out, and a background
 compaction folds everything back into a fresh sealed index (see
 ``IndexShard.compact``).
 
@@ -17,7 +17,9 @@ Equivalence contract (enforced by ``tests/ann/test_mutation_equivalence.py``):
 - Distances are computed with the same ADC kernel (shifted table, bias added
   after selection, L2 clamp) as the sealed scan, and the merge concatenates
   ``[sealed | delta]`` columns before a stable ``top_k``, so exact fp ties
-  resolve sealed-first. Result ids are therefore identical to an offline
+  resolve sealed-first. A tombstoned row is masked to ``inf`` inside each
+  side's scan, before selection, so both sides hand the merge their ``k``
+  best *live* rows. Result ids are therefore identical to an offline
   rebuild *except* within groups of code-identical duplicates: BLAS kernels
   round identical columns differently depending on matrix position (remainder
   lanes), so ordering inside such a group is implementation-defined.
@@ -148,13 +150,17 @@ class DeltaIndex:
             self._sqnorms = self.quantizer.code_sqnorms(self.codes)
         return self._sqnorms
 
-    def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def search(
+        self, queries: np.ndarray, k: int, *, dead: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Brute-force top-k over the delta rows.
 
         Returns ``(distances, positions)`` where positions are delta row
         indices (``-1`` padding); distances are in the same *true* space as
         ``IVFIndex.search`` output — the shifted ADC kernel plus the per-query
         bias and L2 clamp, applied in the same order as the sealed scan.
+        Rows listed in ``dead`` (delta positions) are masked to ``inf``
+        before selection, like the sealed scan's, so they are never returned.
         """
         q = np.asarray(queries, dtype=np.float32)
         nq = len(q)
@@ -176,14 +182,22 @@ class DeltaIndex:
             )
         else:
             dists = pairwise_distance(q, self.reconstruct(), self.metric)
-        out_d, out_i = top_k(dists, k)
+        if dead is not None and len(dead):
+            dists[:, dead] = np.inf
+        if k == 1:
+            # The sample search: a reduction, like the sealed scan's. The
+            # first-occurrence argmin is the stable top_k's column 0.
+            out_i = dists.argmin(axis=1)[:, np.newaxis]
+            out_d = np.take_along_axis(dists, out_i, axis=1)
+        else:
+            out_d, out_i = top_k(dists, k)
+        out_i[~np.isfinite(out_d)] = -1  # masked rows picked for want of live ones
         if use_adc:
             bias = table.get("bias")
             if bias is not None:
                 out_d += bias[:, np.newaxis]
             if self.metric == "l2":
                 np.maximum(out_d, 0.0, out=out_d)
-            out_d[np.asarray(out_i) < 0] = np.inf
         return out_d, out_i
 
     def memory_bytes(self) -> int:

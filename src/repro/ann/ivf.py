@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -88,7 +89,9 @@ class SealedLists:
     ``radii`` (residual radii ``|decode(code) - centroid|``, with each cell's
     rows *stored radius-ascending* so a (query, cell) radius window is a
     contiguous slice — see :mod:`repro.ann.pruning`) are ``None`` until a scan
-    that consumes them asks.
+    that consumes them asks. So is ``positions``, the local id → storage row
+    map (the inverse of ``ids``) a scan masking deleted rows looks them up in:
+    an index nothing was ever deleted from never builds it.
 
     A record and its arrays are never modified once published (the arrays
     are marked read-only): every builder makes a new record and
@@ -106,6 +109,7 @@ class SealedLists:
     #: per-cell radius extrema, for the cell-level pruning test
     radius_max: np.ndarray | None = None
     radius_min: np.ndarray | None = None
+    positions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         for array in vars(self).values():
@@ -247,7 +251,9 @@ class IVFIndex(VectorIndex):
         never build radii) unless a search asks for ``prune=True``."""
         return self.quantizer.adc_dense_advantage <= 1.0
 
-    def _warm(self, *, sqnorms: bool = False, radii: bool = False) -> SealedLists:
+    def _warm(
+        self, *, sqnorms: bool = False, radii: bool = False, positions: bool = False
+    ) -> SealedLists:
         """The sealed record, compacted and carrying the derived state asked for.
 
         A warm call returns the published record without locking. Anything
@@ -256,7 +262,7 @@ class IVFIndex(VectorIndex):
         in behind the sealed rows (so the sealed-then-append order within a
         cell survives), radii reorder rows within cells by a stable sort (so
         codes with equal radii, e.g. duplicates, keep insertion order), norms
-        follow whatever order results.
+        and positions follow whatever order results.
         """
         # Read order matters: a builder publishes the record and *then*
         # clears the fragments, so "no fragments" implies the record read
@@ -268,6 +274,7 @@ class IVFIndex(VectorIndex):
             or s is None
             or (sqnorms and s.sqnorms is None)
             or (radii and s.radii is None)
+            or (positions and s.positions is None)
         ):
             return s
         with self._build_lock:
@@ -280,6 +287,11 @@ class IVFIndex(VectorIndex):
                 s = self._radius_sorted(s)
             if sqnorms and s.sqnorms is None:
                 s = replace(s, sqnorms=self.quantizer.code_sqnorms(s.codes))
+            if positions and s.positions is None:
+                n = len(s.ids)
+                rows = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
+                rows[s.ids] = np.arange(n)
+                s = replace(s, positions=rows)
             self._sealed = s
             if pending:
                 self._pending = []
@@ -319,6 +331,7 @@ class IVFIndex(VectorIndex):
                 codes=np.ascontiguousarray(s.codes[perm]),
                 ids=s.ids[perm],
                 sqnorms=None if s.sqnorms is None else s.sqnorms[perm],
+                positions=None,
             )
             radii = radii[perm]
         return s.with_radii(radii)
@@ -561,6 +574,7 @@ class IVFIndex(VectorIndex):
         nprobe: int | None = None,
         use_adc: bool | None = None,
         prune: bool | None = None,
+        dead: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cell-major batched scan over the compacted inverted lists.
 
@@ -591,6 +605,11 @@ class IVFIndex(VectorIndex):
         the per-thread workspace arena, so steady-state searches make no
         large allocations. Per-query ADC bias terms (which cannot change a
         query's own ordering) are added once after selection in every path.
+
+        Deleted rows (``dead``, local ids) are a scan-time mask: every
+        strategy sets their distances to ``inf`` right after its kernel and
+        before it selects, in the cells that hold one, so a dead row is never
+        a candidate and the ``k`` results are the ``k`` best live rows.
         """
         probe = self._resolve_probe(nprobe)
         q = queries
@@ -599,30 +618,46 @@ class IVFIndex(VectorIndex):
             use_adc = self.quantizer.supports_adc(self.metric)
         prune = self._streams_by_default if prune is None else bool(prune)
         wants_norms = use_adc and self.quantizer.needs_code_sqnorms(self.metric)
+        masked = dead is not None and len(dead) > 0
         # The one read of the sealed record: everything below scans `s`.
-        s = self._warm(sqnorms=wants_norms, radii=prune)
+        s = self._warm(sqnorms=wants_norms, radii=prune, positions=masked)
         n_codes = len(s.ids)
         if not n_codes:
             return (
                 np.full((nq, k), np.inf, dtype=np.float32),
                 np.full((nq, k), -1, dtype=np.int64),
             )
+        dead_rows = None
+        if masked:
+            dead = np.asarray(dead, dtype=np.int64)
+            if dead.view(np.uint64).max() >= n_codes:  # negatives read as huge
+                raise ValueError(f"dead ids fall outside [0, {n_codes})")
+            # Ascending storage rows, so a cell's dead rows are one slice.
+            dead_rows = np.sort(s.positions[dead])
         ws = self._workspace
 
-        cell_d = pairwise_distance(q, self.centroids, "l2")
-        cell_dists, probe_cells = top_k(cell_d, probe)
         table = self.quantizer.adc_table(q, self.metric, ws=ws) if use_adc else None
-        sizes = s.offsets[1:] - s.offsets[:-1]
         # Probed work as a fraction of a full scan decides the strategy: the
         # dense kernel costs ~nq * n_codes regardless of probe, the sparse
         # loop costs the probed work plus fixed per-cell overhead. How the
         # two per-element costs compare is a property of the codec.
-        pair_work = int(sizes[probe_cells].sum())
-        if prune:
-            strategy = "streaming"
+        advantage = self.quantizer.adc_dense_advantage
+        if probe == self.nlist and not prune and advantage >= 1.0:
+            # A full probe (every deep search once nprobe >= nlist) scans
+            # every cell for every query, and the dense kernel wins there: it
+            # has no use for the cells' ranking, so none is computed.
+            cell_dists = probe_cells = None
+            pair_work = nq * n_codes
+            strategy = "dense"
         else:
-            dense = self.quantizer.adc_dense_advantage * pair_work >= nq * n_codes
-            strategy = "dense" if dense else "sparse"
+            cell_d = pairwise_distance(q, self.centroids, "l2")
+            cell_dists, probe_cells = top_k(cell_d, probe)
+            pair_work = int((s.offsets[1:] - s.offsets[:-1])[probe_cells].sum())
+            if prune:
+                strategy = "streaming"
+            else:
+                dense = advantage * pair_work >= nq * n_codes
+                strategy = "dense" if dense else "sparse"
         get_registry().counter(
             "ivf_scans_total", "IVF batched scans by strategy"
         ).inc(strategy=strategy)
@@ -640,19 +675,19 @@ class IVFIndex(VectorIndex):
         ):
             if strategy == "streaming":
                 out_d, out_i, valid = self._scan_streaming(
-                    s, q, k, probe, probe_cells, cell_dists, use_adc, table, ws
+                    s, q, k, probe, probe_cells, cell_dists, use_adc, table, ws, dead_rows
                 )
             elif strategy == "dense":
                 out_d, out_i, valid = self._scan_dense(
-                    s, q, k, probe, probe_cells, use_adc, table, ws
+                    s, q, k, probe, probe_cells, use_adc, table, ws, dead_rows
                 )
             elif reduced:
                 out_d, out_i, valid = self._scan_sparse_best(
-                    s, q, probe, probe_cells, use_adc, table, ws
+                    s, q, probe, probe_cells, use_adc, table, ws, dead_rows
                 )
             else:
                 out_d, out_i, valid = self._scan_sparse(
-                    s, q, k, probe, probe_cells, use_adc, table, ws
+                    s, q, k, probe, probe_cells, use_adc, table, ws, dead_rows
                 )
         if use_adc:
             bias = table.get("bias")
@@ -672,7 +707,7 @@ class IVFIndex(VectorIndex):
     _STREAM_CHUNK = 8
 
     def _scan_streaming(
-        self, s, q, k, probe, probe_cells, cell_dists, use_adc, table, ws
+        self, s, q, k, probe, probe_cells, cell_dists, use_adc, table, ws, dead_rows
     ):
         """Threshold-pruned scan in ascending centroid-distance order.
 
@@ -821,6 +856,10 @@ class IVFIndex(VectorIndex):
                 else:
                     qg = q if sub_rows is None else q[gq]
                     dists = pairwise_distance(qg, self.quantizer.decode(codes), metric)
+                if dead_rows is not None:
+                    m0, m1 = np.searchsorted(dead_rows, (a, b2))
+                    if m1 > m0:
+                        dists[:, dead_rows[m0:m1] - a] = np.inf
                 cols = k + gs[:, np.newaxis] * wmax + wcols[np.newaxis, :span]
                 md[gq[:, np.newaxis], cols] = dists
                 srcpos[gq, gs] = a
@@ -854,7 +893,7 @@ class IVFIndex(VectorIndex):
             ).inc(blocks_pruned)
         return cur_d, cur_i, np.isfinite(cur_d)
 
-    def _scan_dense(self, s, q, k, probe, probe_cells, use_adc, table, ws):
+    def _scan_dense(self, s, q, k, probe, probe_cells, use_adc, table, ws, dead_rows):
         """Full-corpus kernel + probe mask; shifted distances, ids, validity."""
         nq = len(q)
         if use_adc:
@@ -863,9 +902,11 @@ class IVFIndex(VectorIndex):
             )
         else:
             dists = pairwise_distance(q, self._decode_chunked(s.codes), self.metric)
+        if dead_rows is not None:
+            dists[:, dead_rows] = np.inf
         if probe < self.nlist:
-            # A full probe (every deep search once nprobe >= nlist) masks
-            # nothing, so it skips the probe matrix and the per-code gather.
+            # A full probe masks nothing, so it skips the probe matrix and
+            # the per-code gather (and was handed no probe order at all).
             probed = np.zeros((nq, self.nlist), dtype=bool)
             probed[np.arange(nq)[:, np.newaxis], probe_cells] = True
             dists[~probed[:, s.cells]] = np.inf
@@ -891,7 +932,24 @@ class IVFIndex(VectorIndex):
         )
         return order, sorted_cells[starts], np.append(starts, len(order))
 
-    def _scan_sparse(self, s, q, k, probe, probe_cells, use_adc, table, ws):
+    @staticmethod
+    def _dead_columns(s, dead_rows, lo, hi):
+        """Per probed cell ``lo[g]:hi[g]``, the tile columns of its deleted rows.
+
+        ``dead_rows`` ascends, so a cell's share is one slice of it, found
+        for every cell at once by two binary searches; the columns come back
+        as plain ints because a sparse tile is a few rows tall and a scalar
+        column store beats a fancy one there. With no mask every cell gets
+        the same empty tuple and the scan loops run an empty ``for``.
+        """
+        if dead_rows is None:
+            return repeat(())
+        cols = (dead_rows - s.offsets[s.cells[dead_rows]]).tolist()
+        first = np.searchsorted(dead_rows, lo).tolist()
+        end = np.searchsorted(dead_rows, hi).tolist()
+        return [cols[a:b] for a, b in zip(first, end)]
+
+    def _scan_sparse(self, s, q, k, probe, probe_cells, use_adc, table, ws, dead_rows):
         """Per-probed-cell kernels scattered into a padded slot-major buffer.
 
         Slot r of query qi owns buffer columns ``[r*width, r*width + size)``
@@ -909,9 +967,12 @@ class IVFIndex(VectorIndex):
         buf = ws.take("sparse_buf", (nq, probe * width), fill=np.inf)
         order, cells, bounds = self._probe_groups(probe_cells)
         wcols = np.arange(width)
+        cell_lo, cell_hi = offsets[cells], offsets[cells + 1]
+        dead_cols = self._dead_columns(s, dead_rows, cell_lo, cell_hi)
 
-        for b, cell in enumerate(cells):
-            lo, hi = int(offsets[cell]), int(offsets[cell + 1])
+        for b, (lo, hi, dead) in enumerate(
+            zip(cell_lo.tolist(), cell_hi.tolist(), dead_cols)
+        ):
             if hi == lo:
                 continue
             members = order[bounds[b] : bounds[b + 1]]
@@ -931,6 +992,8 @@ class IVFIndex(VectorIndex):
                 dists = pairwise_distance(
                     q[q_idx], self.quantizer.decode(codes), self.metric
                 )
+            for j in dead:
+                dists[:, j] = np.inf
             cols = slot[:, np.newaxis] * width + wcols[np.newaxis, : hi - lo]
             buf[q_idx[:, np.newaxis], cols] = dists
 
@@ -948,7 +1011,7 @@ class IVFIndex(VectorIndex):
         )
         return out_d, out_i, valid
 
-    def _scan_sparse_best(self, s, q, probe, probe_cells, use_adc, table, ws):
+    def _scan_sparse_best(self, s, q, probe, probe_cells, use_adc, table, ws, dead_rows):
         """The sparse scan at ``k == 1`` as a reduction: argmin, not top-k.
 
         A nearest-neighbour query — Hermes's sample search — needs one number
@@ -986,18 +1049,21 @@ class IVFIndex(VectorIndex):
         # Per (query, slot) pair in cell-major order: the winner's rank
         # within its probed cell.
         best = np.zeros(len(order), dtype=np.int64)
-        for a, b, c0, c1, t0, t1 in zip(
+        for a, b, c0, c1, t0, t1, dead in zip(
             bounds[:-1].tolist(),
             bounds[1:].tolist(),
             lo.tolist(),
             hi.tolist(),
             tile_at[:-1].tolist(),
             tile_at[1:].tolist(),
+            self._dead_columns(s, dead_rows, lo, hi),
         ):
             if c1 > c0:
                 tile = arena[t0:t1].reshape(b - a, c1 - c0)
                 cell_norms = None if s.sqnorms is None else s.sqnorms[c0:c1]
                 fill(s.codes[c0:c1], a, b, cell_norms, tile)
+                for j in dead:
+                    tile[:, j] = np.inf
                 best[a:b] = tile.argmin(axis=1)
         # Winners' distances — arena[tile start + row * width + column],
         # empty cells keep inf — and storage positions, back to slot-major.
@@ -1028,6 +1094,7 @@ class IVFIndex(VectorIndex):
         nprobe: int | None = None,
         use_adc: bool | None = None,
         prune: bool | None = None,
+        dead: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k search, optionally overriding the index's default nProbe.
 
@@ -1036,8 +1103,14 @@ class IVFIndex(VectorIndex):
         ``False`` forces the decode-then-GEMM kernel. ``prune=None``
         auto-enables the streaming threshold-pruned scan for gather codecs
         (PQ/OPQ); ``True``/``False`` force it on or off for any codec.
+        ``dead`` lists ids (as :meth:`add` assigned them) to leave out: the
+        result is the top-k of the other rows, exactly what an index built
+        without them would return, padded with ``inf`` / ``-1`` when fewer
+        than ``k`` of the probed rows are left.
         """
-        return super().search(queries, k, nprobe=nprobe, use_adc=use_adc, prune=prune)
+        return super().search(
+            queries, k, nprobe=nprobe, use_adc=use_adc, prune=prune, dead=dead
+        )
 
     def search_reference(
         self, queries: np.ndarray, k: int, *, nprobe: int | None = None

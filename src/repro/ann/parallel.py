@@ -15,8 +15,11 @@ each shard's arrays into POSIX shared memory exactly once, workers attach
 zero-copy at startup, and a search round-trips only the query batch, the
 parameters, and the ``(k, nq)`` result block. Workers rebuild read-only
 :class:`~repro.ann.ivf.IVFIndex` views over the shared segments; every lazy
-scan structure is warmed in the parent *before* export, so a worker never
-writes to a segment and thread- and process-mode results are bit-identical.
+scan structure a frozen shard consumes is warmed in the parent *before*
+export, so a worker never writes to a segment and thread- and process-mode
+results are bit-identical. Deleted rows travel with each call as the ids to
+mask; the position map that mask needs is derived lazily in the worker's own
+memory, on the first call that carries any.
 A worker death (OOM-kill, segfault) surfaces as
 :class:`~repro.core.errors.ShardCrashedError` on the in-flight search — never
 a hang — and marks the pool broken for subsequent calls.
@@ -117,13 +120,14 @@ def _pool_worker_search(
     queries: np.ndarray,
     k: int,
     nprobe: "int | None",
+    dead: "np.ndarray | None",
     chaos_delay_s: float,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """One shard search inside a worker; mirrors ``IndexShard.search``."""
+    """One sealed-index scan inside a worker, as ``IndexShard.search`` runs it."""
     index, global_ids = _WORKER_POOLS[token]["shards"][shard_id]
     if chaos_delay_s:
         time.sleep(chaos_delay_s)  # fault-injection window for crash tests
-    dists, local = index.search(queries, k, nprobe=nprobe)
+    dists, local = index.search(queries, k, nprobe=nprobe, dead=dead)
     global_out = np.full_like(local, -1)
     valid = local >= 0
     global_out[valid] = global_ids[local[valid]]
@@ -138,7 +142,12 @@ class ProcessShardPool:
     searches on the same shards stay bit-identical), copies the arrays into
     shared memory once, and spawns the workers, which attach at startup and
     rebuild each index with :meth:`IVFIndex.from_state`. ``search`` then
-    ships only ``(queries, k, nprobe)`` per call.
+    ships only ``(queries, k, nprobe, dead)`` per call.
+
+    ``generations`` maps each shard id to the compaction generation its
+    arrays were exported at (read *before* the export, so a compaction racing
+    the export can only make the pool look stale, never fresh): a search
+    whose shard snapshot is of another generation must not use this pool.
 
     The pool must be :meth:`close`-d (or used as a context manager) to free
     the shared segments; a broken pool (dead worker) raises
@@ -158,6 +167,7 @@ class ProcessShardPool:
         self._segments: "list[shared_memory.SharedMemory]" = []
         self.broken = False
         self._closed = False
+        self.generations = {int(s.shard_id): int(s.generation) for s in shards}
         specs = []
         try:
             for shard in shards:
@@ -193,12 +203,15 @@ class ProcessShardPool:
         k: int,
         *,
         nprobe: "int | None" = None,
+        dead: "np.ndarray | None" = None,
         chaos_delay_s: float = 0.0,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Top-k on one shard in a worker; global ids, like ``IndexShard``.
 
-        ``chaos_delay_s`` sleeps inside the worker before scanning — a
-        fault-injection hook so crash tests can kill the worker mid-search.
+        ``dead`` lists sealed rows (local ids) the worker's scan masks out —
+        see :meth:`IVFIndex.search`. ``chaos_delay_s`` sleeps inside the
+        worker before scanning — a fault-injection hook so crash tests can
+        kill the worker mid-search.
         """
         from ..core.errors import ShardCrashedError
 
@@ -209,7 +222,7 @@ class ProcessShardPool:
         q = np.ascontiguousarray(queries, dtype=np.float32)
         try:
             future = self._executor.submit(
-                _pool_worker_search, self._token, shard_id, q, int(k), nprobe,
+                _pool_worker_search, self._token, shard_id, q, int(k), nprobe, dead,
                 float(chaos_delay_s),
             )
             return future.result()

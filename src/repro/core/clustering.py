@@ -64,10 +64,14 @@ class Shard(Protocol):
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Top-``k`` ``(distances, global_ids)`` per query.
 
-        ``sealed``, when given, replaces the scan of the sealed index with a
-        callable ``(queries, k, nprobe) -> (distances, global_ids)`` — how the
-        searcher routes that half through its worker-process pool. A wrapper
-        passes it through to the shard it wraps.
+        ``sealed``, when given, stands in for the scan of the sealed index: a
+        callable ``(queries, k, nprobe, dead, generation) -> (distances,
+        global_ids)`` — how the searcher routes that half through its
+        worker-process pool. ``dead`` are the sealed rows (local ids) the
+        scan must leave out and ``generation`` names the sealed storage they
+        index; a callable holding another generation's storage returns
+        ``None`` and the shard scans its own. A wrapper passes ``sealed``
+        through to the shard it wraps.
         """
 
     def insert(self, vectors: np.ndarray, global_ids: np.ndarray) -> None: ...
@@ -103,8 +107,8 @@ class IndexShard:
 
     A shard is *live*: inserts after the offline build land in an
     append-only :class:`~repro.ann.delta.DeltaIndex` memtable searched
-    alongside the sealed IVF index, deletes become tombstones filtering both
-    sides, and :meth:`compact` folds everything back into a fresh sealed
+    alongside the sealed IVF index, deletes become tombstones both scans
+    mask out, and :meth:`compact` folds everything back into a fresh sealed
     index under ``generation``. Local ids are allocated monotonically
     (sealed rows first, then delta rows) and renumber only at compaction,
     when ``global_ids`` is rebuilt to match — so the local→global
@@ -120,7 +124,7 @@ class IndexShard:
     generation: int = 0
     delta: DeltaIndex | None = None
     #: local ids (spanning sealed + delta rows) deleted since the last
-    #: compaction; filtered out of every search, dropped at compaction.
+    #: compaction; masked out of every search, dropped at compaction.
     tombstones: set = field(default_factory=set)
 
     def __post_init__(self) -> None:
@@ -146,12 +150,15 @@ class IndexShard:
         """Derive the per-search view of ``tombstones`` (caller holds ``_lock``).
 
         Searches read these instead of re-sorting the set on every call: the
-        sorted local ids, how many of them are sealed rows (the rest are
-        delta rows), and their global ids.
+        sorted local ids, split into the mask each side's scan takes — sealed
+        rows by local id, delta rows by delta position — and their global ids.
         """
         local = np.array(sorted(self.tombstones), dtype=np.int64)
+        sealed_n = self.index.ntotal
+        n_sealed = int(np.searchsorted(local, sealed_n))
         self._tomb_local = local
-        self._tomb_sealed = int(np.searchsorted(local, self.index.ntotal))
+        self._dead_sealed = local[:n_sealed]
+        self._dead_delta = local[n_sealed:] - sealed_n
         self._tomb_global = self.global_ids[local]
 
     def quiesce(self):
@@ -311,18 +318,24 @@ class IndexShard:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k within this shard, with ids translated to global ids.
 
-        ``sealed`` optionally overrides the sealed-index scan with a callable
-        ``(queries, k, nprobe) -> (distances, global_ids)`` — the hook the
-        hierarchical searcher uses to route the sealed half through the
-        process pool while the snapshot and the delta/tombstone merge below
-        stay identical across worker modes.
+        Snapshot → sealed scan → delta scan → one merge. Tombstones are a
+        scan-time mask (:meth:`IVFIndex.search` / :meth:`DeltaIndex.search`
+        ``dead=``): each side returns its ``k`` best *live* rows, so nothing
+        is over-fetched and nothing is filtered afterwards.
+
+        ``sealed`` optionally stands in for the sealed-index scan: a callable
+        ``(queries, k, nprobe, dead, generation) -> (distances, global_ids)``
+        — the hook the hierarchical searcher uses to run that half (mask
+        included) in its process pool, while the snapshot and the merge below
+        stay identical across worker modes. It is handed the snapshot's
+        ``generation`` and returns ``None`` when the storage it holds was
+        exported at another one (a compaction landed in between); the
+        snapshot's own index is scanned instead.
 
         Merge contract: sealed candidates occupy the left columns and delta
         candidates the right, so the stable :func:`top_k` resolves exact
         distance ties sealed-first — matching the insertion order a flat
-        rebuild over the live set would produce. Each side drops its own
-        tombstoned rows (:func:`_fetch_live`) without ever surfacing fewer
-        than ``k`` live candidates.
+        rebuild over the live set would produce.
 
         Concurrency: the index/ids/delta/tombstone state is snapshotted in
         one locked read — the delta as a frozen :meth:`DeltaIndex.snapshot`
@@ -333,44 +346,31 @@ class IndexShard:
         with self._lock:
             index = self.index
             gids = self.global_ids
-            t_sealed = self._tomb_sealed
-            tomb_global = self._tomb_global
+            generation = self.generation
+            dead_sealed = self._dead_sealed
+            dead_delta = self._dead_delta
             delta = (
                 self.delta.snapshot()
                 if self.delta is not None and self.delta.ntotal
                 else None
             )
-        sealed_n = index.ntotal
-        if sealed is None:
-
-            def sealed(q, kq, probe):
-                dists, local = index.search(q, kq, nprobe=probe)
-                return dists, _to_global(local, gids)
-
-        if not len(tomb_global) and delta is None:
-            return sealed(queries, k, nprobe)
-        cand_d, cand_g = _fetch_live(
-            lambda q, kq: sealed(q, kq, nprobe), queries, k, t_sealed, tomb_global
-        )
-        if delta is not None:
-
-            def delta_side(q, kq):
-                dists, pos = delta.search(q, kq)
-                return dists, _to_global(pos, gids[sealed_n:])
-
-            d_d, g_d = _fetch_live(
-                delta_side, queries, k, len(tomb_global) - t_sealed, tomb_global
-            )
-            cand_d = np.concatenate([cand_d, d_d], axis=1)
-            cand_g = np.concatenate([cand_g, g_d], axis=1)
-        out_d, cols = top_k(cand_d, k)
-        rows = np.arange(len(out_d))[:, np.newaxis]
-        out_g = cand_g[rows, np.clip(cols, 0, cand_d.shape[1] - 1)]
-        invalid = ~np.isfinite(out_d)
-        if invalid.any():
-            out_g = np.where(invalid, -1, out_g)
-            out_d = np.where(invalid, np.inf, out_d)
-        return out_d.astype(np.float32, copy=False), out_g
+        answer = None
+        if sealed is not None:
+            answer = sealed(queries, k, nprobe, dead_sealed, generation)
+        if answer is None:
+            dists, local = index.search(queries, k, nprobe=nprobe, dead=dead_sealed)
+            answer = dists, _to_global(local, gids)
+        if delta is None:
+            return answer
+        s_d, s_g = answer
+        d_d, pos = delta.search(queries, k, dead=dead_delta)
+        d_g = _to_global(pos, gids[index.ntotal :])
+        if k == 1:
+            # Strictly closer only: an exact tie stays with the sealed row.
+            closer = d_d < s_d
+            return np.where(closer, d_d, s_d), np.where(closer, d_g, s_g)
+        out_d, cols = top_k(np.concatenate([s_d, d_d], axis=1), k)
+        return out_d, np.take_along_axis(np.concatenate([s_g, d_g], axis=1), cols, axis=1)
 
     def memory_bytes(self) -> int:
         total = self.index.memory_bytes()
@@ -385,37 +385,6 @@ def _to_global(local: np.ndarray, gids: np.ndarray) -> np.ndarray:
     valid = local >= 0
     out[valid] = gids[local[valid]]
     return out
-
-
-def _fetch_live(fetch, queries, k: int, n_dead: int, tomb_global: np.ndarray):
-    """``k`` candidates per query from one side of a live shard, dead rows out.
-
-    ``fetch(queries, kq) -> (distances, global_ids)`` searches the side
-    (sealed index or delta memtable) holding ``n_dead`` tombstoned rows.
-    Tombstoned candidates come back as ``(inf, -1)`` in place, so columns
-    keep the side's stable order for the merge. ``k > 1`` over-fetches by
-    ``n_dead`` — one call, and on the dense deep scan the extra columns are
-    nearly free. ``k == 1`` (the sample search) asks for the winner alone,
-    which keeps the index on its nearest-neighbour reduction, and repeats
-    with the over-fetch only for the queries whose winner is tombstoned.
-    """
-    if k > 1 or not n_dead:
-        dists, gids = fetch(queries, k + n_dead)
-        if n_dead:
-            dead = np.isin(gids, tomb_global)
-            dists = np.where(dead, np.inf, dists)
-            gids = np.where(dead, -1, gids)
-        return dists, gids
-    dists, gids = fetch(queries, 1)
-    redo = np.flatnonzero(np.isin(gids[:, 0], tomb_global))
-    if len(redo):
-        d_r, g_r = fetch(queries[redo], 1 + n_dead)
-        d_r = np.where(np.isin(g_r, tomb_global), np.inf, d_r)
-        rows = np.arange(len(redo))
-        first = d_r.argmin(axis=1)  # first occurrence: the side's own order
-        dists[redo, 0] = d_r[rows, first]
-        gids[redo, 0] = np.where(np.isfinite(d_r[rows, first]), g_r[rows, first], -1)
-    return dists, gids
 
 
 def _build_shard(

@@ -398,9 +398,6 @@ class HierarchicalSearcher:
         self.workers_mode = workers_mode
         #: lazily started process pool (``workers_mode="process"`` only)
         self._shard_pool = None
-        #: per-shard compaction generations the pool's arrays were exported
-        #: at — a mismatch means the sealed storage changed under the pool
-        self._pool_generations: tuple = ()
         self.policy = policy
         if health is None and policy is not None and policy.breaker_threshold is not None:
             health = ShardHealth(
@@ -427,11 +424,17 @@ class HierarchicalSearcher:
         The exported arrays snapshot each shard's *sealed* storage, which
         compaction replaces wholesale — so a stale pool (any shard's
         ``generation`` moved since export) is torn down and rebuilt here.
-        Delta inserts and tombstones do not invalidate the pool: they are
-        merged parent-side by ``IndexShard.search``.
+        A compaction can still land after this check; :meth:`_call_shard`
+        keeps such a shard's calls off the pool. Delta inserts and tombstones
+        do not invalidate the pool: tombstones ride along with each call as
+        the worker scan's mask, the delta is merged parent-side by
+        ``IndexShard.search``.
         """
-        generations = tuple(int(s.generation) for s in self.datastore.shards)
-        if self._shard_pool is not None and generations != self._pool_generations:
+        pool = self._shard_pool
+        if pool is not None and any(
+            pool.generations[int(s.shard_id)] != s.generation
+            for s in self.datastore.shards
+        ):
             get_registry().counter(
                 "retrieval_pool_rebuilds_total",
                 "process shard pools rebuilt after a compaction generation change",
@@ -443,7 +446,6 @@ class HierarchicalSearcher:
             self._shard_pool = ProcessShardPool(
                 self.datastore.shards, workers=self.max_workers
             )
-            self._pool_generations = generations
         return self._shard_pool
 
     def close(self) -> None:
@@ -766,16 +768,25 @@ class HierarchicalSearcher:
         """The deep phase's one shard call.
 
         In process mode the worker pool stands in for the shard's *sealed
-        scan* (the ``sealed=`` hook of :meth:`Shard.search`; it returns
-        global ids) — the call itself still goes to the object in
-        ``datastore.shards``, so fault models, replica failover and the
-        shard's own delta/tombstone merge run in this process either way and
-        the two modes stay bit-identical, before and after mutation.
+        scan* (the ``sealed=`` hook of :meth:`Shard.search`; it masks the
+        tombstoned rows it is handed and returns global ids) — the call
+        itself still goes to the object in ``datastore.shards``, so fault
+        models, replica failover and the shard's own snapshot and delta merge
+        run in this process either way and the two modes stay bit-identical,
+        before and after mutation. The pool answers only for the sealed
+        storage it exported: a shard compacted since then (its snapshot is of
+        another generation) gets ``None`` and scans its own index, for this
+        call — the next batch's :meth:`_ensure_shard_pool` rebuilds the pool.
         """
         sealed = None
         if pool is not None:
             sid = int(task.shard.shard_id)
-            sealed = lambda q, k, nprobe: pool.search(sid, q, k, nprobe=nprobe)
+
+            def sealed(q, k, nprobe, dead, generation):
+                if pool.generations[sid] != generation:
+                    return None
+                return pool.search(sid, q, k, nprobe=nprobe, dead=dead)
+
         return task.shard.search(
             batch.queries[task.rows], batch.k, nprobe=batch.nprobe, sealed=sealed
         )

@@ -250,13 +250,16 @@ class TestSealedRecordSwap:
 
 def test_only_ivf_module_names_sealed_storage_fields():
     """Layout fence: everything outside ``ann/ivf.py`` reaches the sealed
-    storage through export_state / from_state / rows_by_local_id."""
+    storage through export_state / from_state / rows_by_local_id — and names
+    deleted rows by local id (``search(dead=)``), never by storage row: the
+    record and its id → row ``positions`` map stay in the one module."""
     import repro
 
-    # (?<!\w): the attribute, not e.g. ``needs_code_sqnorms``.
+    # (?<!\w): the attribute, not e.g. ``needs_code_sqnorms`` / ``_dead_sealed``.
     fenced = re.compile(
         r"(?<!\w)(_cell_offsets|_code_cells|_code_sqnorms|_code_radii"
-        r"|_pending_codes|_pending_ids|_install_radii)\b"
+        r"|_pending_codes|_pending_ids|_install_radii|_sealed|SealedLists)\b"
+        r"|\.positions\b"
     )
     root = Path(repro.__file__).parent
     offenders = [

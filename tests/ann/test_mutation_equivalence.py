@@ -393,10 +393,35 @@ class TestConcurrentMutation:
         assert_shard_matches_oracle(shard, oracle, queries)
 
 
+class _CompactsUnderTheDeepSearch:
+    """Shard stand-in: one compaction lands after the searcher has checked the
+    pool's generations (the deep phase is running) and before the shard takes
+    its snapshot."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.compacted = False
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def __len__(self):
+        return len(self._inner)
+
+    def search(self, queries, k, *, nprobe=None, sealed=None):
+        if sealed is not None and not self.compacted:
+            self.compacted = self._inner.compact()
+        return self._inner.search(queries, k, nprobe=nprobe, sealed=sealed)
+
+
 class TestWorkerModeParity:
     """Thread and process deep-search paths must agree under mutation."""
 
     def test_thread_and_process_bit_identical_after_mutation(self):
+        for tombstones in ("sealed", "delta", "both"):
+            self.check_parity(tombstones)
+
+    def check_parity(self, tombstones):
         from repro.core.clustering import cluster_datastore
         from repro.core.config import HermesConfig
         from repro.core.hierarchical import HermesSearcher
@@ -407,10 +432,24 @@ class TestWorkerModeParity:
         config = HermesConfig(n_clusters=2, clusters_to_search=2, nlist=4)
         datastore = cluster_datastore(corpus.embeddings, config)
         rng = np.random.default_rng(10)
-        fresh = rng.normal(size=(12, DIM)).astype(np.float32)
-        datastore.add_documents(fresh)
-        datastore.delete_documents(rng.choice(400, size=8, replace=False))
         queries = rng.normal(size=(6, DIM)).astype(np.float32)
+        # Inserts that win (the queries themselves), so deleting some of them
+        # puts tombstones where the delta scan would otherwise answer.
+        fresh = np.concatenate([rng.normal(size=(8, DIM)).astype(np.float32), queries])
+        new_ids = datastore.add_documents(fresh)
+        doomed = []
+        if tombstones in ("sealed", "both"):
+            served = HermesSearcher(datastore, config=config).search(queries, k=5).ids
+            doomed.append(np.setdiff1d(served[:, :3], new_ids))  # sealed winners
+            doomed.append(np.setdiff1d(rng.choice(400, 8, replace=False), doomed[0]))
+        if tombstones in ("delta", "both"):
+            doomed.append(new_ids[[0, 3, 8, 9, 13]])
+        doomed = np.concatenate(doomed)
+        datastore.delete_documents(doomed)
+        for shard in datastore.shards:
+            dead = np.array(sorted(shard.tombstones))
+            assert (dead < shard.index.ntotal).any() == (tombstones != "delta")
+            assert (dead >= shard.index.ntotal).any() == (tombstones != "sealed")
 
         threaded = HermesSearcher(datastore, config=config)
         base = threaded.search(queries, k=5)
@@ -420,6 +459,8 @@ class TestWorkerModeParity:
             result = searcher.search(queries, k=5)
             np.testing.assert_array_equal(base.ids, result.ids)
             np.testing.assert_array_equal(base.distances, result.distances)
+            assert not np.isin(result.ids, doomed).any()
+            assert (result.ids >= 0).all()
 
             # Compaction bumps every mutated shard's generation; the process
             # pool must rebuild its exported view and still agree.
@@ -433,14 +474,59 @@ class TestWorkerModeParity:
             np.testing.assert_array_equal(compacted.distances, reloaded.distances)
         threaded.close()
 
+    def test_compaction_between_pool_check_and_snapshot(self):
+        """Regression: the searcher compares shard generations to the pool's
+        once per batch, each shard snapshots later. A compaction in between
+        used to leave the ``sealed=`` hook scanning the pool's *old* arrays
+        while the shard merged with its *new* (empty) tombstones and no delta
+        — that batch served every deleted document its old storage ranked
+        first, and missed the inserts compaction had just folded in."""
+        from dataclasses import replace
+
+        from repro.core.clustering import cluster_datastore
+        from repro.core.config import HermesConfig
+        from repro.core.hierarchical import HermesSearcher
+        from repro.datastore.embeddings import make_corpus
+
+        corpus = make_corpus(800, n_topics=4, dim=DIM, seed=12)
+        config = HermesConfig(n_clusters=4, clusters_to_search=2, nlist=4)
+        datastore = cluster_datastore(corpus.embeddings, config)
+        rng = np.random.default_rng(13)
+        queries = corpus.embeddings[rng.choice(800, 8, replace=False)] * 1.01
+        threaded = HermesSearcher(datastore, config=config)
+        doomed = np.unique(threaded.search(queries, k=1).ids)
+        # Inserts that must be served: each query's own vector, scaled so it
+        # wins under the inner-product metric.
+        born = datastore.add_documents((queries * 2.0).astype(np.float32))
+        datastore.delete_documents(doomed)
+        want = threaded.search(queries, k=5)
+        assert not np.isin(want.ids, doomed).any()
+        np.testing.assert_array_equal(want.ids[:, 0], born)
+
+        racy = replace(
+            datastore, shards=[_CompactsUnderTheDeepSearch(s) for s in datastore.shards]
+        )
+        with HermesSearcher(racy, config=config, workers_mode="process") as searcher:
+            searcher._ensure_shard_pool()  # exported before the compactions
+            for batch in range(2):  # the racing batch, then a clean one
+                got = searcher.search(queries, k=5)
+                assert not np.isin(got.ids, doomed).any(), f"batch {batch}"
+                np.testing.assert_array_equal(got.ids, want.ids)
+                np.testing.assert_allclose(got.distances, want.distances, rtol=1e-5)
+            assert any(s.compacted for s in racy.shards)
+            assert [s.generation for s in datastore.shards] == [
+                int(s.compacted) for s in racy.shards
+            ]
+        threaded.close()
+
 
 class TestNearestNeighbourOnLiveShard:
     """``k == 1`` (the sample search) on a shard with tombstones and a delta.
 
-    The live path asks each side for its winner alone and repeats with the
-    over-fetch only for queries whose winner is tombstoned; it must return
-    what the over-fetching top-k path returns in column 0, in thread mode
-    and with the sealed half served by the process pool.
+    Each side's scan masks its tombstoned rows before it selects, so the
+    winner is the best *live* row straight away; it must be what the top-k
+    path returns in column 0 — bit for bit, it is the same scan — in thread
+    mode and with the sealed half (mask included) run by the process pool.
     """
 
     NPROBE = 1  # of 6 cells: the sparse strategy, i.e. the k == 1 reduction
@@ -450,7 +536,11 @@ class TestNearestNeighbourOnLiveShard:
     def searches(shard):
         """``mode -> search(queries, k, nprobe)`` for both worker modes."""
         with ProcessShardPool([shard], workers=1) as pool:
-            sealed = lambda q, k, probe: pool.search(0, q, k, nprobe=probe)
+
+            def sealed(q, k, probe, dead, generation):
+                assert generation == shard.generation == pool.generations[0]
+                return pool.search(0, q, k, nprobe=probe, dead=dead)
+
             yield {
                 "thread": lambda q, k, probe: shard.search(q, k, nprobe=probe),
                 "process": lambda q, k, probe: shard.search(
@@ -466,12 +556,8 @@ class TestNearestNeighbourOnLiveShard:
                     d1, i1 = search(queries, 1, nprobe)
                     dk, ik = search(queries, 3, nprobe)
                     np.testing.assert_array_equal(i1[:, 0], ik[:, 0])
-                    # a re-fetched row is scanned in a smaller batch: fp noise
-                    finite = np.isfinite(dk[:, 0])
-                    np.testing.assert_array_equal(finite, np.isfinite(d1[:, 0]))
-                    np.testing.assert_allclose(
-                        d1[finite, 0], dk[finite, 0], rtol=1e-6, atol=1e-6
-                    )
+                    np.testing.assert_array_equal(d1[:, 0], dk[:, 0])
+                    np.testing.assert_array_equal(np.isfinite(d1), i1 >= 0)
                     results[(mode, nprobe)] = (d1, i1)
                 # full probe is the regime the flat oracle describes
                 _, want_i = oracle.search(queries, 1)
@@ -516,6 +602,10 @@ class TestNearestNeighbourOnLiveShard:
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_winner_in_the_delta(self, metric):
+        for tombstones in ("delta", "both"):
+            self.check_winner_in_the_delta(metric, tombstones)
+
+    def check_winner_in_the_delta(self, metric, tombstones):
         rng = np.random.default_rng(32)
         base = rng.normal(size=(60, DIM)).astype(np.float32)
         shard = build_shard("sq8", metric, base)
@@ -526,9 +616,43 @@ class TestNearestNeighbourOnLiveShard:
         fresh = queries[:3] * 1.5 if metric == "ip" else queries[:3]
         ids = oracle.insert(fresh)
         shard.insert(fresh, ids)
-        # ...and a tombstone on each side keeps both re-fetch paths live.
-        shard.delete([0, int(ids[2])])
-        oracle.delete([0, int(ids[2])])
+        # ...and a would-be winner in the delta is tombstoned, alone or with
+        # a sealed row, so the delta scan's mask works with and without the
+        # sealed scan's.
+        doomed = [int(ids[2])] + ([0] if tombstones == "both" else [])
+        shard.delete(doomed)
+        oracle.delete(doomed)
         _, got = self.assert_k1_is_column_zero(shard, oracle, queries)
         np.testing.assert_array_equal(got[:2, 0], ids[:2])
-        assert int(ids[2]) not in got and 0 not in got
+        assert not np.isin(got, doomed).any()
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    @pytest.mark.parametrize("scheme", ["flat", "sq8", "pq4"])
+    def test_delta_scan_masks_then_reduces(self, scheme, metric):
+        """``DeltaIndex.search`` on its own: dead positions never come back,
+        ``k == 1`` (an argmin) is column 0 of the top-k bit for bit — exact
+        ties included, every row is stored twice — and a delta with nothing
+        live left pads."""
+        rng = np.random.default_rng(33)
+        base = rng.normal(size=(60, DIM)).astype(np.float32)
+        shard = build_shard(scheme, metric, base)
+        fresh = rng.normal(size=(20, DIM)).astype(np.float32)
+        shard.insert(np.concatenate([fresh, fresh]), np.arange(60, 100))
+        delta = shard.delta.snapshot()
+        queries = np.concatenate([fresh[:6] * 1.01, base[:3]])
+        _, winners = delta.search(queries, 1)
+        for dead in (None, np.unique(winners), np.arange(40)):
+            dk, ik = delta.search(queries, 4, dead=dead)
+            d1, i1 = delta.search(queries, 1, dead=dead)
+            np.testing.assert_array_equal(i1[:, 0], ik[:, 0])
+            np.testing.assert_array_equal(d1[:, 0], dk[:, 0])
+            np.testing.assert_array_equal(np.isfinite(dk), ik >= 0)
+            if dead is None:
+                continue
+            assert not np.isin(ik, dead).any()
+            if len(dead) == 40:
+                assert (ik == -1).all() and np.isinf(dk).all()
+            else:  # the dead winner's twin (same code) takes its place
+                assert (ik[:, 0] >= 0).all()
+                np.testing.assert_allclose(dk[:6, 0], delta.search(queries, 1)[0][:6, 0], rtol=1e-6)
+

@@ -7,6 +7,8 @@ depths and batch shapes, plus the structural edge cases: empty cells,
 k larger than the candidate pool, and forced non-ADC kernels.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,3 +285,210 @@ def test_k1_sparse_scan_takes_no_candidate_buffer():
     attrs, taken = scan(2)
     assert attrs["strategy"] == "sparse" and attrs["reduced"] is False
     assert "sparse_buf" in taken
+
+
+# -- deleted rows as a scan-time mask ------------------------------------------
+# ``search(dead=D)`` sets the rows of D to inf between the kernel and the
+# selection, in every strategy. Two oracles: what a live shard did before the
+# mask existed — over-fetch k + |D|, drop the dead, keep the first k — and an
+# index rebuilt from the surviving rows.
+
+MASK_NLIST = 12
+
+
+@functools.lru_cache(maxsize=None)
+def mask_index(scheme, metric, layout):
+    """``(index, rows by local id)``; built once — the examples only read it."""
+    rng = np.random.default_rng(21)
+    data = rng.normal(size=(360, NN_DIM)).astype(np.float32)
+    if layout == "duplicates":  # every vector twice: exact ties everywhere
+        data[180:] = data[:180]
+    index = IVFIndex(
+        NN_DIM, metric, nlist=MASK_NLIST, quantizer=make_quantizer(scheme, NN_DIM)
+    )
+    index.train(data)
+    index.add(data)
+    return index, data, index.rows_by_local_id()
+
+
+def overfetch_then_filter(index, queries, k, dead, **kwargs):
+    """The parent's live read, kept as the oracle: fetch ``k + |D|``, blank
+    the dead in place (columns keep the scan's stable order), first ``k``."""
+    dists, ids = index.search(queries, k + len(dead), **kwargs)
+    gone = np.isin(ids, dead)
+    dists = np.where(gone, np.inf, dists)
+    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    out_d = np.take_along_axis(dists, order, axis=1)
+    out_i = np.where(np.isfinite(out_d), np.take_along_axis(ids, order, axis=1), -1)
+    return out_d, out_i
+
+
+def rebuilt_without(index, rows, dead):
+    """An index over the surviving rows: same codes, same cells, no ``dead``."""
+    codes, cells = rows
+    live = np.setdiff1d(np.arange(len(cells)), dead)
+    fresh = index.fresh_sealed_like()
+    if len(live):
+        fresh.install_rows(np.ascontiguousarray(codes[live]), cells[live])
+    return fresh, live
+
+
+def pick_dead(kind, index, rows, queries, nprobe):
+    _, cells = rows
+    if kind == "none":
+        return np.empty(0, dtype=np.int64)
+    if kind == "everything":
+        return np.arange(len(cells))
+    cell_d = ((queries[:, np.newaxis] - index.centroids[np.newaxis]) ** 2).sum(axis=2)
+    probed = np.argsort(cell_d, axis=1, kind="stable")[:, : min(nprobe, index.nlist)]
+    if kind == "winners":  # a few rows, all of them would-be answers
+        _, ids = index.search(queries, 2, nprobe=nprobe)
+        return np.unique(ids[ids >= 0])
+    if kind == "whole_cell":  # the first query's nearest cell, emptied
+        return np.flatnonzero(cells == probed[0, 0])
+    assert kind == "every_probed_row"
+    return np.flatnonzero(np.isin(cells, probed))
+
+
+@given(
+    scheme=st.sampled_from(["flat", "sq8", "sq4", "pq8"]),
+    metric=st.sampled_from(METRICS),
+    layout=st.sampled_from(["full", "duplicates"]),
+    k=st.sampled_from([1, 3, 10]),
+    nprobe=st.sampled_from([1, 8, MASK_NLIST + 3]),
+    prune=st.sampled_from([None, True, False]),
+    kind=st.sampled_from(
+        ["none", "winners", "whole_cell", "every_probed_row", "everything"]
+    ),
+    nq=st.sampled_from([1, 5, 32]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_dead_rows_are_masked_before_selection(
+    scheme, metric, layout, k, nprobe, prune, kind, nq, seed
+):
+    index, data, rows = mask_index(scheme, metric, layout)
+    rng = np.random.default_rng(seed)
+    queries = data[rng.choice(len(data), nq)] + rng.normal(
+        scale=0.05, size=(nq, NN_DIM)
+    ).astype(np.float32)
+    dead = pick_dead(kind, index, rows, queries, nprobe)
+    kwargs = {"nprobe": nprobe, "prune": prune}
+
+    got_d, got_i = index.search(queries, k, dead=dead, **kwargs)
+    assert got_d.shape == got_i.shape == (nq, k)
+    assert not np.isin(got_i, dead).any()
+    np.testing.assert_array_equal(np.isfinite(got_d), got_i >= 0)
+    for row in got_i:  # k distinct live rows, then padding
+        assert len(set(row[row >= 0].tolist())) == (row >= 0).sum()
+    if kind in ("every_probed_row", "everything"):
+        assert (got_i == -1).all() and np.isinf(got_d).all()
+
+    # (a) over-fetch-then-filter. Without pruning it is the same kernel over
+    # the same tiles, so the answer is bit-identical; the streaming scan's
+    # thresholds move with k, its tiles with them, and a GEMM tile rounds by
+    # shape — there distances agree to fp32 noise and ids up to code ties.
+    want_d, want_i = overfetch_then_filter(index, queries, k, dead, **kwargs)
+    streams = index._streams_by_default if prune is None else prune
+    if streams:
+        assert_same_winner_up_to_code_ties(index, data, got_i, want_i)
+        finite = np.isfinite(want_d)
+        np.testing.assert_array_equal(finite, np.isfinite(got_d))
+        np.testing.assert_allclose(got_d[finite], want_d[finite], rtol=1e-3, atol=5e-3)
+    else:
+        np.testing.assert_array_equal(got_i, want_i)
+        np.testing.assert_array_equal(got_d, want_d)
+
+    # (b) an index that never held the dead rows.
+    fresh, live = rebuilt_without(index, rows, dead)
+    reb_d, reb_pos = fresh.search(queries, k, **kwargs)
+    reb_i = reb_pos  # all padding when nothing is live
+    if len(live):
+        reb_i = np.where(reb_pos >= 0, live[np.clip(reb_pos, 0, None)], -1)
+    assert_same_winner_up_to_code_ties(index, data, got_i, reb_i)
+    finite = np.isfinite(reb_d)
+    np.testing.assert_array_equal(finite, np.isfinite(got_d))
+    np.testing.assert_allclose(got_d[finite], reb_d[finite], rtol=1e-3, atol=5e-3)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_duplicate_of_a_dead_row_is_served(metric):
+    """Two stored copies of every vector, the winning copy deleted: its twin
+    — same code, same distance, another storage row — takes its place."""
+    index, data, _ = mask_index("sq8", metric, "duplicates")
+    queries = data[:6] * 1.01
+    for nprobe in (1, MASK_NLIST):
+        first_d, first = index.search(queries, 1, nprobe=nprobe)
+        doomed = first[:, 0]
+        twins = (doomed + 180) % 360
+        d, i = index.search(queries, 2, nprobe=nprobe, dead=doomed)
+        np.testing.assert_array_equal(i[:, 0], twins)
+        np.testing.assert_allclose(d[:, 0], first_d[:, 0], rtol=1e-6)
+        assert not np.isin(i, doomed).any()
+        one_d, one_i = index.search(queries, 1, nprobe=nprobe, dead=doomed)
+        np.testing.assert_array_equal(one_i[:, 0], i[:, 0])
+        np.testing.assert_array_equal(one_d[:, 0], d[:, 0])
+
+
+def test_dead_ids_out_of_range_are_refused():
+    index, _, _ = mask_index("flat", "l2", "full")
+    queries = np.zeros((2, NN_DIM), dtype=np.float32)
+    for bad in ([360], [-1], [0, 10**6]):
+        with pytest.raises(ValueError, match="dead ids"):
+            index.search(queries, 3, dead=np.array(bad))
+
+
+def test_an_index_without_deletes_never_builds_the_position_map():
+    """Structural guard: the id → storage-row map exists only once a search
+    carried a dead row; plain searches, an empty ``dead`` and the warm-up a
+    process-pool export runs leave it unbuilt (and it is never exported)."""
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=(300, NN_DIM)).astype(np.float32)
+    index = IVFIndex(NN_DIM, "ip", nlist=8, quantizer=make_quantizer("sq8", NN_DIM))
+    index.train(data)
+    index.add(data)
+    for kwargs in ({}, {"dead": None}, {"dead": np.empty(0, dtype=np.int64)}):
+        for k, nprobe in ((1, 2), (5, 2), (5, 8)):
+            index.search(data[:4], k, nprobe=nprobe, **kwargs)
+    _, arrays = index.export_state()
+    assert index._sealed.positions is None
+    index.search(data[:4], 5, dead=np.array([3]))
+    positions = index._sealed.positions
+    np.testing.assert_array_equal(index._sealed.ids[positions], np.arange(300))
+    assert positions.dtype == np.int32 and not positions.flags.writeable
+    assert not any(positions is a for a in index.export_state()[1].values())
+    assert set(index.export_state()[1]) == set(arrays)
+    # ...and a rebuilt index (what compaction installs) starts without one.
+    assert index.fresh_sealed_like()._sealed is None
+
+
+def test_masked_k1_sparse_scan_stays_a_reduction():
+    """Structural guard: masking does not push the nearest-neighbour scan
+    back onto the padded candidate buffer — still ``reduced``, still no
+    ``sparse_buf`` — and a full-probe dense scan is handed no probe order
+    yet reports the whole index as its work."""
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=(400, NN_DIM)).astype(np.float32)
+    index = IVFIndex(NN_DIM, "ip", nlist=NN_NLIST, quantizer=make_quantizer("sq8", NN_DIM))
+    index.train(data)
+    index.add(data)
+    queries = data[:8]
+    _, winners = index.search(queries, 1, nprobe=4)
+
+    def scan(k, nprobe, dead):
+        index._workspace.clear()
+        tracer = enable_tracing()
+        try:
+            _, ids = index.search(queries, k, nprobe=nprobe, dead=dead)
+        finally:
+            disable_tracing()
+        (span,) = [s for root in tracer.roots for s in root.find_all("ivf_scan")]
+        return span.attrs, set(index._workspace._buffers), ids
+
+    attrs, taken, ids = scan(1, 4, winners[:, 0])
+    assert attrs["strategy"] == "sparse" and attrs["reduced"] is True
+    assert "sparse_buf" not in taken
+    assert not np.isin(ids, winners).any() and (ids >= 0).all()
+    for dead in (None, winners[:, 0]):
+        attrs, _, _ = scan(5, NN_NLIST, dead)
+        assert attrs["strategy"] == "dense" and attrs["reduced"] is False
+        assert attrs["pair_work"] == len(queries) * len(data)

@@ -99,19 +99,40 @@ def test_writes_land_on_the_real_shard(pair):
 
 
 def test_sealed_scan_override_reaches_the_real_shard(pair):
+    """The hook arrives at the real shard through every wrapper and is handed
+    that shard's snapshot: the sealed rows to mask (local ids) and the
+    generation of the storage they index. An answer is used as is; ``None``
+    (the hook's storage is from another generation) makes the shard scan its
+    own index."""
     shard, real = pair
     queries = np.random.default_rng(2).normal(size=(5, DIM)).astype(np.float32)
+    _, winners = real.search(queries, 1, nprobe=4)
+    doomed = np.unique(winners)
+    shard.delete(doomed)
     expected = real.search(queries, 3, nprobe=4)
+    assert not np.isin(expected[1], doomed).any()
     calls = []
 
-    def sealed(q, k, nprobe):
-        calls.append((len(q), k, nprobe))
-        return expected
+    def sealed(q, k, nprobe, dead, generation):
+        calls.append((len(q), k, nprobe, real.global_ids[dead].tolist(), generation))
+        return answer
 
+    seen = (5, 3, 4, doomed.tolist(), real.generation)
+    answer = (expected[0][:, ::-1], expected[1][:, ::-1])  # recognisably the hook's
     got = shard.search(queries, 3, nprobe=4, sealed=sealed)
-    assert calls == [(5, 3, 4)]
+    assert calls == [seen]
+    np.testing.assert_array_equal(got[0], answer[0])
+    np.testing.assert_array_equal(got[1], answer[1])
+
+    answer = None  # declined: the shard's own masked scan answers
+    got = shard.search(queries, 3, nprobe=4, sealed=sealed)
+    assert calls == [seen, seen]
     np.testing.assert_array_equal(got[0], expected[0])
     np.testing.assert_array_equal(got[1], expected[1])
+
+    shard.compact()
+    shard.search(queries, 3, nprobe=4, sealed=sealed)
+    assert calls[2] == (5, 3, 4, [], real.generation) and real.generation == 1
 
 
 def test_no_defaulted_getattr_probes_for_the_surface():
