@@ -1,7 +1,8 @@
 """Ablation: auditing RAGCache's ideal-hit-rate assumption.
 
 The paper grants RAGCache a 100% KV-cache hit rate across strides (§3). This
-ablation runs *real* token-level strided sessions (retrieval re-executed
+ablation serves *real* token-level strided sessions through the live
+:class:`~repro.serving.pipeline.RAGServingPipeline` (retrieval re-executed
 each stride with a drifting query) and measures the actual consecutive-stride
 document overlap and the hit rate of a real LRU prefix cache — bounding how
 much of the ideal saving a deployment would truly capture.
@@ -9,15 +10,24 @@ much of the ideal saving a deployment would truly capture.
 
 import numpy as np
 
-from repro.baselines.ragcache import simulate_cache_hit_rate
+from repro.baselines.ragcache import simulate_cache_hit_rate, stride_overlap_fraction
 from repro.core.clustering import cluster_datastore
 from repro.core.config import HermesConfig
 from repro.core.hierarchical import HermesSearcher
-from repro.core.session import StridedRAGSession
 from repro.datastore.chunkstore import ChunkStore
 from repro.datastore.corpus import CorpusGenerator, TokenVocabulary, chunk_documents
 from repro.datastore.encoder import SyntheticEncoder
 from repro.metrics.reporting import format_table
+from repro.serving.cache import CacheConfig
+from repro.serving.pipeline import PipelineConfig, RAGServingPipeline
+
+
+def _jaccard(a, b):
+    """Jaccard similarity of two routed-cluster id rows (ignoring -1)."""
+    sa = {int(c) for c in a if c >= 0}
+    sb = {int(c) for c in b if c >= 0}
+    union = sa | sb
+    return len(sa & sb) / len(union) if union else 1.0
 
 
 def run_sessions(*, n_sessions=10, n_strides=8):
@@ -31,24 +41,47 @@ def run_sessions(*, n_sessions=10, n_strides=8):
         embeddings, HermesConfig(n_clusters=6, clusters_to_search=2)
     )
     searcher = HermesSearcher(datastore)
-    store = ChunkStore(chunks)
     rng = np.random.default_rng(9)
+    queries = [
+        rng.choice(vocab.topic_pool(s % 6), size=16, replace=False)
+        for s in range(n_sessions)
+    ]
+
+    # The live stride loop, one session per request. Semantic and routing
+    # cache tiers are off so every stride really routes and searches with its
+    # own drifted query (the exact tier only replays a bit-identical one).
+    with RAGServingPipeline(
+        searcher,
+        encoder,
+        ChunkStore(chunks),
+        config=PipelineConfig(
+            mode="sequential",
+            n_strides=n_strides,
+            stride_tokens=16,
+            grounding=0.6,
+            k=5,
+        ),
+        cache_config=CacheConfig(semantic_threshold=None, routing_threshold=None),
+    ) as pipeline:
+        report = pipeline.serve(queries)
 
     records = []
-    for s in range(n_sessions):
-        topic = s % 6
-        query = rng.choice(vocab.topic_pool(topic), size=16, replace=False)
-        session = StridedRAGSession(
-            searcher, encoder, store, stride_tokens=16, grounding=0.6, seed=s
-        )
-        trace = session.run(query, n_strides=n_strides)
+    for s, request in enumerate(report.requests):
+        stride_ids = [stride.ids for stride in request.strides]
+        routed = searcher.router.route(
+            np.stack([stride.query for stride in request.strides]),
+            datastore,
+            datastore.config.clusters_to_search,
+        ).clusters
         records.append(
             {
-                "topic": topic,
-                "overlap": trace.document_overlap(),
-                "routing_stability": trace.routing_stability(),
+                "topic": s % 6,
+                "overlap": stride_overlap_fraction(stride_ids),
+                "routing_stability": float(
+                    np.mean([_jaccard(a, b) for a, b in zip(routed, routed[1:])])
+                ),
                 "lru_hit_rate": simulate_cache_hit_rate(
-                    trace.stride_results(), capacity=4096, chunk_tokens=48
+                    stride_ids, capacity=4096, chunk_tokens=48
                 ),
             }
         )

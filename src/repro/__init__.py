@@ -26,12 +26,12 @@ Subpackages
 ``repro.hardware`` / ``repro.perfmodel``
     Platform models and the multi-node analysis tool.
 ``repro.baselines``
-    Monolithic, naive split, PipeRAG, RAGCache.
+    Monolithic retrieval and the RAGCache overlap analyses.
 ``repro.experiments``
     One module per paper table/figure.
 """
 
-from .baselines import MonolithicRetriever, NaiveSplitRetriever
+from .baselines import MonolithicRetriever
 from .core import (
     ClusteredDatastore,
     HermesConfig,
@@ -50,7 +50,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "MonolithicRetriever",
-    "NaiveSplitRetriever",
     "ClusteredDatastore",
     "HermesConfig",
     "HermesScheduler",

@@ -5,7 +5,7 @@ IVF with scalar/product quantization, and HNSW, plus the K-means machinery
 shared by IVF training and Hermes's datastore disaggregation.
 """
 
-from .base import INDEX_REGISTRY, VectorIndex, build_index, register_index
+from .base import VectorIndex
 from .distances import (
     VALID_METRICS,
     inner_product,
@@ -15,17 +15,10 @@ from .distances import (
     top_k,
 )
 from .flat import FlatIndex
-from .persistence import load_index, save_flat, save_ivf
+from .persistence import load_index, save_ivf
 from .hnsw import HNSWIndex
 from .ivf import IVFIndex, default_nlist
 from .kmeans import KMeansResult, assign_to_centroids, kmeans, kmeans_seed_sweep
-from .sparse import (
-    BM25Index,
-    HybridRetriever,
-    SparseSearchResult,
-    reciprocal_rank_fusion,
-    zscore_fusion,
-)
 from .quantization import (
     IdentityQuantizer,
     OPQQuantizer,
@@ -36,10 +29,7 @@ from .quantization import (
 )
 
 __all__ = [
-    "INDEX_REGISTRY",
     "VectorIndex",
-    "build_index",
-    "register_index",
     "VALID_METRICS",
     "inner_product",
     "normalize",
@@ -48,7 +38,6 @@ __all__ = [
     "top_k",
     "FlatIndex",
     "load_index",
-    "save_flat",
     "save_ivf",
     "HNSWIndex",
     "IVFIndex",
@@ -57,11 +46,6 @@ __all__ = [
     "assign_to_centroids",
     "kmeans",
     "kmeans_seed_sweep",
-    "BM25Index",
-    "HybridRetriever",
-    "SparseSearchResult",
-    "reciprocal_rank_fusion",
-    "zscore_fusion",
     "IdentityQuantizer",
     "OPQQuantizer",
     "ProductQuantizer",

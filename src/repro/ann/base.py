@@ -2,16 +2,12 @@
 
 The interface intentionally mirrors the small slice of the FAISS API the
 Hermes paper relies on: ``train``, ``add``, and ``search`` returning
-``(distances, ids)`` top-k matrices. Indices register themselves in
-:data:`INDEX_REGISTRY` under a factory-string key (e.g. ``"ivf_sq8"``) so
-experiment configs can name index types declaratively, the way the paper's
-artifact names its index construction variants.
+``(distances, ids)`` top-k matrices.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable
 
 import numpy as np
 
@@ -59,7 +55,7 @@ class VectorIndex(abc.ABC):
         :func:`repro.ann.distances.pairwise_distance` (smaller is closer);
         missing results are padded with ``inf`` / ``-1``.  Extra keyword
         arguments are forwarded to the concrete index's ``_search`` (e.g.
-        ``nprobe`` / ``use_adc`` for :class:`repro.ann.ivf.IVFIndex`).
+        ``nprobe`` for :class:`repro.ann.ivf.IVFIndex`).
         """
         if not self.is_trained:
             raise RuntimeError(f"{type(self).__name__} must be trained before search()")
@@ -99,31 +95,3 @@ class VectorIndex(abc.ABC):
             f"{type(self).__name__}(dim={self.dim}, metric={self.metric!r}, "
             f"ntotal={self.ntotal}, trained={self.is_trained})"
         )
-
-
-#: Maps factory-string keys (``"flat"``, ``"ivf_sq8"``, ...) to constructors
-#: taking ``(dim, metric, **kwargs)``.
-INDEX_REGISTRY: dict[str, Callable[..., VectorIndex]] = {}
-
-
-def register_index(key: str) -> Callable[[Callable[..., VectorIndex]], Callable[..., VectorIndex]]:
-    """Class decorator registering a constructor under *key*."""
-
-    def deco(factory: Callable[..., VectorIndex]) -> Callable[..., VectorIndex]:
-        if key in INDEX_REGISTRY:
-            raise ValueError(f"index key {key!r} already registered")
-        INDEX_REGISTRY[key] = factory
-        return factory
-
-    return deco
-
-
-def build_index(key: str, dim: int, metric: str = "l2", **kwargs) -> VectorIndex:
-    """Instantiate a registered index type by its factory-string key."""
-    try:
-        factory = INDEX_REGISTRY[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown index key {key!r}; registered: {sorted(INDEX_REGISTRY)}"
-        ) from None
-    return factory(dim=dim, metric=metric, **kwargs)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distances import pairwise_distance, top_k
+from .distances import top_k
 from .kmeans import assign_to_centroids
 
 
@@ -93,8 +93,7 @@ class DeltaIndex:
         dup._cells = self.cells
         dup._sqnorms = (
             self._adc_sqnorms()
-            if self.quantizer.supports_adc(self.metric)
-            and self.quantizer.needs_code_sqnorms(self.metric)
+            if self.quantizer.needs_code_sqnorms(self.metric)
             else None
         )
         dup.ntotal = self.ntotal
@@ -169,19 +168,15 @@ class DeltaIndex:
                 np.full((nq, k), np.inf, dtype=np.float32),
                 np.full((nq, k), -1, dtype=np.int64),
             )
-        use_adc = self.quantizer.supports_adc(self.metric)
-        if use_adc:
-            table = self.quantizer.adc_table(q, self.metric)
-            norms = (
-                self._adc_sqnorms()
-                if self.quantizer.needs_code_sqnorms(self.metric)
-                else None
-            )
-            dists = self.quantizer.adc_distances(
-                table, self.codes, code_sqnorms=norms, shifted=True
-            )
-        else:
-            dists = pairwise_distance(q, self.reconstruct(), self.metric)
+        table = self.quantizer.adc_table(q, self.metric)
+        norms = (
+            self._adc_sqnorms()
+            if self.quantizer.needs_code_sqnorms(self.metric)
+            else None
+        )
+        dists = self.quantizer.adc_distances(
+            table, self.codes, code_sqnorms=norms, shifted=True
+        )
         if dead is not None and len(dead):
             dists[:, dead] = np.inf
         if k == 1:
@@ -192,12 +187,11 @@ class DeltaIndex:
         else:
             out_d, out_i = top_k(dists, k)
         out_i[~np.isfinite(out_d)] = -1  # masked rows picked for want of live ones
-        if use_adc:
-            bias = table.get("bias")
-            if bias is not None:
-                out_d += bias[:, np.newaxis]
-            if self.metric == "l2":
-                np.maximum(out_d, 0.0, out=out_d)
+        bias = table.get("bias")
+        if bias is not None:
+            out_d += bias[:, np.newaxis]
+        if self.metric == "l2":
+            np.maximum(out_d, 0.0, out=out_d)
         return out_d, out_i
 
     def memory_bytes(self) -> int:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import VectorIndex, register_index
+from .base import VectorIndex
 from .distances import pairwise_distance, top_k
 
 
-@register_index("flat")
 class FlatIndex(VectorIndex):
     """Exact nearest-neighbour search over uncompressed float32 vectors."""
 

@@ -19,11 +19,10 @@ import math
 
 import numpy as np
 
-from .base import VectorIndex, register_index
+from .base import VectorIndex
 from .distances import pairwise_distance
 
 
-@register_index("hnsw")
 class HNSWIndex(VectorIndex):
     """Graph-based approximate k-NN search.
 

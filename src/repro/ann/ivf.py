@@ -21,10 +21,9 @@ Performance architecture (see DESIGN.md):
 - **Cell-major batched scan**: the search loop is inverted — each probed cell
   is scanned once for *all* queries probing it (one distance kernel per
   cell), instead of assembling a candidate pool per query.
-- **ADC**: when the quantizer supports asymmetric distance computation,
-  distances are evaluated directly on the stored codes
-  (:meth:`repro.ann.quantization.Quantizer.adc_distances`) without
-  reconstructing vectors.
+- **ADC**: distances are evaluated directly on the stored codes
+  (:meth:`repro.ann.quantization.Quantizer.adc_distances`, asymmetric
+  distance computation) without reconstructing vectors.
 - The pre-optimisation per-query path is retained as
   :meth:`IVFIndex.search_reference`, the oracle of the equivalence suites
   (``tests/ann/test_search_equivalence.py``).
@@ -41,7 +40,7 @@ import numpy as np
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .base import VectorIndex, register_index
+from .base import VectorIndex
 from .distances import pairwise_distance, top_k
 from .kmeans import assign_to_centroids, train_kmeans
 from .pruning import (
@@ -50,7 +49,7 @@ from .pruning import (
     l2_radius_window,
     residual_radii,
 )
-from .quantization import IdentityQuantizer, Quantizer, make_quantizer, restore_quantizer
+from .quantization import IdentityQuantizer, Quantizer, restore_quantizer
 from .workspace import Workspace
 
 #: Code-block granularity the block-pruning counter reports in: a skipped
@@ -350,7 +349,7 @@ class IVFIndex(VectorIndex):
         streams), so the next search runs entirely warm."""
         q = self.quantizer
         self._warm(
-            sqnorms=q.supports_adc(self.metric) and q.needs_code_sqnorms(self.metric),
+            sqnorms=q.needs_code_sqnorms(self.metric),
             radii=self._streams_by_default,
         )
 
@@ -572,7 +571,6 @@ class IVFIndex(VectorIndex):
         k: int,
         *,
         nprobe: int | None = None,
-        use_adc: bool | None = None,
         prune: bool | None = None,
         dead: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -591,11 +589,11 @@ class IVFIndex(VectorIndex):
           chunk instead of one giant argpartition.
         - **Sparse** (low probe coverage): probed cells are grouped across
           the query batch and each cell is scanned exactly once — one
-          *shifted* ADC evaluation (or decode + GEMM) for every query probing
-          it. Per-cell distance blocks land whole in a padded slot-major
-          buffer, so the scan loop does no per-cell selection — except at
-          ``k == 1``, where each cell is reduced to its winner on the spot
-          and the padded buffer never exists (:meth:`_scan_sparse_best`).
+          *shifted* ADC evaluation for every query probing it. Per-cell
+          distance blocks land whole in a padded slot-major buffer, so the
+          scan loop does no per-cell selection — except at ``k == 1``, where
+          each cell is reduced to its winner on the spot and the padded
+          buffer never exists (:meth:`_scan_sparse_best`).
         - **Dense** (the batch's probes cover a large fraction of the stored
           codes, e.g. deep search at high nProbe): one kernel over *all*
           codes, then unprobed cells are masked to ``inf``. Same arithmetic,
@@ -614,10 +612,8 @@ class IVFIndex(VectorIndex):
         probe = self._resolve_probe(nprobe)
         q = queries
         nq = len(q)
-        if use_adc is None:
-            use_adc = self.quantizer.supports_adc(self.metric)
         prune = self._streams_by_default if prune is None else bool(prune)
-        wants_norms = use_adc and self.quantizer.needs_code_sqnorms(self.metric)
+        wants_norms = self.quantizer.needs_code_sqnorms(self.metric)
         masked = dead is not None and len(dead) > 0
         # The one read of the sealed record: everything below scans `s`.
         s = self._warm(sqnorms=wants_norms, radii=prune, positions=masked)
@@ -636,7 +632,7 @@ class IVFIndex(VectorIndex):
             dead_rows = np.sort(s.positions[dead])
         ws = self._workspace
 
-        table = self.quantizer.adc_table(q, self.metric, ws=ws) if use_adc else None
+        table = self.quantizer.adc_table(q, self.metric, ws=ws)
         # Probed work as a fraction of a full scan decides the strategy: the
         # dense kernel costs ~nq * n_codes regardless of probe, the sparse
         # loop costs the probed work plus fixed per-cell overhead. How the
@@ -670,32 +666,30 @@ class IVFIndex(VectorIndex):
             nq=nq,
             nprobe=probe,
             pair_work=pair_work,
-            adc=bool(use_adc),
             reduced=reduced,
         ):
             if strategy == "streaming":
                 out_d, out_i, valid = self._scan_streaming(
-                    s, q, k, probe, probe_cells, cell_dists, use_adc, table, ws, dead_rows
+                    s, q, k, probe, probe_cells, cell_dists, table, ws, dead_rows
                 )
             elif strategy == "dense":
                 out_d, out_i, valid = self._scan_dense(
-                    s, q, k, probe, probe_cells, use_adc, table, ws, dead_rows
+                    s, q, k, probe, probe_cells, table, ws, dead_rows
                 )
             elif reduced:
                 out_d, out_i, valid = self._scan_sparse_best(
-                    s, q, probe, probe_cells, use_adc, table, ws, dead_rows
+                    s, q, probe, probe_cells, table, ws, dead_rows
                 )
             else:
                 out_d, out_i, valid = self._scan_sparse(
-                    s, q, k, probe, probe_cells, use_adc, table, ws, dead_rows
+                    s, q, k, probe, probe_cells, table, ws, dead_rows
                 )
-        if use_adc:
-            bias = table.get("bias")
-            if bias is not None:
-                out_d += bias[:, np.newaxis]
-            if self.metric == "l2":
-                np.maximum(out_d, 0.0, out=out_d)
-            out_d[~valid] = np.inf
+        bias = table.get("bias")
+        if bias is not None:
+            out_d += bias[:, np.newaxis]
+        if self.metric == "l2":
+            np.maximum(out_d, 0.0, out=out_d)
+        out_d[~valid] = np.inf
         ws.flush_stats()
         return out_d, out_i
 
@@ -707,7 +701,7 @@ class IVFIndex(VectorIndex):
     _STREAM_CHUNK = 8
 
     def _scan_streaming(
-        self, s, q, k, probe, probe_cells, cell_dists, use_adc, table, ws, dead_rows
+        self, s, q, k, probe, probe_cells, cell_dists, table, ws, dead_rows
     ):
         """Threshold-pruned scan in ascending centroid-distance order.
 
@@ -737,11 +731,8 @@ class IVFIndex(VectorIndex):
         rmin = s.radius_min
         metric = self.metric
 
-        bias64 = None
-        if use_adc:
-            bias = table.get("bias")
-            if bias is not None:
-                bias64 = bias.astype(np.float64)
+        bias = table.get("bias")
+        bias64 = None if bias is None else bias.astype(np.float64)
         if metric == "ip":
             q64 = q.astype(np.float64)
             qsq = np.einsum("ij,ij->i", q64, q64)
@@ -843,19 +834,14 @@ class IVFIndex(VectorIndex):
             for gq, gs, a, b2 in groups:
                 span = b2 - a
                 codes = s.codes[a:b2]
-                sub_rows = None if len(gq) == nq else gq
-                if use_adc:
-                    dists = self.quantizer.adc_distances(
-                        table,
-                        codes,
-                        rows=sub_rows,
-                        code_sqnorms=None if s.sqnorms is None else s.sqnorms[a:b2],
-                        shifted=True,
-                        ws=ws,
-                    )
-                else:
-                    qg = q if sub_rows is None else q[gq]
-                    dists = pairwise_distance(qg, self.quantizer.decode(codes), metric)
+                dists = self.quantizer.adc_distances(
+                    table,
+                    codes,
+                    rows=None if len(gq) == nq else gq,
+                    code_sqnorms=None if s.sqnorms is None else s.sqnorms[a:b2],
+                    shifted=True,
+                    ws=ws,
+                )
                 if dead_rows is not None:
                     m0, m1 = np.searchsorted(dead_rows, (a, b2))
                     if m1 > m0:
@@ -893,15 +879,12 @@ class IVFIndex(VectorIndex):
             ).inc(blocks_pruned)
         return cur_d, cur_i, np.isfinite(cur_d)
 
-    def _scan_dense(self, s, q, k, probe, probe_cells, use_adc, table, ws, dead_rows):
+    def _scan_dense(self, s, q, k, probe, probe_cells, table, ws, dead_rows):
         """Full-corpus kernel + probe mask; shifted distances, ids, validity."""
         nq = len(q)
-        if use_adc:
-            dists = self.quantizer.adc_distances(
-                table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws
-            )
-        else:
-            dists = pairwise_distance(q, self._decode_chunked(s.codes), self.metric)
+        dists = self.quantizer.adc_distances(
+            table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws
+        )
         if dead_rows is not None:
             dists[:, dead_rows] = np.inf
         if probe < self.nlist:
@@ -949,7 +932,7 @@ class IVFIndex(VectorIndex):
         end = np.searchsorted(dead_rows, hi).tolist()
         return [cols[a:b] for a, b in zip(first, end)]
 
-    def _scan_sparse(self, s, q, k, probe, probe_cells, use_adc, table, ws, dead_rows):
+    def _scan_sparse(self, s, q, k, probe, probe_cells, table, ws, dead_rows):
         """Per-probed-cell kernels scattered into a padded slot-major buffer.
 
         Slot r of query qi owns buffer columns ``[r*width, r*width + size)``
@@ -978,20 +961,14 @@ class IVFIndex(VectorIndex):
             members = order[bounds[b] : bounds[b + 1]]
             q_idx = members // probe
             slot = members % probe
-            codes = s.codes[lo:hi]
-            if use_adc:
-                dists = self.quantizer.adc_distances(
-                    table,
-                    codes,
-                    rows=q_idx,
-                    code_sqnorms=None if s.sqnorms is None else s.sqnorms[lo:hi],
-                    shifted=True,
-                    ws=ws,
-                )
-            else:
-                dists = pairwise_distance(
-                    q[q_idx], self.quantizer.decode(codes), self.metric
-                )
+            dists = self.quantizer.adc_distances(
+                table,
+                s.codes[lo:hi],
+                rows=q_idx,
+                code_sqnorms=None if s.sqnorms is None else s.sqnorms[lo:hi],
+                shifted=True,
+                ws=ws,
+            )
             for j in dead:
                 dists[:, j] = np.inf
             cols = slot[:, np.newaxis] * width + wcols[np.newaxis, : hi - lo]
@@ -1011,7 +988,7 @@ class IVFIndex(VectorIndex):
         )
         return out_d, out_i, valid
 
-    def _scan_sparse_best(self, s, q, probe, probe_cells, use_adc, table, ws, dead_rows):
+    def _scan_sparse_best(self, s, q, probe, probe_cells, table, ws, dead_rows):
         """The sparse scan at ``k == 1`` as a reduction: argmin, not top-k.
 
         A nearest-neighbour query — Hermes's sample search — needs one number
@@ -1031,15 +1008,7 @@ class IVFIndex(VectorIndex):
         offsets = s.offsets
         order, cells, bounds = self._probe_groups(probe_cells)
         pair_q = order // probe
-        if use_adc:
-            fill = self.quantizer.adc_tile_kernel(table, pair_q, ws=ws)
-        else:
-
-            def fill(codes, a, b, code_sqnorms, out):
-                out[...] = pairwise_distance(
-                    q[pair_q[a:b]], self.quantizer.decode(codes), self.metric
-                )
-
+        fill = self.quantizer.adc_tile_kernel(table, pair_q, ws=ws)
         # Group g: pairs bounds[g]:bounds[g+1] against codes lo[g]:hi[g];
         # its (pairs x codes) tile starts at arena offset tile_at[g].
         lo, hi = offsets[cells], offsets[cells + 1]
@@ -1092,25 +1061,19 @@ class IVFIndex(VectorIndex):
         k: int,
         *,
         nprobe: int | None = None,
-        use_adc: bool | None = None,
         prune: bool | None = None,
         dead: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k search, optionally overriding the index's default nProbe.
 
-        ``use_adc=None`` (the default) enables asymmetric distance
-        computation whenever the quantizer supports it for this metric;
-        ``False`` forces the decode-then-GEMM kernel. ``prune=None``
-        auto-enables the streaming threshold-pruned scan for gather codecs
-        (PQ/OPQ); ``True``/``False`` force it on or off for any codec.
-        ``dead`` lists ids (as :meth:`add` assigned them) to leave out: the
-        result is the top-k of the other rows, exactly what an index built
-        without them would return, padded with ``inf`` / ``-1`` when fewer
-        than ``k`` of the probed rows are left.
+        ``prune=None`` auto-enables the streaming threshold-pruned scan for
+        gather codecs (PQ/OPQ); ``True``/``False`` force it on or off for any
+        codec. ``dead`` lists ids (as :meth:`add` assigned them) to leave
+        out: the result is the top-k of the other rows, exactly what an index
+        built without them would return, padded with ``inf`` / ``-1`` when
+        fewer than ``k`` of the probed rows are left.
         """
-        return super().search(
-            queries, k, nprobe=nprobe, use_adc=use_adc, prune=prune, dead=dead
-        )
+        return super().search(queries, k, nprobe=nprobe, prune=prune, dead=dead)
 
     def search_reference(
         self, queries: np.ndarray, k: int, *, nprobe: int | None = None
@@ -1169,27 +1132,3 @@ class IVFIndex(VectorIndex):
         ids = int(self.ntotal) * 8
         cents = 0 if self.centroids is None else self.centroids.size * 4
         return payload + ids + cents
-
-
-@register_index("ivf_flat")
-def ivf_flat(dim: int, metric: str = "l2", **kwargs) -> IVFIndex:
-    """IVF with raw float32 payloads (``IVFFlat``)."""
-    return IVFIndex(dim, metric, quantizer=IdentityQuantizer(dim), **kwargs)
-
-
-@register_index("ivf_sq8")
-def ivf_sq8(dim: int, metric: str = "l2", **kwargs) -> IVFIndex:
-    """IVF with 8-bit scalar quantization — the paper's production index."""
-    return IVFIndex(dim, metric, quantizer=make_quantizer("sq8", dim), **kwargs)
-
-
-@register_index("ivf_sq4")
-def ivf_sq4(dim: int, metric: str = "l2", **kwargs) -> IVFIndex:
-    """IVF with 4-bit scalar quantization."""
-    return IVFIndex(dim, metric, quantizer=make_quantizer("sq4", dim), **kwargs)
-
-
-@register_index("ivf_pq")
-def ivf_pq(dim: int, metric: str = "l2", *, m: int = 8, **kwargs) -> IVFIndex:
-    """IVF with product quantization (``m`` byte codes)."""
-    return IVFIndex(dim, metric, quantizer=make_quantizer(f"pq{m}", dim), **kwargs)

@@ -3,9 +3,9 @@
 The paper's artifact builds indices offline (hours to weeks at their scales)
 and serves them online; this module provides the corresponding serialization
 for our indices using numpy's ``.npz`` container plus a small JSON header.
-Flat and IVF indices (any quantizer) round-trip exactly; a clustered
-datastore persists as one directory with one file per shard plus a manifest
-(see :mod:`repro.core.store_io`).
+IVF indices (any quantizer) round-trip exactly; a clustered datastore
+persists as one directory with one file per shard plus a manifest (see
+:mod:`repro.core.store_io`).
 """
 
 from __future__ import annotations
@@ -15,21 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flat import FlatIndex
-from .ivf import FORMAT_VERSION, IVFIndex, check_format
-
-
-def save_flat(index: FlatIndex, path: "str | Path") -> None:
-    """Persist a Flat index to *path* (.npz)."""
-    header = json.dumps(
-        {
-            "format": FORMAT_VERSION,
-            "type": "flat",
-            "dim": index.dim,
-            "metric": index.metric,
-        }
-    )
-    np.savez_compressed(path, header=header, vectors=index.vectors)
+from .ivf import IVFIndex, check_format
 
 
 def save_ivf(index: IVFIndex, path: "str | Path") -> None:
@@ -43,17 +29,11 @@ def save_ivf(index: IVFIndex, path: "str | Path") -> None:
     np.savez_compressed(path, header=json.dumps(header), **arrays)
 
 
-def load_index(path: "str | Path") -> "FlatIndex | IVFIndex":
-    """Load an index saved by :func:`save_flat` or :func:`save_ivf`."""
+def load_index(path: "str | Path") -> IVFIndex:
+    """Load an index saved by :func:`save_ivf`."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
-        if header.get("type") == "ivf":
-            return IVFIndex.from_state(header, data)
         check_format(header.get("format"))
-        if header.get("type") != "flat":
+        if header.get("type") != "ivf":
             raise ValueError(f"unknown index type {header.get('type')!r}")
-        index = FlatIndex(header["dim"], header["metric"])
-        vectors = data["vectors"]
-        if len(vectors):
-            index.add(vectors)
-        return index
+        return IVFIndex.from_state(header, data)

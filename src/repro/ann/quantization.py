@@ -26,13 +26,15 @@ from .parallel import run_tasks
 class Quantizer(abc.ABC):
     """Lossy codec mapping float32 vectors to compact codes and back.
 
-    Besides the ``train`` / ``encode`` / ``decode`` triple, codecs may expose
-    **asymmetric distance computation** (ADC): distances are evaluated
-    directly between a float query and stored codes, without materialising the
-    decoded vectors.  ``adc_table`` precomputes per-query state (for PQ/OPQ a
-    genuine ``(nq, m, ksub)`` lookup table; for scalar quantizers the
-    closed-form affine equivalent of the per-dimension table) and
-    ``adc_distances`` evaluates it against a block of codes.
+    Besides the ``train`` / ``encode`` / ``decode`` triple, every codec
+    implements **asymmetric distance computation** (ADC) for both metrics:
+    distances are evaluated directly between a float query and stored codes,
+    without materialising the decoded vectors.  ``adc_table`` precomputes
+    per-query state (for PQ/OPQ a genuine ``(nq, m, ksub)`` lookup table; for
+    scalar quantizers the closed-form affine equivalent of the per-dimension
+    table) and ``adc_distances`` evaluates it against a block of codes. ADC
+    is the only kernel the IVF and delta scans run, so a codec that cannot do
+    it cannot be stored in an IVF index.
     """
 
     #: short name used in reports (e.g. the rows of Table 1)
@@ -75,11 +77,6 @@ class Quantizer(abc.ABC):
         raise TypeError(f"cannot serialize quantizer type {type(self).__name__}")
 
     # -- asymmetric distance computation ----------------------------------
-    def supports_adc(self, metric: str) -> bool:
-        """Whether :meth:`adc_distances` is implemented for *metric*."""
-        del metric
-        return False
-
     def needs_code_sqnorms(self, metric: str) -> bool:
         """Whether ADC for *metric* wants precomputed ``|decode(code)|^2``.
 
@@ -90,6 +87,7 @@ class Quantizer(abc.ABC):
         del metric
         return False
 
+    @abc.abstractmethod
     def adc_table(self, queries: np.ndarray, metric: str, *, ws=None):
         """Precompute per-query ADC state for a batch of float queries.
 
@@ -104,8 +102,8 @@ class Quantizer(abc.ABC):
         the arena instead of freshly allocated, and stays valid until the
         next ``adc_table`` call against the same workspace.
         """
-        raise NotImplementedError(f"{type(self).__name__} does not support ADC")
 
+    @abc.abstractmethod
     def adc_distances(
         self,
         table,
@@ -129,7 +127,6 @@ class Quantizer(abc.ABC):
         the same workspace — scan loops must scatter/copy it out before the
         next cell.
         """
-        raise NotImplementedError(f"{type(self).__name__} does not support ADC")
 
     def adc_tile_kernel(self, table, rows: np.ndarray, *, ws=None):
         """``tile(codes, a, b, code_sqnorms, out)`` for a cell-major scan.
@@ -226,9 +223,6 @@ class IdentityQuantizer(Quantizer):
     # Identity "ADC" degenerates to the plain kernel on the raw payload; it
     # exists so IVF's fast path is uniform across quantizers. Precomputed
     # code norms plus the shifted form still save the per-cell norm terms.
-    def supports_adc(self, metric: str) -> bool:
-        return metric in ("l2", "ip")
-
     def needs_code_sqnorms(self, metric: str) -> bool:
         return metric == "l2"
 
@@ -347,9 +341,6 @@ class ScalarQuantizer(Quantizer):
     #   q . decode = (q * scale) . L + q . vmin
     # One GEMM against the raw levels replaces reconstruct-then-GEMM; for L2
     # the ``|decode|^2`` term is the caller-precomputed ``code_sqnorms``.
-    def supports_adc(self, metric: str) -> bool:
-        return metric in ("l2", "ip")
-
     def needs_code_sqnorms(self, metric: str) -> bool:
         return metric == "l2"
 
@@ -511,9 +502,6 @@ class ProductQuantizer(Quantizer):
     # distance from each query subvector to every codeword — an
     # ``(nq, m, ksub)`` table — then the distance to a stored code is m table
     # lookups summed, never touching the reconstructed vector.
-    def supports_adc(self, metric: str) -> bool:
-        return metric in ("l2", "ip")
-
     def adc_table(self, queries: np.ndarray, metric: str, *, ws=None):
         validate_metric(metric)
         if not self.is_trained:
@@ -655,9 +643,6 @@ class OPQQuantizer(Quantizer):
     # The rotation is orthogonal, so |q - dec R^T|^2 = |q R - dec|^2 and
     # q . (dec R^T) = (q R) . dec: rotating the query reduces OPQ ADC to PQ
     # ADC on the rotated query — the asymmetry does all the work.
-    def supports_adc(self, metric: str) -> bool:
-        return metric in ("l2", "ip")
-
     def adc_table(self, queries: np.ndarray, metric: str, *, ws=None):
         if not self.is_trained:
             raise RuntimeError(f"{type(self).__name__} must be trained before adc_table()")

@@ -1,27 +1,17 @@
 """Baselines the paper compares Hermes against.
 
-Monolithic single-index retrieval, the naive broadcast split, PipeRAG
-pipelining, and RAGCache prefix caching (plus their combination with Hermes).
+Monolithic single-index retrieval and the RAGCache prefix-cache analyses.
+The naive broadcast split is :class:`repro.core.hierarchical.ExhaustiveSplitSearcher`
+over :func:`repro.core.clustering.split_datastore_evenly`; the PipeRAG and
+RAGCache serving disciplines are the ``pipelined`` / ``prefix_cached`` flags
+of :class:`repro.llm.generation.GenerationConfig`.
 """
 
 from .monolithic import MonolithicRetriever
-from .naive_split import NaiveSplitRetriever
-from .piperag import adaptive_nprobe, piperag_config, quality_proxy
-from .ragcache import (
-    combined_config,
-    ragcache_config,
-    simulate_cache_hit_rate,
-    stride_overlap_fraction,
-)
+from .ragcache import simulate_cache_hit_rate, stride_overlap_fraction
 
 __all__ = [
     "MonolithicRetriever",
-    "NaiveSplitRetriever",
-    "adaptive_nprobe",
-    "piperag_config",
-    "quality_proxy",
-    "combined_config",
-    "ragcache_config",
     "simulate_cache_hit_rate",
     "stride_overlap_fraction",
 ]

@@ -11,22 +11,9 @@ trace, which determines how much of the ideal saving a real deployment gets.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from ..llm.generation import GenerationConfig
 from ..llm.kvcache import PrefixCache
-
-
-def ragcache_config(base: GenerationConfig) -> GenerationConfig:
-    """The RAGCache serving discipline: ideal prefix caching, no pipelining."""
-    return replace(base, prefix_cached=True)
-
-
-def combined_config(base: GenerationConfig) -> GenerationConfig:
-    """Hermes/PipeRAG/RAGCache stack: pipelining + prefix caching together."""
-    return replace(base, pipelined=True, prefix_cached=True)
 
 
 def stride_overlap_fraction(stride_results: list[np.ndarray]) -> float:

@@ -14,7 +14,6 @@ from .build_cache import (
 from .clustering import (
     ClusteredDatastore,
     IndexShard,
-    assign_queries_to_shards,
     cluster_datastore,
     split_datastore_evenly,
 )
@@ -43,14 +42,11 @@ from .router import (
     AllRouter,
     CentroidRouter,
     ClusterRouter,
-    LoadAwareRouter,
     RoutingDecision,
     SampledRouter,
 )
-from .rerank import CrossInteractionReranker, Reranker, SimilarityReranker
 from .scheduler import HermesScheduler, routing_to_batch
 from .store_io import load_datastore, save_datastore
-from .session import SessionTrace, StridedRAGSession, StrideStep
 
 __all__ = [
     "BuildCache",
@@ -59,7 +55,6 @@ __all__ = [
     "cached_cluster_datastore",
     "ClusteredDatastore",
     "IndexShard",
-    "assign_queries_to_shards",
     "cluster_datastore",
     "split_datastore_evenly",
     "HermesConfig",
@@ -85,17 +80,10 @@ __all__ = [
     "AllRouter",
     "CentroidRouter",
     "ClusterRouter",
-    "LoadAwareRouter",
     "RoutingDecision",
     "SampledRouter",
-    "CrossInteractionReranker",
-    "Reranker",
-    "SimilarityReranker",
     "HermesScheduler",
     "routing_to_batch",
     "load_datastore",
     "save_datastore",
-    "SessionTrace",
-    "StridedRAGSession",
-    "StrideStep",
 ]

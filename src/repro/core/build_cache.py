@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ann.distances import as_matrix
-from ..ann.persistence import FORMAT_VERSION
+from ..ann.ivf import FORMAT_VERSION
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .clustering import ClusteredDatastore, cluster_datastore

@@ -23,7 +23,7 @@ from typing import ContextManager, Protocol
 import numpy as np
 
 from ..ann.delta import DeltaIndex
-from ..ann.distances import as_matrix, pairwise_distance, top_k
+from ..ann.distances import as_matrix, top_k
 from ..ann.ivf import IVFIndex
 from ..ann.kmeans import KMeansResult, assign_to_centroids, kmeans_seed_sweep
 from ..ann.parallel import run_tasks
@@ -485,9 +485,10 @@ class ClusteredDatastore:
         The whole point of RAG is a *mutable* datastore that absorbs new
         information without retraining; Hermes must therefore accept inserts
         after the offline split. Each new document goes to the shard with the
-        nearest centroid (the same rule queries route by), gets appended to
-        that shard's IVF index, and nudges the shard centroid as a running
-        mean. Returns the assigned global ids.
+        nearest centroid (the same rule queries route by), lands in that
+        shard's delta memtable (:class:`~repro.ann.delta.DeltaIndex`, folded
+        into the sealed IVF index at the next compaction), and nudges the
+        shard centroid as a running mean. Returns the assigned global ids.
 
         Sustained skewed ingest grows the imbalance the seed sweep minimised;
         callers can watch :attr:`imbalance` and re-split offline when it
@@ -733,10 +734,3 @@ def split_datastore_evenly(
         shards=shards, config=config, clustering=None, assignments=assignments
     )
 
-
-def assign_queries_to_shards(
-    datastore: ClusteredDatastore, queries: np.ndarray
-) -> np.ndarray:
-    """Nearest-centroid shard per query (diagnostics / centroid routing)."""
-    dists = pairwise_distance(queries, datastore.centroids(), datastore.config.metric)
-    return dists.argmin(axis=1)

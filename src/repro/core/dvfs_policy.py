@@ -13,17 +13,19 @@ that slack into energy savings:
   to the *inference latency* instead (18.8-22.1% savings, 19.6% at the
   evaluated 3-clusters-searched point).
 
-This module evaluates both policies for a scheduler/batch and reports the
-savings breakdown used by Fig. 21.
+This module is the one statement of that rule: :func:`evaluate_dvfs` costs
+a batch under none / baseline / enhanced DVFS on a fleet model, for Fig. 21's
+expected loads and for a scheduler's routed batch alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from ..perfmodel.aggregate import DistributedRetrievalResult, DVFSPolicy
-from .router import RoutingDecision
-from .scheduler import HermesScheduler
+import numpy as np
+
+from ..perfmodel.aggregate import DistributedRetrievalResult, DVFSPolicy, MultiNodeModel
 
 
 @dataclass(frozen=True)
@@ -46,34 +48,44 @@ class DVFSComparison:
 
 
 def evaluate_dvfs(
-    scheduler: HermesScheduler,
-    decision: RoutingDecision,
+    model: MultiNodeModel,
+    batch: int,
+    deep_loads: np.ndarray,
     *,
     inference_latency_s: float,
+    sample_nprobe: int = 8,
+    deep_nprobe: int = 128,
 ) -> DVFSComparison:
-    """Run one batch under no/baseline/enhanced DVFS.
+    """Cost one batch under no/baseline/enhanced DVFS.
 
+    ``deep_loads[i]`` is how many of the batch's queries deep-search node
+    *i* (expected loads, or a routed batch's
+    :meth:`~repro.perfmodel.trace.BatchRouting.node_loads`).
     ``inference_latency_s`` is the pipelined inference window (prefill +
     stride decode) that enhanced DVFS may stretch retrieval into; baseline
     DVFS only exploits intra-batch slack.
     """
     if inference_latency_s <= 0:
         raise ValueError("inference_latency_s must be positive")
+
+    hermes = partial(
+        model.hermes,
+        batch,
+        deep_loads,
+        sample_nprobe=sample_nprobe,
+        deep_nprobe=deep_nprobe,
+    )
     # In steady-state pipelined serving the batch period is the slower of
     # deep search at max frequency and the inference window; all policies pay
     # idle power over that same period so the comparison isolates the
     # dynamic-energy savings DVFS actually buys.
-    at_max = scheduler.dispatch(decision, dvfs=DVFSPolicy.NONE, record=False)
-    period = max(inference_latency_s, at_max.deep.latency_s)
-    none = scheduler.dispatch(decision, dvfs=DVFSPolicy.NONE, period_s=period)
-    baseline = scheduler.dispatch(
-        decision, dvfs=DVFSPolicy.BASELINE, period_s=period, record=False
+    period = max(inference_latency_s, hermes(dvfs=DVFSPolicy.NONE).deep.latency_s)
+    return DVFSComparison(
+        none=hermes(dvfs=DVFSPolicy.NONE, period_s=period),
+        baseline=hermes(dvfs=DVFSPolicy.BASELINE, period_s=period),
+        enhanced=hermes(
+            dvfs=DVFSPolicy.ENHANCED,
+            latency_target_s=inference_latency_s,
+            period_s=period,
+        ),
     )
-    enhanced = scheduler.dispatch(
-        decision,
-        dvfs=DVFSPolicy.ENHANCED,
-        latency_target_s=inference_latency_s,
-        period_s=period,
-        record=False,
-    )
-    return DVFSComparison(none=none, baseline=baseline, enhanced=enhanced)

@@ -487,8 +487,8 @@ class HierarchicalSearcher:
 
         ``routing`` reuses a prior batch's :class:`RoutingDecision` instead
         of re-running the sample-search fan-out — the serve-time hook behind
-        the routing cache tier and stride-aware sessions (near-duplicate
-        queries route identically, so the cheap probes are pure overhead).
+        the routing cache tier (near-duplicate queries route identically, so
+        the cheap probes are pure overhead).
         The decision must cover this batch (same ``batch_size``) and have
         been produced against this datastore. Reuse is an optimisation, not
         a contract: if the reused decision routes to a shard that is now

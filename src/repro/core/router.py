@@ -183,74 +183,3 @@ class AllRouter(ClusterRouter):
             scores[:, dead] = np.inf
         return RoutingDecision(clusters=clusters, scores=scores)
 
-
-class LoadAwareRouter(ClusterRouter):
-    """Routing extension: break near-ties toward cheaper/colder nodes.
-
-    Hermes's Fig. 13 shows hot clusters absorb >2x the deep-search traffic
-    of cold ones, which caps fleet throughput at the hottest node. Often the
-    router's choice is *nearly indifferent* — several clusters' sampled
-    documents score within a whisker of each other — and any of them would
-    satisfy the query. This wrapper exploits that: among clusters whose
-    routing score is within ``slack`` of the would-be cut-off, it prefers the
-    ones with lower ``node_costs`` (e.g. recent load, queue depth, or a
-    slower platform), flattening the access skew at bounded accuracy cost.
-
-    This is an extension beyond the paper (its scheduler routes purely by
-    similarity and reclaims the imbalance with DVFS); the test suite
-    quantifies the trade-off.
-    """
-
-    name = "load-aware"
-
-    def __init__(
-        self,
-        base: ClusterRouter,
-        node_costs: np.ndarray,
-        *,
-        slack: float = 0.05,
-    ) -> None:
-        if slack < 0:
-            raise ValueError("slack must be non-negative")
-        self.base = base
-        self.node_costs = np.asarray(node_costs, dtype=np.float64)
-        self.slack = slack
-
-    def route(
-        self,
-        queries: np.ndarray,
-        datastore: ClusteredDatastore,
-        m: int,
-        *,
-        exclude: frozenset = frozenset(),
-    ) -> RoutingDecision:
-        if len(self.node_costs) != datastore.n_clusters:
-            raise ValueError(
-                f"node_costs has {len(self.node_costs)} entries for "
-                f"{datastore.n_clusters} clusters"
-            )
-        base = self.base.route(queries, datastore, m, exclude=exclude)
-        m_eff = base.fanout
-        scores = base.scores
-        nq, n = scores.shape
-        clusters = np.empty((nq, m_eff), dtype=np.int64)
-        for qi in range(nq):
-            row = scores[qi]
-            finite = np.isfinite(row)
-            order = np.argsort(row)
-            cutoff = row[order[m_eff - 1]]
-            # Tie window scoped to the local decision: the spread among the
-            # top-2m candidates, not the whole fleet — only genuinely
-            # near-equivalent clusters may swap in.
-            local = order[: min(2 * m_eff, int(finite.sum()))]
-            spread = float(row[local[-1]] - row[local[0]]) if len(local) > 1 else 0.0
-            threshold = cutoff + self.slack * max(spread, 0.0)
-            eligible = np.flatnonzero(finite & (row <= threshold))
-            # Keep m: prefer low node cost, tie-break by routing score.
-            ranked = sorted(
-                eligible, key=lambda c: (self.node_costs[c], row[c])
-            )[:m_eff]
-            # Preserve relevance order within the final pick.
-            ranked = sorted(ranked, key=lambda c: row[c])
-            clusters[qi] = np.asarray(ranked, dtype=np.int64)
-        return RoutingDecision(clusters=clusters, scores=scores)

@@ -81,19 +81,14 @@ class HermesScheduler:
         *,
         dvfs: DVFSPolicy = DVFSPolicy.NONE,
         latency_target_s: float | None = None,
-        period_s: float | None = None,
-        record: bool = True,
     ) -> DistributedRetrievalResult:
         """Model one batch's retrieval cost from its routing decision.
 
         Records the batch in the scheduler's access trace (the paper's
-        Fig. 13/15 artefact) unless ``record=False`` (e.g. when re-costing
-        the same batch under several DVFS policies), and returns the fleet
-        latency/energy.
+        Fig. 13/15 artefact) and returns the fleet latency/energy.
         """
         batch_routing = routing_to_batch(decision)
-        if record:
-            self.trace.record(batch_routing)
+        self.trace.record(batch_routing)
         loads = batch_routing.node_loads(self.datastore.n_clusters)
         return self.model.hermes(
             decision.batch_size,
@@ -102,7 +97,6 @@ class HermesScheduler:
             deep_nprobe=self.config.deep_nprobe,
             dvfs=dvfs,
             latency_target_s=latency_target_s,
-            period_s=period_s,
         )
 
     def naive_dispatch(self, batch: int) -> DistributedRetrievalResult:

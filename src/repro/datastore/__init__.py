@@ -15,7 +15,6 @@ from .corpus import (
     TokenVocabulary,
     chunk_documents,
     datastore_tokens,
-    tokens_to_vectors,
 )
 from .embeddings import (
     DEFAULT_DIM,
@@ -29,7 +28,6 @@ from .queries import (
     QuerySet,
     natural_questions_queries,
     trivia_queries,
-    uniform_random_queries,
 )
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "TokenVocabulary",
     "chunk_documents",
     "datastore_tokens",
-    "tokens_to_vectors",
     "DEFAULT_DIM",
     "SyntheticCorpus",
     "TopicModel",
@@ -53,5 +50,4 @@ __all__ = [
     "QuerySet",
     "natural_questions_queries",
     "trivia_queries",
-    "uniform_random_queries",
 ]

@@ -158,9 +158,3 @@ def datastore_tokens(chunks: list[Chunk]) -> int:
     """Total token count of a chunked datastore (the paper's size axis)."""
     return int(sum(len(c) for c in chunks))
 
-
-def tokens_to_vectors(n_tokens: float, *, chunk_tokens: int = DEFAULT_CHUNK_TOKENS) -> float:
-    """Convert a datastore size in tokens to its vector (chunk) count."""
-    if chunk_tokens <= 0:
-        raise ValueError(f"chunk_tokens must be positive, got {chunk_tokens}")
-    return n_tokens / chunk_tokens

@@ -51,61 +51,22 @@ class SyntheticEncoder:
     seed:
         Global seed mixed into every token hash; two encoders with the same
         ``(dim, seed)`` are bit-identical functions.
-    semantic_vocab / semantic_weight:
-        Optional distributional-similarity structure: tokens belonging to the
-        same topic pool of the given
-        :class:`~repro.datastore.corpus.TokenVocabulary` share a topic
-        direction blended into their hash vector with weight
-        ``semantic_weight``. This is what lets dense retrieval match
-        *synonymous* (same-topic, non-overlapping) text the way trained
-        embeddings do — used by the sparse-vs-dense background experiments.
-        Common and out-of-vocabulary tokens stay pure hash noise.
     """
 
-    def __init__(
-        self,
-        dim: int = DEFAULT_DIM,
-        *,
-        seed: int = 0,
-        semantic_vocab=None,
-        semantic_weight: float = 0.0,
-    ) -> None:
+    def __init__(self, dim: int = DEFAULT_DIM, *, seed: int = 0) -> None:
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
-        if not 0.0 <= semantic_weight < 1.0:
-            raise ValueError("semantic_weight must be in [0, 1)")
-        if semantic_weight > 0 and semantic_vocab is None:
-            raise ValueError("semantic_weight requires a semantic_vocab")
         self.dim = dim
         self.seed = seed
-        self.semantic_vocab = semantic_vocab
-        self.semantic_weight = semantic_weight
         self._cache: dict[int, np.ndarray] = {}
-        self._topic_cache: dict[int, np.ndarray] = {}
 
     # -- token-level --------------------------------------------------------
-    def _topic_direction(self, topic: int) -> np.ndarray:
-        vec = self._topic_cache.get(topic)
-        if vec is None:
-            rng = np.random.default_rng((self.seed << 16) ^ 0xA11CE ^ topic)
-            vec = normalize(rng.normal(size=self.dim))[0].astype(np.float32)
-            self._topic_cache[topic] = vec
-        return vec
-
     def token_vector(self, token: int) -> np.ndarray:
         """Fixed unit vector for a token id (memoised)."""
         vec = self._cache.get(token)
         if vec is None:
             rng = np.random.default_rng((self.seed << 32) ^ (int(token) + 1))
             vec = normalize(rng.normal(size=self.dim))[0].astype(np.float32)
-            if self.semantic_weight > 0 and token < self.semantic_vocab.size:
-                topic = self.semantic_vocab.topic_of_token(int(token))
-                if topic >= 0:
-                    blended = (
-                        self.semantic_weight * self._topic_direction(topic)
-                        + (1.0 - self.semantic_weight) * vec
-                    )
-                    vec = normalize(blended)[0].astype(np.float32)
             self._cache[token] = vec
         return vec
 

@@ -95,20 +95,3 @@ def natural_questions_queries(
     )
     return QuerySet(name="nq-like", embeddings=emb, topics=topics)
 
-
-def uniform_random_queries(
-    dim: int, n_queries: int = 512, *, seed: int = 300
-) -> QuerySet:
-    """Structure-free control workload (no topic alignment).
-
-    Useful for adversarial tests: hierarchical routing should degrade
-    gracefully, not catastrophically, when queries carry no topic signal.
-    """
-    rng = np.random.default_rng(seed)
-    emb = rng.normal(size=(n_queries, dim)).astype(np.float32)
-    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    return QuerySet(
-        name="uniform-random",
-        embeddings=emb,
-        topics=np.full(n_queries, -1, dtype=np.int64),
-    )

@@ -16,7 +16,7 @@ import math
 
 from ..llm.generation import GenerationConfig, constant_retrieval, simulate_generation
 from ..llm.inference import InferenceModel
-from ..llm.perplexity import PERPLEXITY_CURVES
+from ..llm.perplexity import PERPLEXITY_CURVES, perplexity_vs_stride
 from ..metrics.reporting import FigureResult
 from .common import monolithic_retrieval_cost
 
@@ -31,7 +31,7 @@ def perplexity_panel(strides: tuple[int, ...] = STRIDES) -> FigureResult:
         description="Perplexity vs retrieval stride (model law fit to Fig. 5)",
     )
     for curve in PERPLEXITY_CURVES.values():
-        fig.add(curve.name, strides, [curve.perplexity(s) for s in strides])
+        fig.add(curve.name, strides, perplexity_vs_stride(curve, strides))
     # The paper's claim: RETRO 578M at its optimal stride (4) matches GPT-2
     # 1.5B despite ~2.6x fewer parameters.
     retro4 = PERPLEXITY_CURVES["retro_578m"].perplexity(4)

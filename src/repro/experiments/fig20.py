@@ -80,30 +80,3 @@ def best_platform(points: list[PlatformPoint], *, clusters_searched: int = 3) ->
     eligible = [p for p in points if p.clusters_searched == clusters_searched]
     return min(eligible, key=lambda p: p.latency_s).label
 
-
-def equalizing_batch(
-    cpu_key: str,
-    target_qps: float,
-    *,
-    shard_tokens: float = 1e9,
-    max_batch: int = 2048,
-) -> int | None:
-    """Smallest batch size at which a platform reaches *target_qps*.
-
-    The paper's Fig. 20 observation: "by optimizing batch sizes, we can
-    equalize throughput across various hardware platforms" — the ARM part's
-    80 cores let large batches recover the throughput its weaker cores lose
-    at batch 32. Returns ``None`` when even ``max_batch`` falls short.
-    """
-    from ..hardware.cpu import get_cpu
-    from ..perfmodel.measurements import RetrievalCostModel
-
-    if target_qps <= 0:
-        raise ValueError("target_qps must be positive")
-    cost = RetrievalCostModel(platform=get_cpu(cpu_key))
-    batch = 1
-    while batch <= max_batch:
-        if cost.throughput_qps(shard_tokens, batch) >= target_qps:
-            return batch
-        batch *= 2
-    return None

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.dvfs_policy import DVFSComparison, evaluate_dvfs
 from ..llm.generation import GenerationConfig, inference_block_s
 from ..llm.inference import InferenceModel
-from ..perfmodel.aggregate import DVFSPolicy, expected_deep_loads
+from ..perfmodel.aggregate import expected_deep_loads
 from .common import FleetSetup, build_fleet
 
 CLUSTER_SWEEP = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
@@ -29,21 +30,22 @@ DEFAULT_TOTAL_TOKENS = 20e9
 
 
 @dataclass(frozen=True)
-class DVFSPoint:
-    """Energy of the three policies at one fan-out."""
+class DVFSPoint(DVFSComparison):
+    """The three-policy comparison at one fan-out."""
 
     clusters_searched: int
-    energy_none_j: float
-    energy_baseline_j: float
-    energy_enhanced_j: float
 
     @property
-    def baseline_savings(self) -> float:
-        return 1.0 - self.energy_baseline_j / self.energy_none_j
+    def energy_none_j(self) -> float:
+        return self.none.energy_j
 
     @property
-    def enhanced_savings(self) -> float:
-        return 1.0 - self.energy_enhanced_j / self.energy_none_j
+    def energy_baseline_j(self) -> float:
+        return self.baseline.energy_j
+
+    @property
+    def energy_enhanced_j(self) -> float:
+        return self.enhanced.energy_j
 
 
 def run(
@@ -61,32 +63,9 @@ def run(
     points = []
     for m in clusters:
         loads = expected_deep_loads(batch, fleet.access_frequency, m)
-        # Pipelined serving sets a common batch period (the slower of the
-        # deep search at max frequency and the inference window); all three
-        # policies pay idle power over that same period so the comparison
-        # isolates dynamic-energy savings.
-        at_max = fleet.model.hermes(batch, loads, dvfs=DVFSPolicy.NONE)
-        period = max(window, at_max.deep.latency_s)
-        none = fleet.model.hermes(
-            batch, loads, dvfs=DVFSPolicy.NONE, period_s=period
-        )
-        base = fleet.model.hermes(
-            batch, loads, dvfs=DVFSPolicy.BASELINE, period_s=period
-        )
-        enhanced = fleet.model.hermes(
-            batch,
-            loads,
-            dvfs=DVFSPolicy.ENHANCED,
-            latency_target_s=window,
-            period_s=period,
-        )
+        cmp = evaluate_dvfs(fleet.model, batch, loads, inference_latency_s=window)
         points.append(
-            DVFSPoint(
-                clusters_searched=m,
-                energy_none_j=none.energy_j,
-                energy_baseline_j=base.energy_j,
-                energy_enhanced_j=enhanced.energy_j,
-            )
+            DVFSPoint(cmp.none, cmp.baseline, cmp.enhanced, clusters_searched=m)
         )
     return points
 

@@ -16,10 +16,8 @@ from .cpu import (
 )
 from .dvfs import (
     DVFSOperatingPoint,
-    energy_optimal_frequency,
     frequency_for_target,
     operating_point,
-    scaled_energy,
 )
 from .gpu import (
     A6000_ADA,
@@ -41,10 +39,8 @@ __all__ = [
     "CPUPlatform",
     "get_cpu",
     "DVFSOperatingPoint",
-    "energy_optimal_frequency",
     "frequency_for_target",
     "operating_point",
-    "scaled_energy",
     "A6000_ADA",
     "GPU_PLATFORMS",
     "L4",

@@ -65,39 +65,3 @@ def operating_point(
         energy_j=power * latency,
     )
 
-
-def energy_optimal_frequency(
-    platform: CPUPlatform, *, utilization: float = 1.0
-) -> float:
-    """Frequency minimising energy-to-completion for a standalone node.
-
-    Energy at frequency f is ``idle * t_max * fmax/f + dyn * t_max * (f/fmax)^2``
-    (idle power is paid longer when running slower; dynamic energy shrinks
-    quadratically). The minimum sits at
-    ``f* = fmax * (idle / (2 * dyn * utilization))^(1/3)``; below it the idle
-    term dominates and slowing further *wastes* energy.
-    """
-    dyn = (platform.active_power_w - platform.idle_power_w) * max(utilization, 1e-9)
-    ratio = (platform.idle_power_w / (2.0 * dyn)) ** (1.0 / 3.0)
-    freq = platform.max_freq_ghz * ratio
-    return min(max(freq, platform.min_freq_ghz), platform.max_freq_ghz)
-
-
-def scaled_energy(
-    platform: CPUPlatform,
-    busy_time_at_max_s: float,
-    target_latency_s: float,
-    *,
-    utilization: float = 1.0,
-) -> DVFSOperatingPoint:
-    """Energy-optimal operating point meeting a latency target.
-
-    Slows down as far as the target allows, but never below the
-    energy-optimal frequency — running slower than that would pay more idle
-    energy than the dynamic power it saves.
-    """
-    floor = energy_optimal_frequency(platform, utilization=utilization)
-    freq = max(
-        frequency_for_target(platform, busy_time_at_max_s, target_latency_s), floor
-    )
-    return operating_point(platform, busy_time_at_max_s, freq, utilization=utilization)

@@ -12,7 +12,7 @@ from .generation import (
     simulate_generation,
     steady_state_throughput_qps,
 )
-from .inference import InferenceModel, StageCost, effective_decode_interval
+from .inference import InferenceModel, StageCost
 from .kvcache import CacheStats, IdealPrefixCache, PrefixCache
 from .models import GEMMA2_9B, MODELS, OPT_30B, PHI_1_5, ModelSpec, get_model
 from .perplexity import (
@@ -33,7 +33,6 @@ __all__ = [
     "steady_state_throughput_qps",
     "InferenceModel",
     "StageCost",
-    "effective_decode_interval",
     "CacheStats",
     "IdealPrefixCache",
     "PrefixCache",

@@ -139,13 +139,3 @@ class InferenceModel:
         dec = self.decode(batch, output_tokens)
         return pre.latency_s + dec.latency_s
 
-
-def effective_decode_interval(model: InferenceModel, batch: int, stride: int) -> float:
-    """Time between successive retrievals during decode (one stride batch).
-
-    This is the window Hermes targets when sizing clusters so retrieval hides
-    under inference (Fig. 10's "pipeline gap").
-    """
-    if stride <= 0:
-        raise ValueError(f"stride must be positive, got {stride}")
-    return model.decode(batch, stride).latency_s

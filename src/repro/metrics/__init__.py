@@ -1,24 +1,16 @@
 """Evaluation metrics: NDCG, recall, and report formatting."""
 
 from .ndcg import dcg, ndcg, ndcg_single
-from .recall import recall_at_k, recall_curve
-from .reporting import (
-    FigureResult,
-    Series,
-    format_table,
-    normalize_to_baseline,
-    speedup,
-)
+from .recall import recall_at_k
+from .reporting import FigureResult, Series, format_table, speedup
 
 __all__ = [
     "dcg",
     "ndcg",
     "ndcg_single",
     "recall_at_k",
-    "recall_curve",
     "FigureResult",
     "Series",
     "format_table",
-    "normalize_to_baseline",
     "speedup",
 ]

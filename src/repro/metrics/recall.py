@@ -28,16 +28,3 @@ def recall_at_k(retrieved_ids: np.ndarray, truth_ids: np.ndarray) -> float:
         raise ValueError("ground truth contains no valid ids")
     return hits / total
 
-
-def recall_curve(
-    retrieved_ids: np.ndarray, truth_ids: np.ndarray, ks: tuple[int, ...]
-) -> dict[int, float]:
-    """Recall@k for several cutoffs at once (truncating both rankings)."""
-    out = {}
-    for k in ks:
-        if k <= 0:
-            raise ValueError(f"cutoffs must be positive, got {k}")
-        out[k] = recall_at_k(
-            np.atleast_2d(retrieved_ids)[:, :k], np.atleast_2d(truth_ids)[:, :k]
-        )
-    return out

@@ -137,9 +137,3 @@ def speedup(baseline: float, improved: float) -> float:
         raise ValueError(f"improved value must be positive, got {improved}")
     return baseline / improved
 
-
-def normalize_to_baseline(values: Sequence[float], baseline: float) -> list[float]:
-    """Scale a series so the baseline maps to 1.0 (paper's normalised plots)."""
-    if baseline <= 0:
-        raise ValueError(f"baseline must be positive, got {baseline}")
-    return [v / baseline for v in values]

@@ -3,8 +3,8 @@
 ``repro.obs`` is a deliberately dependency-free subsystem (numpy + stdlib
 only — CI enforces it) with three parts:
 
-- :mod:`repro.obs.trace` — hierarchical spans with clock injection and
-  JSON / Chrome-tracing exporters;
+- :mod:`repro.obs.trace` — hierarchical spans with clock injection and a
+  Chrome-tracing exporter;
 - :mod:`repro.obs.metrics` — a process-local registry of counters, gauges,
   and fixed-bucket histograms with labels;
 - :mod:`repro.obs.validate` — the latency-accounting invariants the test
@@ -33,7 +33,6 @@ from .trace import (
     enable_tracing,
     get_tracer,
     set_tracer,
-    spans_to_json,
     trace_skeleton,
 )
 from .validate import TraceInvariantError, validate_span_tree, validate_trace
@@ -50,7 +49,6 @@ __all__ = [
     "Span",
     "Tracer",
     "chrome_trace",
-    "spans_to_json",
     "trace_skeleton",
     "get_tracer",
     "set_tracer",

@@ -5,8 +5,8 @@ into sample search, routing, deep search, rerank, and inference (Figs. 7,
 12, 14, 16) — so the reproduction needs a way to see those stages rather
 than scrape them out of ad-hoc timing dicts. This module is the span half of
 ``repro.obs``: a zero-dependency (numpy + stdlib only) tracer producing
-trees of timed spans, exportable to plain JSON or the Chrome
-``chrome://tracing`` / Perfetto event format.
+trees of timed spans, exportable to the Chrome ``chrome://tracing`` /
+Perfetto event format.
 
 Design points:
 
@@ -33,7 +33,6 @@ Design points:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -47,7 +46,6 @@ __all__ = [
     "set_tracer",
     "enable_tracing",
     "disable_tracing",
-    "spans_to_json",
     "chrome_trace",
     "trace_skeleton",
 ]
@@ -135,22 +133,6 @@ class Span:
     def total(self, name: str) -> float:
         """Summed duration of every descendant span named *name*."""
         return sum(s.duration_s for s in self.find_all(name))
-
-    def to_dict(self, *, times: bool = True) -> dict:
-        """Nested plain-dict form (``times=False`` strips start/end/durations).
-
-        Attribute values pass through :func:`_jsonable` so numpy scalars
-        from instrumented code never leak into the JSON export.
-        """
-        out: dict[str, Any] = {"name": self.name, "worker": self.worker}
-        if times:
-            out["start_s"] = self.start_s
-            out["end_s"] = self.end_s
-        if self.attrs:
-            out["attrs"] = {k: _jsonable(v) for k, v in self.attrs.items()}
-        if self.children:
-            out["children"] = [c.to_dict(times=times) for c in self.children]
-        return out
 
 
 class _NullSpan:
@@ -430,12 +412,6 @@ def _as_spans(spans) -> list:
     if isinstance(spans, Span):
         return [spans]
     return list(spans)
-
-
-def spans_to_json(spans, *, times: bool = True, indent: int | None = None) -> str:
-    """Nested-JSON export of one or more span trees."""
-    roots = _as_spans(spans)
-    return json.dumps([r.to_dict(times=times) for r in roots], indent=indent)
 
 
 def trace_skeleton(spans) -> list:

@@ -25,7 +25,7 @@ from .measurements import (
     index_memory_bytes,
     vectors_for_tokens,
 )
-from .trace import BatchRouting, ClusterAccessTrace, LoadGenerator
+from .trace import BatchRouting, ClusterAccessTrace
 
 __all__ = [
     "DistributedRetrievalResult",
@@ -47,5 +47,4 @@ __all__ = [
     "vectors_for_tokens",
     "BatchRouting",
     "ClusterAccessTrace",
-    "LoadGenerator",
 ]

@@ -1,11 +1,10 @@
-"""Load generation and cluster-access traces.
+"""Cluster-access traces.
 
 The paper's multi-node tool pairs per-node measurements with "a trace of the
 top clusters accessed during the deep search based on TriviaQA" (its Fig. 15)
 to model end-to-end behaviour, and analyses access-frequency imbalance on
-Natural Questions queries (its Fig. 13). This module provides both artefacts:
-batched query traces from a :class:`~repro.datastore.queries.QuerySet`, and
-the per-cluster access bookkeeping derived from routing decisions.
+Natural Questions queries (its Fig. 13). This module is that artefact: the
+per-cluster access bookkeeping derived from routing decisions.
 """
 
 from __future__ import annotations
@@ -92,36 +91,3 @@ class ClusterAccessTrace:
             return np.zeros(self.n_clusters)
         return self.access_counts() / len(self.batches)
 
-
-class LoadGenerator:
-    """Cycles a query set into fixed-size batches (the Fig. 15 load source)."""
-
-    def __init__(self, embeddings: np.ndarray, *, batch_size: int, seed: int = 0) -> None:
-        emb = np.asarray(embeddings, dtype=np.float32)
-        if emb.ndim != 2 or not len(emb):
-            raise ValueError("embeddings must be a non-empty (n, d) matrix")
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.embeddings = emb
-        self.batch_size = batch_size
-        self._order = np.random.default_rng(seed).permutation(len(emb))
-        self._cursor = 0
-
-    def next_batch(self) -> np.ndarray:
-        """Return the next ``(batch_size, d)`` batch, recycling the pool."""
-        picks = []
-        remaining = self.batch_size
-        while remaining > 0:
-            take = min(remaining, len(self._order) - self._cursor)
-            picks.append(self._order[self._cursor : self._cursor + take])
-            self._cursor += take
-            remaining -= take
-            if self._cursor >= len(self._order):
-                self._cursor = 0
-        return self.embeddings[np.concatenate(picks)]
-
-    def batches(self, n_batches: int) -> list[np.ndarray]:
-        """Generate *n_batches* consecutive batches."""
-        if n_batches <= 0:
-            raise ValueError(f"n_batches must be positive, got {n_batches}")
-        return [self.next_batch() for _ in range(n_batches)]

@@ -58,7 +58,6 @@ from .faults import (
     OutageWindow,
     Straggler,
     TransientFault,
-    faulty_shards,
     kill_shards,
 )
 from .node_sim import NodeScheduleResult, schedule_batch, waves_approximation_error
@@ -114,7 +113,6 @@ __all__ = [
     "OutageWindow",
     "Straggler",
     "TransientFault",
-    "faulty_shards",
     "kill_shards",
     "NodeScheduleResult",
     "schedule_batch",

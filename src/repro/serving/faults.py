@@ -327,11 +327,6 @@ def kill_shards(
     )
 
 
-def faulty_shards(datastore: ClusteredDatastore) -> list[FaultyShard]:
-    """The fault-wrapped shards of a datastore (for log inspection)."""
-    return [s for s in datastore.shards if isinstance(s, FaultyShard)]
-
-
 # ---------------------------------------------------------------------------
 # Fleet-scale fault schedules (discrete-event simulator)
 # ---------------------------------------------------------------------------

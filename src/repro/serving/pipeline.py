@@ -48,10 +48,9 @@ overlap rule is written. Three execution disciplines are supported
 TTFT is identical under all three modes — ``encode + retrieval[0] +
 prefill[0]``, the first two measured live — because the first stride has
 nothing to overlap with. Generation itself is the deterministic
-:func:`~repro.core.session.grounded_decode` that
-:class:`~repro.core.session.StridedRAGSession` uses: each stride appends
-tokens sampled from the top retrieved chunk mixed with the running context,
-so the query genuinely drifts and speculation genuinely risks missing.
+:func:`~repro.core.session.grounded_decode`: each stride appends tokens
+sampled from the top retrieved chunk mixed with the running context, so the
+query genuinely drifts and speculation genuinely risks missing.
 
 Per-request span trees (encode/retrieval on worker ``cpu``, prefill/decode on
 worker ``gpu``) are emitted on the virtual timeline when tracing is enabled,

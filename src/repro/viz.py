@@ -1,10 +1,9 @@
 """Terminal plotting for experiment output (the artifact's plot step).
 
 The paper's artifact renders matplotlib figures; this environment is
-offline-only, so the harness renders Unicode charts instead: multi-series
-line charts, horizontal bar charts, and shaded heatmaps, all pure text. The
-experiment runner uses these via :func:`render_figure` so
-``python -m repro.experiments.runner`` visually reproduces the evaluation.
+offline-only, so the harness renders Unicode multi-series line charts
+instead, all pure text. The experiment runner draws one per figure
+(``python -m repro.experiments.runner --plots``).
 """
 
 from __future__ import annotations
@@ -12,12 +11,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .metrics.reporting import FigureResult, Series
+from .metrics.reporting import Series
 
 #: Per-series plot markers, cycled.
 MARKERS = "ox+*#@%&"
-#: Shade ramp for heatmaps, light to dark.
-SHADES = " ░▒▓█"
 
 
 def _nice_num(value: float) -> str:
@@ -97,76 +94,3 @@ def line_chart(
     lines.append("  " + legend)
     return "\n".join(lines)
 
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    *,
-    width: int = 40,
-    title: str = "",
-) -> str:
-    """Horizontal bar chart (used for the normalized-metric figures)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    if not labels:
-        raise ValueError("nothing to plot")
-    vmax = max(values)
-    if vmax <= 0:
-        raise ValueError("values must contain something positive")
-    label_width = max(len(str(l)) for l in labels)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        filled = round(width * max(value, 0.0) / vmax)
-        bar = "█" * filled
-        lines.append(f"{str(label).rjust(label_width)} |{bar} {_nice_num(value)}")
-    return "\n".join(lines)
-
-
-def heatmap(
-    matrix: "Sequence[Sequence[float]]",
-    *,
-    row_labels: Sequence[str] | None = None,
-    col_labels: Sequence[str] | None = None,
-    title: str = "",
-) -> str:
-    """Shaded-cell heatmap (used for the Fig. 19 cluster-size grid)."""
-    rows = [list(map(float, row)) for row in matrix]
-    if not rows or not rows[0]:
-        raise ValueError("matrix must be non-empty")
-    n_cols = len(rows[0])
-    if any(len(r) != n_cols for r in rows):
-        raise ValueError("matrix rows must have equal length")
-    flat = [v for row in rows for v in row]
-    lo, hi = min(flat), max(flat)
-    span = hi - lo or 1.0
-
-    def shade(value: float) -> str:
-        level = int((value - lo) / span * (len(SHADES) - 1))
-        return SHADES[level] * 2
-
-    row_labels = list(row_labels or [""] * len(rows))
-    label_width = max(len(str(l)) for l in row_labels)
-    lines = [title] if title else []
-    if col_labels is not None:
-        header = " " * (label_width + 1) + " ".join(
-            str(c)[:2].rjust(2) for c in col_labels
-        )
-        lines.append(header)
-    for label, row in zip(row_labels, rows):
-        cells = " ".join(shade(v) for v in row)
-        lines.append(f"{str(label).rjust(label_width)} {cells}")
-    lines.append(f"scale: {SHADES[1]}={_nice_num(lo)} .. {SHADES[-1]}={_nice_num(hi)}")
-    return "\n".join(lines)
-
-
-def render_figure(
-    figure: FigureResult, *, logx: bool = False, logy: bool = False
-) -> str:
-    """Chart + data table for one reproduced figure."""
-    chart = line_chart(
-        figure.series,
-        title=f"{figure.figure_id}: {figure.description}",
-        logx=logx,
-        logy=logy,
-    )
-    return chart + "\n\n" + figure.render()

@@ -1,52 +1,27 @@
-"""Tests for the index interface and registry."""
+"""Tests for the index interface."""
 
 import numpy as np
 import pytest
 
-from repro.ann.base import INDEX_REGISTRY, build_index, register_index
 from repro.ann.flat import FlatIndex
-
-
-class TestRegistry:
-    def test_expected_keys_registered(self):
-        for key in ("flat", "ivf_flat", "ivf_sq8", "ivf_sq4", "ivf_pq", "hnsw"):
-            assert key in INDEX_REGISTRY
-
-    def test_build_flat(self):
-        index = build_index("flat", 8)
-        assert isinstance(index, FlatIndex)
-        assert index.dim == 8
-
-    def test_build_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown index key"):
-            build_index("faiss", 8)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_index("flat")(FlatIndex)
-
-    def test_build_forwards_kwargs(self):
-        index = build_index("ivf_sq8", 8, nlist=4, nprobe=2)
-        assert index.nlist == 4
-        assert index.nprobe == 2
 
 
 class TestInterfaceContracts:
     def test_metric_validated_at_construction(self):
         with pytest.raises(ValueError):
-            build_index("flat", 8, metric="manhattan")
+            FlatIndex(8, metric="manhattan")
 
     def test_dim_validated_at_construction(self):
         with pytest.raises(ValueError):
-            build_index("flat", -1)
+            FlatIndex(-1)
 
     def test_search_empty_returns_padding(self):
-        index = build_index("flat", 4)
+        index = FlatIndex(4)
         dists, ids = index.search(np.zeros((3, 4), dtype=np.float32), 2)
         assert dists.shape == (3, 2)
         assert (ids == -1).all()
 
     def test_repr_mentions_state(self):
-        index = build_index("flat", 4)
+        index = FlatIndex(4)
         text = repr(index)
         assert "dim=4" in text and "ntotal=0" in text

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.ann.base import build_index
 from repro.ann.flat import FlatIndex
 from repro.ann.ivf import IVFIndex, default_nlist
 from repro.ann.quantization import make_quantizer
@@ -280,13 +279,3 @@ class TestMemory:
         small = trained_ivf(data[:200], nlist=8)
         large = trained_ivf(data, nlist=8)
         assert large.memory_bytes() > small.memory_bytes()
-
-
-class TestRegistry:
-    @pytest.mark.parametrize("key", ["ivf_flat", "ivf_sq8", "ivf_sq4", "ivf_pq"])
-    def test_registered_variants_build(self, key, data):
-        index = build_index(key, 24, nlist=16)
-        index.train(data)
-        index.add(data[:100])
-        _, ids = index.search(data[:2], 3, )
-        assert ids.shape == (2, 3)

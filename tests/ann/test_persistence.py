@@ -9,10 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.ann.flat import FlatIndex
 from repro.ann.ivf import IVFIndex
 from repro.ann.parallel import ProcessShardPool
-from repro.ann.persistence import load_index, save_flat, save_ivf
+from repro.ann.persistence import load_index, save_ivf
 from repro.ann.quantization import make_quantizer
 from repro.core.clustering import IndexShard
 
@@ -26,26 +25,6 @@ def data():
 @pytest.fixture(scope="module")
 def queries(data):
     return data[:8] + 0.01
-
-
-class TestFlatRoundTrip:
-    def test_search_identical(self, data, queries, tmp_path_factory):
-        path = tmp_path_factory.mktemp("idx") / "flat.npz"
-        index = FlatIndex(16, "ip")
-        index.add(data)
-        save_flat(index, path)
-        loaded = load_index(path)
-        d0, i0 = index.search(queries, 5)
-        d1, i1 = loaded.search(queries, 5)
-        assert np.array_equal(i0, i1)
-        assert np.allclose(d0, d1)
-        assert loaded.metric == "ip"
-
-    def test_empty_flat(self, tmp_path):
-        path = tmp_path / "empty.npz"
-        save_flat(FlatIndex(8), path)
-        loaded = load_index(path)
-        assert loaded.ntotal == 0
 
 
 @pytest.mark.parametrize("scheme", ["flat", "sq8", "sq4", "pq4", "opq4"])

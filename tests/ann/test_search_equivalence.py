@@ -74,17 +74,6 @@ def test_fast_path_matches_reference(indexes, queries, scheme, metric, nprobe, p
     )
 
 
-@pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_adc_matches_decode_kernel(indexes, queries, scheme, metric):
-    """Forced decode-then-GEMM and ADC must rank identically."""
-    index = indexes[(scheme, metric)]
-    d_adc, i_adc = index.search(queries, 5, nprobe=4, use_adc=True)
-    d_dec, i_dec = index.search(queries, 5, nprobe=4, use_adc=False)
-    np.testing.assert_array_equal(i_adc, i_dec)
-    np.testing.assert_allclose(d_adc, d_dec, rtol=1e-3, atol=5e-3)
-
-
 @pytest.mark.parametrize("scheme", ["flat", "sq8"])
 def test_batch_matches_single_query_loop(indexes, queries, scheme):
     """Cell-major batching must not couple queries to each other."""
@@ -248,11 +237,11 @@ def test_duplicated_vectors_tie_to_the_same_id_at_k1(scheme, metric):
 
 @pytest.mark.parametrize("scheme", ["flat", "sq8", "pq8"])
 def test_k1_forced_kernels_agree(indexes, queries, scheme):
-    """Forced non-ADC and forced no-prune (gather codecs on the generic
-    tile kernel) take the same k == 1 reduction and must agree with it."""
+    """Forced prune and forced no-prune (gather codecs on the generic tile
+    kernel) take the same k == 1 reduction and must agree with it."""
     index = indexes[(scheme, "l2")]
     ref_d, ref_i = index.search_reference(queries, 1, nprobe=2)
-    for kwargs in ({"use_adc": False}, {"prune": False}, {"prune": True}):
+    for kwargs in ({"prune": False}, {"prune": True}):
         d, i = index.search(queries, 1, nprobe=2, **kwargs)
         np.testing.assert_array_equal(i, ref_i)
         np.testing.assert_allclose(d, ref_d, rtol=1e-3, atol=5e-3)

@@ -3,23 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.ragcache import (
-    combined_config,
-    ragcache_config,
-    simulate_cache_hit_rate,
-    stride_overlap_fraction,
-)
-from repro.llm.generation import GenerationConfig
-
-
-class TestConfigs:
-    def test_ragcache_sets_caching_only(self):
-        cfg = ragcache_config(GenerationConfig())
-        assert cfg.prefix_cached and not cfg.pipelined
-
-    def test_combined_sets_both(self):
-        cfg = combined_config(GenerationConfig())
-        assert cfg.prefix_cached and cfg.pipelined
+from repro.baselines.ragcache import simulate_cache_hit_rate, stride_overlap_fraction
 
 
 class TestStrideOverlap:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.clustering import assign_queries_to_shards
 from repro.core.config import HermesConfig
 from repro.core.clustering import cluster_datastore, split_datastore_evenly
 
@@ -83,13 +82,6 @@ class TestEvenSplit:
     def test_rejects_too_few_documents(self):
         with pytest.raises(ValueError, match="at least"):
             split_datastore_evenly(np.zeros((3, 4), dtype=np.float32))
-
-
-class TestQueryAssignment:
-    def test_queries_route_to_topic_shard(self, clustered, small_corpus, small_queries):
-        assigned = assign_queries_to_shards(clustered, small_queries.embeddings)
-        assert assigned.shape == (len(small_queries),)
-        assert (assigned >= 0).all() and (assigned < 10).all()
 
 
 class TestErrorPaths:

@@ -54,10 +54,6 @@ class TestDispatch:
         scheduler.dispatch(decision)
         assert len(scheduler.trace) == 2
 
-    def test_record_false_skips_trace(self, scheduler, decision):
-        scheduler.dispatch(decision, record=False)
-        assert len(scheduler.trace) == 0
-
     def test_hermes_cheaper_than_naive(self, scheduler, decision):
         hermes = scheduler.dispatch(decision)
         naive = scheduler.naive_dispatch(decision.batch_size)
@@ -69,8 +65,8 @@ class TestDispatch:
         assert hermes.latency_s < mono.latency_s
 
     def test_dvfs_baseline_not_worse(self, scheduler, decision):
-        none = scheduler.dispatch(decision, record=False)
-        base = scheduler.dispatch(decision, dvfs=DVFSPolicy.BASELINE, record=False)
+        none = scheduler.dispatch(decision)
+        base = scheduler.dispatch(decision, dvfs=DVFSPolicy.BASELINE)
         assert base.energy_j <= none.energy_j * 1.001
 
 

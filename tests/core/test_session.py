@@ -1,177 +1,43 @@
-"""Tests for token-level strided RAG sessions."""
+"""Tests for the grounded pseudo-decode the live stride loop generates with."""
 
 import numpy as np
-import pytest
 
-from repro.core.clustering import cluster_datastore
-from repro.core.config import HermesConfig
-from repro.core.hierarchical import HermesSearcher
-from repro.core.session import StridedRAGSession
+from repro.core.session import grounded_decode
 from repro.datastore.chunkstore import ChunkStore
-from repro.datastore.corpus import CorpusGenerator, TokenVocabulary, chunk_documents
-from repro.datastore.encoder import SyntheticEncoder
+from repro.datastore.corpus import Chunk
+
+CHUNK = np.arange(100, 148)
+CONTEXT = np.arange(16)
 
 
-@pytest.fixture(scope="module")
-def stack():
-    vocab = TokenVocabulary(n_topics=5, pool_size=150, common_size=80)
-    gen = CorpusGenerator(vocab, doc_tokens=96, topical_fraction=0.8, seed=2)
-    docs = gen.generate(250)
-    chunks = chunk_documents(docs, chunk_tokens=48)
-    encoder = SyntheticEncoder(dim=64, seed=0)
-    embeddings = encoder.encode_chunks(chunks)
-    datastore = cluster_datastore(
-        embeddings, HermesConfig(n_clusters=5, clusters_to_search=2)
+def decode(ids, *, context=CONTEXT, grounding=0.5, seed=0):
+    store = ChunkStore([Chunk(chunk_id=0, doc_id=0, topic=0, tokens=CHUNK)])
+    return grounded_decode(
+        np.random.default_rng(seed),
+        context,
+        np.asarray(ids),
+        store,
+        stride_tokens=16,
+        grounding=grounding,
     )
-    searcher = HermesSearcher(datastore)
-    store = ChunkStore(chunks)
-    return vocab, searcher, encoder, store
 
 
-@pytest.fixture()
-def session(stack):
-    _, searcher, encoder, store = stack
-    return StridedRAGSession(searcher, encoder, store, stride_tokens=16, seed=1)
+class TestGroundedDecode:
+    def test_tokens_split_between_top_chunk_and_context(self):
+        tokens = decode([0], grounding=0.75)
+        assert tokens.dtype == np.int64 and len(tokens) == 16
+        assert np.isin(tokens[:12], CHUNK).all()
+        assert np.isin(tokens[12:], CONTEXT).all()
 
+    def test_deterministic_for_seed(self):
+        assert np.array_equal(decode([0], seed=3), decode([0], seed=3))
+        assert not np.array_equal(decode([0], seed=3), decode([0], seed=4))
 
-def topic_query(vocab, topic, n=16, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.choice(vocab.topic_pool(topic), size=n, replace=False)
+    def test_padded_result_falls_back_to_context_share(self):
+        # no valid top id: only the context share of the stride is emitted
+        tokens = decode([-1], grounding=0.75)
+        assert len(tokens) == 4 and np.isin(tokens, CONTEXT).all()
 
-
-class TestSessionMechanics:
-    def test_runs_requested_strides(self, stack, session):
-        vocab = stack[0]
-        trace = session.run(topic_query(vocab, 0), n_strides=6)
-        assert trace.n_strides == 6
-        assert all(len(s.generated_tokens) == 16 for s in trace.steps)
-
-    def test_deterministic_for_seed(self, stack):
-        vocab, searcher, encoder, store = stack
-        a = StridedRAGSession(searcher, encoder, store, seed=3).run(
-            topic_query(vocab, 1), n_strides=4
-        )
-        b = StridedRAGSession(searcher, encoder, store, seed=3).run(
-            topic_query(vocab, 1), n_strides=4
-        )
-        for sa, sb in zip(a.steps, b.steps):
-            assert np.array_equal(sa.retrieved_ids, sb.retrieved_ids)
-            assert np.array_equal(sa.generated_tokens, sb.generated_tokens)
-
-    def test_validation(self, stack, session):
-        vocab = stack[0]
-        with pytest.raises(ValueError):
-            session.run(np.empty(0, dtype=np.int64))
-        with pytest.raises(ValueError):
-            session.run(topic_query(vocab, 0), n_strides=0)
-        _, searcher, encoder, store = stack
-        with pytest.raises(ValueError):
-            StridedRAGSession(searcher, encoder, store, grounding=1.5)
-
-
-class TestSessionAnalyses:
-    def test_topical_queries_retrieve_stably(self, stack, session):
-        vocab = stack[0]
-        trace = session.run(topic_query(vocab, 2), n_strides=8)
-        # Grounded generation keeps the query in-topic, so consecutive
-        # strides mostly re-route to the same clusters...
-        assert trace.routing_stability() > 0.6
-        # ...and RAGCache's overlap premise holds to a substantial degree.
-        assert trace.document_overlap() > 0.3
-
-    def test_high_grounding_increases_overlap(self, stack):
-        vocab, searcher, encoder, store = stack
-        drifty = StridedRAGSession(
-            searcher, encoder, store, grounding=0.1, seed=5
-        ).run(topic_query(vocab, 3), n_strides=8)
-        grounded = StridedRAGSession(
-            searcher, encoder, store, grounding=0.9, seed=5
-        ).run(topic_query(vocab, 3), n_strides=8)
-        assert grounded.document_overlap() >= drifty.document_overlap() - 0.1
-
-    def test_generated_tokens_stay_topical(self, stack, session):
-        vocab = stack[0]
-        trace = session.run(topic_query(vocab, 4), n_strides=8)
-        tokens = trace.all_generated_tokens()
-        topics = [vocab.topic_of_token(int(t)) for t in tokens]
-        topical = [t for t in topics if t >= 0]
-        assert topical
-        assert np.bincount(topical, minlength=5).argmax() == 4
-
-    def test_overlap_requires_two_strides(self, stack, session):
-        vocab = stack[0]
-        trace = session.run(topic_query(vocab, 0), n_strides=1)
-        with pytest.raises(ValueError):
-            trace.document_overlap()
-        with pytest.raises(ValueError):
-            trace.routing_stability()
-
-
-class TestRoutingReuse:
-    def make_session(self, stack, **kwargs):
-        _, searcher, encoder, store = stack
-        return StridedRAGSession(
-            searcher, encoder, store, stride_tokens=16, seed=1, **kwargs
-        )
-
-    def test_reuse_skips_sample_search(self, stack):
-        vocab = stack[0]
-        trace = self.make_session(stack, reuse_routing=True).run(
-            topic_query(vocab, 0), n_strides=10
-        )
-        assert trace.routing_reuse_fraction > 0
-        # The first stride has no previous routing to reuse, and reuse only
-        # starts after two fresh routings agree.
-        assert not trace.steps[0].routing_reused
-        assert not trace.steps[1].routing_reused
-
-    def test_reuse_bounded_by_max_routing_reuse(self, stack):
-        vocab = stack[0]
-        trace = self.make_session(
-            stack, reuse_routing=True, max_routing_reuse=2
-        ).run(topic_query(vocab, 1), n_strides=12)
-        run_length = 0
-        for step in trace.steps:
-            run_length = run_length + 1 if step.routing_reused else 0
-            assert run_length <= 2
-
-    def test_disabled_by_default(self, stack):
-        vocab = stack[0]
-        trace = self.make_session(stack).run(topic_query(vocab, 2), n_strides=8)
-        assert trace.routing_reuse_fraction == 0.0
-
-    def test_validation(self, stack):
-        with pytest.raises(ValueError):
-            self.make_session(stack, routing_stability_threshold=1.5)
-        with pytest.raises(ValueError):
-            self.make_session(stack, max_routing_reuse=0)
-
-
-class TestPrefixCacheReplay:
-    def test_measured_hit_rate_matches_offline_replay(self, stack):
-        from repro.baselines.ragcache import simulate_cache_hit_rate
-        from repro.llm.kvcache import PrefixCache
-
-        vocab, searcher, encoder, store = stack
-        capacity = 1_000_000  # big enough that nothing evicts
-        session = StridedRAGSession(
-            searcher,
-            encoder,
-            store,
-            stride_tokens=16,
-            seed=1,
-            prefix_cache=PrefixCache(capacity=capacity),
-        )
-        trace = session.run(topic_query(vocab, 3), n_strides=8)
-        assert trace.measured_prefix_hit_rate is not None
-        offline = simulate_cache_hit_rate(trace.stride_results(), capacity=capacity)
-        assert trace.measured_prefix_hit_rate == pytest.approx(offline)
-
-    def test_not_measured_without_cache(self, stack):
-        vocab = stack[0]
-        _, searcher, encoder, store = stack
-        trace = StridedRAGSession(searcher, encoder, store, seed=1).run(
-            topic_query(vocab, 0), n_strides=4
-        )
-        assert trace.prefix_stats is None
-        assert trace.measured_prefix_hit_rate is None
+    def test_nothing_to_sample_from_is_empty(self):
+        assert len(decode([-1], grounding=1.0)) == 0
+        assert len(decode([], context=np.empty(0, dtype=np.int64), grounding=0.0)) == 0

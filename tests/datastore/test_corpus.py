@@ -9,7 +9,6 @@ from repro.datastore.corpus import (
     TokenVocabulary,
     chunk_documents,
     datastore_tokens,
-    tokens_to_vectors,
 )
 
 
@@ -110,12 +109,3 @@ class TestTextRendering:
     def test_text_roundtrips_token_ids(self):
         chunk = Chunk(chunk_id=0, doc_id=0, topic=0, tokens=np.array([5, 9, 11]))
         assert chunk.text() == "tok5 tok9 tok11"
-
-
-class TestTokenAccounting:
-    def test_tokens_to_vectors(self):
-        assert tokens_to_vectors(6400, chunk_tokens=64) == 100
-
-    def test_rejects_bad_chunk_tokens(self):
-        with pytest.raises(ValueError):
-            tokens_to_vectors(100, chunk_tokens=0)

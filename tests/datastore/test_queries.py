@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datastore.embeddings import TopicModel
-from repro.datastore.queries import (
-    natural_questions_queries,
-    trivia_queries,
-    uniform_random_queries,
-)
+from repro.datastore.queries import natural_questions_queries, trivia_queries
 
 
 @pytest.fixture(scope="module")
@@ -50,16 +46,6 @@ class TestNaturalQuestions:
         qs = natural_questions_queries(model, 4000, seed=11)
         counts = np.bincount(qs.topics, minlength=10)
         assert counts.argmax() != 0 or counts.argsort()[-2] != 1
-
-
-class TestUniformRandom:
-    def test_no_topic_labels(self):
-        qs = uniform_random_queries(32, 20)
-        assert (qs.topics == -1).all()
-
-    def test_unit_norm(self):
-        qs = uniform_random_queries(32, 20)
-        assert np.allclose(np.linalg.norm(qs.embeddings, axis=1), 1.0, atol=1e-5)
 
 
 class TestBatching:

@@ -285,25 +285,3 @@ class TestFig21:
         for p in points:
             assert p.energy_enhanced_j <= p.energy_baseline_j <= p.energy_none_j
 
-
-class TestFig20Equalization:
-    def test_arm_equalizes_with_larger_batches(self):
-        """The paper's point: ARM needs bigger batches to match Intel QPS."""
-        from repro.hardware.cpu import get_cpu
-        from repro.perfmodel.measurements import RetrievalCostModel
-
-        gold = RetrievalCostModel(platform=get_cpu("xeon_gold_6448y"))
-        target = gold.throughput_qps(1e9, 32)
-        arm_batch = fig20.equalizing_batch("neoverse_n1", target)
-        gold_batch = fig20.equalizing_batch("xeon_gold_6448y", target)
-        assert arm_batch is not None
-        assert arm_batch > gold_batch
-
-    def test_unreachable_target_returns_none(self):
-        assert fig20.equalizing_batch("xeon_silver_4316", 1e9) is None
-
-    def test_target_validated(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            fig20.equalizing_batch("xeon_gold_6448y", 0)

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.hardware.cpu import XEON_GOLD_6448Y
-from repro.hardware.dvfs import (
-    energy_optimal_frequency,
-    frequency_for_target,
-    operating_point,
-    scaled_energy,
-)
+from repro.hardware.dvfs import frequency_for_target, operating_point
 
 
 class TestFrequencyForTarget:
@@ -54,43 +49,3 @@ class TestOperatingPoint:
         half = operating_point(p, 1.0, p.max_freq_ghz / 2)
         assert half.energy_j < full.energy_j
 
-
-class TestScaledEnergy:
-    def test_meets_target(self):
-        point = scaled_energy(XEON_GOLD_6448Y, 1.0, 3.0)
-        assert point.latency_s <= 3.0 + 1e-9
-
-    def test_saves_vs_max_frequency(self):
-        p = XEON_GOLD_6448Y
-        at_max = operating_point(p, 1.0, p.max_freq_ghz)
-        scaled = scaled_energy(p, 1.0, 2.0)
-        assert scaled.energy_j < at_max.energy_j
-
-    def test_more_slack_never_costs_energy(self):
-        # Energy is non-increasing in slack: it falls until the energy-optimal
-        # frequency, then plateaus (slowing further would waste idle energy).
-        p = XEON_GOLD_6448Y
-        energies = [
-            scaled_energy(p, 1.0, t).energy_j for t in (1.0, 1.5, 2.0, 2.5, 5.0)
-        ]
-        assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
-
-    def test_never_scales_below_energy_optimal_frequency(self):
-        p = XEON_GOLD_6448Y
-        point = scaled_energy(p, 0.1, 100.0)
-        assert point.freq_ghz == pytest.approx(energy_optimal_frequency(p))
-
-    def test_energy_optimal_frequency_within_range(self):
-        p = XEON_GOLD_6448Y
-        f = energy_optimal_frequency(p)
-        assert p.min_freq_ghz <= f <= p.max_freq_ghz
-
-    def test_optimal_frequency_is_a_minimum(self):
-        # Perturbing around f* costs energy on both sides.
-        p = XEON_GOLD_6448Y
-        f = energy_optimal_frequency(p)
-        if p.min_freq_ghz < f < p.max_freq_ghz:
-            at = operating_point(p, 1.0, f).energy_j
-            above = operating_point(p, 1.0, f * 1.1).energy_j
-            below = operating_point(p, 1.0, f * 0.9).energy_j
-            assert at <= above and at <= below

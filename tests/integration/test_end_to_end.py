@@ -16,7 +16,7 @@ from repro.core.hierarchical import HermesSearcher
 from repro.datastore.chunkstore import ChunkStore
 from repro.datastore.corpus import CorpusGenerator, TokenVocabulary, chunk_documents
 from repro.datastore.encoder import SyntheticEncoder
-from repro.datastore.queries import trivia_queries, uniform_random_queries
+from repro.datastore.queries import trivia_queries
 from repro.llm.models import PHI_1_5
 
 
@@ -81,20 +81,21 @@ class TestAccuracyEndToEnd:
     def test_graceful_degradation_on_structureless_queries(self):
         """Adversarial: topic-free queries should degrade, not break."""
         corpus = make_corpus(2000, n_topics=8, dim=48, seed=5)
-        queries = uniform_random_queries(48, 16)
+        emb = np.random.default_rng(300).normal(size=(16, 48)).astype(np.float32)
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
         system = HermesSystem(
             corpus.embeddings,
             total_tokens=1e9,
             config=HermesConfig(n_clusters=8, clusters_to_search=3),
         )
-        outcome = system.retrieve(queries.embeddings, k=5)
+        outcome = system.retrieve(emb, k=5)
         assert (outcome.search.ids >= 0).all()
 
         mono = MonolithicRetriever(corpus.embeddings)
-        _, truth = mono.ground_truth(queries.embeddings, 5)
+        _, truth = mono.ground_truth(emb, 5)
         # Searching all clusters recovers most quality even without structure.
         searcher = HermesSearcher(system.datastore)
-        full = searcher.search(queries.embeddings, clusters_to_search=8)
+        full = searcher.search(emb, clusters_to_search=8)
         assert ndcg(full.ids, truth) > 0.85
 
 

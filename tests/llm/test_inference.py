@@ -4,10 +4,8 @@ import pytest
 
 from repro.hardware.gpu import A6000_ADA, L4
 from repro.llm.inference import (
-    ANCHOR_DECODE_STRIDE_LATENCY_S,
     ANCHOR_PREFILL_LATENCY_S,
     InferenceModel,
-    effective_decode_interval,
 )
 from repro.llm.models import GEMMA2_9B, OPT_30B, PHI_1_5
 
@@ -106,10 +104,3 @@ class TestValidationAndHelpers:
         assert total == pytest.approx(
             gemma.prefill(32, 512).latency_s + gemma.decode(32, 256).latency_s
         )
-
-    def test_effective_decode_interval(self, gemma):
-        assert effective_decode_interval(gemma, 32, 16) == pytest.approx(
-            ANCHOR_DECODE_STRIDE_LATENCY_S
-        )
-        with pytest.raises(ValueError):
-            effective_decode_interval(gemma, 32, 0)

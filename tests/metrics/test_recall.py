@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.recall import recall_at_k, recall_curve
+from repro.metrics.recall import recall_at_k
 
 
 class TestRecallAtK:
@@ -44,16 +44,3 @@ class TestRecallAtK:
         with pytest.raises(ValueError, match="no valid ids"):
             recall_at_k(np.array([[1]]), np.array([[-1]]))
 
-
-class TestRecallCurve:
-    def test_monotone_cutoffs(self):
-        truth = np.array([[1, 2, 3, 4, 5]])
-        retrieved = np.array([[1, 9, 3, 9, 5]])
-        curve = recall_curve(retrieved, truth, (1, 3, 5))
-        assert set(curve) == {1, 3, 5}
-        assert curve[1] == 1.0
-        assert curve[5] == pytest.approx(3 / 5)
-
-    def test_rejects_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            recall_curve(np.array([[1]]), np.array([[1]]), (0,))

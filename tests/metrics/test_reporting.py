@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.metrics.reporting import (
-    FigureResult,
-    Series,
-    format_table,
-    normalize_to_baseline,
-    speedup,
-)
+from repro.metrics.reporting import FigureResult, Series, format_table, speedup
 
 
 class TestFormatTable:
@@ -61,10 +55,3 @@ class TestRatios:
     def test_speedup_rejects_zero(self):
         with pytest.raises(ValueError):
             speedup(10.0, 0.0)
-
-    def test_normalize(self):
-        assert normalize_to_baseline([2.0, 4.0], 4.0) == [0.5, 1.0]
-
-    def test_normalize_rejects_zero_baseline(self):
-        with pytest.raises(ValueError):
-            normalize_to_baseline([1.0], 0.0)

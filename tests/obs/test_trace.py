@@ -14,7 +14,6 @@ from repro.obs.trace import (
     enable_tracing,
     get_tracer,
     set_tracer,
-    spans_to_json,
     trace_skeleton,
 )
 
@@ -227,14 +226,6 @@ class TestExporters:
             with tracer.span("deep", worker="shard0"):
                 clock.advance(1.0)
         return tracer
-
-    def test_spans_to_json_roundtrips(self):
-        tracer = self._sample_tracer()
-        data = json.loads(spans_to_json(tracer))
-        assert data[0]["name"] == "root"
-        assert data[0]["children"][0]["name"] == "deep"
-        bare = json.loads(spans_to_json(tracer, times=False))
-        assert "start_s" not in bare[0]
 
     def test_trace_skeleton_strips_durations(self):
         skeleton = trace_skeleton(self._sample_tracer())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.perfmodel.trace import BatchRouting, ClusterAccessTrace, LoadGenerator
+from repro.perfmodel.trace import BatchRouting, ClusterAccessTrace
 
 
 class TestBatchRouting:
@@ -64,28 +64,3 @@ class TestAccessTrace:
         trace = ClusterAccessTrace(n_clusters=2)
         assert list(trace.mean_loads()) == [0.0, 0.0]
 
-
-class TestLoadGenerator:
-    def test_batch_shape(self):
-        emb = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
-        gen = LoadGenerator(emb, batch_size=4)
-        assert gen.next_batch().shape == (4, 4)
-
-    def test_recycles_pool(self):
-        emb = np.arange(12, dtype=np.float32).reshape(6, 2)
-        gen = LoadGenerator(emb, batch_size=4)
-        batches = gen.batches(3)  # 12 draws from a pool of 6
-        drawn = np.concatenate(batches)
-        # Each pool row appears exactly twice across one full double-cycle.
-        unique, counts = np.unique(drawn, axis=0, return_counts=True)
-        assert len(unique) == 6
-        assert (counts == 2).all()
-
-    def test_rejects_empty_pool(self):
-        with pytest.raises(ValueError):
-            LoadGenerator(np.empty((0, 4), dtype=np.float32), batch_size=2)
-
-    def test_rejects_bad_batch_size(self):
-        emb = np.zeros((4, 2), dtype=np.float32)
-        with pytest.raises(ValueError):
-            LoadGenerator(emb, batch_size=0)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.hierarchical import HermesSearcher, RetrievalPolicy
 from repro.serving.cache import CacheConfig
-from repro.serving.faults import CrashStop, FaultInjector, Straggler, faulty_shards
+from repro.serving.faults import CrashStop, FaultInjector, Straggler
 from repro.serving.frontend import DynamicBatcher, ServingFrontend
 from repro.serving.replication import kill_replica, replica_groups, replicate_datastore
 
@@ -51,7 +51,7 @@ class TestChaosUnderBatcher:
         for served in rows:
             assert served.ids.shape == (5,)
             assert served.degradation_level == 0  # brownout is off here
-        log = faulty_shards(searcher.datastore)[0].log
+        log = chaotic.shards[crash_id].log
         assert any(ev.kind == "crash" for ev in log)
 
     def test_pareto_straggler_blocks_but_does_not_corrupt(
@@ -73,7 +73,7 @@ class TestChaosUnderBatcher:
         for i, served in enumerate(rows):
             assert np.array_equal(served.ids, direct.ids[i])
         assert batcher.stats.requests == 8
-        log = faulty_shards(searcher.datastore)[0].log
+        log = chaotic.shards[0].log
         assert any(ev.kind == "delay" and ev.delay_s >= 0.02 for ev in log)
 
     def test_replica_kill_invisible_through_frontend(self, clustered, queries):

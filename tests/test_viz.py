@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.metrics.reporting import FigureResult, Series
-from repro.viz import bar_chart, heatmap, line_chart, render_figure
+from repro.metrics.reporting import Series
+from repro.viz import line_chart
 
 
 @pytest.fixture()
@@ -46,51 +46,3 @@ class TestLineChart:
         with pytest.raises(ValueError):
             line_chart(two_series, width=2)
 
-
-class TestBarChart:
-    def test_proportional_bars(self):
-        out = bar_chart(["x", "yy"], [1.0, 2.0], width=10)
-        lines = out.splitlines()
-        assert lines[1].count("█") == 2 * lines[0].count("█")
-
-    def test_labels_aligned(self):
-        out = bar_chart(["short", "a-much-longer-label"], [1.0, 1.0])
-        lines = out.splitlines()
-        assert lines[0].index("|") == lines[1].index("|")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            bar_chart([], [])
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [0.0])
-
-
-class TestHeatmap:
-    def test_extremes_use_extreme_shades(self):
-        out = heatmap([[0.0, 1.0]], row_labels=["r"], col_labels=["a", "b"])
-        assert "█" in out
-        assert "scale:" in out
-
-    def test_row_and_col_labels(self):
-        out = heatmap(
-            [[1, 2], [3, 4]], row_labels=["r1", "r2"], col_labels=["c1", "c2"]
-        )
-        assert "r1" in out and "r2" in out
-        assert "c1" in out
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            heatmap([])
-        with pytest.raises(ValueError):
-            heatmap([[1, 2], [3]])
-
-
-class TestRenderFigure:
-    def test_chart_and_table_combined(self, two_series):
-        fig = FigureResult(figure_id="figX", description="demo")
-        fig.series.extend(two_series)
-        out = render_figure(fig)
-        assert "figX" in out
-        assert "-- a" in out  # the data table follows the chart
