@@ -154,6 +154,14 @@ class AdmissionController:
     the batcher worker. The brownout level moves at most one step per
     observation, driven by how long the queue delay has been continuously
     above (or below) the CoDel target.
+
+    Everything here governs *queued* requests. A query the exact cache tier
+    answers at full quality is served inside ``DynamicBatcher.submit`` and
+    never reaches this controller: it takes no queue slot, cannot be shed,
+    and is served at level 0 whatever the brownout level — which is also the
+    only way a full-quality cached answer is visible during brownout, since
+    the batch path looks the cache up under the *degraded* parameters. The
+    service-time EWMA therefore averages the worker's (miss) batches only.
     """
 
     def __init__(self, config: AdmissionConfig | None = None, *, clock=None) -> None:

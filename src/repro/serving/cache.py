@@ -11,7 +11,10 @@ decreasing strictness:
 - **exact tier** — a dict keyed by the blake2b digest of the raw query
   embedding bytes plus the search parameters. A hit returns the cached
   ``(distances, ids)`` rows *bit-identically*: the exact path never changes
-  results, only latency.
+  results, only latency. It is read two ways — tier 1 of the batched
+  :meth:`RetrievalCache.lookup`, and the single-query
+  :meth:`RetrievalCache.probe_exact` the batcher makes at submit — through
+  one match rule (:meth:`RetrievalCache._exact_match`).
 - **semantic tier** — an LRU ring of cached query vectors, matched by cosine
   similarity in **one GEMM per lookup batch**. A query within
   ``semantic_threshold`` of a cached query reuses that query's results; this
@@ -207,7 +210,8 @@ class RetrievalCache:
     Vectors live in a pre-allocated ``(capacity, dim)`` ring so the semantic
     and routing tiers cost exactly one ``(batch, capacity)`` GEMM per lookup
     batch regardless of occupancy; recency is a vectorized ``last_used``
-    array and eviction is ``argmin`` over it (true LRU).
+    array and eviction takes its smallest stamps (true LRU), found once per
+    insert batch.
     """
 
     def __init__(self, config: CacheConfig | None = None, *, dim: int | None = None) -> None:
@@ -266,6 +270,25 @@ class RetrievalCache:
     def _normalized(self, q: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(q, axis=1, keepdims=True)
         return q / np.maximum(norms, 1e-12)
+
+    def _exact_match(self, digest: bytes, generation: int | None) -> tuple:
+        """The one statement of an exact-tier hit: ``(entry, stale_slot)``.
+
+        A hit is a digest that is present and whose entry was written at
+        *generation* (``None`` skips the check); its LRU stamp is refreshed
+        and the entry returned. Anything else returns no entry and changes
+        nothing — ``stale_slot`` names a present-but-outdated entry so that
+        the batch lookup can evict and count it, which the submit-time probe
+        leaves to it.
+        """
+        slot = self._exact.get(digest)
+        if slot is None:
+            return None, None
+        entry = self._entries[slot]
+        if generation is not None and entry.generation != generation:
+            return None, slot
+        self._touch(slot)
+        return entry, None
 
     # -- lookup -------------------------------------------------------------
     def lookup(
@@ -332,19 +355,15 @@ class RetrievalCache:
             # Tier 1: exact digests.
             pending = []
             for i, digest in enumerate(digests):
-                slot = self._exact.get(digest)
-                if slot is not None and generation is not None:
-                    if self._entries[slot].generation != generation:
-                        self._invalidate_slot(slot)
-                        stale_gen += 1
-                        slot = None
-                if slot is not None:
-                    entry = self._entries[slot]
+                entry, stale_slot = self._exact_match(digest, generation)
+                if stale_slot is not None:
+                    self._invalidate_slot(stale_slot)
+                    stale_gen += 1
+                if entry is not None:
                     kinds[i] = EXACT_HIT
                     out_d[i] = entry.distances
                     out_i[i] = entry.ids
                     sims[i] = 1.0
-                    self._touch(slot)
                 else:
                     pending.append(i)
 
@@ -421,6 +440,34 @@ class RetrievalCache:
             routing_entries=routing_entries,
         )
 
+    def probe_exact(
+        self, query: np.ndarray, params_key: tuple, *, generation: int | None = None
+    ) -> "tuple | None":
+        """Exact tier only, one query: ``(distances, ids)`` copies or ``None``.
+
+        The submit-time fast path of :class:`~repro.serving.frontend.
+        DynamicBatcher`. A hit is the same event as an ``EXACT_HIT`` row of
+        :meth:`lookup` (both go through :meth:`_exact_match`) and counts the
+        same — one ``stats.exact_hits``, one
+        ``retrieval_cache_lookups_total{tier=exact_hit}``. Anything else is
+        not a lookup: nothing is counted, touched or evicted, because the
+        caller falls through to the batch path, whose :meth:`lookup` does the
+        counting (and evicts a stale-generation entry) exactly once.
+        """
+        digest = query_digest(query, params_key)
+        with self._lock:
+            entry, _ = self._exact_match(digest, generation)
+            if entry is None:
+                return None
+            self.stats.exact_hits += 1
+        get_registry().counter(
+            "retrieval_cache_lookups_total",
+            "serve-time retrieval cache lookups by outcome tier",
+        ).inc(tier=TIER_NAMES[EXACT_HIT])
+        # Entries are replaced, never written in place: copying outside the
+        # lock is safe, and keeps a caller's edits out of the cache.
+        return entry.distances.copy(), entry.ids.copy()
+
     # -- insertion ----------------------------------------------------------
     def insert(
         self,
@@ -428,73 +475,101 @@ class RetrievalCache:
         result,
         params_key: tuple,
         *,
-        rows: np.ndarray | None = None,
+        digests: list | None = None,
         generation: int | None = None,
     ) -> int:
-        """Cache the search outcome of (a subset of) a query batch.
+        """Cache the search outcome of a query batch.
 
         ``result`` is the :class:`~repro.core.hierarchical.SearchResult` of
-        searching exactly these queries; ``rows`` optionally restricts the
-        insertion to a subset of batch indices (e.g. only the deduplicated
-        representatives). Degraded results are refused — a partial answer
+        searching exactly these queries; ``digests`` are their exact-tier
+        keys when the caller already has them (:attr:`CacheLookup.digests`),
+        saving the re-hash. Degraded results are refused — a partial answer
         must not outlive the fault that caused it. Returns entries written.
+
+        The batch is copied and normalised once (entries hold row views) and
+        its slots are allocated in one pass; the outcome — digest → entry,
+        slot of every entry, eviction count, LRU order — is that of
+        inserting the rows one at a time, duplicates and batches larger than
+        the capacity included.
         """
         if getattr(result, "degraded", False):
             return 0
         q = as_matrix(queries)
-        if rows is None:
-            rows = np.arange(len(q))
-        registry = get_registry()
-        written = 0
+        n = len(q)
+        if digests is None:
+            digests = [query_digest(row, params_key) for row in q]
+        normalized = self._normalized(q.astype(np.float32, copy=False))
+        distances = np.array(result.distances, copy=True)
+        ids = np.array(result.ids, copy=True)
+        clusters = np.array(result.routing.clusters, copy=True)
+        scores = np.array(result.routing.scores, copy=True)
+        slots = []
+        evicted = 0
         with self._lock:
             self._ensure_dim(q.shape[1])
-            for i in rows:
-                i = int(i)
-                digest = query_digest(q[i], params_key)
-                entry = _Entry(
-                    digest=digest,
-                    params_key=params_key,
-                    distances=np.array(result.distances[i], copy=True),
-                    ids=np.array(result.ids[i], copy=True),
-                    routing_clusters=np.array(result.routing.clusters[i], copy=True),
-                    routing_scores=np.array(result.routing.scores[i], copy=True),
-                    generation=generation,
-                )
+            free, victims = self._eviction_order(n)
+            for i, digest in enumerate(digests):
                 slot = self._exact.get(digest)
                 if slot is None:
-                    slot = self._allocate_slot()
-                    self._exact[digest] = slot
-                self._entries[slot] = entry
-                self._vectors[slot] = self._normalized(
-                    q[i : i + 1].astype(np.float32, copy=False)
-                )[0]
-                self._valid[slot] = True
-                self._touch(slot)
-                written += 1
-            self.stats.inserts += written
+                    slot = next(free, None)
+                if slot is None:
+                    slot = next(iter(victims))
+                    del self._exact[self._entries[slot].digest]
+                    evicted += 1
+                # Written now, so the most recently used: last in line.
+                victims.pop(slot, None)
+                victims[slot] = None
+                self._exact[digest] = slot
+                self._entries[slot] = _Entry(
+                    digest=digest,
+                    params_key=params_key,
+                    distances=distances[i],
+                    ids=ids[i],
+                    routing_clusters=clusters[i],
+                    routing_scores=scores[i],
+                    generation=generation,
+                )
+                slots.append(slot)
+            # A slot written twice keeps its last row: numpy assigns repeated
+            # indices in order.
+            slots = np.asarray(slots, dtype=np.intp)
+            self._vectors[slots] = normalized
+            self._valid[slots] = True
+            self._last_used[slots] = np.arange(self._clock + 1, self._clock + n + 1)
+            self._clock += n
+            self.stats.inserts += n
+            self.stats.evictions += evicted
             size = int(self._valid.sum())
-        if written:
+        registry = get_registry()
+        if n:
             registry.counter(
                 "retrieval_cache_inserts_total", "entries written to the retrieval cache"
-            ).inc(written)
+            ).inc(n)
+        if evicted:
+            registry.counter(
+                "retrieval_cache_evictions_total", "LRU evictions from the retrieval cache"
+            ).inc(evicted)
         registry.gauge(
             "retrieval_cache_size", "live entries in the retrieval cache"
         ).set(size)
-        return written
+        return n
 
-    def _allocate_slot(self) -> int:
-        """Free slot if any, else evict the least-recently-used entry."""
+    def _eviction_order(self, n: int) -> tuple:
+        """What an insert of *n* rows allocates from: ``(free, victims)``.
+
+        ``free`` iterates the empty slots, lowest first; ``victims`` is an
+        insertion-ordered dict whose first key is the least-recently-used
+        entry — as many of the oldest as *n* rows can evict once the free
+        slots are gone, from one partial sort, after which the inserting
+        loop appends every slot it writes. Neither the free scan nor the
+        ``argmin`` runs per row.
+        """
         free = np.flatnonzero(~self._valid)
-        if len(free):
-            return int(free[0])
-        used = np.where(self._valid, self._last_used, np.iinfo(np.int64).max)
-        victim = int(np.argmin(used))
-        evicted = self._entries[victim]
-        if evicted is not None:
-            self._exact.pop(evicted.digest, None)
-        self._valid[victim] = False
-        self.stats.evictions += 1
-        get_registry().counter(
-            "retrieval_cache_evictions_total", "LRU evictions from the retrieval cache"
-        ).inc()
-        return victim
+        need = min(n, self.capacity) - len(free)
+        if need <= 0:
+            return iter(free.tolist()), {}
+        used = np.flatnonzero(self._valid)
+        stamps = self._last_used[used]
+        oldest = np.argpartition(stamps, need - 1)[:need]
+        oldest = used[oldest[np.argsort(stamps[oldest])]]
+        return iter(free.tolist()), dict.fromkeys(oldest.tolist())

@@ -12,12 +12,31 @@ serve-time component. Two layers:
   only the remaining unique misses pay the full route + deep-search path.
   Fresh results are inserted back into the cache.
 - :class:`DynamicBatcher` — request-level coalescing. Callers ``submit()``
-  single queries and get futures; a worker thread drains the queue, holding
-  the first request of a batch for at most ``max_wait_s`` while up to
-  ``max_batch`` compatible requests (same search parameters) accumulate,
-  then executes the merged batch through the frontend under a ``coalesce``
-  span. This is the deadline-budget batching that converts redundant serve
-  traffic into the cell-major scan's batch efficiency.
+  single queries and get futures. ``submit`` first asks the frontend for an
+  exact-tier answer (:meth:`ServingFrontend.cached_answer`) and, on a hit,
+  returns an already-resolved future from the caller's thread; everything
+  else is queued, and a worker thread drains the queue, holding the first
+  request of a batch for at most ``max_wait_s`` while up to ``max_batch``
+  compatible requests (same search parameters) accumulate, then executes the
+  merged batch through the frontend under a ``coalesce`` span. This is the
+  deadline-budget batching that converts redundant serve traffic into the
+  cell-major scan's batch efficiency.
+
+So a request's path is: exact probe at submit → (no hit) queue wait → batch
+lookup, exact tier again, then semantic / routing tiers → route → deep
+search → merge. On skewed traffic most requests end at the first step (82 %
+on the suite's ``serve_zipf``), which is why the probe sits in front of the
+coalescing window and not behind it: a hit is one digest and one dict probe,
+and waiting ``max_wait_s`` — or the miss batch ahead — for it bought nothing.
+A submit-time answer skips the bounded queue (it takes no slot, so it is
+never rejected), deadline shedding (it is on time by construction) and the
+brownout ladder. That is safe because the probe is keyed on the
+*full-quality* parameters and the datastore's current generation: the answer
+is never degraded and never stale, and it counts exactly what the batch path
+would have counted for it (one cache lookup, one frontend request, one
+batcher request), so *submitted = served + shed + rejected* and *lookups =
+Σ tier hits + misses* hold as before. The two paths share one statement of
+what an exact hit is (:meth:`RetrievalCache._exact_match`).
 
 With an :class:`~repro.serving.admission.AdmissionController` attached the
 batcher becomes overload-safe: ``submit`` fail-fast rejects once the queue
@@ -29,6 +48,12 @@ is clamped to what is left, and sustained queue delay walks the brownout
 ladder — looser semantic-cache threshold first, smaller deep-search
 fan-out second — before anything is dropped. Each future then resolves to
 a :class:`ServedQuery` carrying the degradation level it was served at.
+All of that is about *queued* requests: the queue bound counts them, the
+CoDel sojourn is theirs, and the service-time EWMA that shedding compares a
+budget against averages the worker's batches — which, now that exact hits
+never reach the worker, are miss batches: the estimate is of what a queued
+request will actually wait for, no longer pulled down by all-hit batches
+that took microseconds.
 
 Exact-hit answers replay the cached rows bit-for-bit, so a warm pass is
 bit-identical to the search that populated it; when dedupe or partial hits
@@ -238,6 +263,35 @@ class ServingFrontend:
             degradation_level=int(degradation_level),
         )
 
+    def cached_answer(
+        self,
+        query: np.ndarray,
+        *,
+        k: int | None = None,
+        clusters_to_search: int | None = None,
+        deep_nprobe: int | None = None,
+    ) -> "tuple | None":
+        """Full-quality ``(distances, ids)`` for one query if the exact tier
+        holds them, else ``None`` — the probe :meth:`DynamicBatcher.submit`
+        makes before it queues anything.
+
+        Keyed as :meth:`search` keys a batch at brownout level 0 (the
+        searcher's own parameter resolution, the datastore's current
+        generation), so a hit is never degraded and never stale, whatever
+        level the batch path is at. A hit is one served request, counted as
+        :meth:`search` counts one; ``None`` counts nothing — the caller goes
+        on to :meth:`search`, which does.
+        """
+        params_key = self.searcher.resolve_params(k, clusters_to_search, deep_nprobe)
+        answer = self.cache.probe_exact(
+            query, params_key, generation=self.searcher.datastore.generation
+        )
+        if answer is not None:
+            get_registry().counter(
+                "frontend_requests_total", "queries served by the frontend"
+            ).inc()
+        return answer
+
     def _search_misses(
         self,
         q: np.ndarray,
@@ -296,15 +350,28 @@ class ServingFrontend:
                 for i in groups[rep]:
                     out_d[i] = result.distances[j]
                     out_i[i] = result.ids[j]
-            self.cache.insert(sub, result, params_key, generation=generation)
+            self.cache.insert(
+                sub,
+                result,
+                params_key,
+                digests=[lookup.digests[r] for r in rows],
+                generation=generation,
+            )
         return searched, shard_queries
 
 
 @dataclass
 class BatcherStats:
-    """Coalescing + overload accounting for one :class:`DynamicBatcher`."""
+    """Coalescing + overload accounting for one :class:`DynamicBatcher`.
+
+    ``requests`` counts every served request, ``answered_at_submit`` the ones
+    among them that :meth:`DynamicBatcher.submit` answered from the exact
+    cache tier without queueing; the rest rode one of ``batches``. Every
+    field is written under the batcher's lock.
+    """
 
     requests: int = 0
+    answered_at_submit: int = 0
     batches: int = 0
     max_batch: int = 0
     rejected: int = 0
@@ -313,9 +380,10 @@ class BatcherStats:
 
     @property
     def mean_batch(self) -> float:
+        """Queued requests per batch (submit-time answers joined no batch)."""
         if not self.batches:
             return 0.0
-        return self.requests / self.batches
+        return (self.requests - self.answered_at_submit) / self.batches
 
 
 class ServedQuery(NamedTuple):
@@ -342,7 +410,11 @@ class DynamicBatcher:
     """Deadline-budget coalescing of single-query requests.
 
     ``submit()`` returns a future resolving to a :class:`ServedQuery` for
-    that one query. The worker thread holds a batch open for at most
+    that one query. A query the exact cache tier can answer at full quality
+    is answered inside ``submit`` — the future comes back resolved
+    (``EXACT_HIT``, ``degradation_level`` 0) without touching the queue, the
+    worker or the admission controller, at any brownout level. Every other
+    request is queued: the worker thread holds a batch open for at most
     ``max_wait_s`` after its first request arrives (the deadline budget),
     coalescing up to ``max_batch`` requests with identical search parameters;
     requests with different parameters stay queued for the next batch.
@@ -401,8 +473,10 @@ class DynamicBatcher:
 
         ``deadline_s`` is this request's end-to-end budget from *now*
         (``None`` falls back to the admission config's default). Raises
-        :class:`AdmissionRejectedError` when the bounded queue is full and
-        :class:`DeadlineExceededError` when the budget is already spent.
+        :class:`DeadlineExceededError` when the budget is already spent,
+        ``RuntimeError`` once the batcher is closed, and — only if the exact
+        cache tier cannot answer — :class:`AdmissionRejectedError` when the
+        bounded queue is full.
         """
         query = np.asarray(query, dtype=np.float32)
         if query.ndim != 1:
@@ -411,8 +485,23 @@ class DynamicBatcher:
             deadline_s = self.admission.deadline_for(deadline_s)
         if deadline_s is not None and deadline_s <= 0:
             raise DeadlineExceededError(deadline_s, stage="submit")
-        params = (k, clusters_to_search, deep_nprobe)
+        if self._closed:
+            raise RuntimeError("batcher is closed")
         future: Future = Future()
+        answer = self.frontend.cached_answer(
+            query, k=k, clusters_to_search=clusters_to_search, deep_nprobe=deep_nprobe
+        )
+        if answer is not None:
+            with self._cv:
+                self.stats.requests += 1
+                self.stats.answered_at_submit += 1
+            get_registry().counter(
+                "frontend_answered_at_submit_total",
+                "requests answered from the exact cache tier inside submit",
+            ).inc()
+            future.set_result(ServedQuery(*answer, EXACT_HIT, 0))
+            return future
+        params = (k, clusters_to_search, deep_nprobe)
         with self._cv:
             if self._closed:
                 raise RuntimeError("batcher is closed")
@@ -485,7 +574,8 @@ class DynamicBatcher:
             if not shed:
                 kept.append(p)
                 continue
-            self.stats.shed += 1
+            with self._cv:
+                self.stats.shed += 1
             if self.admission is not None:
                 self.admission.record_shed()
             else:
@@ -542,9 +632,13 @@ class DynamicBatcher:
                 # Per-request-visible service time: every request in the
                 # batch waits for the whole batch.
                 self.admission.record_service_time(self._clock() - started)
-            self.stats.requests += len(batch)
-            self.stats.batches += 1
-            self.stats.max_batch = max(self.stats.max_batch, len(batch))
+            done = self._clock()
+            late = sum(p.deadline_at is not None and done > p.deadline_at for p in batch)
+            with self._cv:
+                self.stats.requests += len(batch)
+                self.stats.batches += 1
+                self.stats.max_batch = max(self.stats.max_batch, len(batch))
+                self.stats.deadline_misses += late
             registry.counter(
                 "frontend_coalesced_batches_total", "batches formed by the dynamic batcher"
             ).inc()
@@ -562,14 +656,12 @@ class DynamicBatcher:
                 "brownout level batches were served at",
                 buckets=DEGRADATION_BUCKETS,
             ).observe(level)
-            done = self._clock()
+            if late:
+                registry.counter(
+                    "serving_deadline_miss_total",
+                    "requests completed after their deadline had passed",
+                ).inc(late)
             for row, p in enumerate(batch):
-                if p.deadline_at is not None and done > p.deadline_at:
-                    self.stats.deadline_misses += 1
-                    registry.counter(
-                        "serving_deadline_miss_total",
-                        "requests completed after their deadline had passed",
-                    ).inc()
                 p.future.set_result(
                     ServedQuery(
                         result.distances[row],

@@ -57,6 +57,9 @@ class _StubFrontend:
         self.gate.set()
         self.calls = []
 
+    def cached_answer(self, query, *, k=None, clusters_to_search=None, deep_nprobe=None):
+        return None  # no cache: every submit queues
+
     def search(
         self,
         queries,

@@ -15,6 +15,7 @@ from repro.serving.cache import (
     SEMANTIC_HIT,
     CacheConfig,
     RetrievalCache,
+    RetrievalCacheStats,
     query_digest,
 )
 
@@ -391,3 +392,156 @@ class TestMetrics:
             assert snap["retrieval_cache_size"] == 3
         finally:
             set_registry(previous)
+
+
+@pytest.fixture()
+def fresh_registry():
+    from repro.obs.metrics import MetricsRegistry, set_registry
+
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    yield registry
+    set_registry(previous)
+
+
+class TestProbeExact:
+    """The single-row exact probe: a hit is a lookup row, a non-hit is nothing."""
+
+    def make(self, generation=3):
+        cache = RetrievalCache(CacheConfig(capacity=4))
+        q = key_vector(0)[np.newaxis]
+        cache.insert(q, FakeResult(1), PARAMS, generation=generation)
+        return cache, q[0]
+
+    def test_hit_counts_and_touches_like_a_lookup_row(self):
+        probed, q = self.make()
+        looked, _ = self.make()
+        answer = probed.probe_exact(q, PARAMS, generation=3)
+        row = looked.lookup(q[np.newaxis], 4, PARAMS, generation=3)
+        assert np.array_equal(answer[0], row.distances[0])
+        assert np.array_equal(answer[1], row.ids[0])
+        assert probed.stats == looked.stats
+        assert probed.stats.exact_hits == probed.stats.lookups == 1
+        assert np.array_equal(probed._last_used, looked._last_used)
+
+    def test_hit_counts_one_registry_lookup(self, fresh_registry):
+        cache, q = self.make()
+        before = fresh_registry.snapshot()
+        cache.probe_exact(q, PARAMS, generation=3)
+        after = fresh_registry.snapshot()
+        assert {k: v for k, v in after.items() if before.get(k) != v} == {
+            'retrieval_cache_lookups_total{tier="exact_hit"}': 1
+        }
+
+    def test_hit_returns_copies(self):
+        cache, q = self.make()
+        distances, ids = cache.probe_exact(q, PARAMS, generation=3)
+        distances[:] = -1.0
+        ids[:] = -1
+        again = cache.probe_exact(q, PARAMS, generation=3)
+        assert (again[0] == 0.0).all() and (again[1] >= 0).all()
+
+    @pytest.mark.parametrize(
+        "query_key, params, generation",
+        [
+            (1, PARAMS, 3),  # never cached
+            (0, (10, 3, 128), 3),  # cached under other search params
+            (0, PARAMS, 4),  # cached against an older corpus
+        ],
+    )
+    def test_non_hit_counts_touches_and_evicts_nothing(
+        self, query_key, params, generation, fresh_registry
+    ):
+        cache, _ = self.make()
+        stats = RetrievalCacheStats(**vars(cache.stats))
+        stamps = cache._last_used.copy()
+        digests = cache.cached_digests()
+        registry = fresh_registry.snapshot()
+        assert cache.probe_exact(key_vector(query_key), params, generation=generation) is None
+        assert cache.stats == stats
+        assert np.array_equal(cache._last_used, stamps)
+        assert cache.cached_digests() == digests
+        assert fresh_registry.snapshot() == registry
+
+    def test_stale_entry_is_left_for_the_batch_lookup_to_count_once(self):
+        cache, q = self.make(generation=3)
+        assert cache.probe_exact(q, PARAMS, generation=4) is None
+        row = cache.lookup(q[np.newaxis], 4, PARAMS, generation=4)
+        assert row.kinds[0] == MISS
+        assert cache.stats.stale_generation == 1 and len(cache) == 0
+
+
+class TestBatchInsertOracle:
+    """``insert(batch)`` leaves the cache exactly as row-by-row inserts do."""
+
+    @staticmethod
+    def batch_result(op: int, nq: int) -> FakeResult:
+        result = FakeResult(nq)
+        result.ids = result.ids + 1000 * (op + 1)  # which write an entry is from
+        return result
+
+    @staticmethod
+    def state(cache: RetrievalCache) -> dict:
+        valid = np.flatnonzero(cache._valid)
+        return {
+            "slot_of": dict(cache._exact),
+            "ids_of": {d: cache._entries[s].ids.tolist() for d, s in cache._exact.items()},
+            "valid": valid.tolist(),
+            "stamps": cache._last_used[valid].tolist(),
+            "vectors": cache._vectors[valid].tolist(),
+            "evictions": cache.stats.evictions,
+            "inserts": cache.stats.inserts,
+        }
+
+    @settings(deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "insert", "lookup"]),
+                st.lists(st.integers(0, 11), min_size=1, max_size=10),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_batch_equals_row_by_row(self, capacity, ops):
+        config = CacheConfig(capacity=capacity, semantic_threshold=None, routing_threshold=None)
+        batched, rowwise = RetrievalCache(config), RetrievalCache(config)
+        for op, (verb, keys) in enumerate(ops):
+            q = np.stack([key_vector(key) for key in keys])
+            if verb == "lookup":
+                a = batched.lookup(q, 4, PARAMS)
+                b = rowwise.lookup(q, 4, PARAMS)
+                assert np.array_equal(a.kinds, b.kinds) and np.array_equal(a.ids, b.ids)
+            else:
+                result = self.batch_result(op, len(q))
+                assert batched.insert(q, result, PARAMS) == len(q)
+                for i in range(len(q)):
+                    row = FakeResult(1)
+                    row.ids = result.ids[i : i + 1]
+                    rowwise.insert(q[i : i + 1], row, PARAMS)
+            assert self.state(batched) == self.state(rowwise)
+
+    def test_duplicates_and_a_batch_larger_than_the_capacity(self):
+        """The two cases a per-batch allocation could get wrong, spelled out:
+        [C, D, E, C] into a full 2-slot cache evicts four times (C is written,
+        evicted by E, and written again) and keeps the *last* C."""
+        config = CacheConfig(capacity=2, semantic_threshold=None, routing_threshold=None)
+        cache = RetrievalCache(config)
+        cache.insert(np.stack([key_vector(0), key_vector(1)]), FakeResult(2), PARAMS)
+        keys = [2, 3, 4, 2]
+        result = self.batch_result(0, 4)
+        cache.insert(np.stack([key_vector(key) for key in keys]), result, PARAMS)
+        assert cache.stats.evictions == 4 and len(cache) == 2
+        last = cache.lookup(np.stack([key_vector(4), key_vector(2)]), 4, PARAMS)
+        assert (last.kinds == EXACT_HIT).all()
+        assert np.array_equal(last.ids, result.ids[[2, 3]])
+
+    def test_given_digests_are_used_as_is(self):
+        q = np.stack([key_vector(0), key_vector(1)])
+        cache = RetrievalCache(CacheConfig(capacity=4))
+        digests = cache.lookup(q, 4, PARAMS).digests
+        cache.insert(q, FakeResult(2), PARAMS, digests=digests)
+        assert cache.cached_digests() == set(digests)
+        assert (cache.lookup(q, 4, PARAMS).kinds == EXACT_HIT).all()
