@@ -7,7 +7,7 @@ starves. Also reports latency percentiles the closed-form model cannot see.
 """
 
 
-from repro.datastore.embeddings import zipf_weights
+from repro.experiments.common import build_fleet
 from repro.llm.generation import GenerationConfig
 from repro.perfmodel.aggregate import expected_deep_loads
 from repro.metrics.reporting import format_table
@@ -17,14 +17,9 @@ CONFIG = GenerationConfig(batch=128, output_tokens=128, stride=16)
 
 
 def simulate(total_tokens: float, *, n_clusters=10, n_batches=10):
-    loads = expected_deep_loads(
-        CONFIG.batch, zipf_weights(n_clusters, exponent=0.45), 3
-    )
-    plan = plan_from_models(
-        CONFIG,
-        shard_tokens=[total_tokens / n_clusters] * n_clusters,
-        deep_loads=loads,
-    )
+    fleet = build_fleet(total_tokens, n_clusters=n_clusters, size_skew_exponent=0.0)
+    loads = expected_deep_loads(CONFIG.batch, fleet.access_frequency, 3)
+    plan = plan_from_models(CONFIG, fleet.model.hermes(CONFIG.batch, loads))
     sim = PipelineSimulator(plan, batch_size=CONFIG.batch)
     return sim.run(n_batches)
 

@@ -13,7 +13,13 @@ two DVFS policies save.
 
 from repro.experiments.fig10 import max_hidden_cluster_tokens, recommended_clusters
 from repro.experiments.common import build_fleet, hermes_retrieval_cost, monolithic_retrieval_cost
-from repro.llm.generation import GenerationConfig, RetrievalCost, constant_retrieval, simulate_generation
+from repro.llm.generation import (
+    GenerationConfig,
+    RetrievalCost,
+    constant_retrieval,
+    inference_block_s,
+    simulate_generation,
+)
 from repro.llm.inference import InferenceModel
 from repro.llm.models import get_model
 from repro.perfmodel.aggregate import DVFSPolicy, expected_deep_loads
@@ -26,10 +32,7 @@ SERVING = GenerationConfig(batch=128, input_tokens=512, output_tokens=256, strid
 
 def main() -> None:
     inference = InferenceModel(model=get_model(MODEL_KEY))
-    window = (
-        inference.prefill(SERVING.batch, SERVING.input_tokens).latency_s
-        + inference.decode(SERVING.batch, SERVING.stride).latency_s
-    )
+    window = inference_block_s(inference, SERVING)
     print(f"deployment target : {DATASTORE_TOKENS:.0e} tokens, {inference.model.name}")
     print(f"inference window  : {window:.2f} s per stride (batch {SERVING.batch})")
 

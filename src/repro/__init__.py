@@ -4,19 +4,23 @@ Retrieval-Augmented Generation At Scale* (Shen et al., ISCA 2025).
 Public API quick tour
 ---------------------
 
->>> from repro import HermesSystem, HermesConfig, make_corpus
+>>> from repro import HermesSearcher, MultiNodeModel, cluster_datastore, make_corpus
+>>> from repro.perfmodel import routing_to_batch
 >>> corpus = make_corpus(5000)
->>> system = HermesSystem(corpus.embeddings, total_tokens=1e12)
->>> outcome = system.retrieve(corpus.embeddings[:8], k=5)
->>> outcome.search.ids.shape
+>>> datastore = cluster_datastore(corpus.embeddings)
+>>> result = HermesSearcher(datastore).search(corpus.embeddings[:8], k=5)
+>>> result.ids.shape
 (8, 5)
+>>> fleet = MultiNodeModel.hosting(datastore.shard_token_sizes(1e12))
+>>> loads = routing_to_batch(result.routing).node_loads(datastore.n_clusters)
+>>> fleet.hermes(8, loads).latency_s > 0  # the routed batch at 1T tokens
+True
 
 Subpackages
 -----------
 
 ``repro.core``
-    Hermes itself: clustered datastore, hierarchical search, scheduler,
-    DVFS policies, end-to-end pipeline.
+    Hermes itself: clustered datastore, hierarchical search, DVFS policies.
 ``repro.ann``
     Vector-search substrate (Flat/IVF/HNSW, SQ/PQ/OPQ quantization, K-means).
 ``repro.datastore``
@@ -24,7 +28,11 @@ Subpackages
 ``repro.llm``
     Inference cost models and the strided-generation timeline.
 ``repro.hardware`` / ``repro.perfmodel``
-    Platform models and the multi-node analysis tool.
+    Platform models and the multi-node analysis tool (fleet provisioning,
+    routed loads, latency / energy of a batch at nominal scale).
+``repro.serving``
+    The live stride-scheduled pipeline, cache / batcher frontend, and the
+    discrete-event simulator (the timeline's contended, multi-batch run).
 ``repro.baselines``
     Monolithic retrieval and the RAGCache overlap analyses.
 ``repro.experiments``
@@ -35,9 +43,7 @@ from .baselines import MonolithicRetriever
 from .core import (
     ClusteredDatastore,
     HermesConfig,
-    HermesScheduler,
     HermesSearcher,
-    HermesSystem,
     cluster_datastore,
     split_datastore_evenly,
 )
@@ -52,9 +58,7 @@ __all__ = [
     "MonolithicRetriever",
     "ClusteredDatastore",
     "HermesConfig",
-    "HermesScheduler",
     "HermesSearcher",
-    "HermesSystem",
     "cluster_datastore",
     "split_datastore_evenly",
     "SyntheticEncoder",

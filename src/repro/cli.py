@@ -186,7 +186,7 @@ def _cmd_multinode(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
-    from .datastore.embeddings import zipf_weights
+    from .experiments.common import build_fleet
     from .llm.generation import GenerationConfig
     from .perfmodel.aggregate import expected_deep_loads
     from .serving import PipelineSimulator, plan_from_models
@@ -194,11 +194,11 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     config = GenerationConfig(
         batch=args.batch, stride=args.stride, output_tokens=args.output_tokens
     )
-    shard_tokens = [args.tokens / args.clusters] * args.clusters
+    fleet = build_fleet(args.tokens, n_clusters=args.clusters, size_skew_exponent=0.0)
     loads = expected_deep_loads(
-        args.batch, zipf_weights(args.clusters, exponent=0.45), args.clusters_searched
+        args.batch, fleet.access_frequency, args.clusters_searched
     )
-    plan = plan_from_models(config, shard_tokens=shard_tokens, deep_loads=loads)
+    plan = plan_from_models(config, fleet.model.hermes(args.batch, loads))
     sim = PipelineSimulator(plan, batch_size=args.batch)
     report = sim.run(args.batches)
     print(

@@ -1,8 +1,8 @@
 """Hermes core: the paper's primary contribution.
 
 Datastore disaggregation (K-means split with seed sweep), hierarchical
-sample-then-deep search, fleet scheduling, DVFS load balancing, and the
-end-to-end RAG pipeline facade.
+sample-then-deep search and DVFS load balancing (a routed batch's modelled
+fleet cost is :mod:`repro.perfmodel`'s).
 """
 
 from .build_cache import (
@@ -37,7 +37,6 @@ from .hierarchical import (
     ShardCallStats,
     ShardHealth,
 )
-from .pipeline import HermesSystem, RAGResponse, RetrievalOutcome
 from .router import (
     AllRouter,
     CentroidRouter,
@@ -45,7 +44,6 @@ from .router import (
     RoutingDecision,
     SampledRouter,
 )
-from .scheduler import HermesScheduler, routing_to_batch
 from .store_io import load_datastore, save_datastore
 
 __all__ = [
@@ -74,16 +72,11 @@ __all__ = [
     "ShardSearchError",
     "ShardTimeoutError",
     "TransientShardError",
-    "HermesSystem",
-    "RAGResponse",
-    "RetrievalOutcome",
     "AllRouter",
     "CentroidRouter",
     "ClusterRouter",
     "RoutingDecision",
     "SampledRouter",
-    "HermesScheduler",
-    "routing_to_batch",
     "load_datastore",
     "save_datastore",
 ]

@@ -26,7 +26,6 @@ from ..core.clustering import ClusteredDatastore, split_datastore_evenly
 from ..core.config import HermesConfig
 from ..datastore.embeddings import SyntheticCorpus, make_corpus, zipf_weights
 from ..datastore.queries import QuerySet, natural_questions_queries, trivia_queries
-from ..hardware.node import NodeCluster
 from ..llm.generation import (
     GenerationConfig,
     GenerationResult,
@@ -41,7 +40,7 @@ from ..perfmodel.aggregate import (
     MultiNodeModel,
     expected_deep_loads,
 )
-from ..perfmodel.measurements import RetrievalCostModel, index_memory_bytes
+from ..perfmodel.measurements import RetrievalCostModel
 
 #: Documents in the shared accuracy corpus (a scale model of the paper's
 #: 100M-doc subset with identical 10-topic structure).
@@ -140,15 +139,10 @@ def build_fleet(
     access = zipf_weights(n_clusters, exponent=access_skew_exponent)
     # Decouple "hot" from "big": shuffle access ranks deterministically.
     access = access[np.random.default_rng(7).permutation(n_clusters)]
-    kwargs = {}
-    if cpu_key is not None:
-        kwargs["cpu"] = get_cpu(cpu_key)
-    cluster = NodeCluster.homogeneous(
-        n_clusters, memory_gb=max(1024.0, 2 * index_memory_bytes(max(shard_tokens)) / 1e9), **kwargs
-    )
-    cluster.host_shards(shard_tokens, [index_memory_bytes(t) for t in shard_tokens])
     return FleetSetup(
-        model=MultiNodeModel(cluster),
+        model=MultiNodeModel.hosting(
+            shard_tokens, cpu=get_cpu(cpu_key) if cpu_key is not None else None
+        ),
         shard_tokens=shard_tokens,
         access_frequency=access,
     )

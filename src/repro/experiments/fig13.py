@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.hierarchical import HermesSearcher
-from ..perfmodel.trace import BatchRouting, ClusterAccessTrace
+from ..perfmodel.trace import ClusterAccessTrace, routing_to_batch
 from .common import clustered_accuracy_datastore, nq_queries
 
 
@@ -49,7 +49,7 @@ def run(*, clusters_to_search: int = 3, batch_size: int = 128) -> ImbalanceRepor
     for start in range(0, len(queries), batch_size):
         batch = queries[start : start + batch_size]
         result = searcher.search(batch, clusters_to_search=clusters_to_search)
-        trace.record(BatchRouting(clusters=result.routing.clusters))
+        trace.record(routing_to_batch(result.routing))
     return ImbalanceReport(
         cluster_sizes=datastore.sizes(), access_counts=trace.access_counts()
     )

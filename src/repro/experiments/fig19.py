@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..llm.generation import GenerationConfig, inference_block_s
 from ..llm.inference import InferenceModel
 from .common import monolithic_retrieval_cost
 
@@ -79,9 +80,8 @@ def optimal_cluster_sizes(
     unit = monolithic_retrieval_cost(1e9, batch).latency_s  # s per 1B tokens
     cells = []
     for input_tokens in input_lengths:
-        window = (
-            inference.prefill(batch, input_tokens).latency_s
-            + inference.decode(batch, stride).latency_s
+        window = inference_block_s(
+            inference, GenerationConfig(batch=batch, input_tokens=input_tokens, stride=stride)
         )
         cells.append(
             OptimalClusterCell(

@@ -33,7 +33,7 @@ import numpy as np
 from ..core.clustering import cluster_datastore
 from ..core.config import HermesConfig
 from ..core.hierarchical import HermesSearcher
-from ..datastore.embeddings import make_corpus, zipf_weights
+from ..datastore.embeddings import make_corpus
 from ..llm.generation import (
     GenerationConfig,
     RetrievalCost,
@@ -48,6 +48,7 @@ from ..obs.validate import validate_trace
 from ..perfmodel.aggregate import expected_deep_loads
 from ..serving import PipelineSimulator, plan_from_models
 from . import serve_pipeline
+from .common import build_fleet
 
 TRACE_EXPERIMENTS = ("retrieval", "generation", "serve-sim", "e2e")
 
@@ -137,12 +138,9 @@ def _traced_e2e(seed: int, tracer: Tracer) -> list:
 
 def _traced_serve_sim(seed: int, tracer: Tracer) -> list:
     config = GenerationConfig(batch=32, output_tokens=48, stride=16)
-    n_clusters = 4
-    shard_tokens = [2.5e9] * n_clusters
-    loads = expected_deep_loads(
-        config.batch, zipf_weights(n_clusters, exponent=0.45), 2
-    )
-    plan = plan_from_models(config, shard_tokens=shard_tokens, deep_loads=loads)
+    fleet = build_fleet(10e9, n_clusters=4, size_skew_exponent=0.0)
+    loads = expected_deep_loads(config.batch, fleet.access_frequency, 2)
+    plan = plan_from_models(config, fleet.model.hermes(config.batch, loads))
     sim = PipelineSimulator(plan, batch_size=config.batch, tracer=tracer)
     sim.run_poisson(4, mean_interval_s=1.0, seed=seed)
     return tracer.finished_roots()

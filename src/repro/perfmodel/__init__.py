@@ -25,7 +25,7 @@ from .measurements import (
     index_memory_bytes,
     vectors_for_tokens,
 )
-from .trace import BatchRouting, ClusterAccessTrace
+from .trace import BatchRouting, ClusterAccessTrace, routing_to_batch
 
 __all__ = [
     "DistributedRetrievalResult",
@@ -47,4 +47,5 @@ __all__ = [
     "vectors_for_tokens",
     "BatchRouting",
     "ClusterAccessTrace",
+    "routing_to_batch",
 ]

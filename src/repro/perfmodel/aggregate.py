@@ -24,9 +24,10 @@ from enum import Enum
 
 import numpy as np
 
+from ..hardware.cpu import XEON_GOLD_6448Y, CPUPlatform
 from ..hardware.dvfs import frequency_for_target, operating_point
 from ..hardware.node import NodeCluster
-from .measurements import RetrievalCostModel
+from .measurements import RetrievalCostModel, index_memory_bytes
 
 
 class DVFSPolicy(Enum):
@@ -78,6 +79,29 @@ class MultiNodeModel:
             raise ValueError("cluster must contain at least one node")
         self.cluster = cluster
         self._cost_models = [RetrievalCostModel(platform=n.cpu) for n in cluster]
+
+    @classmethod
+    def hosting(
+        cls, shard_tokens: "list[float]", cpu: CPUPlatform | None = None
+    ) -> "MultiNodeModel":
+        """A homogeneous fleet with node *i* hosting a shard of ``shard_tokens[i]``.
+
+        Nodes are provisioned to fit the largest shard with headroom (the
+        capacity check still guards hand-built fleets). With a clustering's
+        ``shard_token_sizes(total)`` the measured shard imbalance flows into
+        latency, energy and DVFS.
+        """
+        shard_tokens = [float(t) for t in shard_tokens]
+        if not shard_tokens or min(shard_tokens) < 0 or sum(shard_tokens) <= 0:
+            raise ValueError("shard_tokens must be non-negative with a positive total")
+        shard_bytes = [index_memory_bytes(t) for t in shard_tokens]
+        cluster = NodeCluster.homogeneous(
+            len(shard_tokens),
+            cpu=cpu or XEON_GOLD_6448Y,
+            memory_gb=max(1024.0, 2 * max(shard_bytes) / 1e9),
+        )
+        cluster.host_shards(shard_tokens, shard_bytes)
+        return cls(cluster)
 
     # -- single-node organisations -----------------------------------------
     def monolithic(

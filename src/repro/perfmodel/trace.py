@@ -45,6 +45,13 @@ class BatchRouting:
         return np.bincount(valid, minlength=n_clusters).astype(np.int64)
 
 
+def routing_to_batch(decision) -> BatchRouting:
+    """A router's :class:`~repro.core.router.RoutingDecision` as a load record:
+    ``routing_to_batch(result.routing).node_loads(n)`` is the served batch's
+    per-node deep-search load that ``MultiNodeModel.hermes`` costs."""
+    return BatchRouting(clusters=decision.clusters)
+
+
 @dataclass
 class ClusterAccessTrace:
     """Accumulated routing decisions across many batches (Fig. 13/15 traces)."""

@@ -104,16 +104,3 @@ class Resource:
             self._busy = True
             self._acquired_at = self.loop.now
             continuation()
-
-    def hold_for(self, duration: float, *, then: Callable[[], None] | None = None) -> None:
-        """Convenience: acquire, occupy for *duration*, release, then continue."""
-
-        def occupied() -> None:
-            def done() -> None:
-                self.release()
-                if then is not None:
-                    then()
-
-            self.loop.schedule(duration, done)
-
-        self.acquire(occupied)

@@ -367,7 +367,10 @@ class BatcherStats:
     ``requests`` counts every served request, ``answered_at_submit`` the ones
     among them that :meth:`DynamicBatcher.submit` answered from the exact
     cache tier without queueing; the rest rode one of ``batches``. Every
-    field is written under the batcher's lock.
+    ``submit`` call ends in exactly one of four counts — submitted =
+    ``requests`` + ``shed`` + ``rejected`` + ``failed`` — where ``failed``
+    is the requests of a batch whose frontend search raised (their futures
+    carry the exception). Every field is written under the batcher's lock.
     """
 
     requests: int = 0
@@ -376,6 +379,7 @@ class BatcherStats:
     max_batch: int = 0
     rejected: int = 0
     shed: int = 0
+    failed: int = 0
     deadline_misses: int = 0
 
     @property
@@ -625,6 +629,12 @@ class DynamicBatcher:
                         degradation_level=level,
                     )
             except BaseException as exc:  # noqa: BLE001 — fail the futures, not the worker
+                with self._cv:
+                    self.stats.failed += len(batch)
+                registry.counter(
+                    "frontend_failed_requests_total",
+                    "requests whose batch raised inside the frontend search",
+                ).inc(len(batch))
                 for p in batch:
                     p.future.set_exception(exc)
                 continue

@@ -9,9 +9,11 @@ the behaviour the paper's "max of stage times" throughput analysis
 approximates — and the simulator reports where the approximation holds and
 where queueing skews it.
 
-Stage durations come from the same calibrated cost models as the analytical
-path, so simulated and closed-form results are directly comparable (see
-``tests/serving/test_simulator.py`` for the cross-validation).
+Stage durations are the analytical path's own: per-node sample / deep seconds
+from ``MultiNodeModel.hermes`` and one ``(prefill, decode)`` per stride from
+:func:`~repro.llm.generation.stride_costs`. One uncontended batch is therefore
+the sequential :func:`~repro.llm.generation.stride_timeline` for every config
+(``tests/serving/test_simulator.py``); what the DES adds is contention.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from ..llm.generation import GenerationConfig, stride_costs
 from ..llm.inference import InferenceModel
 from ..obs.trace import Tracer
-from ..perfmodel.measurements import EncoderCostModel, RetrievalCostModel
+from ..perfmodel.aggregate import DistributedRetrievalResult
+from ..perfmodel.measurements import EncoderCostModel
 from .events import EventLoop, Resource
 from .faults import FleetFaultSchedule
 
@@ -32,73 +35,52 @@ from .faults import FleetFaultSchedule
 class StagePlan:
     """Per-batch stage durations driving the simulation.
 
-    ``sample_seconds[i]`` / ``deep_seconds[i]`` are node *i*'s busy time for
-    one batch's sampling / deep-search phase (0 when the node is not
-    involved); GPU stages are scalars.
+    ``retrieval`` carries node *i*'s busy time for one batch's sampling /
+    deep-search phase (0 when the node is not involved); ``strides[i]`` is
+    stride *i*'s ``(prefill_s, decode_s)`` on the GPU.
     """
 
     encode_s: float
-    sample_seconds: np.ndarray
-    deep_seconds: np.ndarray
-    first_prefill_s: float
-    later_prefill_s: float
-    decode_stride_s: float
-    n_strides: int
+    retrieval: DistributedRetrievalResult
+    strides: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.n_strides <= 0:
-            raise ValueError("n_strides must be positive")
+        if not self.strides:
+            raise ValueError("a plan needs at least one stride")
         if len(self.sample_seconds) != len(self.deep_seconds):
             raise ValueError("sample and deep vectors must have equal length")
 
     @property
+    def sample_seconds(self) -> np.ndarray:
+        sample = self.retrieval.sample
+        # a naive-split result has no sample phase
+        return np.zeros(self.n_nodes) if sample is None else sample.per_node_latency_s
+
+    @property
+    def deep_seconds(self) -> np.ndarray:
+        return self.retrieval.deep.per_node_latency_s
+
+    @property
     def n_nodes(self) -> int:
-        return len(self.sample_seconds)
+        return len(self.deep_seconds)
 
 
 def plan_from_models(
     config: GenerationConfig,
+    retrieval: DistributedRetrievalResult,
     *,
-    shard_tokens: list[float],
-    deep_loads: np.ndarray,
     inference: InferenceModel | None = None,
     encoder: EncoderCostModel | None = None,
-    sample_nprobe: int = 8,
-    deep_nprobe: int = 128,
 ) -> StagePlan:
-    """Build a stage plan from the calibrated cost models.
-
-    ``deep_loads[i]`` is the number of the batch's queries deep-searching
-    cluster *i* (e.g. from :func:`repro.perfmodel.aggregate.expected_deep_loads`).
-    """
+    """The stage plan of one *config* batch whose retrieval the fleet model
+    costed as *retrieval* (any DVFS policy, any CPU mix)."""
     inference = inference or InferenceModel()
     encoder = encoder or EncoderCostModel()
-    cost = RetrievalCostModel()
-    loads = np.asarray(deep_loads, dtype=np.int64)
-    if len(loads) != len(shard_tokens):
-        raise ValueError("deep_loads and shard_tokens must have equal length")
-    sample = np.array(
-        [
-            cost.batch_latency(tokens, config.batch, nprobe=sample_nprobe)
-            for tokens in shard_tokens
-        ]
-    )
-    deep = np.array(
-        [
-            cost.batch_latency(tokens, int(load), nprobe=deep_nprobe) if load else 0.0
-            for tokens, load in zip(shard_tokens, loads)
-        ]
-    )
-    first_prefill, decode = stride_costs(inference, config, 0)
-    later_prefill, _ = stride_costs(inference, config, min(1, config.n_strides - 1))
+    costs = [stride_costs(inference, config, i) for i in range(config.n_strides)]
     return StagePlan(
         encode_s=encoder.batch_latency(config.batch),
-        sample_seconds=sample,
-        deep_seconds=deep,
-        first_prefill_s=first_prefill.latency_s,
-        later_prefill_s=later_prefill.latency_s,
-        decode_stride_s=decode.latency_s,
-        n_strides=config.n_strides,
+        retrieval=retrieval,
+        strides=tuple((prefill.latency_s, decode.latency_s) for prefill, decode in costs),
     )
 
 
@@ -171,17 +153,17 @@ class ServingReport:
         The production-systems lens the paper motivates TTFT work with
         ("minimizing TTFT is crucial for ... quality of service").
         """
-        if latency_slo_s <= 0:
-            raise ValueError("latency_slo_s must be positive")
-        met = sum(1 for b in self.batches if b.latency_s <= latency_slo_s)
-        return met / len(self.batches)
+        return self._share_within([b.latency_s for b in self.batches], latency_slo_s)
 
     def ttft_slo_attainment(self, ttft_slo_s: float) -> float:
         """Fraction of batches whose first token arrives within the SLO."""
-        if ttft_slo_s <= 0:
-            raise ValueError("ttft_slo_s must be positive")
-        met = sum(1 for b in self.batches if b.ttft_s <= ttft_slo_s)
-        return met / len(self.batches)
+        return self._share_within([b.ttft_s for b in self.batches], ttft_slo_s)
+
+    @staticmethod
+    def _share_within(seconds: list, slo_s: float) -> float:
+        if slo_s <= 0:
+            raise ValueError("an SLO must be positive")
+        return sum(1 for s in seconds if s <= slo_s) / len(seconds)
 
 
 class PipelineSimulator:
@@ -238,6 +220,17 @@ class PipelineSimulator:
         self.nodes = [
             Resource(self.loop, f"node{i}") for i in range(plan.n_nodes)
         ]
+        #: every batch walks the same flat list of ``(resource, name, cost,
+        #: stride)`` steps: the encode on the GPU, then per stride both
+        #: retrieval phases on the nodes and the inference block on the GPU
+        self._steps: list[tuple] = [("gpu", "encode", plan.encode_s, None)]
+        for i, (prefill_s, decode_s) in enumerate(plan.strides):
+            self._steps += [
+                ("nodes", "sample", plan.sample_seconds, i),
+                ("nodes", "deep_search", plan.deep_seconds, i),
+                ("gpu", "prefill", prefill_s, i),
+                ("gpu", "decode", decode_s, i),
+            ]
         self._records: list[BatchRecord] = []
         #: per-batch phase marks ``(name, end_time, attrs, node_holds)``; the
         #: span tree is reconstructed from these in virtual time at report
@@ -263,39 +256,60 @@ class PipelineSimulator:
 
         def arrive() -> None:
             record.submitted_at = self.loop.now
-            self._start_encode(record)
+            self._run_step(record, 0)
 
         self.loop.schedule(delay, arrive)
 
-    def _start_encode(self, record: BatchRecord) -> None:
-        def begin() -> None:
-            record.started_at = self.loop.now
+    def _run_step(self, record: BatchRecord, index: int) -> None:
+        """Run step *index* of the batch, then the next; past the last, done.
 
-            def done() -> None:
+        Consecutive GPU steps are one hold: the GPU is acquired entering the
+        first and released leaving the last, so a stride's prefill + decode
+        cannot be split by another batch.
+        """
+        if index == len(self._steps):
+            record.completed_at = self.loop.now
+            return
+        resource, name, cost, stride = self._steps[index]
+        holds: list = []
+
+        def done() -> None:
+            if resource == "gpu" and not self._on_gpu(index + 1):
                 self.gpu.release()
+            if name == "encode":
                 # The encode phase is charged from submission, so the span
                 # includes time queued behind the GPU (reported separately).
                 self._mark(
-                    record,
-                    "encode",
-                    queue_wait_s=record.started_at - record.submitted_at,
+                    record, name, queue_wait_s=record.started_at - record.submitted_at
                 )
-                self._start_stride(record, stride=0)
+            else:
+                if name == "prefill" and stride == 0:
+                    record.first_token_at = self.loop.now
+                self._mark(record, name, holds=holds, stride=stride)
+            self._run_step(record, index + 1)
 
-            self.loop.schedule(self.plan.encode_s, done)
+        def begin() -> None:
+            if index == 0:
+                record.started_at = self.loop.now
+            self.loop.schedule(cost, done)
 
-        self.gpu.acquire(begin)
+        if resource == "nodes":
+            self._retrieval_phase(cost, record, done, holds)
+        elif self._on_gpu(index - 1):
+            begin()
+        else:
+            self.gpu.acquire(begin)
 
-    def _hold_node(self, i: int, duration: float, then, holds: "list | None") -> None:
+    def _on_gpu(self, index: int) -> bool:
+        return 0 <= index < len(self._steps) and self._steps[index][0] == "gpu"
+
+    def _hold_node(self, i: int, duration: float, then, holds: list) -> None:
         """Occupy node *i* for *duration*, logging the actual busy interval.
 
         The interval starts when the node is *acquired* (FIFO queueing behind
         other batches shifts it past phase entry), which is what a per-node
         span should show.
         """
-        if holds is None:
-            self.nodes[i].hold_for(duration, then=then)
-            return
         node = self.nodes[i]
 
         def occupied() -> None:
@@ -315,7 +329,7 @@ class PipelineSimulator:
         durations: np.ndarray,
         record: BatchRecord,
         then_continue,
-        holds: "list | None" = None,
+        holds: list,
     ) -> None:
         """Scatter a phase to all involved nodes; continue when all finish.
 
@@ -354,45 +368,6 @@ class PipelineSimulator:
                     continue
                 duration *= self.faults.slowdown(i, now)
             self._hold_node(i, duration, node_done, holds)
-
-    def _start_stride(self, record: BatchRecord, stride: int) -> None:
-        plan = self.plan
-        sample_holds = [] if self._tracing else None
-        deep_holds = [] if self._tracing else None
-
-        def after_deep() -> None:
-            self._mark(record, "deep_search", holds=deep_holds, stride=stride)
-            prefill = plan.first_prefill_s if stride == 0 else plan.later_prefill_s
-
-            def begin_gpu() -> None:
-                def prefill_done() -> None:
-                    if stride == 0:
-                        record.first_token_at = self.loop.now
-                    self._mark(record, "prefill", stride=stride)
-
-                    def decode_done() -> None:
-                        self.gpu.release()
-                        self._mark(record, "decode", stride=stride)
-                        if stride + 1 < plan.n_strides:
-                            self._start_stride(record, stride + 1)
-                        else:
-                            record.completed_at = self.loop.now
-
-                    self.loop.schedule(plan.decode_stride_s, decode_done)
-
-                self.loop.schedule(prefill, prefill_done)
-
-            self.gpu.acquire(begin_gpu)
-
-        def after_sample() -> None:
-            self._mark(record, "sample", holds=sample_holds, stride=stride)
-            self._retrieval_phase(
-                plan.deep_seconds, record, after_deep, holds=deep_holds
-            )
-
-        self._retrieval_phase(
-            plan.sample_seconds, record, after_sample, holds=sample_holds
-        )
 
     # -- driving ---------------------------------------------------------------
     def run(

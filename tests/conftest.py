@@ -23,13 +23,24 @@ hypothesis_settings.register_profile(
 hypothesis_settings.register_profile("thorough", max_examples=200, deadline=None)
 hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
+from dataclasses import replace
+
 from repro.core.clustering import cluster_datastore, split_datastore_evenly
 from repro.core.config import HermesConfig
+from repro.core.hierarchical import HermesSearcher
 from repro.datastore.embeddings import make_corpus
 from repro.datastore.queries import trivia_queries
 from repro.hardware.node import NodeCluster
+from repro.llm.generation import (
+    GenerationConfig,
+    RetrievalCost,
+    constant_retrieval,
+    simulate_generation,
+)
+from repro.llm.inference import InferenceModel
 from repro.perfmodel.aggregate import MultiNodeModel
 from repro.perfmodel.measurements import index_memory_bytes
+from repro.perfmodel.trace import routing_to_batch
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +88,32 @@ def ten_node_fleet():
 @pytest.fixture()
 def fleet_model(ten_node_fleet):
     return MultiNodeModel(ten_node_fleet)
+
+
+@pytest.fixture(scope="session")
+def serve_at_scale():
+    """``serve(datastore, queries, total_tokens=...)``: retrieve for real, cost
+    that routed batch on a fleet hosting the clustering at *total_tokens*, run
+    its generation timeline — the calls the examples spell by hand. Returns
+    ``(search, retrieval, generation)``; extra keywords go to
+    ``MultiNodeModel.hermes``."""
+
+    def serve(
+        datastore, queries, *, total_tokens, generation=None, inference=None, **hermes_kwargs
+    ):
+        search = HermesSearcher(datastore).search(queries)
+        retrieval = MultiNodeModel.hosting(datastore.shard_token_sizes(total_tokens)).hermes(
+            search.batch_size,
+            routing_to_batch(search.routing).node_loads(datastore.n_clusters),
+            sample_nprobe=datastore.config.sample_nprobe,
+            deep_nprobe=datastore.config.deep_nprobe,
+            **hermes_kwargs,
+        )
+        timeline = simulate_generation(
+            constant_retrieval(RetrievalCost(retrieval.latency_s, retrieval.energy_j)),
+            inference or InferenceModel(),
+            replace(generation or GenerationConfig(), batch=search.batch_size),
+        )
+        return search, retrieval, timeline
+
+    return serve

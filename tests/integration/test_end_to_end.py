@@ -1,4 +1,10 @@
-"""Cross-module integration tests: the full offline + online Hermes flow."""
+"""Cross-module integration tests: the full offline + online Hermes flow.
+
+Real ids come from :class:`HermesSearcher`, prompts from ``augment_query``,
+and the modelled at-scale cost of the routed batch from
+``MultiNodeModel.hosting(...).hermes`` + ``simulate_generation`` (the
+``serve_at_scale`` fixture) — the surface the examples and figures use.
+"""
 
 import numpy as np
 import pytest
@@ -6,14 +12,14 @@ import pytest
 from repro import (
     GenerationConfig,
     HermesConfig,
-    HermesSystem,
     InferenceModel,
     MonolithicRetriever,
+    cluster_datastore,
     make_corpus,
     ndcg,
 )
 from repro.core.hierarchical import HermesSearcher
-from repro.datastore.chunkstore import ChunkStore
+from repro.datastore.chunkstore import ChunkStore, augment_query
 from repro.datastore.corpus import CorpusGenerator, TokenVocabulary, chunk_documents
 from repro.datastore.encoder import SyntheticEncoder
 from repro.datastore.queries import trivia_queries
@@ -21,7 +27,7 @@ from repro.llm.models import PHI_1_5
 
 
 class TestOfflineToOnline:
-    """Build everything from tokens upward and serve queries."""
+    """Build everything from tokens upward and serve text queries."""
 
     @pytest.fixture(scope="class")
     def stack(self):
@@ -30,32 +36,47 @@ class TestOfflineToOnline:
         docs = gen.generate(300)
         chunks = chunk_documents(docs, chunk_tokens=48)
         encoder = SyntheticEncoder(dim=32, seed=0)
-        embeddings = encoder.encode_chunks(chunks)
-        system = HermesSystem(
-            embeddings,
-            total_tokens=10e9,
-            config=HermesConfig(n_clusters=6, clusters_to_search=2),
-            chunk_store=ChunkStore(chunks),
-            encoder=encoder,
-            generation=GenerationConfig(batch=8, output_tokens=64),
+        datastore = cluster_datastore(
+            encoder.encode_chunks(chunks),
+            HermesConfig(n_clusters=6, clusters_to_search=2),
         )
-        return vocab, system
+        return vocab, encoder, datastore, ChunkStore(chunks)
 
-    def test_serving_text_batch(self, stack):
-        vocab, system = stack
+    @pytest.fixture()
+    def answer(self, stack, serve_at_scale):
+        _, encoder, datastore, store = stack
+
+        def answer(texts):
+            search, _, generation = serve_at_scale(
+                datastore,
+                encoder.encode_batch(texts),
+                total_tokens=10e9,
+                generation=GenerationConfig(output_tokens=64),
+            )
+            augmented = [
+                augment_query(text, store, search.ids[i], top_n=datastore.config.rerank_top)
+                for i, text in enumerate(texts)
+            ]
+            return augmented, generation
+
+        return answer
+
+    def test_serving_text_batch(self, stack, answer):
+        vocab = stack[0]
         queries = [
             " ".join(f"tok{t}" for t in vocab.topic_pool(topic)[:5])
             for topic in (0, 1, 2, 3)
         ]
-        response = system.serve(queries)
-        assert response.generation.e2e_s > 0
-        assert len(response.augmented) == 4
+        augmented, generation = answer(queries)
+        assert generation.e2e_s > 0
+        assert generation.config.batch == 4
+        assert [a.prompt().endswith(q) for a, q in zip(augmented, queries)] == [True] * 4
 
-    def test_retrieved_context_topically_relevant(self, stack):
-        vocab, system = stack
+    def test_retrieved_context_topically_relevant(self, stack, answer):
+        vocab = stack[0]
         query = " ".join(f"tok{t}" for t in vocab.topic_pool(2)[:6])
-        response = system.serve([query] * 2)
-        context = response.augmented[0].context_texts[0]
+        augmented, _ = answer([query] * 2)
+        context = augmented[0].context_texts[0]
         topics = [
             vocab.topic_of_token(int(w[3:]))
             for w in context.split()
@@ -70,65 +91,57 @@ class TestAccuracyEndToEnd:
         queries = trivia_queries(corpus.topic_model, 32, seed=78)
         mono = MonolithicRetriever(corpus.embeddings)
         _, truth = mono.ground_truth(queries.embeddings, 5)
-        system = HermesSystem(
-            corpus.embeddings,
-            total_tokens=1e12,
-            config=HermesConfig(n_clusters=8, clusters_to_search=3),
+        datastore = cluster_datastore(
+            corpus.embeddings, HermesConfig(n_clusters=8, clusters_to_search=3)
         )
-        outcome = system.retrieve(queries.embeddings, k=5)
-        assert ndcg(outcome.search.ids, truth) > 0.9
+        result = HermesSearcher(datastore).search(queries.embeddings, k=5)
+        assert ndcg(result.ids, truth) > 0.9
 
     def test_graceful_degradation_on_structureless_queries(self):
         """Adversarial: topic-free queries should degrade, not break."""
         corpus = make_corpus(2000, n_topics=8, dim=48, seed=5)
         emb = np.random.default_rng(300).normal(size=(16, 48)).astype(np.float32)
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        system = HermesSystem(
-            corpus.embeddings,
-            total_tokens=1e9,
-            config=HermesConfig(n_clusters=8, clusters_to_search=3),
+        datastore = cluster_datastore(
+            corpus.embeddings, HermesConfig(n_clusters=8, clusters_to_search=3)
         )
-        outcome = system.retrieve(emb, k=5)
-        assert (outcome.search.ids >= 0).all()
+        searcher = HermesSearcher(datastore)
+        assert (searcher.search(emb, k=5).ids >= 0).all()
 
         mono = MonolithicRetriever(corpus.embeddings)
         _, truth = mono.ground_truth(emb, 5)
         # Searching all clusters recovers most quality even without structure.
-        searcher = HermesSearcher(system.datastore)
         full = searcher.search(emb, clusters_to_search=8)
         assert ndcg(full.ids, truth) > 0.85
 
 
 class TestDeploymentVariants:
-    def test_small_model_small_fleet(self):
+    def test_small_model_small_fleet(self, serve_at_scale):
         corpus = make_corpus(1200, n_topics=4, dim=32, seed=9)
-        system = HermesSystem(
-            corpus.embeddings,
+        datastore = cluster_datastore(
+            corpus.embeddings, HermesConfig(n_clusters=4, clusters_to_search=2)
+        )
+        _, _, generation = serve_at_scale(
+            datastore,
+            corpus.embeddings[:16],
             total_tokens=1e9,
-            config=HermesConfig(n_clusters=4, clusters_to_search=2),
             inference=InferenceModel(model=PHI_1_5),
-            generation=GenerationConfig(batch=16, output_tokens=32, stride=8),
+            generation=GenerationConfig(output_tokens=32, stride=8),
         )
-        response = system.serve(corpus.embeddings[:16])
-        assert response.generation.config.n_strides == 4
-        assert response.generation.e2e_s > 0
+        assert generation.config.n_strides == 4
+        assert generation.e2e_s > 0
 
-    def test_pipelined_cached_serving(self):
+    def test_pipelined_cached_serving(self, serve_at_scale):
         corpus = make_corpus(1200, n_topics=4, dim=32, seed=10)
-        base_cfg = GenerationConfig(batch=16)
-        fast_cfg = GenerationConfig(batch=16, pipelined=True, prefix_cached=True)
-        base = HermesSystem(
-            corpus.embeddings,
-            total_tokens=100e9,
-            config=HermesConfig(n_clusters=4, clusters_to_search=2),
-            generation=base_cfg,
-        )
-        fast = HermesSystem(
-            corpus.embeddings,
-            total_tokens=100e9,
-            config=HermesConfig(n_clusters=4, clusters_to_search=2),
-            generation=fast_cfg,
-            datastore=base.datastore,
+        datastore = cluster_datastore(
+            corpus.embeddings, HermesConfig(n_clusters=4, clusters_to_search=2)
         )
         q = corpus.embeddings[:16]
-        assert fast.serve(q).generation.e2e_s < base.serve(q).generation.e2e_s
+        _, _, base = serve_at_scale(datastore, q, total_tokens=100e9)
+        _, _, fast = serve_at_scale(
+            datastore,
+            q,
+            total_tokens=100e9,
+            generation=GenerationConfig(pipelined=True, prefix_cached=True),
+        )
+        assert fast.e2e_s < base.e2e_s

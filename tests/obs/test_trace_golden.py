@@ -23,10 +23,15 @@ from repro.obs.trace import trace_skeleton
 pytestmark = pytest.mark.obs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-#: generation runs on a virtual clock (fully deterministic ordering);
-#: retrieval exercises the threaded build + shard fan-out (completion-order
-#: nondeterminism is what the canonicalization absorbs).
-GOLDEN_EXPERIMENTS = ("retrieval", "generation")
+#: generation and the DES (serve-sim) run on a virtual clock (fully
+#: deterministic ordering); retrieval exercises the threaded build + shard
+#: fan-out (completion-order nondeterminism is what the canonicalization
+#: absorbs).
+GOLDEN_EXPERIMENTS = ("retrieval", "generation", "serve-sim")
+
+
+def golden_path(experiment) -> Path:
+    return GOLDEN_DIR / f"{experiment.replace('-', '_')}_skeleton.json"
 
 
 def canonicalize(skeleton):
@@ -53,11 +58,10 @@ def current_skeleton(experiment):
 
 @pytest.mark.parametrize("experiment", GOLDEN_EXPERIMENTS)
 def test_skeleton_matches_golden(experiment):
-    golden_path = GOLDEN_DIR / f"{experiment}_skeleton.json"
-    golden = json.loads(golden_path.read_text())
+    golden = json.loads(golden_path(experiment).read_text())
     actual = current_skeleton(experiment)
     assert actual == golden, (
-        f"trace skeleton for {experiment!r} drifted from {golden_path}; "
+        f"trace skeleton for {experiment!r} drifted from {golden_path(experiment)}; "
         "if the instrumentation change is intentional, regenerate with "
         "`PYTHONPATH=src python tests/obs/test_trace_golden.py`"
     )
@@ -67,7 +71,7 @@ def test_golden_has_no_timing_fields():
     # the checked-in artifact must stay duration-free, or it could never
     # match a live run
     for experiment in GOLDEN_EXPERIMENTS:
-        text = (GOLDEN_DIR / f"{experiment}_skeleton.json").read_text()
+        text = golden_path(experiment).read_text()
         for field in ("start_s", "end_s", "duration", "ts", "dur"):
             assert f'"{field}"' not in text
 
@@ -81,7 +85,7 @@ def test_seeded_runs_are_reproducible():
 def _regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     for experiment in GOLDEN_EXPERIMENTS:
-        path = GOLDEN_DIR / f"{experiment}_skeleton.json"
+        path = golden_path(experiment)
         path.write_text(json.dumps(current_skeleton(experiment), indent=2) + "\n")
         print(f"wrote {path}")
 

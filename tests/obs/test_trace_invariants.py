@@ -22,6 +22,7 @@ from repro.llm.generation import (
 )
 from repro.llm.inference import InferenceModel
 from repro.obs.trace import Tracer
+from repro.perfmodel.aggregate import DistributedRetrievalResult, PhaseResult
 from repro.obs.validate import (
     TraceInvariantError,
     validate_span_tree,
@@ -182,15 +183,21 @@ class TestTracedRetrieval:
 # ---------------------------------------------------------------------------
 
 
-def _plan(n_nodes: int = 3, n_strides: int = 3) -> StagePlan:
+def _phase(seconds) -> PhaseResult:
+    seconds = np.array(seconds)
+    return PhaseResult(float(seconds.max()), 0.0, seconds, np.zeros_like(seconds))
+
+
+def _plan(n_strides: int = 3) -> StagePlan:
+    sample, deep = _phase([0.001, 0.0015, 0.001]), _phase([0.011, 0.0, 0.023])
     return StagePlan(
         encode_s=0.002,
-        sample_seconds=np.array([0.001, 0.0015, 0.001][:n_nodes]),
-        deep_seconds=np.array([0.011, 0.0, 0.023][:n_nodes]),
-        first_prefill_s=0.031,
-        later_prefill_s=0.0052,
-        decode_stride_s=0.041,
-        n_strides=n_strides,
+        retrieval=DistributedRetrievalResult(
+            sample.latency_s + deep.latency_s, 0.0, sample, deep
+        ),
+        # full prefill, then prefix-cached ones; a ragged last decode
+        strides=((0.031, 0.041),) + ((0.0052, 0.041),) * (n_strides - 2)
+        + ((0.0052, 0.017),),
     )
 
 

@@ -157,7 +157,7 @@ class TestConservationUnderThreads:
         # three, and every fifth on a budget that is spent by the time the
         # worker dequeues it — shed, unless the cache answers it at submit.
         # (No budget in between: one that ran out *inside* the search would
-        # fail its batch, which the batcher counts as neither.)
+        # fail its batch — ``stats.failed``, TestFailedBatch below.)
         admission = AdmissionConfig(max_queue=3, default_deadline_s=30.0, delay_target_s=10.0)
 
         def client(c: int) -> None:
@@ -215,6 +215,37 @@ class TestConservationUnderThreads:
         # mean_batch is about the queue: submit-time answers joined no batch.
         assert stats.mean_batch == (served - stats.answered_at_submit) / stats.batches
         assert stats.mean_batch <= stats.max_batch <= 4
+
+
+class TestFailedBatch:
+    def test_raising_batch_is_counted_and_the_worker_survives(self, registry):
+        """Bugfix: a batch that raised inside ``frontend.search`` failed its
+        futures but was counted by none of requests / shed / rejected."""
+        frontend = fresh_frontend()
+        marked = POOL[3]
+        search = frontend.search
+
+        def poisoned(queries, **kwargs):
+            if (queries == marked).all(axis=1).any():
+                raise RuntimeError("poisoned batch")
+            return search(queries, **kwargs)
+
+        frontend.search = poisoned
+        with DynamicBatcher(frontend, max_batch=2, max_wait_s=0.02) as batcher:
+            futures = [batcher.submit(POOL[i], k=5) for i in (0, 3, 1, 2, 3, 4)]
+            errors = [f.exception(timeout=30) for f in futures]
+            # the worker outlived both failures
+            assert batcher.submit(POOL[5], k=5).result(timeout=30).kind == MISS
+        assert all(e is None or isinstance(e, RuntimeError) for e in errors)
+        failed = sum(e is not None for e in errors)
+        served = errors.count(None) + 1
+        # the marked requests failed (with whatever shared their batch); the
+        # other batches were served
+        assert errors[1] is not None and errors[4] is not None and 2 <= failed <= 4
+        stats = batcher.stats
+        assert (stats.requests, stats.failed) == (served, failed)
+        assert stats.requests + stats.shed + stats.rejected + stats.failed == 7
+        assert count(registry, "frontend_failed_requests_total") == failed
 
 
 class _PinnedAdmission(AdmissionController):

@@ -97,16 +97,8 @@ class TestResource:
     def test_busy_seconds_accumulate(self):
         loop = EventLoop()
         res = Resource(loop, "r")
-        res.hold_for(2.0)
-        res.hold_for(3.0)
+        for seconds in (2.0, 3.0):  # the second waits for the first
+            res.acquire(lambda seconds=seconds: loop.schedule(seconds, res.release))
         loop.run()
         assert res.busy_seconds == pytest.approx(5.0)
         assert loop.now == pytest.approx(5.0)
-
-    def test_hold_for_continuation(self):
-        loop = EventLoop()
-        res = Resource(loop, "r")
-        seen = []
-        res.hold_for(1.5, then=lambda: seen.append(loop.now))
-        loop.run()
-        assert seen == [1.5]

@@ -3,33 +3,60 @@ closed-form analytical model."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.datastore.embeddings import zipf_weights
+from repro.experiments.common import build_fleet
 from repro.llm.generation import (
     GenerationConfig,
-    StrideTimes,
+    RetrievalCost,
+    constant_retrieval,
+    simulate_generation,
     steady_state_throughput_qps,
-    stride_timeline,
 )
 from repro.llm.inference import InferenceModel
-from repro.perfmodel.aggregate import expected_deep_loads
+from repro.perfmodel.aggregate import (
+    DistributedRetrievalResult,
+    DVFSPolicy,
+    PhaseResult,
+    expected_deep_loads,
+)
 from repro.serving import PipelineSimulator, StagePlan, plan_from_models
 
 
-def small_plan(**overrides):
-    defaults = dict(
-        encode_s=0.1,
-        sample_seconds=np.array([0.05, 0.05, 0.05]),
-        deep_seconds=np.array([0.3, 0.2, 0.0]),
-        first_prefill_s=0.4,
-        later_prefill_s=0.4,
-        decode_stride_s=0.5,
-        n_strides=2,
+def phases(sample_seconds, deep_seconds) -> DistributedRetrievalResult:
+    """A fleet-model result with the given per-node busy seconds."""
+
+    def phase(seconds) -> PhaseResult:
+        seconds = np.asarray(seconds, dtype=np.float64)
+        return PhaseResult(
+            latency_s=float(seconds.max()),
+            energy_j=0.0,
+            per_node_latency_s=seconds,
+            per_node_energy_j=np.zeros_like(seconds),
+        )
+
+    sample, deep = phase(sample_seconds), phase(deep_seconds)
+    return DistributedRetrievalResult(
+        latency_s=sample.latency_s + deep.latency_s, energy_j=0.0, sample=sample, deep=deep
     )
-    defaults.update(overrides)
-    return StagePlan(**defaults)
+
+
+def small_plan(
+    sample_seconds=(0.05, 0.05, 0.05), deep_seconds=(0.3, 0.2, 0.0), n_strides=2
+):
+    return StagePlan(
+        encode_s=0.1,
+        retrieval=phases(sample_seconds, deep_seconds),
+        strides=((0.4, 0.5),) * n_strides,
+    )
+
+
+def modelled_plan(cfg: GenerationConfig, total_tokens: float, **hermes_kwargs):
+    """Ten equal shards under the Fig. 13 access skew, three searched deep."""
+    fleet = build_fleet(total_tokens, size_skew_exponent=0.0)
+    loads = expected_deep_loads(cfg.batch, fleet.access_frequency, 3)
+    return plan_from_models(cfg, fleet.model.hermes(cfg.batch, loads, **hermes_kwargs))
 
 
 class TestStagePlan:
@@ -40,24 +67,36 @@ class TestStagePlan:
             small_plan(deep_seconds=np.array([0.1]))
 
     def test_plan_from_models_shapes(self):
-        cfg = GenerationConfig(batch=64)
-        loads = expected_deep_loads(64, zipf_weights(10, exponent=0.45), 3)
-        plan = plan_from_models(cfg, shard_tokens=[1e9] * 10, deep_loads=loads)
+        cfg = GenerationConfig(batch=64, output_tokens=40)
+        plan = modelled_plan(cfg, 10e9)
         assert plan.n_nodes == 10
-        assert plan.n_strides == cfg.n_strides
+        assert len(plan.strides) == cfg.n_strides == 3
         assert (plan.sample_seconds > 0).all()
         assert (plan.deep_seconds >= 0).all()
+        # the ragged last stride decodes what is left, not a full stride
+        assert plan.strides[2][1] < plan.strides[1][1] == plan.strides[0][1]
+
+    def test_plan_carries_the_fleet_models_dvfs(self):
+        cfg = GenerationConfig(batch=64)
+        plain = modelled_plan(cfg, 100e9)
+        slowed = modelled_plan(cfg, 100e9, dvfs=DVFSPolicy.BASELINE)
+        assert slowed.deep_seconds.max() == pytest.approx(plain.deep_seconds.max())
+        assert slowed.deep_seconds.sum() > plain.deep_seconds.sum()
+
+    def test_naive_split_plan_has_no_sample_phase(self):
+        cfg = GenerationConfig(batch=64)
+        naive = build_fleet(10e9).model.naive_split(cfg.batch)
+        plan = plan_from_models(cfg, naive)
+        assert not plan.sample_seconds.any() and (plan.deep_seconds > 0).all()
 
     def test_prefix_cached_plan_shrinks_later_prefill(self):
-        cfg = GenerationConfig(batch=64, prefix_cached=True)
-        loads = expected_deep_loads(64, zipf_weights(10, exponent=0.45), 3)
-        plan = plan_from_models(cfg, shard_tokens=[1e9] * 10, deep_loads=loads)
-        assert plan.later_prefill_s < plan.first_prefill_s
+        plan = modelled_plan(GenerationConfig(batch=64, prefix_cached=True), 10e9)
+        assert plan.strides[1][0] < plan.strides[0][0]
 
     def test_mismatched_loads_rejected(self):
-        cfg = GenerationConfig(batch=64)
-        with pytest.raises(ValueError, match="equal length"):
-            plan_from_models(cfg, shard_tokens=[1e9] * 10, deep_loads=np.ones(3))
+        fleet = build_fleet(10e9)
+        with pytest.raises(ValueError, match="per-node loads"):
+            fleet.model.hermes(64, np.ones(3))
 
 
 class TestSingleBatch:
@@ -75,49 +114,45 @@ class TestSingleBatch:
         assert report.batches[0].ttft_s == pytest.approx(0.1 + 0.05 + 0.3 + 0.4)
 
     def test_retrieval_phase_gated_by_slowest_node(self):
-        plan = small_plan(deep_seconds=np.array([0.1, 0.9, 0.0]))
+        plan = small_plan(deep_seconds=(0.1, 0.9, 0.0))
         report = PipelineSimulator(plan, batch_size=8).run(1)
         assert report.batches[0].latency_s == pytest.approx(
             0.1 + 2 * (0.05 + 0.9 + 0.4 + 0.5)
         )
 
     def test_empty_deep_phase_skipped(self):
-        plan = small_plan(deep_seconds=np.zeros(3))
+        plan = small_plan(deep_seconds=(0.0, 0.0, 0.0))
         report = PipelineSimulator(plan, batch_size=8).run(1)
         assert report.batches[0].latency_s == pytest.approx(0.1 + 2 * (0.05 + 0.9))
 
 
     @given(
-        st.integers(min_value=1, max_value=6),
+        st.builds(
+            GenerationConfig,
+            batch=st.integers(1, 64),
+            input_tokens=st.integers(1, 1024),
+            output_tokens=st.integers(1, 96),
+            stride=st.integers(1, 32),
+            prefix_cached=st.booleans(),
+        ),
         st.lists(
             st.tuples(*[st.floats(min_value=0.0, max_value=2.0)] * 2),
             min_size=1, max_size=5,
         ),
-        st.tuples(*[st.floats(min_value=0.001, max_value=2.0)] * 4),
     )
-    def test_uncontended_batch_is_the_sequential_timeline(self, n_strides, nodes, gpu):
+    @example(GenerationConfig(batch=32, output_tokens=40, stride=16), [(0.05, 0.3)])
+    def test_uncontended_batch_is_the_sequential_timeline(self, cfg, nodes):
         """The DES keeps its event loop for cross-batch contention; with one
         fault-free batch nothing contends, and it must reduce to the pure
-        timeline with per-stride retrieval = slowest sample + slowest deep."""
-        encode_s, first_prefill_s, later_prefill_s, decode_s = gpu
-        sample = np.array([s for s, _ in nodes])
-        deep = np.array([d for _, d in nodes])
-        plan = StagePlan(
-            encode_s=encode_s, sample_seconds=sample, deep_seconds=deep,
-            first_prefill_s=first_prefill_s, later_prefill_s=later_prefill_s,
-            decode_stride_s=decode_s, n_strides=n_strides,
-        )
-        (batch,) = PipelineSimulator(plan, batch_size=8).run(1).batches
-        timeline = stride_timeline(
-            [
-                StrideTimes(
-                    encode_s=encode_s if i == 0 else 0.0,
-                    retrieval_s=float(sample.max() + deep.max()),
-                    prefill_s=first_prefill_s if i == 0 else later_prefill_s,
-                    decode_s=decode_s,
-                )
-                for i in range(n_strides)
-            ]
+        timeline with per-stride retrieval = slowest sample + slowest deep —
+        for every config, a ragged last stride (40 / 16) included."""
+        retrieval = phases([s for s, _ in nodes], [d for _, d in nodes])
+        plan = plan_from_models(cfg, retrieval)
+        (batch,) = PipelineSimulator(plan, batch_size=cfg.batch).run(1).batches
+        timeline = simulate_generation(
+            constant_retrieval(RetrievalCost(retrieval.latency_s, 0.0)),
+            InferenceModel(),
+            cfg,
         )
         assert batch.ttft_s == pytest.approx(timeline.ttft_s, abs=1e-9)
         assert batch.latency_s == pytest.approx(timeline.e2e_s, abs=1e-9)
@@ -133,8 +168,7 @@ class TestPipelining:
     def test_steady_state_matches_closed_form_gpu_bound(self):
         # GPU-bound regime: retrieval tiny, GPU block dominates.
         cfg = GenerationConfig(batch=128, output_tokens=64, stride=16)
-        loads = expected_deep_loads(128, zipf_weights(10, exponent=0.45), 3)
-        plan = plan_from_models(cfg, shard_tokens=[1e8] * 10, deep_loads=loads)
+        plan = modelled_plan(cfg, 1e9)
         sim = PipelineSimulator(plan, batch_size=128)
         report = sim.run(10)
         retrieval = float(plan.sample_seconds.max() + plan.deep_seconds.max())
@@ -148,8 +182,7 @@ class TestPipelining:
     def test_steady_state_matches_closed_form_retrieval_bound(self):
         # Retrieval-bound regime: big shards, GPU mostly idle.
         cfg = GenerationConfig(batch=32, output_tokens=64, stride=16)
-        loads = expected_deep_loads(32, zipf_weights(10, exponent=0.45), 3)
-        plan = plan_from_models(cfg, shard_tokens=[100e9] * 10, deep_loads=loads)
+        plan = modelled_plan(cfg, 1e12)
         sim = PipelineSimulator(plan, batch_size=32)
         report = sim.run(8)
         assert report.gpu_utilization < 0.5
@@ -266,7 +299,7 @@ class TestFaultedFleet:
         from repro.serving import NodeOutage
 
         # The slowest deep node is dead; skipping it speeds the phase up.
-        plan = small_plan(deep_seconds=np.array([0.1, 0.9, 0.0]))
+        plan = small_plan(deep_seconds=(0.1, 0.9, 0.0))
         dead_hot = PipelineSimulator(
             plan,
             batch_size=8,
