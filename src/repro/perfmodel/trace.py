@@ -54,7 +54,11 @@ def routing_to_batch(decision) -> BatchRouting:
 
 @dataclass
 class ClusterAccessTrace:
-    """Accumulated routing decisions across many batches (Fig. 13/15 traces)."""
+    """Accumulated routing decisions across many batches (Fig. 13/15 traces).
+
+    Fig. 13's hottest / coldest ratio over :meth:`access_counts` is stated
+    once, as ``experiments.fig13.ImbalanceReport.access_imbalance``.
+    """
 
     n_clusters: int
     batches: list[BatchRouting] = field(default_factory=list)
@@ -75,26 +79,4 @@ class ClusterAccessTrace:
         for batch in self.batches:
             counts += batch.node_loads(self.n_clusters)
         return counts
-
-    def access_frequency(self) -> np.ndarray:
-        """Access counts normalised to probabilities."""
-        counts = self.access_counts().astype(np.float64)
-        total = counts.sum()
-        if total == 0:
-            return counts
-        return counts / total
-
-    def imbalance(self) -> float:
-        """Hottest/coldest cluster access ratio (the paper reports >2x)."""
-        counts = self.access_counts()
-        coldest = counts.min()
-        if coldest == 0:
-            return float("inf")
-        return float(counts.max()) / float(coldest)
-
-    def mean_loads(self) -> np.ndarray:
-        """Average per-batch queries routed to each cluster."""
-        if not self.batches:
-            return np.zeros(self.n_clusters)
-        return self.access_counts() / len(self.batches)
 

@@ -15,28 +15,47 @@ serve-time component. Two layers:
   single queries and get futures. ``submit`` first asks the frontend for an
   exact-tier answer (:meth:`ServingFrontend.cached_answer`) and, on a hit,
   returns an already-resolved future from the caller's thread; everything
-  else is queued, and a worker thread drains the queue, holding the first
-  request of a batch for at most ``max_wait_s`` while up to ``max_batch``
-  compatible requests (same search parameters) accumulate, then executes the
-  merged batch through the frontend under a ``coalesce`` span. This is the
-  deadline-budget batching that converts redundant serve traffic into the
-  cell-major scan's batch efficiency.
+  else is queued, and a worker thread drains the queue: it takes the first
+  request of a batch and every compatible request (same search parameters)
+  already queued behind it, up to ``max_batch``, holds the batch open for at
+  most ``max_wait_s`` for more — and only when one is likely to come — then
+  executes the merged batch through the frontend under a ``coalesce`` span.
+  This is the deadline-budget batching that converts redundant serve traffic
+  into the cell-major scan's batch efficiency.
+
+The window is held only when it is likely to fill: when the head request
+queued behind a busy worker (it arrived before the previous batch finished,
+so arrivals are bunching), or when at least half of the last ``max_batch``
+gaps between queued submits were shorter than ``max_wait_s`` (the low median
+gap is), which includes having no gap history yet. Otherwise the batch goes
+as soon as the queue is empty: at ~25 queued requests a second (the suite's
+``serve_zipf``) a second request almost never arrives inside a 2 ms window,
+and holding a lone miss for it only added the window to the miss's latency.
+Under load — the waves of 32 of ``rag_strides``, the 800 / 3 200 QPS phases —
+gaps are short or the worker is busy, and the window is held as before.
+Requests answered at submit record no gap; both the record and the decision
+are O(1) (:class:`_ArrivalGaps`). The decision is the ``held`` attribute of
+the ``coalesce`` span and ``frontend_coalesce_held_total`` counts the held
+batches.
 
 So a request's path is: exact probe at submit → (no hit) queue wait → batch
 lookup, exact tier again, then semantic / routing tiers → route → deep
 search → merge. On skewed traffic most requests end at the first step (82 %
 on the suite's ``serve_zipf``), which is why the probe sits in front of the
 coalescing window and not behind it: a hit is one digest and one dict probe,
-and waiting ``max_wait_s`` — or the miss batch ahead — for it bought nothing.
-A submit-time answer skips the bounded queue (it takes no slot, so it is
-never rejected), deadline shedding (it is on time by construction) and the
-brownout ladder. That is safe because the probe is keyed on the
+and waiting the coalescing window — or the miss batch ahead — for it bought
+nothing. A submit-time answer skips the bounded queue (it takes no slot, so
+it is never rejected), deadline shedding (it is on time by construction) and
+the brownout ladder. That is safe because the probe is keyed on the
 *full-quality* parameters and the datastore's current generation: the answer
 is never degraded and never stale, and it counts exactly what the batch path
 would have counted for it (one cache lookup, one frontend request, one
-batcher request), so *submitted = served + shed + rejected* and *lookups =
-Σ tier hits + misses* hold as before. The two paths share one statement of
-what an exact hit is (:meth:`RetrievalCache._exact_match`).
+batcher request), so *submitted = served + shed + rejected + failed* and
+*lookups = Σ tier hits + misses* hold as before. ``frontend_requests_total``
+counts a query once the search that served it has returned: the queries of
+a batch whose search raised are ``frontend_failed_requests_total`` instead.
+The two paths share one statement of what an exact hit is
+(:meth:`RetrievalCache._exact_match`).
 
 With an :class:`~repro.serving.admission.AdmissionController` attached the
 batcher becomes overload-safe: ``submit`` fail-fast rejects once the queue
@@ -49,9 +68,11 @@ ladder — looser semantic-cache threshold first, smaller deep-search
 fan-out second — before anything is dropped. Each future then resolves to
 a :class:`ServedQuery` carrying the degradation level it was served at.
 All of that is about *queued* requests: the queue bound counts them, the
-CoDel sojourn is theirs, and the service-time EWMA that shedding compares a
-budget against averages the worker's batches — which, now that exact hits
-never reach the worker, are miss batches: the estimate is of what a queued
+CoDel sojourn is theirs (it includes the coalescing window only for a batch
+that held it, so a lone miss on an idle worker reports its real queueing,
+not a timer), and the service-time EWMA that shedding compares a budget
+against averages the worker's batches — which, now that exact hits never
+reach the worker, are miss batches: the estimate is of what a queued
 request will actually wait for, no longer pulled down by all-hit batches
 that took microseconds.
 
@@ -203,9 +224,6 @@ class ServingFrontend:
             semantic_slack = brownout.semantic_slack
         params_key = (k_eff, m_eff, nprobe_eff)
         registry = get_registry()
-        registry.counter(
-            "frontend_requests_total", "queries served by the frontend"
-        ).inc(nq)
 
         user_exclude = frozenset(int(c) for c in (exclude_clusters or ()))
         health = self.searcher.health
@@ -254,6 +272,10 @@ class ServingFrontend:
                 "frontend_dedup_collapsed_total",
                 "cache-missing queries answered by an in-batch duplicate",
             ).inc(len(miss_rows) - searched)
+        # Counted once the batch is served: a search that raised served none.
+        registry.counter(
+            "frontend_requests_total", "queries served by the frontend"
+        ).inc(nq)
         return FrontendResult(
             distances=out_d,
             ids=out_i,
@@ -410,6 +432,37 @@ class _Pending:
         self.deadline_at = deadline_at
 
 
+class _ArrivalGaps:
+    """The last ``size`` gaps between queued submits, as "shorter than the
+    window" flags with a running count: recording a gap and reading the
+    hold decision are both O(1)."""
+
+    __slots__ = ("window_s", "_short", "_n_short", "_last_s")
+
+    def __init__(self, size: int, window_s: float) -> None:
+        self.window_s = window_s
+        self._short: deque = deque(maxlen=size)
+        self._n_short = 0
+        self._last_s: float | None = None
+
+    def record(self, now: float) -> None:
+        """One request queued at *now*."""
+        if self._last_s is not None:
+            short = now - self._last_s < self.window_s
+            if len(self._short) == self._short.maxlen:
+                self._n_short -= self._short[0]  # about to fall off the ring
+            self._short.append(short)
+            self._n_short += short
+        self._last_s = now
+
+    def hold(self, behind_busy_worker: bool) -> bool:
+        """Whether a batch head is worth holding for a companion: it queued
+        behind a busy worker, or at least half the remembered gaps were
+        shorter than the window (the low median gap is) — which an empty
+        history satisfies."""
+        return behind_busy_worker or 2 * self._n_short >= len(self._short)
+
+
 class DynamicBatcher:
     """Deadline-budget coalescing of single-query requests.
 
@@ -418,10 +471,15 @@ class DynamicBatcher:
     is answered inside ``submit`` — the future comes back resolved
     (``EXACT_HIT``, ``degradation_level`` 0) without touching the queue, the
     worker or the admission controller, at any brownout level. Every other
-    request is queued: the worker thread holds a batch open for at most
-    ``max_wait_s`` after its first request arrives (the deadline budget),
-    coalescing up to ``max_batch`` requests with identical search parameters;
-    requests with different parameters stay queued for the next batch.
+    request is queued: the worker takes the head request and the compatible
+    requests (identical search parameters) queued behind it, up to
+    ``max_batch``, and holds the batch open for at most ``max_wait_s`` after
+    it picked the head (the deadline budget), and only when a companion is
+    likely: the head queued behind a busy worker, or at least half of the
+    last ``max_batch`` gaps between queued submits were shorter than
+    ``max_wait_s`` (or there are none yet). Otherwise the batch goes as soon
+    as the queue is empty. Requests with different parameters stay queued
+    for the next batch.
 
     ``admission`` (an :class:`AdmissionController` or an
     :class:`AdmissionConfig`) turns on the overload layer: bounded-queue
@@ -456,6 +514,7 @@ class DynamicBatcher:
             admission = AdmissionController(admission, clock=self._clock)
         self.admission = admission
         self._queue: deque = deque()
+        self._gaps = _ArrivalGaps(max_batch, max_wait_s)  # under _cv
         self._cv = threading.Condition()
         self._closed = False
         self._worker = threading.Thread(
@@ -518,6 +577,7 @@ class DynamicBatcher:
             now = self._clock()
             deadline_at = None if deadline_s is None else now + float(deadline_s)
             self._queue.append(_Pending(query, params, future, now, deadline_at))
+            self._gaps.record(now)
             self._cv.notify()
         return future
 
@@ -535,18 +595,24 @@ class DynamicBatcher:
         self.close()
 
     # -- worker side --------------------------------------------------------
-    def _take_batch(self) -> list:
-        """Block for the first request, then coalesce under the deadline."""
+    def _take_batch(self, free_at: float) -> tuple:
+        """Block for the first request, then coalesce: ``(batch, held)``,
+        where ``held`` says whether the window was worth holding open.
+        *free_at* is when the previous batch's search returned: a head queued
+        before it waited behind a busy worker."""
         with self._cv:
             while not self._queue:
                 if self._closed:
-                    return []
+                    return [], False
                 self._cv.wait(0.05)
             head = self._queue.popleft()
             batch = [head]
+            held = self._gaps.hold(head.enqueued_s < free_at)
             deadline = self._clock() + self.max_wait_s
             while len(batch) < self.max_batch:
                 if not self._queue:
+                    if not held:
+                        break  # nobody is likely to come: go now
                     remaining = deadline - self._clock()
                     if remaining <= 0 or self._closed:
                         break
@@ -555,7 +621,7 @@ class DynamicBatcher:
                 if self._queue[0].params != head.params:
                     break  # incompatible request opens the next batch
                 batch.append(self._queue.popleft())
-        return batch
+        return batch, held
 
     def _shed_unmeetable(self, batch: list) -> list:
         """Drop dequeued requests whose deadline cannot be met; keep the rest.
@@ -593,8 +659,9 @@ class DynamicBatcher:
     def _run(self) -> None:
         registry = get_registry()
         tracer = get_tracer()
+        free_at = self._clock()
         while True:
-            batch = self._take_batch()
+            batch, held = self._take_batch(free_at)
             if not batch:
                 with self._cv:
                     if self._closed and not self._queue:
@@ -617,7 +684,11 @@ class DynamicBatcher:
             started = self._clock()
             try:
                 with tracer.span(
-                    "coalesce", batch=len(batch), wait_s=round(wait_s, 6), level=level
+                    "coalesce",
+                    batch=len(batch),
+                    wait_s=round(wait_s, 6),
+                    level=level,
+                    held=held,
                 ):
                     result = self.frontend.search(
                         queries,
@@ -629,6 +700,7 @@ class DynamicBatcher:
                         degradation_level=level,
                     )
             except BaseException as exc:  # noqa: BLE001 — fail the futures, not the worker
+                free_at = self._clock()
                 with self._cv:
                     self.stats.failed += len(batch)
                 registry.counter(
@@ -638,11 +710,13 @@ class DynamicBatcher:
                 for p in batch:
                     p.future.set_exception(exc)
                 continue
+            # Stamped before any future resolves: a request its caller
+            # submits after seeing the answer found the worker free.
+            free_at = done = self._clock()
             if self.admission is not None:
                 # Per-request-visible service time: every request in the
                 # batch waits for the whole batch.
-                self.admission.record_service_time(self._clock() - started)
-            done = self._clock()
+                self.admission.record_service_time(done - started)
             late = sum(p.deadline_at is not None and done > p.deadline_at for p in batch)
             with self._cv:
                 self.stats.requests += len(batch)
@@ -652,6 +726,11 @@ class DynamicBatcher:
             registry.counter(
                 "frontend_coalesced_batches_total", "batches formed by the dynamic batcher"
             ).inc()
+            if held:
+                registry.counter(
+                    "frontend_coalesce_held_total",
+                    "batches held open for the coalescing window",
+                ).inc()
             registry.histogram(
                 "frontend_batch_size",
                 "requests coalesced per frontend batch",

@@ -109,25 +109,6 @@ class TestDispatch:
         assert base.energy_j <= none.energy_j * 1.001
 
 
-class TestDiagnostics:
-    """Real routing decisions accumulated in an access trace (Fig. 13)."""
-
-    def test_mean_loads_shape(self, decision):
-        trace = ClusterAccessTrace(n_clusters=10)
-        trace.record(routing_to_batch(decision))
-        loads = trace.mean_loads()
-        assert loads.shape == (10,)
-        assert loads.sum() == pytest.approx(decision.batch_size * decision.fanout)
-
-    def test_access_imbalance_finite_after_traffic(self, clustered, small_queries):
-        trace = ClusterAccessTrace(n_clusters=clustered.n_clusters)
-        searcher = HermesSearcher(clustered)
-        for _ in range(4):
-            result = searcher.search(small_queries.embeddings, clusters_to_search=5)
-            trace.record(routing_to_batch(result.routing))
-        assert np.isfinite(trace.imbalance())
-
-
 class TestRoutingConversion:
     def test_roundtrip(self, decision):
         batch = routing_to_batch(decision)

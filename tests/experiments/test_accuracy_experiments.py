@@ -1,5 +1,6 @@
 """Tests for the real-search experiments (Table 1, Figs. 11-13)."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import fig11, fig12, fig13, table1
@@ -126,3 +127,11 @@ class TestFig13:
     def test_counts_cover_all_clusters(self, report):
         assert len(report.cluster_sizes) == 10
         assert (report.access_counts > 0).all()
+
+    def test_access_imbalance_is_hottest_over_coldest(self):
+        report = fig13.ImbalanceReport(np.array([4, 2]), np.array([3, 1]))
+        assert report.access_imbalance == 3.0
+
+    def test_unaccessed_cluster_infinite_imbalance(self):
+        report = fig13.ImbalanceReport(np.array([4, 2, 1]), np.array([1, 1, 0]))
+        assert report.access_imbalance == float("inf")

@@ -37,30 +37,3 @@ class TestAccessTrace:
         assert list(trace.access_counts()) == [1, 2, 1]
         assert len(trace) == 2
 
-    def test_frequency_normalised(self):
-        trace = ClusterAccessTrace(n_clusters=2)
-        trace.record(BatchRouting(clusters=np.array([[0], [0], [1]])))
-        freq = trace.access_frequency()
-        assert freq.sum() == pytest.approx(1.0)
-        assert freq[0] == pytest.approx(2 / 3)
-
-    def test_imbalance(self):
-        trace = ClusterAccessTrace(n_clusters=2)
-        trace.record(BatchRouting(clusters=np.array([[0], [0], [0], [1]])))
-        assert trace.imbalance() == 3.0
-
-    def test_unaccessed_cluster_infinite_imbalance(self):
-        trace = ClusterAccessTrace(n_clusters=3)
-        trace.record(BatchRouting(clusters=np.array([[0], [1]])))
-        assert trace.imbalance() == float("inf")
-
-    def test_mean_loads(self):
-        trace = ClusterAccessTrace(n_clusters=2)
-        trace.record(BatchRouting(clusters=np.array([[0], [0]])))
-        trace.record(BatchRouting(clusters=np.array([[1], [1]])))
-        assert list(trace.mean_loads()) == [1.0, 1.0]
-
-    def test_empty_trace_mean_zero(self):
-        trace = ClusterAccessTrace(n_clusters=2)
-        assert list(trace.mean_loads()) == [0.0, 0.0]
-

@@ -246,6 +246,30 @@ class TestFailedBatch:
         assert (stats.requests, stats.failed) == (served, failed)
         assert stats.requests + stats.shed + stats.rejected + stats.failed == 7
         assert count(registry, "frontend_failed_requests_total") == failed
+        assert count(registry, "frontend_requests_total") == served
+
+    def test_batch_that_raised_inside_the_search_is_not_counted_as_served(self, registry):
+        """Bugfix: ``ServingFrontend.search`` counted ``frontend_requests_total``
+        before it searched, so a batch whose searcher raised was counted as
+        served as well as failed."""
+        frontend = fresh_frontend()
+        marked = POOL[3]
+        search = frontend.searcher.search
+
+        def poisoned(queries, **kwargs):
+            if (queries == marked).all(axis=1).any():
+                raise RuntimeError("poisoned search")
+            return search(queries, **kwargs)
+
+        frontend.searcher.search = poisoned
+        with DynamicBatcher(frontend, max_batch=2, max_wait_s=0.02) as batcher:
+            futures = [batcher.submit(POOL[i], k=5) for i in (0, 3, 1, 2, 3, 4)]
+            errors = [f.exception(timeout=30) for f in futures]
+        served = errors.count(None)
+        assert errors[1] is not None and errors[4] is not None
+        assert (batcher.stats.requests, batcher.stats.failed) == (served, 6 - served)
+        assert count(registry, "frontend_requests_total") == served
+        assert count(registry, "frontend_failed_requests_total") == 6 - served
 
 
 class _PinnedAdmission(AdmissionController):
