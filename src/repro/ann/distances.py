@@ -104,9 +104,9 @@ def top_k(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``inf`` distances and ``-1`` indices, mirroring FAISS's convention.
 
     Ties break by column index (stable): equal distances are returned in
-    ascending-index order, so every selection path — full sort, partitioned
-    sort, and the streaming per-cell merge built on top of this — agrees on
-    the exact id set for tied candidates (e.g. duplicated vectors).
+    ascending-index order, so every selection path — full sort and
+    partitioned sort — agrees on the exact id set for tied candidates (e.g.
+    duplicated vectors).
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")

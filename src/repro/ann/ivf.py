@@ -20,7 +20,10 @@ Performance architecture (see DESIGN.md):
   :meth:`IVFIndex.from_state` / :meth:`IVFIndex.rows_by_local_id`.
 - **Cell-major batched scan**: the search loop is inverted — each probed cell
   is scanned once for *all* queries probing it (one distance kernel per
-  cell), instead of assembling a candidate pool per query.
+  cell), instead of assembling a candidate pool per query. Probed cells are
+  scanned in full, like FAISS ``IndexIVF``; one rule picks between the two
+  strategies (sparse per-cell kernels, or one dense kernel over every code)
+  from the probed work.
 - **ADC**: distances are evaluated directly on the stored codes
   (:meth:`repro.ann.quantization.Quantizer.adc_distances`, asymmetric
   distance computation) without reconstructing vectors.
@@ -43,24 +46,17 @@ from ..obs.trace import get_tracer
 from .base import VectorIndex
 from .distances import pairwise_distance, top_k
 from .kmeans import assign_to_centroids, train_kmeans
-from .pruning import (
-    inflate_threshold,
-    ip_radius_cut,
-    l2_radius_window,
-    residual_radii,
-)
 from .quantization import IdentityQuantizer, Quantizer, restore_quantizer
 from .workspace import Workspace
 
-#: Code-block granularity the block-pruning counter reports in: a skipped
-#: span of N codes counts as N // PRUNE_BLOCK blocks.
-PRUNE_BLOCK = 32
-
 #: Version of the exported index state (:meth:`IVFIndex.export_state`, and so
 #: of the ``.npz`` files and datastore directories built on it). Format 5 is
-#: the sealed CSR triple, the derived scan state a default search consumes,
+#: the sealed CSR triple, the derived scan state a search consumes,
 #: and — at the directory level — the live-mutation sidecars of
 #: :mod:`repro.core.store_io`. It is the only format read or written.
+#: Older format-5 gather-codec (PQ/OPQ) states carry one more per-code array
+#: and rows reordered within cells; that is still a valid CSR layout, so they
+#: load as is and the extra array is ignored.
 FORMAT_VERSION = 5
 
 
@@ -84,13 +80,11 @@ class SealedLists:
 
     Cell ``c`` owns rows ``[offsets[c], offsets[c + 1])`` of ``codes`` /
     ``ids``; ``cells`` is the row → cell map the dense scan masks with.
-    ``sqnorms`` (``|decode(code)|²``, for ADC metrics that need it) and
-    ``radii`` (residual radii ``|decode(code) - centroid|``, with each cell's
-    rows *stored radius-ascending* so a (query, cell) radius window is a
-    contiguous slice — see :mod:`repro.ann.pruning`) are ``None`` until a scan
-    that consumes them asks. So is ``positions``, the local id → storage row
-    map (the inverse of ``ids``) a scan masking deleted rows looks them up in:
-    an index nothing was ever deleted from never builds it.
+    ``sqnorms`` (``|decode(code)|²``, for ADC metrics that need it) is
+    ``None`` until a scan that consumes it asks. So is ``positions``, the
+    local id → storage row map (the inverse of ``ids``) a scan masking
+    deleted rows looks them up in: an index nothing was ever deleted from
+    never builds it.
 
     A record and its arrays are never modified once published (the arrays
     are marked read-only): every builder makes a new record and
@@ -104,10 +98,6 @@ class SealedLists:
     offsets: np.ndarray
     cells: np.ndarray
     sqnorms: np.ndarray | None = None
-    radii: np.ndarray | None = None
-    #: per-cell radius extrema, for the cell-level pruning test
-    radius_max: np.ndarray | None = None
-    radius_min: np.ndarray | None = None
     positions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -131,18 +121,6 @@ class SealedLists:
             offsets=offsets,
             cells=cells[order].astype(np.int32),
         )
-
-    def with_radii(self, radii: np.ndarray) -> "SealedLists":
-        """Adopt per-code radii (already matching the storage order) and
-        derive the per-cell extrema."""
-        radii = np.asarray(radii, dtype=np.float32)
-        lo, hi = self.offsets[:-1], self.offsets[1:]
-        rmax = np.zeros(len(lo), dtype=np.float32)
-        rmin = np.full(len(lo), np.inf, dtype=np.float32)
-        occupied = np.flatnonzero(hi > lo)
-        rmax[occupied] = radii[hi[occupied] - 1]
-        rmin[occupied] = radii[lo[occupied]]
-        return replace(self, radii=radii, radius_max=rmax, radius_min=rmin)
 
 
 def _invalid(field: str, problem: str) -> ValueError:
@@ -202,8 +180,8 @@ class IVFIndex(VectorIndex):
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         # The published sealed record; replaced whole, never edited.
         self._sealed: SealedLists | None = None
-        # Serialises the lazy builders (compaction, norms, radii) so two first
-        # searches on a cold index build once; warm scans never take it.
+        # Serialises the lazy builders (compaction, norms, positions) so two
+        # first searches on a cold index build once; warm scans never take it.
         self._build_lock = threading.Lock()
         # Per-thread scratch arenas (created lazily: threading.local does not
         # survive copy/pickle, so it must not exist on a fresh index).
@@ -241,27 +219,14 @@ class IVFIndex(VectorIndex):
         """True when all payloads live in the sealed record."""
         return not self._pending and self._sealed is not None
 
-    @property
-    def _streams_by_default(self) -> bool:
-        """Whether ``prune=None`` means the streaming threshold-pruned scan —
-        and so whether this index's warm state includes radii. Gather codecs
-        (PQ/OPQ) get no batching advantage from the dense GEMM strategy, so
-        pruning is a pure win there; GEMM codecs keep their dense path (and
-        never build radii) unless a search asks for ``prune=True``."""
-        return self.quantizer.adc_dense_advantage <= 1.0
-
-    def _warm(
-        self, *, sqnorms: bool = False, radii: bool = False, positions: bool = False
-    ) -> SealedLists:
+    def _warm(self, *, sqnorms: bool = False, positions: bool = False) -> SealedLists:
         """The sealed record, compacted and carrying the derived state asked for.
 
         A warm call returns the published record without locking. Anything
         missing is built under the per-index lock behind a second check, and
         published as a *new* record: compaction folds the pending fragments
         in behind the sealed rows (so the sealed-then-append order within a
-        cell survives), radii reorder rows within cells by a stable sort (so
-        codes with equal radii, e.g. duplicates, keep insertion order), norms
-        and positions follow whatever order results.
+        cell survives); norms and positions follow the storage order.
         """
         # Read order matters: a builder publishes the record and *then*
         # clears the fragments, so "no fragments" implies the record read
@@ -272,7 +237,6 @@ class IVFIndex(VectorIndex):
             stale
             or s is None
             or (sqnorms and s.sqnorms is None)
-            or (radii and s.radii is None)
             or (positions and s.positions is None)
         ):
             return s
@@ -282,8 +246,6 @@ class IVFIndex(VectorIndex):
             if pending or s is None:
                 with get_tracer().span("ivf_compact", nlist=self.nlist, ntotal=self.ntotal):
                     s = self._compacted(s, pending)
-            if radii and s.radii is None:
-                s = self._radius_sorted(s)
             if sqnorms and s.sqnorms is None:
                 s = replace(s, sqnorms=self.quantizer.code_sqnorms(s.codes))
             if positions and s.positions is None:
@@ -314,27 +276,6 @@ class IVFIndex(VectorIndex):
             ids[:n_sealed] = sealed.ids
         return SealedLists.from_rows(codes, cells, ids, self.nlist)
 
-    def _radius_sorted(self, s: SealedLists) -> SealedLists:
-        n = len(s.ids)
-        radii = np.empty(n, dtype=np.float32)
-        step = 16384
-        for lo in range(0, n, step):
-            decoded = self.quantizer.decode(s.codes[lo : lo + step])
-            radii[lo : lo + step] = residual_radii(
-                decoded, self.centroids[s.cells[lo : lo + step]]
-            )
-        perm = np.lexsort((radii, s.cells))
-        if not np.array_equal(perm, np.arange(n)):
-            s = replace(
-                s,
-                codes=np.ascontiguousarray(s.codes[perm]),
-                ids=s.ids[perm],
-                sqnorms=None if s.sqnorms is None else s.sqnorms[perm],
-                positions=None,
-            )
-            radii = radii[perm]
-        return s.with_radii(radii)
-
     def compact(self) -> None:
         """Merge pending fragments into the contiguous sealed record.
 
@@ -344,14 +285,10 @@ class IVFIndex(VectorIndex):
         self._warm()
 
     def warm_scan_state(self) -> None:
-        """Precompute every lazy structure a default search consumes
-        (compaction, ADC norms, and pruning radii iff the default scan
-        streams), so the next search runs entirely warm."""
-        q = self.quantizer
-        self._warm(
-            sqnorms=q.needs_code_sqnorms(self.metric),
-            radii=self._streams_by_default,
-        )
+        """Precompute every lazy structure a search consumes (compaction,
+        and ADC norms where the codec needs them), so the next search runs
+        entirely warm."""
+        self._warm(sqnorms=self.quantizer.needs_code_sqnorms(self.metric))
 
     def fresh_sealed_like(self) -> "IVFIndex":
         """An empty index sharing this one's trained coarse/fine quantizers.
@@ -441,8 +378,6 @@ class IVFIndex(VectorIndex):
         )
         if s.sqnorms is not None:
             arrays["code_sqnorms"] = s.sqnorms
-        if s.radii is not None:
-            arrays["code_radii"] = s.radii
         return header, arrays
 
     @classmethod
@@ -453,7 +388,8 @@ class IVFIndex(VectorIndex):
         read-only shared-memory views — nothing here writes to them). The
         state comes from outside the process, so every cross-field invariant
         the scans rely on is checked; a violation raises ``ValueError``
-        naming the field.
+        naming the field. Arrays not read here are ignored (see
+        :data:`FORMAT_VERSION`).
         """
         check_format(header.get("format"))
         index = cls(
@@ -494,19 +430,11 @@ class IVFIndex(VectorIndex):
             offsets=offsets,
             cells=np.repeat(np.arange(index.nlist, dtype=np.int32), np.diff(offsets)),
         )
-        derived = {
-            name: arrays[name] for name in ("code_sqnorms", "code_radii") if name in arrays
-        }
-        for name, values in derived.items():
-            if values.shape != (ntotal,):
-                raise _invalid(name, f"has shape {values.shape} for ntotal={ntotal}")
-        if "code_sqnorms" in derived:
-            sealed = replace(sealed, sqnorms=derived["code_sqnorms"])
-        if "code_radii" in derived:
-            sealed = sealed.with_radii(derived["code_radii"])
-            drops = np.flatnonzero(np.diff(sealed.radii) < 0) + 1
-            if not np.isin(drops, offsets).all():
-                raise _invalid("code_radii", "is not ascending within every cell")
+        if "code_sqnorms" in arrays:
+            sqnorms = arrays["code_sqnorms"]
+            if sqnorms.shape != (ntotal,):
+                raise _invalid("code_sqnorms", f"has shape {sqnorms.shape} for ntotal={ntotal}")
+            sealed = replace(sealed, sqnorms=sqnorms)
         index.centroids = centroids
         index.is_trained = True
         index.ntotal = ntotal
@@ -571,22 +499,15 @@ class IVFIndex(VectorIndex):
         k: int,
         *,
         nprobe: int | None = None,
-        prune: bool | None = None,
         dead: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cell-major batched scan over the compacted inverted lists.
 
-        Three strategies share the same contract and the same tie-breaking
+        Two strategies share the same contract and the same tie-breaking
         (probe order, then within-cell storage order, via the stable
-        :func:`~repro.ann.distances.top_k`):
+        :func:`~repro.ann.distances.top_k`), and scan every probed cell in
+        full; one rule on the probed work picks between them for every codec:
 
-        - **Streaming** (``prune=True``; the default for gather codecs): scan
-          probe slots in ascending centroid-distance order, carrying a
-          running k-th-best threshold per query; (query, cell) pairs — and
-          contiguous code blocks inside surviving cells — whose triangle-
-          inequality lower bound cannot beat the threshold are skipped, and
-          the per-cell partial results merge into the running top-k chunk by
-          chunk instead of one giant argpartition.
         - **Sparse** (low probe coverage): probed cells are grouped across
           the query batch and each cell is scanned exactly once — one
           *shifted* ADC evaluation for every query probing it. Per-cell
@@ -612,11 +533,10 @@ class IVFIndex(VectorIndex):
         probe = self._resolve_probe(nprobe)
         q = queries
         nq = len(q)
-        prune = self._streams_by_default if prune is None else bool(prune)
         wants_norms = self.quantizer.needs_code_sqnorms(self.metric)
         masked = dead is not None and len(dead) > 0
         # The one read of the sealed record: everything below scans `s`.
-        s = self._warm(sqnorms=wants_norms, radii=prune, positions=masked)
+        s = self._warm(sqnorms=wants_norms, positions=masked)
         n_codes = len(s.ids)
         if not n_codes:
             return (
@@ -638,22 +558,19 @@ class IVFIndex(VectorIndex):
         # loop costs the probed work plus fixed per-cell overhead. How the
         # two per-element costs compare is a property of the codec.
         advantage = self.quantizer.adc_dense_advantage
-        if probe == self.nlist and not prune and advantage >= 1.0:
+        if probe == self.nlist and advantage >= 1.0:
             # A full probe (every deep search once nprobe >= nlist) scans
             # every cell for every query, and the dense kernel wins there: it
             # has no use for the cells' ranking, so none is computed.
-            cell_dists = probe_cells = None
+            probe_cells = None
             pair_work = nq * n_codes
             strategy = "dense"
         else:
             cell_d = pairwise_distance(q, self.centroids, "l2")
-            cell_dists, probe_cells = top_k(cell_d, probe)
+            _, probe_cells = top_k(cell_d, probe)
             pair_work = int((s.offsets[1:] - s.offsets[:-1])[probe_cells].sum())
-            if prune:
-                strategy = "streaming"
-            else:
-                dense = advantage * pair_work >= nq * n_codes
-                strategy = "dense" if dense else "sparse"
+            dense = advantage * pair_work >= nq * n_codes
+            strategy = "dense" if dense else "sparse"
         get_registry().counter(
             "ivf_scans_total", "IVF batched scans by strategy"
         ).inc(strategy=strategy)
@@ -668,11 +585,7 @@ class IVFIndex(VectorIndex):
             pair_work=pair_work,
             reduced=reduced,
         ):
-            if strategy == "streaming":
-                out_d, out_i, valid = self._scan_streaming(
-                    s, q, k, probe, probe_cells, cell_dists, table, ws, dead_rows
-                )
-            elif strategy == "dense":
+            if strategy == "dense":
                 out_d, out_i, valid = self._scan_dense(
                     s, q, k, probe, probe_cells, table, ws, dead_rows
                 )
@@ -692,192 +605,6 @@ class IVFIndex(VectorIndex):
         out_d[~valid] = np.inf
         ws.flush_stats()
         return out_d, out_i
-
-    #: max probe slots merged per streaming round. Rounds ramp geometrically
-    #: (1, 2, 4, ... slots) so the very first (nearest) cell already seeds
-    #: the pruning threshold — tau is infinite until the first merge, so a
-    #: large opening round would scan its cells unpruned — then cap here to
-    #: amortise the per-round merge.
-    _STREAM_CHUNK = 8
-
-    def _scan_streaming(
-        self, s, q, k, probe, probe_cells, cell_dists, table, ws, dead_rows
-    ):
-        """Threshold-pruned scan in ascending centroid-distance order.
-
-        Probe slots are consumed in chunks of ``_STREAM_CHUNK``. Each round:
-
-        1. computes the surviving-radius window per (query, cell) from the
-           running k-th-best thresholds (see :mod:`repro.ann.pruning`) and
-           drops pairs whose window misses the cell's radius range entirely;
-        2. groups surviving pairs cell-major, narrows each cell to the
-           contiguous radius-sorted code slice covering the group's windows
-           (two binary searches — skipped codes count as pruned blocks);
-        3. scans each slice once for its group's queries and scatters the
-           tiles into an arena merge buffer laid out as
-           ``[running top-k | slot tiles]``, then takes one stable top-k —
-           so earlier probes (and the incumbent top-k) win ties, exactly
-           like the reference path's concatenation order.
-
-        Distances stay in shifted ADC space throughout; thresholds are
-        converted to true space (``+ bias``) only for the bound tests.
-        Returns ``(dists, ids, valid)`` like the other scan strategies.
-        """
-        nq = len(q)
-        offsets = s.offsets
-        sizes = offsets[1:] - offsets[:-1]
-        radii = s.radii
-        rmax = s.radius_max
-        rmin = s.radius_min
-        metric = self.metric
-
-        bias = table.get("bias")
-        bias64 = None if bias is None else bias.astype(np.float64)
-        if metric == "ip":
-            q64 = q.astype(np.float64)
-            qsq = np.einsum("ij,ij->i", q64, q64)
-            # Keep-side inflated |q| (the IP bound divides by it).
-            qnorm = np.sqrt(qsq) * (1.0 + 1e-3) + 1e-9
-            c64 = self.centroids.astype(np.float64)
-            csq = np.einsum("ij,ij->i", c64, c64)
-
-        cur_d = np.full((nq, k), np.inf, dtype=np.float32)
-        cur_i = np.full((nq, k), -1, dtype=np.int64)
-        rows = np.arange(nq)[:, np.newaxis]
-        n_ids = len(s.ids)
-        cells_pruned = 0
-        blocks_pruned = 0
-
-        s0 = 0
-        chunk = 1
-        while s0 < probe:
-            s1 = min(s0 + chunk, probe)
-            chunk = min(chunk * 2, self._STREAM_CHUNK)
-            ncs = s1 - s0
-            sub_cells = probe_cells[:, s0:s1]
-            sub_cd = cell_dists[:, s0:s1].astype(np.float64)
-            s0 = s1
-            # Running thresholds in *true* distance space, keep-side inflated.
-            tau = cur_d[:, k - 1].astype(np.float64)
-            if bias64 is not None:
-                tau = tau + bias64
-            tau = inflate_threshold(tau)
-            if metric == "l2":
-                lo_cut, hi_cut = l2_radius_window(sub_cd, tau[:, np.newaxis])
-            else:
-                # q.c recovered from the L2 centroid distances already in hand.
-                qc = (qsq[:, np.newaxis] + csq[sub_cells] - sub_cd) * 0.5
-                lo_cut = ip_radius_cut(qc, qnorm[:, np.newaxis], tau[:, np.newaxis])
-                hi_cut = np.full_like(lo_cut, np.inf)
-            occupied = sizes[sub_cells] > 0
-            alive = (
-                occupied
-                & (rmax[sub_cells] >= lo_cut)
-                & (rmin[sub_cells] <= hi_cut)
-            )
-            cells_pruned += int(np.count_nonzero(occupied & ~alive))
-            if not alive.any():
-                continue
-
-            # Group surviving (query, slot) pairs cell-major, like the
-            # sparse scan — each cell slice is scanned once per round.
-            pair_q, pair_s = np.nonzero(alive)
-            flat_cells = sub_cells[pair_q, pair_s]
-            order = np.argsort(flat_cells, kind="stable")
-            sorted_cells = flat_cells[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1]))
-            )
-            bounds = np.append(starts, len(sorted_cells))
-            groups = []
-            wmax = 0
-            for b in range(len(starts)):
-                members = order[bounds[b] : bounds[b + 1]]
-                cell = int(sorted_cells[bounds[b]])
-                glo, ghi = int(offsets[cell]), int(offsets[cell + 1])
-                gq = pair_q[members]
-                gs = pair_s[members]
-                rcell = radii[glo:ghi]
-                lo_v = lo_cut[gq, gs].min()
-                hi_v = hi_cut[gq, gs].max()
-                # Contiguous surviving slice of the radius-sorted cell.
-                start = (
-                    int(np.searchsorted(rcell, lo_v, side="left"))
-                    if lo_v > rcell[0]
-                    else 0
-                )
-                stop = (
-                    ghi - glo
-                    if hi_v >= rcell[-1]
-                    else int(np.searchsorted(rcell, hi_v, side="right"))
-                )
-                if stop <= start:
-                    cells_pruned += len(members)
-                    continue
-                skipped = start + (ghi - glo - stop)
-                if skipped:
-                    blocks_pruned += (skipped // PRUNE_BLOCK) * len(members)
-                groups.append((gq, gs, glo + start, glo + stop))
-                wmax = max(wmax, stop - start)
-            if not groups:
-                continue
-
-            # Merge buffer: [running top-k | one tile per chunk slot]. Column
-            # order makes the stable top-k prefer the incumbents, then
-            # earlier probe slots, then within-cell storage order — the
-            # reference path's candidate order.
-            md = ws.take("stream_merge", (nq, k + ncs * wmax))
-            md[:, :k] = cur_d
-            md[:, k:] = np.inf
-            srcpos = ws.take("stream_srcpos", (nq, ncs), dtype=np.int64, fill=0)
-            wcols = np.arange(wmax, dtype=np.int64)
-            for gq, gs, a, b2 in groups:
-                span = b2 - a
-                codes = s.codes[a:b2]
-                dists = self.quantizer.adc_distances(
-                    table,
-                    codes,
-                    rows=None if len(gq) == nq else gq,
-                    code_sqnorms=None if s.sqnorms is None else s.sqnorms[a:b2],
-                    shifted=True,
-                    ws=ws,
-                )
-                if dead_rows is not None:
-                    m0, m1 = np.searchsorted(dead_rows, (a, b2))
-                    if m1 > m0:
-                        dists[:, dead_rows[m0:m1] - a] = np.inf
-                cols = k + gs[:, np.newaxis] * wmax + wcols[np.newaxis, :span]
-                md[gq[:, np.newaxis], cols] = dists
-                srcpos[gq, gs] = a
-
-            out_d, pos = top_k(md, k)
-            p = pos - k
-            from_new = p >= 0
-            pc = np.maximum(p, 0)
-            slot = pc // wmax
-            within = pc - slot * wmax
-            src = srcpos[rows, slot] + within
-            np.clip(src, 0, n_ids - 1, out=src)
-            incumbent = cur_i[rows, np.minimum(pos, k - 1)]
-            new_i = np.where(from_new, s.ids[src], incumbent)
-            valid = np.isfinite(out_d)
-            cur_d = out_d
-            cur_i = np.where(valid, new_i, -1)
-
-        registry = get_registry()
-        if cells_pruned:
-            registry.counter(
-                "ivf_cells_pruned_total",
-                "probed (query, cell) pairs skipped by the streaming scan's "
-                "triangle-inequality bound",
-            ).inc(cells_pruned)
-        if blocks_pruned:
-            registry.counter(
-                "ivf_blocks_pruned_total",
-                f"{PRUNE_BLOCK}-code blocks skipped inside surviving cells "
-                "by the per-code radius window",
-            ).inc(blocks_pruned)
-        return cur_d, cur_i, np.isfinite(cur_d)
 
     def _scan_dense(self, s, q, k, probe, probe_cells, table, ws, dead_rows):
         """Full-corpus kernel + probe mask; shifted distances, ids, validity."""
@@ -1061,19 +788,16 @@ class IVFIndex(VectorIndex):
         k: int,
         *,
         nprobe: int | None = None,
-        prune: bool | None = None,
         dead: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k search, optionally overriding the index's default nProbe.
 
-        ``prune=None`` auto-enables the streaming threshold-pruned scan for
-        gather codecs (PQ/OPQ); ``True``/``False`` force it on or off for any
-        codec. ``dead`` lists ids (as :meth:`add` assigned them) to leave
-        out: the result is the top-k of the other rows, exactly what an index
-        built without them would return, padded with ``inf`` / ``-1`` when
-        fewer than ``k`` of the probed rows are left.
+        ``dead`` lists ids (as :meth:`add` assigned them) to leave out: the
+        result is the top-k of the other rows, exactly what an index built
+        without them would return, padded with ``inf`` / ``-1`` when fewer
+        than ``k`` of the probed rows are left.
         """
-        return super().search(queries, k, nprobe=nprobe, prune=prune, dead=dead)
+        return super().search(queries, k, nprobe=nprobe, dead=dead)
 
     def search_reference(
         self, queries: np.ndarray, k: int, *, nprobe: int | None = None

@@ -175,7 +175,7 @@ class TestTopK:
     def test_duplicated_vector_ids_are_deterministic(self):
         # Duplicated corpus vectors yield exactly-tied distances; every k
         # cut must return the lowest-index duplicates, matching a full
-        # stable sort (the regression behind the streaming-merge tie rules).
+        # stable sort.
         rng = np.random.default_rng(11)
         base = rng.normal(size=(1, 8)).astype(np.float32)
         points = np.repeat(rng.normal(size=(7, 8)).astype(np.float32), 4, axis=0)

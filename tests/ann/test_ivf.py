@@ -183,34 +183,37 @@ class TestSealedRecordSwap:
     scan may be holding, and lazy builds run once."""
 
     @pytest.mark.parametrize("scheme", ["sq8", "pq8"])
-    @pytest.mark.parametrize("rebuild", ["warm_scan_state", "pruned_search"])
+    @pytest.mark.parametrize("rebuild", ["warm_scan_state", "masked_search"])
     def test_scan_survives_a_concurrent_rebuild(self, data, queries, scheme, rebuild):
         """A scan that already holds the sealed storage finishes on it while
-        another thread radius-sorts the cells: reading codes from one layout
-        and ids from the other would return ids of the wrong rows."""
+        another thread publishes a new record — the warm-up's, or the one a
+        search with deleted rows builds its id → row map into under the
+        build lock."""
         index = trained_ivf(
             data, nlist=16, nprobe=16, quantizer=make_quantizer(scheme, 24)
         )
         real = index.quantizer.adc_distances
         fired = []
 
-        def reorder_then_scan(*args, **kwargs):
+        def rebuild_then_scan(*args, **kwargs):
             if not fired:  # from inside the outer search's first kernel
                 fired.append(True)
                 if rebuild == "warm_scan_state":
                     worker = threading.Thread(target=index.warm_scan_state)
                 else:
                     worker = threading.Thread(
-                        target=index.search, args=(queries, 5), kwargs={"prune": True}
+                        target=index.search,
+                        args=(queries, 5),
+                        kwargs={"dead": np.array([0])},
                     )
                 worker.start()
                 worker.join(timeout=30)
                 assert not worker.is_alive()
             return real(*args, **kwargs)
 
-        index.quantizer.adc_distances = reorder_then_scan
+        index.quantizer.adc_distances = rebuild_then_scan
         try:
-            dists, ids = index.search(queries, 5, prune=False)
+            dists, ids = index.search(queries, 5)
         finally:
             del index.quantizer.adc_distances
         assert fired
@@ -256,8 +259,8 @@ def test_only_ivf_module_names_sealed_storage_fields():
 
     # (?<!\w): the attribute, not e.g. ``needs_code_sqnorms`` / ``_dead_sealed``.
     fenced = re.compile(
-        r"(?<!\w)(_cell_offsets|_code_cells|_code_sqnorms|_code_radii"
-        r"|_pending_codes|_pending_ids|_install_radii|_sealed|SealedLists)\b"
+        r"(?<!\w)(_cell_offsets|_code_cells|_code_sqnorms"
+        r"|_pending_codes|_pending_ids|_sealed|SealedLists)\b"
         r"|\.positions\b"
     )
     root = Path(repro.__file__).parent

@@ -2,9 +2,10 @@
 
 The process pool must be a pure transport change: results bit-identical to
 the in-process thread path (workers rebuild shard state from shared-memory
-views of the *warmed* parent arrays, so the radius reorder happens exactly
-once, in the parent). A SIGKILLed worker must surface as ShardCrashedError
-promptly — never a hang — and a broken pool must refuse further use.
+views of the *warmed* parent arrays, so compaction and the ADC norms are
+built exactly once, in the parent). A SIGKILLed worker must surface as
+ShardCrashedError promptly — never a hang — and a broken pool must refuse
+further use.
 
 Spawned workers re-import this module, so everything at module scope must
 stay import-safe (pytest files are; interactive stdin is not).
@@ -51,7 +52,8 @@ def queries():
 
 class TestBitIdentical:
     def test_process_matches_thread_for_every_codec(self, queries):
-        # flat exercises the dense path, pq4/opq4 the streaming pruned scan.
+        # flat exercises the dense path, pq4/opq4 the sparse scan on the
+        # gather codecs' lookup-table kernel.
         shards = _build_shards(("flat", "sq8", "pq4", "opq4"))
         with ProcessShardPool(shards, workers=2) as pool:
             assert pool.worker_pids()  # spawned on demand: at least one is up

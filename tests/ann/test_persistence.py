@@ -117,7 +117,6 @@ class TestStateCodec:
         shard = zoo[scheme, metric, origin]
         index = shard.index
         header, arrays = index.export_state()
-        assert ("code_radii" in arrays) == (scheme in ("pq8", "opq8"))
         assert ("code_sqnorms" in arrays) == (
             metric == "l2" and scheme in ("flat", "sq8", "sq4")
         )
@@ -132,10 +131,6 @@ class TestStateCodec:
             assert copy.compactions == before
             np.testing.assert_array_equal(got_i, want_i)
             np.testing.assert_array_equal(got_d, want_d)
-            if "code_radii" in arrays:  # the stored order is the pruning order
-                pruned_d, pruned_i = copy.search(queries, 5, prune=True)
-                np.testing.assert_array_equal(pruned_i, want_i)
-                np.testing.assert_array_equal(pruned_d, want_d)
 
         pool_d, pool_g = pool.search(shard.shard_id, queries, 5)
         np.testing.assert_array_equal(pool_g, shard.global_ids[want_i])
@@ -184,8 +179,6 @@ class TestStateValidation:
             ("cell_offsets", lambda a: a[::-1]),
             ("centroids", lambda a: a[:, :-1]),
             ("codes", lambda a: a[:, :-1]),
-            ("code_radii", lambda a: a[:-1]),
-            ("code_radii", lambda a: a[::-1]),
         ],
     )
     def test_corrupt_array_names_its_field(self, state, name, corrupt):
@@ -193,6 +186,30 @@ class TestStateValidation:
         arrays[name] = corrupt(arrays[name])
         with pytest.raises(ValueError, match=name):
             IVFIndex.from_state(header, arrays)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("scheme", ["pq8", "opq8"])
+    def test_radius_sorted_file_loads(
+        self, data, queries, tmp_path, radius_sorted_state, scheme, metric
+    ):
+        """Format-5 PQ / OPQ files saved while a pruned scan existed carry a
+        ``code_radii`` array and rows radius-sorted within each cell. That is
+        still a valid CSR layout: it loads, ignores the array, and returns the
+        ids the same index returns in insertion order."""
+        index = IVFIndex(16, metric, nlist=8, quantizer=make_quantizer(scheme, 16))
+        index.train(data)
+        index.add(data)
+        header, arrays = radius_sorted_state(index)
+        assert not np.array_equal(arrays["ids"], index.export_state()[1]["ids"])
+        path = tmp_path / "radius_sorted.npz"
+        np.savez_compressed(path, header=json.dumps(header), **arrays)
+        loaded = load_index(path)
+        assert "code_radii" not in loaded.export_state()[1]
+        for nprobe in (1, 4, 8):
+            want_d, want_i = index.search(queries, 5, nprobe=nprobe)
+            got_d, got_i = loaded.search(queries, 5, nprobe=nprobe)
+            np.testing.assert_array_equal(got_i, want_i)
+            np.testing.assert_array_equal(got_d, want_d)
 
     def test_old_format_file_says_rebuild(self, state, tmp_path):
         header, arrays = state

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.ann.ivf import IVFIndex
 from repro.ann.quantization import make_quantizer
 from repro.obs import disable_tracing, enable_tracing
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 DIM = 24
 SCHEMES = ["flat", "sq8", "sq4", "pq8", "opq8"]
@@ -52,6 +53,20 @@ def indexes(data):
     return built
 
 
+@pytest.fixture(scope="module")
+def reloaded(indexes, radius_sorted_state):
+    """Every index reloaded from format-5 state: ``False`` from its own
+    export (insertion order within cells), ``True`` from the radius-sorted
+    layout older gather-codec stores were saved in."""
+    return {
+        (key, radius_sorted): IVFIndex.from_state(
+            *(radius_sorted_state(index) if radius_sorted else index.export_state())
+        )
+        for key, index in indexes.items()
+        for radius_sorted in (False, True)
+    }
+
+
 def assert_matches_reference(index, queries, k, nprobe, **kwargs):
     ref_d, ref_i = index.search_reference(queries, k, nprobe=nprobe)
     fast_d, fast_i = index.search(queries, k, nprobe=nprobe, **kwargs)
@@ -67,11 +82,16 @@ def assert_matches_reference(index, queries, k, nprobe, **kwargs):
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("nprobe", [1, 4, 16])
-@pytest.mark.parametrize("prune", [None, True, False])
-def test_fast_path_matches_reference(indexes, queries, scheme, metric, nprobe, prune):
-    assert_matches_reference(
-        indexes[(scheme, metric)], queries, 5, nprobe, prune=prune
-    )
+# None: the index as built; False / True: reloaded (see ``reloaded``).
+@pytest.mark.parametrize("radius_sorted", [None, True, False])
+def test_fast_path_matches_reference(
+    indexes, reloaded, queries, scheme, metric, nprobe, radius_sorted
+):
+    if radius_sorted is None:
+        index = indexes[(scheme, metric)]
+    else:
+        index = reloaded[((scheme, metric), radius_sorted)]
+    assert_matches_reference(index, queries, 5, nprobe)
 
 
 @pytest.mark.parametrize("scheme", ["flat", "sq8"])
@@ -135,6 +155,23 @@ def test_search_after_incremental_add_matches_reference(data, queries):
     index.search(queries, 5)  # compact the first half
     index.add(data[600:])  # dirty again
     assert_matches_reference(index, queries, 5, 8)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("scheme", ["flat", "sq8", "pq8", "opq8"])
+def test_duplicate_ids_match_reference_exactly(scheme, metric):
+    """Every vector stored 4x: copies share a code, so their distances tie
+    exactly and both paths break the tie by storage order — ids must match
+    the reference exactly, at a partial and at a full probe."""
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(40, 16)).astype(np.float32)
+    data = np.concatenate([base] * 4)
+    queries = base[:10] + rng.normal(scale=0.01, size=(10, 16)).astype(np.float32)
+    index = IVFIndex(16, metric, nlist=6, quantizer=make_quantizer(scheme, 16))
+    index.train(data)
+    index.add(data)
+    for nprobe in (2, 6):
+        assert_matches_reference(index, queries, 9, nprobe)
 
 
 # -- nearest-neighbour (k == 1) search: the per-cell reduction ---------------
@@ -237,14 +274,19 @@ def test_duplicated_vectors_tie_to_the_same_id_at_k1(scheme, metric):
 
 @pytest.mark.parametrize("scheme", ["flat", "sq8", "pq8"])
 def test_k1_forced_kernels_agree(indexes, queries, scheme):
-    """Forced prune and forced no-prune (gather codecs on the generic tile
-    kernel) take the same k == 1 reduction and must agree with it."""
+    """Forced dense and forced sparse (the k == 1 reduction; gather codecs on
+    the generic tile kernel) must agree with the reference."""
     index = indexes[(scheme, "l2")]
     ref_d, ref_i = index.search_reference(queries, 1, nprobe=2)
-    for kwargs in ({"prune": False}, {"prune": True}):
-        d, i = index.search(queries, 1, nprobe=2, **kwargs)
-        np.testing.assert_array_equal(i, ref_i)
-        np.testing.assert_allclose(d, ref_d, rtol=1e-3, atol=5e-3)
+    advantage = index.quantizer.adc_dense_advantage
+    try:
+        for forced in (float("inf"), 0.0):  # always dense, always sparse
+            index.quantizer.adc_dense_advantage = forced
+            d, i = index.search(queries, 1, nprobe=2)
+            np.testing.assert_array_equal(i, ref_i)
+            np.testing.assert_allclose(d, ref_d, rtol=1e-3, atol=5e-3)
+    finally:
+        index.quantizer.adc_dense_advantage = advantage
 
 
 def test_k1_sparse_scan_takes_no_candidate_buffer():
@@ -274,6 +316,36 @@ def test_k1_sparse_scan_takes_no_candidate_buffer():
     attrs, taken = scan(2)
     assert attrs["strategy"] == "sparse" and attrs["reduced"] is False
     assert "sparse_buf" in taken
+
+
+def test_gather_codec_takes_the_one_selector():
+    """Structural guard: a PQ index picks its scan by the same probed-work
+    rule as every codec — sparse below the dense threshold, dense at full
+    probe — counts only those two strategies, and its warm / exported state
+    holds no per-code radius array."""
+    rng = np.random.default_rng(13)
+    data = rng.normal(size=(400, NN_DIM)).astype(np.float32)
+    index = IVFIndex(NN_DIM, "l2", nlist=NN_NLIST, quantizer=make_quantizer("pq8", NN_DIM))
+    index.train(data)
+    index.add(data)
+    index.warm_scan_state()
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    tracer = enable_tracing()
+    try:
+        for k in (1, 5):
+            for nprobe in (4, NN_NLIST):
+                index.search(data[:8], k, nprobe=nprobe)
+    finally:
+        disable_tracing()
+        set_registry(previous)
+    spans = [s for root in tracer.roots for s in root.find_all("ivf_scan")]
+    assert [(s.attrs["nprobe"], s.attrs["strategy"]) for s in spans] == [
+        (4, "sparse"), (NN_NLIST, "dense")
+    ] * 2
+    scans = registry.get("ivf_scans_total").collect()
+    assert scans == {(("strategy", "sparse"),): 2.0, (("strategy", "dense"),): 2.0}
+    assert "code_radii" not in index.export_state()[1]
 
 
 # -- deleted rows as a scan-time mask ------------------------------------------
@@ -345,7 +417,6 @@ def pick_dead(kind, index, rows, queries, nprobe):
     layout=st.sampled_from(["full", "duplicates"]),
     k=st.sampled_from([1, 3, 10]),
     nprobe=st.sampled_from([1, 8, MASK_NLIST + 3]),
-    prune=st.sampled_from([None, True, False]),
     kind=st.sampled_from(
         ["none", "winners", "whole_cell", "every_probed_row", "everything"]
     ),
@@ -353,7 +424,7 @@ def pick_dead(kind, index, rows, queries, nprobe):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_dead_rows_are_masked_before_selection(
-    scheme, metric, layout, k, nprobe, prune, kind, nq, seed
+    scheme, metric, layout, k, nprobe, kind, nq, seed
 ):
     index, data, rows = mask_index(scheme, metric, layout)
     rng = np.random.default_rng(seed)
@@ -361,9 +432,8 @@ def test_dead_rows_are_masked_before_selection(
         scale=0.05, size=(nq, NN_DIM)
     ).astype(np.float32)
     dead = pick_dead(kind, index, rows, queries, nprobe)
-    kwargs = {"nprobe": nprobe, "prune": prune}
 
-    got_d, got_i = index.search(queries, k, dead=dead, **kwargs)
+    got_d, got_i = index.search(queries, k, nprobe=nprobe, dead=dead)
     assert got_d.shape == got_i.shape == (nq, k)
     assert not np.isin(got_i, dead).any()
     np.testing.assert_array_equal(np.isfinite(got_d), got_i >= 0)
@@ -372,24 +442,16 @@ def test_dead_rows_are_masked_before_selection(
     if kind in ("every_probed_row", "everything"):
         assert (got_i == -1).all() and np.isinf(got_d).all()
 
-    # (a) over-fetch-then-filter. Without pruning it is the same kernel over
-    # the same tiles, so the answer is bit-identical; the streaming scan's
-    # thresholds move with k, its tiles with them, and a GEMM tile rounds by
-    # shape — there distances agree to fp32 noise and ids up to code ties.
-    want_d, want_i = overfetch_then_filter(index, queries, k, dead, **kwargs)
-    streams = index._streams_by_default if prune is None else prune
-    if streams:
-        assert_same_winner_up_to_code_ties(index, data, got_i, want_i)
-        finite = np.isfinite(want_d)
-        np.testing.assert_array_equal(finite, np.isfinite(got_d))
-        np.testing.assert_allclose(got_d[finite], want_d[finite], rtol=1e-3, atol=5e-3)
-    else:
-        np.testing.assert_array_equal(got_i, want_i)
-        np.testing.assert_array_equal(got_d, want_d)
+    # (a) over-fetch-then-filter: the strategy depends on the probed work, not
+    # on k, and the k == 1 reduction computes the same tiles as top-k, so the
+    # answer is bit-identical for every codec.
+    want_d, want_i = overfetch_then_filter(index, queries, k, dead, nprobe=nprobe)
+    np.testing.assert_array_equal(got_i, want_i)
+    np.testing.assert_array_equal(got_d, want_d)
 
     # (b) an index that never held the dead rows.
     fresh, live = rebuilt_without(index, rows, dead)
-    reb_d, reb_pos = fresh.search(queries, k, **kwargs)
+    reb_d, reb_pos = fresh.search(queries, k, nprobe=nprobe)
     reb_i = reb_pos  # all padding when nothing is live
     if len(live):
         reb_i = np.where(reb_pos >= 0, live[np.clip(reb_pos, 0, None)], -1)

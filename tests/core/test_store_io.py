@@ -48,17 +48,19 @@ class TestDatastoreRoundTrip:
     def test_warm_scan_state_survives_round_trip(self, clustered, tmp_path):
         # save_datastore delegates to save_ivf, which writes the warm scan
         # state: every reloaded shard comes back compacted, with what its
-        # default scan consumes (pruning radii iff the codec streams by
-        # default) and nothing it does not.
+        # scan consumes (ADC norms iff the codec needs them) and nothing it
+        # does not.
         save_datastore(clustered, tmp_path / "store")
         loaded = load_datastore(tmp_path / "store")
         for shard in loaded.shards:
-            assert shard.index.is_compacted
-            streams = shard.index.quantizer.adc_dense_advantage <= 1.0
-            _, arrays = shard.index.export_state()
-            assert ("code_radii" in arrays) == streams
+            index = shard.index
+            assert index.is_compacted
+            norms = index.quantizer.needs_code_sqnorms(index.metric)
+            _, arrays = index.export_state()
             with np.load(tmp_path / "store" / f"shard_{shard.shard_id}.npz") as saved:
-                assert ("code_radii" in saved.files) == streams
+                for names in (set(arrays), set(saved.files) - {"header"}):
+                    assert ("code_sqnorms" in names) == norms
+                    assert "code_radii" not in names
 
     def test_workers_mode_config_round_trips(self, clustered, tmp_path):
         import dataclasses
