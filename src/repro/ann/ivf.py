@@ -65,7 +65,7 @@ def check_format(found) -> None:
     if found != FORMAT_VERSION:
         raise ValueError(
             f"index format {found!r} is not the supported format "
-            f"{FORMAT_VERSION}; rebuild it with `hermes-repro build-index`"
+            f"{FORMAT_VERSION}; rebuild it with `hermes-repro build`"
         )
 
 
@@ -145,10 +145,9 @@ class IVFIndex(VectorIndex):
     quantizer:
         Codec used to store list payloads (``IdentityQuantizer`` keeps raw
         float32, i.e. ``IVFFlat``).
-    kmeans_algorithm:
-        Coarse-centroid training variant (see ``ann.kmeans.ALGORITHMS``);
-        the default ``"auto"`` switches to mini-batch K-means with full-data
-        refinement for large training sets.
+    train_seed:
+        Seed of the coarse-centroid K-means (``ann.kmeans.train_kmeans``,
+        which takes the mini-batch path on large training sets).
     """
 
     def __init__(
@@ -160,8 +159,6 @@ class IVFIndex(VectorIndex):
         nprobe: int = 1,
         quantizer: Quantizer | None = None,
         train_seed: int = 0,
-        kmeans_algorithm: str = "auto",
-        kmeans_batch_size: int = 4096,
     ) -> None:
         super().__init__(dim, metric)
         if nlist is not None and nlist <= 0:
@@ -172,8 +169,6 @@ class IVFIndex(VectorIndex):
         self.nprobe = nprobe
         self.quantizer = quantizer if quantizer is not None else IdentityQuantizer(dim)
         self.train_seed = train_seed
-        self.kmeans_algorithm = kmeans_algorithm
-        self.kmeans_batch_size = kmeans_batch_size
         self.centroids: np.ndarray | None = None
         # ``(codes, cells)`` fragments appended by add() since the last
         # compaction; their ids continue the sealed ids in append order.
@@ -198,10 +193,7 @@ class IVFIndex(VectorIndex):
             raise ValueError(
                 f"training set of {len(vectors)} vectors is smaller than nlist={self.nlist}"
             )
-        result = train_kmeans(
-            vectors, self.nlist, seed=self.train_seed, max_iter=20,
-            algorithm=self.kmeans_algorithm, batch_size=self.kmeans_batch_size,
-        )
+        result = train_kmeans(vectors, self.nlist, seed=self.train_seed, max_iter=20)
         self.centroids = result.centroids
         if not self.quantizer.is_trained:
             self.quantizer.train(vectors)
@@ -307,8 +299,6 @@ class IVFIndex(VectorIndex):
             nprobe=self.nprobe,
             quantizer=self.quantizer,
             train_seed=self.train_seed,
-            kmeans_algorithm=self.kmeans_algorithm,
-            kmeans_batch_size=self.kmeans_batch_size,
         )
         clone.centroids = self.centroids
         clone.is_trained = True

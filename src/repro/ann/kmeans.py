@@ -19,10 +19,11 @@ offline cost, so the training path is engineered accordingly:
   refinement passes — the "sampled-then-refine" large-``n`` path.
 - **Sampled k-means++ seeding**: seeding cost is ``O(sample * k)`` instead of
   ``O(n * k)`` when a sample size is given.
-- :func:`train_kmeans` dispatches between the variants (``auto`` picks
-  mini-batch for large inputs) and is what the IVF/clustering build paths
-  call; :func:`kmeans_reference` retains the pre-optimisation implementation
-  (``algorithm="reference"``) as the quality-parity baseline of
+- :func:`train_kmeans` picks the variant from the input size (mini-batch
+  at :data:`MINIBATCH_THRESHOLD` rows and above, Lloyd's below) and is what
+  every build path calls — the datastore split and its seed sweep, IVF
+  coarse centroids and PQ/OPQ codebooks. :func:`kmeans_reference` retains
+  the pre-optimisation implementation as the quality-parity oracle of
   ``tests/ann/test_kmeans.py`` and ``tests/core/test_clustering.py``.
 
 The module also provides the imbalance proxy the paper uses (ratio of largest
@@ -41,11 +42,8 @@ from .parallel import run_tasks
 #: Rows per E-step distance block; bounds peak memory at ``chunk * k`` floats.
 DEFAULT_CHUNK = 16_384
 
-#: ``train_kmeans(algorithm="auto")`` switches to mini-batch at this size.
+#: :func:`train_kmeans` switches from Lloyd's to mini-batch at this size.
 MINIBATCH_THRESHOLD = 20_000
-
-#: Algorithms accepted by :func:`train_kmeans`.
-ALGORITHMS = ("auto", "lloyd", "minibatch", "reference")
 
 
 @dataclass
@@ -125,20 +123,6 @@ def _kmeanspp_init(
         squared_l2_into(vectors, centroids[i : i + 1], row_sq, row_sq[choice], d_new, gram)
         np.minimum(closest, d_new, out=closest)
     return centroids
-
-
-def _init_centroids(
-    vecs: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    init: str,
-    sample_size: "int | None",
-) -> np.ndarray:
-    if init == "k-means++":
-        return _kmeanspp_init(vecs, k, rng, sample_size=sample_size)
-    if init == "random":
-        return vecs[rng.choice(len(vecs), size=k, replace=False)].copy()
-    raise ValueError(f"unknown init {init!r}")
 
 
 def _estep(
@@ -253,22 +237,19 @@ def kmeans(
     seed: int = 0,
     max_iter: int = 25,
     tol: float = 1e-4,
-    init: str = "k-means++",
     chunk_size: int = DEFAULT_CHUNK,
-    init_sample: "int | None" = None,
 ) -> KMeansResult:
-    """Run full Lloyd's algorithm and return the fitted clustering.
+    """Run full Lloyd's algorithm from k-means++ seeds.
 
     The E-step is chunked (``(chunk_size, k)`` peak memory) and the M-step
     accumulates per-cluster sums as one-hot GEMMs; the arithmetic is the
     classic Lloyd's update, so results match :func:`kmeans_reference` up to
-    float32 summation order. *init_sample* bounds the k-means++ seeding cost
-    on large inputs.
+    float32 summation order.
     """
     vecs = as_matrix(vectors)
     _validate_problem(vecs, k)
     rng = np.random.default_rng(seed)
-    centroids = _init_centroids(vecs, k, rng, init, init_sample)
+    centroids = _kmeanspp_init(vecs, k, rng)
     centroids, n_iter = _lloyd_iterations(
         vecs, centroids, max_iter=max_iter, tol=tol, chunk_size=chunk_size
     )
@@ -283,38 +264,29 @@ def kmeans_minibatch(
     max_iter: int = 100,
     batch_size: int = 4096,
     tol: float = 1e-4,
-    init: str = "k-means++",
-    init_sample: "int | None" = None,
-    refine_iters: int = 2,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> KMeansResult:
     """Mini-batch K-means [Sculley 2010] with full-data refinement passes.
 
-    Each step assigns one random batch and moves its centres by a per-centre
+    k-means++ seeds come from a ``max(10 k, 2 batch_size)``-row sample. Each
+    step assigns one random batch and moves its centres by a per-centre
     learning rate ``|batch members| / |total members seen|``, so training cost
     is independent of ``n``. The loop stops early once centre movement stays
     below *tol* (relative to the data's per-point variance) for three
-    consecutive steps. *refine_iters* full Lloyd's passes then polish the
-    centres on the complete dataset — repairing any empty clusters — which is
-    what keeps final inertia within a few percent of full Lloyd's.
+    consecutive steps. Two full Lloyd's passes then polish the centres on the
+    complete dataset — repairing any empty clusters — which is what keeps
+    final inertia within a few percent of full Lloyd's.
     """
     vecs = as_matrix(vectors)
     _validate_problem(vecs, k)
     n = len(vecs)
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    if refine_iters < 0:
-        raise ValueError(f"refine_iters must be non-negative, got {refine_iters}")
     if batch_size >= n:
         # Batches would cover the data anyway: plain Lloyd's is cheaper.
-        return kmeans(
-            vectors, k, seed=seed, max_iter=max_iter, tol=tol, init=init,
-            chunk_size=chunk_size, init_sample=init_sample,
-        )
+        return kmeans(vectors, k, seed=seed, max_iter=max_iter, tol=tol)
     rng = np.random.default_rng(seed)
-    if init_sample is None:
-        init_sample = min(n, max(10 * k, 2 * batch_size))
-    centroids = _init_centroids(vecs, k, rng, init, init_sample).astype(
+    init_sample = min(n, max(10 * k, 2 * batch_size))
+    centroids = _kmeanspp_init(vecs, k, rng, sample_size=init_sample).astype(
         np.float32, copy=True
     )
     # Movement tolerance scale: total per-point variance of a data sample.
@@ -342,12 +314,12 @@ def kmeans_minibatch(
         calm_steps = calm_steps + 1 if shift <= tol * scale else 0
         if calm_steps >= 3:
             break
-    if refine_iters:
-        centroids, refined = _lloyd_iterations(
-            vecs, centroids, max_iter=refine_iters, tol=tol, chunk_size=chunk_size
-        )
-        steps += refined
-    return _finalize(vecs, centroids, n_iter=steps, seed=seed, chunk_size=chunk_size)
+    centroids, refined = _lloyd_iterations(
+        vecs, centroids, max_iter=2, tol=tol, chunk_size=DEFAULT_CHUNK
+    )
+    return _finalize(
+        vecs, centroids, n_iter=steps + refined, seed=seed, chunk_size=DEFAULT_CHUNK
+    )
 
 
 def kmeans_reference(
@@ -357,7 +329,6 @@ def kmeans_reference(
     seed: int = 0,
     max_iter: int = 25,
     tol: float = 1e-4,
-    init: str = "k-means++",
 ) -> KMeansResult:
     """Pre-optimisation Lloyd's, retained as the quality-parity baseline.
 
@@ -370,7 +341,7 @@ def kmeans_reference(
     _validate_problem(vecs, k)
     n = len(vecs)
     rng = np.random.default_rng(seed)
-    centroids = _init_centroids(vecs, k, rng, init, None)
+    centroids = _kmeanspp_init(vecs, k, rng)
 
     assignments = np.zeros(n, dtype=np.int64)
     inertia = np.inf
@@ -418,38 +389,21 @@ def train_kmeans(
     vectors: np.ndarray,
     k: int,
     *,
-    algorithm: str = "auto",
     seed: int = 0,
     max_iter: int = 25,
     tol: float = 1e-4,
-    init: str = "k-means++",
-    chunk_size: int = DEFAULT_CHUNK,
-    batch_size: int = 4096,
-    minibatch_threshold: int = MINIBATCH_THRESHOLD,
-    minibatch_iters: int = 100,
-    refine_iters: int = 2,
 ) -> KMeansResult:
-    """Train a clustering with the selected *algorithm*.
+    """Train a clustering, choosing the algorithm from the input size.
 
-    ``"auto"`` (the build-path default) runs mini-batch with full-data
-    refinement once the input reaches *minibatch_threshold* rows and plain
-    chunked Lloyd's below it; ``"lloyd"``, ``"minibatch"`` and
-    ``"reference"`` force the respective implementation.
+    Below :data:`MINIBATCH_THRESHOLD` rows this is chunked Lloyd's
+    (:func:`kmeans`, at most *max_iter* iterations); at or above it,
+    mini-batch K-means with full-data refinement (:func:`kmeans_minibatch`,
+    on its own step budget). Every build path trains through here.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown kmeans algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     vecs = as_matrix(vectors)
-    if algorithm == "auto":
-        algorithm = "minibatch" if len(vecs) >= minibatch_threshold else "lloyd"
-    if algorithm == "reference":
-        return kmeans_reference(vecs, k, seed=seed, max_iter=max_iter, tol=tol, init=init)
-    if algorithm == "minibatch":
-        return kmeans_minibatch(
-            vecs, k, seed=seed, max_iter=minibatch_iters, batch_size=batch_size,
-            tol=tol, init=init, refine_iters=refine_iters, chunk_size=chunk_size,
-        )
-    return kmeans(vecs, k, seed=seed, max_iter=max_iter, tol=tol, init=init,
-                  chunk_size=chunk_size)
+    if len(vecs) >= MINIBATCH_THRESHOLD:
+        return kmeans_minibatch(vecs, k, seed=seed, tol=tol)
+    return kmeans(vecs, k, seed=seed, max_iter=max_iter, tol=tol)
 
 
 def kmeans_seed_sweep(
@@ -461,8 +415,6 @@ def kmeans_seed_sweep(
     min_subset: int = 256,
     max_iter: int = 25,
     rng_seed: int = 0,
-    algorithm: str = "auto",
-    batch_size: int = 4096,
     workers: "int | None" = 1,
 ) -> KMeansResult:
     """Pick the K-means seed with the lowest cluster-size imbalance.
@@ -470,8 +422,8 @@ def kmeans_seed_sweep(
     Mirrors the paper's §4.1 procedure: each candidate seed is evaluated on a
     small random subset (1–2% of the datastore by default) because imbalance
     on the subset tracks imbalance on the full set, then the winning seed is
-    re-run on the full data (with *algorithm*, so large corpora take the
-    mini-batch path).
+    re-run on the full data (through :func:`train_kmeans`, so large corpora
+    take the mini-batch path).
 
     Trials are independent, so they run concurrently when *workers* allows;
     ties on imbalance break to the **lowest seed value**, which keeps the
@@ -489,18 +441,11 @@ def kmeans_seed_sweep(
     subset = vecs[rng.choice(n, size=subset_size, replace=False)]
 
     def trial(seed: int):
-        result = train_kmeans(
-            subset, k, seed=seed, max_iter=max_iter,
-            algorithm=algorithm, batch_size=batch_size,
-        )
-        return seed, result.imbalance
+        return seed, train_kmeans(subset, k, seed=seed, max_iter=max_iter).imbalance
 
     trials = run_tasks([lambda s=s: trial(s) for s in seeds], workers)
     best_seed, _ = min(trials, key=lambda item: (item[1], item[0]))
-    return train_kmeans(
-        vecs, k, seed=best_seed, max_iter=max_iter,
-        algorithm=algorithm, batch_size=batch_size,
-    )
+    return train_kmeans(vecs, k, seed=best_seed, max_iter=max_iter)
 
 
 def assign_to_centroids(

@@ -20,7 +20,6 @@ import numpy as np
 
 from .distances import as_matrix, validate_metric
 from .kmeans import train_kmeans
-from .parallel import run_tasks
 
 
 class Quantizer(abc.ABC):
@@ -394,7 +393,7 @@ class ProductQuantizer(Quantizer):
     """Product quantization [Jegou et al. 2010].
 
     The vector is split into *m* subspaces, each quantized against its own
-    codebook of ``2^nbits`` centroids; codes are ``m`` bytes (``nbits=8``).
+    codebook of 256 centroids; codes are ``m`` bytes.
     The paper's PQ256 / PQ384 rows correspond to ``m=256`` / ``m=384`` on
     768-dim vectors.
     """
@@ -407,34 +406,23 @@ class ProductQuantizer(Quantizer):
         self,
         dim: int,
         m: int = 8,
-        nbits: int = 8,
         *,
         train_seed: int = 0,
         train_sample: "int | None" = None,
-        train_workers: "int | None" = 1,
-        train_algorithm: str = "auto",
     ) -> None:
         super().__init__(dim)
         if m <= 0 or dim % m:
             raise ValueError(f"m={m} must evenly divide dim={dim}")
-        if nbits != 8:
-            raise ValueError("only nbits=8 (byte codes) is supported")
         if train_sample is not None and train_sample <= 0:
             raise ValueError(f"train_sample must be positive, got {train_sample}")
         self.m = m
-        self.nbits = nbits
-        self.ksub = 1 << nbits
+        self.ksub = 256
         self.dsub = dim // m
         self.name = f"pq{m}"
         self.train_seed = train_seed
         #: cap on training rows; codebook k-means sees a deterministic random
         #: sample of this size instead of the full corpus (None = all rows)
         self.train_sample = train_sample
-        #: threads for the per-subspace codebook fits (independent problems,
-        #: so the result is bit-identical for any worker count)
-        self.train_workers = train_workers
-        #: k-means variant for the codebook fits (see ann.kmeans.ALGORITHMS)
-        self.train_algorithm = train_algorithm
         self._codebooks: np.ndarray | None = None  # (m, ksub, dsub)
 
     def code_size(self) -> int:
@@ -461,20 +449,12 @@ class ProductQuantizer(Quantizer):
         vectors = self._sample_rows(vectors)
         ksub = min(self.ksub, len(vectors))
         codebooks = np.zeros((self.m, self.ksub, self.dsub), dtype=np.float32)
-
-        def fit_subspace(j: int) -> None:
+        for j in range(self.m):
             sub = vectors[:, j * self.dsub : (j + 1) * self.dsub]
-            result = train_kmeans(
-                sub, ksub, seed=self.train_seed + j, max_iter=12,
-                algorithm=self.train_algorithm,
-            )
+            result = train_kmeans(sub, ksub, seed=self.train_seed + j, max_iter=12)
             codebooks[j, :ksub] = result.centroids
             if ksub < self.ksub:
                 codebooks[j, ksub:] = result.centroids[0]
-
-        # Each subspace writes a disjoint codebook slice, so the fits run
-        # concurrently (the inner k-means is GEMM-bound and releases the GIL).
-        run_tasks([lambda j=j: fit_subspace(j) for j in range(self.m)], self.train_workers)
         self._codebooks = codebooks
 
     def _encode(self, vectors: np.ndarray) -> np.ndarray:
@@ -574,21 +554,15 @@ class OPQQuantizer(Quantizer):
         self,
         dim: int,
         m: int = 8,
-        nbits: int = 8,
         *,
         opq_iters: int = 5,
         train_seed: int = 0,
         train_sample: "int | None" = None,
-        train_workers: "int | None" = 1,
-        train_algorithm: str = "auto",
     ) -> None:
         super().__init__(dim)
         # OPQ samples its own training rows once (the rotation and the PQ must
         # see the same subset), so the inner PQ keeps train_sample=None.
-        self.pq = ProductQuantizer(
-            dim, m=m, nbits=nbits, train_seed=train_seed,
-            train_workers=train_workers, train_algorithm=train_algorithm,
-        )
+        self.pq = ProductQuantizer(dim, m=m, train_seed=train_seed)
         if train_sample is not None and train_sample <= 0:
             raise ValueError(f"train_sample must be positive, got {train_sample}")
         self.m = m
@@ -677,16 +651,14 @@ def make_quantizer(
     *,
     train_seed: int = 0,
     train_sample: "int | None" = None,
-    train_workers: "int | None" = 1,
-    train_algorithm: str = "auto",
 ) -> Quantizer:
     """Build a codec from a Table 1 row name.
 
     Recognised schemes: ``flat``, ``sq8``, ``sq4``, ``pqM``, ``opqM`` where
     ``M`` is the subquantizer count (must divide *dim*). The ``train_*``
-    knobs apply to the codebook-learning codecs (PQ/OPQ): a deterministic
-    training-row sample, subspace-fit thread count, and k-means variant.
-    Scalar codecs ignore them — their min/max training must see every row.
+    knobs apply to the codebook-learning codecs (PQ/OPQ): the k-means seed
+    and a deterministic training-row sample. Scalar codecs ignore them —
+    their min/max training must see every row.
     """
     key = scheme.lower()
     if key == "flat":
@@ -697,12 +669,10 @@ def make_quantizer(
         return ScalarQuantizer(dim, bits=4)
     if key.startswith("opq"):
         return OPQQuantizer(
-            dim, m=int(key[3:]), train_seed=train_seed, train_sample=train_sample,
-            train_workers=train_workers, train_algorithm=train_algorithm,
+            dim, m=int(key[3:]), train_seed=train_seed, train_sample=train_sample
         )
     if key.startswith("pq"):
         return ProductQuantizer(
-            dim, m=int(key[2:]), train_seed=train_seed, train_sample=train_sample,
-            train_workers=train_workers, train_algorithm=train_algorithm,
+            dim, m=int(key[2:]), train_seed=train_seed, train_sample=train_sample
         )
     raise ValueError(f"unknown quantization scheme {scheme!r}")

@@ -5,8 +5,7 @@ profiling, accuracy evaluation, multi-node aggregation, and plot generation
 (its Appendix A.5 steps). This CLI exposes the same workflow over the
 reproduction::
 
-    hermes-repro build --docs 50000 --clusters 10 --algorithm auto
-    hermes-repro build-index --docs 20000 --clusters 10 --out store/
+    hermes-repro build --docs 20000 --clusters 10 --out store/
     hermes-repro accuracy --store store/ --clusters-searched 3
     hermes-repro profile --tokens 1e10 --batch 128
     hermes-repro multinode --tokens 1e12 --clusters 10 --batch 128 --dvfs enhanced
@@ -27,13 +26,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 
 def _cmd_build(args: argparse.Namespace) -> int:
     import time
 
     from .core.build_cache import BuildCache, CacheStats, cached_cluster_datastore
+    from .core.clustering import split_datastore_evenly
     from .core.config import HermesConfig
     from .core.store_io import save_datastore
     from .datastore.embeddings import make_corpus
@@ -43,56 +41,33 @@ def _cmd_build(args: argparse.Namespace) -> int:
         n_clusters=args.clusters,
         clusters_to_search=min(3, args.clusters),
         quantization=args.quantization,
-        kmeans_algorithm=args.algorithm,
         build_workers=args.workers,
     )
     stats = CacheStats()
-    cache = BuildCache(args.cache_dir, stats=stats) if args.cache_dir else BuildCache(stats=stats)
+    cache = BuildCache(args.cache_dir, stats=stats)
     start = time.perf_counter()
-    datastore = cached_cluster_datastore(
-        corpus.embeddings, config, cache=cache, use_cache=not args.no_cache
-    )
-    elapsed = time.perf_counter() - start
-    print(
-        f"built clustered datastore: {datastore.ntotal} docs, "
-        f"{datastore.n_clusters} shards, imbalance {datastore.imbalance:.2f}x, "
-        f"{datastore.memory_bytes() / 1e6:.1f} MB in {elapsed:.2f} s "
-        f"(algorithm={args.algorithm})"
-    )
-    if args.no_cache:
-        print("build-cache: disabled (--no-cache)")
-    else:
-        print(f"{stats.summary()} [{cache.directory}]")
-    if args.out:
-        save_datastore(datastore, args.out)
-        print(f"exported -> {args.out}")
-    return 0
-
-
-def _cmd_build_index(args: argparse.Namespace) -> int:
-    from .core.clustering import cluster_datastore, split_datastore_evenly
-    from .core.config import HermesConfig
-    from .core.store_io import save_datastore
-    from .datastore.embeddings import make_corpus
-
-    corpus = make_corpus(
-        args.docs, n_topics=args.topics, dim=args.dim, seed=args.seed
-    )
-    config = HermesConfig(
-        n_clusters=args.clusters,
-        clusters_to_search=min(3, args.clusters),
-        quantization=args.quantization,
-    )
-    if args.strategy == "clustered":
-        datastore = cluster_datastore(corpus.embeddings, config)
-    else:
+    if args.strategy == "split":
         datastore = split_datastore_evenly(corpus.embeddings, config)
-    save_datastore(datastore, args.out)
+        cache_line = "build-cache: not used (split strategy)"
+    else:
+        datastore = cached_cluster_datastore(
+            corpus.embeddings, config, cache=cache, use_cache=not args.no_cache
+        )
+        cache_line = (
+            "build-cache: disabled (--no-cache)"
+            if args.no_cache
+            else f"{stats.summary()} [{cache.directory}]"
+        )
+    elapsed = time.perf_counter() - start
     print(
         f"built {args.strategy} datastore: {datastore.ntotal} docs, "
         f"{datastore.n_clusters} shards, imbalance {datastore.imbalance:.2f}x, "
-        f"{datastore.memory_bytes() / 1e6:.1f} MB -> {args.out}"
+        f"{datastore.memory_bytes() / 1e6:.1f} MB in {elapsed:.2f} s"
     )
+    print(cache_line)
+    if args.out:
+        save_datastore(datastore, args.out)
+        print(f"exported -> {args.out}")
     return 0
 
 
@@ -469,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "build", help="build a clustered datastore through the fingerprinted cache"
+        "build", help="build a datastore (clustered builds go through the fingerprinted cache)"
     )
     p.add_argument("--docs", type=int, default=50_000)
     p.add_argument("--topics", type=int, default=10)
@@ -477,28 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int, default=10)
     p.add_argument("--quantization", default="sq8")
     p.add_argument(
-        "--algorithm",
-        choices=("auto", "lloyd", "minibatch", "reference"),
-        default="auto",
-        help="K-means variant for the split and shard coarse quantizers",
+        "--strategy", choices=("clustered", "split"), default="clustered",
+        help="K-means split (Hermes) or an even split (no cache)",
     )
     p.add_argument("--workers", type=int, default=None, help="build thread count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache-dir", default=None, help="build-cache location override")
     p.add_argument("--no-cache", action="store_true", help="always rebuild")
-    p.add_argument("--out", default=None, help="also export the datastore here")
+    p.add_argument("--out", default=None, help="also save the datastore here")
     p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("build-index", help="build and save a clustered datastore")
-    p.add_argument("--docs", type=int, default=20_000)
-    p.add_argument("--topics", type=int, default=10)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--clusters", type=int, default=10)
-    p.add_argument("--quantization", default="sq8")
-    p.add_argument("--strategy", choices=("clustered", "split"), default="clustered")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_index)
 
     p = sub.add_parser("accuracy", help="evaluate a saved datastore's NDCG")
     p.add_argument("--store", required=True)

@@ -58,9 +58,6 @@ BUILD_FIELDS = (
     "deep_nprobe",
     "kmeans_seeds",
     "kmeans_subset_fraction",
-    "kmeans_algorithm",
-    "kmeans_batch_size",
-    "quantizer_train_sample",
 )
 
 

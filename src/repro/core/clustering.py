@@ -387,6 +387,11 @@ def _to_global(local: np.ndarray, gids: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Training-row cap of a shard's PQ / OPQ codebooks: they train on a
+#: deterministic sample of this many rows. Scalar codecs see every row.
+_CODEBOOK_TRAIN_ROWS = 16_384
+
+
 def _build_shard(
     shard_id: int,
     embeddings: np.ndarray,
@@ -397,22 +402,18 @@ def _build_shard(
     dim = embeddings.shape[1]
     nlist = config.nlist
     if nlist is not None:
-        # Shards smaller than the requested cell count fall back to sqrt(N).
-        nlist = min(nlist, max(1, len(member_ids) // 2)) or None
+        # A requested cell count is capped at half the shard's rows (at least
+        # one cell); ``None`` leaves the sqrt(N) default to train time.
+        nlist = min(nlist, max(1, len(member_ids) // 2))
     index = IVFIndex(
         dim,
         config.metric,
         nlist=nlist,
         nprobe=config.deep_nprobe,
         quantizer=make_quantizer(
-            config.quantization,
-            dim,
-            train_sample=config.quantizer_train_sample,
-            train_algorithm=config.kmeans_algorithm,
+            config.quantization, dim, train_sample=_CODEBOOK_TRAIN_ROWS
         ),
         train_seed=shard_id,
-        kmeans_algorithm=config.kmeans_algorithm,
-        kmeans_batch_size=config.kmeans_batch_size,
     )
     index.train(members)
     index.add(members)
@@ -651,8 +652,6 @@ def cluster_datastore(
                 config.n_clusters,
                 seeds=config.kmeans_seeds,
                 subset_fraction=config.kmeans_subset_fraction,
-                algorithm=config.kmeans_algorithm,
-                batch_size=config.kmeans_batch_size,
                 workers=config.build_workers,
             )
         members_per_cluster = []

@@ -54,15 +54,6 @@ class HermesConfig:
     #: Threads for shard builds / seed-sweep trials (None = one per task up
     #: to the host CPUs). Does not change results, only wall-clock.
     build_workers: int | None = None
-    #: K-means variant for the split and the per-shard coarse centroids:
-    #: "auto" (mini-batch for large inputs), "lloyd", "minibatch", or the
-    #: retained pre-optimisation "reference" path.
-    kmeans_algorithm: str = "auto"
-    #: Mini-batch size when the mini-batch K-means path is taken.
-    kmeans_batch_size: int = 4096
-    #: Training-row cap for codebook quantizers (PQ/OPQ); None trains on the
-    #: full shard. Scalar quantizers always see every row.
-    quantizer_train_sample: int | None = 16_384
     #: Deep-search fan-out backend: "thread" scans routed shards on a thread
     #: pool in-process; "process" ships each shard search to a persistent
     #: worker-process pool over shared-memory shard views (results are
@@ -90,16 +81,6 @@ class HermesConfig:
             raise ValueError("kmeans_subset_fraction must be in (0, 1]")
         if self.build_workers is not None and self.build_workers <= 0:
             raise ValueError("build_workers must be positive (or None for auto)")
-        from ..ann.kmeans import ALGORITHMS
-
-        if self.kmeans_algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"kmeans_algorithm must be one of {ALGORITHMS}, got {self.kmeans_algorithm!r}"
-            )
-        if self.kmeans_batch_size <= 0:
-            raise ValueError("kmeans_batch_size must be positive")
-        if self.quantizer_train_sample is not None and self.quantizer_train_sample <= 0:
-            raise ValueError("quantizer_train_sample must be positive (or None)")
         if self.search_workers_mode not in ("thread", "process"):
             raise ValueError(
                 "search_workers_mode must be 'thread' or 'process', "

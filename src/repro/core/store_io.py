@@ -39,6 +39,14 @@ from ..ann.persistence import load_index, save_ivf
 from .clustering import ClusteredDatastore, IndexShard
 from .config import HermesConfig
 
+#: ``HermesConfig`` fields that no longer exist but older manifests carry.
+_RETIRED_CONFIG_KEYS = (
+    "sample_k",
+    "kmeans_algorithm",
+    "kmeans_batch_size",
+    "quantizer_train_sample",
+)
+
 
 def _atomic_write(path: Path, write) -> None:
     """Run ``write(file_obj)`` against a temp file, then rename into place.
@@ -142,9 +150,11 @@ def load_datastore(directory: "str | Path") -> ClusteredDatastore:
         raise FileNotFoundError(f"no manifest.json in {directory}")
     manifest = json.loads(manifest_path.read_text())
     config_dict = dict(manifest["config"])
-    # Manifests written before the knob was deleted carry it; every value
-    # routed identically, so dropping it loads the same datastore.
-    config_dict.pop("sample_k", None)
+    # Manifests written before these knobs were deleted carry them. None of
+    # them changes how a built store searches, so dropping them loads the
+    # same datastore.
+    for retired in _RETIRED_CONFIG_KEYS:
+        config_dict.pop(retired, None)
     config_dict["kmeans_seeds"] = tuple(config_dict["kmeans_seeds"])
     config = HermesConfig(**config_dict)
     shards = []

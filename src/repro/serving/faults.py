@@ -377,8 +377,8 @@ class FleetFaultSchedule:
     """Timeline of node outages and straggler windows for the simulator.
 
     The simulator consults this at every retrieval-phase entry: a down node
-    is skipped (degraded batch) or waited on, a slowed node's phase duration
-    is scaled by the product of its covering slowdown factors.
+    is skipped (degraded batch), a slowed node's phase duration is scaled by
+    the product of its covering slowdown factors.
     """
 
     def __init__(
@@ -402,29 +402,12 @@ class FleetFaultSchedule:
             o.node == node and o.start_s <= t < o.end_s for o in self.outages
         )
 
-    def recovery_time(self, node: int, t: float) -> float:
-        """Earliest time >= *t* at which *node* is up (``inf`` if never)."""
-        while True:
-            covering = [
-                o for o in self.outages if o.node == node and o.start_s <= t < o.end_s
-            ]
-            if not covering:
-                return t
-            end = max(o.end_s for o in covering)
-            if not np.isfinite(end):
-                return float("inf")
-            t = end  # chained/overlapping outages: keep walking forward
-
     def slowdown(self, node: int, t: float) -> float:
         factor = 1.0
         for s in self.slowdowns:
             if s.node == node and s.start_s <= t < s.end_s:
                 factor *= s.factor
         return factor
-
-    @property
-    def has_unrecoverable(self) -> bool:
-        return any(not np.isfinite(o.end_s) for o in self.outages)
 
     @classmethod
     def random(

@@ -176,12 +176,10 @@ class PipelineSimulator:
     the synchronous scatter-gather of the paper's distributed search.
 
     With a :class:`~repro.serving.faults.FleetFaultSchedule` the fleet is
-    chaotic: a node that is down when a phase reaches it is either skipped
-    (``dead_node_policy="skip"`` — the batch proceeds degraded, the
-    searcher's deadline/breaker behaviour at serving scale) or waited for
-    (``"wait"`` — the synchronous-scatter-gather worst case, where one dead
-    node stalls every batch until it recovers). Straggler windows scale the
-    node's phase duration by their factor (sampled at phase entry).
+    chaotic: a node that is down when a phase reaches it is skipped — the
+    batch proceeds degraded, the searcher's deadline/breaker behaviour at
+    serving scale. Straggler windows scale the node's phase duration by
+    their factor (sampled at phase entry).
     """
 
     def __init__(
@@ -190,30 +188,18 @@ class PipelineSimulator:
         *,
         batch_size: int,
         faults: FleetFaultSchedule | None = None,
-        dead_node_policy: str = "skip",
         tracer: Tracer | None = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if dead_node_policy not in ("skip", "wait"):
+        if faults is not None and faults.n_nodes != plan.n_nodes:
             raise ValueError(
-                f"dead_node_policy must be 'skip' or 'wait', got {dead_node_policy!r}"
+                f"fault schedule covers {faults.n_nodes} nodes, "
+                f"plan has {plan.n_nodes}"
             )
-        if faults is not None:
-            if faults.n_nodes != plan.n_nodes:
-                raise ValueError(
-                    f"fault schedule covers {faults.n_nodes} nodes, "
-                    f"plan has {plan.n_nodes}"
-                )
-            if dead_node_policy == "wait" and faults.has_unrecoverable:
-                raise ValueError(
-                    "dead_node_policy='wait' with an unrecoverable outage "
-                    "would stall the simulation forever; use 'skip'"
-                )
         self.plan = plan
         self.batch_size = batch_size
         self.faults = faults
-        self.dead_node_policy = dead_node_policy
         self.tracer = tracer
         self.loop = EventLoop()
         self.gpu = Resource(self.loop, "gpu")
@@ -334,8 +320,8 @@ class PipelineSimulator:
         """Scatter a phase to all involved nodes; continue when all finish.
 
         Fault handling happens at phase entry: a down node is skipped (the
-        batch degrades) or waited for until recovery; a straggling node's
-        busy time is scaled by its slowdown factor.
+        batch degrades); a straggling node's busy time is scaled by its
+        slowdown factor.
         """
         involved = [i for i, d in enumerate(durations) if d > 0]
         if not involved:
@@ -353,18 +339,8 @@ class PipelineSimulator:
             duration = float(durations[i])
             if self.faults is not None:
                 if self.faults.is_down(i, now):
-                    if self.dead_node_policy == "skip":
-                        record.skipped_nodes.append(i)
-                        node_done()
-                        continue
-                    recovery = self.faults.recovery_time(i, now)
-                    duration *= self.faults.slowdown(i, recovery)
-                    self.loop.schedule(
-                        recovery - now,
-                        lambda i=i, d=duration: self._hold_node(
-                            i, d, node_done, holds
-                        ),
-                    )
+                    record.skipped_nodes.append(i)
+                    node_done()
                     continue
                 duration *= self.faults.slowdown(i, now)
             self._hold_node(i, duration, node_done, holds)

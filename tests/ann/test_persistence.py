@@ -215,7 +215,7 @@ class TestStateValidation:
         header, arrays = state
         path = tmp_path / "v4.npz"
         np.savez_compressed(path, header=json.dumps(dict(header, format=4)), **arrays)
-        with pytest.raises(ValueError, match="format 4.*build-index"):
+        with pytest.raises(ValueError, match="format 4.*hermes-repro build`"):
             load_index(path)
 
 

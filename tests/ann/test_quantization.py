@@ -231,16 +231,6 @@ class TestSampledTraining:
         full.train(rows)
         assert np.array_equal(capped._codebooks, full._codebooks)
 
-    def test_train_workers_bit_exact(self):
-        from repro.ann.quantization import ProductQuantizer
-
-        rows = self._rows(n=2000)
-        serial = ProductQuantizer(16, m=4, train_seed=0, train_workers=1)
-        threaded = ProductQuantizer(16, m=4, train_seed=0, train_workers=4)
-        serial.train(rows)
-        threaded.train(rows)
-        assert np.array_equal(serial._codebooks, threaded._codebooks)
-
     def test_opq_sampled_training(self):
         from repro.ann.quantization import OPQQuantizer
 

@@ -1,11 +1,12 @@
 """Tests for the fingerprinted build cache."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.core.build_cache import (
+    BUILD_FIELDS,
     BuildCache,
     CacheStats,
     build_fingerprint,
@@ -16,6 +17,28 @@ from repro.core.build_cache import (
 from repro.core.clustering import cluster_datastore
 from repro.core.config import HermesConfig
 from repro.core.hierarchical import HermesSearcher
+
+#: Config fields the built artifact does not depend on: search-time knobs,
+#: the build thread count (bit-exact at any count) and the fan-out backend.
+SEARCH_AND_DEPLOYMENT_FIELDS = {
+    "sample_nprobe",
+    "clusters_to_search",
+    "k",
+    "rerank_top",
+    "build_workers",
+    "search_workers_mode",
+}
+
+#: One legal value per build field that differs from the ``config`` fixture's.
+CHANGED_BUILD_VALUES = {
+    "n_clusters": 5,
+    "nlist": 16,
+    "quantization": "pq8",
+    "metric": "l2",
+    "deep_nprobe": 64,
+    "kmeans_seeds": (0, 1),
+    "kmeans_subset_fraction": 0.05,
+}
 
 
 @pytest.fixture(scope="module")
@@ -47,15 +70,20 @@ class TestFingerprint:
             perturbed, config
         )
 
-    def test_build_field_invalidates(self, embeddings, config):
-        changed = replace(config, quantization="pq8")
+    @pytest.mark.parametrize("field", BUILD_FIELDS)
+    def test_build_field_invalidates(self, embeddings, config, field):
+        changed = replace(config, **{field: CHANGED_BUILD_VALUES[field]})
         assert build_fingerprint(embeddings, config) != build_fingerprint(
             embeddings, changed
         )
-        changed = replace(config, kmeans_algorithm="lloyd")
-        assert build_fingerprint(embeddings, config) != build_fingerprint(
-            embeddings, changed
-        )
+
+    def test_every_config_field_is_build_or_search_time(self):
+        # A build field missing from the fingerprint would serve a stale
+        # cached index; a search-time field in it would force rebuilds.
+        names = {f.name for f in fields(HermesConfig)}
+        assert set(BUILD_FIELDS).isdisjoint(SEARCH_AND_DEPLOYMENT_FIELDS)
+        assert names == set(BUILD_FIELDS) | SEARCH_AND_DEPLOYMENT_FIELDS
+        assert set(CHANGED_BUILD_VALUES) == set(BUILD_FIELDS)
 
     def test_search_only_fields_ignored(self, embeddings, config):
         retuned = replace(config, sample_nprobe=32, clusters_to_search=3, k=7)

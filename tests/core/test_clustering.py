@@ -1,5 +1,7 @@
 """Tests for datastore disaggregation."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -143,24 +145,25 @@ class TestParallelBuilds:
 
 
 class TestBuildQualityParity:
-    """The optimised build knobs (chunked/mini-batch K-means, parallel shard
-    builds, sampled codebook training) against the retained reference knobs:
-    clustering inertia within 5%, end-to-end recall@k within 2 points."""
+    """The optimised build (chunked / mini-batch K-means, parallel shard
+    builds) against the retained reference Lloyd's: clustering inertia within
+    5%, end-to-end recall@k within 2 points."""
 
     INERTIA_RATIO_BOUND = 1.05
     RECALL_GAP_BOUND = 0.02
 
     @pytest.mark.parametrize(
-        "knobs",
-        [
-            {},  # the defaults
-            {"kmeans_algorithm": "minibatch", "quantizer_train_sample": 1024},
-        ],
-        ids=["defaults", "minibatch-sampled"],
+        "minibatch_threshold",
+        [None, 0],  # the default size rule; every k-means on the mini-batch path
+        ids=["defaults", "minibatch-threshold"],
     )
-    def test_optimised_build_matches_reference(self, knobs):
+    def test_optimised_build_matches_reference(self, monkeypatch, minibatch_threshold):
         from dataclasses import replace
 
+        import repro.ann.ivf as ivf
+        # ``repro.ann.kmeans`` as an attribute is the function the package
+        # re-exports, so the module is fetched by name.
+        km = importlib.import_module("repro.ann.kmeans")
         from repro.baselines.monolithic import MonolithicRetriever
         from repro.core.hierarchical import HermesSearcher
         from repro.datastore.embeddings import make_corpus
@@ -170,10 +173,7 @@ class TestBuildQualityParity:
         corpus = make_corpus(4000, n_topics=4, dim=32, seed=0)
         queries = trivia_queries(corpus.topic_model, 32).embeddings
         _, truth = MonolithicRetriever(corpus.embeddings).ground_truth(queries, k)
-        base = HermesConfig(n_clusters=4, clusters_to_search=3)
-        reference = replace(
-            base, kmeans_algorithm="reference", build_workers=1, quantizer_train_sample=None
-        )
+        config = HermesConfig(n_clusters=4, clusters_to_search=3)
 
         def build(config):
             store = cluster_datastore(corpus.embeddings, config)
@@ -181,7 +181,14 @@ class TestBuildQualityParity:
             hits = sum(len(set(f[f >= 0]) & set(t)) for f, t in zip(ids, truth))
             return store.clustering.inertia, hits / truth.size
 
-        ref_inertia, ref_recall = build(reference)
-        inertia, recall = build(replace(base, **knobs))
+        with monkeypatch.context() as patch:
+            # The split, the seed sweep and the shard coarse centroids (sq8
+            # codebooks need no k-means) all train on the reference Lloyd's.
+            patch.setattr(km, "train_kmeans", km.kmeans_reference)
+            patch.setattr(ivf, "train_kmeans", km.kmeans_reference)
+            ref_inertia, ref_recall = build(replace(config, build_workers=1))
+        if minibatch_threshold is not None:
+            monkeypatch.setattr(km, "MINIBATCH_THRESHOLD", minibatch_threshold)
+        inertia, recall = build(config)
         assert inertia / ref_inertia <= self.INERTIA_RATIO_BOUND
         assert abs(recall - ref_recall) <= self.RECALL_GAP_BOUND

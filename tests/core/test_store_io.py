@@ -75,16 +75,33 @@ class TestDatastoreRoundTrip:
         loaded = load_datastore(tmp_path / "store")
         assert loaded.config.search_workers_mode == "process"
 
-    def test_manifest_from_before_sample_k_was_deleted_loads(self, clustered, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sample_k", 3),
+            ("kmeans_algorithm", "auto"),
+            ("kmeans_batch_size", 4096),
+            ("quantizer_train_sample", 16_384),
+        ],
+    )
+    def test_manifest_from_before_sample_k_was_deleted_loads(
+        self, clustered, small_queries, tmp_path, key, value
+    ):
         # Stores (and build-cache entries) written while HermesConfig still
-        # had the no-op ``sample_k`` knob carry it in their manifest.
+        # had a since-deleted knob carry it in their manifest, with the value
+        # they were saved with.
         save_datastore(clustered, tmp_path / "store")
         manifest_path = tmp_path / "store" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["config"]["sample_k"] = 3
+        manifest["config"][key] = value
         manifest_path.write_text(json.dumps(manifest))
         loaded = load_datastore(tmp_path / "store")
         assert loaded.config == clustered.config
+        queries = small_queries.embeddings[:8]
+        assert np.array_equal(
+            HermesSearcher(loaded).search(queries).ids,
+            HermesSearcher(clustered).search(queries).ids,
+        )
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

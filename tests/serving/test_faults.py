@@ -177,13 +177,13 @@ class TestFleetFaultSchedule:
         assert not sched.is_down(1, 4.9)
         assert sched.is_down(1, 5.0)
         assert sched.is_down(1, 11.0)  # chained outage
-        assert sched.recovery_time(1, 6.0) == 12.0
-        assert sched.recovery_time(0, 6.0) == 6.0
+        assert not sched.is_down(1, 12.0)
+        assert not sched.is_down(0, 6.0)
 
     def test_unrecoverable_outage(self):
         sched = FleetFaultSchedule(2, outages=[NodeOutage(0, 0.0, float("inf"))])
-        assert sched.has_unrecoverable
-        assert sched.recovery_time(0, 1.0) == float("inf")
+        assert sched.is_down(0, 1e12)
+        assert not sched.is_down(1, 1.0)
 
     def test_slowdown_factors_compose(self):
         sched = FleetFaultSchedule(

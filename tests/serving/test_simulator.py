@@ -309,21 +309,6 @@ class TestFaultedFleet:
             0.1 + 2 * (0.05 + 0.1 + 0.4 + 0.5)
         )
 
-    def test_wait_policy_stalls_until_recovery(self):
-        from repro.serving import NodeOutage
-
-        plan = small_plan()
-        healthy = PipelineSimulator(plan, batch_size=8).run(1)
-        waited = PipelineSimulator(
-            plan,
-            batch_size=8,
-            faults=self.sched(outages=[NodeOutage(0, 0.0, 5.0)]),
-            dead_node_policy="wait",
-        ).run(1)
-        assert waited.degraded_batches == 0
-        assert waited.availability == 1.0
-        assert waited.makespan_s > healthy.makespan_s
-
     def test_slowdown_scales_makespan(self):
         from repro.serving import NodeSlowdown
 
@@ -339,29 +324,12 @@ class TestFaultedFleet:
         assert slowed.makespan_s > healthy.makespan_s
         assert slowed.degraded_batches == 0  # slow, not dead
 
-    def test_wait_with_unrecoverable_outage_rejected(self):
-        from repro.serving import NodeOutage
-
-        plan = small_plan()
-        with pytest.raises(ValueError, match="unrecoverable"):
-            PipelineSimulator(
-                plan,
-                batch_size=8,
-                faults=self.sched(outages=[NodeOutage(2, 0.0, float("inf"))]),
-                dead_node_policy="wait",
-            )
-
     def test_node_count_mismatch_rejected(self):
         from repro.serving import FleetFaultSchedule
 
         plan = small_plan()
         with pytest.raises(ValueError, match="covers"):
             PipelineSimulator(plan, batch_size=8, faults=FleetFaultSchedule(7))
-
-    def test_bad_policy_rejected(self):
-        plan = small_plan()
-        with pytest.raises(ValueError, match="dead_node_policy"):
-            PipelineSimulator(plan, batch_size=8, dead_node_policy="retry")
 
     def test_random_schedule_runs_end_to_end(self):
         from repro.serving import FleetFaultSchedule

@@ -13,7 +13,7 @@ class TestParser:
         )
         commands = set(sub.choices)
         assert commands == {
-            "build", "build-index", "accuracy", "profile", "multinode",
+            "build", "accuracy", "profile", "multinode",
             "serve-sim", "cache", "faults", "overload", "mutate", "serve",
             "trace", "reproduce",
         }
@@ -27,8 +27,8 @@ class TestBuildAndAccuracy:
     def test_build_then_evaluate(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         assert main([
-            "build-index", "--docs", "1500", "--dim", "32",
-            "--clusters", "5", "--out", store,
+            "build", "--docs", "1500", "--dim", "32",
+            "--clusters", "5", "--no-cache", "--out", store,
         ]) == 0
         out = capsys.readouterr().out
         assert "5 shards" in out
@@ -45,10 +45,12 @@ class TestBuildAndAccuracy:
     def test_split_strategy(self, tmp_path, capsys):
         store = str(tmp_path / "split")
         assert main([
-            "build-index", "--docs", "1000", "--dim", "32",
+            "build", "--docs", "1000", "--dim", "32",
             "--clusters", "4", "--strategy", "split", "--out", store,
         ]) == 0
-        assert "split datastore" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "split datastore" in out
+        assert "build-cache: not used" in out
 
 
 class TestModelCommands:
