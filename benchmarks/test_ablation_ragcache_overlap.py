@@ -18,7 +18,6 @@ from repro.datastore.chunkstore import ChunkStore
 from repro.datastore.corpus import CorpusGenerator, TokenVocabulary, chunk_documents
 from repro.datastore.encoder import SyntheticEncoder
 from repro.metrics.reporting import format_table
-from repro.serving.cache import CacheConfig
 from repro.serving.pipeline import PipelineConfig, RAGServingPipeline
 
 
@@ -47,9 +46,9 @@ def run_sessions(*, n_sessions=10, n_strides=8):
         for s in range(n_sessions)
     ]
 
-    # The live stride loop, one session per request. Semantic and routing
-    # cache tiers are off so every stride really routes and searches with its
-    # own drifted query (the exact tier only replays a bit-identical one).
+    # The live stride loop, one session per request. Every stride really
+    # routes and searches with its own drifted query (the retrieval cache only
+    # replays a bit-identical one).
     with RAGServingPipeline(
         searcher,
         encoder,
@@ -61,7 +60,6 @@ def run_sessions(*, n_sessions=10, n_strides=8):
             grounding=0.6,
             k=5,
         ),
-        cache_config=CacheConfig(semantic_threshold=None, routing_threshold=None),
     ) as pipeline:
         report = pipeline.serve(queries)
 

@@ -203,7 +203,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         batch=args.batch,
         k=args.k,
         capacity=args.capacity,
-        jitter=args.jitter,
         seed=args.seed,
     )
     print(
@@ -510,10 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--capacity", type=int, default=512, help="cache entries (LRU)")
-    p.add_argument(
-        "--jitter", type=float, default=0.0,
-        help="perturbation scale for near-duplicate requests (semantic tier)",
-    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON artifact here")
     p.set_defaults(func=_cmd_cache)

@@ -470,7 +470,6 @@ class HierarchicalSearcher:
         deep_nprobe: int | None = None,
         exclude_clusters: "frozenset | set | None" = None,
         trace: bool = False,
-        routing: "RoutingDecision | None" = None,
         deadline_s: float | None = None,
     ) -> SearchResult:
         """Route then deep-search a query batch; returns global top-k.
@@ -484,17 +483,6 @@ class HierarchicalSearcher:
         :class:`~repro.core.errors.DeadlineExceededError` and counts on
         ``retrieval_deadline_exceeded_total`` — callers under admission
         control shed the request instead of serving it late.
-
-        ``routing`` reuses a prior batch's :class:`RoutingDecision` instead
-        of re-running the sample-search fan-out — the serve-time hook behind
-        the routing cache tier (near-duplicate queries route identically, so
-        the cheap probes are pure overhead).
-        The decision must cover this batch (same ``batch_size``) and have
-        been produced against this datastore. Reuse is an optimisation, not
-        a contract: if the reused decision routes to a shard that is now
-        excluded (caller exclude or open breaker), it is discarded and the
-        batch re-routes freshly, counted on
-        ``retrieval_route_reuse_invalidated_total``.
 
         ``trace=True`` opts this batch into span tracing even when no
         process-wide tracer is enabled: the returned
@@ -520,7 +508,6 @@ class HierarchicalSearcher:
         q = as_matrix(queries)
         k, m, nprobe = self.resolve_params(k, clusters_to_search, deep_nprobe)
         user_exclude = self._validated_exclude(exclude_clusters)
-        self._validate_reuse(routing, len(q))
         deadline_at = None
         if deadline_s is not None:
             if deadline_s <= 0:
@@ -548,7 +535,7 @@ class HierarchicalSearcher:
         )
         batch = _Batch(q, k, nprobe, tracer, root)
         try:
-            decision = self._route(batch, m, exclude, routing)
+            decision = self._route(batch, m, exclude)
             tasks = self.plan(decision)
             answers = self._run(batch, tasks, deadline_at)
             return self._merge(batch, decision, answers, breaker_open)
@@ -602,21 +589,6 @@ class HierarchicalSearcher:
             )
         return exclude
 
-    def _validate_reuse(self, routing: "RoutingDecision | None", nq: int) -> None:
-        """A reused decision must cover this batch and this datastore's shards."""
-        if routing is None:
-            return
-        if routing.batch_size != nq:
-            raise ValueError(
-                f"reused routing covers {routing.batch_size} queries, batch has {nq}"
-            )
-        n = self.datastore.n_clusters
-        if routing.clusters.size and int(routing.clusters.max()) >= n:
-            raise ValueError(
-                f"reused routing references shard {int(routing.clusters.max())}; "
-                f"datastore has shards 0..{n - 1}"
-            )
-
     def _tick_breakers(self) -> frozenset:
         """Advance the breaker clock one batch; the shards it keeps excluded."""
         if self.health is None:
@@ -636,48 +608,18 @@ class HierarchicalSearcher:
         ).observe(self._clock() - start, phase=phase)
 
     # -- step 2: route -------------------------------------------------------
-    def _route(
-        self,
-        batch: _Batch,
-        m: int,
-        exclude: frozenset,
-        reuse: "RoutingDecision | None",
-    ) -> RoutingDecision:
-        """Rank clusters per query — freshly, or by a still-valid reused decision."""
-        registry = get_registry()
-        if (
-            reuse is not None
-            and exclude
-            and not exclude.isdisjoint(np.unique(reuse.clusters).tolist())
-        ):
-            # Stale decision routes to a dead/excluded shard: re-route.
-            registry.counter(
-                "retrieval_route_reuse_invalidated_total",
-                "reused routing decisions discarded for touching excluded shards",
-            ).inc()
-            reuse = None
+    def _route(self, batch: _Batch, m: int, exclude: frozenset) -> RoutingDecision:
+        """Rank clusters per query with the router (the sample-search fan-out)."""
         phase_start = self._clock()
         with batch.tracer.span(
             "route", parent=batch.root, router=type(self.router).__name__
         ) as route_span:
-            if reuse is not None:
-                routing = reuse
-                route_span.set(reused=True)
-                registry.counter(
-                    "retrieval_route_reused_total",
-                    "sample-search phases skipped by reusing a prior RoutingDecision",
-                ).inc()
-            else:
-                routing = self.router.route(
-                    batch.queries, self.datastore, m, exclude=exclude
-                )
+            routing = self.router.route(batch.queries, self.datastore, m, exclude=exclude)
             route_span.set(
                 fanout=routing.fanout, failed_clusters=len(routing.failed_clusters)
             )
         self._observe_phase("route", phase_start)
-        if self.health is not None and reuse is None:
-            # A reused decision's failed_clusters describe a *past* batch;
-            # re-penalising them would double-count old failures.
+        if self.health is not None:
             for sid in routing.failed_clusters:
                 self.health.record_failure(sid)
         if len(exclude | routing.failed_clusters) >= self.datastore.n_clusters:

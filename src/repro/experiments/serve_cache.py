@@ -13,10 +13,6 @@ NDCG@k against exact ground truth for both paths.
 At ``α = 0`` every pool query is equally likely (worst case for a cache
 smaller than the pool); as ``α`` grows the head of the pool dominates and
 the hit rate climbs — the shape ``hermes-repro cache`` prints.
-
-Optional ``jitter`` perturbs a fraction of requests so they are *near*
-duplicates instead of exact ones, exercising the semantic tier; its NDCG
-column then measures the accuracy cost of threshold-based result reuse.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from ..datastore.embeddings import zipf_weights
 from ..datastore.queries import trivia_queries
 from ..llm.inference import InferenceModel
 from ..metrics.ndcg import ndcg
-from ..serving.cache import CacheConfig, RetrievalCache
+from ..serving.cache import CacheConfig
 from ..serving.frontend import ServingFrontend
 from .common import (
     accuracy_corpus,
@@ -53,8 +49,6 @@ class SkewPoint:
     n_requests: int
     hit_rate: float
     exact_hits: int
-    semantic_hits: int
-    routing_hits: int
     misses: int
     evictions: int
     cached_mean_ms: float
@@ -95,9 +89,6 @@ def run(
     batch: int = 32,
     k: int = 10,
     capacity: int = 512,
-    semantic_threshold: float | None = 0.995,
-    routing_threshold: float | None = 0.98,
-    jitter: float = 0.0,
     seed: int = 0,
 ) -> list:
     """Sweep the request skew; returns one :class:`SkewPoint` per ``α``.
@@ -117,22 +108,9 @@ def run(
     for alpha in alphas:
         rng = np.random.default_rng(seed)
         stream = request_stream(n_unique, n_requests, float(alpha), rng)
-        queries = pool[stream].copy()
-        if jitter > 0:
-            jittered = rng.random(n_requests) < 0.5
-            queries[jittered] += rng.normal(
-                scale=jitter, size=(int(jittered.sum()), pool.shape[1])
-            ).astype(np.float32)
+        queries = pool[stream]
         truth = pool_truth[stream]
-
-        cache = RetrievalCache(
-            CacheConfig(
-                capacity=capacity,
-                semantic_threshold=semantic_threshold,
-                routing_threshold=routing_threshold,
-            )
-        )
-        frontend = ServingFrontend(searcher, cache=cache)
+        frontend = ServingFrontend(searcher, cache_config=CacheConfig(capacity=capacity))
 
         cached_lat, cached_ids = [], []
         uncached_lat, uncached_ids = [], []
@@ -149,15 +127,13 @@ def run(
 
         c_mean, c_p50, c_p99 = _percentiles(cached_lat)
         u_mean, u_p50, u_p99 = _percentiles(uncached_lat)
-        stats = cache.stats
+        stats = frontend.cache.stats
         points.append(
             SkewPoint(
                 alpha=float(alpha),
                 n_requests=n_requests,
                 hit_rate=stats.hit_rate,
                 exact_hits=stats.exact_hits,
-                semantic_hits=stats.semantic_hits,
-                routing_hits=stats.routing_hits,
                 misses=stats.misses,
                 evictions=stats.evictions,
                 cached_mean_ms=c_mean,

@@ -3,9 +3,9 @@
 Three layers:
 
 - the **serve-time frontend** (:mod:`repro.serving.cache`,
-  :mod:`repro.serving.frontend`): a multi-tier retrieval cache (exact /
-  semantic / routing reuse) and a dynamic batcher that coalesces and dedupes
-  cache-missing queries in front of the hierarchical searcher;
+  :mod:`repro.serving.frontend`): an exact-digest LRU retrieval cache and a
+  dynamic batcher that coalesces and dedupes cache-missing queries in front
+  of the hierarchical searcher;
 - the **discrete-event simulator** complementing the closed-form multi-node
   model with batches contending for the GPU and the retrieval fleet;
 - the **fault models** (crash-stop, transient, straggler) that chaos-test
@@ -31,8 +31,6 @@ from .admission import (
 from .cache import (
     EXACT_HIT,
     MISS,
-    ROUTING_HIT,
-    SEMANTIC_HIT,
     CacheConfig,
     CacheLookup,
     RetrievalCache,
@@ -81,8 +79,6 @@ from .simulator import (
 __all__ = [
     "MISS",
     "EXACT_HIT",
-    "SEMANTIC_HIT",
-    "ROUTING_HIT",
     "CacheConfig",
     "CacheLookup",
     "RetrievalCache",

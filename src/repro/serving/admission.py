@@ -21,8 +21,8 @@ overload-safe alternative bounds every stage:
   delay above ``delay_target_s`` for ``escalate_after_s`` escalates; delay
   below target for the longer ``clear_after_s`` de-escalates — the
   hysteresis that prevents level flapping). Each level maps to
-  :class:`BrownoutKnobs`: a looser semantic-cache threshold and smaller
-  deep-search fan-out/nprobe, trading bounded accuracy for capacity.
+  :class:`BrownoutKnobs`: a smaller deep-search fan-out and probe depth,
+  trading bounded accuracy for capacity.
 
 The controller is passive and clock-injectable: the batcher calls
 :meth:`AdmissionController.admit` on submit and
@@ -57,21 +57,14 @@ DEGRADATION_BUCKETS = (0, 1, 2, 3, 4)
 class BrownoutKnobs:
     """Quality knobs at one brownout level (level 0 = full quality).
 
-    ``semantic_slack`` loosens the cache's semantic threshold by that much
-    (accepting slightly-further near-duplicates instead of searching);
-    ``m_scale`` / ``nprobe_scale`` multiply the deep-search fan-out and
-    probe depth (floored at 1 by the consumer). The default ladder degrades
-    cache strictness first — a looser cache hit costs ~nothing and its NDCG
-    delta is measured — and search depth second.
+    ``m_scale`` / ``nprobe_scale`` multiply the deep-search fan-out and probe
+    depth (floored at 1 by the consumer).
     """
 
-    semantic_slack: float = 0.0
     m_scale: float = 1.0
     nprobe_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.semantic_slack < 0:
-            raise ValueError(f"semantic_slack must be >= 0, got {self.semantic_slack}")
         for name in ("m_scale", "nprobe_scale"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -85,13 +78,13 @@ class BrownoutKnobs:
         )
 
 
-#: The default degradation ladder, mildest first. Level 0 (full quality) is
-#: implicit; the deepest level still searches (m, nprobe floored at 1) —
-#: shedding, not level N, is the final overload response.
+#: The default degradation ladder, mildest first; every level searches
+#: shallower than the one before. Level 0 (full quality) is implicit; the
+#: deepest level still searches (m, nprobe floored at 1) — shedding, not
+#: level N, is the final overload response.
 DEFAULT_LADDER = (
-    BrownoutKnobs(semantic_slack=0.010, m_scale=1.0, nprobe_scale=1.0),
-    BrownoutKnobs(semantic_slack=0.020, m_scale=0.67, nprobe_scale=0.5),
-    BrownoutKnobs(semantic_slack=0.030, m_scale=0.34, nprobe_scale=0.25),
+    BrownoutKnobs(m_scale=0.67, nprobe_scale=0.5),
+    BrownoutKnobs(m_scale=0.34, nprobe_scale=0.25),
 )
 
 
@@ -155,9 +148,9 @@ class AdmissionController:
     observation, driven by how long the queue delay has been continuously
     above (or below) the CoDel target.
 
-    Everything here governs *queued* requests. A query the exact cache tier
-    answers at full quality is served inside ``DynamicBatcher.submit`` and
-    never reaches this controller: it takes no queue slot, cannot be shed,
+    Everything here governs *queued* requests. A query the cache answers at
+    full quality is served inside ``DynamicBatcher.submit`` and never
+    reaches this controller: it takes no queue slot, cannot be shed,
     and is served at level 0 whatever the brownout level — which is also the
     only way a full-quality cached answer is visible during brownout, since
     the batch path looks the cache up under the *degraded* parameters. The

@@ -4,16 +4,14 @@ The piece that turns the offline :class:`HierarchicalSearcher` into a
 serve-time component. Two layers:
 
 - :class:`ServingFrontend` — synchronous batch façade. Each batch is looked
-  up in the :class:`~repro.serving.cache.RetrievalCache` first; exact and
-  semantic hits are answered from cache, identical cache-missing queries are
-  collapsed to one representative (in-batch dedupe), routing-tier hits
-  deep-search with their cached
-  :class:`~repro.core.router.RoutingDecision` (skipping sample search), and
-  only the remaining unique misses pay the full route + deep-search path.
-  Fresh results are inserted back into the cache.
+  up in the :class:`~repro.serving.cache.RetrievalCache` first; hits are
+  answered from cache, identical cache-missing queries are collapsed to one
+  representative (in-batch dedupe), and the unique misses are searched in
+  one searcher call (route + deep search). Fresh results are inserted back
+  into the cache.
 - :class:`DynamicBatcher` — request-level coalescing. Callers ``submit()``
-  single queries and get futures. ``submit`` first asks the frontend for an
-  exact-tier answer (:meth:`ServingFrontend.cached_answer`) and, on a hit,
+  single queries and get futures. ``submit`` first asks the frontend for a
+  cached answer (:meth:`ServingFrontend.cached_answer`) and, on a hit,
   returns an already-resolved future from the caller's thread; everything
   else is queued, and a worker thread drains the queue: it takes the first
   request of a batch and every compatible request (same search parameters)
@@ -39,9 +37,9 @@ the ``coalesce`` span and ``frontend_coalesce_held_total`` counts the held
 batches.
 
 So a request's path is: exact probe at submit → (no hit) queue wait → batch
-lookup, exact tier again, then semantic / routing tiers → route → deep
-search → merge. On skewed traffic most requests end at the first step (82 %
-on the suite's ``serve_zipf``), which is why the probe sits in front of the
+lookup, the same exact match again → route → deep search → merge. On skewed
+traffic most requests end at the first step (82 % on the suite's
+``serve_zipf``), which is why the probe sits in front of the
 coalescing window and not behind it: a hit is one digest and one dict probe,
 and waiting the coalescing window — or the miss batch ahead — for it bought
 nothing. A submit-time answer skips the bounded queue (it takes no slot, so
@@ -51,7 +49,7 @@ the brownout ladder. That is safe because the probe is keyed on the
 is never degraded and never stale, and it counts exactly what the batch path
 would have counted for it (one cache lookup, one frontend request, one
 batcher request), so *submitted = served + shed + rejected + failed* and
-*lookups = Σ tier hits + misses* hold as before. ``frontend_requests_total``
+*lookups = exact hits + misses* hold as before. ``frontend_requests_total``
 counts a query once the search that served it has returned: the queries of
 a batch whose search raised are ``frontend_failed_requests_total`` instead.
 The two paths share one statement of what an exact hit is
@@ -64,9 +62,9 @@ holds ``max_queue`` requests, each request carries a deadline
 cover the estimated service time are shed at dequeue instead of served
 late, the remaining budget is propagated into the searcher so deep search
 is clamped to what is left, and sustained queue delay walks the brownout
-ladder — looser semantic-cache threshold first, smaller deep-search
-fan-out second — before anything is dropped. Each future then resolves to
-a :class:`ServedQuery` carrying the degradation level it was served at.
+ladder — smaller deep-search fan-out and probe depth — before anything is
+dropped. Each future then resolves to a :class:`ServedQuery` carrying the
+degradation level it was served at.
 All of that is about *queued* requests: the queue bound counts them, the
 CoDel sojourn is theirs (it includes the coalescing window only for a batch
 that held it, so a lone miss on an idle worker reports its real queueing,
@@ -80,8 +78,8 @@ Exact-hit answers replay the cached rows bit-for-bit, so a warm pass is
 bit-identical to the search that populated it; when dedupe or partial hits
 shrink the sub-batch that re-searches, ids still match an uncached run of
 the whole batch exactly and distances to float32 GEMM accumulation
-(``tests/serving/test_frontend.py`` asserts both). The cache tiers' hit
-shares and the served NDCG are measured by the ``serve_zipf`` workload of
+(``tests/serving/test_frontend.py`` asserts both). The cache's hit share
+and the served NDCG are measured by the ``serve_zipf`` workload of
 ``benchmarks/suite``.
 """
 
@@ -107,15 +105,7 @@ from .admission import (
     AdmissionController,
     BrownoutKnobs,
 )
-from .cache import (
-    EXACT_HIT,
-    MISS,
-    ROUTING_HIT,
-    SEMANTIC_HIT,
-    CacheConfig,
-    CacheLookup,
-    RetrievalCache,
-)
+from .cache import EXACT_HIT, CacheConfig, CacheLookup, RetrievalCache
 
 __all__ = [
     "FrontendResult",
@@ -134,12 +124,11 @@ class FrontendResult:
     """One served batch: merged cache hits + fresh search results.
 
     ``kinds`` carries the per-query cache classification
-    (:data:`~repro.serving.cache.MISS` / ``EXACT_HIT`` / ``SEMANTIC_HIT`` /
-    ``ROUTING_HIT``); ``searched`` counts the unique queries that actually
-    reached the searcher after dedupe, and ``shard_queries`` the deep-search
-    work they issued (0 for a fully cache-served batch).
-    ``degradation_level`` records the brownout level the batch was served
-    at (0 = full quality).
+    (:data:`~repro.serving.cache.MISS` / ``EXACT_HIT``); ``searched`` counts
+    the unique queries that actually reached the searcher after dedupe, and
+    ``shard_queries`` the deep-search work they issued (0 for a fully
+    cache-served batch). ``degradation_level`` records the brownout level
+    the batch was served at (0 = full quality).
     """
 
     distances: np.ndarray
@@ -149,42 +138,20 @@ class FrontendResult:
     shard_queries: int
     degradation_level: int = 0
 
-    @property
-    def batch_size(self) -> int:
-        return len(self.ids)
-
-    @property
-    def exact_hits(self) -> int:
-        return int((self.kinds == EXACT_HIT).sum())
-
-    @property
-    def semantic_hits(self) -> int:
-        return int((self.kinds == SEMANTIC_HIT).sum())
-
-    @property
-    def routing_hits(self) -> int:
-        return int((self.kinds == ROUTING_HIT).sum())
-
-    @property
-    def misses(self) -> int:
-        return int((self.kinds == MISS).sum())
-
 
 class ServingFrontend:
-    """Cache-fronted façade over a :class:`HierarchicalSearcher`."""
+    """Cache-fronted façade over a :class:`HierarchicalSearcher`; the cache
+    is built from ``cache_config`` (default :class:`CacheConfig`)."""
 
     def __init__(
         self,
         searcher: HierarchicalSearcher,
         *,
-        cache: RetrievalCache | None = None,
         cache_config: CacheConfig | None = None,
         clock=None,
     ) -> None:
-        if cache is not None and cache_config is not None:
-            raise ValueError("pass either cache or cache_config, not both")
         self.searcher = searcher
-        self.cache = cache if cache is not None else RetrievalCache(cache_config)
+        self.cache = RetrievalCache(cache_config)
         self._clock = clock if clock is not None else time.perf_counter
 
     def search(
@@ -202,34 +169,23 @@ class ServingFrontend:
         """Serve a query batch through the cache, searching only the misses.
 
         ``deadline_s`` is the batch's remaining end-to-end budget; it is
-        threaded into every searcher call so deep search is clamped to what
+        threaded into the searcher call so deep search is clamped to what
         is left (see :meth:`HierarchicalSearcher.search`). ``brownout``
-        applies one brownout level's quality knobs: the semantic cache tier
-        accepts ``semantic_slack`` looser matches and the deep-search
-        fan-out/nprobe are scaled down — degraded results are cached under
+        applies one brownout level's quality knobs: the deep-search
+        fan-out/nprobe are scaled down, and degraded results are cached under
         their *effective* parameters, so they never shadow full-quality
-        entries. ``exclude_clusters`` propagates down-node exclusions into
-        both the searcher and the cache's routing tier, so a cached
-        :class:`RoutingDecision` that touches a dead cluster is demoted to
-        a plain miss instead of replayed into it.
+        entries. ``exclude_clusters`` is passed to the searcher (down nodes
+        are neither sampled nor deep-searched).
         """
         q = as_matrix(queries)
         nq = len(q)
         k_eff, m_eff, nprobe_eff = self.searcher.resolve_params(
             k, clusters_to_search, deep_nprobe
         )
-        semantic_slack = 0.0
         if brownout is not None:
             m_eff, nprobe_eff = brownout.apply(m_eff, nprobe_eff)
-            semantic_slack = brownout.semantic_slack
         params_key = (k_eff, m_eff, nprobe_eff)
         registry = get_registry()
-
-        user_exclude = frozenset(int(c) for c in (exclude_clusters or ()))
-        health = self.searcher.health
-        stale_exclude = user_exclude
-        if health is not None:
-            stale_exclude = user_exclude | health.open_shards()
 
         deadline_at = None
         if deadline_s is not None:
@@ -241,14 +197,7 @@ class ServingFrontend:
         # cached under an older generation were computed against a corpus that
         # has since changed and are invalidated inside the lookup.
         generation = self.searcher.datastore.generation
-        lookup = self.cache.lookup(
-            q,
-            k_eff,
-            params_key,
-            exclude=stale_exclude,
-            semantic_slack=semantic_slack,
-            generation=generation,
-        )
+        lookup = self.cache.lookup(q, k_eff, params_key, generation=generation)
         out_d = lookup.distances.copy()
         out_i = lookup.ids.copy()
 
@@ -263,7 +212,7 @@ class ServingFrontend:
                 out_d,
                 out_i,
                 params_key,
-                user_exclude=user_exclude,
+                exclude_clusters=exclude_clusters,
                 deadline_at=deadline_at,
                 generation=generation,
             )
@@ -293,7 +242,7 @@ class ServingFrontend:
         clusters_to_search: int | None = None,
         deep_nprobe: int | None = None,
     ) -> "tuple | None":
-        """Full-quality ``(distances, ids)`` for one query if the exact tier
+        """Full-quality ``(distances, ids)`` for one query if the cache
         holds them, else ``None`` — the probe :meth:`DynamicBatcher.submit`
         makes before it queues anything.
 
@@ -323,63 +272,42 @@ class ServingFrontend:
         out_i: np.ndarray,
         params_key: tuple,
         *,
-        user_exclude: frozenset = frozenset(),
+        exclude_clusters=None,
         deadline_at: float | None = None,
         generation: int | None = None,
     ) -> tuple:
-        """Dedupe + fan the cache-missing rows into the searcher.
+        """Dedupe the cache-missing rows and search them in one call.
 
         Identical queries (same digest) collapse to one representative; the
-        representatives split into two sub-batches — full misses (fresh
-        routing) and routing-tier hits (cached routing) — each searched once.
+        representatives are searched as one batch, their rows fanned back out
+        to every duplicate, and inserted.
         """
         k_eff, m_eff, nprobe_eff = params_key
-        rep_of: dict = {}
         groups: dict = {}
-        for i in miss_rows:
-            i = int(i)
-            digest = lookup.digests[i]
-            rep = rep_of.setdefault(digest, i)
-            groups.setdefault(rep, []).append(i)
-        reps = sorted(groups)
-        plain = [r for r in reps if lookup.kinds[r] == MISS]
-        routed = [r for r in reps if lookup.kinds[r] == ROUTING_HIT]
-
-        searched = 0
-        shard_queries = 0
-        for rows, routing in (
-            (plain, None),
-            (routed, lookup.routing_for(np.asarray(routed)) if routed else None),
-        ):
-            if not rows:
-                continue
-            sub = q[np.asarray(rows, dtype=np.int64)]
-            # Re-measured per sub-batch: the routed sub-batch only gets what
-            # the plain one left of the budget.
-            remaining = None if deadline_at is None else deadline_at - self._clock()
-            result = self.searcher.search(
-                sub,
-                k=k_eff,
-                clusters_to_search=m_eff,
-                deep_nprobe=nprobe_eff,
-                routing=routing,
-                exclude_clusters=user_exclude or None,
-                deadline_s=remaining,
-            )
-            searched += len(rows)
-            shard_queries += result.shard_queries
-            for j, rep in enumerate(rows):
-                for i in groups[rep]:
-                    out_d[i] = result.distances[j]
-                    out_i[i] = result.ids[j]
-            self.cache.insert(
-                sub,
-                result,
-                params_key,
-                digests=[lookup.digests[r] for r in rows],
-                generation=generation,
-            )
-        return searched, shard_queries
+        for i in miss_rows.tolist():
+            groups.setdefault(lookup.digests[i], []).append(i)
+        reps = [rows[0] for rows in groups.values()]
+        sub = q[np.asarray(reps, dtype=np.int64)]
+        remaining = None if deadline_at is None else deadline_at - self._clock()
+        result = self.searcher.search(
+            sub,
+            k=k_eff,
+            clusters_to_search=m_eff,
+            deep_nprobe=nprobe_eff,
+            exclude_clusters=exclude_clusters,
+            deadline_s=remaining,
+        )
+        for j, rows in enumerate(groups.values()):
+            out_d[rows] = result.distances[j]
+            out_i[rows] = result.ids[j]
+        self.cache.insert(
+            sub,
+            result,
+            params_key,
+            digests=list(groups),
+            generation=generation,
+        )
+        return len(reps), result.shard_queries
 
 
 @dataclass
@@ -387,8 +315,8 @@ class BatcherStats:
     """Coalescing + overload accounting for one :class:`DynamicBatcher`.
 
     ``requests`` counts every served request, ``answered_at_submit`` the ones
-    among them that :meth:`DynamicBatcher.submit` answered from the exact
-    cache tier without queueing; the rest rode one of ``batches``. Every
+    among them that :meth:`DynamicBatcher.submit` answered from the cache
+    without queueing; the rest rode one of ``batches``. Every
     ``submit`` call ends in exactly one of four counts — submitted =
     ``requests`` + ``shed`` + ``rejected`` + ``failed`` — where ``failed``
     is the requests of a batch whose frontend search raised (their futures
@@ -467,7 +395,7 @@ class DynamicBatcher:
     """Deadline-budget coalescing of single-query requests.
 
     ``submit()`` returns a future resolving to a :class:`ServedQuery` for
-    that one query. A query the exact cache tier can answer at full quality
+    that one query. A query the cache can answer at full quality
     is answered inside ``submit`` — the future comes back resolved
     (``EXACT_HIT``, ``degradation_level`` 0) without touching the queue, the
     worker or the admission controller, at any brownout level. Every other
@@ -537,8 +465,8 @@ class DynamicBatcher:
         ``deadline_s`` is this request's end-to-end budget from *now*
         (``None`` falls back to the admission config's default). Raises
         :class:`DeadlineExceededError` when the budget is already spent,
-        ``RuntimeError`` once the batcher is closed, and — only if the exact
-        cache tier cannot answer — :class:`AdmissionRejectedError` when the
+        ``RuntimeError`` once the batcher is closed, and — only if the cache
+        cannot answer — :class:`AdmissionRejectedError` when the
         bounded queue is full.
         """
         query = np.asarray(query, dtype=np.float32)

@@ -11,7 +11,7 @@ stride by stride — where
 - **retrieval is real**: every stride's query batch flows through the live
   :class:`DynamicBatcher` → :class:`ServingFrontend` →
   :class:`~repro.core.hierarchical.HierarchicalSearcher` path (coalescing,
-  multi-tier cache with generation-aware lookups, admission control, deadline
+  exact-digest cache with generation-aware lookups, admission control, deadline
   shedding, degraded results), and its latency is *measured* wall-clock from
   submit to future completion;
 - **GPU stages are modelled**: prefill/decode advance on the calibrated

@@ -29,12 +29,7 @@ def queries(small_queries):
 
 
 def exact_only_frontend(searcher, capacity=64):
-    return ServingFrontend(
-        searcher,
-        cache_config=CacheConfig(
-            capacity=capacity, semantic_threshold=None, routing_threshold=None
-        ),
-    )
+    return ServingFrontend(searcher, cache_config=CacheConfig(capacity=capacity))
 
 
 class FakeClock:
@@ -100,17 +95,18 @@ class TestBrownoutKnobs:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BrownoutKnobs(semantic_slack=-0.1)
-        with pytest.raises(ValueError):
             BrownoutKnobs(m_scale=0.0)
         with pytest.raises(ValueError):
             BrownoutKnobs(nprobe_scale=1.5)
 
     def test_default_ladder_is_monotone(self):
-        slacks = [k.semantic_slack for k in DEFAULT_LADDER]
-        assert slacks == sorted(slacks)
-        scales = [k.m_scale for k in DEFAULT_LADDER]
-        assert scales == sorted(scales, reverse=True)
+        """Every level searches shallower than the one below it: a level
+        that changed neither fan-out nor probe depth would be a step of the
+        ladder that buys no capacity."""
+        levels = [BrownoutKnobs()] + list(DEFAULT_LADDER)
+        for lower, upper in zip(levels, levels[1:]):
+            assert upper.m_scale <= lower.m_scale and upper.nprobe_scale <= lower.nprobe_scale
+            assert upper.m_scale < lower.m_scale or upper.nprobe_scale < lower.nprobe_scale
 
 
 class TestAdmissionConfig:
@@ -185,10 +181,8 @@ class TestAdmissionController:
         assert ctl.observe(0.02) == 1  # window restarted: no double step
         clock.advance(0.1)
         assert ctl.observe(0.02) == 2
-        clock.advance(0.1)
-        assert ctl.observe(0.02) == 3
         clock.advance(1.0)
-        assert ctl.observe(0.02) == 3  # capped at max_level
+        assert ctl.observe(0.02) == 2  # capped at max_level
 
     def test_clearing_needs_longer_quiet_period(self):
         clock = FakeClock()
@@ -225,7 +219,7 @@ class TestAdmissionController:
         ctl = AdmissionController()
         assert ctl.knobs(0) == BrownoutKnobs()
         assert ctl.knobs(1) == DEFAULT_LADDER[0]
-        assert ctl.knobs(3) == DEFAULT_LADDER[2]
+        assert ctl.knobs(2) == DEFAULT_LADDER[1]
         assert ctl.knobs(99) == DEFAULT_LADDER[-1]  # clamped
 
     def test_reset(self):

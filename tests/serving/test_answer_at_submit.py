@@ -35,7 +35,7 @@ CONFIG = HermesConfig(n_clusters=2, clusters_to_search=2, nlist=8)
 
 def query_pool() -> np.ndarray:
     """Six distinct queries, then a near-duplicate of each at cosine ~0.999
-    (semantic tier) and one at ~0.99 (routing tier)."""
+    and one at ~0.99: close to their originals, but distinct cache keys."""
     rng = np.random.default_rng(72)
     base = rng.normal(size=(6, DIM)).astype(np.float32)
     base /= np.linalg.norm(base, axis=1, keepdims=True)
@@ -46,13 +46,13 @@ def query_pool() -> np.ndarray:
 POOL = query_pool()
 
 
-def fresh_frontend(capacity: int = 8, **cache_kwargs) -> ServingFrontend:
+def fresh_frontend(capacity: int = 8) -> ServingFrontend:
     """A private two-shard datastore behind a small cache (mutations would
     poison a shared fixture)."""
     datastore = cluster_datastore(CORPUS, CONFIG)
     return ServingFrontend(
         HermesSearcher(datastore, config=CONFIG),
-        cache_config=CacheConfig(capacity=capacity, **cache_kwargs),
+        cache_config=CacheConfig(capacity=capacity),
     )
 
 
@@ -208,8 +208,9 @@ class TestConservationUnderThreads:
         assert 0 < stats.answered_at_submit < served and shed > 0 and rejected > 0
         assert count(registry, "frontend_answered_at_submit_total") == stats.answered_at_submit
         # lookup_conservation: every served request is one frontend query,
-        # one cache lookup (tier hits + misses) and one registry lookup.
-        assert frontend.cache.stats.lookups == served
+        # one cache lookup (exact hits + misses) and one registry lookup.
+        cache_stats = frontend.cache.stats
+        assert cache_stats.lookups == cache_stats.exact_hits + cache_stats.misses == served
         assert count(registry, "frontend_requests_total") == served
         assert count(registry, "retrieval_cache_lookups_total") == served
         # mean_batch is about the queue: submit-time answers joined no batch.
@@ -285,7 +286,7 @@ class TestWhatSubmitSkipsAndKeeps:
         parameters, so at level > 0 an entry written at level 0 never matched
         and a repeat was re-searched at reduced fan-out. The submit-time
         probe keys on level-0 parameters."""
-        frontend = fresh_frontend(semantic_threshold=None, routing_threshold=None)
+        frontend = fresh_frontend()
         q = POOL[0]
         full = frontend.search(q[np.newaxis], k=5)  # written at level 0
         calls = []

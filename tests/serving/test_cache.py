@@ -1,4 +1,4 @@
-"""Tests for the serve-time multi-tier retrieval cache."""
+"""Tests for the serve-time retrieval cache (an exact-digest LRU)."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hierarchical import HermesSearcher
-from repro.core.router import RoutingDecision
 from repro.datastore.embeddings import zipf_weights
 from repro.serving.cache import (
     EXACT_HIT,
     MISS,
-    ROUTING_HIT,
-    SEMANTIC_HIT,
     CacheConfig,
     RetrievalCache,
     RetrievalCacheStats,
@@ -36,13 +33,9 @@ PARAMS = (5, 3, 128)  # (k, clusters_to_search, deep_nprobe)
 class FakeResult:
     """Minimal SearchResult stand-in for cache-only tests."""
 
-    def __init__(self, nq: int, k: int = 4, m: int = 2, n_clusters: int = 4):
+    def __init__(self, nq: int, k: int = 4):
         self.distances = np.zeros((nq, k), dtype=np.float32)
         self.ids = np.arange(nq * k, dtype=np.int64).reshape(nq, k)
-        self.routing = RoutingDecision(
-            clusters=np.zeros((nq, m), dtype=np.int64),
-            scores=np.zeros((nq, n_clusters), dtype=np.float32),
-        )
         self.degraded = False
 
 
@@ -68,17 +61,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             CacheConfig(capacity=0)
-        with pytest.raises(ValueError):
-            CacheConfig(semantic_threshold=1.5)
-        with pytest.raises(ValueError):
-            CacheConfig(routing_threshold=0.0)
-        # Routing must be the looser (smaller) threshold.
-        with pytest.raises(ValueError):
-            CacheConfig(semantic_threshold=0.9, routing_threshold=0.99)
-
-    def test_single_tier_configs_allowed(self):
-        CacheConfig(semantic_threshold=None, routing_threshold=0.8)
-        CacheConfig(semantic_threshold=0.99, routing_threshold=None)
 
 
 class TestDigest:
@@ -119,140 +101,20 @@ class TestExactTier:
         assert cache.insert(queries[:2], fake, PARAMS) == 0
         assert len(cache) == 0
 
-
-class TestSemanticAndRoutingTiers:
-    def make_cache(self, **kwargs):
-        cfg = CacheConfig(
-            capacity=16,
-            semantic_threshold=kwargs.pop("semantic_threshold", 0.95),
-            routing_threshold=kwargs.pop("routing_threshold", 0.80),
-        )
-        return RetrievalCache(cfg)
-
-    def test_tier_assignment_by_similarity(self, searcher, queries):
+    def test_near_duplicate_misses(self, searcher, queries):
+        """Only the same vector hits: reuse by cosine similarity is gone."""
         base = queries[:1]
-        cache = self.make_cache()
-        result = searcher.search(base, k=5)
-        cache.insert(base, result, PARAMS)
-        semantic = cache.lookup(rotated(base[0], 0.99)[np.newaxis], 5, PARAMS)
-        routing = cache.lookup(rotated(base[0], 0.90)[np.newaxis], 5, PARAMS)
-        miss = cache.lookup(rotated(base[0], 0.50)[np.newaxis], 5, PARAMS)
-        assert semantic.kinds[0] == SEMANTIC_HIT
-        assert np.array_equal(semantic.ids[0], result.ids[0])
-        assert routing.kinds[0] == ROUTING_HIT
-        assert miss.kinds[0] == MISS
-
-    def test_routing_for_returns_cached_decision(self, searcher, queries):
-        base = queries[:1]
-        cache = self.make_cache()
-        result = searcher.search(base, k=5)
-        cache.insert(base, result, PARAMS)
-        lookup = cache.lookup(rotated(base[0], 0.90)[np.newaxis], 5, PARAMS)
-        decision = lookup.routing_for(lookup.miss_rows)
-        assert np.array_equal(decision.clusters, result.routing.clusters)
-        assert np.array_equal(decision.scores, result.routing.scores)
-
-    def test_disabled_tiers_miss(self, searcher, queries):
-        base = queries[:1]
-        cache = RetrievalCache(
-            CacheConfig(capacity=16, semantic_threshold=None, routing_threshold=None)
-        )
+        cache = RetrievalCache(CacheConfig(capacity=16))
         cache.insert(base, searcher.search(base, k=5), PARAMS)
         near = cache.lookup(rotated(base[0], 0.9999)[np.newaxis], 5, PARAMS)
         assert near.kinds[0] == MISS
-
-
-class TestStaleRouting:
-    """Satellite regression: a cached RoutingDecision that routes into a
-    currently-excluded (dead / breaker-open) cluster must not be replayed."""
-
-    def make_cache(self):
-        return RetrievalCache(
-            CacheConfig(capacity=16, semantic_threshold=0.95, routing_threshold=0.80)
-        )
-
-    def test_excluded_cluster_demotes_routing_hit(self):
-        cache = self.make_cache()
-        q = key_vector(3)[np.newaxis]
-        cache.insert(q, FakeResult(1), PARAMS)  # FakeResult routes to cluster 0
-        probe = rotated(q[0], 0.90)[np.newaxis]
-        assert cache.lookup(probe, 4, PARAMS).kinds[0] == ROUTING_HIT
-        stale = cache.lookup(probe, 4, PARAMS, exclude=frozenset({0}))
-        assert stale.kinds[0] == MISS
-        assert cache.stats.stale_routing == 1
-
-    def test_unrelated_exclusion_keeps_routing_hit(self):
-        cache = self.make_cache()
-        q = key_vector(4)[np.newaxis]
-        cache.insert(q, FakeResult(1), PARAMS)
-        probe = rotated(q[0], 0.90)[np.newaxis]
-        hit = cache.lookup(probe, 4, PARAMS, exclude=frozenset({3}))
-        assert hit.kinds[0] == ROUTING_HIT
-        assert cache.stats.stale_routing == 0
-
-    def test_exact_and_semantic_tiers_unaffected(self):
-        """Complete cached answers were computed when the shard was healthy;
-        only replaying a routing decision into a dead shard is dangerous."""
-        cache = self.make_cache()
-        q = key_vector(5)[np.newaxis]
-        cache.insert(q, FakeResult(1), PARAMS)
-        exclude = frozenset({0})
-        assert cache.lookup(q, 4, PARAMS, exclude=exclude).kinds[0] == EXACT_HIT
-        near = rotated(q[0], 0.99)[np.newaxis]
-        assert cache.lookup(near, 4, PARAMS, exclude=exclude).kinds[0] == SEMANTIC_HIT
-
-    def test_stale_routing_counted_on_registry(self):
-        from repro.obs.metrics import MetricsRegistry, set_registry
-
-        fresh = MetricsRegistry()
-        previous = set_registry(fresh)
-        try:
-            cache = self.make_cache()
-            q = key_vector(6)[np.newaxis]
-            cache.insert(q, FakeResult(1), PARAMS)
-            probe = rotated(q[0], 0.90)[np.newaxis]
-            cache.lookup(probe, 4, PARAMS, exclude=frozenset({0}))
-            snap = fresh.snapshot()
-            assert snap["retrieval_cache_stale_routing_total"] == 1
-        finally:
-            set_registry(previous)
-
-
-class TestSemanticSlack:
-    """The brownout knob: slack loosens the semantic threshold per lookup."""
-
-    def test_slack_loosens_semantic_threshold(self):
-        cache = RetrievalCache(
-            CacheConfig(capacity=8, semantic_threshold=0.95, routing_threshold=None)
-        )
-        q = key_vector(7)[np.newaxis]
-        cache.insert(q, FakeResult(1), PARAMS)
-        probe = rotated(q[0], 0.93)[np.newaxis]
-        assert cache.lookup(probe, 4, PARAMS).kinds[0] == MISS
-        loose = cache.lookup(probe, 4, PARAMS, semantic_slack=0.03)
-        assert loose.kinds[0] == SEMANTIC_HIT
-
-    def test_negative_slack_never_tightens(self):
-        cache = RetrievalCache(
-            CacheConfig(capacity=8, semantic_threshold=0.95, routing_threshold=None)
-        )
-        q = key_vector(8)[np.newaxis]
-        cache.insert(q, FakeResult(1), PARAMS)
-        probe = rotated(q[0], 0.97)[np.newaxis]
-        assert cache.lookup(probe, 4, PARAMS, semantic_slack=-1.0).kinds[0] == SEMANTIC_HIT
 
 
 class TestEviction:
     CAPACITY = 8
 
     def fresh(self):
-        return RetrievalCache(
-            CacheConfig(
-                capacity=self.CAPACITY,
-                semantic_threshold=None,
-                routing_threshold=None,
-            )
-        )
+        return RetrievalCache(CacheConfig(capacity=self.CAPACITY))
 
     def test_lru_evicts_oldest(self):
         cache = self.fresh()
@@ -296,11 +158,7 @@ class TestSkewSweep:
         for alpha in (0.0, 0.8, 1.6, 2.4):
             rng = np.random.default_rng(0)
             stream = rng.choice(64, size=512, p=zipf_weights(64, exponent=alpha))
-            cache = RetrievalCache(
-                CacheConfig(
-                    capacity=16, semantic_threshold=None, routing_threshold=None
-                )
-            )
+            cache = RetrievalCache(CacheConfig(capacity=16))
             for idx in stream:
                 q = pool[int(idx)][np.newaxis]
                 if cache.lookup(q, 4, PARAMS).kinds[0] == MISS:
@@ -326,19 +184,6 @@ class TestGenerationInvalidation:
         assert (stale.kinds == MISS).all()
         assert cache.stats.stale_generation == 2
         assert len(cache) == 0  # evicted, not just skipped
-
-    def test_generation_change_invalidates_semantic_tier(self):
-        cache = RetrievalCache(
-            CacheConfig(capacity=8, semantic_threshold=0.99, routing_threshold=0.8)
-        )
-        q = key_vector(1)[np.newaxis]
-        cache.insert(q, FakeResult(1), PARAMS, generation=1)
-        near = rotated(q[0], 0.995)[np.newaxis]
-        hit = cache.lookup(near, 4, PARAMS, generation=1)
-        assert hit.kinds[0] == SEMANTIC_HIT
-        stale = cache.lookup(near, 4, PARAMS, generation=2)
-        assert stale.kinds[0] == MISS
-        assert cache.stats.stale_generation >= 1
 
     def test_generation_unaware_lookup_is_agnostic(self, queries):
         # A caller that does not track generations (lookup generation=None)
@@ -408,9 +253,10 @@ class TestProbeExact:
     """The single-row exact probe: a hit is a lookup row, a non-hit is nothing."""
 
     def make(self, generation=3):
+        """Key 0 written before key 5, so a hit on key 0 reorders the LRU."""
         cache = RetrievalCache(CacheConfig(capacity=4))
-        q = key_vector(0)[np.newaxis]
-        cache.insert(q, FakeResult(1), PARAMS, generation=generation)
+        q = np.stack([key_vector(0), key_vector(5)])
+        cache.insert(q, FakeResult(2), PARAMS, generation=generation)
         return cache, q[0]
 
     def test_hit_counts_and_touches_like_a_lookup_row(self):
@@ -422,7 +268,8 @@ class TestProbeExact:
         assert np.array_equal(answer[1], row.ids[0])
         assert probed.stats == looked.stats
         assert probed.stats.exact_hits == probed.stats.lookups == 1
-        assert np.array_equal(probed._last_used, looked._last_used)
+        assert probed.cached_digests() == looked.cached_digests()
+        assert probed.cached_digests()[-1] == query_digest(q, PARAMS)
 
     def test_hit_counts_one_registry_lookup(self, fresh_registry):
         cache, q = self.make()
@@ -454,13 +301,11 @@ class TestProbeExact:
     ):
         cache, _ = self.make()
         stats = RetrievalCacheStats(**vars(cache.stats))
-        stamps = cache._last_used.copy()
-        digests = cache.cached_digests()
+        order = cache.cached_digests()
         registry = fresh_registry.snapshot()
         assert cache.probe_exact(key_vector(query_key), params, generation=generation) is None
         assert cache.stats == stats
-        assert np.array_equal(cache._last_used, stamps)
-        assert cache.cached_digests() == digests
+        assert cache.cached_digests() == order  # same entries, same LRU order
         assert fresh_registry.snapshot() == registry
 
     def test_stale_entry_is_left_for_the_batch_lookup_to_count_once(self):
@@ -468,7 +313,8 @@ class TestProbeExact:
         assert cache.probe_exact(q, PARAMS, generation=4) is None
         row = cache.lookup(q[np.newaxis], 4, PARAMS, generation=4)
         assert row.kinds[0] == MISS
-        assert cache.stats.stale_generation == 1 and len(cache) == 0
+        assert cache.stats.stale_generation == 1
+        assert query_digest(q, PARAMS) not in cache.cached_digests()
 
 
 class TestBatchInsertOracle:
@@ -482,13 +328,9 @@ class TestBatchInsertOracle:
 
     @staticmethod
     def state(cache: RetrievalCache) -> dict:
-        valid = np.flatnonzero(cache._valid)
         return {
-            "slot_of": dict(cache._exact),
-            "ids_of": {d: cache._entries[s].ids.tolist() for d, s in cache._exact.items()},
-            "valid": valid.tolist(),
-            "stamps": cache._last_used[valid].tolist(),
-            "vectors": cache._vectors[valid].tolist(),
+            "lru_order": cache.cached_digests(),
+            "ids_of": {d: e.ids.tolist() for d, e in cache._entries.items()},
             "evictions": cache.stats.evictions,
             "inserts": cache.stats.inserts,
         }
@@ -506,7 +348,7 @@ class TestBatchInsertOracle:
         ),
     )
     def test_batch_equals_row_by_row(self, capacity, ops):
-        config = CacheConfig(capacity=capacity, semantic_threshold=None, routing_threshold=None)
+        config = CacheConfig(capacity=capacity)
         batched, rowwise = RetrievalCache(config), RetrievalCache(config)
         for op, (verb, keys) in enumerate(ops):
             q = np.stack([key_vector(key) for key in keys])
@@ -524,16 +366,19 @@ class TestBatchInsertOracle:
             assert self.state(batched) == self.state(rowwise)
 
     def test_duplicates_and_a_batch_larger_than_the_capacity(self):
-        """The two cases a per-batch allocation could get wrong, spelled out:
-        [C, D, E, C] into a full 2-slot cache evicts four times (C is written,
-        evicted by E, and written again) and keeps the *last* C."""
-        config = CacheConfig(capacity=2, semantic_threshold=None, routing_threshold=None)
-        cache = RetrievalCache(config)
+        """The cases a per-batch insert could get wrong, spelled out:
+        [C, D, E, C] into a full 2-entry cache evicts four times (C is
+        written, evicted by E, and written again) and keeps the *last* C,
+        as the most recently used entry."""
+        cache = RetrievalCache(CacheConfig(capacity=2))
         cache.insert(np.stack([key_vector(0), key_vector(1)]), FakeResult(2), PARAMS)
         keys = [2, 3, 4, 2]
         result = self.batch_result(0, 4)
         cache.insert(np.stack([key_vector(key) for key in keys]), result, PARAMS)
         assert cache.stats.evictions == 4 and len(cache) == 2
+        assert cache.cached_digests() == [
+            query_digest(key_vector(key), PARAMS) for key in (4, 2)
+        ]
         last = cache.lookup(np.stack([key_vector(4), key_vector(2)]), 4, PARAMS)
         assert (last.kinds == EXACT_HIT).all()
         assert np.array_equal(last.ids, result.ids[[2, 3]])
@@ -543,5 +388,107 @@ class TestBatchInsertOracle:
         cache = RetrievalCache(CacheConfig(capacity=4))
         digests = cache.lookup(q, 4, PARAMS).digests
         cache.insert(q, FakeResult(2), PARAMS, digests=digests)
-        assert cache.cached_digests() == set(digests)
+        assert cache.cached_digests() == digests
         assert (cache.lookup(q, 4, PARAMS).kinds == EXACT_HIT).all()
+
+
+class LRUModel:
+    """The cache's contract, written out plainly: a dict of entries plus a
+    list of keys, least recently used first, and the five counters."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.entries: dict = {}  # key -> (ids row, generation)
+        self.order: list = []
+        self.stats = RetrievalCacheStats()
+
+    def _match(self, key, generation):
+        """``(ids row or None, stale)``; a hit becomes the most recent."""
+        if key not in self.entries:
+            return None, False
+        ids, written_at = self.entries[key]
+        if generation is not None and written_at != generation:
+            return None, True
+        self.order.remove(key)
+        self.order.append(key)
+        return ids, False
+
+    def lookup(self, keys, generation) -> list:
+        rows = []
+        for key in keys:
+            ids, stale = self._match(key, generation)
+            if stale:
+                del self.entries[key]
+                self.order.remove(key)
+                self.stats.stale_generation += 1
+            if ids is None:
+                self.stats.misses += 1
+            else:
+                self.stats.exact_hits += 1
+            rows.append(ids)
+        return rows
+
+    def probe(self, key, generation):
+        ids, _ = self._match(key, generation)
+        if ids is not None:
+            self.stats.exact_hits += 1
+        return ids
+
+    def insert(self, keys, rows, generation) -> None:
+        for key, ids in zip(keys, rows):
+            if key in self.entries:
+                self.order.remove(key)
+            self.entries[key] = (ids, generation)
+            self.order.append(key)
+            if len(self.order) > self.capacity:
+                del self.entries[self.order.pop(0)]
+                self.stats.evictions += 1
+            self.stats.inserts += 1
+
+
+class TestLRUModel:
+    """Lookups, submit-time probes, inserts and datastore generation bumps
+    leave the cache where the plain LRU model above ends up."""
+
+    @settings(deadline=None)
+    @given(
+        capacity=st.integers(1, 5),
+        aware=st.booleans(),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("lookup"), st.lists(st.integers(0, 5), min_size=1, max_size=6)),
+                st.tuples(st.just("probe"), st.integers(0, 5)),
+                st.tuples(st.just("insert"), st.lists(st.integers(0, 5), min_size=1, max_size=6)),
+                st.tuples(st.just("bump"), st.none()),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_cache_matches_the_model(self, capacity, aware, ops):
+        cache, model = RetrievalCache(CacheConfig(capacity=capacity)), LRUModel(capacity)
+        digest = {key: query_digest(key_vector(key), PARAMS) for key in range(6)}
+        generation = 0
+        for op, (verb, arg) in enumerate(ops):
+            at = generation if aware else None  # None: a generation-unaware caller
+            if verb == "bump":
+                generation += 1
+            elif verb == "probe":
+                answer = cache.probe_exact(key_vector(arg), PARAMS, generation=at)
+                want = model.probe(arg, at)
+                assert (answer is None) == (want is None)
+                if answer is not None:
+                    assert answer[1].tolist() == want
+            elif verb == "lookup":
+                got = cache.lookup(np.stack([key_vector(key) for key in arg]), 4, PARAMS,
+                                   generation=at)
+                want = model.lookup(arg, at)
+                assert got.kinds.tolist() == [MISS if w is None else EXACT_HIT for w in want]
+                for row, w in zip(got.ids.tolist(), want):
+                    assert row == (w if w is not None else [-1] * 4)
+            else:
+                result = TestBatchInsertOracle.batch_result(op, len(arg))
+                cache.insert(np.stack([key_vector(key) for key in arg]), result, PARAMS,
+                             generation=at)
+                model.insert(arg, result.ids.tolist(), at)
+            assert cache.stats == model.stats
+            assert cache.cached_digests() == [digest[key] for key in model.order]

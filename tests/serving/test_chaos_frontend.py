@@ -25,12 +25,7 @@ def queries(small_queries):
 
 
 def exact_only_frontend(searcher, capacity=64):
-    return ServingFrontend(
-        searcher,
-        cache_config=CacheConfig(
-            capacity=capacity, semantic_threshold=None, routing_threshold=None
-        ),
-    )
+    return ServingFrontend(searcher, cache_config=CacheConfig(capacity=capacity))
 
 
 class TestChaosUnderBatcher:

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.hierarchical import HermesSearcher
-from repro.serving.cache import (
-    EXACT_HIT,
-    MISS,
-    ROUTING_HIT,
-    SEMANTIC_HIT,
-    CacheConfig,
-    RetrievalCache,
-)
+from repro.serving.cache import EXACT_HIT, MISS, CacheConfig
 from repro.serving.frontend import DynamicBatcher, ServingFrontend
 
 
@@ -26,17 +19,7 @@ def queries(small_queries):
 
 
 def exact_only_frontend(searcher, capacity=64):
-    return ServingFrontend(
-        searcher,
-        cache_config=CacheConfig(
-            capacity=capacity, semantic_threshold=None, routing_threshold=None
-        ),
-    )
-
-
-def jitter(q: np.ndarray, scale: float, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return (q + rng.normal(scale=scale, size=q.shape)).astype(np.float32)
+    return ServingFrontend(searcher, cache_config=CacheConfig(capacity=capacity))
 
 
 class TestExactPathEquivalence:
@@ -85,41 +68,6 @@ class TestExactPathEquivalence:
         assert other_k.ids.shape == (2, 3)
 
 
-class TestSemanticAndRoutingPaths:
-    def test_near_duplicates_hit_semantic_tier(self, searcher, queries):
-        q = queries[:6]
-        frontend = ServingFrontend(
-            searcher,
-            cache_config=CacheConfig(
-                capacity=64, semantic_threshold=0.995, routing_threshold=0.98
-            ),
-        )
-        base = frontend.search(q, k=5)
-        near = frontend.search(jitter(q, 1e-3), k=5)
-        assert (near.kinds == SEMANTIC_HIT).all()
-        assert np.array_equal(near.ids, base.ids)
-        assert near.shard_queries == 0
-
-    def test_routing_tier_skips_sample_search(self, searcher, queries):
-        q = queries[:4]
-        cache = RetrievalCache(
-            CacheConfig(capacity=64, semantic_threshold=None, routing_threshold=0.9)
-        )
-        frontend = ServingFrontend(searcher, cache=cache)
-        frontend.search(q, k=5)
-        res = frontend.search(jitter(q, 2e-2), k=5)
-        assert (res.kinds == ROUTING_HIT).all()
-        assert res.searched == 4  # deep search still runs ...
-        assert cache.stats.routing_hits == 4  # ... but without sample search
-        assert (res.ids >= -1).all() and res.ids.shape == (4, 5)
-
-    def test_cache_and_config_mutually_exclusive(self, searcher):
-        with pytest.raises(ValueError):
-            ServingFrontend(
-                searcher, cache=RetrievalCache(), cache_config=CacheConfig()
-            )
-
-
 class TestGenerationAwareCaching:
     def test_mutation_invalidates_cached_results(self):
         # A private datastore: mutation would poison the shared fixture.
@@ -131,12 +79,7 @@ class TestGenerationAwareCaching:
         config = HermesConfig(n_clusters=2, clusters_to_search=2, nlist=8)
         datastore = cluster_datastore(corpus.embeddings, config)
         searcher = HermesSearcher(datastore, config=config)
-        frontend = ServingFrontend(
-            searcher,
-            cache_config=CacheConfig(
-                capacity=32, semantic_threshold=None, routing_threshold=None
-            ),
-        )
+        frontend = exact_only_frontend(searcher, capacity=32)
         rng = np.random.default_rng(32)
         q = rng.normal(size=(4, 32)).astype(np.float32)
 
