@@ -112,26 +112,24 @@ def top_k(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"k must be positive, got {k}")
     nq, n = distances.shape
     kk = min(k, n)
+    row = np.arange(nq)[:, np.newaxis]
     if kk == n:
         order = np.argsort(distances, axis=1, kind="stable")[:, :kk]
+        out_d = distances[row, order]
     else:
-        part = np.argpartition(distances, kk - 1, axis=1)[:, :kk]
-        # argpartition returns the k smallest in arbitrary order; sorting the
-        # candidate *indices* first makes the stable value sort below break
-        # ties by original column index, matching the full-sort branch.
-        part.sort(axis=1)
-        row = np.arange(nq)[:, np.newaxis]
-        order = part[row, np.argsort(distances[row, part], axis=1, kind="stable")]
-        # argpartition may keep an arbitrary *subset* of the columns tied at
-        # the k-th value; redo rows where that tie spans the cut with a full
-        # stable sort so the lowest-index tied columns always win.
-        kth = distances[np.arange(nq), order[:, -1]]
-        tied = distances == kth[:, np.newaxis]
-        spans_cut = tied.sum(axis=1) > tied[row, order].sum(axis=1)
-        for r in np.flatnonzero(spans_cut):
-            order[r] = np.argsort(distances[r], kind="stable")[:kk]
-    row = np.arange(nq)[:, np.newaxis]
-    out_d = distances[row, order]
+        # The k-th smallest *value* per row (a value-only partition, about
+        # twice as fast as argpartition), then every entry at or below it:
+        # at least k per row, more only where a tie spans the cut. Sorting
+        # those few by (row, value, column) and keeping each row's first k
+        # is exactly the full stable sort's prefix.
+        kth = np.partition(distances, kk - 1, axis=1)[:, kk - 1]
+        # 1-D nonzero: several times faster than the 2-D form.
+        hit_r, hit_c = np.divmod(np.flatnonzero(distances <= kth[:, np.newaxis]), n)
+        hit_d = distances[hit_r, hit_c]
+        ranked = np.lexsort((hit_c, hit_d, hit_r))
+        counts = np.bincount(hit_r, minlength=nq)
+        take = ranked[(np.cumsum(counts) - counts)[:, np.newaxis] + np.arange(kk)]
+        order, out_d = hit_c[take], hit_d[take]
     if kk < k:
         pad_d = np.full((nq, k - kk), np.inf, dtype=out_d.dtype)
         pad_i = np.full((nq, k - kk), -1, dtype=np.int64)

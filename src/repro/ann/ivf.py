@@ -19,17 +19,16 @@ Performance architecture (see DESIGN.md):
   else goes through :meth:`IVFIndex.export_state` /
   :meth:`IVFIndex.from_state` / :meth:`IVFIndex.rows_by_local_id`.
 - **Cell-major batched scan**: the search loop is inverted — each probed cell
-  is scanned once for *all* queries probing it (one distance kernel per
-  cell), instead of assembling a candidate pool per query. Probed cells are
-  scanned in full, like FAISS ``IndexIVF``; one rule picks between the two
-  strategies (sparse per-cell kernels, or one dense kernel over every code)
-  from the probed work.
+  is scanned once for *all* queries probing it, instead of assembling a
+  candidate pool per query. Probed cells are scanned in full, like FAISS
+  ``IndexIVF``; one rule picks between the two strategies (the cell-grouped
+  sparse kernel, or one dense kernel over every code) from the probed work.
+- **Scan operand**: GEMM codecs (flat, SQ8, SQ4) scan a dimension-major copy
+  of their levels (:meth:`repro.ann.quantization.Quantizer.scan_operand`),
+  derived once per sealed record and never exported.
 - **ADC**: distances are evaluated directly on the stored codes
   (:meth:`repro.ann.quantization.Quantizer.adc_distances`, asymmetric
   distance computation) without reconstructing vectors.
-- The pre-optimisation per-query path is retained as
-  :meth:`IVFIndex.search_reference`, the oracle of the equivalence suites
-  (``tests/ann/test_search_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -69,6 +67,12 @@ def check_format(found) -> None:
         )
 
 
+#: Floats one chunk of the cell-grouped sparse kernel may hold in its tile
+#: stack or its gathered operand windows (4 MiB of float32); wider batches
+#: are scanned in more chunks of probed cells.
+_TILE_BUDGET = 1 << 20
+
+
 def default_nlist(n_vectors: int) -> int:
     """Paper heuristic: ``nlist ≈ sqrt(N)``, at least 1."""
     return max(1, int(round(math.sqrt(max(n_vectors, 1)))))
@@ -81,10 +85,14 @@ class SealedLists:
     Cell ``c`` owns rows ``[offsets[c], offsets[c + 1])`` of ``codes`` /
     ``ids``; ``cells`` is the row → cell map the dense scan masks with.
     ``sqnorms`` (``|decode(code)|²``, for ADC metrics that need it) is
-    ``None`` until a scan that consumes it asks. So is ``positions``, the
-    local id → storage row map (the inverse of ``ids``) a scan masking
-    deleted rows looks them up in: an index nothing was ever deleted from
-    never builds it.
+    ``None`` until a scan that consumes it asks. So is ``operand``, a GEMM
+    codec's levels stored dimension-major (``(dim, n + widest cell)``, in the
+    codec's dtype: :meth:`Quantizer.scan_operand`) — the one array both scan
+    kernels multiply against. It is derived from ``codes``, so it is never
+    exported: a loaded index or a process-pool worker derives its own. So is
+    ``positions``, the local id → storage row map (the inverse of ``ids``) a
+    scan masking deleted rows looks them up in: an index nothing was ever
+    deleted from never builds it.
 
     A record and its arrays are never modified once published (the arrays
     are marked read-only): every builder makes a new record and
@@ -98,6 +106,7 @@ class SealedLists:
     offsets: np.ndarray
     cells: np.ndarray
     sqnorms: np.ndarray | None = None
+    operand: np.ndarray | None = None
     positions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -211,14 +220,16 @@ class IVFIndex(VectorIndex):
         """True when all payloads live in the sealed record."""
         return not self._pending and self._sealed is not None
 
-    def _warm(self, *, sqnorms: bool = False, positions: bool = False) -> SealedLists:
+    def _warm(
+        self, *, sqnorms: bool = False, operand: bool = False, positions: bool = False
+    ) -> SealedLists:
         """The sealed record, compacted and carrying the derived state asked for.
 
         A warm call returns the published record without locking. Anything
         missing is built under the per-index lock behind a second check, and
         published as a *new* record: compaction folds the pending fragments
         in behind the sealed rows (so the sealed-then-append order within a
-        cell survives); norms and positions follow the storage order.
+        cell survives); norms, operand and positions follow the storage order.
         """
         # Read order matters: a builder publishes the record and *then*
         # clears the fragments, so "no fragments" implies the record read
@@ -229,6 +240,7 @@ class IVFIndex(VectorIndex):
             stale
             or s is None
             or (sqnorms and s.sqnorms is None)
+            or (operand and s.operand is None)
             or (positions and s.positions is None)
         ):
             return s
@@ -240,6 +252,11 @@ class IVFIndex(VectorIndex):
                     s = self._compacted(s, pending)
             if sqnorms and s.sqnorms is None:
                 s = replace(s, sqnorms=self.quantizer.code_sqnorms(s.codes))
+            if operand and s.operand is None:
+                # Padded by the widest cell, so every cell's scan window
+                # [lo, lo + width) stays inside the array.
+                widest = int(np.diff(s.offsets).max(initial=0))
+                s = replace(s, operand=self.quantizer.scan_operand(s.codes, widest))
             if positions and s.positions is None:
                 n = len(s.ids)
                 rows = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
@@ -278,9 +295,12 @@ class IVFIndex(VectorIndex):
 
     def warm_scan_state(self) -> None:
         """Precompute every lazy structure a search consumes (compaction,
-        and ADC norms where the codec needs them), so the next search runs
-        entirely warm."""
-        self._warm(sqnorms=self.quantizer.needs_code_sqnorms(self.metric))
+        ADC norms where the codec needs them, the GEMM codecs' scan operand),
+        so the next search runs entirely warm."""
+        self._warm(
+            sqnorms=self.quantizer.needs_code_sqnorms(self.metric),
+            operand=self.quantizer.has_scan_operand,
+        )
 
     def fresh_sealed_like(self) -> "IVFIndex":
         """An empty index sharing this one's trained coarse/fine quantizers.
@@ -337,17 +357,18 @@ class IVFIndex(VectorIndex):
         return codes, cells
 
     def export_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """The trained index as ``(header, named arrays)``, scan state warm.
+        """The trained index as ``(header, named arrays)``, norms warm.
 
         The one serialised form of an index: ``.npz`` persistence writes it,
         the process pool ships it through shared memory, and
         :meth:`from_state` rebuilds an index that searches bit-identically.
-        The arrays are the published record's own (not copies).
+        The arrays are the published record's own (not copies). The scan
+        operand is derived state the reader rebuilds, so it is neither
+        exported nor built here.
         """
         if not self.is_trained:
             raise ValueError("cannot export an untrained IVF index")
-        self.warm_scan_state()
-        s = self._sealed
+        s = self._warm(sqnorms=self.quantizer.needs_code_sqnorms(self.metric))
         quantizer_spec, arrays = self.quantizer.export_state()
         header = {
             "format": FORMAT_VERSION,
@@ -493,32 +514,31 @@ class IVFIndex(VectorIndex):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cell-major batched scan over the compacted inverted lists.
 
-        Two strategies share the same contract and the same tie-breaking
-        (probe order, then within-cell storage order, via the stable
-        :func:`~repro.ann.distances.top_k`), and scan every probed cell in
+        Two strategies share the same contract and scan every probed cell in
         full; one rule on the probed work picks between them for every codec:
 
-        - **Sparse** (low probe coverage): probed cells are grouped across
-          the query batch and each cell is scanned exactly once — one
-          *shifted* ADC evaluation for every query probing it. Per-cell
-          distance blocks land whole in a padded slot-major buffer, so the
-          scan loop does no per-cell selection — except at ``k == 1``, where
-          each cell is reduced to its winner on the spot and the padded
-          buffer never exists (:meth:`_scan_sparse_best`).
+        - **Sparse** (low probe coverage): the batch's (query, probed cell)
+          pairs are grouped by cell and each cell is scanned exactly once,
+          for every query probing it, as one tile of a cell-grouped kernel
+          (:meth:`_scan_sparse`). Ties break by probe order, then by
+          within-cell storage order.
         - **Dense** (the batch's probes cover a large fraction of the stored
           codes, e.g. deep search at high nProbe): one kernel over *all*
-          codes, then unprobed cells are masked to ``inf``. Same arithmetic,
-          no Python-level per-cell loop at all.
+          codes, then unprobed cells are masked to ``inf``. Ties break by
+          storage row.
 
-        All scratch (ADC tables, distance tiles, merge buffers) comes from
-        the per-thread workspace arena, so steady-state searches make no
-        large allocations. Per-query ADC bias terms (which cannot change a
-        query's own ordering) are added once after selection in every path.
+        Both select with the stable :func:`~repro.ann.distances.top_k` — or,
+        at ``k == 1``, a first-occurrence ``argmin`` over the same distances,
+        which is its column 0. GEMM codecs multiply against the sealed
+        record's scan operand in both. Scratch (distance tiles, merge
+        buffers) comes from the per-thread workspace arena. Per-query ADC
+        bias terms (which cannot change a query's own ordering) are added
+        once after selection.
 
         Deleted rows (``dead``, local ids) are a scan-time mask: every
         strategy sets their distances to ``inf`` right after its kernel and
-        before it selects, in the cells that hold one, so a dead row is never
-        a candidate and the ``k`` results are the ``k`` best live rows.
+        before it selects, so a dead row is never a candidate and the ``k``
+        results are the ``k`` best live rows.
         """
         probe = self._resolve_probe(nprobe)
         q = queries
@@ -526,7 +546,11 @@ class IVFIndex(VectorIndex):
         wants_norms = self.quantizer.needs_code_sqnorms(self.metric)
         masked = dead is not None and len(dead) > 0
         # The one read of the sealed record: everything below scans `s`.
-        s = self._warm(sqnorms=wants_norms, positions=masked)
+        s = self._warm(
+            sqnorms=wants_norms,
+            operand=self.quantizer.has_scan_operand,
+            positions=masked,
+        )
         n_codes = len(s.ids)
         if not n_codes:
             return (
@@ -545,8 +569,8 @@ class IVFIndex(VectorIndex):
         table = self.quantizer.adc_table(q, self.metric, ws=ws)
         # Probed work as a fraction of a full scan decides the strategy: the
         # dense kernel costs ~nq * n_codes regardless of probe, the sparse
-        # loop costs the probed work plus fixed per-cell overhead. How the
-        # two per-element costs compare is a property of the codec.
+        # kernel costs the probed work plus per-cell overhead. How the two
+        # per-element costs compare is a property of the codec.
         advantage = self.quantizer.adc_dense_advantage
         if probe == self.nlist and advantage >= 1.0:
             # A full probe (every deep search once nprobe >= nlist) scans
@@ -564,29 +588,16 @@ class IVFIndex(VectorIndex):
         get_registry().counter(
             "ivf_scans_total", "IVF batched scans by strategy"
         ).inc(strategy=strategy)
-        # Nearest-neighbour sparse scans reduce per cell instead of
-        # collecting candidates (see _scan_sparse_best).
-        reduced = strategy == "sparse" and k == 1
         with get_tracer().span(
             "ivf_scan",
             strategy=strategy,
             nq=nq,
             nprobe=probe,
             pair_work=pair_work,
-            reduced=reduced,
+            reduced=k == 1,
         ):
-            if strategy == "dense":
-                out_d, out_i, valid = self._scan_dense(
-                    s, q, k, probe, probe_cells, table, ws, dead_rows
-                )
-            elif reduced:
-                out_d, out_i, valid = self._scan_sparse_best(
-                    s, q, probe, probe_cells, table, ws, dead_rows
-                )
-            else:
-                out_d, out_i, valid = self._scan_sparse(
-                    s, q, k, probe, probe_cells, table, ws, dead_rows
-                )
+            scan = self._scan_dense if strategy == "dense" else self._scan_sparse
+            out_d, out_i, valid = scan(s, q, k, probe, probe_cells, table, ws, dead_rows)
         bias = table.get("bias")
         if bias is not None:
             out_d += bias[:, np.newaxis]
@@ -600,17 +611,23 @@ class IVFIndex(VectorIndex):
         """Full-corpus kernel + probe mask; shifted distances, ids, validity."""
         nq = len(q)
         dists = self.quantizer.adc_distances(
-            table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws
+            table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws,
+            operand=s.operand,
         )
         if dead_rows is not None:
             dists[:, dead_rows] = np.inf
         if probe < self.nlist:
-            # A full probe masks nothing, so it skips the probe matrix and
-            # the per-code gather (and was handed no probe order at all).
-            probed = np.zeros((nq, self.nlist), dtype=bool)
-            probed[np.arange(nq)[:, np.newaxis], probe_cells] = True
-            dists[~probed[:, s.cells]] = np.inf
-        out_d, pos = top_k(dists, k)
+            # Unprobed cells to inf: a per-(query, cell) penalty, 0 or inf,
+            # stretched over each cell's run of columns. A full probe masks
+            # nothing, so it skips this (and was handed no probe order).
+            penalty = np.full((nq, self.nlist), np.inf, dtype=np.float32)
+            penalty[np.arange(nq)[:, np.newaxis], probe_cells] = 0.0
+            dists += np.repeat(penalty, np.diff(s.offsets), axis=1)
+        if k == 1:
+            pos = dists.argmin(axis=1)[:, np.newaxis]
+            out_d = np.take_along_axis(dists, pos, axis=1)
+        else:
+            out_d, pos = top_k(dists, k)
         valid = np.isfinite(out_d)
         out_i = np.where(valid, s.ids[np.clip(pos, 0, len(s.ids) - 1)], -1)
         return out_d, out_i, valid
@@ -622,7 +639,7 @@ class IVFIndex(VectorIndex):
         Returns ``(order, cells, bounds)``: ``order`` lists the flat
         ``query * probe + slot`` pairs sorted by probed cell (stably, so a
         group keeps query order) and group ``g`` — the pairs probing
-        ``cells[g]`` — is ``order[bounds[g]:bounds[g + 1]]``.
+        ``cells[g]`` (ascending) — is ``order[bounds[g]:bounds[g + 1]]``.
         """
         flat = probe_cells.ravel()
         order = np.argsort(flat, kind="stable")
@@ -633,143 +650,107 @@ class IVFIndex(VectorIndex):
         return order, sorted_cells[starts], np.append(starts, len(order))
 
     @staticmethod
-    def _dead_columns(s, dead_rows, lo, hi):
-        """Per probed cell ``lo[g]:hi[g]``, the tile columns of its deleted rows.
+    def _dead_columns(s, dead_rows, cells):
+        """``(group, column)`` of every deleted row inside a probed cell.
 
-        ``dead_rows`` ascends, so a cell's share is one slice of it, found
-        for every cell at once by two binary searches; the columns come back
-        as plain ints because a sparse tile is a few rows tall and a scalar
-        column store beats a fancy one there. With no mask every cell gets
-        the same empty tuple and the scan loops run an empty ``for``.
+        ``cells`` are the probe groups' cells, ascending, so one binary
+        search maps each dead row's cell to its group; dead rows in cells
+        nobody probes are dropped.
         """
-        if dead_rows is None:
-            return repeat(())
-        cols = (dead_rows - s.offsets[s.cells[dead_rows]]).tolist()
-        first = np.searchsorted(dead_rows, lo).tolist()
-        end = np.searchsorted(dead_rows, hi).tolist()
-        return [cols[a:b] for a, b in zip(first, end)]
+        cell = s.cells[dead_rows]
+        group = np.searchsorted(cells, cell)
+        hit = cells[np.minimum(group, len(cells) - 1)] == cell
+        return group[hit], (dead_rows - s.offsets[cell])[hit]
 
     def _scan_sparse(self, s, q, k, probe, probe_cells, table, ws, dead_rows):
-        """Per-probed-cell kernels scattered into a padded slot-major buffer.
+        """The cell-grouped kernel: every probed cell is one tile, once.
 
-        Slot r of query qi owns buffer columns ``[r*width, r*width + size)``
-        (width = largest probed cell), so winning buffer positions map back
-        to stored ids via the CSR offsets with pure arithmetic.
+        Group ``g`` — the queries probing cell ``cells[g]`` — is a ``(queries
+        × width)`` tile against that cell's rows, ``width`` being the widest
+        probed cell. The codec evaluates the groups a chunk at a time
+        (:meth:`Quantizer.adc_cell_tiles`; one batched matmul over windows of
+        the scan operand for the GEMM codecs, the per-cell loop for PQ/OPQ),
+        chunks sized so tiles and windows stay under
+        :data:`_TILE_BUDGET` floats. Pad columns and deleted rows become
+        ``inf``. Then at ``k == 1`` (the sample search) each tile row is
+        argmin-reduced and the winners compared across the query's probe
+        slots; at ``k > 1`` the rows land in a slot-major buffer — slot ``r``
+        of query ``qi`` owns columns ``[r*width, (r+1)*width)`` — for one
+        stable ``top_k``, whose winners map back to stored ids by pure
+        arithmetic. Both read the very same tiles and break ties the same
+        way (probe slot, then within-cell position), so the ``k == 1``
+        answer is column 0 of any ``k`` bit for bit.
         """
         nq = len(q)
         offsets = s.offsets
-        sizes = offsets[1:] - offsets[:-1]
-        width = int(sizes[probe_cells].max())
-        out_d = np.full((nq, k), np.inf, dtype=np.float32)
-        out_i = np.full((nq, k), -1, dtype=np.int64)
-        if width == 0:
-            return out_d, out_i, np.zeros((nq, k), dtype=bool)
-        buf = ws.take("sparse_buf", (nq, probe * width), fill=np.inf)
         order, cells, bounds = self._probe_groups(probe_cells)
-        wcols = np.arange(width)
-        cell_lo, cell_hi = offsets[cells], offsets[cells + 1]
-        dead_cols = self._dead_columns(s, dead_rows, cell_lo, cell_hi)
-
-        for b, (lo, hi, dead) in enumerate(
-            zip(cell_lo.tolist(), cell_hi.tolist(), dead_cols)
-        ):
-            if hi == lo:
-                continue
-            members = order[bounds[b] : bounds[b + 1]]
-            q_idx = members // probe
-            slot = members % probe
-            dists = self.quantizer.adc_distances(
-                table,
-                s.codes[lo:hi],
-                rows=q_idx,
-                code_sqnorms=None if s.sqnorms is None else s.sqnorms[lo:hi],
-                shifted=True,
-                ws=ws,
+        counts = np.diff(bounds)
+        lo = offsets[cells]
+        sizes = offsets[cells + 1] - lo
+        width = int(sizes.max())
+        if width == 0:
+            return (
+                np.full((nq, k), np.inf, dtype=np.float32),
+                np.full((nq, k), -1, dtype=np.int64),
+                np.zeros((nq, k), dtype=bool),
             )
-            for j in dead:
-                dists[:, j] = np.inf
-            cols = slot[:, np.newaxis] * width + wcols[np.newaxis, : hi - lo]
-            buf[q_idx[:, np.newaxis], cols] = dists
+        # Pair i (cell-major) is row row_of[i] of group group_of[i]'s tile.
+        group_of = np.repeat(np.arange(len(cells)), counts)
+        row_of = np.arange(len(order)) - bounds[group_of]
+        pair_q = order // probe
+        if dead_rows is not None:
+            dead_g, dead_col = self._dead_columns(s, dead_rows, cells)
+        if k == 1:
+            best = np.empty(len(order), dtype=np.int64)
+            best_d = np.empty(len(order), dtype=np.float32)
+        else:
+            buf = ws.take("slot_tiles", (nq * probe, width))
+        pad = np.arange(width) >= sizes[:, np.newaxis, np.newaxis]
+        step = max(1, _TILE_BUDGET // (width * max(int(counts.max()), self.dim)))
+        for g0 in range(0, len(cells), step):
+            g1 = min(g0 + step, len(cells))
+            a, b = bounds[g0], bounds[g1]
+            g, r = group_of[a:b] - g0, row_of[a:b]
+            rows = np.zeros((g1 - g0, int(counts[g0:g1].max())), dtype=np.intp)
+            rows[g, r] = pair_q[a:b]
+            tiles = self.quantizer.adc_cell_tiles(
+                table, rows, counts[g0:g1], lo[g0:g1], sizes[g0:g1], width,
+                codes=s.codes, operand=s.operand, code_sqnorms=s.sqnorms, ws=ws,
+            )
+            np.copyto(tiles, np.inf, where=pad[g0:g1])
+            if dead_rows is not None:
+                mine = (dead_g >= g0) & (dead_g < g1)
+                tiles[dead_g[mine] - g0, :, dead_col[mine]] = np.inf
+            if k == 1:
+                win = tiles.argmin(axis=2)[g, r]
+                best[a:b] = win
+                best_d[a:b] = tiles[g, r, win]
+            else:
+                buf[order[a:b]] = tiles[g, r]
 
-        out_d, pos = top_k(buf, k)
-        rows = np.arange(nq)[:, np.newaxis]
+        rows = np.arange(nq)
+        if k == 1:
+            # Winners back to slot-major, then the first-best slot per query.
+            slot_d = np.empty(nq * probe, dtype=np.float32)
+            slot_pos = np.empty(nq * probe, dtype=np.int64)
+            slot_d[order] = best_d
+            slot_pos[order] = lo[group_of] + best
+            slot_d, slot_pos = slot_d.reshape(nq, probe), slot_pos.reshape(nq, probe)
+            slot = slot_d.argmin(axis=1)
+            out_d = slot_d[rows, slot][:, np.newaxis]
+            valid = np.isfinite(out_d)
+            # A query probing only empty cells keeps a position past the end.
+            pos = np.minimum(slot_pos[rows, slot], len(s.ids) - 1)
+            return out_d, np.where(valid, s.ids[pos][:, np.newaxis], -1), valid
+        out_d, pos = top_k(buf.reshape(nq, probe * width), k)
         # Map winning buffer positions back to stored ids: position -> probe
         # slot -> cell -> CSR offset + within-cell rank.
         slot_of = pos // width
         within = pos - slot_of * width
-        cells_of = probe_cells[rows, np.clip(slot_of, 0, probe - 1)]
+        cells_of = probe_cells[rows[:, np.newaxis], np.clip(slot_of, 0, probe - 1)]
         id_pos = offsets[cells_of] + within
         valid = np.isfinite(out_d)
-        np.copyto(
-            out_i, s.ids[np.clip(id_pos, 0, len(s.ids) - 1)], where=valid
-        )
-        return out_d, out_i, valid
-
-    def _scan_sparse_best(self, s, q, probe, probe_cells, table, ws, dead_rows):
-        """The sparse scan at ``k == 1`` as a reduction: argmin, not top-k.
-
-        A nearest-neighbour query — Hermes's sample search — needs one number
-        per (query, probed cell): that cell's best distance. Each cell's tile
-        (:meth:`Quantizer.adc_tile_kernel`) is reduced to its winning column
-        as soon as it is computed; the winners land in an ``(nq, probe)``
-        slot matrix and one ``argmin`` over the slots finishes. Tiles sit
-        back to back in an arena of exactly the probed work, so the winners'
-        values are one gather after the loop — there is no padded
-        ``(nq, probe * width)`` buffer to fill, select from and map back.
-        First-occurrence ``argmin`` at both levels is the stable ``top_k``'s
-        order (probe slot, then within-cell storage position), and every
-        tile is the same BLAS call :meth:`_scan_sparse` makes, so
-        ``(distances, ids)`` are bit-identical to column 0 of any ``k``.
-        """
-        nq = len(q)
-        offsets = s.offsets
-        order, cells, bounds = self._probe_groups(probe_cells)
-        pair_q = order // probe
-        fill = self.quantizer.adc_tile_kernel(table, pair_q, ws=ws)
-        # Group g: pairs bounds[g]:bounds[g+1] against codes lo[g]:hi[g];
-        # its (pairs x codes) tile starts at arena offset tile_at[g].
-        lo, hi = offsets[cells], offsets[cells + 1]
-        n_pairs, n_codes = np.diff(bounds), hi - lo
-        tile_at = np.concatenate(([0], np.cumsum(n_pairs * n_codes)))
-        arena = ws.take("best_tiles", (int(tile_at[-1]),))
-        # Per (query, slot) pair in cell-major order: the winner's rank
-        # within its probed cell.
-        best = np.zeros(len(order), dtype=np.int64)
-        for a, b, c0, c1, t0, t1, dead in zip(
-            bounds[:-1].tolist(),
-            bounds[1:].tolist(),
-            lo.tolist(),
-            hi.tolist(),
-            tile_at[:-1].tolist(),
-            tile_at[1:].tolist(),
-            self._dead_columns(s, dead_rows, lo, hi),
-        ):
-            if c1 > c0:
-                tile = arena[t0:t1].reshape(b - a, c1 - c0)
-                cell_norms = None if s.sqnorms is None else s.sqnorms[c0:c1]
-                fill(s.codes[c0:c1], a, b, cell_norms, tile)
-                for j in dead:
-                    tile[:, j] = np.inf
-                best[a:b] = tile.argmin(axis=1)
-        # Winners' distances — arena[tile start + row * width + column],
-        # empty cells keep inf — and storage positions, back to slot-major.
-        width = np.repeat(n_codes, n_pairs)
-        row = np.arange(len(order)) - np.repeat(bounds[:-1], n_pairs)
-        at = np.repeat(tile_at[:-1], n_pairs) + row * width + best
-        live = np.flatnonzero(width)
-        best_d = np.full(len(order), np.inf, dtype=np.float32)
-        best_d[live] = arena[at[live]]
-        slot_d = np.empty((nq, probe), dtype=np.float32)
-        slot_pos = np.empty((nq, probe), dtype=np.int64)
-        slot_d.ravel()[order] = best_d
-        slot_pos.ravel()[order] = best + np.repeat(lo, n_pairs)
-        rows = np.arange(nq)
-        slot = slot_d.argmin(axis=1)
-        out_d = slot_d[rows, slot][:, np.newaxis]
-        valid = np.isfinite(out_d)
-        # A query probing only empty cells keeps a position past the end.
-        pos = np.minimum(slot_pos[rows, slot], len(s.ids) - 1)
-        out_i = np.where(valid, s.ids[pos][:, np.newaxis], -1)
+        out_i = np.where(valid, s.ids[np.clip(id_pos, 0, len(s.ids) - 1)], -1)
         return out_d, out_i, valid
 
     def search(
@@ -788,58 +769,6 @@ class IVFIndex(VectorIndex):
         than ``k`` of the probed rows are left.
         """
         return super().search(queries, k, nprobe=nprobe, dead=dead)
-
-    def search_reference(
-        self, queries: np.ndarray, k: int, *, nprobe: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pre-optimisation slow path, retained for equivalence checking.
-
-        Scans query-major: per query, decode every probed cell (cached per
-        call), concatenate the candidates, and run one decode-then-GEMM
-        top-k. The equivalence suite asserts :meth:`search` matches it exactly.
-        """
-        if not self.is_trained:
-            raise RuntimeError("IVFIndex must be trained before search_reference()")
-        from .distances import as_matrix
-
-        q = as_matrix(queries)
-        self._check_dim(q)
-        k = int(k)
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        nq = len(q)
-        out_d = np.full((nq, k), np.inf, dtype=np.float32)
-        out_i = np.full((nq, k), -1, dtype=np.int64)
-        if self.ntotal == 0:
-            return out_d, out_i
-        probe = self._resolve_probe(nprobe)
-        cell_d = pairwise_distance(q, self.centroids, "l2")
-        _, probe_cells = top_k(cell_d, probe)
-
-        decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for qi in range(nq):
-            cand_vecs: list[np.ndarray] = []
-            cand_ids: list[np.ndarray] = []
-            for cell in probe_cells[qi]:
-                cell = int(cell)
-                if cell < 0:
-                    continue
-                if cell not in decoded:
-                    decoded[cell] = self.cell_vectors(cell)
-                vecs, ids = decoded[cell]
-                if len(ids):
-                    cand_vecs.append(vecs)
-                    cand_ids.append(ids)
-            if not cand_vecs:
-                continue
-            vecs = np.concatenate(cand_vecs, axis=0)
-            ids = np.concatenate(cand_ids)
-            dists = pairwise_distance(q[qi : qi + 1], vecs, self.metric)
-            d_row, order = top_k(dists, k)
-            out_d[qi] = d_row[0]
-            valid = order[0] >= 0
-            out_i[qi, valid] = ids[order[0][valid]]
-        return out_d, out_i
 
     def memory_bytes(self) -> int:
         payload = int(self.ntotal) * self.quantizer.code_size()

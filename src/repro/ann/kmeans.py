@@ -22,9 +22,9 @@ offline cost, so the training path is engineered accordingly:
 - :func:`train_kmeans` picks the variant from the input size (mini-batch
   at :data:`MINIBATCH_THRESHOLD` rows and above, Lloyd's below) and is what
   every build path calls — the datastore split and its seed sweep, IVF
-  coarse centroids and PQ/OPQ codebooks. :func:`kmeans_reference` retains
-  the pre-optimisation implementation as the quality-parity oracle of
-  ``tests/ann/test_kmeans.py`` and ``tests/core/test_clustering.py``.
+  coarse centroids and PQ/OPQ codebooks. The pre-optimisation Lloyd's is
+  kept as a test oracle (``tests/oracles.py``), the quality-parity baseline
+  of ``tests/ann/test_kmeans.py`` and ``tests/core/test_clustering.py``.
 
 The module also provides the imbalance proxy the paper uses (ratio of largest
 to smallest cluster) and the concurrent seed sweep.
@@ -243,8 +243,8 @@ def kmeans(
 
     The E-step is chunked (``(chunk_size, k)`` peak memory) and the M-step
     accumulates per-cluster sums as one-hot GEMMs; the arithmetic is the
-    classic Lloyd's update, so results match :func:`kmeans_reference` up to
-    float32 summation order.
+    classic Lloyd's update, so results match the reference Lloyd's of the
+    test oracles up to float32 summation order.
     """
     vecs = as_matrix(vectors)
     _validate_problem(vecs, k)
@@ -319,69 +319,6 @@ def kmeans_minibatch(
     )
     return _finalize(
         vecs, centroids, n_iter=steps + refined, seed=seed, chunk_size=DEFAULT_CHUNK
-    )
-
-
-def kmeans_reference(
-    vectors: np.ndarray,
-    k: int,
-    *,
-    seed: int = 0,
-    max_iter: int = 25,
-    tol: float = 1e-4,
-) -> KMeansResult:
-    """Pre-optimisation Lloyd's, retained as the quality-parity baseline.
-
-    Materialises the full ``(n, k)`` distance matrix per iteration and
-    accumulates the M-step with ``np.add.at`` scatter adds — exactly the
-    implementation this repo shipped before the fast build path, kept (like
-    ``IVFIndex.search_reference``) so tests can assert quality parity.
-    """
-    vecs = as_matrix(vectors)
-    _validate_problem(vecs, k)
-    n = len(vecs)
-    rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(vecs, k, rng)
-
-    assignments = np.zeros(n, dtype=np.int64)
-    inertia = np.inf
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        dists = pairwise_distance(vecs, centroids, "l2")
-        assignments = dists.argmin(axis=1)
-        point_cost = dists[np.arange(n), assignments]
-        new_inertia = float(point_cost.sum())
-
-        counts = np.bincount(assignments, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assignments, vecs)
-        empties = np.flatnonzero(counts == 0)
-        if len(empties):
-            worst = np.argsort(point_cost)[::-1]
-            for slot, point in zip(empties, worst):
-                centroids[slot] = vecs[point]
-            nonempty = counts > 0
-            centroids[nonempty] = sums[nonempty] / counts[nonempty, np.newaxis]
-        else:
-            centroids = sums / counts[:, np.newaxis]
-
-        converged = (
-            np.isfinite(inertia) and inertia - new_inertia <= tol * max(inertia, 1.0)
-        )
-        if converged and not len(empties):
-            inertia = new_inertia
-            break
-        inertia = new_inertia
-
-    dists = pairwise_distance(vecs, centroids, "l2")
-    assignments = dists.argmin(axis=1)
-    inertia = float(dists[np.arange(n), assignments].sum())
-    return KMeansResult(
-        centroids=centroids.astype(np.float32),
-        assignments=assignments,
-        inertia=inertia,
-        n_iter=n_iter,
-        seed=seed,
     )
 
 

@@ -14,12 +14,13 @@ payloads are large and long-lived while queries are tiny, so the pool ships
 each shard's arrays into POSIX shared memory exactly once, workers attach
 zero-copy at startup, and a search round-trips only the query batch, the
 parameters, and the ``(k, nq)`` result block. Workers rebuild read-only
-:class:`~repro.ann.ivf.IVFIndex` views over the shared segments; every lazy
-scan structure a frozen shard consumes is warmed in the parent *before*
+:class:`~repro.ann.ivf.IVFIndex` views over the shared segments; the
+exported scan state (the ADC norms) is warmed in the parent *before*
 export, so a worker never writes to a segment and thread- and process-mode
-results are bit-identical. Deleted rows travel with each call as the ids to
-mask; the position map that mask needs is derived lazily in the worker's own
-memory, on the first call that carries any.
+results are bit-identical. State the export leaves out is derived lazily in
+the worker's own memory: the GEMM codecs' scan operand on the first search,
+and the position map deleted rows need (they travel with each call as the
+ids to mask) on the first call that carries any.
 A worker death (OOM-kill, segfault) surfaces as
 :class:`~repro.core.errors.ShardCrashedError` on the in-flight search — never
 a hang — and marks the pool broken for subsequent calls.
@@ -138,7 +139,7 @@ class ProcessShardPool:
     """Persistent worker processes searching shared-memory shard views.
 
     Construction takes every shard's :meth:`IVFIndex.export_state` (which
-    warms the lazy scan state in the *parent's* shard objects, so thread-mode
+    warms the exported norms in the *parent's* shard objects, so thread-mode
     searches on the same shards stay bit-identical), copies the arrays into
     shared memory once, and spawns the workers, which attach at startup and
     rebuild each index with :meth:`IVFIndex.from_state`. ``search`` then

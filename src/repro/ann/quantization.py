@@ -39,13 +39,17 @@ class Quantizer(abc.ABC):
     #: short name used in reports (e.g. the rows of Table 1)
     name: str = "quantizer"
 
-    #: how much cheaper one big ADC kernel is per element than many small
-    #: per-cell kernels. GEMM-based codecs amortise well (one large matmul
-    #: beats hundreds of small ones ~4x per element); gather-based codecs
-    #: (PQ/OPQ lookup tables) cost the same per element either way. The IVF
-    #: scan switches to its dense full-corpus strategy once
-    #: ``advantage * probed_work >= batch * corpus``.
-    adc_dense_advantage: float = 4.0
+    #: how much cheaper one big ADC kernel is per element than the sparse
+    #: scan's per-cell tiles. The IVF scan switches to its dense full-corpus
+    #: strategy once ``advantage * probed_work >= batch * corpus``. Lookup
+    #: table ADC (PQ/OPQ) is a gather that costs the same per element either
+    #: way, so the dense scan only pays off at full probe coverage.
+    adc_dense_advantage: float = 1.0
+
+    #: whether the codec's ADC is a GEMM against a dimension-major scan
+    #: operand (:meth:`scan_operand`), which an IVF index derives once per
+    #: sealed record.
+    has_scan_operand: bool = False
 
     def __init__(self, dim: int) -> None:
         if dim <= 0:
@@ -112,41 +116,79 @@ class Quantizer(abc.ABC):
         code_sqnorms: np.ndarray | None = None,
         shifted: bool = False,
         ws=None,
+        operand: np.ndarray | None = None,
     ) -> np.ndarray:
         """Distance matrix between table queries and *codes* (smaller=closer).
 
-        ``rows`` restricts evaluation to a subset of the table's queries (the
-        cell-major IVF scan evaluates each probed cell only for the queries
-        that actually probe it). With ``shifted=True`` the per-query
-        ``table["bias"]`` term is left out (and L2 results are not clamped at
-        zero); callers must add it back after top-k selection.
+        ``rows`` restricts evaluation to a subset of the table's queries.
+        With ``shifted=True`` the per-query ``table["bias"]`` term is left out
+        (and L2 results are not clamped at zero); callers must add it back
+        after top-k selection. ``operand`` is :meth:`scan_operand` of *codes*
+        (with any padding), which a GEMM codec multiplies against instead of
+        re-deriving it; other codecs ignore it.
 
         With ``ws`` the result (and intermediates) live in arena buffers: the
         returned array is only valid until the next ``adc_distances`` call on
-        the same workspace — scan loops must scatter/copy it out before the
-        next cell.
+        the same workspace.
         """
 
-    def adc_tile_kernel(self, table, rows: np.ndarray, *, ws=None):
-        """``tile(codes, a, b, code_sqnorms, out)`` for a cell-major scan.
+    def scan_operand(self, codes: np.ndarray, pad: int = 0) -> np.ndarray | None:
+        """The array a GEMM scan multiplies query weights against, or ``None``.
 
-        *rows* names the table query of every (query, cell) pair the scan
-        will evaluate, in evaluation order; ``tile(codes, a, b, norms, out)``
-        writes the shifted distances of pairs ``a:b`` — the queries probing
-        one cell — to that cell's *codes* into ``out`` (``(b - a, len(codes))``
-        float32). It is ``adc_distances(..., rows=rows[a:b], shifted=True)``
-        bit for bit, shaped as a callable so a codec can do its per-scan work
-        (metric branch, query gather) once instead of once per cell; see
-        :func:`_gemm_tiles`.
+        GEMM codecs (:attr:`has_scan_operand`) return their levels
+        *dimension-major*: a ``(dim, len(codes) + pad)`` array in the codec's
+        own dtype (uint8 levels for SQ, float32 rows for flat) whose column
+        ``j`` is code ``j`` and whose last ``pad`` columns are zero, so a
+        window ``[lo, lo + width)`` of a cell-major scan never runs off the
+        end. That is the layout BLAS wants for a ``(queries, dim) @ (dim,
+        codes)`` product. Gather codecs have no operand.
         """
+        del codes, pad
+        return None
 
-        def tile(codes, a, b, code_sqnorms, out):
-            out[...] = self.adc_distances(
-                table, codes, rows=rows[a:b], code_sqnorms=code_sqnorms,
-                shifted=True, ws=ws,
-            )
+    def adc_cell_tiles(
+        self,
+        table,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        lo: np.ndarray,
+        sizes: np.ndarray,
+        width: int,
+        *,
+        codes: np.ndarray,
+        operand: np.ndarray | None = None,
+        code_sqnorms: np.ndarray | None = None,
+        ws=None,
+    ) -> np.ndarray:
+        """Shifted distances of a group of probed cells, as one tile stack.
 
-        return tile
+        Group ``g`` is the table queries ``rows[g, :counts[g]]`` against the
+        stored codes ``lo[g] : lo[g] + sizes[g]``. The result is a ``(G, P,
+        width)`` float32 array (``(G, P) = rows.shape``): ``[g, r, j]`` is
+        the shifted distance of query ``rows[g, r]`` to code ``lo[g] + j``,
+        as ``adc_distances(..., rows=rows[g, :counts[g]], shifted=True)``
+        computes it — bit for bit when a group is evaluated alone, up to
+        float32 reassociation otherwise. Rows past ``counts[g]`` and columns
+        past ``sizes[g]`` hold arbitrary values; the caller masks them.
+
+        This default is a per-cell loop (the gather codecs'). The GEMM codecs
+        evaluate every group in one batched matmul against per-cell windows
+        of their :meth:`scan_operand` (:func:`_gemm_cell_tiles`). With ``ws``
+        the tiles live in the arena until the next call on it.
+        """
+        shape = rows.shape + (width,)
+        out = np.empty(shape, dtype=np.float32) if ws is None else ws.take("cell_tiles", shape)
+        for g, (c, a, n) in enumerate(zip(counts.tolist(), lo.tolist(), sizes.tolist())):
+            if n:
+                out[g, :c, :n] = self.adc_distances(
+                    table,
+                    codes[a : a + n],
+                    rows=rows[g, :c],
+                    code_sqnorms=None if code_sqnorms is None else code_sqnorms[a : a + n],
+                    shifted=True,
+                    ws=ws,
+                )
+        return out
 
     def code_sqnorms(self, codes: np.ndarray) -> np.ndarray:
         """``|decode(code)|^2`` per code, chunked to bound peak memory."""
@@ -172,29 +214,130 @@ class Quantizer(abc.ABC):
     def _decode(self, codes: np.ndarray) -> np.ndarray: ...
 
 
-def _gemm_tiles(w, rows, metric, prepare):
-    """``adc_tile_kernel`` of the GEMM codecs: one product per tile.
+def _fold_weights(w: np.ndarray, metric: str) -> np.ndarray:
+    """The GEMM codecs' query weights with the distance's sign and scale
+    folded in: ``-w`` for inner product, ``-2 w`` for L2. Negating or doubling
+    one operand negates or doubles every partial sum exactly, so a scan needs
+    no per-tile sign/scale pass."""
+    return np.negative(w) if metric == "ip" else np.multiply(w, -2.0)
 
-    The product is the BLAS call ``adc_distances`` makes on the same
-    operands, with that method's ``-sim`` (inner product) or ``-2 * sim``
-    (L2) folded into the query weights — negating or doubling one operand
-    negates or doubles every partial sum exactly, so tiles stay bit-identical
-    while the per-tile sign/scale pass disappears. The weights are gathered
-    into pair order here, once, so a cell's queries are a contiguous slice.
+
+def _dim_major(levels: np.ndarray, dim: int, pad: int) -> np.ndarray:
+    """``(n, dim)`` rows as a ``(dim, n + pad)`` array, pad columns zero."""
+    n = len(levels)
+    out = np.zeros((dim, n + pad), dtype=levels.dtype)
+    if n:
+        out[:, :n] = levels.T
+    return out
+
+
+def _gemm_distances(wf, levels, code_sqnorms, ws):
+    """Shifted GEMM-codec distances: ``wf @ levels`` (+ ``|code|²`` for L2).
+
+    *levels* is a float32 ``(dim, n)`` dimension-major operand (a strided
+    view of a padded one is fine: BLAS takes the leading dimension)."""
+    out = None if ws is None else ws.take("adc_dists", (len(wf), levels.shape[1]))
+    dists = np.matmul(wf, levels, out=out)
+    if code_sqnorms is not None:
+        dists += code_sqnorms
+    return dists
+
+
+def _gemm_cell_tiles(wf, operand, code_sqnorms, rows, lo, width, ws):
+    """``adc_cell_tiles`` of the GEMM codecs: one batched matmul.
+
+    Cell ``g``'s window is columns ``lo[g] : lo[g] + width`` of the padded
+    operand. A strided view holds every such window, so one fancy index
+    gathers them all as a ``(G, dim, width)`` stack in the codec's dtype;
+    integer levels are then converted into the workspace's ``cell_windows``
+    buffer, so only the probed cells are ever converted. The stack is
+    multiplied by the gathered query weights as ``(G, P, dim) @ (G, dim,
+    width)``.
     """
-    ip = metric == "ip"
-    pairs = w[rows]
-    pairs = np.negative(pairs, out=pairs) if ip else np.multiply(pairs, -2.0, out=pairs)
+    dim, n_cols = operand.shape
+    step_d, step_c = operand.strides
+    every_window = np.ndarray(
+        (n_cols - width + 1, dim, width), operand.dtype, buffer=operand,
+        strides=(step_c, step_d, step_c),
+    )
+    windows = every_window[lo]
+    if windows.dtype != np.float32:
+        image = np.empty(windows.shape, np.float32) if ws is None else ws.take(
+            "cell_windows", windows.shape
+        )
+        np.copyto(image, windows)
+        windows = image
+    shape = rows.shape + (width,)
+    out = np.empty(shape, dtype=np.float32) if ws is None else ws.take("cell_tiles", shape)
+    np.matmul(wf[rows], windows, out=out)
+    if code_sqnorms is not None:
+        at = lo[:, np.newaxis] + np.arange(width)
+        out += np.take(code_sqnorms, at, mode="clip")[:, np.newaxis, :]
+    return out
 
-    def tile(codes, a, b, code_sqnorms, out):
-        np.matmul(pairs[a:b], prepare(codes).T, out=out)
-        if not ip:
-            out += code_sqnorms
 
-    return tile
+class _GemmQuantizer(Quantizer):
+    """A codec whose ADC is one GEMM against its levels (flat, SQ8, SQ4).
+
+    The table carries the query weights ``wf`` with the distance's sign and
+    scale folded in (:func:`_fold_weights`), so shifted distances are ``wf @
+    levels`` plus, for L2, the precomputed ``|decode(code)|²``. Subclasses
+    supply :meth:`scan_operand` (the dimension-major levels) and
+    ``adc_table``.
+    """
+
+    has_scan_operand = True
+
+    #: Measured by ``benchmarks/scan_crossover.py`` (40 k x 64 shards, one
+    #: BLAS thread, batch 1 / 8 / 32 x nprobe 1..64 x k 1 / 10) for each of
+    #: the three codecs, with ``r = batch * corpus / probed_work``: at batch 8
+    #: and 32 the dense kernel wins for r <= 8 (nprobe >= 8) and the sparse
+    #: one for r >= 30 (nprobe <= 2); near r = 15 (nprobe 4) SQ8 and SQ4 go
+    #: sparse, flat is a tie. The grid's total time is least at 8-9 for SQ8
+    #: and SQ4 and at 14-15 for flat (two runs each); 12 is within 0.3 % of
+    #: each codec's least.
+    adc_dense_advantage = 12.0
+
+    def needs_code_sqnorms(self, metric: str) -> bool:
+        return metric == "l2"
+
+    def adc_distances(
+        self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None,
+        operand=None,
+    ):
+        codes = np.asarray(codes)
+        wf = table["wf"] if rows is None else table["wf"][rows]
+        if operand is None:
+            operand = self.scan_operand(codes)
+        # Integer levels are converted per call; float operands (flat) as is.
+        levels = operand[:, : len(codes)].astype(np.float32, copy=False)
+        l2 = table["metric"] == "l2"
+        if l2 and code_sqnorms is None:
+            code_sqnorms = self.code_sqnorms(codes)
+        dists = _gemm_distances(wf, levels, code_sqnorms if l2 else None, ws)
+        if not shifted:
+            bias = table.get("bias")
+            if bias is not None:
+                dists += (bias if rows is None else bias[rows])[:, np.newaxis]
+            if l2:
+                np.maximum(dists, 0.0, out=dists)
+        return dists
+
+    def adc_cell_tiles(
+        self, table, rows, counts, lo, sizes, width, *, codes, operand=None,
+        code_sqnorms=None, ws=None,
+    ):
+        del counts, sizes  # every tile is computed whole; the caller masks
+        if operand is None:
+            operand = self.scan_operand(codes, width)
+        l2 = table["metric"] == "l2"
+        if l2 and code_sqnorms is None:
+            code_sqnorms = self.code_sqnorms(codes)
+        norms = code_sqnorms if l2 else None
+        return _gemm_cell_tiles(table["wf"], operand, norms, rows, lo, width, ws)
 
 
-class IdentityQuantizer(Quantizer):
+class IdentityQuantizer(_GemmQuantizer):
     """No-op codec storing raw float32 — the ``Flat`` row of Table 1."""
 
     name = "flat"
@@ -222,47 +365,20 @@ class IdentityQuantizer(Quantizer):
     # Identity "ADC" degenerates to the plain kernel on the raw payload; it
     # exists so IVF's fast path is uniform across quantizers. Precomputed
     # code norms plus the shifted form still save the per-cell norm terms.
-    def needs_code_sqnorms(self, metric: str) -> bool:
-        return metric == "l2"
+    def scan_operand(self, codes, pad=0):
+        return _dim_major(as_matrix(codes), self.dim, pad)
 
     def adc_table(self, queries: np.ndarray, metric: str, *, ws=None):
         del ws  # raw-payload tables carry only references; nothing bulky
         validate_metric(metric)
         q = as_matrix(queries)
-        table = {"metric": metric, "q": q}
+        table = {"metric": metric, "wf": _fold_weights(q, metric)}
         if metric == "l2":
             table["bias"] = np.einsum("ij,ij->i", q, q).astype(np.float32)
         return table
 
-    def adc_distances(self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None):
-        q = table["q"] if rows is None else table["q"][rows]
-        codes = as_matrix(codes)
-        out = None if ws is None else ws.take("adc_dists", (len(q), len(codes)))
-        if table["metric"] == "ip":
-            if out is not None:
-                np.matmul(q, codes.T, out=out)
-                return np.negative(out, out=out)
-            return -(q @ codes.T)
-        if code_sqnorms is None:
-            code_sqnorms = np.einsum("ij,ij->i", codes, codes)
-        if out is not None:
-            np.matmul(q, codes.T, out=out)
-            out *= -2.0
-            out += code_sqnorms[np.newaxis, :]
-            dists = out
-        else:
-            dists = code_sqnorms[np.newaxis, :] - 2.0 * (q @ codes.T)
-        if not shifted:
-            bias = table["bias"] if rows is None else table["bias"][rows]
-            dists += bias[:, np.newaxis]
-            np.maximum(dists, 0.0, out=dists)
-        return dists
 
-    def adc_tile_kernel(self, table, rows, *, ws=None):
-        return _gemm_tiles(table["q"], rows, table["metric"], as_matrix)
-
-
-class ScalarQuantizer(Quantizer):
+class ScalarQuantizer(_GemmQuantizer):
     """Uniform per-dimension scalar quantization to *bits* bits (SQ8 / SQ4).
 
     Training learns per-dimension ``(vmin, vmax)`` ranges; encoding maps each
@@ -321,18 +437,16 @@ class ScalarQuantizer(Quantizer):
         return (low | (high << 4)).astype(np.uint8)
 
     def _unpack_levels(self, codes: np.ndarray) -> np.ndarray:
-        """Integer levels as float32 ``(n, dim)`` (unpacking nibbles for SQ4)."""
+        """Integer levels as uint8 ``(n, dim)`` (unpacking nibbles for SQ4)."""
         if self.bits == 8:
-            return codes.astype(np.float32)
-        low = (codes & 0x0F).astype(np.float32)
-        high = ((codes >> 4) & 0x0F).astype(np.float32)
-        levels = np.empty((len(codes), low.shape[1] * 2), dtype=np.float32)
-        levels[:, 0::2] = low
-        levels[:, 1::2] = high
+            return codes
+        levels = np.empty((len(codes), codes.shape[1] * 2), dtype=np.uint8)
+        levels[:, 0::2] = codes & 0x0F
+        levels[:, 1::2] = codes >> 4
         return levels[:, : self.dim]
 
     def _decode(self, codes: np.ndarray) -> np.ndarray:
-        return self._unpack_levels(codes) * self._scale + self._vmin
+        return self._unpack_levels(codes).astype(np.float32) * self._scale + self._vmin
 
     # -- ADC ----------------------------------------------------------------
     # decode(code) = L * scale + vmin is affine in the integer levels L, so
@@ -340,8 +454,8 @@ class ScalarQuantizer(Quantizer):
     #   q . decode = (q * scale) . L + q . vmin
     # One GEMM against the raw levels replaces reconstruct-then-GEMM; for L2
     # the ``|decode|^2`` term is the caller-precomputed ``code_sqnorms``.
-    def needs_code_sqnorms(self, metric: str) -> bool:
-        return metric == "l2"
+    def scan_operand(self, codes, pad=0):
+        return _dim_major(self._unpack_levels(np.asarray(codes)), self.dim, pad)
 
     def adc_table(self, queries: np.ndarray, metric: str, *, ws=None):
         del ws  # the affine table (w, bias) is batch-sized, not corpus-sized
@@ -351,42 +465,14 @@ class ScalarQuantizer(Quantizer):
         q = as_matrix(queries)
         w = (q * self._scale).astype(np.float32)
         b = (q @ self._vmin).astype(np.float32)
+        # Shifted distances are wf . L (+ |dec|^2 for L2), wf = -w or -2 w:
         if metric == "ip":
             # dist = -(q . dec) = -(w . L) - b
-            return {"metric": metric, "w": w, "bias": -b}
+            return {"metric": metric, "wf": _fold_weights(w, metric), "bias": -b}
         # dist = |q|^2 - 2 (w . L + b) + |dec|^2
         #      = (|dec|^2 - 2 w . L) + (|q|^2 - 2 b)
         qnorm = np.einsum("ij,ij->i", q, q).astype(np.float32)
-        return {"metric": metric, "w": w, "bias": qnorm - 2.0 * b}
-
-    def adc_distances(self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None):
-        levels = self._unpack_levels(np.asarray(codes))
-        w = table["w"] if rows is None else table["w"][rows]
-        sim = (
-            w @ levels.T
-            if ws is None
-            else np.matmul(w, levels.T, out=ws.take("adc_dists", (len(w), len(levels))))
-        )  # = (q * scale) . L
-        if table["metric"] == "ip":
-            dists = np.negative(sim, out=sim) if ws is not None else -sim
-        else:
-            if code_sqnorms is None:
-                code_sqnorms = self.code_sqnorms(codes)
-            if ws is not None:
-                sim *= -2.0
-                sim += code_sqnorms[np.newaxis, :]
-                dists = sim
-            else:
-                dists = code_sqnorms[np.newaxis, :] - 2.0 * sim
-        if not shifted:
-            bias = table["bias"] if rows is None else table["bias"][rows]
-            dists += bias[:, np.newaxis]
-            if table["metric"] == "l2":
-                np.maximum(dists, 0.0, out=dists)
-        return dists
-
-    def adc_tile_kernel(self, table, rows, *, ws=None):
-        return _gemm_tiles(table["w"], rows, table["metric"], self._unpack_levels)
+        return {"metric": metric, "wf": _fold_weights(w, metric), "bias": qnorm - 2.0 * b}
 
 
 class ProductQuantizer(Quantizer):
@@ -397,10 +483,6 @@ class ProductQuantizer(Quantizer):
     The paper's PQ256 / PQ384 rows correspond to ``m=256`` / ``m=384`` on
     768-dim vectors.
     """
-
-    # Lookup-table ADC is a gather, not a GEMM: no batching advantage, so
-    # the dense IVF scan only pays off at full probe coverage.
-    adc_dense_advantage = 1.0
 
     def __init__(
         self,
@@ -507,8 +589,11 @@ class ProductQuantizer(Quantizer):
             table["bias"] = np.einsum("ij,ij->i", q, q).astype(np.float32)
         return table
 
-    def adc_distances(self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None):
-        del code_sqnorms
+    def adc_distances(
+        self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None,
+        operand=None,
+    ):
+        del code_sqnorms, operand
         tables = table["tables"]
         if rows is not None:
             if ws is not None:
@@ -547,8 +632,6 @@ class OPQQuantizer(Quantizer):
     orthogonal Procrustes problem aligning the data with its reconstruction,
     as in Ge et al. 2013. Matches the paper's OPQ256 / OPQ384 rows.
     """
-
-    adc_dense_advantage = ProductQuantizer.adc_dense_advantage
 
     def __init__(
         self,
@@ -622,7 +705,11 @@ class OPQQuantizer(Quantizer):
             raise RuntimeError(f"{type(self).__name__} must be trained before adc_table()")
         return self.pq.adc_table(as_matrix(queries) @ self._rotation, metric, ws=ws)
 
-    def adc_distances(self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None):
+    def adc_distances(
+        self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None,
+        operand=None,
+    ):
+        del operand
         return self.pq.adc_distances(
             table, codes, rows=rows, code_sqnorms=code_sqnorms, shifted=shifted, ws=ws
         )

@@ -12,6 +12,7 @@ from repro.ann.flat import FlatIndex
 from repro.ann.ivf import IVFIndex, default_nlist
 from repro.ann.quantization import make_quantizer
 from repro.metrics.recall import recall_at_k
+from tests.oracles import ivf_search_reference
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +218,7 @@ class TestSealedRecordSwap:
         finally:
             del index.quantizer.adc_distances
         assert fired
-        ref_d, ref_i = index.search_reference(queries, 5)
+        ref_d, ref_i = ivf_search_reference(index, queries, 5)
         np.testing.assert_array_equal(ids, ref_i)
         np.testing.assert_allclose(dists, ref_d, rtol=1e-3, atol=5e-3)
 
@@ -244,7 +245,7 @@ class TestSealedRecordSwap:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
         assert index.compactions == 1
-        ref_d, ref_i = index.search_reference(queries, 5)
+        ref_d, ref_i = ivf_search_reference(index, queries, 5)
         for dists, ids in results:
             np.testing.assert_array_equal(ids, ref_i)
             np.testing.assert_allclose(dists, ref_d, rtol=1e-3, atol=5e-3)

@@ -182,7 +182,7 @@ class TestTrainKMeans:
         assert np.array_equal(km.train_kmeans(data, 4, seed=0).centroids, minibatch)
 
     def test_chunked_estep_matches_reference_lloyd(self):
-        from repro.ann.kmeans import kmeans_reference
+        from tests.oracles import kmeans_reference
 
         data, _ = blobs(k=5, per=200, dim=12, seed=26)
         chunked = kmeans(data, 5, seed=0, chunk_size=64)

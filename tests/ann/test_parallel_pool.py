@@ -52,11 +52,14 @@ def queries():
 
 class TestBitIdentical:
     def test_process_matches_thread_for_every_codec(self, queries):
-        # flat exercises the dense path, pq4/opq4 the sparse scan on the
-        # gather codecs' lookup-table kernel.
-        shards = _build_shards(("flat", "sq8", "pq4", "opq4"))
+        # flat / sq8 / sq4 exercise the GEMM codecs' dense path, pq4/opq4
+        # the sparse scan on the gather codecs' lookup-table kernel.
+        shards = _build_shards(("flat", "sq8", "sq4", "pq4", "opq4"))
         with ProcessShardPool(shards, workers=2) as pool:
             assert pool.worker_pids()  # spawned on demand: at least one is up
+            # The export ships no scan operand and builds none in the
+            # parent: each worker derives its own, privately.
+            assert all(shard.index._sealed.operand is None for shard in shards)
             for shard in shards:
                 td, ti = shard.search(queries, 5)
                 pd_, pi_ = pool.search(shard.shard_id, queries, 5)

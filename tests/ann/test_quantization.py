@@ -154,9 +154,10 @@ class TestFactory:
 
 
 class TestTileKernel:
-    """``adc_tile_kernel`` is ``adc_distances(rows=..., shifted=True)`` bit
-    for bit — including the GEMM codecs' sign/scale folded into the query
-    weights — for every group of a cell-major scan."""
+    """``adc_cell_tiles`` is ``adc_distances(rows=..., shifted=True)``: bit
+    for bit for a group evaluated alone — including the GEMM codecs' sign /
+    scale folded into the query weights and their dimension-major operand —
+    and up to float32 reassociation when groups share one batched call."""
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     @pytest.mark.parametrize("scheme", ["flat", "sq8", "sq4", "pq4", "opq4"])
@@ -164,6 +165,8 @@ class TestTileKernel:
         quantizer = make_quantizer(scheme, 16)
         quantizer.train(data)
         codes = quantizer.encode(data)
+        operand = quantizer.scan_operand(codes, 300)
+        assert (operand is not None) == quantizer.has_scan_operand
         rng = np.random.default_rng(1)
         queries = rng.normal(size=(9, 16)).astype(np.float32)
         table = quantizer.adc_table(queries, metric)
@@ -172,17 +175,38 @@ class TestTileKernel:
             if quantizer.needs_code_sqnorms(metric)
             else None
         )
-        # pairs in evaluation order: three groups of 1, 4 and 7 queries
-        rows = np.array([3, 0, 2, 5, 8, 1, 2, 3, 4, 6, 7, 8])
-        fill = quantizer.adc_tile_kernel(table, rows)
-        for (a, b), (lo, hi) in zip([(0, 1), (1, 5), (5, 12)], [(0, 33), (33, 34), (200, 500)]):
+        # three groups of 1, 4 and 7 queries against cells of 33, 1 and 300
+        groups = [[3], [0, 2, 5, 8], [1, 2, 3, 4, 6, 7, 8]]
+        cells = [(0, 33), (33, 34), (200, 500)]
+        want = []
+        for queries_of, (lo, hi) in zip(groups, cells):
             cell_norms = None if norms is None else norms[lo:hi]
-            want = quantizer.adc_distances(
-                table, codes[lo:hi], rows=rows[a:b], code_sqnorms=cell_norms, shifted=True
+            want.append(quantizer.adc_distances(
+                table, codes[lo:hi], rows=np.array(queries_of),
+                code_sqnorms=cell_norms, shifted=True,
+            ))
+            alone = quantizer.adc_cell_tiles(
+                table, np.array([queries_of]), np.array([len(queries_of)]),
+                np.array([lo]), np.array([hi - lo]), hi - lo,
+                codes=codes, operand=operand, code_sqnorms=norms,
             )
-            got = np.full((b - a, hi - lo), np.nan, dtype=np.float32)
-            fill(codes[lo:hi], a, b, cell_norms, got)
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(alone[0], want[-1])
+
+        rows = np.zeros((3, 7), dtype=np.intp)
+        for g, queries_of in enumerate(groups):
+            rows[g, : len(queries_of)] = queries_of
+        counts = np.array([len(g) for g in groups])
+        lo = np.array([c[0] for c in cells])
+        sizes = np.array([c[1] - c[0] for c in cells])
+        together = quantizer.adc_cell_tiles(
+            table, rows, counts, lo, sizes, int(sizes.max()),
+            codes=codes, operand=operand, code_sqnorms=norms,
+        )
+        assert together.shape == (3, 7, 300)
+        for g, expected in enumerate(want):
+            np.testing.assert_allclose(
+                together[g, : counts[g], : sizes[g]], expected, rtol=1e-5, atol=1e-4
+            )
 
 
 class TestSampledTraining:

@@ -7,6 +7,7 @@ depths and batch shapes, plus the structural edge cases: empty cells,
 k larger than the candidate pool, and forced non-ADC kernels.
 """
 
+import contextlib
 import functools
 
 import numpy as np
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 from repro.ann.ivf import IVFIndex
 from repro.ann.quantization import make_quantizer
+from repro.core.clustering import IndexShard
 from repro.obs import disable_tracing, enable_tracing
 from repro.obs.metrics import MetricsRegistry, set_registry
+from tests.oracles import ivf_search_reference
 
 DIM = 24
 SCHEMES = ["flat", "sq8", "sq4", "pq8", "opq8"]
@@ -68,7 +71,7 @@ def reloaded(indexes, radius_sorted_state):
 
 
 def assert_matches_reference(index, queries, k, nprobe, **kwargs):
-    ref_d, ref_i = index.search_reference(queries, k, nprobe=nprobe)
+    ref_d, ref_i = ivf_search_reference(index, queries, k, nprobe=nprobe)
     fast_d, fast_i = index.search(queries, k, nprobe=nprobe, **kwargs)
     np.testing.assert_array_equal(ref_i, fast_i)
     finite = np.isfinite(ref_d)
@@ -124,7 +127,7 @@ def test_k_exceeding_candidates_pads(data, queries, scheme):
     index.train(data)
     index.add(data[:30])
     k = 50
-    ref_d, ref_i = index.search_reference(queries, k, nprobe=2)
+    ref_d, ref_i = ivf_search_reference(index, queries, k, nprobe=2)
     fast_d, fast_i = index.search(queries, k, nprobe=2)
     np.testing.assert_array_equal(ref_i, fast_i)
     assert (fast_i == -1).any()
@@ -175,13 +178,30 @@ def test_duplicate_ids_match_reference_exactly(scheme, metric):
 
 
 # -- nearest-neighbour (k == 1) search: the per-cell reduction ---------------
-# Sample search runs at k == 1, where the sparse scan reduces every probed
-# cell to its winner instead of filling a candidate buffer. The property: it
-# returns exactly what the general top-k machinery returns in column 0, and
-# what the reference path returns.
+# Sample search runs at k == 1, where both scans reduce with a first-occurrence
+# argmin instead of a top-k selection (the sparse one per tile row, then
+# across probe slots). The property: it returns exactly what the general top-k
+# machinery returns in column 0, and what the reference path returns.
 
 NN_DIM = 16
-NN_NLIST = 40  # nprobe 8 stays under the dense threshold (sparse strategy)
+NN_NLIST = 40
+# The scan strategy: "rule" leaves the dense/sparse choice to the codec's
+# ``adc_dense_advantage``; "sparse" and "dense" force one kernel at every
+# probe depth, so each kernel's tie-break is exercised across probe slots
+# whatever the codec's constant is.
+FORCED = {"rule": None, "sparse": 0.0, "dense": float("inf")}
+
+
+@contextlib.contextmanager
+def forced_strategy(index, strategy):
+    """Run the block with *strategy* forced on *index*'s codec."""
+    advantage = index.quantizer.adc_dense_advantage
+    if FORCED[strategy] is not None:
+        index.quantizer.adc_dense_advantage = FORCED[strategy]
+    try:
+        yield
+    finally:
+        index.quantizer.adc_dense_advantage = advantage
 
 
 def nn_index(scheme, metric, layout, seed):
@@ -219,13 +239,14 @@ def assert_same_winner_up_to_code_ties(index, data, got, want):
     scheme=st.sampled_from(["flat", "sq8", "sq4"]),
     metric=st.sampled_from(METRICS),
     nq=st.sampled_from([1, 4, 32]),
-    nprobe=st.sampled_from([1, 8, NN_NLIST + 3]),
+    nprobe=st.sampled_from([1, 3, 8, NN_NLIST + 3]),
     layout=st.sampled_from(["full", "duplicates", "empty_cells", "empty_index"]),
+    strategy=st.sampled_from(sorted(FORCED)),
     seed=st.integers(0, 2**31 - 1),
 )
 @settings(deadline=None)
 def test_nearest_neighbour_is_column_zero_of_top_k(
-    scheme, metric, nq, nprobe, layout, seed
+    scheme, metric, nq, nprobe, layout, strategy, seed
 ):
     index, data = nn_index(scheme, metric, layout, seed)
     rng = np.random.default_rng(seed + 1)
@@ -233,14 +254,15 @@ def test_nearest_neighbour_is_column_zero_of_top_k(
         scale=0.05, size=(nq, NN_DIM)
     ).astype(np.float32)
 
-    d1, i1 = index.search(queries, 1, nprobe=nprobe)
+    with forced_strategy(index, strategy):
+        d1, i1 = index.search(queries, 1, nprobe=nprobe)
+        # Same kernels, same tie-break: bit-identical to the top-k path.
+        d2, i2 = index.search(queries, 2, nprobe=nprobe)
     assert d1.shape == i1.shape == (nq, 1)
-    # Same kernels, same tie-break: bit-identical to the top-k path.
-    d2, i2 = index.search(queries, 2, nprobe=nprobe)
     np.testing.assert_array_equal(i1[:, 0], i2[:, 0])
     np.testing.assert_array_equal(d1[:, 0], d2[:, 0])
 
-    ref_d, ref_i = index.search_reference(queries, 1, nprobe=nprobe)
+    ref_d, ref_i = ivf_search_reference(index, queries, 1, nprobe=nprobe)
     assert_same_winner_up_to_code_ties(index, data, i1, ref_i)
     finite = np.isfinite(ref_d)
     np.testing.assert_array_equal(finite, np.isfinite(d1))
@@ -254,7 +276,7 @@ def test_nearest_neighbour_is_column_zero_of_top_k(
 @pytest.mark.parametrize("scheme", ["flat", "sq8"])
 def test_duplicated_vectors_tie_to_the_same_id_at_k1(scheme, metric):
     """Every vector stored 4x: the winner must be the first-stored copy the
-    reference picks, at every probe depth."""
+    reference picks, at every probe depth and with either kernel."""
     rng = np.random.default_rng(3)
     base = rng.normal(size=(60, NN_DIM)).astype(np.float32)
     data = np.concatenate([base] * 4)
@@ -265,11 +287,13 @@ def test_duplicated_vectors_tie_to_the_same_id_at_k1(scheme, metric):
     index.add(data)
     queries = base[:16] + rng.normal(scale=0.01, size=(16, NN_DIM)).astype(np.float32)
     for nprobe in (1, 2, 12):
-        _, ref_i = index.search_reference(queries, 1, nprobe=nprobe)
-        _, i1 = index.search(queries, 1, nprobe=nprobe)
-        _, i4 = index.search(queries, 4, nprobe=nprobe)
-        np.testing.assert_array_equal(i1, ref_i)
-        np.testing.assert_array_equal(i1[:, 0], i4[:, 0])
+        _, ref_i = ivf_search_reference(index, queries, 1, nprobe=nprobe)
+        for strategy in FORCED:
+            with forced_strategy(index, strategy):
+                _, i1 = index.search(queries, 1, nprobe=nprobe)
+                _, i4 = index.search(queries, 4, nprobe=nprobe)
+            np.testing.assert_array_equal(i1, ref_i)
+            np.testing.assert_array_equal(i1[:, 0], i4[:, 0])
 
 
 @pytest.mark.parametrize("scheme", ["flat", "sq8", "pq8"])
@@ -277,7 +301,7 @@ def test_k1_forced_kernels_agree(indexes, queries, scheme):
     """Forced dense and forced sparse (the k == 1 reduction; gather codecs on
     the generic tile kernel) must agree with the reference."""
     index = indexes[(scheme, "l2")]
-    ref_d, ref_i = index.search_reference(queries, 1, nprobe=2)
+    ref_d, ref_i = ivf_search_reference(index, queries, 1, nprobe=2)
     advantage = index.quantizer.adc_dense_advantage
     try:
         for forced in (float("inf"), 0.0):  # always dense, always sparse
@@ -289,10 +313,78 @@ def test_k1_forced_kernels_agree(indexes, queries, scheme):
         index.quantizer.adc_dense_advantage = advantage
 
 
+def test_the_scan_operand_is_derived_state():
+    """Structural guard: a GEMM codec's dimension-major scan operand is built
+    once per sealed record (by the first search or ``warm_scan_state()``),
+    read-only and never exported — ``export_state()`` neither builds nor
+    writes it, so the format-5 array keys are unchanged — a
+    ``fresh_sealed_like()`` index has none, shard compaction warms the new
+    index's before the swap, and a gather codec never builds one."""
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=(300, NN_DIM)).astype(np.float32)
+    index = IVFIndex(NN_DIM, "l2", nlist=8, quantizer=make_quantizer("sq8", NN_DIM))
+    index.train(data)
+    index.add(data)
+    _, arrays = index.export_state()
+    assert set(arrays) == {
+        "sq_vmin", "sq_scale", "centroids", "codes", "ids", "cell_offsets", "code_sqnorms"
+    }
+    assert index._sealed.operand is None
+
+    index.search(data[:4], 5, nprobe=2)
+    operand = index._sealed.operand
+    widest = int(index.list_sizes().max())
+    assert operand.shape == (NN_DIM, 300 + widest) and operand.dtype == np.uint8
+    assert not operand.flags.writeable
+    np.testing.assert_array_equal(operand[:, :300], index._sealed.codes.T)
+    assert not operand[:, 300:].any()
+    # Built once: plain and masked searches of both strategies (the masked
+    # one publishes a new record for its position map) and the warm-up all
+    # keep the very same array.
+    for dead in (None, np.array([3, 200])):
+        for k, nprobe in ((1, 1), (5, 1), (1, 8), (5, 8)):
+            index.search(data[:4], k, nprobe=nprobe, dead=dead)
+    index.warm_scan_state()
+    assert index._sealed.operand is operand
+    exported = index.export_state()[1]
+    assert set(exported) == set(arrays)
+    assert not any(np.shares_memory(operand, a) for a in exported.values())
+    assert index.fresh_sealed_like()._sealed is None
+
+    shard = IndexShard(0, index, np.arange(300, dtype=np.int64), data.mean(0))
+    shard.insert(data[:5] + 0.01, np.arange(300, 305, dtype=np.int64))
+    shard.delete(np.array([7]))
+    assert shard.compact()
+    rebuilt = shard.index._sealed  # nothing searched the new index yet
+    assert rebuilt.operand is not None and rebuilt.operand is not operand
+    np.testing.assert_array_equal(rebuilt.operand[:, :304], rebuilt.codes.T)
+
+    pq = IVFIndex(NN_DIM, "l2", nlist=8, quantizer=make_quantizer("pq8", NN_DIM))
+    pq.train(data)
+    pq.add(data)
+    pq.warm_scan_state()
+    pq.search(data[:4], 5, nprobe=2)
+    assert pq._sealed.operand is None
+
+
+def scan_buffers(index, queries, k, nprobe, dead=None):
+    """``(ivf_scan span attrs, workspace keys taken, ids)`` of one search."""
+    index._workspace.clear()
+    tracer = enable_tracing()
+    try:
+        _, ids = index.search(queries, k, nprobe=nprobe, dead=dead)
+    finally:
+        disable_tracing()
+    (span,) = [s for root in tracer.roots for s in root.find_all("ivf_scan")]
+    return span.attrs, set(index._workspace._buffers), ids
+
+
 def test_k1_sparse_scan_takes_no_candidate_buffer():
-    """Structural guard: a k == 1 sparse scan never takes the padded
-    ``sparse_buf`` from the workspace and tags its span ``reduced``; k > 1
-    on the same probes still does (and is not tagged)."""
+    """Structural guard: the sparse scan is one cell-grouped kernel. k == 1
+    and k > 1 take the same tile stack (``cell_tiles``, multiplied against
+    the probed cells' operand windows converted into ``cell_windows``); only
+    k > 1 takes the slot-major candidate buffer (``slot_tiles``), and only
+    k == 1 tags its span ``reduced``."""
     rng = np.random.default_rng(11)
     data = rng.normal(size=(400, NN_DIM)).astype(np.float32)
     index = IVFIndex(NN_DIM, "ip", nlist=NN_NLIST, quantizer=make_quantizer("sq8", NN_DIM))
@@ -300,22 +392,12 @@ def test_k1_sparse_scan_takes_no_candidate_buffer():
     index.add(data)
     queries = data[:8]
 
-    def scan(k):
-        index._workspace.clear()
-        tracer = enable_tracing()
-        try:
-            index.search(queries, k, nprobe=4)
-        finally:
-            disable_tracing()
-        (span,) = [s for root in tracer.roots for s in root.find_all("ivf_scan")]
-        return span.attrs, set(index._workspace._buffers)
-
-    attrs, taken = scan(1)
+    attrs, taken, _ = scan_buffers(index, queries, 1, 1)
     assert attrs["strategy"] == "sparse" and attrs["reduced"] is True
-    assert "sparse_buf" not in taken
-    attrs, taken = scan(2)
+    assert {"cell_tiles", "cell_windows"} <= taken and "slot_tiles" not in taken
+    attrs, taken, _ = scan_buffers(index, queries, 2, 1)
     assert attrs["strategy"] == "sparse" and attrs["reduced"] is False
-    assert "sparse_buf" in taken
+    assert {"cell_tiles", "cell_windows", "slot_tiles"} <= taken
 
 
 def test_gather_codec_takes_the_one_selector():
@@ -514,8 +596,8 @@ def test_an_index_without_deletes_never_builds_the_position_map():
 
 def test_masked_k1_sparse_scan_stays_a_reduction():
     """Structural guard: masking does not push the nearest-neighbour scan
-    back onto the padded candidate buffer — still ``reduced``, still no
-    ``sparse_buf`` — and a full-probe dense scan is handed no probe order
+    onto the slot-major candidate buffer — still ``reduced``, still no
+    ``slot_tiles`` — and a full-probe dense scan is handed no probe order
     yet reports the whole index as its work."""
     rng = np.random.default_rng(11)
     data = rng.normal(size=(400, NN_DIM)).astype(np.float32)
@@ -523,23 +605,13 @@ def test_masked_k1_sparse_scan_stays_a_reduction():
     index.train(data)
     index.add(data)
     queries = data[:8]
-    _, winners = index.search(queries, 1, nprobe=4)
+    _, winners = index.search(queries, 1, nprobe=1)
 
-    def scan(k, nprobe, dead):
-        index._workspace.clear()
-        tracer = enable_tracing()
-        try:
-            _, ids = index.search(queries, k, nprobe=nprobe, dead=dead)
-        finally:
-            disable_tracing()
-        (span,) = [s for root in tracer.roots for s in root.find_all("ivf_scan")]
-        return span.attrs, set(index._workspace._buffers), ids
-
-    attrs, taken, ids = scan(1, 4, winners[:, 0])
+    attrs, taken, ids = scan_buffers(index, queries, 1, 1, winners[:, 0])
     assert attrs["strategy"] == "sparse" and attrs["reduced"] is True
-    assert "sparse_buf" not in taken
+    assert "cell_tiles" in taken and "slot_tiles" not in taken
     assert not np.isin(ids, winners).any() and (ids >= 0).all()
     for dead in (None, winners[:, 0]):
-        attrs, _, _ = scan(5, NN_NLIST, dead)
+        attrs, _, _ = scan_buffers(index, queries, 5, NN_NLIST, dead)
         assert attrs["strategy"] == "dense" and attrs["reduced"] is False
         assert attrs["pair_work"] == len(queries) * len(data)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import HermesConfig
 from repro.core.clustering import cluster_datastore, split_datastore_evenly
+from tests.oracles import kmeans_reference
 
 
 class TestClusteredDatastore:
@@ -184,8 +185,8 @@ class TestBuildQualityParity:
         with monkeypatch.context() as patch:
             # The split, the seed sweep and the shard coarse centroids (sq8
             # codebooks need no k-means) all train on the reference Lloyd's.
-            patch.setattr(km, "train_kmeans", km.kmeans_reference)
-            patch.setattr(ivf, "train_kmeans", km.kmeans_reference)
+            patch.setattr(km, "train_kmeans", kmeans_reference)
+            patch.setattr(ivf, "train_kmeans", kmeans_reference)
             ref_inertia, ref_recall = build(replace(config, build_workers=1))
         if minibatch_threshold is not None:
             monkeypatch.setattr(km, "MINIBATCH_THRESHOLD", minibatch_threshold)

@@ -12,6 +12,7 @@ from repro.core.hierarchical import (
 from repro.core.router import CentroidRouter
 from repro.metrics.ndcg import ndcg
 from repro.metrics.recall import recall_at_k
+from tests.oracles import ivf_search_reference
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +149,7 @@ class TestParallelFanout:
             hit_q, hit_slot = np.nonzero(clusters == shard.shard_id)
             if not len(hit_q):
                 continue
-            dists, local = shard.index.search_reference(q[hit_q], k, nprobe=nprobe)
+            dists, local = ivf_search_reference(shard.index, q[hit_q], k, nprobe=nprobe)
             ids = np.where(local >= 0, shard.global_ids[local], -1)
             for row, slot, d_row, i_row in zip(hit_q, hit_slot, dists, ids):
                 cand_d[row, slot * k : (slot + 1) * k] = d_row

@@ -1,0 +1,178 @@
+"""Slow reference implementations the fast paths are held to.
+
+None of this is product code: each function is the straightforward version
+of something ``src/repro`` does fast, kept so a test can compare the two.
+
+- :func:`ivf_search_reference` — query-major IVF search: per query, decode
+  every probed cell, concatenate, one decode-then-GEMM top-k. Oracle of
+  ``tests/ann/test_search_equivalence.py`` and the hierarchical searcher's
+  reference path.
+- :func:`sparse_scan_oracle` — the sparse IVF scan as a per-(query, probed
+  cell) loop of ``adc_distances`` calls with the deleted-row mask, against
+  which the cell-grouped kernel is held (``tests/ann/test_sparse_scan.py``).
+- :func:`kmeans_reference` — Lloyd's with the full distance matrix and
+  ``np.add.at`` scatter adds: the quality-parity baseline of ``train_kmeans``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.ann.distances import as_matrix, pairwise_distance, top_k
+from repro.ann.kmeans import KMeansResult, _kmeanspp_init, _validate_problem
+
+
+def _probe_order(index, queries, nprobe):
+    """The IVF scan's coarse ranking: each query's probed cells, nearest first."""
+    probe = min(index.nprobe if nprobe is None else int(nprobe), index.nlist)
+    _, cells = top_k(pairwise_distance(queries, index.centroids, "l2"), probe)
+    return cells
+
+
+def ivf_search_reference(index, queries, k, *, nprobe=None):
+    """Query-major search over decoded vectors (no ADC, no batching).
+
+    Per query: decode every probed cell (cached per call), concatenate the
+    candidates in probe order and run one decode-then-GEMM stable top-k.
+    """
+    if not index.is_trained:
+        raise RuntimeError("IVFIndex must be trained before search_reference()")
+    q = as_matrix(queries)
+    k = int(k)
+    nq = len(q)
+    out_d = np.full((nq, k), np.inf, dtype=np.float32)
+    out_i = np.full((nq, k), -1, dtype=np.int64)
+    if index.ntotal == 0:
+        return out_d, out_i
+    decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for qi, cells in enumerate(_probe_order(index, q, nprobe)):
+        cand_vecs, cand_ids = [], []
+        for cell in cells.tolist():
+            if cell not in decoded:
+                decoded[cell] = index.cell_vectors(cell)
+            vecs, ids = decoded[cell]
+            if len(ids):
+                cand_vecs.append(vecs)
+                cand_ids.append(ids)
+        if not cand_vecs:
+            continue
+        vecs = np.concatenate(cand_vecs, axis=0)
+        ids = np.concatenate(cand_ids)
+        d_row, order = top_k(pairwise_distance(q[qi : qi + 1], vecs, index.metric), k)
+        out_d[qi] = d_row[0]
+        valid = order[0] >= 0
+        out_i[qi, valid] = ids[order[0][valid]]
+    return out_d, out_i
+
+
+def sparse_scan_oracle(index, queries, k, *, nprobe, dead=None):
+    """The sparse scan, one ``adc_distances`` call per (query, probed cell).
+
+    Same coarse ranking, same shifted ADC arithmetic per cell, deleted rows
+    (local ids) set to ``inf`` before selection, candidates laid out in probe
+    order and selected by the stable ``top_k`` — then the per-query bias and
+    the L2 clamp, as the scan applies them. Returns ``(distances, ids)``.
+    """
+    quantizer = index.quantizer
+    q = as_matrix(queries)
+    nq = len(q)
+    out_d = np.full((nq, k), np.inf, dtype=np.float32)
+    out_i = np.full((nq, k), -1, dtype=np.int64)
+    if index.ntotal == 0:
+        return out_d, out_i
+    dead = set() if dead is None else set(np.asarray(dead).tolist())
+    table = quantizer.adc_table(q, index.metric)
+    wants_norms = quantizer.needs_code_sqnorms(index.metric)
+    for qi, cells in enumerate(_probe_order(index, q, nprobe)):
+        cand_d, cand_i = [], []
+        for cell in cells.tolist():
+            codes, ids = index.cell_codes(cell)
+            if not len(ids):
+                continue
+            d = quantizer.adc_distances(
+                table,
+                codes,
+                rows=np.array([qi]),
+                code_sqnorms=quantizer.code_sqnorms(codes) if wants_norms else None,
+                shifted=True,
+            )[0].copy()
+            d[[j for j, i in enumerate(ids.tolist()) if i in dead]] = np.inf
+            cand_d.append(d)
+            cand_i.append(ids)
+        if not cand_d:
+            continue
+        d_row, order = top_k(np.concatenate(cand_d)[np.newaxis, :], k)
+        ids = np.concatenate(cand_i)
+        valid = np.isfinite(d_row[0])
+        out_d[qi] = d_row[0]
+        out_i[qi, valid] = ids[order[0][valid]]
+    bias = table.get("bias")
+    if bias is not None:
+        out_d += bias[:, np.newaxis]
+    if index.metric == "l2":
+        np.maximum(out_d, 0.0, out=out_d)
+    out_d[out_i < 0] = np.inf
+    return out_d, out_i
+
+
+def kmeans_reference(
+    vectors: np.ndarray,
+    k: int,
+    *,
+    seed: int = 0,
+    max_iter: int = 25,
+    tol: float = 1e-4,
+) -> KMeansResult:
+    """Pre-optimisation Lloyd's, the quality-parity baseline.
+
+    Materialises the full ``(n, k)`` distance matrix per iteration and
+    accumulates the M-step with ``np.add.at`` scatter adds — the
+    implementation the fast build path replaced. Same k-means++ seeding as
+    ``repro.ann.kmeans``, so the two start from the same centroids.
+    """
+    vecs = as_matrix(vectors)
+    _validate_problem(vecs, k)
+    n = len(vecs)
+    rng = np.random.default_rng(seed)
+    centroids = _kmeanspp_init(vecs, k, rng)
+
+    assignments = np.zeros(n, dtype=np.int64)
+    inertia = np.inf
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        dists = pairwise_distance(vecs, centroids, "l2")
+        assignments = dists.argmin(axis=1)
+        point_cost = dists[np.arange(n), assignments]
+        new_inertia = float(point_cost.sum())
+
+        counts = np.bincount(assignments, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, vecs)
+        empties = np.flatnonzero(counts == 0)
+        if len(empties):
+            worst = np.argsort(point_cost)[::-1]
+            for slot, point in zip(empties, worst):
+                centroids[slot] = vecs[point]
+            nonempty = counts > 0
+            centroids[nonempty] = sums[nonempty] / counts[nonempty, np.newaxis]
+        else:
+            centroids = sums / counts[:, np.newaxis]
+
+        converged = (
+            np.isfinite(inertia) and inertia - new_inertia <= tol * max(inertia, 1.0)
+        )
+        if converged and not len(empties):
+            inertia = new_inertia
+            break
+        inertia = new_inertia
+
+    dists = pairwise_distance(vecs, centroids, "l2")
+    assignments = dists.argmin(axis=1)
+    inertia = float(dists[np.arange(n), assignments].sum())
+    return KMeansResult(
+        centroids=centroids.astype(np.float32),
+        assignments=assignments,
+        inertia=inertia,
+        n_iter=n_iter,
+        seed=seed,
+    )

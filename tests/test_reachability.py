@@ -48,9 +48,6 @@ ALLOWLIST = {
     # canonical structure-only form of a span tree; tests/obs/
     # test_trace_golden.py holds every traced path to its golden skeleton
     "repro.obs.trace:trace_skeleton": REFERENCE,
-    # the pre-optimisation Lloyd's; tests/ann/test_kmeans.py and tests/core/
-    # test_clustering.py::TestBuildQualityParity hold train_kmeans to it
-    "repro.ann.kmeans:kmeans_reference": REFERENCE,
     "repro.serving.faults:TransientFault": FAULT_MODEL,
     "repro.serving.faults:OutageWindow": FAULT_MODEL,
     "repro.serving.faults:Straggler": FAULT_MODEL,
