@@ -33,6 +33,10 @@ from .distances import top_k
 from .kmeans import assign_to_centroids
 
 
+def _invalid(field: str, problem: str) -> ValueError:
+    return ValueError(f"invalid delta state: {field} {problem}")
+
+
 class DeltaIndex:
     """Flat brute-force memtable over one shard's recent inserts.
 
@@ -64,12 +68,32 @@ class DeltaIndex:
 
         Row order is preserved exactly — it *is* the local-id order — so a
         reloaded shard merges and tie-breaks identically to the one saved.
+        The state comes from disk, so it is checked against *sealed* first:
+        a violation raises ``ValueError`` naming the sidecar field — codes
+        that are not the rows ``quantizer.encode`` returns (its dtype,
+        ``quantizer.code_size()`` bytes wide), a codes / cells length
+        mismatch, or a cell outside ``[0, nlist)``.
         """
         delta = cls(sealed)
-        if len(codes):
-            delta._frag_codes.append(np.ascontiguousarray(codes, dtype=np.uint8))
-            delta._frag_cells.append(np.asarray(cells, dtype=np.int64))
-            delta.ntotal = len(codes)
+        codes = np.asarray(codes)
+        cells = np.asarray(cells)
+        if cells.ndim != 1 or len(cells) != len(codes):
+            raise _invalid("delta_cells", f"has shape {cells.shape} for {len(codes)} codes")
+        if not len(codes):
+            return delta
+        encoded = delta.quantizer.encode(np.zeros((1, delta.dim), dtype=np.float32))
+        if codes.ndim != 2 or codes.dtype != encoded.dtype or codes.shape[1:] != encoded.shape[1:]:
+            raise _invalid(
+                "delta_codes",
+                f"are {codes.dtype} of shape {codes.shape}; the quantizer encodes "
+                f"{encoded.dtype} rows of {delta.quantizer.code_size()} bytes",
+            )
+        nlist = len(delta.centroids)
+        if cells.min() < 0 or cells.max() >= nlist:
+            raise _invalid("delta_cells", f"fall outside [0, {nlist})")
+        delta._frag_codes.append(np.ascontiguousarray(codes))
+        delta._frag_cells.append(cells.astype(np.int64))
+        delta.ntotal = len(codes)
         return delta
 
     def snapshot(self) -> "DeltaIndex":

@@ -89,7 +89,7 @@ class SealedLists:
     codec's levels stored dimension-major (``(dim, n + widest cell)``, in the
     codec's dtype: :meth:`Quantizer.scan_operand`) — the one array both scan
     kernels multiply against. It is derived from ``codes``, so it is never
-    exported: a loaded index or a process-pool worker derives its own. So is
+    exported: a loaded index derives its own. So is
     ``positions``, the local id → storage row map (the inverse of ``ids``) a
     scan masking deleted rows looks them up in: an index nothing was ever
     deleted from never builds it.
@@ -359,9 +359,9 @@ class IVFIndex(VectorIndex):
     def export_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The trained index as ``(header, named arrays)``, norms warm.
 
-        The one serialised form of an index: ``.npz`` persistence writes it,
-        the process pool ships it through shared memory, and
-        :meth:`from_state` rebuilds an index that searches bit-identically.
+        The one serialised form of an index: ``.npz`` persistence writes it
+        and :meth:`from_state` rebuilds an index that searches
+        bit-identically.
         The arrays are the published record's own (not copies). The scan
         operand is derived state the reader rebuilds, so it is neither
         exported nor built here.
@@ -396,7 +396,7 @@ class IVFIndex(VectorIndex):
         """Rebuild an index from :meth:`export_state` output, validating it.
 
         *arrays* is any mapping of names to arrays (an open ``.npz``, or
-        read-only shared-memory views — nothing here writes to them). The
+        read-only views — nothing here writes to them). The
         state comes from outside the process, so every cross-field invariant
         the scans rely on is checked; a violation raises ``ValueError``
         naming the field. Arrays not read here are ignored (see

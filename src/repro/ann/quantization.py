@@ -74,8 +74,8 @@ class Quantizer(abc.ABC):
     def export_state(self) -> tuple[str, dict[str, np.ndarray]]:
         """The trained codec as ``(JSON spec, named arrays)``.
 
-        :func:`restore_quantizer` is the inverse; index persistence and the
-        shared-memory process pool both carry codecs in this form.
+        :func:`restore_quantizer` is the inverse; index persistence carries
+        codecs in this form.
         """
         raise TypeError(f"cannot serialize quantizer type {type(self).__name__}")
 

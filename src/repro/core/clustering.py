@@ -60,19 +60,9 @@ class Shard(Protocol):
         """Live documents."""
 
     def search(
-        self, queries: np.ndarray, k: int, *, nprobe: "int | None" = None, sealed=None
+        self, queries: np.ndarray, k: int, *, nprobe: "int | None" = None
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Top-``k`` ``(distances, global_ids)`` per query.
-
-        ``sealed``, when given, stands in for the scan of the sealed index: a
-        callable ``(queries, k, nprobe, dead, generation) -> (distances,
-        global_ids)`` — how the searcher routes that half through its
-        worker-process pool. ``dead`` are the sealed rows (local ids) the
-        scan must leave out and ``generation`` names the sealed storage they
-        index; a callable holding another generation's storage returns
-        ``None`` and the shard scans its own. A wrapper passes ``sealed``
-        through to the shard it wraps.
-        """
+        """Top-``k`` ``(distances, global_ids)`` per query."""
 
     def insert(self, vectors: np.ndarray, global_ids: np.ndarray) -> None: ...
 
@@ -85,8 +75,7 @@ class Shard(Protocol):
 
     # -- storage: read, never written, by the datastore's accounting
     # (``delta_rows``, ``memory_bytes``, ``reconstruct_vectors``,
-    # ``live_vectors``), persistence (``core.store_io``) and the process
-    # pool's export (``ann.parallel``) ---------------------------------------
+    # ``live_vectors``) and persistence (``core.store_io``) ------------------
     index: IVFIndex
     #: local id -> global id: sealed rows first, then delta rows
     global_ids: np.ndarray
@@ -119,8 +108,8 @@ class IndexShard:
     index: IVFIndex
     global_ids: np.ndarray
     centroid: np.ndarray
-    #: bumped by every compaction — the signal that sealed storage (and
-    #: therefore any exported process-pool view of it) has been replaced.
+    #: bumped by every compaction — the signal that sealed storage has been
+    #: replaced.
     generation: int = 0
     delta: DeltaIndex | None = None
     #: local ids (spanning sealed + delta rows) deleted since the last
@@ -268,8 +257,8 @@ class IndexShard:
         with get_tracer().span(
             "compact",
             shard=int(self.shard_id),
-            sealed=sealed_n,
-            delta=delta_n,
+            sealed_rows=sealed_n,
+            delta_rows=delta_n,
             tombstones=len(tomb),
         ):
             codes_by_local, cells_by_local = sealed.rows_by_local_id()
@@ -314,7 +303,6 @@ class IndexShard:
         k: int,
         *,
         nprobe: int | None = None,
-        sealed=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k within this shard, with ids translated to global ids.
 
@@ -322,15 +310,6 @@ class IndexShard:
         scan-time mask (:meth:`IVFIndex.search` / :meth:`DeltaIndex.search`
         ``dead=``): each side returns its ``k`` best *live* rows, so nothing
         is over-fetched and nothing is filtered afterwards.
-
-        ``sealed`` optionally stands in for the sealed-index scan: a callable
-        ``(queries, k, nprobe, dead, generation) -> (distances, global_ids)``
-        — the hook the hierarchical searcher uses to run that half (mask
-        included) in its process pool, while the snapshot and the merge below
-        stay identical across worker modes. It is handed the snapshot's
-        ``generation`` and returns ``None`` when the storage it holds was
-        exported at another one (a compaction landed in between); the
-        snapshot's own index is scanned instead.
 
         Merge contract: sealed candidates occupy the left columns and delta
         candidates the right, so the stable :func:`top_k` resolves exact
@@ -346,7 +325,6 @@ class IndexShard:
         with self._lock:
             index = self.index
             gids = self.global_ids
-            generation = self.generation
             dead_sealed = self._dead_sealed
             dead_delta = self._dead_delta
             delta = (
@@ -354,15 +332,10 @@ class IndexShard:
                 if self.delta is not None and self.delta.ntotal
                 else None
             )
-        answer = None
-        if sealed is not None:
-            answer = sealed(queries, k, nprobe, dead_sealed, generation)
-        if answer is None:
-            dists, local = index.search(queries, k, nprobe=nprobe, dead=dead_sealed)
-            answer = dists, _to_global(local, gids)
+        s_d, local = index.search(queries, k, nprobe=nprobe, dead=dead_sealed)
+        s_g = _to_global(local, gids)
         if delta is None:
-            return answer
-        s_d, s_g = answer
+            return s_d, s_g
         d_d, pos = delta.search(queries, k, dead=dead_delta)
         d_g = _to_global(pos, gids[index.ntotal :])
         if k == 1:
@@ -442,8 +415,7 @@ class ClusteredDatastore:
     #: result-preserving by the mutation-equivalence contract and does NOT
     #: bump it (cached answers stay valid); the per-shard
     #: ``IndexShard.generation`` is what moves on compaction — the signal
-    #: that sealed storage (and any exported process-pool view of it) was
-    #: replaced.
+    #: that sealed storage was replaced.
     mutations: int = 0
 
     def __post_init__(self) -> None:

@@ -54,12 +54,6 @@ class HermesConfig:
     #: Threads for shard builds / seed-sweep trials (None = one per task up
     #: to the host CPUs). Does not change results, only wall-clock.
     build_workers: int | None = None
-    #: Deep-search fan-out backend: "thread" scans routed shards on a thread
-    #: pool in-process; "process" ships each shard search to a persistent
-    #: worker-process pool over shared-memory shard views (results are
-    #: bit-identical either way; a crashed worker degrades the query like a
-    #: crashed replica instead of hanging it).
-    search_workers_mode: str = "thread"
 
     def __post_init__(self) -> None:
         if self.n_clusters <= 0:
@@ -81,8 +75,3 @@ class HermesConfig:
             raise ValueError("kmeans_subset_fraction must be in (0, 1]")
         if self.build_workers is not None and self.build_workers <= 0:
             raise ValueError("build_workers must be positive (or None for auto)")
-        if self.search_workers_mode not in ("thread", "process"):
-            raise ValueError(
-                "search_workers_mode must be 'thread' or 'process', "
-                f"got {self.search_workers_mode!r}"
-            )

@@ -38,8 +38,9 @@ propagates wrapped in :class:`~repro.core.errors.ShardSearchError` carrying
 the shard id and routed query count.
 
 Every deep search is a ``search`` call on the object in
-``datastore.shards``, in thread and in process mode alike, so whatever wraps
-a shard — fault models, replica failover, instrumentation — sees it.
+``datastore.shards``, inline or on the ``max_workers`` thread pool alike, so
+whatever wraps a shard — fault models, replica failover, instrumentation —
+sees it.
 """
 
 from __future__ import annotations
@@ -376,7 +377,6 @@ class HierarchicalSearcher:
         router: ClusterRouter | None = None,
         config: HermesConfig | None = None,
         max_workers: int | None = None,
-        workers_mode: str | None = None,
         policy: RetrievalPolicy | None = None,
         health: ShardHealth | None = None,
         tracer: "Tracer | None" = None,
@@ -389,15 +389,6 @@ class HierarchicalSearcher:
         self.config = config or datastore.config
         self.router = router if router is not None else SampledRouter()
         self.max_workers = max_workers
-        if workers_mode is None:
-            workers_mode = self.config.search_workers_mode
-        if workers_mode not in ("thread", "process"):
-            raise ValueError(
-                f"workers_mode must be 'thread' or 'process', got {workers_mode!r}"
-            )
-        self.workers_mode = workers_mode
-        #: lazily started process pool (``workers_mode="process"`` only)
-        self._shard_pool = None
         self.policy = policy
         if health is None and policy is not None and policy.breaker_threshold is not None:
             health = ShardHealth(
@@ -412,53 +403,6 @@ class HierarchicalSearcher:
         # production uses the monotonic wall clock and real sleeps.
         self._clock = clock if clock is not None else time.perf_counter
         self._sleep = sleep if sleep is not None else time.sleep
-
-    # -- process-mode shard pool -------------------------------------------
-    def _ensure_shard_pool(self):
-        """Start (once) the worker-process pool backing process-mode search.
-
-        Startup warms every shard and copies its arrays into shared memory;
-        amortised over the searcher's lifetime, per-search traffic is then
-        just the query batch and the top-k block.
-
-        The exported arrays snapshot each shard's *sealed* storage, which
-        compaction replaces wholesale — so a stale pool (any shard's
-        ``generation`` moved since export) is torn down and rebuilt here.
-        A compaction can still land after this check; :meth:`_call_shard`
-        keeps such a shard's calls off the pool. Delta inserts and tombstones
-        do not invalidate the pool: tombstones ride along with each call as
-        the worker scan's mask, the delta is merged parent-side by
-        ``IndexShard.search``.
-        """
-        pool = self._shard_pool
-        if pool is not None and any(
-            pool.generations[int(s.shard_id)] != s.generation
-            for s in self.datastore.shards
-        ):
-            get_registry().counter(
-                "retrieval_pool_rebuilds_total",
-                "process shard pools rebuilt after a compaction generation change",
-            ).inc()
-            self.close()
-        if self._shard_pool is None:
-            from ..ann.parallel import ProcessShardPool
-
-            self._shard_pool = ProcessShardPool(
-                self.datastore.shards, workers=self.max_workers
-            )
-        return self._shard_pool
-
-    def close(self) -> None:
-        """Release the process pool (no-op in thread mode / if never started)."""
-        pool, self._shard_pool = self._shard_pool, None
-        if pool is not None:
-            pool.close()
-
-    def __enter__(self) -> "HierarchicalSearcher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- the search: validate → route → plan → run → merge -------------------
     def search(
@@ -503,7 +447,7 @@ class HierarchicalSearcher:
         The per-shard deep searches fan out over a thread pool (numpy's BLAS
         kernels release the GIL), mirroring the paper's one-index-per-node
         parallelism in wall-clock terms, iff the searcher was built with
-        ``max_workers`` or runs a process pool.
+        ``max_workers``; otherwise they run inline, one shard after another.
         """
         q = as_matrix(queries)
         k, m, nprobe = self.resolve_params(k, clusters_to_search, deep_nprobe)
@@ -666,13 +610,6 @@ class HierarchicalSearcher:
         self, batch: _Batch, tasks: "list[ShardTask]", deadline_at: "float | None"
     ) -> "list[ShardAnswer]":
         """Deep phase: every task through :meth:`_run_task`, inline or fanned out."""
-        # Pool first: starting (or rebuilding) it spends request budget, so
-        # the policy's deadline is what is left once the pool is up.
-        pool = (
-            self._ensure_shard_pool()
-            if self.workers_mode == "process" and tasks
-            else None
-        )
         policy = self._deep_policy(batch, deadline_at)
         executor: ThreadPoolExecutor | None = None
         if policy is not None and policy.needs_executor and tasks:
@@ -687,14 +624,11 @@ class HierarchicalSearcher:
             "deep_search", parent=batch.root, shards=len(tasks), nprobe=batch.nprobe
         ) as deep_span:
             run_one = lambda task: self._run_task(
-                batch, task, policy, executor, pool, deep_span
+                batch, task, policy, executor, deep_span
             )
             try:
-                # Process mode always fans out from threads: submissions to
-                # the worker pool are thread-safe and each blocks until its
-                # shard's result ships back, so threads overlap the shards.
-                if (self.max_workers is not None or pool is not None) and len(tasks) > 1:
-                    workers = min(self.max_workers or len(tasks), len(tasks))
+                if self.max_workers is not None and len(tasks) > 1:
+                    workers = min(self.max_workers, len(tasks))
                     with ThreadPoolExecutor(max_workers=workers) as threads:
                         answers = list(threads.map(run_one, tasks))
                 else:
@@ -706,40 +640,12 @@ class HierarchicalSearcher:
         self._observe_phase("deep", phase_start)
         return answers
 
-    def _call_shard(self, batch: _Batch, task: ShardTask, pool):
-        """The deep phase's one shard call.
-
-        In process mode the worker pool stands in for the shard's *sealed
-        scan* (the ``sealed=`` hook of :meth:`Shard.search`; it masks the
-        tombstoned rows it is handed and returns global ids) — the call
-        itself still goes to the object in ``datastore.shards``, so fault
-        models, replica failover and the shard's own snapshot and delta merge
-        run in this process either way and the two modes stay bit-identical,
-        before and after mutation. The pool answers only for the sealed
-        storage it exported: a shard compacted since then (its snapshot is of
-        another generation) gets ``None`` and scans its own index, for this
-        call — the next batch's :meth:`_ensure_shard_pool` rebuilds the pool.
-        """
-        sealed = None
-        if pool is not None:
-            sid = int(task.shard.shard_id)
-
-            def sealed(q, k, nprobe, dead, generation):
-                if pool.generations[sid] != generation:
-                    return None
-                return pool.search(sid, q, k, nprobe=nprobe, dead=dead)
-
-        return task.shard.search(
-            batch.queries[task.rows], batch.k, nprobe=batch.nprobe, sealed=sealed
-        )
-
     def _run_task(
         self,
         batch: _Batch,
         task: ShardTask,
         policy: "RetrievalPolicy | None",
         executor: "ThreadPoolExecutor | None",
-        pool,
         deep_span,
     ) -> ShardAnswer:
         """Run one shard's deep search to its final outcome — the one runner.
@@ -768,7 +674,9 @@ class HierarchicalSearcher:
             # hedges/stragglers); suppress their nested spans so no orphan
             # escapes into the tree after it closes.
             with tracer.suppressed() if executor is not None else nullcontext():
-                return self._call_shard(batch, task, pool)
+                return task.shard.search(
+                    batch.queries[task.rows], batch.k, nprobe=batch.nprobe
+                )
 
         with tracer.span(
             "shard_search",

@@ -45,6 +45,7 @@ _RETIRED_CONFIG_KEYS = (
     "kmeans_algorithm",
     "kmeans_batch_size",
     "quantizer_train_sample",
+    "search_workers_mode",
 )
 
 

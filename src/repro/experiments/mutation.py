@@ -102,69 +102,58 @@ def _churn_point(
     # Fractional accumulator: churn * batch < 1 at small batches; rounding
     # per batch would mutate nothing and leave the sweep vacuous.
     mut_acc = 0.0
-    try:
-        for b in range(n_batches):
-            mut_acc += churn * batch
-            n_mut = int(mut_acc)
-            mut_acc -= n_mut
-            if n_mut:
-                fresh = fresh_pool[pool_next : pool_next + n_mut]
-                pool_next += n_mut
-                datastore.add_documents(fresh)
-                inserted += len(fresh)
-                _, live_ids = datastore.live_vectors()
-                victims = rng.choice(live_ids, size=n_mut, replace=False)
-                datastore.delete_documents(victims)
-                deleted += len(victims)
-                deleted_ids.update(int(g) for g in victims)
-            peak_delta = max(peak_delta, datastore.delta_rows())
-            sub = queries[b * batch : (b + 1) * batch]
-            start = time.perf_counter()
-            searcher.search(sub, k=k, clusters_to_search=datastore.n_clusters)
-            live_times.append(time.perf_counter() - start)
+    for b in range(n_batches):
+        mut_acc += churn * batch
+        n_mut = int(mut_acc)
+        mut_acc -= n_mut
+        if n_mut:
+            fresh = fresh_pool[pool_next : pool_next + n_mut]
+            pool_next += n_mut
+            datastore.add_documents(fresh)
+            inserted += len(fresh)
+            _, live_ids = datastore.live_vectors()
+            victims = rng.choice(live_ids, size=n_mut, replace=False)
+            datastore.delete_documents(victims)
+            deleted += len(victims)
+            deleted_ids.update(int(g) for g in victims)
+        peak_delta = max(peak_delta, datastore.delta_rows())
+        sub = queries[b * batch : (b + 1) * batch]
+        start = time.perf_counter()
+        searcher.search(sub, k=k, clusters_to_search=datastore.n_clusters)
+        live_times.append(time.perf_counter() - start)
 
-        # Final live state: quality + integrity, then the compacted replay.
-        live_vecs, live_ids = datastore.live_vectors()
-        mono = MonolithicRetriever(live_vecs)
-        _, truth_pos = mono.ground_truth(queries, k)
-        truth = live_ids[truth_pos]
-        live = searcher.search(
-            queries, k=k, clusters_to_search=datastore.n_clusters
+    # Final live state: quality + integrity, then the compacted replay.
+    live_vecs, live_ids = datastore.live_vectors()
+    mono = MonolithicRetriever(live_vecs)
+    _, truth_pos = mono.ground_truth(queries, k)
+    truth = live_ids[truth_pos]
+    live = searcher.search(queries, k=k, clusters_to_search=datastore.n_clusters)
+    leaks = int(np.isin(live.ids, np.array(sorted(deleted_ids))).sum())
+    ndcg_live = ndcg(live.ids, truth)
+
+    compacted_shards = datastore.compact()
+    compacted = searcher.search(queries, k=k, clusters_to_search=datastore.n_clusters)
+    ndcg_compacted = ndcg(compacted.ids, truth)
+    identical = bool(np.array_equal(live.ids, compacted.ids))
+
+    compacted_times = []
+    for b in range(n_batches):
+        sub = queries[b * batch : (b + 1) * batch]
+        start = time.perf_counter()
+        searcher.search(sub, k=k, clusters_to_search=datastore.n_clusters)
+        compacted_times.append(time.perf_counter() - start)
+
+    # Every surviving insert must be findable by its own embedding.
+    inserted_misses = 0
+    if inserted:
+        survivors = np.setdiff1d(
+            np.arange(len(corpus.embeddings), len(datastore.assignments)),
+            np.array(sorted(deleted_ids)),
         )
-        leaks = int(np.isin(live.ids, np.array(sorted(deleted_ids))).sum())
-        ndcg_live = ndcg(live.ids, truth)
-
-        compacted_shards = datastore.compact()
-        compacted = searcher.search(
-            queries, k=k, clusters_to_search=datastore.n_clusters
-        )
-        ndcg_compacted = ndcg(compacted.ids, truth)
-        identical = bool(np.array_equal(live.ids, compacted.ids))
-
-        compacted_times = []
-        for b in range(n_batches):
-            sub = queries[b * batch : (b + 1) * batch]
-            start = time.perf_counter()
-            searcher.search(sub, k=k, clusters_to_search=datastore.n_clusters)
-            compacted_times.append(time.perf_counter() - start)
-
-        # Every surviving insert must be findable by its own embedding.
-        inserted_misses = 0
-        if inserted:
-            survivors = np.setdiff1d(
-                np.arange(len(corpus.embeddings), len(datastore.assignments)),
-                np.array(sorted(deleted_ids)),
-            )
-            if len(survivors):
-                probe = datastore.reconstruct_vectors()[survivors]
-                hits = searcher.search(
-                    probe, k=k, clusters_to_search=datastore.n_clusters
-                )
-                inserted_misses = int(
-                    (~(hits.ids == survivors[:, None]).any(axis=1)).sum()
-                )
-    finally:
-        searcher.close()
+        if len(survivors):
+            probe = datastore.reconstruct_vectors()[survivors]
+            hits = searcher.search(probe, k=k, clusters_to_search=datastore.n_clusters)
+            inserted_misses = int((~(hits.ids == survivors[:, None]).any(axis=1)).sum())
 
     p50_live = float(np.median(live_times) * 1e3)
     p50_compacted = float(np.median(compacted_times) * 1e3)

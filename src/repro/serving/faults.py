@@ -234,9 +234,7 @@ class FaultyShard:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def search(
-        self, queries: np.ndarray, k: int, *, nprobe: int | None = None, sealed=None
-    ):
+    def search(self, queries: np.ndarray, k: int, *, nprobe: int | None = None):
         with self._lock:
             idx = self._calls
             self._calls += 1
@@ -253,7 +251,7 @@ class FaultyShard:
             self.log.append(FaultEvent(idx, "delay" if delay > 0 else "ok", delay))
         if delay > 0:
             self.sleep(delay)
-        return self.inner.search(queries, k, nprobe=nprobe, sealed=sealed)
+        return self.inner.search(queries, k, nprobe=nprobe)
 
     @property
     def calls(self) -> int:

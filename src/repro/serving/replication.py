@@ -162,9 +162,7 @@ class ReplicaGroup:
                 "replicas re-admitted after consecutive probe successes",
             ).inc(shard=self.shard_id)
 
-    def search(
-        self, queries: np.ndarray, k: int, *, nprobe: int | None = None, sealed=None
-    ):
+    def search(self, queries: np.ndarray, k: int, *, nprobe: int | None = None):
         """Serve from the first replica that answers; fail over on ShardError."""
         order, probing = self._attempt_order()
         registry = get_registry()
@@ -172,9 +170,7 @@ class ReplicaGroup:
         try:
             for attempt, idx in enumerate(order):
                 try:
-                    result = self.replicas[idx].search(
-                        queries, k, nprobe=nprobe, sealed=sealed
-                    )
+                    result = self.replicas[idx].search(queries, k, nprobe=nprobe)
                 except ShardError as exc:
                     self._record_failure(idx, exc, idx in probing)
                     last_exc = exc

@@ -6,11 +6,11 @@ return exactly the ids a flat brute-force scan over the decoded *live*
 vectors (in insertion order, stable tie-break) would return — and the same
 ids must survive compaction and match a rebuild-from-scratch over the live
 set. Hypothesis drives random schedules across codecs and metrics; explicit
-tests cover duplicates, delete-then-reinsert, and thread/process parity.
+tests cover duplicates, delete-then-reinsert, and inline / threaded fan-out
+parity.
 """
 
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.ann.distances import pairwise_distance, top_k
 from repro.ann.ivf import IVFIndex
-from repro.ann.parallel import ProcessShardPool
 from repro.ann.quantization import make_quantizer
 from repro.core.clustering import IndexShard
 
@@ -393,31 +392,11 @@ class TestConcurrentMutation:
         assert_shard_matches_oracle(shard, oracle, queries)
 
 
-class _CompactsUnderTheDeepSearch:
-    """Shard stand-in: one compaction lands after the searcher has checked the
-    pool's generations (the deep phase is running) and before the shard takes
-    its snapshot."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.compacted = False
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def __len__(self):
-        return len(self._inner)
-
-    def search(self, queries, k, *, nprobe=None, sealed=None):
-        if sealed is not None and not self.compacted:
-            self.compacted = self._inner.compact()
-        return self._inner.search(queries, k, nprobe=nprobe, sealed=sealed)
-
-
 class TestWorkerModeParity:
-    """Thread and process deep-search paths must agree under mutation."""
+    """Inline and thread-pool deep searches must agree under mutation, and
+    neither may serve a tombstoned id, before or after a compaction."""
 
-    def test_thread_and_process_bit_identical_after_mutation(self):
+    def test_inline_and_threaded_bit_identical_after_mutation(self):
         for tombstones in ("sealed", "delta", "both"):
             self.check_parity(tombstones)
 
@@ -451,73 +430,25 @@ class TestWorkerModeParity:
             assert (dead < shard.index.ntotal).any() == (tombstones != "delta")
             assert (dead >= shard.index.ntotal).any() == (tombstones != "sealed")
 
-        threaded = HermesSearcher(datastore, config=config)
-        base = threaded.search(queries, k=5)
-        with HermesSearcher(
-            datastore, config=config, workers_mode="process"
-        ) as searcher:
-            result = searcher.search(queries, k=5)
-            np.testing.assert_array_equal(base.ids, result.ids)
-            np.testing.assert_array_equal(base.distances, result.distances)
-            assert not np.isin(result.ids, doomed).any()
-            assert (result.ids >= 0).all()
+        inline = HermesSearcher(datastore, config=config)
+        threaded = HermesSearcher(datastore, config=config, max_workers=2)
+        base = inline.search(queries, k=5)
+        result = threaded.search(queries, k=5)
+        np.testing.assert_array_equal(base.ids, result.ids)
+        np.testing.assert_array_equal(base.distances, result.distances)
+        assert not np.isin(result.ids, doomed).any()
+        assert (result.ids >= 0).all()
 
-            # Compaction bumps every mutated shard's generation; the process
-            # pool must rebuild its exported view and still agree.
-            generations = [s.generation for s in datastore.shards]
-            assert datastore.compact() > 0
-            assert [s.generation for s in datastore.shards] != generations
-            compacted = threaded.search(queries, k=5)
-            np.testing.assert_array_equal(base.ids, compacted.ids)
-            reloaded = searcher.search(queries, k=5)
-            np.testing.assert_array_equal(compacted.ids, reloaded.ids)
-            np.testing.assert_array_equal(compacted.distances, reloaded.distances)
-        threaded.close()
-
-    def test_compaction_between_pool_check_and_snapshot(self):
-        """Regression: the searcher compares shard generations to the pool's
-        once per batch, each shard snapshots later. A compaction in between
-        used to leave the ``sealed=`` hook scanning the pool's *old* arrays
-        while the shard merged with its *new* (empty) tombstones and no delta
-        — that batch served every deleted document its old storage ranked
-        first, and missed the inserts compaction had just folded in."""
-        from dataclasses import replace
-
-        from repro.core.clustering import cluster_datastore
-        from repro.core.config import HermesConfig
-        from repro.core.hierarchical import HermesSearcher
-        from repro.datastore.embeddings import make_corpus
-
-        corpus = make_corpus(800, n_topics=4, dim=DIM, seed=12)
-        config = HermesConfig(n_clusters=4, clusters_to_search=2, nlist=4)
-        datastore = cluster_datastore(corpus.embeddings, config)
-        rng = np.random.default_rng(13)
-        queries = corpus.embeddings[rng.choice(800, 8, replace=False)] * 1.01
-        threaded = HermesSearcher(datastore, config=config)
-        doomed = np.unique(threaded.search(queries, k=1).ids)
-        # Inserts that must be served: each query's own vector, scaled so it
-        # wins under the inner-product metric.
-        born = datastore.add_documents((queries * 2.0).astype(np.float32))
-        datastore.delete_documents(doomed)
-        want = threaded.search(queries, k=5)
-        assert not np.isin(want.ids, doomed).any()
-        np.testing.assert_array_equal(want.ids[:, 0], born)
-
-        racy = replace(
-            datastore, shards=[_CompactsUnderTheDeepSearch(s) for s in datastore.shards]
-        )
-        with HermesSearcher(racy, config=config, workers_mode="process") as searcher:
-            searcher._ensure_shard_pool()  # exported before the compactions
-            for batch in range(2):  # the racing batch, then a clean one
-                got = searcher.search(queries, k=5)
-                assert not np.isin(got.ids, doomed).any(), f"batch {batch}"
-                np.testing.assert_array_equal(got.ids, want.ids)
-                np.testing.assert_allclose(got.distances, want.distances, rtol=1e-5)
-            assert any(s.compacted for s in racy.shards)
-            assert [s.generation for s in datastore.shards] == [
-                int(s.compacted) for s in racy.shards
-            ]
-        threaded.close()
+        # Compaction bumps every mutated shard's generation and must not
+        # change an answer.
+        generations = [s.generation for s in datastore.shards]
+        assert datastore.compact() > 0
+        assert [s.generation for s in datastore.shards] != generations
+        compacted = inline.search(queries, k=5)
+        np.testing.assert_array_equal(base.ids, compacted.ids)
+        reloaded = threaded.search(queries, k=5)
+        np.testing.assert_array_equal(compacted.ids, reloaded.ids)
+        np.testing.assert_array_equal(compacted.distances, reloaded.distances)
 
 
 class TestNearestNeighbourOnLiveShard:
@@ -525,53 +456,24 @@ class TestNearestNeighbourOnLiveShard:
 
     Each side's scan masks its tombstoned rows before it selects, so the
     winner is the best *live* row straight away; it must be what the top-k
-    path returns in column 0 — bit for bit, it is the same scan — in thread
-    mode and with the sealed half (mask included) run by the process pool.
+    path returns in column 0 — bit for bit, it is the same scan.
     """
 
     NPROBE = 1  # of 6 cells: the sparse strategy, i.e. the k == 1 reduction
 
-    @staticmethod
-    @contextmanager
-    def searches(shard):
-        """``mode -> search(queries, k, nprobe)`` for both worker modes."""
-        with ProcessShardPool([shard], workers=1) as pool:
-
-            def sealed(q, k, probe, dead, generation):
-                assert generation == shard.generation == pool.generations[0]
-                return pool.search(0, q, k, nprobe=probe, dead=dead)
-
-            yield {
-                "thread": lambda q, k, probe: shard.search(q, k, nprobe=probe),
-                "process": lambda q, k, probe: shard.search(
-                    q, k, nprobe=probe, sealed=sealed
-                ),
-            }
-
     def assert_k1_is_column_zero(self, shard, oracle, queries):
-        with self.searches(shard) as modes:
-            results = {}
-            for mode, search in modes.items():
-                for nprobe in (self.NPROBE, NLIST):
-                    d1, i1 = search(queries, 1, nprobe)
-                    dk, ik = search(queries, 3, nprobe)
-                    np.testing.assert_array_equal(i1[:, 0], ik[:, 0])
-                    np.testing.assert_array_equal(d1[:, 0], dk[:, 0])
-                    np.testing.assert_array_equal(np.isfinite(d1), i1 >= 0)
-                    results[(mode, nprobe)] = (d1, i1)
-                # full probe is the regime the flat oracle describes
-                _, want_i = oracle.search(queries, 1)
-                assert_ids_match_up_to_duplicate_ties(
-                    results[(mode, NLIST)][1], want_i, oracle
-                )
-            for nprobe in (self.NPROBE, NLIST):
-                np.testing.assert_array_equal(
-                    results[("thread", nprobe)][1], results[("process", nprobe)][1]
-                )
-                np.testing.assert_array_equal(
-                    results[("thread", nprobe)][0], results[("process", nprobe)][0]
-                )
-        return results[("thread", self.NPROBE)]
+        results = {}
+        for nprobe in (self.NPROBE, NLIST):
+            d1, i1 = shard.search(queries, 1, nprobe=nprobe)
+            dk, ik = shard.search(queries, 3, nprobe=nprobe)
+            np.testing.assert_array_equal(i1[:, 0], ik[:, 0])
+            np.testing.assert_array_equal(d1[:, 0], dk[:, 0])
+            np.testing.assert_array_equal(np.isfinite(d1), i1 >= 0)
+            results[nprobe] = (d1, i1)
+        # full probe is the regime the flat oracle describes
+        _, want_i = oracle.search(queries, 1)
+        assert_ids_match_up_to_duplicate_ties(results[NLIST][1], want_i, oracle)
+        return results[self.NPROBE]
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_tombstoned_winner_is_replaced_by_the_next_live_row(self, metric):

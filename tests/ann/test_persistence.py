@@ -1,8 +1,4 @@
-"""Tests for index save/load round-trips and the one index state codec.
-
-Spawned pool workers re-import this module, so module scope stays
-import-safe.
-"""
+"""Tests for index save/load round-trips and the one index state codec."""
 
 import json
 
@@ -10,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.ann.ivf import IVFIndex
-from repro.ann.parallel import ProcessShardPool
 from repro.ann.persistence import load_index, save_ivf
 from repro.ann.quantization import make_quantizer
 from repro.core.clustering import IndexShard
@@ -98,21 +93,15 @@ def zoo(data):
     return {case: _shard(i, *case, data) for i, case in enumerate(cases)}
 
 
-@pytest.fixture(scope="module")
-def pool(zoo):
-    with ProcessShardPool(list(zoo.values()), workers=1) as pool:
-        yield pool
-
-
 class TestStateCodec:
     """``export_state`` / ``from_state`` is the only serialised form of an
-    index: the ``.npz`` file and the shared-memory pool are transports."""
+    index: the in-memory arrays and the ``.npz`` file are its transports."""
 
     @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_every_transport_searches_bit_identically(
-        self, zoo, pool, queries, tmp_path, scheme, metric, origin
+        self, zoo, queries, tmp_path, scheme, metric, origin
     ):
         shard = zoo[scheme, metric, origin]
         index = shard.index
@@ -131,10 +120,6 @@ class TestStateCodec:
             assert copy.compactions == before
             np.testing.assert_array_equal(got_i, want_i)
             np.testing.assert_array_equal(got_d, want_d)
-
-        pool_d, pool_g = pool.search(shard.shard_id, queries, 5)
-        np.testing.assert_array_equal(pool_g, shard.global_ids[want_i])
-        np.testing.assert_array_equal(pool_d, want_d)
 
     def test_rows_by_local_id_inverts_install_rows(self, zoo):
         index = zoo["pq8", "l2", "compacted"].index

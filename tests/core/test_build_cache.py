@@ -19,14 +19,13 @@ from repro.core.config import HermesConfig
 from repro.core.hierarchical import HermesSearcher
 
 #: Config fields the built artifact does not depend on: search-time knobs,
-#: the build thread count (bit-exact at any count) and the fan-out backend.
+#: and the build thread count (bit-exact at any count).
 SEARCH_AND_DEPLOYMENT_FIELDS = {
     "sample_nprobe",
     "clusters_to_search",
     "k",
     "rerank_top",
     "build_workers",
-    "search_workers_mode",
 }
 
 #: One legal value per build field that differs from the ``config`` fixture's.

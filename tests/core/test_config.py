@@ -52,10 +52,3 @@ class TestValidation:
     def test_custom_values_accepted(self):
         cfg = HermesConfig(n_clusters=4, clusters_to_search=2, k=10, rerank_top=3)
         assert cfg.n_clusters == 4
-
-    def test_search_workers_mode_validated(self):
-        assert HermesConfig(search_workers_mode="process").search_workers_mode == (
-            "process"
-        )
-        with pytest.raises(ValueError, match="search_workers_mode"):
-            HermesConfig(search_workers_mode="greenlet")

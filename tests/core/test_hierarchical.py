@@ -253,7 +253,7 @@ class _BoomShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None, sealed=None):
+    def search(self, queries, k, *, nprobe=None):
         raise RuntimeError("disk on fire")
 
 
@@ -321,14 +321,14 @@ class _TimedFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None, sealed=None):
+    def search(self, queries, k, *, nprobe=None):
         self.calls += 1
         self._clock.advance(self._busy_s)
         if self.calls == 1:
             from repro.core.errors import TransientShardError
 
             raise TransientShardError(self._inner.shard_id, "transient blip")
-        return self._inner.search(queries, k, nprobe=nprobe, sealed=sealed)
+        return self._inner.search(queries, k, nprobe=nprobe)
 
 
 class TestRetryLatencyAccounting:
@@ -413,7 +413,7 @@ class _AlwaysFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None, sealed=None):
+    def search(self, queries, k, *, nprobe=None):
         from repro.core.errors import TransientShardError
 
         self.calls += 1
@@ -517,50 +517,8 @@ class TestDeadlineBudget:
         assert exc.value.stage == "route"
         assert all(w.calls == 2 for w in timed)  # sampled once, never deep
 
-    def test_pool_startup_is_charged_to_the_budget(self, clustered, small_queries):
-        """Starting the process pool (spawned workers, shared-memory export)
-        happens inside the request: a budget it outlasts sheds at the route
-        stage instead of launching deep searches with a deadline already spent."""
-        from repro.core.errors import DeadlineExceededError
-
-        with HermesSearcher(clustered, workers_mode="process") as searcher:
-            with pytest.raises(DeadlineExceededError) as exc:
-                searcher.search(small_queries.embeddings, deadline_s=0.02)
-        assert exc.value.stage == "route"
-
     def test_generous_budget_leaves_results_intact(self, hermes, small_queries):
         base = hermes.search(small_queries.embeddings, k=5)
         timed = hermes.search(small_queries.embeddings, k=5, deadline_s=60.0)
         np.testing.assert_array_equal(timed.ids, base.ids)
         np.testing.assert_allclose(timed.distances, base.distances, rtol=1e-5)
-
-
-class TestProcessWorkersMode:
-    """workers_mode="process" fans deep searches out to a worker pool; the
-    transport must be invisible in the results."""
-
-    def test_process_mode_is_bit_identical_to_thread_mode(
-        self, clustered, small_queries
-    ):
-        q = small_queries.embeddings
-        base = HermesSearcher(clustered).search(q, k=5)
-        with HermesSearcher(clustered, workers_mode="process") as searcher:
-            assert searcher._shard_pool is None  # pool is lazy
-            result = searcher.search(q, k=5)
-            assert searcher._shard_pool is not None
-        np.testing.assert_array_equal(base.ids, result.ids)
-        np.testing.assert_array_equal(base.distances, result.distances)
-
-    def test_mode_defaults_from_config(self, clustered):
-        import dataclasses
-
-        cfg = dataclasses.replace(
-            HermesSearcher(clustered).config, search_workers_mode="process"
-        )
-        searcher = HermesSearcher(clustered, config=cfg)
-        assert searcher.workers_mode == "process"
-        searcher.close()  # no pool was ever spawned: close is a no-op
-
-    def test_invalid_mode_rejected(self, clustered):
-        with pytest.raises(ValueError, match="workers_mode"):
-            HierarchicalSearcher(clustered, workers_mode="fibers")

@@ -1,12 +1,11 @@
 """The shard surface, once: every stand-in for an ``IndexShard`` conforms.
 
 ``ClusteredDatastore.shards`` holds real shards or wrappers around them
-(fault injection, replica groups). The routers, the searcher, the datastore,
-persistence and the process pool use only the
-:class:`~repro.core.clustering.Shard` members, as plain attribute reads — so
-every wrapper must resolve each member, send writes through to the real shard
-(PR 14 fixed a centroid update that landed on the wrapper), and pass
-``search(..., sealed=)`` down to it (the process pool's way in).
+(fault injection, replica groups). The routers, the searcher, the datastore
+and persistence use only the :class:`~repro.core.clustering.Shard` members,
+as plain attribute reads — so every wrapper must resolve each member, send
+writes through to the real shard (PR 14 fixed a centroid update that landed
+on the wrapper), and hand searches to it.
 """
 
 import ast
@@ -98,12 +97,8 @@ def test_writes_land_on_the_real_shard(pair):
     assert shard.quiesce() is real.quiesce()
 
 
-def test_sealed_scan_override_reaches_the_real_shard(pair):
-    """The hook arrives at the real shard through every wrapper and is handed
-    that shard's snapshot: the sealed rows to mask (local ids) and the
-    generation of the storage they index. An answer is used as is; ``None``
-    (the hook's storage is from another generation) makes the shard scan its
-    own index."""
+def test_search_reaches_the_real_shard(pair):
+    """Every wrapper answers a search with the real shard's own masked scan."""
     shard, real = pair
     queries = np.random.default_rng(2).normal(size=(5, DIM)).astype(np.float32)
     _, winners = real.search(queries, 1, nprobe=4)
@@ -111,28 +106,9 @@ def test_sealed_scan_override_reaches_the_real_shard(pair):
     shard.delete(doomed)
     expected = real.search(queries, 3, nprobe=4)
     assert not np.isin(expected[1], doomed).any()
-    calls = []
-
-    def sealed(q, k, nprobe, dead, generation):
-        calls.append((len(q), k, nprobe, real.global_ids[dead].tolist(), generation))
-        return answer
-
-    seen = (5, 3, 4, doomed.tolist(), real.generation)
-    answer = (expected[0][:, ::-1], expected[1][:, ::-1])  # recognisably the hook's
-    got = shard.search(queries, 3, nprobe=4, sealed=sealed)
-    assert calls == [seen]
-    np.testing.assert_array_equal(got[0], answer[0])
-    np.testing.assert_array_equal(got[1], answer[1])
-
-    answer = None  # declined: the shard's own masked scan answers
-    got = shard.search(queries, 3, nprobe=4, sealed=sealed)
-    assert calls == [seen, seen]
+    got = shard.search(queries, 3, nprobe=4)
     np.testing.assert_array_equal(got[0], expected[0])
     np.testing.assert_array_equal(got[1], expected[1])
-
-    shard.compact()
-    shard.search(queries, 3, nprobe=4, sealed=sealed)
-    assert calls[2] == (5, 3, 4, [], real.generation) and real.generation == 1
 
 
 def test_no_defaulted_getattr_probes_for_the_surface():

@@ -62,19 +62,6 @@ class TestDatastoreRoundTrip:
                     assert ("code_sqnorms" in names) == norms
                     assert "code_radii" not in names
 
-    def test_workers_mode_config_round_trips(self, clustered, tmp_path):
-        import dataclasses
-
-        store = dataclasses.replace(
-            clustered,
-            config=dataclasses.replace(
-                clustered.config, search_workers_mode="process"
-            ),
-        )
-        save_datastore(store, tmp_path / "store")
-        loaded = load_datastore(tmp_path / "store")
-        assert loaded.config.search_workers_mode == "process"
-
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -82,6 +69,7 @@ class TestDatastoreRoundTrip:
             ("kmeans_algorithm", "auto"),
             ("kmeans_batch_size", 4096),
             ("quantizer_train_sample", 16_384),
+            ("search_workers_mode", "process"),
         ],
     )
     def test_manifest_from_before_sample_k_was_deleted_loads(
@@ -130,6 +118,57 @@ class TestMutationStateRoundTrip:
         reloaded = HermesSearcher(loaded).search(queries, k=5)
         assert np.array_equal(original.ids, reloaded.ids)
         assert np.array_equal(original.distances, reloaded.distances)
+
+    @pytest.mark.parametrize("quantization", ["flat", "sq4"])
+    def test_delta_codes_keep_the_codec_dtype(self, quantization, tmp_path):
+        # A flat codec's delta rows are float32: a restore that cast them to
+        # uint8 served other documents after a save / load.
+        corpus = make_corpus(800, n_topics=4, dim=32, seed=22)
+        store = cluster_datastore(
+            corpus.embeddings,
+            HermesConfig(
+                n_clusters=2, clusters_to_search=2, nlist=8, quantization=quantization
+            ),
+        )
+        fresh = np.random.default_rng(9).normal(size=(5, 32)).astype(np.float32)
+        store.add_documents(fresh)
+        save_datastore(store, tmp_path / "store")
+        loaded = load_datastore(tmp_path / "store")
+        for orig, back in zip(store.shards, loaded.shards):
+            if orig.delta is not None:
+                assert back.delta.codes.dtype == orig.delta.codes.dtype
+                np.testing.assert_array_equal(back.delta.codes, orig.delta.codes)
+        for k in (1, 5):
+            original = HermesSearcher(store).search(fresh, k=k)
+            reloaded = HermesSearcher(loaded).search(fresh, k=k)
+            np.testing.assert_array_equal(reloaded.ids, original.ids)
+            np.testing.assert_array_equal(reloaded.distances, original.distances)
+
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("delta_codes", lambda codes, cells: (codes[:, :-1], cells)),
+            ("delta_cells", lambda codes, cells: (codes, cells[:-1])),
+            ("delta_cells", lambda codes, cells: (codes, np.full_like(cells, 8))),
+        ],
+        ids=["code_width", "length", "cell_range"],
+    )
+    def test_corrupt_sidecar_names_the_field(
+        self, mutable_store, tmp_path, field, corrupt
+    ):
+        mutable_store.add_documents(
+            np.random.default_rng(11).normal(size=(6, 32)).astype(np.float32)
+        )
+        save_datastore(mutable_store, tmp_path / "store")
+        sidecar = next((tmp_path / "store").glob("mutation_*.npz"))
+        with np.load(sidecar) as data:
+            arrays = dict(data)
+        arrays["delta_codes"], arrays["delta_cells"] = corrupt(
+            arrays["delta_codes"], arrays["delta_cells"]
+        )
+        np.savez(sidecar, **arrays)
+        with pytest.raises(ValueError, match=field):
+            load_datastore(tmp_path / "store")
 
     def test_compacted_store_writes_no_sidecars(self, mutable_store, tmp_path):
         mutable_store.add_documents(

@@ -296,14 +296,13 @@ class TestDeterminism:
 
 class TestWrappersSeeEveryDeepSearch:
     """Fault injection and replica failover act on deep searches identically
-    in thread and process mode, on frozen and on mutated shards.
-
-    Regression: process mode used to hand a frozen shard's deep search
-    straight to the worker pool, past whatever wrapped the shard — the same
-    chaotic fleet lost a shard under threads and served clean under
-    processes, and replica groups never saw a deep search to fail over."""
+    inline and on the ``max_workers`` thread pool, on frozen and on mutated
+    shards: every deep search is a call on the wrapper in
+    ``datastore.shards``."""
 
     DIM = 16
+    #: the two fan-outs: one shard after another, and a thread pool
+    MODES = {"inline": None, "threaded": 2}
 
     @pytest.fixture(scope="class", params=["frozen", "mutated"])
     def fleet(self, request):
@@ -323,17 +322,17 @@ class TestWrappersSeeEveryDeepSearch:
     def test_crash_stop_degrades_in_both_worker_modes(self, fleet):
         datastore, queries = fleet
         seen = {}
-        for mode in ("thread", "process"):
+        for mode, workers in self.MODES.items():
             # Call 0 is shard 0's sampling probe; its deep search crashes.
             chaotic = FaultInjector(seed=0).wrap(datastore, {0: CrashStop(at_call=1)})
-            with HermesSearcher(
-                chaotic, policy=RetrievalPolicy(), workers_mode=mode
-            ) as searcher:
-                result = searcher.search(queries, k=5)
+            searcher = HermesSearcher(
+                chaotic, policy=RetrievalPolicy(), max_workers=workers
+            )
+            result = searcher.search(queries, k=5)
             seen[mode] = (result.failed_shards, chaotic.shards[0].calls)
             outcomes = {s.shard_id: s.outcome for s in result.shard_stats}
             assert outcomes == {0: "crashed", 1: "ok", 2: "ok", 3: "ok"}
-        assert seen["thread"] == seen["process"] == ((0,), 2)
+        assert seen["inline"] == seen["threaded"] == ((0,), 2)
 
     def test_replicas_fail_over_in_both_worker_modes(self, fleet):
         datastore, queries = fleet
@@ -346,12 +345,12 @@ class TestWrappersSeeEveryDeepSearch:
             return shard
 
         seen = {}
-        for mode in ("thread", "process"):
+        for mode, workers in self.MODES.items():
             replicated = replicate_datastore(
                 datastore, 2, wrap=kill_primary_after_probe
             )
-            with HermesSearcher(replicated, workers_mode=mode) as searcher:
-                result = searcher.search(queries, k=5)
+            searcher = HermesSearcher(replicated, max_workers=workers)
+            result = searcher.search(queries, k=5)
             groups = replica_groups(replicated)
             seen[mode] = (
                 result.failed_shards,
@@ -361,4 +360,4 @@ class TestWrappersSeeEveryDeepSearch:
             # Node death cost an attempt, not an answer.
             np.testing.assert_array_equal(result.ids, healthy.ids)
             np.testing.assert_array_equal(result.distances, healthy.distances)
-        assert seen["thread"] == seen["process"] == ((), [1] * 4, [(0,)] * 4)
+        assert seen["inline"] == seen["threaded"] == ((), [1] * 4, [(0,)] * 4)

@@ -36,11 +36,11 @@ class _FlakyReplica:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None, sealed=None):
+    def search(self, queries, k, *, nprobe=None):
         self.calls += 1
         if self.failing:
             raise self._exc(self._inner.shard_id)
-        return self._inner.search(queries, k, nprobe=nprobe, sealed=sealed)
+        return self._inner.search(queries, k, nprobe=nprobe)
 
 
 class TestReplicaGroup:

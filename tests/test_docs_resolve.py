@@ -18,7 +18,7 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 #: Back-ticked CamelCase names that are not ``src/repro`` code: stdlib or
 #: test-suite names a doc has reason to mention. At most five.
-ALLOWLIST = {"ValueError", "ProcessPoolExecutor", "TestBatchInsertOracle"}
+ALLOWLIST = {"ValueError", "TestBatchInsertOracle"}
 
 INLINE_CODE = re.compile(r"`([^`\n]+)`")
 #: ``tests/x.py::TestClass::test_name`` names a test, not ``repro`` code
