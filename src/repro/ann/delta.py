@@ -206,8 +206,9 @@ class DeltaIndex:
         if k == 1:
             # The sample search: a reduction, like the sealed scan's. The
             # first-occurrence argmin is the stable top_k's column 0.
-            out_i = dists.argmin(axis=1)[:, np.newaxis]
-            out_d = np.take_along_axis(dists, out_i, axis=1)
+            pos = dists.argmin(axis=1)
+            out_d = dists[np.arange(nq), pos][:, np.newaxis]
+            out_i = pos[:, np.newaxis]
         else:
             out_d, out_i = top_k(dists, k)
         out_i[~np.isfinite(out_d)] = -1  # masked rows picked for want of live ones

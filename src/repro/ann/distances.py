@@ -15,6 +15,8 @@ selection is metric-agnostic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Metrics accepted throughout :mod:`repro.ann`.
@@ -96,6 +98,26 @@ def pairwise_distance(queries: np.ndarray, points: np.ndarray, metric: str = "l2
     return -inner_product(queries, points)
 
 
+#: ``nq * n * log2(n)`` up to which one stable ``argsort`` beats threshold
+#: selection (:func:`selection`). Measured on a grid of nq 1..32 x n 24..768 x
+#: k 1 / 3 / 8 (one thread): the two cost the same at 4 600-7 600, e.g.
+#: n = 512 at nq = 1, n = 64 at nq = 16, n = 40-48 at nq = 32.
+_SORT_WORK = 6000
+
+#: Rows at least this long, and at least 64 k, bound the k-th value by
+#: block minima before thresholding (:func:`selection`); below 256 the
+#: extra pass costs more than the shorter partition saves.
+_BOUND_MIN_N = 256
+
+
+def selection(nq: int, n: int, k: int) -> str:
+    """Which exact selection :func:`top_k` runs on an ``(nq, n)`` matrix:
+    ``"sort"``, ``"threshold"`` or ``"bounded"`` (see there)."""
+    if k >= n or nq * n * math.log2(max(n, 2)) <= _SORT_WORK:
+        return "sort"
+    return "bounded" if n >= max(64 * k, _BOUND_MIN_N) else "threshold"
+
+
 def top_k(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Select the *k* smallest entries per row of a distance matrix.
 
@@ -103,39 +125,65 @@ def top_k(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ascending. When a row has fewer than *k* columns the result is padded with
     ``inf`` distances and ``-1`` indices, mirroring FAISS's convention.
 
-    Ties break by column index (stable): equal distances are returned in
-    ascending-index order, so every selection path — full sort and
-    partitioned sort — agrees on the exact id set for tied candidates (e.g.
-    duplicated vectors).
+    The result is exactly the prefix of ``np.argsort(distances, axis=1,
+    kind="stable")``: the same ids, values and tie order (equal distances in
+    ascending column order, NaN last), whichever of three selections the
+    matrix's shape picks (:func:`selection`):
+
+    - **sort** (short rows: ``nq * n * log2(n) <= 6000``, or ``k >= n``):
+      that stable argsort itself.
+    - **threshold**: the k-th smallest *value* per row (a value-only
+      partition), then every entry at or below it — at least k per row, more
+      only where a tie spans the cut — sorted by (row, value, column), each
+      row's first k kept.
+    - **bounded** (long rows: ``n >= max(64 k, 256)``): as threshold, but
+      the threshold is the k-th smallest of the row's ``w = n // 8`` strided
+      block minima (minimum ``j`` is over columns ``j, j + w, ..., j + 7w``).
+      Those k minima are entries of the row at distinct columns, so the
+      bound is at least the true k-th value: the candidate set can only
+      grow, never lose a winner, and the partition runs over an eighth of
+      the row.
+
+    A threshold that is NaN (a row with fewer than k non-NaN entries) leaves
+    fewer than k candidates; the matrix then takes the stable argsort.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     nq, n = distances.shape
     kk = min(k, n)
-    row = np.arange(nq)[:, np.newaxis]
-    if kk == n:
-        order = np.argsort(distances, axis=1, kind="stable")[:, :kk]
-        out_d = distances[row, order]
+    how = selection(nq, n, kk)
+    if how == "sort":
+        order, out_d = _sorted_prefix(distances, kk)
     else:
-        # The k-th smallest *value* per row (a value-only partition, about
-        # twice as fast as argpartition), then every entry at or below it:
-        # at least k per row, more only where a tie spans the cut. Sorting
-        # those few by (row, value, column) and keeping each row's first k
-        # is exactly the full stable sort's prefix.
-        kth = np.partition(distances, kk - 1, axis=1)[:, kk - 1]
+        if how == "bounded":
+            w = n // 8
+            minima = distances[:, : 8 * w].reshape(nq, 8, w).min(axis=1)
+            kth = np.partition(minima, kk - 1, axis=1)[:, kk - 1]
+        else:
+            kth = np.partition(distances, kk - 1, axis=1)[:, kk - 1]
         # 1-D nonzero: several times faster than the 2-D form.
         hit_r, hit_c = np.divmod(np.flatnonzero(distances <= kth[:, np.newaxis]), n)
-        hit_d = distances[hit_r, hit_c]
-        ranked = np.lexsort((hit_c, hit_d, hit_r))
         counts = np.bincount(hit_r, minlength=nq)
-        take = ranked[(np.cumsum(counts) - counts)[:, np.newaxis] + np.arange(kk)]
-        order, out_d = hit_c[take], hit_d[take]
+        if counts.min() < kk:
+            order, out_d = _sorted_prefix(distances, kk)
+        else:
+            hit_d = distances[hit_r, hit_c]
+            ranked = np.lexsort((hit_c, hit_d, hit_r))
+            take = ranked[(np.cumsum(counts) - counts)[:, np.newaxis] + np.arange(kk)]
+            order, out_d = hit_c[take], hit_d[take]
+    order = order.astype(np.int64, copy=False)
     if kk < k:
         pad_d = np.full((nq, k - kk), np.inf, dtype=out_d.dtype)
         pad_i = np.full((nq, k - kk), -1, dtype=np.int64)
         out_d = np.concatenate([out_d, pad_d], axis=1)
-        order = np.concatenate([order.astype(np.int64), pad_i], axis=1)
-    return out_d, order.astype(np.int64)
+        order = np.concatenate([order, pad_i], axis=1)
+    return out_d, order
+
+
+def _sorted_prefix(distances: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(columns, values)`` of each row's first *kk* in stable sort order."""
+    order = np.argsort(distances, axis=1, kind="stable")[:, :kk]
+    return order, np.take_along_axis(distances, order, axis=1)
 
 
 def normalize(vectors: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:

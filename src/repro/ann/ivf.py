@@ -42,7 +42,7 @@ import numpy as np
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .base import VectorIndex
-from .distances import pairwise_distance, top_k
+from .distances import as_matrix, squared_l2_into, top_k
 from .kmeans import assign_to_centroids, train_kmeans
 from .quantization import IdentityQuantizer, Quantizer, restore_quantizer
 from .workspace import Workspace
@@ -136,6 +136,26 @@ def _invalid(field: str, problem: str) -> ValueError:
     return ValueError(f"invalid IVF index state: {field} {problem}")
 
 
+def _probed_cells(cell_d: np.ndarray, probe: int) -> np.ndarray:
+    """``(nq, nlist)`` mask of each query's *probe* nearest cells.
+
+    The very set ``top_k(cell_d, probe)`` selects, without ranking it: the
+    cells at or below each row's probe-th smallest distance, when the next
+    one is strictly farther. A tie across the cut (or a NaN) takes the
+    stable ``top_k``'s cells instead.
+    """
+    nq, nlist = cell_d.shape
+    if probe == nlist:
+        return np.ones((nq, nlist), dtype=bool)
+    part = np.partition(cell_d, (probe - 1, probe), axis=1)
+    kth = part[:, probe - 1 : probe]
+    if (part[:, probe : probe + 1] > kth).all():
+        return cell_d <= kth
+    probed = np.zeros((nq, nlist), dtype=bool)
+    probed[np.arange(nq)[:, np.newaxis], top_k(cell_d, probe)[1]] = True
+    return probed
+
+
 class IVFIndex(VectorIndex):
     """Cluster-probed approximate k-NN search.
 
@@ -178,7 +198,7 @@ class IVFIndex(VectorIndex):
         self.nprobe = nprobe
         self.quantizer = quantizer if quantizer is not None else IdentityQuantizer(dim)
         self.train_seed = train_seed
-        self.centroids: np.ndarray | None = None
+        self.centroids = None
         # ``(codes, cells)`` fragments appended by add() since the last
         # compaction; their ids continue the sealed ids in append order.
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
@@ -193,6 +213,22 @@ class IVFIndex(VectorIndex):
         #: number of compaction passes run — a diagnostics counter used by
         #: the regression tests to prove steady-state searches don't rebuild.
         self.compactions = 0
+
+    @property
+    def centroids(self) -> np.ndarray | None:
+        """The ``(nlist, dim)`` coarse centroids cells are ranked by."""
+        return self._centroids
+
+    @centroids.setter
+    def centroids(self, centroids: np.ndarray | None) -> None:
+        # The coarse ranking's derived state, set with the centroids: their
+        # float32 matrix and squared norms, so a search ranks cells with one
+        # GEMM (the arithmetic of ``squared_l2``). Never exported.
+        self._centroids = centroids
+        self._coarse = None
+        if centroids is not None:
+            c = as_matrix(centroids, name="centroids")
+            self._coarse = (c, np.einsum("ij,ij->i", c, c))
 
     # -- training ----------------------------------------------------------
     def _train(self, vectors: np.ndarray) -> None:
@@ -576,15 +612,18 @@ class IVFIndex(VectorIndex):
             # A full probe (every deep search once nprobe >= nlist) scans
             # every cell for every query, and the dense kernel wins there: it
             # has no use for the cells' ranking, so none is computed.
-            probe_cells = None
+            probes = None
             pair_work = nq * n_codes
             strategy = "dense"
         else:
-            cell_d = pairwise_distance(q, self.centroids, "l2")
-            _, probe_cells = top_k(cell_d, probe)
-            pair_work = int((s.offsets[1:] - s.offsets[:-1])[probe_cells].sum())
+            # The dense scan needs only each query's *set* of probed cells;
+            # the sparse one also needs their order, ranked only if it runs.
+            cell_d = self._cell_distances(q, ws)
+            probed = _probed_cells(cell_d, probe)
+            pair_work = int(probed.sum(axis=0) @ np.diff(s.offsets))
             dense = advantage * pair_work >= nq * n_codes
             strategy = "dense" if dense else "sparse"
+            probes = probed if dense else top_k(cell_d, probe)[1]
         get_registry().counter(
             "ivf_scans_total", "IVF batched scans by strategy"
         ).inc(strategy=strategy)
@@ -597,18 +636,39 @@ class IVFIndex(VectorIndex):
             reduced=k == 1,
         ):
             scan = self._scan_dense if strategy == "dense" else self._scan_sparse
-            out_d, out_i, valid = scan(s, q, k, probe, probe_cells, table, ws, dead_rows)
+            out_d, out_i = scan(s, q, k, probe, probes, table, ws, dead_rows)
+        # A non-finite pick is a masked (dead, unprobed or pad) row chosen for
+        # want of live ones, or a pad column of ``top_k``: no result.
+        invalid = ~np.isfinite(out_d)
         bias = table.get("bias")
         if bias is not None:
             out_d += bias[:, np.newaxis]
         if self.metric == "l2":
             np.maximum(out_d, 0.0, out=out_d)
-        out_d[~valid] = np.inf
+        if invalid.any():
+            out_d[invalid] = np.inf
+            out_i[invalid] = -1
         ws.flush_stats()
         return out_d, out_i
 
-    def _scan_dense(self, s, q, k, probe, probe_cells, table, ws, dead_rows):
-        """Full-corpus kernel + probe mask; shifted distances, ids, validity."""
+    def _cell_distances(self, q, ws):
+        """Query-to-centroid squared L2, the coarse ranking's input.
+
+        The arithmetic of ``squared_l2(q, centroids)`` against the centroid
+        norms derived with the centroids, into workspace buffers.
+        """
+        centroids, norms = self._coarse
+        shape = (len(q), self.nlist)
+        return squared_l2_into(
+            q, centroids, np.einsum("ij,ij->i", q, q)[:, np.newaxis], norms,
+            ws.take("coarse_dists", shape), ws.take("coarse_gram", shape),
+        )
+
+    def _scan_dense(self, s, q, k, probe, probed, table, ws, dead_rows):
+        """Full-corpus kernel + probe mask: shifted distances and stored ids
+        (ids at non-finite distances are arbitrary; the caller drops them).
+        *probed* is the ``(nq, nlist)`` probed-cell mask, or ``None`` for a
+        full probe."""
         nq = len(q)
         dists = self.quantizer.adc_distances(
             table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws,
@@ -616,21 +676,17 @@ class IVFIndex(VectorIndex):
         )
         if dead_rows is not None:
             dists[:, dead_rows] = np.inf
-        if probe < self.nlist:
+        if probed is not None:
             # Unprobed cells to inf: a per-(query, cell) penalty, 0 or inf,
-            # stretched over each cell's run of columns. A full probe masks
-            # nothing, so it skips this (and was handed no probe order).
-            penalty = np.full((nq, self.nlist), np.inf, dtype=np.float32)
-            penalty[np.arange(nq)[:, np.newaxis], probe_cells] = 0.0
+            # stretched over each cell's run of columns.
+            penalty = np.where(probed, np.float32(0.0), np.float32(np.inf))
             dists += np.repeat(penalty, np.diff(s.offsets), axis=1)
         if k == 1:
-            pos = dists.argmin(axis=1)[:, np.newaxis]
-            out_d = np.take_along_axis(dists, pos, axis=1)
-        else:
-            out_d, pos = top_k(dists, k)
-        valid = np.isfinite(out_d)
-        out_i = np.where(valid, s.ids[np.clip(pos, 0, len(s.ids) - 1)], -1)
-        return out_d, out_i, valid
+            pos = dists.argmin(axis=1)
+            return dists[np.arange(nq), pos][:, np.newaxis], s.ids[pos][:, np.newaxis]
+        # top_k pads with column -1 past n_codes: any row, dropped as inf.
+        out_d, pos = top_k(dists, k)
+        return out_d, s.ids[pos]
 
     @staticmethod
     def _probe_groups(probe_cells):
@@ -692,7 +748,6 @@ class IVFIndex(VectorIndex):
             return (
                 np.full((nq, k), np.inf, dtype=np.float32),
                 np.full((nq, k), -1, dtype=np.int64),
-                np.zeros((nq, k), dtype=bool),
             )
         # Pair i (cell-major) is row row_of[i] of group group_of[i]'s tile.
         group_of = np.repeat(np.arange(len(cells)), counts)
@@ -737,11 +792,9 @@ class IVFIndex(VectorIndex):
             slot_pos[order] = lo[group_of] + best
             slot_d, slot_pos = slot_d.reshape(nq, probe), slot_pos.reshape(nq, probe)
             slot = slot_d.argmin(axis=1)
-            out_d = slot_d[rows, slot][:, np.newaxis]
-            valid = np.isfinite(out_d)
             # A query probing only empty cells keeps a position past the end.
             pos = np.minimum(slot_pos[rows, slot], len(s.ids) - 1)
-            return out_d, np.where(valid, s.ids[pos][:, np.newaxis], -1), valid
+            return slot_d[rows, slot][:, np.newaxis], s.ids[pos][:, np.newaxis]
         out_d, pos = top_k(buf.reshape(nq, probe * width), k)
         # Map winning buffer positions back to stored ids: position -> probe
         # slot -> cell -> CSR offset + within-cell rank.
@@ -749,9 +802,7 @@ class IVFIndex(VectorIndex):
         within = pos - slot_of * width
         cells_of = probe_cells[rows[:, np.newaxis], np.clip(slot_of, 0, probe - 1)]
         id_pos = offsets[cells_of] + within
-        valid = np.isfinite(out_d)
-        out_i = np.where(valid, s.ids[np.clip(id_pos, 0, len(s.ids) - 1)], -1)
-        return out_d, out_i, valid
+        return out_d, s.ids[np.clip(id_pos, 0, len(s.ids) - 1)]
 
     def search(
         self,

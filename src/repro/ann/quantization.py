@@ -214,12 +214,12 @@ class Quantizer(abc.ABC):
     def _decode(self, codes: np.ndarray) -> np.ndarray: ...
 
 
-def _fold_weights(w: np.ndarray, metric: str) -> np.ndarray:
+def _fold_weights(w: np.ndarray, metric: str, out: np.ndarray | None = None) -> np.ndarray:
     """The GEMM codecs' query weights with the distance's sign and scale
     folded in: ``-w`` for inner product, ``-2 w`` for L2. Negating or doubling
     one operand negates or doubles every partial sum exactly, so a scan needs
-    no per-tile sign/scale pass."""
-    return np.negative(w) if metric == "ip" else np.multiply(w, -2.0)
+    no per-tile sign/scale pass. ``out=w`` folds a scratch *w* in place."""
+    return np.negative(w, out=out) if metric == "ip" else np.multiply(w, -2.0, out=out)
 
 
 def _dim_major(levels: np.ndarray, dim: int, pad: int) -> np.ndarray:
@@ -463,16 +463,18 @@ class ScalarQuantizer(_GemmQuantizer):
         if not self.is_trained:
             raise RuntimeError(f"{type(self).__name__} must be trained before adc_table()")
         q = as_matrix(queries)
-        w = (q * self._scale).astype(np.float32)
-        b = (q @ self._vmin).astype(np.float32)
-        # Shifted distances are wf . L (+ |dec|^2 for L2), wf = -w or -2 w:
+        w = (q * self._scale).astype(np.float32, copy=False)
+        b = (q @ self._vmin).astype(np.float32, copy=False)
+        # Shifted distances are wf . L (+ |dec|^2 for L2), wf = -w or -2 w;
+        # w is this call's own array, so it is folded in place.
+        wf = _fold_weights(w, metric, out=w)
         if metric == "ip":
             # dist = -(q . dec) = -(w . L) - b
-            return {"metric": metric, "wf": _fold_weights(w, metric), "bias": -b}
+            return {"metric": metric, "wf": wf, "bias": np.negative(b, out=b)}
         # dist = |q|^2 - 2 (w . L + b) + |dec|^2
         #      = (|dec|^2 - 2 w . L) + (|q|^2 - 2 b)
-        qnorm = np.einsum("ij,ij->i", q, q).astype(np.float32)
-        return {"metric": metric, "wf": _fold_weights(w, metric), "bias": qnorm - 2.0 * b}
+        qnorm = np.einsum("ij,ij->i", q, q).astype(np.float32, copy=False)
+        return {"metric": metric, "wf": wf, "bias": qnorm - 2.0 * b}
 
 
 class ProductQuantizer(Quantizer):

@@ -80,7 +80,7 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
     from .metrics.ndcg import ndcg
 
     datastore = load_datastore(args.store)
-    dim = datastore.shards[0].index.dim
+    dim = datastore.dim
     # NDCG against brute force over the deployed (quantized) vectors; the
     # query topic geometry must match the build seed (same --seed/--topics).
     vectors = datastore.reconstruct_vectors()

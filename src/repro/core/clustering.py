@@ -354,9 +354,10 @@ class IndexShard:
 
 def _to_global(local: np.ndarray, gids: np.ndarray) -> np.ndarray:
     """Positional local ids -> global ids, keeping the ``-1`` padding."""
-    out = np.full_like(local, -1)
-    valid = local >= 0
-    out[valid] = gids[local[valid]]
+    if not len(gids):
+        return np.full_like(local, -1)
+    out = gids[local]  # a -1 reads the last id; the mask puts the -1 back
+    out[local < 0] = -1
     return out
 
 
@@ -432,6 +433,11 @@ class ClusteredDatastore:
     def ntotal(self) -> int:
         return sum(len(s) for s in self.shards)
 
+    @property
+    def dim(self) -> int:
+        """Vector dimensionality every shard stores."""
+        return self.shards[0].index.dim
+
     def sizes(self) -> np.ndarray:
         """Documents per shard."""
         return np.array([len(s) for s in self.shards], dtype=np.int64)
@@ -469,10 +475,8 @@ class ClusteredDatastore:
         are an offline maintenance action).
         """
         vecs = as_matrix(embeddings)
-        if vecs.shape[1] != self.shards[0].index.dim:
-            raise ValueError(
-                f"dim {vecs.shape[1]} != datastore dim {self.shards[0].index.dim}"
-            )
+        if vecs.shape[1] != self.dim:
+            raise ValueError(f"dim {vecs.shape[1]} != datastore dim {self.dim}")
         targets = assign_to_centroids(vecs, self.centroids(), "l2")
         # Ids are allocated from the full id space, not the live count —
         # after deletes the two differ and reusing a tombstoned id would
@@ -557,7 +561,7 @@ class ClusteredDatastore:
         prefer :meth:`live_vectors`, which returns only live rows plus
         their global ids.
         """
-        dim = self.shards[0].index.dim
+        dim = self.dim
         n = len(self.assignments) if len(self.assignments) else self.ntotal
         out = np.zeros((n, dim), dtype=np.float32)
         for shard in self.shards:

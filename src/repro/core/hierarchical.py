@@ -360,6 +360,18 @@ class _Batch:
 _FAIL_FAST = RetrievalPolicy()
 
 
+def check_queries(queries: np.ndarray, dim: int) -> None:
+    """Refuse a query batch no shard could answer: the wrong dimension, or a
+    NaN / inf entry, which would otherwise fail (or empty) a shard's scan
+    and be charged to that shard. ``ValueError`` names the first bad row."""
+    if queries.shape[1] != dim:
+        raise ValueError(f"queries have dim {queries.shape[1]}, the datastore {dim}")
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"query row {row} is not finite (NaN or inf)")
+
+
 def _count_deadline_exceeded(stage: str) -> None:
     get_registry().counter(
         "retrieval_deadline_exceeded_total",
@@ -436,6 +448,10 @@ class HierarchicalSearcher:
         ``tracer=`` or :func:`repro.obs.enable_tracing`), spans are always
         recorded there and ``trace`` is implied.
 
+        Queries of the wrong dimension or with a NaN / inf entry raise
+        ``ValueError`` (:func:`check_queries`) before anything is routed, so
+        no shard is charged with a failure the request caused.
+
         ``exclude_clusters`` marks failed/unreachable nodes: their shards are
         neither sampled nor deep-searched, so the system degrades to the
         surviving clusters' coverage instead of erroring (node-failure
@@ -450,6 +466,7 @@ class HierarchicalSearcher:
         ``max_workers``; otherwise they run inline, one shard after another.
         """
         q = as_matrix(queries)
+        check_queries(q, self.datastore.dim)
         k, m, nprobe = self.resolve_params(k, clusters_to_search, deep_nprobe)
         user_exclude = self._validated_exclude(exclude_clusters)
         deadline_at = None

@@ -96,7 +96,7 @@ import numpy as np
 
 from ..ann.distances import as_matrix
 from ..core.errors import AdmissionRejectedError, DeadlineExceededError
-from ..core.hierarchical import HierarchicalSearcher
+from ..core.hierarchical import HierarchicalSearcher, check_queries
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .admission import (
@@ -178,6 +178,7 @@ class ServingFrontend:
         are neither sampled nor deep-searched).
         """
         q = as_matrix(queries)
+        check_queries(q, self.searcher.datastore.dim)
         nq = len(q)
         k_eff, m_eff, nprobe_eff = self.searcher.resolve_params(
             k, clusters_to_search, deep_nprobe
@@ -251,8 +252,13 @@ class ServingFrontend:
         generation), so a hit is never degraded and never stale, whatever
         level the batch path is at. A hit is one served request, counted as
         :meth:`search` counts one; ``None`` counts nothing — the caller goes
-        on to :meth:`search`, which does.
+        on to :meth:`search`, which does. A query that is not a finite
+        vector of the datastore's dimension raises ``ValueError``
+        (:func:`~repro.core.hierarchical.check_queries`) before the cache is
+        probed, so ``submit`` never queues it.
         """
+        query = np.asarray(query, dtype=np.float32)
+        check_queries(query[np.newaxis], self.searcher.datastore.dim)
         params_key = self.searcher.resolve_params(k, clusters_to_search, deep_nprobe)
         answer = self.cache.probe_exact(
             query, params_key, generation=self.searcher.datastore.generation
@@ -464,6 +470,9 @@ class DynamicBatcher:
 
         ``deadline_s`` is this request's end-to-end budget from *now*
         (``None`` falls back to the admission config's default). Raises
+        ``ValueError`` for a query that is not one finite vector of the
+        datastore's dimension (the frontend's :meth:`~ServingFrontend.
+        cached_answer` refuses it: nothing is queued or counted),
         :class:`DeadlineExceededError` when the budget is already spent,
         ``RuntimeError`` once the batcher is closed, and — only if the cache
         cannot answer — :class:`AdmissionRejectedError` when the
@@ -598,8 +607,6 @@ class DynamicBatcher:
             batch = self._shed_unmeetable(batch)
             if not batch:
                 continue
-            queries = np.stack([p.query for p in batch])
-            k, m, nprobe = batch[0].params
             wait_s = self._clock() - batch[0].enqueued_s
             level = 0
             knobs = None
@@ -611,6 +618,8 @@ class DynamicBatcher:
             budget_s = min(deadlines) - self._clock() if deadlines else None
             started = self._clock()
             try:
+                queries = np.stack([p.query for p in batch])
+                k, m, nprobe = batch[0].params
                 with tracer.span(
                     "coalesce",
                     batch=len(batch),

@@ -11,6 +11,7 @@ from repro.ann.distances import (
     inner_product,
     normalize,
     pairwise_distance,
+    selection,
     squared_l2,
     squared_l2_into,
     top_k,
@@ -199,6 +200,86 @@ class TestTopK:
         kk = min(k, d.shape[1])
         expected = np.sort(d, axis=1)[:, :kk]
         assert np.allclose(dists[:, :kk], expected)
+
+    def test_nan_rows_take_the_stable_sort(self):
+        # A NaN k-th value leaves the threshold too few candidates; the
+        # stable argsort it falls back to puts NaN last.
+        d = np.array([[np.nan] * 300, [1.0] * 150 + [np.nan] * 150] * 2)
+        for k in (1, 10, 160):
+            dists, ids = top_k(d, k)
+            expect = np.argsort(d, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(ids, expect)
+            np.testing.assert_array_equal(dists, np.take_along_axis(d, expect, axis=1))
+
+
+def stable_prefix(d, k):
+    """The contract: the first k of a full stable argsort, padded."""
+    nq, n = d.shape
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    values = np.take_along_axis(d, order, axis=1)
+    pad = k - order.shape[1]
+    return (
+        np.concatenate([values, np.full((nq, pad), np.inf, dtype=d.dtype)], axis=1),
+        np.concatenate([order, np.full((nq, pad), -1)], axis=1),
+    )
+
+
+@st.composite
+def distance_matrices(draw):
+    """Shapes reaching every selection, values with exact ties at the cut
+    (few distinct levels, duplicated columns), ±inf, float32 and float64."""
+    nq = draw(st.integers(1, 40))
+    n = draw(st.one_of(st.integers(1, 80), st.integers(1, 3000)))
+    k = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 7, 60, None]))
+    if levels is None:
+        d = rng.standard_normal((nq, n))
+    else:
+        d = rng.integers(0, levels, size=(nq, n)).astype(np.float64)
+    if draw(st.booleans()):  # duplicated columns: every row ties there
+        d[:, rng.integers(0, n, size=n // 3)] = d[:, rng.integers(0, n, size=n // 3)]
+    inf_share = draw(st.sampled_from([0.0, 0.05, 0.9]))
+    d[rng.random((nq, n)) < inf_share] = np.inf
+    d[rng.random((nq, n)) < inf_share / 10] = -np.inf
+    return d.astype(draw(st.sampled_from([np.float32, np.float64]))), k
+
+
+class TestTopKIsTheStableSortPrefix:
+    """Every selection returns the stable argsort's prefix: ids, values and
+    tie order, bit for bit."""
+
+    @given(distance_matrices())
+    @settings(deadline=None)
+    def test_matches_stable_argsort_prefix(self, case):
+        d, k = case
+        dists, ids = top_k(d, k)
+        want_d, want_i = stable_prefix(d, k)
+        assert ids.dtype == np.int64 and dists.dtype == d.dtype
+        np.testing.assert_array_equal(ids, want_i)
+        assert dists.tobytes() == want_d.tobytes()
+
+    @pytest.mark.parametrize(
+        "nq, n, k, how",
+        [
+            (1, 300, 8, "sort"),
+            (32, 32, 3, "sort"),
+            (7, 20, 30, "sort"),
+            (32, 77, 8, "threshold"),
+            (10, 500, 10, "threshold"),
+            (10, 4000, 10, "bounded"),
+            (32, 300, 1, "bounded"),
+        ],
+    )
+    def test_each_selection_is_reached(self, nq, n, k, how):
+        assert selection(nq, n, min(k, n)) == how
+        rng = np.random.default_rng(n)
+        d = rng.integers(0, 5, size=(nq, n)).astype(np.float32)
+        d[:, ::3] = np.inf
+        dists, ids = top_k(d, k)
+        want_d, want_i = stable_prefix(d, k)
+        np.testing.assert_array_equal(ids, want_i)
+        assert dists.tobytes() == want_d.tobytes()
 
 
 class TestNormalize:

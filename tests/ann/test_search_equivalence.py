@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ann.ivf import IVFIndex
+from repro.ann.distances import top_k
+from repro.ann.ivf import IVFIndex, _probed_cells
 from repro.ann.quantization import make_quantizer
 from repro.core.clustering import IndexShard
 from repro.obs import disable_tracing, enable_tracing
@@ -365,6 +366,75 @@ def test_the_scan_operand_is_derived_state():
     pq.warm_scan_state()
     pq.search(data[:4], 5, nprobe=2)
     assert pq._sealed.operand is None
+
+
+@given(
+    nq=st.integers(1, 40),
+    nlist=st.integers(1, 90),
+    probe=st.integers(1, 90),
+    levels=st.sampled_from([2, 5, None]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(deadline=None)
+def test_the_probed_cell_mask_is_the_stable_top_k_set(nq, nlist, probe, levels, seed):
+    """The dense scan's probed-cell mask holds exactly the cells the stable
+    ``top_k`` ranks first — ties across the cut included."""
+    probe = min(probe, nlist)
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        cell_d = rng.normal(size=(nq, nlist)).astype(np.float32)
+    else:
+        cell_d = rng.integers(0, levels, size=(nq, nlist)).astype(np.float32)
+    want = np.zeros((nq, nlist), dtype=bool)
+    want[np.arange(nq)[:, np.newaxis], top_k(cell_d, probe)[1]] = True
+    np.testing.assert_array_equal(_probed_cells(cell_d, probe), want)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("scheme", ["sq8", "pq8"])
+def test_tied_cells_probe_like_the_reference(scheme, metric):
+    """Duplicated centroids tie cells at every cut of the coarse ranking: both
+    kernels must probe the cells the reference's stable ranking picks."""
+    rng = np.random.default_rng(21)
+    data = rng.normal(size=(600, NN_DIM)).astype(np.float32)
+    index = IVFIndex(NN_DIM, metric, nlist=12, quantizer=make_quantizer(scheme, NN_DIM))
+    index.train(data)
+    index.centroids = np.repeat(index.centroids[:6], 2, axis=0)
+    index.add(data)
+    queries = data[:9] + rng.normal(scale=0.05, size=(9, NN_DIM)).astype(np.float32)
+    for nprobe in (1, 3, 5):
+        for k in (1, 5):
+            _, ref_i = ivf_search_reference(index, queries, k, nprobe=nprobe)
+            for strategy in FORCED:
+                with forced_strategy(index, strategy):
+                    _, ids = index.search(queries, k, nprobe=nprobe)
+                np.testing.assert_array_equal(ids, ref_i)
+
+
+def test_the_centroid_norms_are_derived_state():
+    """Structural guard: the coarse ranking's centroid norms are derived with
+    the centroids — on training, on loading and on any reassignment — and
+    never exported."""
+    rng = np.random.default_rng(14)
+    data = rng.normal(size=(300, NN_DIM)).astype(np.float32)
+    index = IVFIndex(NN_DIM, "ip", nlist=8, quantizer=make_quantizer("sq8", NN_DIM))
+    assert index._coarse is None
+    index.train(data)
+    index.add(data)
+
+    def assert_derived(ix):
+        centroids, norms = ix._coarse
+        np.testing.assert_array_equal(centroids, ix.centroids)
+        np.testing.assert_array_equal(norms, np.einsum("ij,ij->i", centroids, centroids))
+
+    assert_derived(index)
+    header, arrays = index.export_state()
+    assert set(arrays) == {"sq_vmin", "sq_scale", "centroids", "codes", "ids", "cell_offsets"}
+    loaded = IVFIndex.from_state(header, arrays)
+    assert_derived(loaded)
+    assert_derived(index.fresh_sealed_like())
+    index.centroids = index.centroids[::-1].copy()
+    assert_derived(index)
 
 
 def scan_buffers(index, queries, k, nprobe, dead=None):

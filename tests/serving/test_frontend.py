@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.hierarchical import HermesSearcher
+from repro.core.hierarchical import HermesSearcher, RetrievalPolicy
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serving.cache import EXACT_HIT, MISS, CacheConfig
-from repro.serving.frontend import DynamicBatcher, ServingFrontend
+from repro.serving.frontend import BatcherStats, DynamicBatcher, ServingFrontend
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +179,83 @@ class TestDynamicBatcher:
         with DynamicBatcher(frontend) as batcher:
             with pytest.raises(ValueError):
                 batcher.submit(np.zeros((2, 4), dtype=np.float32))
+
+
+class TestMalformedRequests:
+    """A request no shard could answer is refused where it enters — the
+    searcher, the frontend or ``submit`` — and never reaches a shard, the
+    cache or the queue."""
+
+    @staticmethod
+    def poisoned(queries, row, value):
+        q = queries[:4].copy()
+        q[row, 3] = value
+        return q
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_search_refuses_a_non_finite_row(self, clustered, queries, value):
+        policy = RetrievalPolicy(max_attempts=2, breaker_threshold=1)
+        searcher = HermesSearcher(clustered, policy=policy)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            with pytest.raises(ValueError, match="query row 2 is not finite"):
+                searcher.search(self.poisoned(queries, 2, value), k=5)
+            with pytest.raises(ValueError, match="query row 1 is not finite"):
+                exact_only_frontend(searcher).search(self.poisoned(queries, 1, value), k=5)
+            assert not searcher.health.open_shards()  # threshold 1: one failure opens
+            assert "retrieval_shard_latency_seconds" not in registry.names()
+            assert "retrieval_batches_total" not in registry.names()
+            result = searcher.search(queries[:4], k=5)  # the searcher still serves
+        finally:
+            set_registry(previous)
+        assert (result.ids >= 0).all() and not result.failed_shards
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_submit_refuses_a_non_finite_query(self, searcher, queries, value):
+        frontend = exact_only_frontend(searcher)
+        with DynamicBatcher(frontend, max_batch=8, max_wait_s=0.05) as batcher:
+            with pytest.raises(ValueError, match="not finite"):
+                batcher.submit(self.poisoned(queries, 0, value)[0], k=5)
+            assert batcher.stats == BatcherStats()
+            assert len(frontend.cache) == 0
+            served = batcher.submit(queries[5], k=5).result(timeout=10)
+        np.testing.assert_array_equal(served.ids, searcher.search(queries[5:6], k=5).ids[0])
+        assert batcher.stats.requests == 1 and batcher.stats.failed == 0
+
+    def test_a_wrong_dimension_is_refused_and_the_batch_still_served(
+        self, searcher, queries
+    ):
+        frontend = exact_only_frontend(searcher)
+        direct = searcher.search(queries[:3], k=5)
+        with DynamicBatcher(frontend, max_batch=8, max_wait_s=0.05) as batcher:
+            first = batcher.submit(queries[0], k=5)
+            with pytest.raises(ValueError, match="dim"):
+                batcher.submit(queries[1][:16], k=5)
+            third = batcher.submit(queries[2], k=5)
+            assert first.result(timeout=10).ids.tolist() == direct.ids[0].tolist()
+            assert third.result(timeout=10).ids.tolist() == direct.ids[2].tolist()
+            later = batcher.submit(queries[1], k=5).result(timeout=10)
+        assert later.ids.tolist() == direct.ids[1].tolist()
+        assert batcher.stats.requests == 3 and batcher.stats.failed == 0
+
+    def test_a_batch_that_cannot_be_assembled_fails_its_futures_not_the_worker(
+        self, searcher, queries, monkeypatch
+    ):
+        # Past submit's checks, a (16,) query beside (32,) ones makes the
+        # worker's np.stack raise: that batch's futures carry the error and
+        # the worker goes on to serve the next batch.
+        monkeypatch.setattr("repro.serving.frontend.check_queries", lambda q, dim: None)
+        frontend = exact_only_frontend(searcher)
+        with DynamicBatcher(frontend, max_batch=8, max_wait_s=0.2) as batcher:
+            batch = [
+                batcher.submit(queries[0], k=5),
+                batcher.submit(queries[1][:16], k=5),
+                batcher.submit(queries[2], k=5),
+            ]
+            for future in batch:
+                with pytest.raises(ValueError):
+                    future.result(timeout=10)
+            served = batcher.submit(queries[3], k=5).result(timeout=10)
+        assert served.ids.tolist() == searcher.search(queries[3:4], k=5).ids[0].tolist()
+        assert batcher.stats.failed == 3 and batcher.stats.requests == 1
