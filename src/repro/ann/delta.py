@@ -1,64 +1,103 @@
-"""Append-only delta index: the mutable half of a live IVF shard.
+"""Append-only delta storage: the mutable half of a live IVF shard.
 
 Hermes's datastore is built offline and served frozen, but the north-star
 deployment needs the corpus to change while queries are in flight. The
-delta index is the classic LSM answer: recent inserts land in a small
-append-only *memtable* that is brute-force scanned alongside the sealed IVF
-index, deletes become tombstones that both scans mask out, and a background
-compaction folds everything back into a fresh sealed index (see
-``IndexShard.compact``).
+delta is the classic LSM answer: recent inserts land in a small append-only
+*memtable*, deletes become tombstones, and a background compaction folds
+everything back into a fresh sealed index (see ``IndexShard.compact``).
 
-Equivalence contract (enforced by ``tests/ann/test_mutation_equivalence.py``):
+The delta is storage only. A live shard's read is *one* scan
+(:meth:`repro.ann.ivf.IVFIndex.search` with a
+:class:`~repro.ann.ivf.LiveView`): the delta rows are extra columns after
+the sealed rows, fully scanned (never probed), under one dead-row mask and
+one selection. Everything that scan reads of the delta — codes, the GEMM
+codecs' dimension-major operand, the L2 codecs' squared norms — is written
+by :meth:`DeltaIndex.add` and published by :meth:`DeltaIndex.snapshot` as
+``[:m]`` views, so a read derives nothing.
+
+Equivalence contract (enforced by ``tests/ann/test_mutation_equivalence.py``,
+whose one-pass parity property holds the scan to the two scans plus merge it
+replaced, ``tests/oracles.live_shard_two_scan_oracle``):
 
 - Vectors are encoded with the *sealed index's* quantizer at insert time, and
-  their IVF cell is planned from the raw vector with the same
+  their IVF cell is planned from the raw vector with the arithmetic of the
   ``assign_to_centroids`` call ``IVFIndex.add`` uses — so compaction installs
   exactly the rows an offline rebuild would have produced.
-- Distances are computed with the same ADC kernel (shifted table, bias added
-  after selection, L2 clamp) as the sealed scan, and the merge concatenates
-  ``[sealed | delta]`` columns before a stable ``top_k``, so exact fp ties
-  resolve sealed-first. A tombstoned row is masked to ``inf`` inside each
-  side's scan, before selection, so both sides hand the merge their ``k``
-  best *live* rows. Result ids are therefore identical to an offline
-  rebuild *except* within groups of code-identical duplicates: BLAS kernels
-  round identical columns differently depending on matrix position (remainder
-  lanes), so ordering inside such a group is implementation-defined.
+- Delta distances are the sealed scan's ADC kernel (shifted table, bias added
+  after selection, L2 clamp), on a GEMM of the same shape as a separate scan
+  of the delta would run, so every distance is bit-identical to scanning the
+  two sides apart and merging. Selection runs once over ``[sealed | delta]``
+  shifted distances, sealed columns first, so the ``k`` smallest final
+  distances are the same multiset as a per-side top-``k`` plus merge; only the
+  order inside a run of exactly equal final distances is the scan's own. A
+  tombstoned row is masked to ``inf`` before selection, so the ``k`` results
+  are the ``k`` best *live* rows.
+- Result ids are therefore identical to an offline rebuild *except* within
+  groups of code-identical duplicates: BLAS kernels round identical columns
+  differently depending on matrix position (remainder lanes), so ordering
+  inside such a group is implementation-defined.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import NamedTuple
 
-from .distances import top_k
-from .kmeans import assign_to_centroids
+import numpy as np
 
 
 def _invalid(field: str, problem: str) -> ValueError:
     return ValueError(f"invalid delta state: {field} {problem}")
 
 
+class DeltaRows(NamedTuple):
+    """A published cut of the delta: ``[:m]`` views of its arrays.
+
+    Row ``r`` is the shard's local id ``sealed_ntotal + r``. ``operand`` is the
+    GEMM codecs' ``(dim, m)`` dimension-major levels
+    (:meth:`~repro.ann.quantization.Quantizer.scan_operand`) and ``sqnorms``
+    the ``|decode(code)|²`` an L2 scan adds; each is ``None`` when the codec
+    and metric do not use it. Nothing writes rows ``[:m]`` once published
+    (appends go past them, growth copies them), so the views never change.
+    """
+
+    codes: np.ndarray
+    cells: np.ndarray
+    operand: np.ndarray | None = None
+    sqnorms: np.ndarray | None = None
+
+    @property
+    def ntotal(self) -> int:
+        return len(self.cells)
+
+
 class DeltaIndex:
-    """Flat brute-force memtable over one shard's recent inserts.
+    """Growable memtable over one shard's recent inserts.
 
     Row ``r`` of the delta is the shard's local id ``sealed_ntotal + r``;
-    rows are append-only and never reordered, so the stable ``top_k``
-    tie-break reproduces insertion order. The delta itself is not
+    rows are append-only and never reordered, so the stable selection
+    tie-break reproduces insertion order. Storage is a set of arrays with
+    spare capacity — codes, planned cells, and the scan state a live read
+    consumes — that :meth:`add` fills past the current row count and
+    reallocates (doubling) when full. A :meth:`snapshot` is therefore ``[:m]``
+    views that no later append can change. The delta itself is not
     thread-safe: the owning :class:`~repro.core.clustering.IndexShard`
-    serializes mutations under its lock and searches a frozen
-    :meth:`snapshot` taken under that lock, so a scan never races a
-    concurrent ``add()``.
+    serializes mutations under its lock and publishes the snapshot its
+    searches read.
     """
 
     def __init__(self, sealed) -> None:
         self.dim = sealed.dim
         self.metric = sealed.metric
         self.quantizer = sealed.quantizer
-        self.centroids = sealed.centroids
-        self._frag_codes: list[np.ndarray] = []
-        self._frag_cells: list[np.ndarray] = []
-        # Concatenated views, rebuilt lazily after an append.
+        self.nlist = sealed.nlist
+        self._assign_cells = sealed.assign_cells
+        self._has_operand = self.quantizer.has_scan_operand
+        self._has_sqnorms = self.quantizer.needs_code_sqnorms(self.metric)
+        # Growable storage, allocated by the first append (the codes' dtype
+        # and width are the quantizer's); rows [ntotal, capacity) are spare.
         self._codes: np.ndarray | None = None
-        self._cells: np.ndarray | None = None
+        self._cells = np.empty(0, dtype=np.int64)
+        self._operand: np.ndarray | None = None
         self._sqnorms: np.ndarray | None = None
         self.ntotal = 0
 
@@ -67,7 +106,7 @@ class DeltaIndex:
         """Rebuild a delta from persisted ``(codes, cells)`` state.
 
         Row order is preserved exactly — it *is* the local-id order — so a
-        reloaded shard merges and tie-breaks identically to the one saved.
+        reloaded shard scans and tie-breaks identically to the one saved.
         The state comes from disk, so it is checked against *sealed* first:
         a violation raises ``ValueError`` naming the sidecar field — codes
         that are not the rows ``quantizer.encode`` returns (its dtype,
@@ -88,136 +127,94 @@ class DeltaIndex:
                 f"are {codes.dtype} of shape {codes.shape}; the quantizer encodes "
                 f"{encoded.dtype} rows of {delta.quantizer.code_size()} bytes",
             )
-        nlist = len(delta.centroids)
-        if cells.min() < 0 or cells.max() >= nlist:
-            raise _invalid("delta_cells", f"fall outside [0, {nlist})")
-        delta._frag_codes.append(np.ascontiguousarray(codes))
-        delta._frag_cells.append(cells.astype(np.int64))
-        delta.ntotal = len(codes)
+        if cells.min() < 0 or cells.max() >= delta.nlist:
+            raise _invalid("delta_cells", f"fall outside [0, {delta.nlist})")
+        delta._append(codes, cells)
         return delta
-
-    def snapshot(self) -> "DeltaIndex":
-        """A frozen copy of the current rows, safe to scan lock-free.
-
-        Materializes the concatenated code/cell views (and ADC norms when
-        the metric needs them) while the caller holds the owning shard's
-        lock, then hands them to a fresh delta with no fragment lists — so
-        searching the copy outside the lock can never observe a concurrent
-        ``add()`` to the original. The views are cached on the original
-        until its next append, so back-to-back snapshots are O(1).
-        """
-        dup = DeltaIndex.__new__(DeltaIndex)
-        dup.dim = self.dim
-        dup.metric = self.metric
-        dup.quantizer = self.quantizer
-        dup.centroids = self.centroids
-        dup._frag_codes = []
-        dup._frag_cells = []
-        dup._codes = self.codes
-        dup._cells = self.cells
-        dup._sqnorms = (
-            self._adc_sqnorms()
-            if self.quantizer.needs_code_sqnorms(self.metric)
-            else None
-        )
-        dup.ntotal = self.ntotal
-        return dup
 
     def add(self, vectors: np.ndarray) -> np.ndarray:
         """Encode and append ``vectors``; returns their planned IVF cells.
 
         The cell of each row is fixed *now*, from the raw vector — identical
-        to what ``IVFIndex.add`` would assign — so compaction needs no raw
-        vectors and lands every row where the offline build would have.
+        to what ``IVFIndex.add`` would assign
+        (:meth:`~repro.ann.ivf.IVFIndex.assign_cells`) — so compaction needs
+        no raw vectors and lands every row where the offline build would have.
         """
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-        cells = assign_to_centroids(vectors, self.centroids, "l2")
-        self._frag_codes.append(self.quantizer.encode(vectors))
-        self._frag_cells.append(cells.astype(np.int64))
-        self._codes = None
-        self._cells = None
-        self._sqnorms = None
-        self.ntotal += len(vectors)
+        cells = self._assign_cells(vectors)
+        self._append(self.quantizer.encode(vectors), cells)
         return cells
+
+    def _append(self, codes: np.ndarray, cells: np.ndarray) -> None:
+        """Write rows past ``ntotal`` (growing first if they do not fit),
+        with the scan state a live read consumes."""
+        m, n = self.ntotal, len(codes)
+        if self._codes is None or m + n > len(self._cells):
+            self._grow(codes, m + n)
+        end = m + n
+        self._codes[m:end] = codes
+        self._cells[m:end] = cells
+        if self._operand is not None:
+            self._operand[:, m:end] = self.quantizer.scan_operand(codes)
+        if self._sqnorms is not None:
+            self._sqnorms[m:end] = self.quantizer.code_sqnorms(codes)
+        self.ntotal = end
+
+    def _grow(self, codes: np.ndarray, need: int) -> None:
+        """Reallocate every array with at least twice the capacity; rows
+        ``[:ntotal]`` are copied, so published snapshots keep the old ones."""
+        m = self.ntotal
+        cap = max(need, 2 * len(self._cells), 64)
+
+        def grown(old, shape, dtype, axis=0):
+            new = np.empty(shape, dtype=dtype)
+            if old is not None and m:
+                if axis == 0:
+                    new[:m] = old[:m]
+                else:
+                    new[:, :m] = old[:, :m]
+            return new
+
+        self._codes = grown(self._codes, (cap,) + codes.shape[1:], codes.dtype)
+        self._cells = grown(self._cells, cap, np.int64)
+        if self._has_operand:
+            levels = self.quantizer.scan_operand(codes[:0])
+            self._operand = grown(self._operand, (self.dim, cap), levels.dtype, axis=1)
+        if self._has_sqnorms:
+            self._sqnorms = grown(self._sqnorms, cap, np.float32)
+
+    def snapshot(self) -> DeltaRows:
+        """The current rows as ``[:m]`` views, in O(1).
+
+        Appends write only past ``m`` and growth reallocates, so the views
+        never change: a search may scan them lock-free while the delta grows.
+        """
+        m = self.ntotal
+        operand, sqnorms = self._operand, self._sqnorms
+        return DeltaRows(
+            self.codes,
+            self._cells[:m],
+            None if operand is None else operand[:, :m],
+            None if sqnorms is None else sqnorms[:m],
+        )
 
     @property
     def codes(self) -> np.ndarray:
         """All delta codes, row ``r`` = delta position ``r``."""
         if self._codes is None:
-            if self._frag_codes:
-                self._codes = np.ascontiguousarray(
-                    np.concatenate(self._frag_codes, axis=0)
-                )
-            else:
-                self._codes = np.empty((0, 0), dtype=np.uint8)
-        return self._codes
+            return np.empty((0, 0), dtype=np.uint8)
+        return self._codes[: self.ntotal]
 
     @property
     def cells(self) -> np.ndarray:
         """Planned IVF cell per delta row (fixed at insert time)."""
-        if self._cells is None:
-            if self._frag_cells:
-                self._cells = np.concatenate(self._frag_cells)
-            else:
-                self._cells = np.empty(0, dtype=np.int64)
-        return self._cells
+        return self._cells[: self.ntotal]
 
     def reconstruct(self) -> np.ndarray:
         """Decoded delta vectors in insertion order."""
         if not self.ntotal:
             return np.empty((0, self.dim), dtype=np.float32)
         return self.quantizer.decode(self.codes)
-
-    def _adc_sqnorms(self) -> np.ndarray:
-        if self._sqnorms is None:
-            self._sqnorms = self.quantizer.code_sqnorms(self.codes)
-        return self._sqnorms
-
-    def search(
-        self, queries: np.ndarray, k: int, *, dead: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Brute-force top-k over the delta rows.
-
-        Returns ``(distances, positions)`` where positions are delta row
-        indices (``-1`` padding); distances are in the same *true* space as
-        ``IVFIndex.search`` output — the shifted ADC kernel plus the per-query
-        bias and L2 clamp, applied in the same order as the sealed scan.
-        Rows listed in ``dead`` (delta positions) are masked to ``inf``
-        before selection, like the sealed scan's, so they are never returned.
-        """
-        q = np.asarray(queries, dtype=np.float32)
-        nq = len(q)
-        if not self.ntotal:
-            return (
-                np.full((nq, k), np.inf, dtype=np.float32),
-                np.full((nq, k), -1, dtype=np.int64),
-            )
-        table = self.quantizer.adc_table(q, self.metric)
-        norms = (
-            self._adc_sqnorms()
-            if self.quantizer.needs_code_sqnorms(self.metric)
-            else None
-        )
-        dists = self.quantizer.adc_distances(
-            table, self.codes, code_sqnorms=norms, shifted=True
-        )
-        if dead is not None and len(dead):
-            dists[:, dead] = np.inf
-        if k == 1:
-            # The sample search: a reduction, like the sealed scan's. The
-            # first-occurrence argmin is the stable top_k's column 0.
-            pos = dists.argmin(axis=1)
-            out_d = dists[np.arange(nq), pos][:, np.newaxis]
-            out_i = pos[:, np.newaxis]
-        else:
-            out_d, out_i = top_k(dists, k)
-        out_i[~np.isfinite(out_d)] = -1  # masked rows picked for want of live ones
-        bias = table.get("bias")
-        if bias is not None:
-            out_d += bias[:, np.newaxis]
-        if self.metric == "l2":
-            np.maximum(out_d, 0.0, out=out_d)
-        return out_d, out_i
 
     def memory_bytes(self) -> int:
         return int(self.ntotal) * (self.quantizer.code_size() + 8)

@@ -43,6 +43,15 @@ def as_matrix(x: np.ndarray, *, name: str = "x") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def check_finite_rows(x: np.ndarray, what: str) -> None:
+    """Refuse a NaN / inf entry: ``ValueError`` naming *x*'s first bad row
+    as ``"<what> row <i>"``."""
+    if np.isfinite(x).all():
+        return
+    row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+    raise ValueError(f"{what} row {row} is not finite (NaN or inf)")
+
+
 def squared_l2(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Pairwise squared L2 distance matrix of shape ``(nq, np)``.
 

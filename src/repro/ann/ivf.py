@@ -17,7 +17,12 @@ Performance architecture (see DESIGN.md):
   derived scan state — so steady-state searches never concatenate fragments.
   This module is the only one that knows the record's fields; everything
   else goes through :meth:`IVFIndex.export_state` /
-  :meth:`IVFIndex.from_state` / :meth:`IVFIndex.rows_by_local_id`.
+  :meth:`IVFIndex.from_state` / :meth:`IVFIndex.rows_by_local_id`, and names
+  deleted rows by local id (:meth:`IVFIndex.dead_columns`).
+- **One pass over a live shard**: a :class:`LiveView` adds the shard's delta
+  rows as columns after the sealed ones, in the same kernel call, under one
+  dead-row mask and one selection; its state is derived when the shard is
+  written, so a search derives nothing.
 - **Cell-major batched scan**: the search loop is inverted — each probed cell
   is scanned once for *all* queries probing it, instead of assembling a
   candidate pool per query. Probed cells are scanned in full, like FAISS
@@ -36,12 +41,14 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .base import VectorIndex
+from .delta import DeltaRows
 from .distances import as_matrix, squared_l2_into, top_k
 from .kmeans import assign_to_centroids, train_kmeans
 from .quantization import IdentityQuantizer, Quantizer, restore_quantizer
@@ -90,9 +97,9 @@ class SealedLists:
     codec's dtype: :meth:`Quantizer.scan_operand`) — the one array both scan
     kernels multiply against. It is derived from ``codes``, so it is never
     exported: a loaded index derives its own. So is
-    ``positions``, the local id → storage row map (the inverse of ``ids``) a
-    scan masking deleted rows looks them up in: an index nothing was ever
-    deleted from never builds it.
+    ``positions``, the local id → storage row map (the inverse of ``ids``)
+    :meth:`IVFIndex.dead_columns` looks deleted rows up in: an index nothing
+    was ever deleted from never builds it.
 
     A record and its arrays are never modified once published (the arrays
     are marked read-only): every builder makes a new record and
@@ -130,6 +137,50 @@ class SealedLists:
             offsets=offsets,
             cells=cells[order].astype(np.int32),
         )
+
+
+class LiveView(NamedTuple):
+    """What a live shard adds to a scan of its sealed index.
+
+    ``dead`` holds the sorted scan columns to mask
+    (:meth:`IVFIndex.dead_columns`): sealed storage rows, then
+    ``ntotal + j`` for dead delta row ``j``. ``delta`` is the memtable's
+    published rows, scanned as the columns after every sealed one. A live
+    shard derives both when it is written — ``dead`` on a delete or a
+    compaction, ``delta`` on an insert — and every search reads them as
+    they are. The columns index one sealed record, so a view is valid only
+    for the index it was derived from, until that index's storage changes.
+    """
+
+    dead: np.ndarray
+    delta: DeltaRows | None = None
+
+
+#: The dead columns of a view with nothing deleted.
+_NO_COLUMNS = np.empty(0, dtype=np.int64)
+_NO_COLUMNS.flags.writeable = False
+
+
+def _padding(nq: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The empty result: ``inf`` distances, ``-1`` ids."""
+    return (
+        np.full((nq, k), np.inf, dtype=np.float32),
+        np.full((nq, k), -1, dtype=np.int64),
+    )
+
+
+def _local_ids(ids: np.ndarray, cols: np.ndarray, delta_rows: int) -> np.ndarray:
+    """Scan columns to local ids: column ``c < n`` is storage row ``c``
+    (local id ``ids[c]``), delta column ``n + j`` is local id ``n + j``.
+    Pad columns (``-1``) read an arbitrary id; the caller drops them."""
+    n = len(ids)
+    if not delta_rows:
+        return ids[cols]
+    if not n:
+        return cols
+    out = ids[np.minimum(cols, n - 1)]
+    np.copyto(out, cols, where=cols >= n)
+    return out
 
 
 def _invalid(field: str, problem: str) -> ValueError:
@@ -246,6 +297,12 @@ class IVFIndex(VectorIndex):
         self._sealed = None
 
     # -- population ---------------------------------------------------------
+    def assign_cells(self, vectors: np.ndarray) -> np.ndarray:
+        """Each float32 row's nearest cell: ``assign_to_centroids(vectors,
+        centroids, "l2")`` bit for bit, ranked against the centroid norms
+        derived with the centroids (a live shard's insert path)."""
+        return self._cell_distances(vectors, self._workspace).argmin(axis=1)
+
     def _add(self, vectors: np.ndarray) -> None:
         cells = assign_to_centroids(vectors, self.centroids, "l2")
         self._pending.append((self.quantizer.encode(vectors), cells))
@@ -540,13 +597,37 @@ class IVFIndex(VectorIndex):
             raise ValueError(f"nprobe must be positive, got {probe}")
         return min(probe, self.nlist)
 
+    def dead_columns(self, local_ids, delta_rows: int = 0) -> np.ndarray:
+        """Sorted scan columns of deleted local ids, for a :class:`LiveView`.
+
+        A sealed row's column is its storage row; delta row ``j`` (local id
+        ``ntotal + j``) is column ``ntotal + j``, its own local id. Ids outside
+        ``[0, ntotal + delta_rows)`` raise ``ValueError``. The columns index
+        the current sealed record, so they stay valid until its storage is
+        replaced: a live shard derives them when it deletes or compacts,
+        never per search.
+        """
+        dead = np.sort(np.asarray(local_ids, dtype=np.int64))
+        if not len(dead):
+            return _NO_COLUMNS
+        s = self._warm()
+        n = len(s.ids)
+        if dead[0] < 0 or dead[-1] >= n + delta_rows:
+            raise ValueError(f"dead ids fall outside [0, {n + delta_rows})")
+        cut = int(np.searchsorted(dead, n))
+        if cut:
+            rows = self._warm(positions=True).positions[dead[:cut]]
+            dead = np.concatenate([np.sort(rows), dead[cut:]])
+        dead.flags.writeable = False
+        return dead
+
     def _search(
         self,
         queries: np.ndarray,
         k: int,
         *,
         nprobe: int | None = None,
-        dead: np.ndarray | None = None,
+        live: "LiveView | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cell-major batched scan over the compacted inverted lists.
 
@@ -571,35 +652,27 @@ class IVFIndex(VectorIndex):
         bias terms (which cannot change a query's own ordering) are added
         once after selection.
 
-        Deleted rows (``dead``, local ids) are a scan-time mask: every
-        strategy sets their distances to ``inf`` right after its kernel and
-        before it selects, so a dead row is never a candidate and the ``k``
-        results are the ``k`` best live rows.
+        A live shard's :class:`LiveView` joins the same scan. Its delta rows
+        are columns after every sealed column, never probed and always
+        scanned, so they lose exact (shifted) ties to sealed rows. Its dead
+        columns are a scan-time mask: they are set to ``inf`` right after the
+        kernels and before selection, so a dead row is never a candidate and
+        the ``k`` results are the ``k`` best live rows. The strategy is picked
+        from the sealed work alone.
         """
         probe = self._resolve_probe(nprobe)
         q = queries
         nq = len(q)
         wants_norms = self.quantizer.needs_code_sqnorms(self.metric)
-        masked = dead is not None and len(dead) > 0
         # The one read of the sealed record: everything below scans `s`.
-        s = self._warm(
-            sqnorms=wants_norms,
-            operand=self.quantizer.has_scan_operand,
-            positions=masked,
-        )
+        s = self._warm(sqnorms=wants_norms, operand=self.quantizer.has_scan_operand)
+        dead = delta = None
+        if live is not None:
+            dead = live.dead if len(live.dead) else None
+            delta = live.delta if live.delta is not None and live.delta.ntotal else None
         n_codes = len(s.ids)
-        if not n_codes:
-            return (
-                np.full((nq, k), np.inf, dtype=np.float32),
-                np.full((nq, k), -1, dtype=np.int64),
-            )
-        dead_rows = None
-        if masked:
-            dead = np.asarray(dead, dtype=np.int64)
-            if dead.view(np.uint64).max() >= n_codes:  # negatives read as huge
-                raise ValueError(f"dead ids fall outside [0, {n_codes})")
-            # Ascending storage rows, so a cell's dead rows are one slice.
-            dead_rows = np.sort(s.positions[dead])
+        if not n_codes and delta is None:
+            return _padding(nq, k)
         ws = self._workspace
 
         table = self.quantizer.adc_table(q, self.metric, ws=ws)
@@ -634,9 +707,10 @@ class IVFIndex(VectorIndex):
             nprobe=probe,
             pair_work=pair_work,
             reduced=k == 1,
+            delta_rows=0 if delta is None else delta.ntotal,
         ):
             scan = self._scan_dense if strategy == "dense" else self._scan_sparse
-            out_d, out_i = scan(s, q, k, probe, probes, table, ws, dead_rows)
+            out_d, out_i = scan(s, q, k, probe, probes, table, ws, dead, delta)
         # A non-finite pick is a masked (dead, unprobed or pad) row chosen for
         # want of live ones, or a pad column of ``top_k``: no result.
         invalid = ~np.isfinite(out_d)
@@ -664,29 +738,48 @@ class IVFIndex(VectorIndex):
             ws.take("coarse_dists", shape), ws.take("coarse_gram", shape),
         )
 
-    def _scan_dense(self, s, q, k, probe, probed, table, ws, dead_rows):
-        """Full-corpus kernel + probe mask: shifted distances and stored ids
+    def _delta_distances(self, table, delta, out, ws) -> None:
+        """Shifted distances of every table query to the delta rows, into
+        *out*: the sealed scan's kernel, on a GEMM of the delta's own shape."""
+        self.quantizer.adc_distances(
+            table, delta.codes, code_sqnorms=delta.sqnorms, shifted=True, ws=ws,
+            operand=delta.operand, out=out,
+        )
+
+    def _scan_dense(self, s, q, k, probe, probed, table, ws, dead, delta):
+        """Full-corpus kernel + probe mask: shifted distances and local ids
         (ids at non-finite distances are arbitrary; the caller drops them).
         *probed* is the ``(nq, nlist)`` probed-cell mask, or ``None`` for a
-        full probe."""
-        nq = len(q)
-        dists = self.quantizer.adc_distances(
-            table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws,
-            operand=s.operand,
-        )
-        if dead_rows is not None:
-            dists[:, dead_rows] = np.inf
-        if probed is not None:
+        full probe. The ``n`` sealed rows fill columns ``[0, n)`` of one
+        buffer and the ``m`` delta rows columns ``[n, n + m)``; each side's
+        kernel writes its own column range."""
+        nq, n = len(q), len(s.ids)
+        m = 0 if delta is None else delta.ntotal
+        # Headroom for a delta, so a shard's first live read does not double
+        # a buffer sized by its frozen reads.
+        dists = ws.take("adc_dists", (nq, n + m), reserve=nq * (n + max(m, n // 8)))
+        if n:
+            self.quantizer.adc_distances(
+                table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws,
+                operand=s.operand, out=dists[:, :n],
+            )
+        if m:
+            self._delta_distances(table, delta, dists[:, n:], ws)
+        if dead is not None:
+            dists[:, dead] = np.inf
+        if probed is not None and n:
             # Unprobed cells to inf: a per-(query, cell) penalty, 0 or inf,
-            # stretched over each cell's run of columns.
+            # stretched over each cell's run of sealed columns.
             penalty = np.where(probed, np.float32(0.0), np.float32(np.inf))
-            dists += np.repeat(penalty, np.diff(s.offsets), axis=1)
+            sealed = dists[:, :n]
+            sealed += np.repeat(penalty, np.diff(s.offsets), axis=1)
         if k == 1:
             pos = dists.argmin(axis=1)
-            return dists[np.arange(nq), pos][:, np.newaxis], s.ids[pos][:, np.newaxis]
-        # top_k pads with column -1 past n_codes: any row, dropped as inf.
+            best = dists[np.arange(nq), pos][:, np.newaxis]
+            return best, _local_ids(s.ids, pos, m)[:, np.newaxis]
+        # top_k pads with column -1 past n + m: any row, dropped as inf.
         out_d, pos = top_k(dists, k)
-        return out_d, s.ids[pos]
+        return out_d, _local_ids(s.ids, pos, m)
 
     @staticmethod
     def _probe_groups(probe_cells):
@@ -706,7 +799,7 @@ class IVFIndex(VectorIndex):
         return order, sorted_cells[starts], np.append(starts, len(order))
 
     @staticmethod
-    def _dead_columns(s, dead_rows, cells):
+    def _dead_in_groups(s, dead_rows, cells):
         """``(group, column)`` of every deleted row inside a probed cell.
 
         ``cells`` are the probe groups' cells, ascending, so one binary
@@ -718,7 +811,7 @@ class IVFIndex(VectorIndex):
         hit = cells[np.minimum(group, len(cells) - 1)] == cell
         return group[hit], (dead_rows - s.offsets[cell])[hit]
 
-    def _scan_sparse(self, s, q, k, probe, probe_cells, table, ws, dead_rows):
+    def _scan_sparse(self, s, q, k, probe, probe_cells, table, ws, dead, delta):
         """The cell-grouped kernel: every probed cell is one tile, once.
 
         Group ``g`` — the queries probing cell ``cells[g]`` — is a ``(queries
@@ -736,33 +829,43 @@ class IVFIndex(VectorIndex):
         arithmetic. Both read the very same tiles and break ties the same
         way (probe slot, then within-cell position), so the ``k == 1``
         answer is column 0 of any ``k`` bit for bit.
+
+        The ``m`` delta rows are one more ``(nq, m)`` tile every query scans
+        in full, ordered after every slot: at ``k == 1`` its best row wins
+        only when strictly closer than the slots' winner, at ``k > 1`` it is
+        the buffer's last ``m`` columns.
         """
-        nq = len(q)
+        nq, n = len(q), len(s.ids)
+        m = 0 if delta is None else delta.ntotal
         offsets = s.offsets
         order, cells, bounds = self._probe_groups(probe_cells)
         counts = np.diff(bounds)
         lo = offsets[cells]
         sizes = offsets[cells + 1] - lo
         width = int(sizes.max())
-        if width == 0:
-            return (
-                np.full((nq, k), np.inf, dtype=np.float32),
-                np.full((nq, k), -1, dtype=np.int64),
-            )
+        if width == 0 and not m:
+            return _padding(nq, k)
+        # Dead columns split at n: sealed storage rows, then delta columns.
+        cut = 0 if dead is None else int(np.searchsorted(dead, n))
+        dead_delta = None if dead is None or cut == len(dead) else dead[cut:] - n
         # Pair i (cell-major) is row row_of[i] of group group_of[i]'s tile.
         group_of = np.repeat(np.arange(len(cells)), counts)
         row_of = np.arange(len(order)) - bounds[group_of]
         pair_q = order // probe
-        if dead_rows is not None:
-            dead_g, dead_col = self._dead_columns(s, dead_rows, cells)
+        if cut:
+            dead_g, dead_col = self._dead_in_groups(s, dead[:cut], cells)
+        slots = probe * width
         if k == 1:
-            best = np.empty(len(order), dtype=np.int64)
-            best_d = np.empty(len(order), dtype=np.float32)
+            # A pair of an empty cell (width 0: no tile at all) keeps inf.
+            best = np.zeros(len(order), dtype=np.int64)
+            best_d = np.full(len(order), np.inf, dtype=np.float32)
         else:
-            buf = ws.take("slot_tiles", (nq * probe, width))
+            buf = ws.take("slot_tiles", (nq, slots + m))
+            slot_buf = buf[:, :slots].reshape(nq, probe, width)
+            pair_slot = order - pair_q * probe
         pad = np.arange(width) >= sizes[:, np.newaxis, np.newaxis]
-        step = max(1, _TILE_BUDGET // (width * max(int(counts.max()), self.dim)))
-        for g0 in range(0, len(cells), step):
+        step = max(1, _TILE_BUDGET // max(width * max(int(counts.max()), self.dim), 1))
+        for g0 in range(0, len(cells) if width else 0, step):
             g1 = min(g0 + step, len(cells))
             a, b = bounds[g0], bounds[g1]
             g, r = group_of[a:b] - g0, row_of[a:b]
@@ -773,7 +876,7 @@ class IVFIndex(VectorIndex):
                 codes=s.codes, operand=s.operand, code_sqnorms=s.sqnorms, ws=ws,
             )
             np.copyto(tiles, np.inf, where=pad[g0:g1])
-            if dead_rows is not None:
+            if cut:
                 mine = (dead_g >= g0) & (dead_g < g1)
                 tiles[dead_g[mine] - g0, :, dead_col[mine]] = np.inf
             if k == 1:
@@ -781,7 +884,7 @@ class IVFIndex(VectorIndex):
                 best[a:b] = win
                 best_d[a:b] = tiles[g, r, win]
             else:
-                buf[order[a:b]] = tiles[g, r]
+                slot_buf[pair_q[a:b], pair_slot[a:b]] = tiles[g, r]
 
         rows = np.arange(nq)
         if k == 1:
@@ -792,17 +895,37 @@ class IVFIndex(VectorIndex):
             slot_pos[order] = lo[group_of] + best
             slot_d, slot_pos = slot_d.reshape(nq, probe), slot_pos.reshape(nq, probe)
             slot = slot_d.argmin(axis=1)
-            # A query probing only empty cells keeps a position past the end.
-            pos = np.minimum(slot_pos[rows, slot], len(s.ids) - 1)
-            return slot_d[rows, slot][:, np.newaxis], s.ids[pos][:, np.newaxis]
-        out_d, pos = top_k(buf.reshape(nq, probe * width), k)
-        # Map winning buffer positions back to stored ids: position -> probe
-        # slot -> cell -> CSR offset + within-cell rank.
-        slot_of = pos // width
-        within = pos - slot_of * width
-        cells_of = probe_cells[rows[:, np.newaxis], np.clip(slot_of, 0, probe - 1)]
-        id_pos = offsets[cells_of] + within
-        return out_d, s.ids[np.clip(id_pos, 0, len(s.ids) - 1)]
+            # A query probing only empty cells keeps a position past the end
+            # (a sparse scan always has sealed rows, so n - 1 is one).
+            pos = np.minimum(slot_pos[rows, slot], n - 1)
+            out_d, out_i = slot_d[rows, slot], s.ids[pos]
+            if m:
+                tile = ws.take("adc_dists", (nq, m))
+                self._delta_distances(table, delta, tile, ws)
+                if dead_delta is not None:
+                    tile[:, dead_delta] = np.inf
+                j = tile.argmin(axis=1)
+                closer = tile[rows, j] < out_d
+                out_d = np.where(closer, tile[rows, j], out_d)
+                out_i = np.where(closer, n + j, out_i)
+            return out_d[:, np.newaxis], out_i[:, np.newaxis]
+        if m:
+            self._delta_distances(table, delta, buf[:, slots:], ws)
+            if dead_delta is not None:
+                buf[:, slots + dead_delta] = np.inf
+        out_d, pos = top_k(buf, k)
+        out_i = np.full(pos.shape, -1, dtype=np.int64)
+        if width:
+            # Map winning buffer positions back to stored ids: position ->
+            # probe slot -> cell -> CSR offset + within-cell rank.
+            slot_of = pos // width
+            within = pos - slot_of * width
+            cells_of = probe_cells[rows[:, np.newaxis], np.clip(slot_of, 0, probe - 1)]
+            out_i = s.ids[np.clip(offsets[cells_of] + within, 0, n - 1)]
+        if m:
+            # Delta column slots + j is local id n + j.
+            np.copyto(out_i, pos - slots + n, where=pos >= slots)
+        return out_d, out_i
 
     def search(
         self,
@@ -811,15 +934,31 @@ class IVFIndex(VectorIndex):
         *,
         nprobe: int | None = None,
         dead: np.ndarray | None = None,
+        live: "LiveView | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k search, optionally overriding the index's default nProbe.
 
         ``dead`` lists ids (as :meth:`add` assigned them) to leave out: the
         result is the top-k of the other rows, exactly what an index built
         without them would return, padded with ``inf`` / ``-1`` when fewer
-        than ``k`` of the probed rows are left.
+        than ``k`` of the probed rows are left. ``live`` is a live shard's
+        :class:`LiveView` (delta rows and dead columns derived when the shard
+        was written): its delta row ``j`` is returned as local id
+        ``ntotal + j``. Pass one or the other.
         """
-        return super().search(queries, k, nprobe=nprobe, dead=dead)
+        if dead is not None and live is not None:
+            raise ValueError("pass dead ids or a live view, not both")
+        if not self.is_trained:
+            raise RuntimeError("IVFIndex must be trained before search()")
+        q = as_matrix(queries)
+        self._check_dim(q)
+        k = int(k)
+        delta = None if live is None else live.delta
+        if not self.ntotal and (delta is None or not delta.ntotal):
+            return _padding(len(q), k)
+        if dead is not None and len(dead):
+            live = LiveView(self.dead_columns(dead))
+        return self._search(q, k, nprobe=nprobe, live=live)
 
     def memory_bytes(self) -> int:
         payload = int(self.ntotal) * self.quantizer.code_size()

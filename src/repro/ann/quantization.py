@@ -32,8 +32,8 @@ class Quantizer(abc.ABC):
     per-query state (for PQ/OPQ a genuine ``(nq, m, ksub)`` lookup table; for
     scalar quantizers the closed-form affine equivalent of the per-dimension
     table) and ``adc_distances`` evaluates it against a block of codes. ADC
-    is the only kernel the IVF and delta scans run, so a codec that cannot do
-    it cannot be stored in an IVF index.
+    is the only kernel the IVF scan runs, delta rows included, so a codec
+    that cannot do it cannot be stored in an IVF index.
     """
 
     #: short name used in reports (e.g. the rows of Table 1)
@@ -117,6 +117,7 @@ class Quantizer(abc.ABC):
         shifted: bool = False,
         ws=None,
         operand: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Distance matrix between table queries and *codes* (smaller=closer).
 
@@ -129,7 +130,9 @@ class Quantizer(abc.ABC):
 
         With ``ws`` the result (and intermediates) live in arena buffers: the
         returned array is only valid until the next ``adc_distances`` call on
-        the same workspace.
+        the same workspace. ``out`` is a caller's ``(queries, len(codes))``
+        float32 array (a column range of a wider buffer is fine) the result
+        is written into and returned as; the values are the same.
         """
 
     def scan_operand(self, codes: np.ndarray, pad: int = 0) -> np.ndarray | None:
@@ -231,12 +234,14 @@ def _dim_major(levels: np.ndarray, dim: int, pad: int) -> np.ndarray:
     return out
 
 
-def _gemm_distances(wf, levels, code_sqnorms, ws):
+def _gemm_distances(wf, levels, code_sqnorms, ws, out=None):
     """Shifted GEMM-codec distances: ``wf @ levels`` (+ ``|code|²`` for L2).
 
-    *levels* is a float32 ``(dim, n)`` dimension-major operand (a strided
-    view of a padded one is fine: BLAS takes the leading dimension)."""
-    out = None if ws is None else ws.take("adc_dists", (len(wf), levels.shape[1]))
+    *levels* is a float32 ``(dim, n)`` dimension-major operand and *out*,
+    when given, an ``(nq, n)`` float32 result (strided views of wider arrays
+    are fine for both: BLAS takes the leading dimension)."""
+    if out is None and ws is not None:
+        out = ws.take("adc_dists", (len(wf), levels.shape[1]))
     dists = np.matmul(wf, levels, out=out)
     if code_sqnorms is not None:
         dists += code_sqnorms
@@ -303,7 +308,7 @@ class _GemmQuantizer(Quantizer):
 
     def adc_distances(
         self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None,
-        operand=None,
+        operand=None, out=None,
     ):
         codes = np.asarray(codes)
         wf = table["wf"] if rows is None else table["wf"][rows]
@@ -314,7 +319,7 @@ class _GemmQuantizer(Quantizer):
         l2 = table["metric"] == "l2"
         if l2 and code_sqnorms is None:
             code_sqnorms = self.code_sqnorms(codes)
-        dists = _gemm_distances(wf, levels, code_sqnorms if l2 else None, ws)
+        dists = _gemm_distances(wf, levels, code_sqnorms if l2 else None, ws, out)
         if not shifted:
             bias = table.get("bias")
             if bias is not None:
@@ -593,7 +598,7 @@ class ProductQuantizer(Quantizer):
 
     def adc_distances(
         self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None,
-        operand=None,
+        operand=None, out=None,
     ):
         del code_sqnorms, operand
         tables = table["tables"]
@@ -606,7 +611,7 @@ class ProductQuantizer(Quantizer):
                 tables = tables[rows]
         codes = np.asarray(codes)
         shape = (len(tables), len(codes))
-        if ws is None:
+        if ws is None and out is None:
             acc = np.zeros(shape, dtype=np.float32)
             for j in range(self.m):
                 acc += tables[:, j, codes[:, j]]
@@ -614,8 +619,8 @@ class ProductQuantizer(Quantizer):
             # Fused gather + accumulate over arena tiles: each subquantizer's
             # lookup lands directly in a scratch tile (``np.take(..., out=)``)
             # and is summed in place — no per-subspace temporary allocations.
-            acc = ws.take("pq_acc", shape)
-            tile = ws.take("pq_tile", shape)
+            acc = ws.take("pq_acc", shape) if out is None else out
+            tile = np.empty(shape, np.float32) if ws is None else ws.take("pq_tile", shape)
             np.take(tables[:, 0, :], codes[:, 0], axis=1, out=acc)
             for j in range(1, self.m):
                 np.take(tables[:, j, :], codes[:, j], axis=1, out=tile)
@@ -709,11 +714,12 @@ class OPQQuantizer(Quantizer):
 
     def adc_distances(
         self, table, codes, *, rows=None, code_sqnorms=None, shifted=False, ws=None,
-        operand=None,
+        operand=None, out=None,
     ):
         del operand
         return self.pq.adc_distances(
-            table, codes, rows=rows, code_sqnorms=code_sqnorms, shifted=shifted, ws=ws
+            table, codes, rows=rows, code_sqnorms=code_sqnorms, shifted=shifted, ws=ws,
+            out=out,
         )
 
 

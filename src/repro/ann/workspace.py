@@ -49,18 +49,22 @@ class Workspace:
         dtype=np.float32,
         *,
         fill=None,
+        reserve: int = 0,
     ) -> np.ndarray:
         """A ``shape``-shaped view of the cached buffer for *key*.
 
         Grows the backing buffer geometrically on a miss so repeated
         slightly-larger requests (e.g. the widest cell of each probe chunk)
         converge to zero reallocations instead of reallocating every call.
+        A miss allocates at least ``reserve`` elements: headroom for a
+        request the caller knows may grow by a little.
         """
         dtype = np.dtype(dtype)
         n = int(math.prod(shape)) if shape else 1
         buf = self._buffers.get(key)
         if buf is None or buf.dtype != dtype or buf.size < n:
             grow = n if buf is None or buf.dtype != dtype else max(n, 2 * buf.size)
+            grow = max(grow, reserve)
             buf = np.empty(max(grow, 1), dtype=dtype)
             self._buffers[key] = buf
             self.misses += 1

@@ -23,8 +23,8 @@ from typing import ContextManager, Protocol
 import numpy as np
 
 from ..ann.delta import DeltaIndex
-from ..ann.distances import as_matrix, top_k
-from ..ann.ivf import IVFIndex
+from ..ann.distances import as_matrix, check_finite_rows
+from ..ann.ivf import IVFIndex, LiveView
 from ..ann.kmeans import KMeansResult, assign_to_centroids, kmeans_seed_sweep
 from ..ann.parallel import run_tasks
 from ..ann.quantization import make_quantizer
@@ -95,13 +95,17 @@ class IndexShard:
     """One cluster's search index plus its global-id mapping.
 
     A shard is *live*: inserts after the offline build land in an
-    append-only :class:`~repro.ann.delta.DeltaIndex` memtable searched
-    alongside the sealed IVF index, deletes become tombstones both scans
-    mask out, and :meth:`compact` folds everything back into a fresh sealed
-    index under ``generation``. Local ids are allocated monotonically
-    (sealed rows first, then delta rows) and renumber only at compaction,
-    when ``global_ids`` is rebuilt to match — so the local→global
-    translation is always positional.
+    append-only :class:`~repro.ann.delta.DeltaIndex` memtable, scanned as
+    extra columns of the sealed IVF index's scan, deletes become tombstones
+    that scan masks out, and :meth:`compact` folds everything back into a
+    fresh sealed index under ``generation``. Local ids are allocated
+    monotonically (sealed rows first, then delta rows) and renumber only at
+    compaction, when ``global_ids`` is rebuilt to match — so the
+    local→global translation is always positional.
+
+    What a search reads of that state — the delta's published rows and the
+    dead scan columns, as one :class:`~repro.ann.ivf.LiveView` — is derived
+    by :meth:`insert`, :meth:`delete` and :meth:`compact`, never per search.
     """
 
     shard_id: int
@@ -133,22 +137,32 @@ class IndexShard:
         # running through a compaction. Order: ``_mutate_lock`` outermost.
         self._lock = threading.Lock()
         self._mutate_lock = threading.Lock()
+        self._delta_rows = (
+            self.delta.snapshot() if self.delta is not None and self.delta.ntotal else None
+        )
         self._index_tombstones()
 
     def _index_tombstones(self) -> None:
-        """Derive the per-search view of ``tombstones`` (caller holds ``_lock``).
+        """Derive the scan state of ``tombstones`` (caller holds ``_lock``).
 
-        Searches read these instead of re-sorting the set on every call: the
-        sorted local ids, split into the mask each side's scan takes — sealed
-        rows by local id, delta rows by delta position — and their global ids.
+        Runs on every delete and compaction, never on a search: the sorted
+        local ids, their global ids, and the dead scan columns every search
+        masks — asked of the sealed index once
+        (:meth:`~repro.ann.ivf.IVFIndex.dead_columns`).
         """
-        local = np.array(sorted(self.tombstones), dtype=np.int64)
-        sealed_n = self.index.ntotal
-        n_sealed = int(np.searchsorted(local, sealed_n))
+        local = np.fromiter(self.tombstones, dtype=np.int64, count=len(self.tombstones))
+        local.sort()
         self._tomb_local = local
-        self._dead_sealed = local[:n_sealed]
-        self._dead_delta = local[n_sealed:] - sealed_n
         self._tomb_global = self.global_ids[local]
+        delta_n = self._delta_rows.ntotal if self._delta_rows is not None else 0
+        self._dead = self.index.dead_columns(local, delta_n)
+        self._publish_live()
+
+    def _publish_live(self) -> None:
+        """Publish the :class:`~repro.ann.ivf.LiveView` searches read
+        (caller holds ``_lock``): ``None`` while nothing is mutated."""
+        live = len(self._dead) or self._delta_rows is not None
+        self._live = LiveView(self._dead, self._delta_rows) if live else None
 
     def quiesce(self):
         """Context manager blocking mutations (insert/delete/compact).
@@ -191,15 +205,23 @@ class IndexShard:
             raise ValueError(f"{len(vectors)} vectors for {len(global_ids)} ids")
         if not len(vectors):
             return
+        # A NaN row would be stored and pull the centroid (so every later
+        # insert's routing) to NaN: refuse it before anything changes.
+        check_finite_rows(vectors, "vector")
         with self._mutate_lock, self._lock:
             old_size = len(self)
             if self.delta is None:
                 self.delta = DeltaIndex(self.index)
             self.delta.add(vectors)
+            self._delta_rows = self.delta.snapshot()
+            self._publish_live()
             self.global_ids = np.concatenate([self.global_ids, global_ids])
             total = old_size + len(vectors)
+            # vectors.mean(axis=0), bit for bit, without its wrapper's cost
+            mean = np.add.reduce(vectors, axis=0)
+            mean /= len(vectors)
             self.centroid = (
-                (self.centroid * old_size + vectors.mean(axis=0) * len(vectors)) / total
+                (self.centroid * old_size + mean * len(vectors)) / total
             ).astype(np.float32)
 
     def delete(self, global_ids: np.ndarray) -> int:
@@ -210,7 +232,7 @@ class IndexShard:
         """
         targets = np.unique(np.asarray(global_ids, dtype=np.int64))
         with self._mutate_lock, self._lock:
-            local = np.flatnonzero(np.isin(self.global_ids, targets))
+            local = _local_ids_of(self.global_ids, targets)
             if len(local) != len(targets):
                 known = set(self.global_ids[local].tolist())
                 missing = [int(g) for g in targets if int(g) not in known]
@@ -288,6 +310,7 @@ class IndexShard:
                 self.index = fresh
                 self.global_ids = new_gids
                 self.delta = None
+                self._delta_rows = None
                 self.tombstones = set()
                 self._index_tombstones()
                 self.generation += 1
@@ -306,50 +329,47 @@ class IndexShard:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k within this shard, with ids translated to global ids.
 
-        Snapshot → sealed scan → delta scan → one merge. Tombstones are a
-        scan-time mask (:meth:`IVFIndex.search` / :meth:`DeltaIndex.search`
-        ``dead=``): each side returns its ``k`` best *live* rows, so nothing
-        is over-fetched and nothing is filtered afterwards.
+        One scan: the sealed index searches its rows and the delta rows as
+        extra columns, masks the tombstoned ones and selects once
+        (:meth:`IVFIndex.search` with the shard's
+        :class:`~repro.ann.ivf.LiveView`), so nothing is over-fetched, merged
+        or filtered afterwards. Delta columns come after the sealed ones, so
+        exact distance ties resolve sealed-first — the insertion order a
+        flat rebuild over the live set would produce.
 
-        Merge contract: sealed candidates occupy the left columns and delta
-        candidates the right, so the stable :func:`top_k` resolves exact
-        distance ties sealed-first — matching the insertion order a flat
-        rebuild over the live set would produce.
-
-        Concurrency: the index/ids/delta/tombstone state is snapshotted in
-        one locked read — the delta as a frozen :meth:`DeltaIndex.snapshot`
-        copy — and the whole search runs against that point-in-time cut.
-        Concurrent inserts, deletes, and compaction swaps can therefore
-        never mix generations mid-search or grow the delta under the scan.
+        Concurrency: the index, ids and live view are read in one locked
+        read, and the whole search runs against that point-in-time cut. The
+        view's arrays are never written after they are published, so
+        concurrent inserts, deletes and compaction swaps can never mix
+        generations mid-search or grow the delta under the scan.
         """
         with self._lock:
             index = self.index
             gids = self.global_ids
-            dead_sealed = self._dead_sealed
-            dead_delta = self._dead_delta
-            delta = (
-                self.delta.snapshot()
-                if self.delta is not None and self.delta.ntotal
-                else None
-            )
-        s_d, local = index.search(queries, k, nprobe=nprobe, dead=dead_sealed)
-        s_g = _to_global(local, gids)
-        if delta is None:
-            return s_d, s_g
-        d_d, pos = delta.search(queries, k, dead=dead_delta)
-        d_g = _to_global(pos, gids[index.ntotal :])
-        if k == 1:
-            # Strictly closer only: an exact tie stays with the sealed row.
-            closer = d_d < s_d
-            return np.where(closer, d_d, s_d), np.where(closer, d_g, s_g)
-        out_d, cols = top_k(np.concatenate([s_d, d_d], axis=1), k)
-        return out_d, np.take_along_axis(np.concatenate([s_g, d_g], axis=1), cols, axis=1)
+            live = self._live
+        dists, local = index.search(queries, k, nprobe=nprobe, live=live)
+        return dists, _to_global(local, gids)
 
     def memory_bytes(self) -> int:
         total = self.index.memory_bytes()
         if self.delta is not None:
             total += self.delta.memory_bytes()
         return total
+
+
+def _local_ids_of(gids: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Ascending local ids whose global id is in *targets* (sorted, unique).
+
+    Global ids are allocated in increasing order and compaction keeps their
+    order, so a shard's ``global_ids`` is ascending unless its builder made
+    it otherwise: a binary search then, an ``isin`` over every row if not.
+    """
+    if len(gids) > 1 and not (gids[1:] > gids[:-1]).all():
+        return np.flatnonzero(np.isin(gids, targets))
+    pos = np.searchsorted(gids, targets)
+    found = pos < len(gids)
+    found[found] = gids[pos[found]] == targets[found]
+    return pos[found]
 
 
 def _to_global(local: np.ndarray, gids: np.ndarray) -> np.ndarray:
@@ -477,15 +497,23 @@ class ClusteredDatastore:
         vecs = as_matrix(embeddings)
         if vecs.shape[1] != self.dim:
             raise ValueError(f"dim {vecs.shape[1]} != datastore dim {self.dim}")
+        if not len(vecs):  # nothing changes, so no cached answer goes stale
+            return np.empty(0, dtype=np.int64)
+        check_finite_rows(vecs, "document")
         targets = assign_to_centroids(vecs, self.centroids(), "l2")
         # Ids are allocated from the full id space, not the live count —
         # after deletes the two differ and reusing a tombstoned id would
         # resurrect it.
         start = len(self.assignments)
         new_ids = np.arange(start, start + len(vecs), dtype=np.int64)
-        for shard_id in np.unique(targets):
-            members = np.flatnonzero(targets == shard_id)
-            self.shards[shard_id].insert(vecs[members], new_ids[members])
+        # One stable sort groups the rows by shard, each group in input
+        # order, so every shard gets one contiguous slice.
+        order = np.argsort(targets, kind="stable")
+        bounds = np.searchsorted(targets[order], np.arange(self.n_clusters + 1))
+        rows, ids = vecs[order], new_ids[order]
+        for shard_id in np.flatnonzero(np.diff(bounds)):
+            lo, hi = bounds[shard_id], bounds[shard_id + 1]
+            self.shards[shard_id].insert(rows[lo:hi], ids[lo:hi])
         self.assignments = np.concatenate(
             [self.assignments, targets.astype(np.int64)]
         )

@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..ann.distances import as_matrix
+from ..ann.distances import as_matrix, check_finite_rows
 from ..obs.metrics import get_registry
 from ..obs.trace import Span, Tracer, get_tracer
 from .clustering import ClusteredDatastore, Shard
@@ -366,10 +366,7 @@ def check_queries(queries: np.ndarray, dim: int) -> None:
     and be charged to that shard. ``ValueError`` names the first bad row."""
     if queries.shape[1] != dim:
         raise ValueError(f"queries have dim {queries.shape[1]}, the datastore {dim}")
-    finite = np.isfinite(queries).all(axis=1)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"query row {row} is not finite (NaN or inf)")
+    check_finite_rows(queries, "query")
 
 
 def _count_deadline_exceeded(stage: str) -> None:

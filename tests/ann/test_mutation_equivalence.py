@@ -10,6 +10,8 @@ tests cover duplicates, delete-then-reinsert, and inline / threaded fan-out
 parity.
 """
 
+import functools
+import sys
 import threading
 
 import numpy as np
@@ -17,10 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ann.delta import DeltaIndex
 from repro.ann.distances import pairwise_distance, top_k
 from repro.ann.ivf import IVFIndex
 from repro.ann.quantization import make_quantizer
 from repro.core.clustering import IndexShard
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.trace import disable_tracing, enable_tracing
+from tests.oracles import live_shard_two_scan_oracle
 
 DIM = 16
 NLIST = 6
@@ -392,6 +398,57 @@ class TestConcurrentMutation:
         assert_shard_matches_oracle(shard, oracle, queries)
 
 
+    def test_readers_never_see_rows_an_append_is_writing(self):
+        """Delta rows are views of arrays the writer appends past and
+        regrows. Two readers scan while one writer inserts row by row (three
+        threads on a two-core box, a 1 µs switch interval): every returned
+        id's distance must be its own row's, so a reader that saw a row half
+        written, or a view that moved under it, shows up as a mismatch."""
+        rng = np.random.default_rng(23)
+        base = rng.normal(size=(40, DIM)).astype(np.float32)
+        shard = build_shard("flat", "ip", base)
+        fresh = rng.normal(size=(300, DIM)).astype(np.float32) * 3.0
+        rows = np.concatenate([base, fresh])  # flat codes: row = global id
+        queries = fresh[rng.choice(300, 4)] + 0.01
+        stop = threading.Event()
+        failures: list = []
+
+        def writer():
+            try:
+                for i in range(len(fresh)):
+                    shard.insert(fresh[i : i + 1], np.array([40 + i]))
+                    if i % 97 == 96:
+                        shard.delete(np.array([40 + i - 50]))
+            except Exception as exc:  # pragma: no cover - the failure signal
+                failures.append(exc)
+            finally:
+                stop.set()
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    dists, gids = shard.search(queries, 5, nprobe=NLIST)
+                    want = -np.einsum("qd,qkd->qk", queries, rows[gids])
+                    np.testing.assert_allclose(dists, want, rtol=1e-4, atol=1e-4)
+            except Exception as exc:  # pragma: no cover - the failure signal
+                failures.append(exc)
+                stop.set()
+
+        threads = [threading.Thread(target=f) for f in (writer, reader, reader)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures
+        assert shard.delta.ntotal == 300
+
+
 class TestWorkerModeParity:
     """Inline and thread-pool deep searches must agree under mutation, and
     neither may serve a tombstoned id, before or after a compaction."""
@@ -454,9 +511,10 @@ class TestWorkerModeParity:
 class TestNearestNeighbourOnLiveShard:
     """``k == 1`` (the sample search) on a shard with tombstones and a delta.
 
-    Each side's scan masks its tombstoned rows before it selects, so the
-    winner is the best *live* row straight away; it must be what the top-k
-    path returns in column 0 — bit for bit, it is the same scan.
+    The one scan masks tombstoned rows, sealed and delta alike, before it
+    selects, so the winner is the best *live* row straight away; it must be
+    what the top-k path returns in column 0 — bit for bit, it is the same
+    scan.
     """
 
     NPROBE = 1  # of 6 cells: the sparse strategy, i.e. the k == 1 reduction
@@ -531,30 +589,181 @@ class TestNearestNeighbourOnLiveShard:
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     @pytest.mark.parametrize("scheme", ["flat", "sq8", "pq4"])
     def test_delta_scan_masks_then_reduces(self, scheme, metric):
-        """``DeltaIndex.search`` on its own: dead positions never come back,
-        ``k == 1`` (an argmin) is column 0 of the top-k bit for bit — exact
-        ties included, every row is stored twice — and a delta with nothing
-        live left pads."""
+        """The delta columns of a live shard's one scan, through
+        ``IndexShard.search``: dead rows never come back, ``k == 1`` (an
+        argmin) is column 0 of the top-k bit for bit — exact ties included,
+        every delta row is stored twice — and a shard with nothing live left
+        pads."""
         rng = np.random.default_rng(33)
         base = rng.normal(size=(60, DIM)).astype(np.float32)
-        shard = build_shard(scheme, metric, base)
         fresh = rng.normal(size=(20, DIM)).astype(np.float32)
-        shard.insert(np.concatenate([fresh, fresh]), np.arange(60, 100))
-        delta = shard.delta.snapshot()
         queries = np.concatenate([fresh[:6] * 1.01, base[:3]])
-        _, winners = delta.search(queries, 1)
-        for dead in (None, np.unique(winners), np.arange(40)):
-            dk, ik = delta.search(queries, 4, dead=dead)
-            d1, i1 = delta.search(queries, 1, dead=dead)
-            np.testing.assert_array_equal(i1[:, 0], ik[:, 0])
-            np.testing.assert_array_equal(d1[:, 0], dk[:, 0])
-            np.testing.assert_array_equal(np.isfinite(dk), ik >= 0)
-            if dead is None:
-                continue
-            assert not np.isin(ik, dead).any()
-            if len(dead) == 40:
-                assert (ik == -1).all() and np.isinf(dk).all()
-            else:  # the dead winner's twin (same code) takes its place
-                assert (ik[:, 0] >= 0).all()
-                np.testing.assert_allclose(dk[:6, 0], delta.search(queries, 1)[0][:6, 0], rtol=1e-6)
+        for nprobe in (self.NPROBE, NLIST):
+            shard = build_shard(scheme, metric, base)
+            shard.insert(np.concatenate([fresh, fresh]), np.arange(60, 100))
+            first_d, winners = shard.search(queries, 1, nprobe=nprobe)
+            assert (winners[:6, 0] >= 60).all()  # the fresh rows win their queries
+            dead = np.empty(0, dtype=np.int64)
+            for doomed in (None, np.unique(winners), np.arange(100)):
+                if doomed is not None:
+                    doomed = np.setdiff1d(doomed, dead)
+                    shard.delete(doomed)
+                    dead = np.union1d(dead, doomed)
+                dk, ik = shard.search(queries, 4, nprobe=nprobe)
+                d1, i1 = shard.search(queries, 1, nprobe=nprobe)
+                np.testing.assert_array_equal(i1[:, 0], ik[:, 0])
+                np.testing.assert_array_equal(d1[:, 0], dk[:, 0])
+                np.testing.assert_array_equal(np.isfinite(dk), ik >= 0)
+                assert not np.isin(ik, dead).any()
+                if len(dead) == 100:
+                    assert (ik == -1).all() and np.isinf(dk).all()
+                elif len(dead):  # the dead winner's twin (same code) takes its place
+                    assert (ik[:, 0] >= 0).all()
+                    np.testing.assert_allclose(dk[:6, 0], first_d[:6, 0], rtol=1e-6)
 
+
+
+# -- one pass over a live shard ------------------------------------------------
+# A live shard's read is one scan: delta rows are extra columns after the
+# sealed ones, masked and selected with them. The oracle is the read it
+# replaced — two scans and a merge (tests/oracles.py). Distances must be
+# bit-identical; ids may differ only inside a run of exactly equal distances,
+# which the one selection orders by shifted distance and the merge by final.
+
+PARITY_ROWS = 120
+
+
+@functools.lru_cache(maxsize=None)
+def parity_shard(scheme, metric, state):
+    """``(shard, rows a query may sit near)``; built once, then only read."""
+    rng = np.random.default_rng(40)
+    base = rng.normal(size=(PARITY_ROWS, DIM)).astype(np.float32)
+    fresh = rng.normal(size=(30, DIM)).astype(np.float32)
+    shard = build_shard(scheme, metric, base)
+    new = np.arange(PARITY_ROWS, PARITY_ROWS + 30)
+    if state == "empty_sealed":  # everything compacted away, then inserts
+        shard.delete(np.arange(PARITY_ROWS))
+        shard.compact()
+        assert shard.index.ntotal == 0
+        shard.insert(fresh, new)
+        shard.delete(new[[2, 17]])
+    elif state == "all_dead_delta":
+        shard.insert(fresh, new)
+        shard.delete(np.concatenate([new, [3, 50, 77]]))
+    elif state == "emptied_cell":  # a probed cell may hold no row at all
+        _, cells = shard.index.rows_by_local_id()
+        shard.delete(np.flatnonzero(cells == cells[0]))
+        shard.compact()
+        shard.insert(fresh, new)
+        shard.delete(new[[5]])
+    elif state == "straddling_duplicates":  # sealed rows again, as delta rows
+        shard.insert(base[:30], new)
+        shard.delete([0, 7, new[3], new[12]])
+    else:
+        assert state == "mixed"
+        shard.insert(fresh, new)
+        shard.delete(np.concatenate([rng.choice(PARITY_ROWS, 20, replace=False), new[::4]]))
+    return shard, np.concatenate([base, fresh])
+
+
+def assert_ids_equal_within_tied_runs(dists, got, want):
+    """``got == want`` column by column, except inside a run of exactly
+    equal distances, which must hold the same ids — unless the run reaches
+    column ``k - 1``, where it is cut and either member may be kept."""
+    for row in np.flatnonzero((got != want).any(axis=1)):
+        d = dists[row]
+        for value in np.unique(d[got[row] != want[row]]):
+            run = d == value
+            if not run[-1]:
+                assert set(got[row][run].tolist()) == set(want[row][run].tolist())
+
+
+@given(
+    scheme=st.sampled_from(["flat", "sq8", "sq4", "pq4"]),
+    metric=st.sampled_from(["ip", "l2"]),
+    state=st.sampled_from(
+        ["mixed", "empty_sealed", "emptied_cell", "all_dead_delta", "straddling_duplicates"]
+    ),
+    k=st.sampled_from([1, 3, 10]),
+    nprobe=st.sampled_from([1, 3, NLIST]),
+    nq=st.sampled_from([1, 7, 32]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_one_pass_matches_two_scans_and_a_merge(scheme, metric, state, k, nprobe, nq, seed):
+    shard, pool = parity_shard(scheme, metric, state)
+    rng = np.random.default_rng(seed)
+    queries = pool[rng.choice(len(pool), nq)] + rng.normal(
+        scale=0.05, size=(nq, DIM)
+    ).astype(np.float32)
+    got_d, got_i = shard.search(queries, k, nprobe=nprobe)
+    want_d, want_i = live_shard_two_scan_oracle(shard, queries, k, nprobe=nprobe)
+    np.testing.assert_array_equal(got_d, want_d)
+    assert_ids_equal_within_tied_runs(got_d, got_i, want_i)
+    assert not np.isin(got_i, shard.tombstoned_ids).any()
+
+
+class TestLiveStateIsDerivedAtWriteTime:
+    """Structural guards: a live shard call is one scan, and it reads the
+    state ``insert`` / ``delete`` / ``compact`` derived — nothing per call."""
+
+    @staticmethod
+    def live_shard():
+        rng = np.random.default_rng(41)
+        base = rng.normal(size=(90, DIM)).astype(np.float32)
+        shard = build_shard("sq8", "l2", base)
+        shard.insert(rng.normal(size=(12, DIM)).astype(np.float32), np.arange(90, 102))
+        shard.delete([4, 95])
+        return shard, base[:5]
+
+    def test_one_scan_per_live_call(self):
+        shard, queries = self.live_shard()
+        for k, nprobe in ((1, 1), (3, 1), (3, NLIST)):
+            registry = MetricsRegistry()
+            previous = set_registry(registry)
+            tracer = enable_tracing()
+            try:
+                shard.search(queries, k, nprobe=nprobe)
+            finally:
+                disable_tracing()
+                set_registry(previous)
+            (span,) = [s for root in tracer.roots for s in root.find_all("ivf_scan")]
+            assert span.attrs["delta_rows"] == 12
+            assert sum(registry.get("ivf_scans_total").collect().values()) == 1.0
+
+    def test_searches_read_what_writes_derived(self, monkeypatch):
+        shard, queries = self.live_shard()
+        seen = []
+        search = IVFIndex._search
+
+        def spy(index, q, k, *, nprobe=None, live=None):
+            seen.append(live)
+            return search(index, q, k, nprobe=nprobe, live=live)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a search derived live state")
+
+        monkeypatch.setattr(IVFIndex, "_search", spy)
+
+        def read_twice():
+            with monkeypatch.context() as m:
+                m.setattr(IVFIndex, "dead_columns", forbidden)
+                m.setattr(DeltaIndex, "snapshot", forbidden)
+                for k in (1, 3):
+                    shard.search(queries, k, nprobe=2)
+            first, second = seen[-2:]
+            assert first.dead is second.dead
+            assert first.delta.operand is second.delta.operand
+            return first
+
+        view = read_twice()
+        np.testing.assert_array_equal(view.dead[-1:], [95])  # delta row 5's column
+        shard.insert(queries + 0.5, np.arange(102, 107))
+        after_insert = read_twice()
+        assert after_insert.delta.operand is not view.delta.operand
+        assert after_insert.delta.ntotal == 17
+        shard.delete([10])
+        after_delete = read_twice()
+        assert after_delete.dead is not after_insert.dead and len(after_delete.dead) == 3
+        assert shard.compact()
+        shard.search(queries, 3, nprobe=2)
+        assert seen[-1] is None  # compacted: a frozen shard's scan

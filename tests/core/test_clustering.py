@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import HermesConfig
 from repro.core.clustering import cluster_datastore, split_datastore_evenly
+from repro.obs.metrics import MetricsRegistry, set_registry
 from tests.oracles import kmeans_reference
 
 
@@ -193,3 +194,57 @@ class TestBuildQualityParity:
         inertia, recall = build(config)
         assert inertia / ref_inertia <= self.INERTIA_RATIO_BOUND
         assert abs(recall - ref_recall) <= self.RECALL_GAP_BOUND
+
+
+class TestInsertValidation:
+    """``add_documents`` / ``IndexShard.insert`` refuse what would corrupt a
+    shard, and a no-op insert changes nothing."""
+
+    @staticmethod
+    def build(small_corpus):
+        config = HermesConfig(n_clusters=4, clusters_to_search=2)
+        return cluster_datastore(small_corpus.embeddings[:1200], config)
+
+    def test_non_finite_document_is_refused_before_any_shard_changes(self, small_corpus):
+        datastore = self.build(small_corpus)
+        clean = self.build(small_corpus)
+        new = small_corpus.embeddings[1200:1300]
+        poisoned = new[:5].copy()
+        poisoned[2, 3] = np.nan
+        before = (datastore.generation, datastore.ntotal, datastore.centroids().copy())
+        with pytest.raises(ValueError, match="document row 2 is not finite"):
+            datastore.add_documents(poisoned)
+        assert datastore.generation == before[0]
+        assert datastore.ntotal == before[1] and datastore.delta_rows() == 0
+        np.testing.assert_array_equal(datastore.centroids(), before[2])
+        assert len(datastore.assignments) == 1200
+        # Later clean inserts spread over the shards exactly as they would
+        # on a datastore that never saw the NaN row.
+        datastore.add_documents(new)
+        clean.add_documents(new)
+        np.testing.assert_array_equal(datastore.assignments, clean.assignments)
+        assert len(np.unique(datastore.assignments[1200:])) > 1
+
+    def test_shard_insert_refuses_non_finite_rows(self, small_corpus):
+        datastore = self.build(small_corpus)
+        shard = datastore.shards[0]
+        rows = small_corpus.embeddings[1200:1203].copy()
+        rows[1, 0] = np.inf
+        centroid = shard.centroid.copy()
+        with pytest.raises(ValueError, match="vector row 1 is not finite"):
+            shard.insert(rows, np.arange(1200, 1203))
+        assert shard.delta is None and not shard.has_mutations
+        np.testing.assert_array_equal(shard.centroid, centroid)
+
+    def test_empty_insert_changes_nothing(self, small_corpus):
+        datastore = self.build(small_corpus)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            ids = datastore.add_documents(np.empty((0, datastore.dim), dtype=np.float32))
+        finally:
+            set_registry(previous)
+        assert ids.dtype == np.int64 and ids.shape == (0,)
+        assert datastore.generation == 0 and datastore.mutations == 0
+        assert registry.get("datastore_inserts_total") is None
+        assert len(datastore.assignments) == 1200

@@ -10,6 +10,11 @@ of something ``src/repro`` does fast, kept so a test can compare the two.
 - :func:`sparse_scan_oracle` — the sparse IVF scan as a per-(query, probed
   cell) loop of ``adc_distances`` calls with the deleted-row mask, against
   which the cell-grouped kernel is held (``tests/ann/test_sparse_scan.py``).
+- :func:`live_shard_two_scan_oracle` — a live shard's read as two scans plus
+  a merge: the sealed IVF scan with its tombstones masked, a brute-force scan
+  of the delta rows with theirs, and a ``[sealed | delta]`` merge. The
+  one-pass live scan (``tests/ann/test_mutation_equivalence.py``) is held to
+  it bit for bit.
 - :func:`kmeans_reference` — Lloyd's with the full distance matrix and
   ``np.add.at`` scatter adds: the quality-parity baseline of ``train_kmeans``.
 """
@@ -113,6 +118,67 @@ def sparse_scan_oracle(index, queries, k, *, nprobe, dead=None):
         np.maximum(out_d, 0.0, out=out_d)
     out_d[out_i < 0] = np.inf
     return out_d, out_i
+
+
+def _to_global(local, gids):
+    out = np.full(local.shape, -1, dtype=np.int64)
+    valid = local >= 0
+    out[valid] = gids[local[valid]]
+    return out
+
+
+def delta_scan_oracle(quantizer, metric, codes, queries, k, *, dead=()):
+    """Brute-force top-``k`` over delta *codes*: one whole-delta
+    ``adc_distances`` call, rows at positions *dead* set to ``inf``, then the
+    stable ``top_k`` (a first-occurrence ``argmin`` at ``k == 1``), the bias
+    and the L2 clamp. Returns ``(distances, positions)``."""
+    q = as_matrix(queries)
+    nq = len(q)
+    table = quantizer.adc_table(q, metric)
+    norms = quantizer.code_sqnorms(codes) if quantizer.needs_code_sqnorms(metric) else None
+    dists = quantizer.adc_distances(table, codes, code_sqnorms=norms, shifted=True)
+    dists[:, np.asarray(dead, dtype=np.int64)] = np.inf
+    if k == 1:
+        pos = dists.argmin(axis=1)
+        out_d = dists[np.arange(nq), pos][:, np.newaxis]
+        out_i = pos[:, np.newaxis]
+    else:
+        out_d, out_i = top_k(dists, k)
+    out_i[~np.isfinite(out_d)] = -1
+    bias = table.get("bias")
+    if bias is not None:
+        out_d += bias[:, np.newaxis]
+    if metric == "l2":
+        np.maximum(out_d, 0.0, out=out_d)
+    return out_d, out_i
+
+
+def live_shard_two_scan_oracle(shard, queries, k, *, nprobe=None):
+    """``IndexShard.search`` as two scans and a merge, in global ids.
+
+    The sealed index searched with its tombstoned local ids as ``dead``, the
+    delta rows scanned by :func:`delta_scan_oracle` with theirs, then the
+    merge: at ``k == 1`` the delta winner replaces the sealed one only when
+    strictly closer; at ``k > 1`` one stable ``top_k`` over the
+    ``[sealed | delta]`` columns, so exact ties resolve sealed-first.
+    """
+    index = shard.index
+    n = index.ntotal
+    local = np.array(sorted(shard.tombstones), dtype=np.int64)
+    s_d, s_l = index.search(queries, k, nprobe=nprobe, dead=local[local < n])
+    s_g = _to_global(s_l, shard.global_ids)
+    delta = shard.delta
+    if delta is None or not delta.ntotal:
+        return s_d, s_g
+    d_d, pos = delta_scan_oracle(
+        index.quantizer, index.metric, delta.codes, queries, k, dead=local[local >= n] - n
+    )
+    d_g = _to_global(pos, shard.global_ids[n:])
+    if k == 1:
+        closer = d_d < s_d
+        return np.where(closer, d_d, s_d), np.where(closer, d_g, s_g)
+    out_d, cols = top_k(np.concatenate([s_d, d_d], axis=1), k)
+    return out_d, np.take_along_axis(np.concatenate([s_g, d_g], axis=1), cols, axis=1)
 
 
 def kmeans_reference(
