@@ -156,6 +156,77 @@ class LiveView(NamedTuple):
     delta: DeltaRows | None = None
 
 
+class KeptScan:
+    """A shard's dense sample scan, handed to the same batch's deep call.
+
+    Hermes scans every shard twice per batch: a low-nProbe sample, then a
+    deep search of the queries routed to it. When the sample runs the dense
+    kernel, it has computed every query's distance to every row — all a deep
+    search needs but its probe mask. So the router passes an empty
+    ``KeptScan`` to each shard's sample ``search``; a dense scan fills it
+    with its raw distance matrix (shifted codec distances to every column,
+    sealed rows then delta rows, dead columns already ``inf``, no probe
+    mask), the per-query ADC bias, its probe, and the cut it read: the
+    sealed record and the live view. The searcher hands
+    :meth:`for_rows` of it to the deep call on that shard, which then only
+    selects — the probe mask, ``top_k``, the bias, ids — and runs no kernel.
+
+    The hand-over is valid only while the deep call reads the same cut (the
+    same sealed record and the same :class:`LiveView` object) at a probe at
+    least the sample's, so its answer is the one a deep search of the whole
+    batch would give; otherwise the deep call scans as if it had none. A
+    sparse sample keeps nothing.
+
+    The matrix lives in the sampling thread's scratch arena of the index,
+    under a lease (:meth:`Workspace.lease`), so a batch's samples reuse the
+    last batch's buffers instead of faulting in fresh ones. It stays intact
+    until that thread's next keeping scan of the index — in a search, the
+    next batch's sample, after every deep call of this batch has returned —
+    and a hand-over whose lease has lapsed is not read. (A deep attempt
+    abandoned at its deadline may still be reading when the next batch
+    samples; its answer is discarded.)
+    """
+
+    __slots__ = ("dists", "bias", "probe", "sealed", "live", "lease", "rows")
+
+    def __init__(self) -> None:
+        #: ``(nq, n + m)`` shifted distances, or ``None`` while empty
+        self.dists: np.ndarray | None = None
+        self.bias: np.ndarray | None = None
+        self.probe = 0
+        self.sealed: SealedLists | None = None
+        self.live: LiveView | None = None
+        #: ``(workspace, lease number)`` of ``dists``
+        self.lease: tuple | None = None
+        #: the sample's batch rows the holder's queries are; ``None``: all
+        self.rows: np.ndarray | None = None
+
+    def keep(self, dists, bias, probe, sealed, live, lease) -> None:
+        self.dists, self.bias, self.probe = dists, bias, probe
+        self.sealed, self.live, self.lease = sealed, live, lease
+
+    def for_rows(self, rows: np.ndarray) -> "KeptScan":
+        """The same scan, for a call whose queries are batch rows *rows*."""
+        out = KeptScan()
+        out.keep(self.dists, self.bias, self.probe, self.sealed, self.live, self.lease)
+        out.rows = rows
+        return out
+
+    def reads(self, sealed, live, probe: int) -> bool:
+        """True when a call on this cut at *probe* may select from the scan."""
+        ws, number = self.lease
+        return (
+            self.sealed is sealed
+            and self.live is live
+            and probe >= self.probe
+            and ws.holds(_KEPT, number)
+        )
+
+
+#: The workspace key a kept dense scan is leased under.
+_KEPT = "kept_dists"
+
+
 #: The dead columns of a view with nothing deleted.
 _NO_COLUMNS = np.empty(0, dtype=np.int64)
 _NO_COLUMNS.flags.writeable = False
@@ -628,6 +699,7 @@ class IVFIndex(VectorIndex):
         *,
         nprobe: int | None = None,
         live: "LiveView | None" = None,
+        kept: "KeptScan | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cell-major batched scan over the compacted inverted lists.
 
@@ -659,6 +731,12 @@ class IVFIndex(VectorIndex):
         kernels and before selection, so a dead row is never a candidate and
         the ``k`` results are the ``k`` best live rows. The strategy is picked
         from the sealed work alone.
+
+        ``kept`` is a :class:`KeptScan` hand-over. An empty one is filled by
+        a dense scan. A filled one that :meth:`KeptScan.reads` this cut is
+        the third strategy, ``"kept"``: the dense scan's selection over its
+        rows of the kept matrix, no kernel — the answer a dense scan of the
+        whole sampled batch gives these rows. Any other is ignored.
         """
         probe = self._resolve_probe(nprobe)
         q = queries
@@ -671,32 +749,48 @@ class IVFIndex(VectorIndex):
             dead = live.dead if len(live.dead) else None
             delta = live.delta if live.delta is not None and live.delta.ntotal else None
         n_codes = len(s.ids)
+        m = 0 if delta is None else delta.ntotal
         if not n_codes and delta is None:
             return _padding(nq, k)
         ws = self._workspace
+        reuse = kept is not None and kept.dists is not None
+        if reuse and not kept.reads(s, live, probe):
+            reuse, kept = False, None  # another cut: scan, and keep nothing
 
-        table = self.quantizer.adc_table(q, self.metric, ws=ws)
-        # Probed work as a fraction of a full scan decides the strategy: the
-        # dense kernel costs ~nq * n_codes regardless of probe, the sparse
-        # kernel costs the probed work plus per-cell overhead. How the two
-        # per-element costs compare is a property of the codec.
-        advantage = self.quantizer.adc_dense_advantage
-        if probe == self.nlist and advantage >= 1.0:
-            # A full probe (every deep search once nprobe >= nlist) scans
-            # every cell for every query, and the dense kernel wins there: it
-            # has no use for the cells' ranking, so none is computed.
+        if reuse:
+            strategy, pair_work, table = "kept", 0, None
+            bias = kept.bias
+            if bias is not None and kept.rows is not None:
+                bias = bias[kept.rows]
             probes = None
-            pair_work = nq * n_codes
-            strategy = "dense"
+            if probe < self.nlist:
+                probes = _probed_cells(self._cell_distances(q, ws), probe)
         else:
-            # The dense scan needs only each query's *set* of probed cells;
-            # the sparse one also needs their order, ranked only if it runs.
-            cell_d = self._cell_distances(q, ws)
-            probed = _probed_cells(cell_d, probe)
-            pair_work = int(probed.sum(axis=0) @ np.diff(s.offsets))
-            dense = advantage * pair_work >= nq * n_codes
-            strategy = "dense" if dense else "sparse"
-            probes = probed if dense else top_k(cell_d, probe)[1]
+            table = self.quantizer.adc_table(q, self.metric, ws=ws)
+            bias = table.get("bias")
+            # Probed work as a fraction of a full scan decides the strategy:
+            # the dense kernel costs ~nq * n_codes regardless of probe, the
+            # sparse kernel costs the probed work plus per-cell overhead. How
+            # the two per-element costs compare is a property of the codec.
+            advantage = self.quantizer.adc_dense_advantage
+            if probe == self.nlist and advantage >= 1.0:
+                # A full probe (every deep search once nprobe >= nlist) scans
+                # every cell for every query, and the dense kernel wins
+                # there: it has no use for the cells' ranking, so none is
+                # computed.
+                probes = None
+                pair_work = nq * n_codes
+                strategy = "dense"
+            else:
+                # The dense scan needs only each query's *set* of probed
+                # cells; the sparse one also needs their order, ranked only
+                # if it runs.
+                cell_d = self._cell_distances(q, ws)
+                probed = _probed_cells(cell_d, probe)
+                pair_work = int(probed.sum(axis=0) @ np.diff(s.offsets))
+                dense = advantage * pair_work >= nq * n_codes
+                strategy = "dense" if dense else "sparse"
+                probes = probed if dense else top_k(cell_d, probe)[1]
         get_registry().counter(
             "ivf_scans_total", "IVF batched scans by strategy"
         ).inc(strategy=strategy)
@@ -707,14 +801,35 @@ class IVFIndex(VectorIndex):
             nprobe=probe,
             pair_work=pair_work,
             reduced=k == 1,
-            delta_rows=0 if delta is None else delta.ntotal,
+            delta_rows=m,
         ):
-            scan = self._scan_dense if strategy == "dense" else self._scan_sparse
-            out_d, out_i = scan(s, q, k, probe, probes, table, ws, dead, delta)
+            if strategy == "sparse":
+                out_d, out_i = self._scan_sparse(
+                    s, q, k, probe, probes, table, ws, dead, delta
+                )
+            else:
+                if reuse:
+                    dists = kept.dists
+                    if kept.rows is not None:
+                        dists = np.take(
+                            dists, kept.rows, axis=0, mode="clip",
+                            out=ws.take("adc_dists", (nq, n_codes + m)),
+                        )
+                else:
+                    # Headroom for a delta, so a shard's first live read does
+                    # not double a buffer sized by its frozen reads.
+                    shape = (nq, n_codes + m)
+                    reserve = nq * (n_codes + max(m, n_codes // 8))
+                    if kept is None:
+                        dists = ws.take("adc_dists", shape, reserve=reserve)
+                    else:
+                        dists, lease = ws.lease(_KEPT, shape, reserve=reserve)
+                        kept.keep(dists, bias, probe, s, live, (ws, lease))
+                    self._dense_distances(s, table, ws, dead, delta, dists)
+                out_d, out_i = self._select_dense(s, dists, k, probes, m)
         # A non-finite pick is a masked (dead, unprobed or pad) row chosen for
         # want of live ones, or a pad column of ``top_k``: no result.
         invalid = ~np.isfinite(out_d)
-        bias = table.get("bias")
         if bias is not None:
             out_d += bias[:, np.newaxis]
         if self.metric == "l2":
@@ -746,40 +861,65 @@ class IVFIndex(VectorIndex):
             operand=delta.operand, out=out,
         )
 
-    def _scan_dense(self, s, q, k, probe, probed, table, ws, dead, delta):
-        """Full-corpus kernel + probe mask: shifted distances and local ids
-        (ids at non-finite distances are arbitrary; the caller drops them).
-        *probed* is the ``(nq, nlist)`` probed-cell mask, or ``None`` for a
-        full probe. The ``n`` sealed rows fill columns ``[0, n)`` of one
-        buffer and the ``m`` delta rows columns ``[n, n + m)``; each side's
-        kernel writes its own column range."""
-        nq, n = len(q), len(s.ids)
-        m = 0 if delta is None else delta.ntotal
-        # Headroom for a delta, so a shard's first live read does not double
-        # a buffer sized by its frozen reads.
-        dists = ws.take("adc_dists", (nq, n + m), reserve=nq * (n + max(m, n // 8)))
+    def _dense_distances(self, s, table, ws, dead, delta, dists) -> None:
+        """The dense kernel into *dists*: shifted distances of every query
+        to every column, dead columns ``inf``. The ``n`` sealed rows fill
+        columns ``[0, n)`` and the ``m`` delta rows columns ``[n, n + m)``;
+        each side's kernel writes its own column range."""
+        n = len(s.ids)
         if n:
             self.quantizer.adc_distances(
                 table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws,
                 operand=s.operand, out=dists[:, :n],
             )
-        if m:
+        if delta is not None:
             self._delta_distances(table, delta, dists[:, n:], ws)
         if dead is not None:
             dists[:, dead] = np.inf
+
+    @staticmethod
+    def _select_dense(s, dists, k, probed, m):
+        """The dense scans' one selection tail: probe mask, selection, ids.
+
+        *dists* is a dense scan's ``(nq, n + m)`` shifted distances (the
+        kernel's, or rows of a kept one); it is read, never written, so a
+        kept matrix stays raw. *probed* is the ``(nq, nlist)`` probed-cell
+        mask, or ``None`` for a full probe. Returns shifted distances and
+        local ids (ids at non-finite distances are arbitrary; the caller
+        drops them).
+        """
+        nq, n = len(dists), len(s.ids)
+        masked = None
         if probed is not None and n:
             # Unprobed cells to inf: a per-(query, cell) penalty, 0 or inf,
-            # stretched over each cell's run of sealed columns.
+            # stretched over each cell's run of sealed columns and summed
+            # into that stretch, out of place.
             penalty = np.where(probed, np.float32(0.0), np.float32(np.inf))
-            sealed = dists[:, :n]
-            sealed += np.repeat(penalty, np.diff(s.offsets), axis=1)
-        if k == 1:
+            masked = np.repeat(penalty, np.diff(s.offsets), axis=1)
+            masked += dists[:, :n]
+            if not m:
+                dists, masked = masked, None
+        if k > 1:
+            if masked is not None:
+                dists = np.concatenate((masked, dists[:, n:]), axis=1)
+            # top_k pads with column -1 past n + m: any row, dropped as inf.
+            out_d, pos = top_k(dists, k)
+            return out_d, _local_ids(s.ids, pos, m)
+        rows = np.arange(nq)
+        if masked is None:
             pos = dists.argmin(axis=1)
-            best = dists[np.arange(nq), pos][:, np.newaxis]
-            return best, _local_ids(s.ids, pos, m)[:, np.newaxis]
-        # top_k pads with column -1 past n + m: any row, dropped as inf.
-        out_d, pos = top_k(dists, k)
-        return out_d, _local_ids(s.ids, pos, m)
+            best = dists[rows, pos]
+        else:
+            # Masked sealed columns, then the delta columns: the
+            # first-occurrence argmin of the two side by side.
+            pos = masked.argmin(axis=1)
+            best = masked[rows, pos]
+            tail = dists[:, n:]
+            j = tail.argmin(axis=1)
+            closer = tail[rows, j] < best
+            best = np.where(closer, tail[rows, j], best)
+            pos = np.where(closer, n + j, pos)
+        return best[:, np.newaxis], _local_ids(s.ids, pos, m)[:, np.newaxis]
 
     @staticmethod
     def _probe_groups(probe_cells):
@@ -935,6 +1075,7 @@ class IVFIndex(VectorIndex):
         nprobe: int | None = None,
         dead: np.ndarray | None = None,
         live: "LiveView | None" = None,
+        kept: "KeptScan | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k search, optionally overriding the index's default nProbe.
 
@@ -944,7 +1085,10 @@ class IVFIndex(VectorIndex):
         than ``k`` of the probed rows are left. ``live`` is a live shard's
         :class:`LiveView` (delta rows and dead columns derived when the shard
         was written): its delta row ``j`` is returned as local id
-        ``ntotal + j``. Pass one or the other.
+        ``ntotal + j``. Pass one or the other. ``kept`` is a
+        :class:`KeptScan` hand-over: an empty one keeps a dense scan's
+        distances, a filled one is selected from instead of scanning when it
+        is of this cut (see :meth:`_search`).
         """
         if dead is not None and live is not None:
             raise ValueError("pass dead ids or a live view, not both")
@@ -958,7 +1102,7 @@ class IVFIndex(VectorIndex):
             return _padding(len(q), k)
         if dead is not None and len(dead):
             live = LiveView(self.dead_columns(dead))
-        return self._search(q, k, nprobe=nprobe, live=live)
+        return self._search(q, k, nprobe=nprobe, live=live, kept=kept)
 
     def memory_bytes(self) -> int:
         payload = int(self.ntotal) * self.quantizer.code_size()

@@ -12,7 +12,9 @@ Contract for callers:
 
 - A view handed out by :meth:`take` is valid until the *next* ``take`` with
   the same key — never store it, and never return it to user code (copy
-  final outputs out of the arena).
+  final outputs out of the arena). A view that must be read after the call
+  that filled it is taken with :meth:`lease` instead: its reader checks
+  :meth:`holds` first.
 - Buffers come back **uninitialised** unless ``fill=`` is given; callers
   overwrite what they read.
 - A workspace is single-threaded scratch. Concurrent searchers each get
@@ -35,10 +37,11 @@ from ..obs.metrics import get_registry
 class Workspace:
     """Grow-only keyed scratch arena handing out sized array views."""
 
-    __slots__ = ("_buffers", "hits", "misses")
+    __slots__ = ("_buffers", "_leases", "hits", "misses")
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
+        self._leases: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -74,6 +77,18 @@ class Workspace:
         if fill is not None:
             view[...] = fill
         return view
+
+    def lease(self, key: str, shape: "tuple[int, ...]", **kwargs) -> "tuple[np.ndarray, int]":
+        """:meth:`take` for a view read after the call that filled it returns,
+        plus *key*'s lease number: the view stays intact exactly while
+        :meth:`holds` that number, i.e. until the next lease of *key*. A key
+        handed out by lease is never handed out by :meth:`take`."""
+        number = self._leases[key] = self._leases.get(key, 0) + 1
+        return self.take(key, shape, **kwargs), number
+
+    def holds(self, key: str, number: int) -> bool:
+        """True while the view of lease *number* of *key* is intact."""
+        return self._leases.get(key) == number
 
     def nbytes(self) -> int:
         """Total bytes currently held by the arena."""

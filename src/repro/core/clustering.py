@@ -24,7 +24,7 @@ import numpy as np
 
 from ..ann.delta import DeltaIndex
 from ..ann.distances import as_matrix, check_finite_rows
-from ..ann.ivf import IVFIndex, LiveView
+from ..ann.ivf import IVFIndex, KeptScan, LiveView
 from ..ann.kmeans import KMeansResult, assign_to_centroids, kmeans_seed_sweep
 from ..ann.parallel import run_tasks
 from ..ann.quantization import make_quantizer
@@ -60,9 +60,20 @@ class Shard(Protocol):
         """Live documents."""
 
     def search(
-        self, queries: np.ndarray, k: int, *, nprobe: "int | None" = None
+        self,
+        queries: np.ndarray,
+        k: int,
+        *,
+        nprobe: "int | None" = None,
+        kept: "KeptScan | None" = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Top-``k`` ``(distances, global_ids)`` per query."""
+        """Top-``k`` ``(distances, global_ids)`` per query.
+
+        ``kept`` hands a scan from a shard's sample call to the same batch's
+        deep call on it (:class:`~repro.ann.ivf.KeptScan`): the router passes
+        an empty one to each sample, the searcher the filled one, narrowed to
+        the routed rows, to the deep call. A wrapper forwards it untouched,
+        so both calls still pass through it."""
 
     def insert(self, vectors: np.ndarray, global_ids: np.ndarray) -> None: ...
 
@@ -326,6 +337,7 @@ class IndexShard:
         k: int,
         *,
         nprobe: int | None = None,
+        kept: "KeptScan | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k within this shard, with ids translated to global ids.
 
@@ -342,12 +354,17 @@ class IndexShard:
         view's arrays are never written after they are published, so
         concurrent inserts, deletes and compaction swaps can never mix
         generations mid-search or grow the delta under the scan.
+
+        ``kept`` (see :meth:`Shard.search`) is that cut's too: a sample keeps
+        its dense scan together with the index record and view it read, and
+        a deep call selects from it only when it reads the very same ones —
+        a write between the two calls makes the deep call scan.
         """
         with self._lock:
             index = self.index
             gids = self.global_ids
             live = self._live
-        dists, local = index.search(queries, k, nprobe=nprobe, live=live)
+        dists, local = index.search(queries, k, nprobe=nprobe, live=live, kept=kept)
         return dists, _to_global(local, gids)
 
     def memory_bytes(self) -> int:

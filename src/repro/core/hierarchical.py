@@ -56,6 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..ann.distances import as_matrix, check_finite_rows
+from ..ann.ivf import KeptScan
 from ..obs.metrics import get_registry
 from ..obs.trace import Span, Tracer, get_tracer
 from .clustering import ClusteredDatastore, Shard
@@ -329,6 +330,8 @@ class ShardTask(NamedTuple):
     rows: np.ndarray
     #: for each row, which of its ``clusters_to_search`` routing slots this is
     slots: np.ndarray
+    #: the shard's kept sample scan, narrowed to ``rows``, or ``None``
+    kept: "KeptScan | None" = None
 
 
 class ShardAnswer(NamedTuple):
@@ -589,12 +592,17 @@ class HierarchicalSearcher:
 
     # -- step 3: plan --------------------------------------------------------
     def plan(self, routing: RoutingDecision) -> "list[ShardTask]":
-        """The deep phase's work list: one task per shard any query routed to."""
+        """The deep phase's work list: one task per shard any query routed to,
+        carrying the rows of that shard's kept sample scan, if it has one."""
         tasks = []
+        kept = routing.kept
         for shard in self.datastore.shards:
             rows, slots = np.nonzero(routing.clusters == shard.shard_id)
             if len(rows):
-                tasks.append(ShardTask(shard, rows, slots))
+                scan = None if kept is None else kept[shard.shard_id]
+                if scan is not None:
+                    scan = scan.for_rows(rows)
+                tasks.append(ShardTask(shard, rows, slots, scan))
         return tasks
 
     # -- step 4: run ---------------------------------------------------------
@@ -689,7 +697,8 @@ class HierarchicalSearcher:
             # escapes into the tree after it closes.
             with tracer.suppressed() if executor is not None else nullcontext():
                 return task.shard.search(
-                    batch.queries[task.rows], batch.k, nprobe=batch.nprobe
+                    batch.queries[task.rows], batch.k, nprobe=batch.nprobe,
+                    kept=task.kept,
                 )
 
         with tracer.span(
@@ -900,7 +909,8 @@ class HierarchicalSearcher:
         return SearchResult(
             distances=cand_d[rows, order],
             ids=cand_i[rows, order],
-            routing=routing,
+            # The kept scans served the deep phase; the result does not hold them.
+            routing=replace(routing, kept=None),
             shard_queries=shard_queries,
             failed_shards=tuple(failed),
             shard_stats=tuple(answer.stats for answer in answers),

@@ -18,11 +18,12 @@ for it.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..ann.distances import as_matrix, pairwise_distance, top_k
+from ..ann.ivf import KeptScan
 from ..obs.trace import get_tracer
 from .clustering import ClusteredDatastore
 from .errors import ShardError
@@ -38,11 +39,17 @@ class RoutingDecision:
     ``failed_clusters`` lists shards whose sampling probe raised a
     :class:`~repro.core.errors.ShardError`: they score ``inf`` (routed
     around) and the searcher reports them as failed.
+
+    ``kept`` is the sampling router's hand-over to the deep phase: per shard
+    id, the :class:`~repro.ann.ivf.KeptScan` its dense sample filled, or
+    ``None``. The searcher narrows each to the rows routed to that shard,
+    passes it to the deep call, and drops it before returning.
     """
 
     clusters: np.ndarray
     scores: np.ndarray
     failed_clusters: frozenset = frozenset()
+    kept: "tuple | None" = field(default=None, repr=False, compare=False)
 
     @property
     def batch_size(self) -> int:
@@ -94,7 +101,15 @@ class SampledRouter(ClusterRouter):
     fault) leaves the cluster's score at ``inf`` so routing flows to the
     survivors, and the shard is reported via ``failed_clusters``. The cheap
     probes are not retried — the next batch re-probes anyway, which is the
-    natural recovery path for transient sampling failures.
+    natural recovery path for transient sampling failures. Only shards that
+    were sampled are ranked, and the fan-out is capped at their count, so an
+    excluded or failed shard is never routed to, whatever ties its ``inf``
+    score would win.
+
+    Each probe gets an empty :class:`~repro.ann.ivf.KeptScan`; a shard whose
+    sample ran the dense kernel fills it, and the decision's ``kept``
+    carries it to that shard's deep call, which then selects from the
+    sample's distances instead of computing them again.
     """
 
     name = "hermes-sampled"
@@ -115,21 +130,36 @@ class SampledRouter(ClusterRouter):
         m = self._check_fanout(m, datastore, exclude)
         scores = np.full((len(q), datastore.n_clusters), np.inf, dtype=np.float32)
         failed = set()
+        sampled = []
+        kept = [None] * datastore.n_clusters
         tracer = get_tracer()
         for shard in datastore.shards:
-            if shard.shard_id in exclude:
+            sid = int(shard.shard_id)
+            if sid in exclude:
                 continue  # a failed node cannot be sampled
-            with tracer.span("sample", shard=int(shard.shard_id), nprobe=nprobe):
+            with tracer.span("sample", shard=sid, nprobe=nprobe):
+                scan = KeptScan()
                 try:
                     # One document per cluster: its distance is the score.
-                    dists, _ = shard.search(q, 1, nprobe=nprobe)
+                    dists, _ = shard.search(q, 1, nprobe=nprobe, kept=scan)
                 except ShardError:
-                    failed.add(int(shard.shard_id))
+                    failed.add(sid)
                     continue  # score stays inf: routing flows to survivors
-                scores[:, shard.shard_id] = dists[:, 0]
-        _, ranked = top_k(scores, m)
+                scores[:, sid] = dists[:, 0]
+            sampled.append(sid)
+            if scan.dists is not None:
+                kept[sid] = scan
+        # Rank the sampled shards only: an excluded or failed shard's inf
+        # must not tie into a slot the survivors cannot fill.
+        sampled = np.asarray(sampled, dtype=np.int64)
+        ranked = np.empty((len(q), 0), dtype=np.int64)
+        if len(sampled):
+            ranked = sampled[top_k(scores[:, sampled], min(m, len(sampled)))[1]]
         return RoutingDecision(
-            clusters=ranked, scores=scores, failed_clusters=frozenset(failed)
+            clusters=ranked,
+            scores=scores,
+            failed_clusters=frozenset(failed),
+            kept=tuple(kept),
         )
 
 

@@ -234,7 +234,7 @@ class FaultyShard:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def search(self, queries: np.ndarray, k: int, *, nprobe: int | None = None):
+    def search(self, queries: np.ndarray, k: int, *, nprobe: int | None = None, kept=None):
         with self._lock:
             idx = self._calls
             self._calls += 1
@@ -251,7 +251,7 @@ class FaultyShard:
             self.log.append(FaultEvent(idx, "delay" if delay > 0 else "ok", delay))
         if delay > 0:
             self.sleep(delay)
-        return self.inner.search(queries, k, nprobe=nprobe)
+        return self.inner.search(queries, k, nprobe=nprobe, kept=kept)
 
     @property
     def calls(self) -> int:

@@ -175,7 +175,8 @@ class ServingFrontend:
         fan-out/nprobe are scaled down, and degraded results are cached under
         their *effective* parameters, so they never shadow full-quality
         entries. ``exclude_clusters`` is passed to the searcher (down nodes
-        are neither sampled nor deep-searched).
+        are neither sampled nor deep-searched), and an answer searched with
+        exclusions is not cached.
         """
         q = as_matrix(queries)
         check_queries(q, self.searcher.datastore.dim)
@@ -286,7 +287,9 @@ class ServingFrontend:
 
         Identical queries (same digest) collapse to one representative; the
         representatives are searched as one batch, their rows fanned back out
-        to every duplicate, and inserted.
+        to every duplicate, and inserted — unless shards were excluded: the
+        key does not carry the exclusions, so a partial answer would later
+        be served as the full one.
         """
         k_eff, m_eff, nprobe_eff = params_key
         groups: dict = {}
@@ -306,13 +309,14 @@ class ServingFrontend:
         for j, rows in enumerate(groups.values()):
             out_d[rows] = result.distances[j]
             out_i[rows] = result.ids[j]
-        self.cache.insert(
-            sub,
-            result,
-            params_key,
-            digests=list(groups),
-            generation=generation,
-        )
+        if not exclude_clusters:
+            self.cache.insert(
+                sub,
+                result,
+                params_key,
+                digests=list(groups),
+                generation=generation,
+            )
         return len(reps), result.shard_queries
 
 

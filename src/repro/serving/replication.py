@@ -162,7 +162,7 @@ class ReplicaGroup:
                 "replicas re-admitted after consecutive probe successes",
             ).inc(shard=self.shard_id)
 
-    def search(self, queries: np.ndarray, k: int, *, nprobe: int | None = None):
+    def search(self, queries: np.ndarray, k: int, *, nprobe: int | None = None, kept=None):
         """Serve from the first replica that answers; fail over on ShardError."""
         order, probing = self._attempt_order()
         registry = get_registry()
@@ -170,7 +170,9 @@ class ReplicaGroup:
         try:
             for attempt, idx in enumerate(order):
                 try:
-                    result = self.replicas[idx].search(queries, k, nprobe=nprobe)
+                    result = self.replicas[idx].search(
+                        queries, k, nprobe=nprobe, kept=kept
+                    )
                 except ShardError as exc:
                     self._record_failure(idx, exc, idx in probing)
                     last_exc = exc

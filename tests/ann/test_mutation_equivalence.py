@@ -735,9 +735,9 @@ class TestLiveStateIsDerivedAtWriteTime:
         seen = []
         search = IVFIndex._search
 
-        def spy(index, q, k, *, nprobe=None, live=None):
+        def spy(index, q, k, *, nprobe=None, live=None, kept=None):
             seen.append(live)
-            return search(index, q, k, nprobe=nprobe, live=live)
+            return search(index, q, k, nprobe=nprobe, live=live, kept=kept)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a search derived live state")

@@ -46,6 +46,19 @@ class TestTake:
         assert ws.take("s", ()).shape == ()
 
 
+class TestLease:
+    def test_a_lease_holds_until_the_next_lease_of_its_key(self):
+        ws = Workspace()
+        view, first = ws.lease("kept", (4, 8))
+        view[...] = 1.0
+        ws.take("other", (4, 8), fill=2.0)
+        assert ws.holds("kept", first) and (view == 1.0).all()
+        again, second = ws.lease("kept", (4, 8))
+        assert again.base is view.base or again.base is view
+        assert not ws.holds("kept", first) and ws.holds("kept", second)
+        assert not ws.holds("never leased", 1)
+
+
 class TestHousekeeping:
     def test_nbytes_and_clear(self):
         ws = Workspace()

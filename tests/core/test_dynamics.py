@@ -127,6 +127,26 @@ class TestNodeFailure:
         )
         assert result.routing.fanout == 3
 
+    def test_a_failed_sample_never_routes_to_an_excluded_shard(self, fresh_datastore):
+        """Only the shards sampled successfully are ranked. With shards 0-2
+        excluded and shard 5's sampling probe crashing, an ``inf`` tie across
+        the failed and the excluded shards must not hand excluded shard 0 a
+        deep search: the fan-out is capped at the two survivors."""
+        from repro.core.hierarchical import RetrievalPolicy
+        from repro.serving.faults import CrashStop, FaultInjector
+
+        corpus, datastore = fresh_datastore
+        chaotic = FaultInjector(seed=0).wrap(datastore, {0: [], 5: CrashStop(at_call=0)})
+        queries, _ = corpus.topic_model.sample_queries(8)
+        result = HermesSearcher(chaotic, policy=RetrievalPolicy()).search(
+            queries, clusters_to_search=3, exclude_clusters={0, 1, 2}
+        )
+        assert chaotic.shards[0].calls == 0
+        assert result.routing.fanout == 2
+        assert set(np.unique(result.routing.clusters).tolist()) == {3, 4}
+        assert result.failed_shards == (5,)
+        assert {s.shard_id for s in result.shard_stats} == {3, 4}
+
     def test_all_failed_rejected(self, fresh_datastore):
         from repro.core.errors import RetrievalUnavailableError
 

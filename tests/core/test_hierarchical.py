@@ -253,7 +253,7 @@ class _BoomShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None):
+    def search(self, queries, k, *, nprobe=None, kept=None):
         raise RuntimeError("disk on fire")
 
 
@@ -321,14 +321,14 @@ class _TimedFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None):
+    def search(self, queries, k, *, nprobe=None, kept=None):
         self.calls += 1
         self._clock.advance(self._busy_s)
         if self.calls == 1:
             from repro.core.errors import TransientShardError
 
             raise TransientShardError(self._inner.shard_id, "transient blip")
-        return self._inner.search(queries, k, nprobe=nprobe)
+        return self._inner.search(queries, k, nprobe=nprobe, kept=kept)
 
 
 class TestRetryLatencyAccounting:
@@ -413,7 +413,7 @@ class _AlwaysFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None):
+    def search(self, queries, k, *, nprobe=None, kept=None):
         from repro.core.errors import TransientShardError
 
         self.calls += 1

@@ -15,6 +15,12 @@ of something ``src/repro`` does fast, kept so a test can compare the two.
   of the delta rows with theirs, and a ``[sealed | delta]`` merge. The
   one-pass live scan (``tests/ann/test_mutation_equivalence.py``) is held to
   it bit for bit.
+- :func:`whole_batch_deep_oracle` — the hierarchical searcher's deep phase
+  with no scan kept: every routed shard deep-searches the *whole* batch
+  through the scanning path and the rows routed to it are taken, then the
+  searcher's merge. A deep call that selects from its shard's kept sample
+  scan (``tests/core/test_kept_scan.py``) is held to it bit for bit; one
+  with nothing to select from, to a search of its routed rows.
 - :func:`kmeans_reference` — Lloyd's with the full distance matrix and
   ``np.add.at`` scatter adds: the quality-parity baseline of ``train_kmeans``.
 """
@@ -179,6 +185,40 @@ def live_shard_two_scan_oracle(shard, queries, k, *, nprobe=None):
         return np.where(closer, d_d, s_d), np.where(closer, d_g, s_g)
     out_d, cols = top_k(np.concatenate([s_d, d_d], axis=1), k)
     return out_d, np.take_along_axis(np.concatenate([s_g, d_g], axis=1), cols, axis=1)
+
+
+def whole_batch_deep_oracle(datastore, queries, routing, k, nprobe, *, scanned=()):
+    """``(distances, ids)`` of the deep phase and merge for *routing*, with
+    each routed shard deep-searching the whole batch.
+
+    A dense scan's rows do not depend on which other queries share the call,
+    so a deep call that selects from its sample's whole-batch matrix must
+    equal these rows. Shards in *scanned* had no kept scan to select from:
+    they search only the rows routed to them, the call the searcher makes
+    (an SQ codec's per-query bias is a matrix-vector product whose rounding
+    depends on how many rows it has). The merge is
+    ``HierarchicalSearcher._merge``'s: ``k`` slots per routing slot, then
+    the first ``k`` of one ``argsort``.
+    """
+    queries = as_matrix(queries)
+    nq = len(queries)
+    cand_d = np.full((nq, routing.fanout * k), np.inf, dtype=np.float32)
+    cand_i = np.full((nq, routing.fanout * k), -1, dtype=np.int64)
+    for shard in datastore.shards:
+        rows, slots = np.nonzero(routing.clusters == shard.shard_id)
+        if not len(rows):
+            continue
+        if shard.shard_id in scanned:
+            dists, ids = shard.search(queries[rows], k, nprobe=nprobe)
+        else:
+            dists, ids = shard.search(queries, k, nprobe=nprobe)
+            dists, ids = dists[rows], ids[rows]
+        cols = slots[:, np.newaxis] * k + np.arange(k)
+        cand_d[rows[:, np.newaxis], cols] = dists
+        cand_i[rows[:, np.newaxis], cols] = ids
+    order = np.argsort(cand_d, axis=1)[:, :k]
+    rows = np.arange(nq)[:, np.newaxis]
+    return cand_d[rows, order], cand_i[rows, order]
 
 
 def kmeans_reference(

@@ -36,11 +36,11 @@ class _FlakyReplica:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None):
+    def search(self, queries, k, *, nprobe=None, kept=None):
         self.calls += 1
         if self.failing:
             raise self._exc(self._inner.shard_id)
-        return self._inner.search(queries, k, nprobe=nprobe)
+        return self._inner.search(queries, k, nprobe=nprobe, kept=kept)
 
 
 class TestReplicaGroup:
