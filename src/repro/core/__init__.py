@@ -32,11 +32,9 @@ from .hierarchical import (
     ExhaustiveSplitSearcher,
     HermesSearcher,
     HierarchicalSearcher,
-    RetrievalPolicy,
     SearchResult,
-    ShardCallStats,
-    ShardHealth,
 )
+from .policy import RetrievalPolicy, ShardCallStats, ShardHealth
 from .router import (
     AllRouter,
     CentroidRouter,

@@ -5,11 +5,12 @@ the TTFT critical path, so the searcher has to distinguish *how* a shard
 failed to pick the right response:
 
 - :class:`TransientShardError` — a blip (dropped RPC, brief overload); worth
-  a bounded retry with backoff.
+  a bounded retry.
 - :class:`ShardCrashedError` — the node is gone; retrying is wasted work, the
   circuit breaker should open and routing should exclude the shard.
 - :class:`ShardTimeoutError` — the per-shard deadline elapsed (straggler or
-  silent failure); hedged duplicates are the mitigation, not retries.
+  silent failure); the attempt is abandoned and the shard degrades, it is
+  not retried.
 - :class:`ShardSearchError` — an *unexpected* exception inside a shard's deep
   search, re-raised with the shard id and routed query count attached so the
   fan-out's failure context is never lost.

@@ -15,23 +15,18 @@ curves.
 Fault tolerance
 ---------------
 One index per node (§4/§6) puts every retrieval node on the TTFT critical
-path, so the searcher ships a fleet-survival layer governed by a
-:class:`RetrievalPolicy`:
-
-- **per-shard deadlines** bound how long one shard may stall the batch;
-- **bounded retries with exponential backoff** absorb transient errors;
-- **hedged duplicate requests** cut straggler tails (a second identical
-  request is issued after ``hedge_delay_s``; first answer wins);
-- a **circuit breaker** (:class:`ShardHealth`) trips after consecutive
-  failures and feeds the router's ``exclude`` set automatically, so dead
-  nodes stop being probed until a cooldown expires.
+path, so every deep-search call runs under :mod:`repro.core.policy`'s
+:class:`~repro.core.policy.RetrievalPolicy`: a per-attempt deadline,
+bounded retries of transient errors under a fleet-wide retry budget, and a
+circuit breaker (:class:`~repro.core.policy.ShardHealth`) whose open shards
+join the router's ``exclude`` set until a cooldown expires.
 
 A shard that still fails yields its candidate slots as ``(+inf, -1)``
 instead of raising — the batch *degrades* to the surviving clusters'
 coverage (the semantic-clustering availability argument: losing one cluster
 loses one topic, not a slice of every query). :class:`SearchResult` records
 ``failed_shards``, ``degraded``, and per-shard latency/attempt stats so
-schedulers and the perfmodel can charge for retries and hedges.
+schedulers and the perfmodel can charge for retries.
 
 Without a policy the searcher is fail-fast: an unexpected shard exception
 propagates wrapped in :class:`~repro.core.errors.ShardSearchError` carrying
@@ -45,11 +40,8 @@ sees it.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -64,217 +56,11 @@ from .config import HermesConfig
 from .errors import (
     DeadlineExceededError,
     RetrievalUnavailableError,
-    ShardCrashedError,
     ShardError,
     ShardSearchError,
-    ShardTimeoutError,
-    TransientShardError,
 )
+from .policy import RetrievalPolicy, ShardCallStats, ShardHealth, account, run_call
 from .router import AllRouter, ClusterRouter, RoutingDecision, SampledRouter
-
-
-class RetryBudget:
-    """Fleet-wide token bucket bounding the *total* retry volume.
-
-    Per-shard retry policies multiply during a correlated outage: with 10
-    shards each allowed 2 retries, one bad window turns every batch into up
-    to 30 shard calls — a retry storm that keeps the fleet saturated long
-    after the fault clears. The classic fix (Finagle/SRE "retry budgets") is
-    a shared bucket: every *primary* attempt deposits ``fill_rate`` tokens
-    (capped at ``capacity``) and every retry withdraws one, so sustained
-    retry traffic is bounded to ``fill_rate`` of primary traffic while short
-    bursts can still spend the accumulated capacity.
-
-    Thread-safe — the deep-search fan-out spends from pool threads. Share
-    one instance across every :class:`RetrievalPolicy` of a fleet (it is
-    deliberately *not* created per policy).
-    """
-
-    def __init__(self, capacity: float = 10.0, fill_rate: float = 0.1) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0.0 <= fill_rate <= 1.0:
-            raise ValueError(f"fill_rate must be in [0, 1], got {fill_rate}")
-        self.capacity = float(capacity)
-        self.fill_rate = float(fill_rate)
-        self._lock = threading.Lock()
-        self._tokens = float(capacity)
-        self.exhausted = 0
-
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
-    def deposit(self) -> None:
-        """Credit one primary attempt's worth of retry allowance."""
-        with self._lock:
-            self._tokens = min(self.capacity, self._tokens + self.fill_rate)
-
-    def try_spend(self) -> bool:
-        """Withdraw one retry token; False (and counted) when the bucket is dry."""
-        with self._lock:
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            self.exhausted += 1
-        get_registry().counter(
-            "retry_budget_exhausted_total",
-            "retries suppressed because the fleet-wide retry budget ran dry",
-        ).inc()
-        return False
-
-    def reset(self) -> None:
-        with self._lock:
-            self._tokens = self.capacity
-            self.exhausted = 0
-
-
-@dataclass(frozen=True)
-class RetrievalPolicy:
-    """Fleet-survival knobs for the deep-search fan-out.
-
-    ``deadline_s`` bounds each *attempt* (hedges share the primary's
-    deadline); ``max_attempts`` counts the primary plus transient-error
-    retries; ``backoff_s`` doubles per retry. ``hedge_delay_s`` launches one
-    duplicate request if the primary has not answered in time — the
-    tail-tolerance mechanism, distinct from retries which handle *errors*.
-    ``breaker_threshold`` consecutive shard failures open the circuit for
-    ``breaker_cooldown`` subsequent search batches. ``retry_budget`` is an
-    optional *shared* :class:`RetryBudget`: when its bucket is dry, a shard
-    fails after its primary attempt instead of retrying, so per-shard retry
-    allowances cannot multiply into a fleet-wide retry storm.
-    """
-
-    deadline_s: float | None = None
-    max_attempts: int = 1
-    backoff_s: float = 0.0
-    hedge_delay_s: float | None = None
-    breaker_threshold: int | None = None
-    breaker_cooldown: int = 2
-    retry_budget: "RetryBudget | None" = None
-
-    def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be non-negative, got {self.backoff_s}")
-        if self.hedge_delay_s is not None and self.hedge_delay_s < 0:
-            raise ValueError(f"hedge_delay_s must be non-negative, got {self.hedge_delay_s}")
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.breaker_cooldown < 1:
-            raise ValueError(f"breaker_cooldown must be >= 1, got {self.breaker_cooldown}")
-
-    @property
-    def needs_executor(self) -> bool:
-        """Deadlines and hedges need attempts running on their own threads."""
-        return self.deadline_s is not None or self.hedge_delay_s is not None
-
-
-class ShardHealth:
-    """Consecutive-failure circuit breaker over the shard fleet.
-
-    ``record_failure`` past ``threshold`` opens the shard's circuit for
-    ``cooldown`` search batches (:meth:`tick` advances the clock once per
-    batch). An open shard is auto-excluded from routing. When the cooldown
-    expires the shard is *half-open*: it is probed again, one success closes
-    the circuit, one failure re-opens it immediately.
-
-    Thread-safe: deep searches record outcomes from pool threads.
-    """
-
-    def __init__(self, n_shards: int, *, threshold: int = 3, cooldown: int = 2) -> None:
-        if n_shards <= 0:
-            raise ValueError(f"n_shards must be positive, got {n_shards}")
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        if cooldown < 1:
-            raise ValueError(f"cooldown must be >= 1, got {cooldown}")
-        self.n_shards = n_shards
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self._lock = threading.Lock()
-        self._consecutive = np.zeros(n_shards, dtype=np.int64)
-        self._open_for = np.zeros(n_shards, dtype=np.int64)
-
-    def _check(self, shard_id: int) -> int:
-        shard_id = int(shard_id)
-        if not 0 <= shard_id < self.n_shards:
-            raise ValueError(f"shard id {shard_id} out of range [0, {self.n_shards})")
-        return shard_id
-
-    def record_success(self, shard_id: int) -> None:
-        shard_id = self._check(shard_id)
-        with self._lock:
-            self._consecutive[shard_id] = 0
-            self._open_for[shard_id] = 0
-
-    def record_failure(self, shard_id: int) -> None:
-        self._fail(shard_id, at_least=0)
-
-    def trip(self, shard_id: int) -> None:
-        """Open the circuit immediately (crash-stop: no point counting up)."""
-        self._fail(shard_id, at_least=self.threshold)
-
-    def _fail(self, shard_id: int, *, at_least: int) -> None:
-        """Count one failure (to ``at_least``); at the threshold, (re)open."""
-        shard_id = self._check(shard_id)
-        with self._lock:
-            count = max(at_least, int(self._consecutive[shard_id]) + 1)
-            self._consecutive[shard_id] = count
-            newly_open = count >= self.threshold and self._open_for[shard_id] == 0
-            if count >= self.threshold:
-                self._open_for[shard_id] = self.cooldown
-        if newly_open:
-            get_registry().counter(
-                "retrieval_breaker_trips_total", "circuit-breaker open transitions"
-            ).inc(shard=shard_id)
-
-    def is_open(self, shard_id: int) -> bool:
-        return bool(self._open_for[self._check(shard_id)] > 0)
-
-    def open_shards(self) -> frozenset:
-        """Shards whose circuit is currently open (auto-excluded)."""
-        with self._lock:
-            return frozenset(int(s) for s in np.flatnonzero(self._open_for > 0))
-
-    def tick(self) -> None:
-        """Advance the breaker clock by one search batch."""
-        with self._lock:
-            np.maximum(self._open_for - 1, 0, out=self._open_for)
-
-
-@dataclass(frozen=True)
-class ShardCallStats:
-    """Accounting for one shard's deep-search participation in a batch.
-
-    ``attempts`` counts issued requests including hedges, so
-    ``queries * attempts`` is the work the perfmodel should charge; a
-    healthy un-hedged shard has ``attempts == 1``.
-
-    ``latency_s`` is *attempt* time — the time requests to this shard were
-    actually in flight, summed across retries — and deliberately excludes
-    retry backoff sleeps; ``wall_s`` is the full wall-clock window from
-    first attempt to final outcome, backoffs included. The two are equal
-    for a shard that succeeded on its first attempt.
-    """
-
-    shard_id: int
-    queries: int
-    attempts: int
-    latency_s: float
-    hedged: bool = False
-    outcome: str = "ok"
-    wall_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome == "ok"
 
 
 @dataclass(frozen=True)
@@ -308,14 +94,10 @@ class SearchResult:
 
     @property
     def shard_queries_attempted(self) -> int:
-        """Work actually issued, counting retries and hedges (perfmodel cost)."""
+        """Work actually issued, counting retries (perfmodel cost)."""
         if not self.shard_stats:
             return self.shard_queries
         return int(sum(s.queries * s.attempts for s in self.shard_stats))
-
-    @property
-    def hedged_shards(self) -> tuple:
-        return tuple(s.shard_id for s in self.shard_stats if s.hedged)
 
 
 class ShardTask(NamedTuple):
@@ -359,7 +141,7 @@ class _Batch:
 
 
 #: What a shard call runs under when the searcher has no policy: one attempt,
-#: no deadline, no hedge — and a failure raises instead of degrading.
+#: no deadline — and a failure raises instead of degrading.
 _FAIL_FAST = RetrievalPolicy()
 
 
@@ -390,10 +172,8 @@ class HierarchicalSearcher:
         config: HermesConfig | None = None,
         max_workers: int | None = None,
         policy: RetrievalPolicy | None = None,
-        health: ShardHealth | None = None,
         tracer: "Tracer | None" = None,
         clock=None,
-        sleep=None,
     ) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
@@ -402,19 +182,18 @@ class HierarchicalSearcher:
         self.router = router if router is not None else SampledRouter()
         self.max_workers = max_workers
         self.policy = policy
-        if health is None and policy is not None and policy.breaker_threshold is not None:
-            health = ShardHealth(
+        self.health: ShardHealth | None = None
+        if policy is not None and policy.breaker_threshold is not None:
+            self.health = ShardHealth(
                 datastore.n_clusters,
                 threshold=policy.breaker_threshold,
                 cooldown=policy.breaker_cooldown,
             )
-        self.health = health
         #: explicit tracer override; ``None`` defers to the process-wide one
         self.tracer = tracer
-        # Injectable time sources (deterministic latency-accounting tests);
-        # production uses the monotonic wall clock and real sleeps.
+        # Injectable time source (deterministic latency-accounting tests);
+        # production uses the monotonic wall clock.
         self._clock = clock if clock is not None else time.perf_counter
-        self._sleep = sleep if sleep is not None else time.sleep
 
     # -- the search: validate → route → plan → run → merge -------------------
     def search(
@@ -634,12 +413,10 @@ class HierarchicalSearcher:
         """Deep phase: every task through :meth:`_run_task`, inline or fanned out."""
         policy = self._deep_policy(batch, deadline_at)
         executor: ThreadPoolExecutor | None = None
-        if policy is not None and policy.needs_executor and tasks:
-            # Attempts need own threads so deadlines can abandon stragglers;
-            # 2x head-room covers one hedge per in-flight shard.
+        if policy is not None and policy.deadline_s is not None and tasks:
+            # Attempts need own threads so deadlines can abandon stragglers.
             executor = ThreadPoolExecutor(
-                max_workers=max(2, 2 * len(tasks)),
-                thread_name_prefix="shard-attempt",
+                max_workers=len(tasks), thread_name_prefix="shard-attempt"
             )
         phase_start = self._clock()
         with batch.tracer.span(
@@ -657,7 +434,7 @@ class HierarchicalSearcher:
                     answers = [run_one(task) for task in tasks]
             finally:
                 if executor is not None:
-                    # Abandoned hedges/stragglers finish on their own; don't wait.
+                    # Abandoned stragglers finish on their own; don't wait.
                     executor.shutdown(wait=False)
         self._observe_phase("deep", phase_start)
         return answers
@@ -670,14 +447,8 @@ class HierarchicalSearcher:
         executor: "ThreadPoolExecutor | None",
         deep_span,
     ) -> ShardAnswer:
-        """Run one shard's deep search to its final outcome — the one runner.
-
-        Attempts repeat under ``policy`` (transient errors retry with
-        backoff while attempts and the fleet retry budget last; with an
-        ``executor`` each attempt runs under the deadline and may be hedged).
-        Each attempt is timed individually *inside* the loop, so the reported
-        ``latency_s`` is time requests were in flight — backoff sleeps land
-        only in ``wall_s``.
+        """Run one shard's deep search to its final outcome with
+        :func:`~repro.core.policy.run_call`.
 
         A failed shard under a policy *degrades*: the answer carries no
         candidates and the batch merges around it. Without a policy the
@@ -687,175 +458,37 @@ class HierarchicalSearcher:
         """
         sid = int(task.shard.shard_id)
         n_queries = len(task.rows)
-        rules = policy if policy is not None else _FAIL_FAST
-        tracer = batch.tracer
-        clock = self._clock
 
-        def attempt():
-            # Attempts on the executor may outlive their deadline (abandoned
-            # hedges/stragglers); suppress their nested spans so no orphan
-            # escapes into the tree after it closes.
-            with tracer.suppressed() if executor is not None else nullcontext():
-                return task.shard.search(
-                    batch.queries[task.rows], batch.k, nprobe=batch.nprobe,
-                    kept=task.kept,
-                )
+        def call():
+            return task.shard.search(
+                batch.queries[task.rows], batch.k, nprobe=batch.nprobe, kept=task.kept
+            )
 
-        with tracer.span(
+        with batch.tracer.span(
             "shard_search",
             parent=deep_span,
             worker=f"shard{sid}",
             shard=sid,
             queries=n_queries,
         ) as shard_span:
-            t0 = clock()
-            busy = 0.0
-            attempts = 0
-            hedges = 0
-            outcome = "ok"
-            value = failure = None
-            backoff = rules.backoff_s
-            budget = rules.retry_budget
-            if budget is not None:
-                budget.deposit()
-            while True:
-                attempts += 1
-                meta = {"hedges": 0}
-                attempt_start = clock()
-                try:
-                    # Inner try/finally times exactly the in-flight attempt:
-                    # the backoff sleep below runs in the except handler,
-                    # after the finally has already banked this interval.
-                    try:
-                        with (
-                            tracer.span("attempt", try_index=attempts)
-                            if policy is not None
-                            else nullcontext()
-                        ):
-                            if executor is None:
-                                value = attempt()
-                            else:
-                                value = self._attempt_with_deadline(
-                                    sid, attempt, rules, executor, meta
-                                )
-                        break
-                    finally:
-                        busy += clock() - attempt_start
-                        hedges += meta["hedges"]
-                except TransientShardError as exc:
-                    failure = exc
-                    if attempts >= rules.max_attempts:
-                        outcome = "transient-exhausted"
-                        break
-                    if budget is not None and not budget.try_spend():
-                        # Fleet-wide budget dry: degrade now rather than join
-                        # a retry storm already in progress.
-                        outcome = "retry-budget-exhausted"
-                        break
-                    if backoff > 0:
-                        with tracer.span("backoff", seconds=backoff):
-                            self._sleep(backoff)
-                        backoff *= 2
-                except (ShardTimeoutError, FutureTimeoutError) as exc:
-                    failure, outcome = exc, "timeout"
-                    break
-                except ShardCrashedError as exc:
-                    failure, outcome = exc, "crashed"
-                    break
-                except Exception as exc:  # noqa: BLE001 — classified, then degrade or raise
-                    failure, outcome = exc, "error"
-                    break
-            stats = ShardCallStats(
+            value, stats, failure = run_call(
+                call,
+                policy if policy is not None else _FAIL_FAST,
                 shard_id=sid,
                 queries=n_queries,
-                # hedged duplicates are issued requests: charge them as attempts
-                attempts=attempts + hedges,
-                latency_s=busy,
-                hedged=hedges > 0,
-                outcome=outcome,
-                wall_s=clock() - t0,
+                executor=executor,
+                clock=self._clock,
+                tracer=batch.tracer if policy is not None else None,
             )
-            shard_span.set(
-                attempts=stats.attempts, outcome=outcome, hedged=stats.hedged
-            )
+            shard_span.set(attempts=stats.attempts, outcome=stats.outcome)
             if policy is not None:
-                self._account_policy_call(stats, attempts - 1, hedges)
+                account(stats, self.health)
             elif not stats.ok:
                 if isinstance(failure, ShardError):
                     raise failure  # already names its shard
                 raise ShardSearchError(sid, n_queries, failure) from failure
-            dists, ids = value if stats.ok else (None, None)
-            return ShardAnswer(task, dists, ids, stats)
-
-    def _account_policy_call(
-        self, stats: ShardCallStats, retries: int, hedges: int
-    ) -> None:
-        """Registry counters and breaker state for one policy-governed call."""
-        registry = get_registry()
-        if retries:
-            registry.counter(
-                "retrieval_retries_total",
-                "transient-error retries issued by the deep-search fan-out",
-            ).inc(retries)
-        if hedges:
-            registry.counter(
-                "retrieval_hedges_total", "hedged duplicate shard requests"
-            ).inc(hedges)
-        registry.histogram(
-            "retrieval_shard_latency_seconds",
-            "per-shard in-flight deep-search time (excludes backoff sleeps)",
-        ).observe(stats.latency_s, outcome=stats.outcome)
-        if self.health is not None:
-            if stats.ok:
-                self.health.record_success(stats.shard_id)
-            else:
-                self.health.record_failure(stats.shard_id)
-
-    def _attempt_with_deadline(
-        self,
-        shard_id: int,
-        attempt,
-        policy: RetrievalPolicy,
-        executor: ThreadPoolExecutor,
-        meta: dict,
-    ):
-        """One attempt under a deadline, with an optional hedged duplicate.
-
-        Returns the attempt's value; raises its failure (a
-        :class:`ShardTimeoutError` if the deadline elapsed first). A
-        launched hedge is recorded in ``meta["hedges"]`` immediately so the
-        duplicate work is charged even when the attempt ultimately fails.
-        """
-        start = time.perf_counter()
-        deadline = policy.deadline_s
-        futures = [executor.submit(attempt)]
-        if policy.hedge_delay_s is not None:
-            hedge_wait = policy.hedge_delay_s
-            if deadline is not None:
-                hedge_wait = min(hedge_wait, deadline)
-            done, _ = wait(futures, timeout=hedge_wait)
-            if not done:
-                futures.append(executor.submit(attempt))
-                meta["hedges"] += 1
-
-        pending = set(futures)
-        failure: BaseException | None = None
-        while pending:
-            left = None if deadline is None else deadline - (time.perf_counter() - start)
-            if left is not None and left <= 0:
-                break
-            done, pending = wait(pending, timeout=left, return_when=FIRST_COMPLETED)
-            if not done:
-                break  # deadline elapsed with requests still in flight
-            for fut in done:
-                exc = fut.exception()
-                if exc is None:
-                    return fut.result()
-                failure = exc
-        if pending:
-            raise ShardTimeoutError(shard_id, deadline)
-        assert failure is not None
-        raise failure
+        dists, ids = value if stats.ok else (None, None)
+        return ShardAnswer(task, dists, ids, stats)
 
     # -- step 5: merge -------------------------------------------------------
     def _merge(

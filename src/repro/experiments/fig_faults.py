@@ -9,7 +9,7 @@ candidates.
 
 This experiment kills 0..n nodes (crash-stop fault injection through the
 real search path, exercising the retry/breaker machinery of
-:class:`~repro.core.hierarchical.RetrievalPolicy`) and measures, per killed
+:class:`~repro.core.policy.RetrievalPolicy`) and measures, per killed
 count and strategy:
 
 - **NDCG@10** against exhaustive ground truth (mean over the query set);
@@ -34,8 +34,8 @@ from ..core.hierarchical import (
     ExhaustiveSplitSearcher,
     HermesSearcher,
     HierarchicalSearcher,
-    RetrievalPolicy,
 )
+from ..core.policy import FLEET_POLICY
 from ..metrics.ndcg import ndcg_single
 from ..metrics.reporting import FigureResult
 from ..serving.faults import kill_shards
@@ -50,12 +50,6 @@ from .common import (
 KILL_SWEEP = (0, 1, 2, 3, 5)
 #: Retrieval depth for the degradation metric (NDCG@10).
 K_FAULTS = 10
-
-#: Survival policy used throughout the sweep: one retry for transients, a
-#: fast circuit breaker so dead shards stop being probed after two batches.
-SWEEP_POLICY = RetrievalPolicy(
-    max_attempts=2, breaker_threshold=2, breaker_cooldown=4
-)
 
 
 @dataclass(frozen=True)
@@ -149,8 +143,8 @@ def run(
         )
         hermes_ds = kill_shards(clustered, dead, seed=seed) if dead else clustered
         split_ds = kill_shards(split, dead, seed=seed) if dead else split
-        hermes = HermesSearcher(hermes_ds, policy=SWEEP_POLICY)
-        naive = ExhaustiveSplitSearcher(split_ds, policy=SWEEP_POLICY)
+        hermes = HermesSearcher(hermes_ds, policy=FLEET_POLICY)
+        naive = ExhaustiveSplitSearcher(split_ds, policy=FLEET_POLICY)
 
         hermes_out, hermes_scores = _measure(
             hermes, queries, truth, k=k, healthy_scores=healthy.get("hermes")
@@ -202,7 +196,7 @@ def write_artifact(points: list[FaultSweepPoint], path: str, *, k: int = K_FAULT
         "description": "killed retrieval nodes x {NDCG@10, affected fraction, "
         "p50/p99 latency} for Hermes vs naive split",
         "k": k,
-        "policy": asdict(SWEEP_POLICY),
+        "policy": asdict(FLEET_POLICY),
         "points": [asdict(p) for p in points],
     }
     with open(path, "w") as fh:

@@ -41,7 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from ..core.errors import AdmissionRejectedError, DeadlineExceededError
-from ..core.hierarchical import HermesSearcher, RetrievalPolicy, RetryBudget
+from ..core.hierarchical import HermesSearcher
+from ..core.policy import FLEET_POLICY, RetryBudget
 from ..datastore.queries import trivia_queries
 from ..metrics.ndcg import ndcg_single
 from ..serving.admission import AdmissionConfig
@@ -58,11 +59,6 @@ from .common import (
 LOAD_SWEEP = (0.5, 1.0, 2.0)
 #: Retrieval depth for the quality metric (NDCG@10).
 K_OVERLOAD = 10
-
-#: Fleet-survival policy for the failover section (mirrors the fault sweep):
-#: one retry for transients, a fast breaker, and a shared retry budget so
-#: dead shards cannot multiply retries into a storm.
-FAILOVER_POLICY = RetrievalPolicy(max_attempts=2, breaker_threshold=2, breaker_cooldown=4)
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,9 @@ def run_failover(
         int(s) for s in rng.choice(clustered.n_clusters, size=kill_clusters, replace=False)
     )
 
-    policy = dc_replace(FAILOVER_POLICY, retry_budget=RetryBudget())
+    # The fault sweep's policy plus a shared retry budget, so dead shards
+    # cannot multiply retries into a storm.
+    policy = dc_replace(FLEET_POLICY, retry_budget=RetryBudget())
     replicated_ds = replicate_datastore(clustered, 2)
     # Private shard list so the mid-run kill never touches the memoised
     # datastore other experiments share.

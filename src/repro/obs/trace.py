@@ -247,8 +247,8 @@ class Tracer:
         """Context manager silencing this thread's spans while active.
 
         Used around work that may outlive its logical parent span — e.g. a
-        hedged duplicate request abandoned after its deadline — whose nested
-        spans would otherwise escape the tree as orphans.
+        shard attempt abandoned after its deadline — whose nested spans
+        would otherwise escape the tree as orphans.
         """
         return _Suppressed(self)
 

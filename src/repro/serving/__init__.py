@@ -9,9 +9,7 @@ Three layers:
 - the **discrete-event simulator** complementing the closed-form multi-node
   model with batches contending for the GPU and the retrieval fleet;
 - the **fault models** (crash-stop, transient, straggler) that chaos-test
-  the fleet both per-batch (:mod:`repro.serving.faults` wrapping live
-  shards) and at serving scale (:class:`FleetFaultSchedule` driving the
-  simulator);
+  the fleet per batch (:mod:`repro.serving.faults` wrapping live shards);
 - the **overload layer** (:mod:`repro.serving.admission`,
   :mod:`repro.serving.replication`): bounded-queue admission control,
   deadline shedding, the brownout degradation ladder, and health-aware
@@ -50,9 +48,6 @@ from .faults import (
     FaultInjector,
     FaultModel,
     FaultyShard,
-    FleetFaultSchedule,
-    NodeOutage,
-    NodeSlowdown,
     OutageWindow,
     Straggler,
     TransientFault,
@@ -103,9 +98,6 @@ __all__ = [
     "FaultInjector",
     "FaultModel",
     "FaultyShard",
-    "FleetFaultSchedule",
-    "NodeOutage",
-    "NodeSlowdown",
     "OutageWindow",
     "Straggler",
     "TransientFault",

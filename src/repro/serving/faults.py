@@ -4,8 +4,8 @@ Hermes deploys one index per node (§4/§6), so fleet availability is a
 first-order property: a dead or slow node sits directly on the TTFT
 critical path. This module provides the *chaos* half of the story — fault
 models that wrap a shard's ``search`` so the searcher's survival machinery
-(deadlines, retries, hedges, circuit breaker; see
-:class:`repro.core.hierarchical.RetrievalPolicy`) can be exercised and
+(deadlines, retries, circuit breaker; see
+:class:`repro.core.policy.RetrievalPolicy`) can be exercised and
 measured deterministically:
 
 - :class:`CrashStop` — the node dies and stays dead (permanent
@@ -16,16 +16,14 @@ measured deterministically:
 - :class:`OutageWindow` — a deterministic outage of ``n_calls`` calls that
   then *recovers*, for reproducing recovery behaviour exactly;
 - :class:`Straggler` — latency injection, fixed or heavy-tailed (Pareto),
-  the hedging/deadline stressor.
+  the deadline stressor.
 
 Every stochastic draw comes from a per-shard ``numpy.random.Generator``
 seeded as ``default_rng([seed, shard_id])``, so a fault schedule is a pure
 function of ``(seed, per-shard call sequence)`` — two runs with the same
 seed produce identical failure schedules regardless of how shard fan-out
-threads interleave *across* shards. (Calls racing on a single shard — e.g.
-hedged duplicates — are serialised by a lock but their draw order follows
-wall-clock arrival; pair probabilistic models with hedging only when that
-nondeterminism is acceptable.)
+threads interleave *across* shards. (Calls racing on a single shard are
+serialised by a lock, but their draw order follows wall-clock arrival.)
 
 Models compose: a shard can be both a straggler and transiently flaky.
 Models are applied in order; delays accumulate, the first exception wins
@@ -159,8 +157,8 @@ class Straggler(FaultModel):
     for production stragglers whose tail is far fatter than exponential
     (small alpha ⇒ fatter tail; alpha <= 1 has infinite mean, use > 1 for
     bounded experiments). ``calls`` restricts the slowdown to exact call
-    indices — the deterministic mode for hedge tests (e.g. ``calls=[1]``
-    slows only the primary deep search; the hedged duplicate runs clean).
+    indices — the deterministic mode for deadline tests (e.g. ``calls=[1]``
+    slows only the first deep search, after a clean sampling probe).
     """
 
     def __init__(
@@ -324,127 +322,3 @@ def kill_shards(
         datastore, {int(s): CrashStop() for s in shard_ids}
     )
 
-
-# ---------------------------------------------------------------------------
-# Fleet-scale fault schedules (discrete-event simulator)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NodeOutage:
-    """Node *node* is down over ``[start_s, end_s)``.
-
-    ``end_s = inf`` models crash-stop for the whole run; finite ends model
-    fail-recover (a reboot, a replica promotion).
-    """
-
-    node: int
-    start_s: float
-    end_s: float
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node must be >= 0, got {self.node}")
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be >= 0, got {self.start_s}")
-        if self.end_s <= self.start_s:
-            raise ValueError(f"end_s must exceed start_s, got [{self.start_s}, {self.end_s})")
-
-
-@dataclass(frozen=True)
-class NodeSlowdown:
-    """Node *node* runs ``factor``x slower over ``[start_s, end_s)`` (straggler)."""
-
-    node: int
-    start_s: float
-    end_s: float
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node must be >= 0, got {self.node}")
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be >= 0, got {self.start_s}")
-        if self.end_s <= self.start_s:
-            raise ValueError(f"end_s must exceed start_s, got [{self.start_s}, {self.end_s})")
-        if self.factor <= 1.0:
-            raise ValueError(f"factor must exceed 1, got {self.factor}")
-
-
-class FleetFaultSchedule:
-    """Timeline of node outages and straggler windows for the simulator.
-
-    The simulator consults this at every retrieval-phase entry: a down node
-    is skipped (degraded batch), a slowed node's phase duration is scaled by
-    the product of its covering slowdown factors.
-    """
-
-    def __init__(
-        self,
-        n_nodes: int,
-        *,
-        outages: Iterable[NodeOutage] = (),
-        slowdowns: Iterable[NodeSlowdown] = (),
-    ) -> None:
-        if n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-        self.n_nodes = n_nodes
-        self.outages = tuple(outages)
-        self.slowdowns = tuple(slowdowns)
-        for ev in self.outages + self.slowdowns:
-            if ev.node >= n_nodes:
-                raise ValueError(f"event names node {ev.node}, fleet has {n_nodes}")
-
-    def is_down(self, node: int, t: float) -> bool:
-        return any(
-            o.node == node and o.start_s <= t < o.end_s for o in self.outages
-        )
-
-    def slowdown(self, node: int, t: float) -> float:
-        factor = 1.0
-        for s in self.slowdowns:
-            if s.node == node and s.start_s <= t < s.end_s:
-                factor *= s.factor
-        return factor
-
-    @classmethod
-    def random(
-        cls,
-        n_nodes: int,
-        *,
-        horizon_s: float,
-        rng: np.random.Generator,
-        mtbf_s: float,
-        mttr_s: float,
-        straggler_rate_s: float | None = None,
-        straggler_duration_s: float = 10.0,
-        straggler_factor: float = 3.0,
-    ) -> "FleetFaultSchedule":
-        """Seeded random schedule: exponential failure/repair (+ stragglers).
-
-        Per node, time-to-failure ~ Exp(``mtbf_s``) and repair ~
-        Exp(``mttr_s``) alternate across the horizon; straggler windows of
-        ``straggler_duration_s`` arrive at rate ``1/straggler_rate_s``. All
-        draws come from the injected generator, node by node in order, so
-        the schedule is a pure function of the generator's seed.
-        """
-        if horizon_s <= 0:
-            raise ValueError(f"horizon_s must be positive, got {horizon_s}")
-        if mtbf_s <= 0 or mttr_s <= 0:
-            raise ValueError("mtbf_s and mttr_s must be positive")
-        outages = []
-        slowdowns = []
-        for node in range(n_nodes):
-            t = float(rng.exponential(mtbf_s))
-            while t < horizon_s:
-                down = float(rng.exponential(mttr_s))
-                outages.append(NodeOutage(node, t, t + down))
-                t += down + float(rng.exponential(mtbf_s))
-            if straggler_rate_s is not None:
-                t = float(rng.exponential(straggler_rate_s))
-                while t < horizon_s:
-                    slowdowns.append(
-                        NodeSlowdown(node, t, t + straggler_duration_s, straggler_factor)
-                    )
-                    t += straggler_duration_s + float(rng.exponential(straggler_rate_s))
-        return cls(n_nodes, outages=outages, slowdowns=slowdowns)

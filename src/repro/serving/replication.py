@@ -14,7 +14,7 @@ fault injector — unchanged.
 Selection and failover:
 
 - replica health is tracked by the existing
-  :class:`~repro.core.hierarchical.ShardHealth` breaker, indexed by replica
+  :class:`~repro.core.policy.ShardHealth` breaker, indexed by replica
   instead of by shard. A replica whose breaker is open is skipped.
 - a call tries the preferred (lowest-index healthy) replica first; a
   :class:`~repro.core.errors.ShardError` fails over to the next healthy
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..core.clustering import ClusteredDatastore
 from ..core.errors import ShardCrashedError, ShardError
-from ..core.hierarchical import ShardHealth
+from ..core.policy import ShardHealth
 from ..obs.metrics import get_registry
 
 __all__ = ["ReplicaGroup", "replicate_datastore", "replica_groups", "kill_replica"]

@@ -18,7 +18,7 @@ the sequential :func:`~repro.llm.generation.stride_timeline` for every config
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from ..obs.trace import Tracer
 from ..perfmodel.aggregate import DistributedRetrievalResult
 from ..perfmodel.measurements import EncoderCostModel
 from .events import EventLoop, Resource
-from .faults import FleetFaultSchedule
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,6 @@ class BatchRecord:
     started_at: float = 0.0
     first_token_at: float = 0.0
     completed_at: float = 0.0
-    #: retrieval phases that skipped a down node (graceful degradation)
-    skipped_nodes: list = field(default_factory=list)
 
     @property
     def ttft_s(self) -> float:
@@ -103,11 +100,6 @@ class BatchRecord:
     @property
     def latency_s(self) -> float:
         return self.completed_at - self.submitted_at
-
-    @property
-    def degraded(self) -> bool:
-        """True when any retrieval phase lost a node's contribution."""
-        return bool(self.skipped_nodes)
 
 
 @dataclass
@@ -125,16 +117,6 @@ class ServingReport:
         if self.makespan_s <= 0:
             return 0.0
         return len(self.batches) * self.batch_size / self.makespan_s
-
-    @property
-    def degraded_batches(self) -> int:
-        """Batches that lost at least one node's retrieval contribution."""
-        return sum(1 for b in self.batches if b.degraded)
-
-    @property
-    def availability(self) -> float:
-        """Fraction of batches served with full fleet coverage."""
-        return 1.0 - self.degraded_batches / len(self.batches)
 
     @property
     def mean_latency_s(self) -> float:
@@ -174,12 +156,6 @@ class PipelineSimulator:
     batch *k* occupies the GPU). A retrieval phase holds **all** of its
     participating nodes and completes when the slowest finishes, matching
     the synchronous scatter-gather of the paper's distributed search.
-
-    With a :class:`~repro.serving.faults.FleetFaultSchedule` the fleet is
-    chaotic: a node that is down when a phase reaches it is skipped — the
-    batch proceeds degraded, the searcher's deadline/breaker behaviour at
-    serving scale. Straggler windows scale the node's phase duration by
-    their factor (sampled at phase entry).
     """
 
     def __init__(
@@ -187,19 +163,12 @@ class PipelineSimulator:
         plan: StagePlan,
         *,
         batch_size: int,
-        faults: FleetFaultSchedule | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if faults is not None and faults.n_nodes != plan.n_nodes:
-            raise ValueError(
-                f"fault schedule covers {faults.n_nodes} nodes, "
-                f"plan has {plan.n_nodes}"
-            )
         self.plan = plan
         self.batch_size = batch_size
-        self.faults = faults
         self.tracer = tracer
         self.loop = EventLoop()
         self.gpu = Resource(self.loop, "gpu")
@@ -280,7 +249,7 @@ class PipelineSimulator:
             self.loop.schedule(cost, done)
 
         if resource == "nodes":
-            self._retrieval_phase(cost, record, done, holds)
+            self._retrieval_phase(cost, done, holds)
         elif self._on_gpu(index - 1):
             begin()
         else:
@@ -313,16 +282,10 @@ class PipelineSimulator:
     def _retrieval_phase(
         self,
         durations: np.ndarray,
-        record: BatchRecord,
         then_continue,
         holds: list,
     ) -> None:
-        """Scatter a phase to all involved nodes; continue when all finish.
-
-        Fault handling happens at phase entry: a down node is skipped (the
-        batch degrades); a straggling node's busy time is scaled by its
-        slowdown factor.
-        """
+        """Scatter a phase to all involved nodes; continue when all finish."""
         involved = [i for i, d in enumerate(durations) if d > 0]
         if not involved:
             then_continue()
@@ -334,16 +297,8 @@ class PipelineSimulator:
             if remaining["count"] == 0:
                 then_continue()
 
-        now = self.loop.now
         for i in involved:
-            duration = float(durations[i])
-            if self.faults is not None:
-                if self.faults.is_down(i, now):
-                    record.skipped_nodes.append(i)
-                    node_done()
-                    continue
-                duration *= self.faults.slowdown(i, now)
-            self._hold_node(i, duration, node_done, holds)
+            self._hold_node(i, float(durations[i]), node_done, holds)
 
     # -- driving ---------------------------------------------------------------
     def run(
@@ -402,7 +357,6 @@ class PipelineSimulator:
                 worker=f"batch{record.batch_id}",
                 batch_id=record.batch_id,
                 batch_size=self.batch_size,
-                degraded=record.degraded,
             )
             prev = record.submitted_at
             for name, end, attrs, holds in marks:

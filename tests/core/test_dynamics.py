@@ -132,7 +132,7 @@ class TestNodeFailure:
         excluded and shard 5's sampling probe crashing, an ``inf`` tie across
         the failed and the excluded shards must not hand excluded shard 0 a
         deep search: the fan-out is capped at the two survivors."""
-        from repro.core.hierarchical import RetrievalPolicy
+        from repro.core.policy import RetrievalPolicy
         from repro.serving.faults import CrashStop, FaultInjector
 
         corpus, datastore = fresh_datastore

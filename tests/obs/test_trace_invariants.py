@@ -28,7 +28,6 @@ from repro.obs.validate import (
     validate_span_tree,
     validate_trace,
 )
-from repro.serving.faults import FleetFaultSchedule, NodeOutage, NodeSlowdown
 from repro.serving.simulator import PipelineSimulator, StagePlan
 
 pytestmark = pytest.mark.obs
@@ -249,23 +248,6 @@ class TestSimulatorVirtualTime:
         validate_trace(roots)
         for root, batch in zip(roots, report.batches):
             assert sum(c.duration_s for c in root.children) == batch.latency_s
-
-    def test_faulted_fleet_traces_validate(self):
-        faults = FleetFaultSchedule(
-            3,
-            outages=[NodeOutage(node=0, start_s=0.0, end_s=0.05)],
-            slowdowns=[NodeSlowdown(node=2, start_s=0.0, end_s=10.0, factor=3.0)],
-        )
-        tracer = Tracer(enabled=True)
-        sim = PipelineSimulator(
-            _plan(), batch_size=4, faults=faults, tracer=tracer
-        )
-        report = sim.run(4)
-        roots = tracer.finished_roots()
-        validate_trace(roots)
-        for root, batch in zip(roots, report.batches):
-            assert sum(c.duration_s for c in root.children) == batch.latency_s
-            assert root.attrs["degraded"] == batch.degraded
 
     def test_untraced_simulator_emits_nothing(self):
         sim = PipelineSimulator(_plan(), batch_size=4)

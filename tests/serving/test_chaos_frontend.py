@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.hierarchical import HermesSearcher, RetrievalPolicy
+from repro.core.hierarchical import HermesSearcher
+from repro.core.policy import RetrievalPolicy
 from repro.serving.cache import CacheConfig
 from repro.serving.faults import CrashStop, FaultInjector, Straggler
 from repro.serving.frontend import DynamicBatcher, ServingFrontend

@@ -7,9 +7,6 @@ from repro.core.errors import ShardCrashedError, TransientShardError
 from repro.serving.faults import (
     CrashStop,
     FaultInjector,
-    FleetFaultSchedule,
-    NodeOutage,
-    NodeSlowdown,
     OutageWindow,
     Straggler,
     TransientFault,
@@ -167,64 +164,3 @@ class TestFaultInjector:
             return logs
 
         assert run_once() == run_once()
-
-
-class TestFleetFaultSchedule:
-    def test_outage_membership_and_recovery(self):
-        sched = FleetFaultSchedule(
-            4, outages=[NodeOutage(1, 5.0, 10.0), NodeOutage(1, 9.0, 12.0)]
-        )
-        assert not sched.is_down(1, 4.9)
-        assert sched.is_down(1, 5.0)
-        assert sched.is_down(1, 11.0)  # chained outage
-        assert not sched.is_down(1, 12.0)
-        assert not sched.is_down(0, 6.0)
-
-    def test_unrecoverable_outage(self):
-        sched = FleetFaultSchedule(2, outages=[NodeOutage(0, 0.0, float("inf"))])
-        assert sched.is_down(0, 1e12)
-        assert not sched.is_down(1, 1.0)
-
-    def test_slowdown_factors_compose(self):
-        sched = FleetFaultSchedule(
-            2,
-            slowdowns=[
-                NodeSlowdown(0, 0.0, 10.0, 2.0),
-                NodeSlowdown(0, 5.0, 15.0, 3.0),
-            ],
-        )
-        assert sched.slowdown(0, 1.0) == 2.0
-        assert sched.slowdown(0, 7.0) == 6.0
-        assert sched.slowdown(0, 12.0) == 3.0
-        assert sched.slowdown(1, 7.0) == 1.0
-
-    def test_event_validation(self):
-        with pytest.raises(ValueError, match="exceed"):
-            NodeOutage(0, 5.0, 5.0)
-        with pytest.raises(ValueError, match="factor"):
-            NodeSlowdown(0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="names node"):
-            FleetFaultSchedule(2, outages=[NodeOutage(5, 0.0, 1.0)])
-
-    def test_random_schedule_deterministic(self):
-        kwargs = dict(
-            horizon_s=200.0,
-            mtbf_s=50.0,
-            mttr_s=10.0,
-            straggler_rate_s=60.0,
-            straggler_factor=4.0,
-        )
-        a = FleetFaultSchedule.random(6, rng=np.random.default_rng(3), **kwargs)
-        b = FleetFaultSchedule.random(6, rng=np.random.default_rng(3), **kwargs)
-        assert a.outages == b.outages
-        assert a.slowdowns == b.slowdowns
-        assert len(a.outages) > 0
-
-    def test_random_schedule_seed_sensitivity(self):
-        a = FleetFaultSchedule.random(
-            6, horizon_s=200.0, rng=np.random.default_rng(3), mtbf_s=50.0, mttr_s=10.0
-        )
-        b = FleetFaultSchedule.random(
-            6, horizon_s=200.0, rng=np.random.default_rng(4), mtbf_s=50.0, mttr_s=10.0
-        )
-        assert a.outages != b.outages

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.hierarchical import HermesSearcher, RetrievalPolicy
+from repro.core.hierarchical import HermesSearcher
+from repro.core.policy import RetrievalPolicy
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serving.cache import EXACT_HIT, MISS, CacheConfig
 from repro.serving.frontend import BatcherStats, DynamicBatcher, ServingFrontend

@@ -272,77 +272,3 @@ class TestPoissonArrivals:
             sim.run_poisson(0, mean_interval_s=1.0)
         with pytest.raises(ValueError):
             sim.run_poisson(2, mean_interval_s=0.0)
-
-class TestFaultedFleet:
-    def sched(self, **kwargs):
-        from repro.serving import FleetFaultSchedule
-
-        return FleetFaultSchedule(3, **kwargs)
-
-    def test_skip_policy_marks_batches_degraded(self):
-        from repro.serving import NodeOutage
-
-        plan = small_plan()
-        sim = PipelineSimulator(
-            plan,
-            batch_size=8,
-            faults=self.sched(outages=[NodeOutage(1, 0.0, float("inf"))]),
-        )
-        report = sim.run(3)
-        assert report.degraded_batches == 3
-        assert report.availability == 0.0
-        for batch in report.batches:
-            assert batch.degraded
-            assert 1 in batch.skipped_nodes
-
-    def test_skipped_node_does_not_gate_the_phase(self):
-        from repro.serving import NodeOutage
-
-        # The slowest deep node is dead; skipping it speeds the phase up.
-        plan = small_plan(deep_seconds=(0.1, 0.9, 0.0))
-        dead_hot = PipelineSimulator(
-            plan,
-            batch_size=8,
-            faults=self.sched(outages=[NodeOutage(1, 0.0, float("inf"))]),
-        ).run(1)
-        assert dead_hot.batches[0].latency_s == pytest.approx(
-            0.1 + 2 * (0.05 + 0.1 + 0.4 + 0.5)
-        )
-
-    def test_slowdown_scales_makespan(self):
-        from repro.serving import NodeSlowdown
-
-        plan = small_plan()
-        healthy = PipelineSimulator(plan, batch_size=8).run(2)
-        slowed = PipelineSimulator(
-            plan,
-            batch_size=8,
-            faults=self.sched(
-                slowdowns=[NodeSlowdown(0, 0.0, float("inf"), 4.0)]
-            ),
-        ).run(2)
-        assert slowed.makespan_s > healthy.makespan_s
-        assert slowed.degraded_batches == 0  # slow, not dead
-
-    def test_node_count_mismatch_rejected(self):
-        from repro.serving import FleetFaultSchedule
-
-        plan = small_plan()
-        with pytest.raises(ValueError, match="covers"):
-            PipelineSimulator(plan, batch_size=8, faults=FleetFaultSchedule(7))
-
-    def test_random_schedule_runs_end_to_end(self):
-        from repro.serving import FleetFaultSchedule
-
-        plan = small_plan()
-        faults = FleetFaultSchedule.random(
-            3,
-            horizon_s=30.0,
-            rng=np.random.default_rng(0),
-            mtbf_s=10.0,
-            mttr_s=2.0,
-            straggler_rate_s=15.0,
-        )
-        report = PipelineSimulator(plan, batch_size=8, faults=faults).run(6)
-        assert len(report.batches) == 6
-        assert 0.0 <= report.availability <= 1.0

@@ -31,7 +31,7 @@ PACKAGE = SRC / "repro"
 #: test holds reachable code to.
 REFERENCE = "reference a remaining test holds reachable code to"
 #: Reason 2 — a fault model the chaos tests inject to exercise retry /
-#: hedge / deadline handling.
+#: deadline handling.
 FAULT_MODEL = "fault model the chaos tests inject"
 
 #: ``module`` or ``module:name`` → one of the two reasons above. At most ten.
