@@ -182,9 +182,9 @@ class KeptScan:
     last batch's buffers instead of faulting in fresh ones. It stays intact
     until that thread's next keeping scan of the index — in a search, the
     next batch's sample, after every deep call of this batch has returned —
-    and a hand-over whose lease has lapsed is not read. (A deep attempt
-    abandoned at its deadline may still be reading when the next batch
-    samples; its answer is discarded.)
+    and a hand-over whose lease has lapsed is not read. Only a searcher
+    with ``max_workers`` reads a kept scan from another thread, and its
+    deep calls all return before the next batch samples.
     """
 
     __slots__ = ("dists", "bias", "probe", "sealed", "live", "lease", "rows")

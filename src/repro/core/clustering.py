@@ -66,6 +66,7 @@ class Shard(Protocol):
         *,
         nprobe: "int | None" = None,
         kept: "KeptScan | None" = None,
+        timeout_s: "float | None" = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Top-``k`` ``(distances, global_ids)`` per query.
 
@@ -73,7 +74,10 @@ class Shard(Protocol):
         deep call on it (:class:`~repro.ann.ivf.KeptScan`): the router passes
         an empty one to each sample, the searcher the filled one, narrowed to
         the routed rows, to the deep call. A wrapper forwards it untouched,
-        so both calls still pass through it."""
+        so both calls still pass through it. ``timeout_s`` is the searcher's
+        deadline for the call: a shard that can block (a fault-injected
+        delay, a replica set) returns, or raises
+        :class:`~repro.core.errors.ShardTimeoutError`, within it."""
 
     def insert(self, vectors: np.ndarray, global_ids: np.ndarray) -> None: ...
 
@@ -338,6 +342,7 @@ class IndexShard:
         *,
         nprobe: int | None = None,
         kept: "KeptScan | None" = None,
+        timeout_s: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k within this shard, with ids translated to global ids.
 
@@ -359,6 +364,7 @@ class IndexShard:
         its dense scan together with the index record and view it read, and
         a deep call selects from it only when it reads the very same ones —
         a write between the two calls makes the deep call scan.
+        ``timeout_s`` is ignored: the search is bounded in-process compute.
         """
         with self._lock:
             index = self.index

@@ -9,8 +9,8 @@ failed to pick the right response:
 - :class:`ShardCrashedError` — the node is gone; retrying is wasted work, the
   circuit breaker should open and routing should exclude the shard.
 - :class:`ShardTimeoutError` — the per-shard deadline elapsed (straggler or
-  silent failure); the attempt is abandoned and the shard degrades, it is
-  not retried.
+  silent failure): a blocking shard raises it at its call's ``timeout_s``,
+  and a late answer counts as one. The shard degrades; it is not retried.
 - :class:`ShardSearchError` — an *unexpected* exception inside a shard's deep
   search, re-raised with the shard id and routed query count attached so the
   fan-out's failure context is never lost.

@@ -19,7 +19,9 @@ path, so every deep-search call runs under :mod:`repro.core.policy`'s
 :class:`~repro.core.policy.RetrievalPolicy`: a per-attempt deadline,
 bounded retries of transient errors under a fleet-wide retry budget, and a
 circuit breaker (:class:`~repro.core.policy.ShardHealth`) whose open shards
-join the router's ``exclude`` set until a cooldown expires.
+join the router's ``exclude`` set until a cooldown expires. The deadline
+travels with each attempt as the shard call's ``timeout_s``, and the
+attempt runs on the thread that issues it.
 
 A shard that still fails yields its candidate slots as ``(+inf, -1)``
 instead of raising — the batch *degrades* to the surviving clusters'
@@ -213,7 +215,8 @@ class HierarchicalSearcher:
         time (seconds). It is accounted against this searcher's clock: after
         routing, the per-attempt deadline of the deep-search policy is
         clamped to what is left of the budget, so a 50 ms request never
-        launches a deep search allowed to run 200 ms. A budget that is
+        launches a deep search allowed to run 200 ms; a budget that does not
+        bind leaves the answer bit-identical. A budget that is
         already spent (or runs out before the deep phase starts) raises
         :class:`~repro.core.errors.DeadlineExceededError` and counts on
         ``retrieval_deadline_exceeded_total`` — callers under admission
@@ -412,30 +415,17 @@ class HierarchicalSearcher:
     ) -> "list[ShardAnswer]":
         """Deep phase: every task through :meth:`_run_task`, inline or fanned out."""
         policy = self._deep_policy(batch, deadline_at)
-        executor: ThreadPoolExecutor | None = None
-        if policy is not None and policy.deadline_s is not None and tasks:
-            # Attempts need own threads so deadlines can abandon stragglers.
-            executor = ThreadPoolExecutor(
-                max_workers=len(tasks), thread_name_prefix="shard-attempt"
-            )
         phase_start = self._clock()
         with batch.tracer.span(
             "deep_search", parent=batch.root, shards=len(tasks), nprobe=batch.nprobe
         ) as deep_span:
-            run_one = lambda task: self._run_task(
-                batch, task, policy, executor, deep_span
-            )
-            try:
-                if self.max_workers is not None and len(tasks) > 1:
-                    workers = min(self.max_workers, len(tasks))
-                    with ThreadPoolExecutor(max_workers=workers) as threads:
-                        answers = list(threads.map(run_one, tasks))
-                else:
-                    answers = [run_one(task) for task in tasks]
-            finally:
-                if executor is not None:
-                    # Abandoned stragglers finish on their own; don't wait.
-                    executor.shutdown(wait=False)
+            run_one = lambda task: self._run_task(batch, task, policy, deep_span)
+            if self.max_workers is not None and len(tasks) > 1:
+                workers = min(self.max_workers, len(tasks))
+                with ThreadPoolExecutor(max_workers=workers) as threads:
+                    answers = list(threads.map(run_one, tasks))
+            else:
+                answers = [run_one(task) for task in tasks]
         self._observe_phase("deep", phase_start)
         return answers
 
@@ -444,7 +434,6 @@ class HierarchicalSearcher:
         batch: _Batch,
         task: ShardTask,
         policy: "RetrievalPolicy | None",
-        executor: "ThreadPoolExecutor | None",
         deep_span,
     ) -> ShardAnswer:
         """Run one shard's deep search to its final outcome with
@@ -459,9 +448,13 @@ class HierarchicalSearcher:
         sid = int(task.shard.shard_id)
         n_queries = len(task.rows)
 
-        def call():
+        def call(timeout_s):
             return task.shard.search(
-                batch.queries[task.rows], batch.k, nprobe=batch.nprobe, kept=task.kept
+                batch.queries[task.rows],
+                batch.k,
+                nprobe=batch.nprobe,
+                kept=task.kept,
+                timeout_s=timeout_s,
             )
 
         with batch.tracer.span(
@@ -476,7 +469,6 @@ class HierarchicalSearcher:
                 policy if policy is not None else _FAIL_FAST,
                 shard_id=sid,
                 queries=n_queries,
-                executor=executor,
                 clock=self._clock,
                 tracer=batch.tracer if policy is not None else None,
             )

@@ -194,24 +194,6 @@ class _SpanContext:
         self._tracer._close(self._span)
 
 
-class _Suppressed:
-    """Context manager flipping a thread-local no-trace flag."""
-
-    __slots__ = ("_tracer", "_previous")
-
-    def __init__(self, tracer) -> None:
-        self._tracer = tracer
-        self._previous = False
-
-    def __enter__(self) -> None:
-        local = self._tracer._local
-        self._previous = getattr(local, "suppressed", False)
-        local.suppressed = True
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._tracer._local.suppressed = self._previous
-
-
 class Tracer:
     """Collects span trees; thread-safe, with per-thread implicit nesting."""
 
@@ -239,18 +221,9 @@ class Tracer:
         span nests under this thread's innermost open span unless an
         explicit ``parent`` crosses threads (the shard fan-out case).
         """
-        if not self.enabled or getattr(self._local, "suppressed", False):
+        if not self.enabled:
             return _NULL_CONTEXT
         return _SpanContext(self, name, worker, parent, attrs)
-
-    def suppressed(self):
-        """Context manager silencing this thread's spans while active.
-
-        Used around work that may outlive its logical parent span — e.g. a
-        shard attempt abandoned after its deadline — whose nested spans
-        would otherwise escape the tree as orphans.
-        """
-        return _Suppressed(self)
 
     def traced(self, name: str | None = None, **attrs: Any):
         """Decorator form: trace every call of the wrapped function."""
@@ -284,8 +257,6 @@ class Tracer:
         ``finish()`` it. Does not touch the thread-local stack — the API for
         event-loop code where span lifetime is not a ``with`` block."""
         if not self.enabled:
-            return _NULL_SPAN
-        if getattr(self._local, "suppressed", False):
             return _NULL_SPAN
         start = self.clock() if start_s is None else start_s
         span = Span(

@@ -28,6 +28,9 @@ serialised by a lock, but their draw order follows wall-clock arrival.)
 Models compose: a shard can be both a straggler and transiently flaky.
 Models are applied in order; delays accumulate, the first exception wins
 and is raised without serving the accumulated delay (failures are fast).
+A delay past the call's ``timeout_s`` is served up to it, then the call
+raises :class:`~repro.core.errors.ShardTimeoutError` (the log keeps the
+delay drawn).
 Model instances hold per-shard state — give each shard its own instances.
 """
 
@@ -42,7 +45,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from ..core.clustering import ClusteredDatastore
-from ..core.errors import ShardCrashedError, TransientShardError
+from ..core.errors import ShardCrashedError, ShardTimeoutError, TransientShardError
 
 
 class FaultModel(abc.ABC):
@@ -232,7 +235,7 @@ class FaultyShard:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def search(self, queries: np.ndarray, k: int, *, nprobe: int | None = None, kept=None):
+    def search(self, queries, k, *, nprobe=None, kept=None, timeout_s=None):
         with self._lock:
             idx = self._calls
             self._calls += 1
@@ -248,8 +251,11 @@ class FaultyShard:
                 raise
             self.log.append(FaultEvent(idx, "delay" if delay > 0 else "ok", delay))
         if delay > 0:
+            if timeout_s is not None and delay > timeout_s:
+                self.sleep(timeout_s)
+                raise ShardTimeoutError(self.inner.shard_id, timeout_s)
             self.sleep(delay)
-        return self.inner.search(queries, k, nprobe=nprobe, kept=kept)
+        return self.inner.search(queries, k, nprobe=nprobe, kept=kept, timeout_s=timeout_s)
 
     @property
     def calls(self) -> int:

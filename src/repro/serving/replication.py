@@ -21,7 +21,9 @@ Selection and failover:
   replica *within the same call* (``retrieval_failovers_total``), so the
   query pays one extra attempt of latency instead of losing the cluster.
   :class:`~repro.core.errors.ShardCrashedError` trips the breaker
-  immediately; transient errors count toward its threshold.
+  immediately; transient errors count toward its threshold. A
+  :class:`~repro.core.errors.ShardTimeoutError` counts too, but ends the
+  call: the call's ``timeout_s`` is spent, so no replica could answer in it.
 - **background recovery**: every ``probe_interval`` group calls, one downed
   replica is probed by putting it first in the failover order — its success
   serves the call (replicas are exact copies), its failure falls through to
@@ -45,7 +47,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..core.clustering import ClusteredDatastore
-from ..core.errors import ShardCrashedError, ShardError
+from ..core.errors import ShardCrashedError, ShardError, ShardTimeoutError
 from ..core.policy import ShardHealth
 from ..obs.metrics import get_registry
 
@@ -162,8 +164,9 @@ class ReplicaGroup:
                 "replicas re-admitted after consecutive probe successes",
             ).inc(shard=self.shard_id)
 
-    def search(self, queries: np.ndarray, k: int, *, nprobe: int | None = None, kept=None):
-        """Serve from the first replica that answers; fail over on ShardError."""
+    def search(self, queries, k, *, nprobe=None, kept=None, timeout_s=None):
+        """Serve from the first replica that answers; fail over on a
+        ShardError other than a timeout (the call's budget is spent)."""
         order, probing = self._attempt_order()
         registry = get_registry()
         last_exc: ShardError | None = None
@@ -171,10 +174,12 @@ class ReplicaGroup:
             for attempt, idx in enumerate(order):
                 try:
                     result = self.replicas[idx].search(
-                        queries, k, nprobe=nprobe, kept=kept
+                        queries, k, nprobe=nprobe, kept=kept, timeout_s=timeout_s
                     )
                 except ShardError as exc:
                     self._record_failure(idx, exc, idx in probing)
+                    if isinstance(exc, ShardTimeoutError):
+                        raise  # no time left to try another replica
                     last_exc = exc
                     if attempt + 1 < len(order):
                         self.failovers += 1

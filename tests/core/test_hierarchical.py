@@ -253,7 +253,7 @@ class _BoomShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None, kept=None):
+    def search(self, queries, k, *, nprobe=None, kept=None, timeout_s=None):
         raise RuntimeError("disk on fire")
 
 
@@ -321,14 +321,16 @@ class _TimedFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None, kept=None):
+    def search(self, queries, k, *, nprobe=None, kept=None, timeout_s=None):
         self.calls += 1
         self._clock.advance(self._busy_s)
         if self.calls == 1:
             from repro.core.errors import TransientShardError
 
             raise TransientShardError(self._inner.shard_id, "transient blip")
-        return self._inner.search(queries, k, nprobe=nprobe, kept=kept)
+        return self._inner.search(
+            queries, k, nprobe=nprobe, kept=kept, timeout_s=timeout_s
+        )
 
 
 class TestRetryLatencyAccounting:
@@ -371,7 +373,7 @@ class _AlwaysFlakyShard:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None, kept=None):
+    def search(self, queries, k, *, nprobe=None, kept=None, timeout_s=None):
         from repro.core.errors import TransientShardError
 
         self.calls += 1
@@ -393,10 +395,11 @@ class TestRetryBudget:
         _drain(budget)
         assert not budget.try_spend()  # dry
         assert budget.exhausted == 1
-        for _ in range(20):
-            budget.deposit()  # twenty primary attempts buy back two retries
-        assert budget.tokens == pytest.approx(20 * RetryBudget.FILL_RATE)
+        for _ in range(10):
+            budget.deposit()  # ten primary attempts buy back one retry
+        assert budget.tokens == 1.0
         assert budget.try_spend()
+        assert not budget.try_spend()
         for _ in range(1000):
             budget.deposit()
         assert budget.tokens == RetryBudget.CAPACITY  # capped
@@ -442,8 +445,8 @@ class TestRetryBudget:
             policy=RetrievalPolicy(max_attempts=2, retry_budget=budget),
         )
         searcher.search(small_queries.embeddings, clusters_to_search=10)
-        # 10 healthy primaries deposited 0.1 each: about one retry's worth.
-        assert budget.tokens == pytest.approx(1.0)
+        # 10 healthy primaries deposited 0.1 each: exactly one retry's worth.
+        assert budget.tokens == 1.0
 
 
 class TestDeadlineBudget:
@@ -484,4 +487,26 @@ class TestDeadlineBudget:
         base = hermes.search(small_queries.embeddings, k=5)
         timed = hermes.search(small_queries.embeddings, k=5, deadline_s=60.0)
         np.testing.assert_array_equal(timed.ids, base.ids)
-        np.testing.assert_allclose(timed.distances, base.distances, rtol=1e-5)
+        np.testing.assert_array_equal(timed.distances, base.distances)
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_deadline_starts_no_thread(self, hermes, small_queries, monkeypatch, batch):
+        """The deadline travels with the shard call: the attempts run on the
+        caller's thread, and the answer is the one without a deadline."""
+        import threading
+
+        q = small_queries.embeddings[:batch]
+        base = hermes.search(q)
+        started = []
+        original = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        timed = hermes.search(q, deadline_s=30.0)
+        assert started == []
+        assert all(s.outcome == "ok" for s in timed.shard_stats)
+        np.testing.assert_array_equal(timed.ids, base.ids)
+        np.testing.assert_array_equal(timed.distances, base.distances)

@@ -132,23 +132,6 @@ class TestWorkers:
         assert tracer.finished_roots() == [parent]
 
 
-class TestSuppression:
-    def test_suppressed_spans_vanish(self, tracer):
-        with tracer.span("kept"):
-            with tracer.suppressed():
-                with tracer.span("dropped"):
-                    pass
-        (root,) = tracer.finished_roots()
-        assert root.find("dropped") is None
-
-    def test_suppression_is_scoped(self, tracer):
-        with tracer.suppressed():
-            pass
-        with tracer.span("after"):
-            pass
-        assert [r.name for r in tracer.finished_roots()] == ["after"]
-
-
 class TestDisabled:
     def test_disabled_returns_shared_null_context(self):
         tracer = Tracer(enabled=False)

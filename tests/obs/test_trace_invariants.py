@@ -21,7 +21,7 @@ from repro.llm.generation import (
     simulate_generation,
 )
 from repro.llm.inference import InferenceModel
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, set_tracer
 from repro.perfmodel.aggregate import DistributedRetrievalResult, PhaseResult
 from repro.obs.validate import (
     TraceInvariantError,
@@ -163,6 +163,22 @@ class TestTracedRetrieval:
         result = searcher.search(small_queries.embeddings, clusters_to_search=3)
         assert validate_trace(tracer.finished_roots()) > 0
         assert result.trace is not None
+
+    def test_deadline_attempts_hold_the_shard_spans(self, clustered, small_queries):
+        """A deadline runs each attempt on the caller's thread, so the
+        shard's own scan span nests under its ``attempt`` span."""
+        tracer = Tracer(enabled=True)
+        previous = set_tracer(tracer)  # the scan reports to the process tracer
+        try:
+            result = HermesSearcher(clustered).search(
+                small_queries.embeddings, clusters_to_search=3, deadline_s=30.0
+            )
+        finally:
+            set_tracer(previous)
+        assert validate_trace(tracer.finished_roots()) > 0
+        attempts = result.trace.find_all("attempt")
+        assert len(attempts) == len(result.trace.find_all("shard_search")) > 0
+        assert all(a.find("ivf_scan") is not None for a in attempts)
 
     def test_opt_in_trace_flag(self, clustered, small_queries):
         """``search(trace=True)`` yields a validated local trace even with

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.errors import ShardCrashedError, TransientShardError
+from repro.core.errors import ShardCrashedError, ShardTimeoutError, TransientShardError
 from repro.serving.faults import (
     CrashStop,
     FaultInjector,
@@ -139,6 +139,26 @@ class TestFaultInjector:
             shard.search(small_queries.embeddings[:1], 5)
         shard.search(small_queries.embeddings[:1], 5)
         assert [e.kind for e in shard.log] == ["transient", "ok"]
+
+    def test_straggler_past_the_timeout_sleeps_only_to_it(self, clustered, small_queries):
+        """A delay longer than the call's ``timeout_s`` is served up to the
+        deadline, then the call raises; the log keeps the delay drawn. A
+        shorter delay is served in full and the call answers."""
+        slept = []
+        shard = FaultInjector(seed=2).wrap_shard(
+            clustered.shards[0], Straggler(0.6, calls=[0, 1]), sleep=slept.append
+        )
+        q = small_queries.embeddings[:2]
+        with pytest.raises(ShardTimeoutError) as exc:
+            shard.search(q, 5, timeout_s=0.1)
+        assert (exc.value.shard_id, exc.value.deadline_s) == (0, 0.1)
+        assert slept == [0.1]
+        shard.search(q, 5, timeout_s=1.0)
+        assert slept == [0.1, 0.6]
+        assert [(e.kind, e.delay_s) for e in shard.log] == [
+            ("delay", 0.6),
+            ("delay", 0.6),
+        ]
 
     def test_same_seed_same_schedule(self, clustered, small_queries):
         """Satellite: two runs with one seed produce identical schedules."""

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.errors import ShardCrashedError, TransientShardError
+from repro.core.errors import ShardCrashedError, ShardTimeoutError, TransientShardError
 from repro.core.hierarchical import HermesSearcher
-from repro.serving.faults import CrashStop, FaultInjector, FaultyShard
+from repro.serving.faults import CrashStop, FaultInjector, FaultyShard, Straggler
 from repro.serving.replication import (
     ReplicaGroup,
     kill_replica,
@@ -36,11 +36,13 @@ class _FlakyReplica:
     def __len__(self):
         return len(self._inner)
 
-    def search(self, queries, k, *, nprobe=None, kept=None):
+    def search(self, queries, k, *, nprobe=None, kept=None, timeout_s=None):
         self.calls += 1
         if self.failing:
             raise self._exc(self._inner.shard_id)
-        return self._inner.search(queries, k, nprobe=nprobe, kept=kept)
+        return self._inner.search(
+            queries, k, nprobe=nprobe, kept=kept, timeout_s=timeout_s
+        )
 
 
 class TestReplicaGroup:
@@ -96,6 +98,28 @@ class TestReplicaGroup:
         group.search(queries[:2], 5)
         assert flaky.calls == 2  # no longer tried once open
         assert group.failovers == 2
+
+    def test_timeout_ends_the_call_without_failover(self, clustered, queries):
+        """A straggling replica gets the call's ``timeout_s`` and times out:
+        the budget is spent, so the group re-raises instead of trying the
+        next replica, and the straggler's breaker counts the failure."""
+        shard = clustered.shards[4]
+        slept = []
+        slow = FaultInjector(3).wrap_shard(shard, Straggler(0.6), sleep=slept.append)
+        spare = _FlakyReplica(shard)
+        spare.failing = False
+        group = ReplicaGroup([slow, spare], probe_interval=1000, breaker_threshold=2)
+        with pytest.raises(ShardTimeoutError):
+            group.search(queries[:2], 5, timeout_s=0.1)
+        assert slept == [0.1]
+        assert spare.calls == 0
+        assert group.failovers == 0
+        assert group.out_replicas() == ()  # one failure of two
+        with pytest.raises(ShardTimeoutError):
+            group.search(queries[:2], 5, timeout_s=0.1)
+        assert group.out_replicas() == (0,)
+        group.search(queries[:2], 5, timeout_s=0.1)  # the spare serves now
+        assert spare.calls == 1
 
     def test_all_replicas_dead_reraises(self, clustered, queries):
         shard = clustered.shards[3]
