@@ -2,11 +2,12 @@
 
 ``IVFIndex`` scans a batch one of two ways: the cell-grouped sparse kernel
 over the probed cells only, or one dense kernel over every stored code with
-unprobed cells masked. It picks dense when ``adc_dense_advantage *
-pair_work >= nq * n_codes``, i.e. when the *coverage ratio* ``r = nq *
-n_codes / pair_work`` is at most the codec's advantage. This bench times both
-kernels, forced, on every shard of a ``make_corpus`` datastore (40 k x 64,
-one BLAS thread) over batch 1 / 8 / 32 x nprobe 1..64 x k 1 / 10, and
+unprobed cells masked. Its scan plan (``IVFIndex.plan``) counts the probed
+work and ``repro.ann.ivf.dense_wins`` picks the kernel from it and the
+codec's ``adc_dense_advantage``; the *coverage ratio* ``r = nq * n_codes /
+pair_work`` says how far a scan is from probing everything. This bench times
+both kernels, forced, on every shard of a ``make_corpus`` datastore (40 k x
+64, one BLAS thread) over batch 1 / 8 / 32 x nprobe 1..64 x k 1 / 10, and
 reports the advantage that minimises the grid's total time when every shard
 takes the kernel the rule picks for it. ``--quantization`` picks the GEMM
 codec (SQ8, the production codec, by default; flat or SQ4).
@@ -29,6 +30,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 # One BLAS thread, set before numpy loads, as the benchmark suite does.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -38,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.ann.distances import pairwise_distance, top_k  # noqa: E402
+from repro.ann.ivf import dense_wins  # noqa: E402
 from repro.ann.quantization import make_quantizer  # noqa: E402
 from repro.core.clustering import cluster_datastore  # noqa: E402
 from repro.core.config import HermesConfig  # noqa: E402
@@ -51,29 +53,29 @@ KS = (1, 10)
 GEMM_CODECS = ("sq8", "flat", "sq4")
 
 
-def coverage_ratio(index, queries, nprobe):
-    """``nq * n_codes / pair_work`` of one scan (inf-free: pair_work > 0)."""
-    probe = min(nprobe, index.nlist)
-    _, cells = top_k(pairwise_distance(queries, index.centroids, "l2"), probe)
-    pair_work = int(index.list_sizes()[cells].sum())
-    return len(queries) * index.ntotal / max(pair_work, 1)
+def rule_inputs(index, queries, nprobe):
+    """The dense / sparse rule's inputs but the advantage, for one scan:
+    ``(pair_work, nq, n_codes, full probe)``, the work from the index's plan."""
+    plan = index.plan(queries, nprobe=nprobe)
+    return plan.pair_work, len(queries), index.ntotal, nprobe >= index.nlist
 
 
 def time_both(index, queries, k, nprobe, repeats):
     """Per-repeat seconds of the forced sparse and forced dense scans."""
-    quantizer = index.quantizer
-    saved = quantizer.adc_dense_advantage
     times = np.empty((repeats, 2))
-    try:
-        for r in range(repeats):
-            for col, forced in enumerate((0.0, np.inf)):
-                quantizer.adc_dense_advantage = forced
+    for r in range(repeats):
+        for col, forced in enumerate((0.0, np.inf)):
+            with mock.patch.object(index.quantizer, "adc_dense_advantage", forced):
                 t0 = time.perf_counter()
                 index.search(queries, k, nprobe=nprobe)
                 times[r, col] = time.perf_counter() - t0
-    finally:
-        quantizer.adc_dense_advantage = saved
     return times
+
+
+def coverage_ratio(shard):
+    """``r = nq * n_codes / pair_work`` of one scan's rule inputs."""
+    pair_work, nq, n_codes, _ = shard
+    return nq * n_codes / max(pair_work, 1)
 
 
 def sweep(docs, repeats, quantization, seed=1):
@@ -88,28 +90,28 @@ def sweep(docs, repeats, quantization, seed=1):
         queries = pool[:nq]
         for nprobe in NPROBES:
             for k in KS:
-                ratios = [coverage_ratio(ix, queries, nprobe) for ix in indexes]
+                inputs = [rule_inputs(ix, queries, nprobe) for ix in indexes]
                 per_shard = [time_both(ix, queries, k, nprobe, repeats) for ix in indexes]
-                rows.append((nq, nprobe, k, np.array(ratios), np.stack(per_shard)))
+                rows.append((nq, nprobe, k, inputs, np.stack(per_shard)))
     return rows
 
 
-def rule_time(ratios, per_shard, advantage):
+def rule_time(inputs, per_shard, advantage):
     """Per-repeat total seconds when each shard takes the rule's kernel."""
-    dense = ratios <= advantage
+    dense = np.array([dense_wins(*shard, advantage) for shard in inputs])
     picked = np.where(dense[:, np.newaxis], per_shard[:, :, 1], per_shard[:, :, 0])
     return np.median(picked.sum(axis=0))
 
 
 def grid_seconds(rows, advantage):
     """Total seconds of the grid when the rule picks with ``advantage``."""
-    return sum(rule_time(ratios, per_shard, advantage) for *_, ratios, per_shard in rows)
+    return sum(rule_time(inputs, per_shard, advantage) for *_, inputs, per_shard in rows)
 
 
 def best_advantage(rows):
     """The advantage, among the measured ratios, with the least grid time."""
-    ratios = sorted({float(r) for _, _, _, rs, _ in rows for r in rs if r >= 1.0})
-    candidates = [1.0] + [r * 1.0001 for r in ratios]
+    ratios = {coverage_ratio(shard) for *_, inputs, _ in rows for shard in inputs}
+    candidates = [1.0] + [r * 1.0001 for r in sorted(ratios) if r >= 1.0]
     return min((grid_seconds(rows, a), a) for a in candidates)
 
 
@@ -126,9 +128,9 @@ def main(argv=None) -> int:
     print(f"codec {args.quantization}, {docs} docs x 64")
     print(f"{'batch':>5} {'nprobe':>6} {'k':>3} {'r':>6} {'sparse ms':>10} "
           f"{'dense ms':>9}  faster")
-    for nq, nprobe, k, ratios, per_shard in rows:
+    for nq, nprobe, k, inputs, per_shard in rows:
         sparse, dense = (np.median(per_shard[:, :, c].sum(axis=0)) * 1e3 for c in (0, 1))
-        ratio = 1.0 / np.mean(1.0 / ratios)
+        ratio = 1.0 / np.mean([1.0 / coverage_ratio(shard) for shard in inputs])
         print(f"{nq:>5} {nprobe:>6} {k:>3} {ratio:>6.2f} {sparse:>10.2f} "
               f"{dense:>9.2f}  {'dense' if dense < sparse else 'sparse'}")
     seconds, advantage = best_advantage(rows)

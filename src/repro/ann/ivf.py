@@ -9,31 +9,19 @@ index once with a *small* nProbe (sampling) and again with a *large* nProbe
 
 The default ``nlist`` follows the paper's rule of thumb ``nlist ≈ sqrt(N)``.
 
-Performance architecture (see DESIGN.md):
-
-- **Sealed storage**: ``add()`` appends fragments; the first search after an
-  add folds everything into one immutable :class:`SealedLists` record —
-  contiguous CSR-style ``codes`` / ``ids`` indexed by ``offsets`` plus lazily
-  derived scan state — so steady-state searches never concatenate fragments.
-  This module is the only one that knows the record's fields; everything
-  else goes through :meth:`IVFIndex.export_state` /
-  :meth:`IVFIndex.from_state` / :meth:`IVFIndex.rows_by_local_id`, and names
-  deleted rows by local id (:meth:`IVFIndex.dead_columns`).
-- **One pass over a live shard**: a :class:`LiveView` adds the shard's delta
-  rows as columns after the sealed ones, in the same kernel call, under one
-  dead-row mask and one selection; its state is derived when the shard is
-  written, so a search derives nothing.
-- **Cell-major batched scan**: the search loop is inverted — each probed cell
-  is scanned once for *all* queries probing it, instead of assembling a
-  candidate pool per query. Probed cells are scanned in full, like FAISS
-  ``IndexIVF``; one rule picks between the two strategies (the cell-grouped
-  sparse kernel, or one dense kernel over every code) from the probed work.
-- **Scan operand**: GEMM codecs (flat, SQ8, SQ4) scan a dimension-major copy
-  of their levels (:meth:`repro.ann.quantization.Quantizer.scan_operand`),
-  derived once per sealed record and never exported.
-- **ADC**: distances are evaluated directly on the stored codes
-  (:meth:`repro.ann.quantization.Quantizer.adc_distances`, asymmetric
-  distance computation) without reconstructing vectors.
+Storage is one immutable sealed record (:class:`SealedLists`: CSR ``codes`` /
+``ids`` by cell plus lazily derived scan state). This module is the only one
+that knows its fields; everything else goes through
+:meth:`IVFIndex.export_state` / :meth:`IVFIndex.from_state` /
+:meth:`IVFIndex.rows_by_local_id`, and names deleted rows by local id
+(:meth:`IVFIndex.dead_columns`). A search is plan → kernel → tail: the plan
+(:meth:`IVFIndex.plan`) picks the cell-grouped sparse kernel over the probed
+cells, one dense kernel over every code (:func:`dense_wins` decides between
+the two) or the rows of a kept dense matrix (:class:`KeptScan`); a live
+shard's :class:`LiveView` adds its delta rows as columns of the same scan;
+one tail maps the picks to ids. Distances are computed on the codes (ADC,
+:meth:`repro.ann.quantization.Quantizer.adc_distances`). DESIGN.md
+"Performance architecture" has the why.
 """
 
 from __future__ import annotations
@@ -159,32 +147,21 @@ class LiveView(NamedTuple):
 class KeptScan:
     """A shard's dense sample scan, handed to the same batch's deep call.
 
-    Hermes scans every shard twice per batch: a low-nProbe sample, then a
-    deep search of the queries routed to it. When the sample runs the dense
-    kernel, it has computed every query's distance to every row — all a deep
-    search needs but its probe mask. So the router passes an empty
-    ``KeptScan`` to each shard's sample ``search``; a dense scan fills it
-    with its raw distance matrix (shifted codec distances to every column,
-    sealed rows then delta rows, dead columns already ``inf``, no probe
-    mask), the per-query ADC bias, its probe, and the cut it read: the
-    sealed record and the live view. The searcher hands
-    :meth:`for_rows` of it to the deep call on that shard, which then only
-    selects — the probe mask, ``top_k``, the bias, ids — and runs no kernel.
+    The router passes an empty ``KeptScan`` to each shard's sample
+    ``search``; a dense scan fills it with its raw matrix (shifted distances
+    to every column, sealed rows then delta rows, dead columns ``inf``, no
+    probe mask), the per-query bias, its probe and the cut it read: the
+    sealed record and the live view. The searcher hands :meth:`for_rows` of
+    it to the deep call on that shard, which only selects from it while it
+    :meth:`reads` the same cut at a probe at least the sample's — then its
+    answer is the one a dense deep search of the whole batch gives — and
+    otherwise scans as if it had none. A sparse sample keeps nothing.
 
-    The hand-over is valid only while the deep call reads the same cut (the
-    same sealed record and the same :class:`LiveView` object) at a probe at
-    least the sample's, so its answer is the one a deep search of the whole
-    batch would give; otherwise the deep call scans as if it had none. A
-    sparse sample keeps nothing.
-
-    The matrix lives in the sampling thread's scratch arena of the index,
-    under a lease (:meth:`Workspace.lease`), so a batch's samples reuse the
-    last batch's buffers instead of faulting in fresh ones. It stays intact
-    until that thread's next keeping scan of the index — in a search, the
-    next batch's sample, after every deep call of this batch has returned —
-    and a hand-over whose lease has lapsed is not read. Only a searcher
-    with ``max_workers`` reads a kept scan from another thread, and its
-    deep calls all return before the next batch samples.
+    The matrix lives in the sampling thread's scratch arena of the index
+    under a lease (:meth:`Workspace.lease`). It stays intact until that
+    thread's next keeping scan of the index — in a search, the next batch's
+    sample, after every deep call of this batch has returned — and a
+    hand-over whose lease has lapsed is not read.
     """
 
     __slots__ = ("dists", "bias", "probe", "sealed", "live", "lease", "rows")
@@ -225,6 +202,25 @@ class KeptScan:
 
 #: The workspace key a kept dense scan is leased under.
 _KEPT = "kept_dists"
+
+
+class ScanPlan(NamedTuple):
+    """How one search scans, as :meth:`IVFIndex.plan` decides it.
+
+    ``strategy`` is ``"dense"``, ``"sparse"`` or ``"kept"``. ``probes`` is
+    the sparse kernel's ``(nq, probe)`` ranked cells, or the dense and kept
+    selections' ``(nq, nlist)`` probed-cell mask (``None`` at a full
+    probe). ``pair_work`` counts the (query, stored row) pairs the probe
+    covers; a kept scan runs no kernel and counts 0. ``kept`` picks the
+    dense matrix: the filled hand-over a kept scan selects rows of, the
+    empty one a dense scan leases its buffer for and fills, or ``None`` for
+    workspace scratch.
+    """
+
+    strategy: str
+    probes: np.ndarray | None
+    pair_work: int
+    kept: KeptScan | None = None
 
 
 #: The dead columns of a view with nothing deleted.
@@ -276,6 +272,32 @@ def _probed_cells(cell_d: np.ndarray, probe: int) -> np.ndarray:
     probed = np.zeros((nq, nlist), dtype=bool)
     probed[np.arange(nq)[:, np.newaxis], top_k(cell_d, probe)[1]] = True
     return probed
+
+
+def dense_wins(
+    pair_work: int, nq: int, n_codes: int, full: bool, advantage: float
+) -> bool:
+    """The dense / sparse rule: True when one dense kernel over all
+    *n_codes* rows beats the sparse kernel over the *pair_work* probed ones.
+
+    The dense kernel costs about ``nq * n_codes`` whatever the probe, the
+    sparse one the probed work plus per-cell overhead; *advantage*
+    (:attr:`Quantizer.adc_dense_advantage`, a codec property) is how much
+    cheaper a dense element is. A tie goes dense. A *full* probe covers
+    every row, so at ``advantage >= 1`` it is dense whatever *pair_work*
+    says: nothing has to rank the cells to count it.
+    """
+    return (full and advantage >= 1.0) or advantage * pair_work >= nq * n_codes
+
+
+def _nearer_delta(best_d, best_col, tile, n):
+    """The ``k == 1`` merge of a live scan: each row's first-best delta
+    column (``n + j``) replaces the sealed winner only when strictly closer,
+    so exact ties go to the sealed row."""
+    j = tile.argmin(axis=1)
+    d = tile[np.arange(len(tile)), j]
+    closer = d < best_d
+    return np.where(closer, d, best_d), np.where(closer, n + j, best_col)
 
 
 class IVFIndex(VectorIndex):
@@ -461,7 +483,11 @@ class IVFIndex(VectorIndex):
         """Precompute every lazy structure a search consumes (compaction,
         ADC norms where the codec needs them, the GEMM codecs' scan operand),
         so the next search runs entirely warm."""
-        self._warm(
+        self._scan_record()
+
+    def _scan_record(self) -> SealedLists:
+        """The sealed record with every derived array a scan reads."""
+        return self._warm(
             sqnorms=self.quantizer.needs_code_sqnorms(self.metric),
             operand=self.quantizer.has_scan_operand,
         )
@@ -692,6 +718,49 @@ class IVFIndex(VectorIndex):
         dead.flags.writeable = False
         return dead
 
+    def plan(
+        self,
+        queries: np.ndarray,
+        *,
+        nprobe: int | None = None,
+        live: "LiveView | None" = None,
+        kept: "KeptScan | None" = None,
+    ) -> ScanPlan:
+        """The :class:`ScanPlan` :meth:`search` would run on the current
+        sealed record for these arguments."""
+        probe = self._resolve_probe(nprobe)
+        q = as_matrix(queries)
+        return self._plan(self._scan_record(), q, probe, live, kept, self._workspace)
+
+    def _plan(self, s, q, probe, live, kept, ws) -> ScanPlan:
+        """Pick the scan of *q* over record *s* at *probe*: kept, dense or
+        sparse, deciding from the sealed rows alone.
+
+        A filled *kept* that :meth:`KeptScan.reads` this cut is selected
+        from; a filled one of another cut is dropped, so nothing is kept.
+        Otherwise :func:`dense_wins` decides from the probed work. Cells are
+        ranked only as far as the chosen scan reads them: a full probe not
+        at all unless it runs sparse, a dense scan to the set of probed
+        cells, a sparse one to their order.
+        """
+        nq, n, full = len(q), len(s.ids), probe == self.nlist
+        if kept is not None and kept.dists is not None:
+            if kept.reads(s, live, probe):
+                probed = None if full else _probed_cells(self._cell_distances(q, ws), probe)
+                return ScanPlan("kept", probed, 0, kept)
+            kept = None
+        if full:
+            probed, pair_work = None, nq * n
+        else:
+            cell_d = self._cell_distances(q, ws)
+            probed = _probed_cells(cell_d, probe)
+            pair_work = int(probed.sum(axis=0) @ np.diff(s.offsets))
+        if dense_wins(pair_work, nq, n, full, self.quantizer.adc_dense_advantage):
+            return ScanPlan("dense", probed, pair_work, kept)
+        if full:
+            cell_d = self._cell_distances(q, ws)
+        return ScanPlan("sparse", top_k(cell_d, probe)[1], pair_work)
+
     def _search(
         self,
         queries: np.ndarray,
@@ -701,135 +770,88 @@ class IVFIndex(VectorIndex):
         live: "LiveView | None" = None,
         kept: "KeptScan | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Cell-major batched scan over the compacted inverted lists.
+        """Plan, kernel, tail over one read of the sealed record.
 
-        Two strategies share the same contract and scan every probed cell in
-        full; one rule on the probed work picks between them for every codec:
-
-        - **Sparse** (low probe coverage): the batch's (query, probed cell)
-          pairs are grouped by cell and each cell is scanned exactly once,
-          for every query probing it, as one tile of a cell-grouped kernel
-          (:meth:`_scan_sparse`). Ties break by probe order, then by
-          within-cell storage order.
-        - **Dense** (the batch's probes cover a large fraction of the stored
-          codes, e.g. deep search at high nProbe): one kernel over *all*
-          codes, then unprobed cells are masked to ``inf``. Ties break by
-          storage row.
-
-        Both select with the stable :func:`~repro.ann.distances.top_k` — or,
-        at ``k == 1``, a first-occurrence ``argmin`` over the same distances,
-        which is its column 0. GEMM codecs multiply against the sealed
-        record's scan operand in both. Scratch (distance tiles, merge
-        buffers) comes from the per-thread workspace arena. Per-query ADC
-        bias terms (which cannot change a query's own ordering) are added
-        once after selection.
-
-        A live shard's :class:`LiveView` joins the same scan. Its delta rows
-        are columns after every sealed column, never probed and always
-        scanned, so they lose exact (shifted) ties to sealed rows. Its dead
-        columns are a scan-time mask: they are set to ``inf`` right after the
-        kernels and before selection, so a dead row is never a candidate and
-        the ``k`` results are the ``k`` best live rows. The strategy is picked
-        from the sealed work alone.
-
-        ``kept`` is a :class:`KeptScan` hand-over. An empty one is filled by
-        a dense scan. A filled one that :meth:`KeptScan.reads` this cut is
-        the third strategy, ``"kept"``: the dense scan's selection over its
-        rows of the kept matrix, no kernel — the answer a dense scan of the
-        whole sampled batch gives these rows. Any other is ignored.
+        :meth:`_plan` picks the scan. The sparse or dense kernel, or the
+        kept matrix's rows, yields each query's ``k`` best shifted distances
+        and their scan columns: storage row ``c`` of the record, delta row
+        ``j`` of *live* as column ``n + j``, dead columns never picked while
+        a live one is left. The tail maps columns to local ids, drops
+        non-finite picks, adds the per-query bias and clamps L2 at zero. An
+        index with no row to scan returns the padding without reading it.
         """
-        probe = self._resolve_probe(nprobe)
-        q = queries
-        nq = len(q)
-        wants_norms = self.quantizer.needs_code_sqnorms(self.metric)
-        # The one read of the sealed record: everything below scans `s`.
-        s = self._warm(sqnorms=wants_norms, operand=self.quantizer.has_scan_operand)
-        dead = delta = None
-        if live is not None:
-            dead = live.dead if len(live.dead) else None
-            delta = live.delta if live.delta is not None and live.delta.ntotal else None
-        n_codes = len(s.ids)
+        q, nq = queries, len(queries)
+        delta = None if live is None else live.delta
         m = 0 if delta is None else delta.ntotal
-        if not n_codes and delta is None:
+        if not self.ntotal and not m:
             return _padding(nq, k)
+        probe = self._resolve_probe(nprobe)
+        # The one read of the sealed record: everything below scans `s`.
+        s = self._scan_record()
+        n = len(s.ids)
         ws = self._workspace
-        reuse = kept is not None and kept.dists is not None
-        if reuse and not kept.reads(s, live, probe):
-            reuse, kept = False, None  # another cut: scan, and keep nothing
-
-        if reuse:
-            strategy, pair_work, table = "kept", 0, None
-            bias = kept.bias
-            if bias is not None and kept.rows is not None:
-                bias = bias[kept.rows]
-            probes = None
-            if probe < self.nlist:
-                probes = _probed_cells(self._cell_distances(q, ws), probe)
+        plan = self._plan(s, q, probe, live, kept, ws)
+        if plan.strategy == "kept":
+            bias = plan.kept.bias
+            if bias is not None and plan.kept.rows is not None:
+                bias = bias[plan.kept.rows]
         else:
             table = self.quantizer.adc_table(q, self.metric, ws=ws)
             bias = table.get("bias")
-            # Probed work as a fraction of a full scan decides the strategy:
-            # the dense kernel costs ~nq * n_codes regardless of probe, the
-            # sparse kernel costs the probed work plus per-cell overhead. How
-            # the two per-element costs compare is a property of the codec.
-            advantage = self.quantizer.adc_dense_advantage
-            if probe == self.nlist and advantage >= 1.0:
-                # A full probe (every deep search once nprobe >= nlist) scans
-                # every cell for every query, and the dense kernel wins
-                # there: it has no use for the cells' ranking, so none is
-                # computed.
-                probes = None
-                pair_work = nq * n_codes
-                strategy = "dense"
-            else:
-                # The dense scan needs only each query's *set* of probed
-                # cells; the sparse one also needs their order, ranked only
-                # if it runs.
-                cell_d = self._cell_distances(q, ws)
-                probed = _probed_cells(cell_d, probe)
-                pair_work = int(probed.sum(axis=0) @ np.diff(s.offsets))
-                dense = advantage * pair_work >= nq * n_codes
-                strategy = "dense" if dense else "sparse"
-                probes = probed if dense else top_k(cell_d, probe)[1]
+            # Dead columns split at n: storage rows, then delta row positions.
+            dead_sealed = dead_delta = None
+            if live is not None and len(live.dead):
+                dead = live.dead
+                cut = len(dead) if dead[-1] < n else int(np.searchsorted(dead, n))
+                dead_sealed = dead[:cut] if cut else None
+                dead_delta = dead[cut:] - n if cut < len(dead) else None
         get_registry().counter(
             "ivf_scans_total", "IVF batched scans by strategy"
-        ).inc(strategy=strategy)
+        ).inc(strategy=plan.strategy)
         with get_tracer().span(
             "ivf_scan",
-            strategy=strategy,
+            strategy=plan.strategy,
             nq=nq,
             nprobe=probe,
-            pair_work=pair_work,
+            pair_work=plan.pair_work,
             reduced=k == 1,
             delta_rows=m,
         ):
-            if strategy == "sparse":
-                out_d, out_i = self._scan_sparse(
-                    s, q, k, probe, probes, table, ws, dead, delta
+            if plan.strategy == "sparse":
+                out_d, cols = self._scan_sparse(
+                    s, k, probe, plan.probes, table, ws, dead_sealed, delta, dead_delta
                 )
             else:
-                if reuse:
-                    dists = kept.dists
-                    if kept.rows is not None:
+                if plan.strategy == "kept":
+                    dists = plan.kept.dists
+                    if plan.kept.rows is not None:
                         dists = np.take(
-                            dists, kept.rows, axis=0, mode="clip",
-                            out=ws.take("adc_dists", (nq, n_codes + m)),
+                            dists, plan.kept.rows, axis=0, mode="clip",
+                            out=ws.take("adc_dists", (nq, n + m)),
                         )
                 else:
                     # Headroom for a delta, so a shard's first live read does
                     # not double a buffer sized by its frozen reads.
-                    shape = (nq, n_codes + m)
-                    reserve = nq * (n_codes + max(m, n_codes // 8))
-                    if kept is None:
+                    shape, reserve = (nq, n + m), nq * (n + max(m, n // 8))
+                    if plan.kept is None:
                         dists = ws.take("adc_dists", shape, reserve=reserve)
                     else:
                         dists, lease = ws.lease(_KEPT, shape, reserve=reserve)
-                        kept.keep(dists, bias, probe, s, live, (ws, lease))
-                    self._dense_distances(s, table, ws, dead, delta, dists)
-                out_d, out_i = self._select_dense(s, dists, k, probes, m)
+                        plan.kept.keep(dists, bias, probe, s, live, (ws, lease))
+                    if n:
+                        self.quantizer.adc_distances(
+                            table, s.codes, code_sqnorms=s.sqnorms, shifted=True,
+                            ws=ws, operand=s.operand, out=dists[:, :n],
+                        )
+                        if dead_sealed is not None:
+                            dists[:, dead_sealed] = np.inf
+                    if m:
+                        self._scan_delta(table, delta, dead_delta, dists[:, n:], ws)
+                out_d, cols = self._select_dense(s, dists, k, plan.probes, m)
         # A non-finite pick is a masked (dead, unprobed or pad) row chosen for
         # want of live ones, or a pad column of ``top_k``: no result.
         invalid = ~np.isfinite(out_d)
+        out_i = _local_ids(s.ids, cols, m)
         if bias is not None:
             out_d += bias[:, np.newaxis]
         if self.metric == "l2":
@@ -853,43 +875,30 @@ class IVFIndex(VectorIndex):
             ws.take("coarse_dists", shape), ws.take("coarse_gram", shape),
         )
 
-    def _delta_distances(self, table, delta, out, ws) -> None:
-        """Shifted distances of every table query to the delta rows, into
-        *out*: the sealed scan's kernel, on a GEMM of the delta's own shape."""
+    def _scan_delta(self, table, delta, dead, out, ws) -> None:
+        """A live view's delta rows as scan columns: shifted distances of
+        every table query to them into *out*, the sealed scan's kernel on a
+        GEMM of the delta's own shape, then the rows at positions *dead*
+        (``None``: none) ``inf``."""
         self.quantizer.adc_distances(
             table, delta.codes, code_sqnorms=delta.sqnorms, shifted=True, ws=ws,
             operand=delta.operand, out=out,
         )
-
-    def _dense_distances(self, s, table, ws, dead, delta, dists) -> None:
-        """The dense kernel into *dists*: shifted distances of every query
-        to every column, dead columns ``inf``. The ``n`` sealed rows fill
-        columns ``[0, n)`` and the ``m`` delta rows columns ``[n, n + m)``;
-        each side's kernel writes its own column range."""
-        n = len(s.ids)
-        if n:
-            self.quantizer.adc_distances(
-                table, s.codes, code_sqnorms=s.sqnorms, shifted=True, ws=ws,
-                operand=s.operand, out=dists[:, :n],
-            )
-        if delta is not None:
-            self._delta_distances(table, delta, dists[:, n:], ws)
         if dead is not None:
-            dists[:, dead] = np.inf
+            out[:, dead] = np.inf
 
     @staticmethod
     def _select_dense(s, dists, k, probed, m):
-        """The dense scans' one selection tail: probe mask, selection, ids.
+        """The dense scans' selection: probe mask, then ``top_k`` or, at
+        ``k == 1``, a first-occurrence ``argmin`` (its column 0).
 
         *dists* is a dense scan's ``(nq, n + m)`` shifted distances (the
         kernel's, or rows of a kept one); it is read, never written, so a
         kept matrix stays raw. *probed* is the ``(nq, nlist)`` probed-cell
         mask, or ``None`` for a full probe. Returns shifted distances and
-        local ids (ids at non-finite distances are arbitrary; the caller
-        drops them).
+        scan columns.
         """
         nq, n = len(dists), len(s.ids)
-        masked = None
         if probed is not None and n:
             # Unprobed cells to inf: a per-(query, cell) penalty, 0 or inf,
             # stretched over each cell's run of sealed columns and summed
@@ -897,29 +906,16 @@ class IVFIndex(VectorIndex):
             penalty = np.where(probed, np.float32(0.0), np.float32(np.inf))
             masked = np.repeat(penalty, np.diff(s.offsets), axis=1)
             masked += dists[:, :n]
-            if not m:
-                dists, masked = masked, None
+            if k == 1 and m:
+                pos = masked.argmin(axis=1)
+                best, pos = _nearer_delta(masked[np.arange(nq), pos], pos, dists[:, n:], n)
+                return best[:, np.newaxis], pos[:, np.newaxis]
+            dists = np.concatenate((masked, dists[:, n:]), axis=1) if m else masked
         if k > 1:
-            if masked is not None:
-                dists = np.concatenate((masked, dists[:, n:]), axis=1)
             # top_k pads with column -1 past n + m: any row, dropped as inf.
-            out_d, pos = top_k(dists, k)
-            return out_d, _local_ids(s.ids, pos, m)
-        rows = np.arange(nq)
-        if masked is None:
-            pos = dists.argmin(axis=1)
-            best = dists[rows, pos]
-        else:
-            # Masked sealed columns, then the delta columns: the
-            # first-occurrence argmin of the two side by side.
-            pos = masked.argmin(axis=1)
-            best = masked[rows, pos]
-            tail = dists[:, n:]
-            j = tail.argmin(axis=1)
-            closer = tail[rows, j] < best
-            best = np.where(closer, tail[rows, j], best)
-            pos = np.where(closer, n + j, pos)
-        return best[:, np.newaxis], _local_ids(s.ids, pos, m)[:, np.newaxis]
+            return top_k(dists, k)
+        pos = dists.argmin(axis=1)
+        return dists[np.arange(nq), pos][:, np.newaxis], pos[:, np.newaxis]
 
     @staticmethod
     def _probe_groups(probe_cells):
@@ -951,31 +947,23 @@ class IVFIndex(VectorIndex):
         hit = cells[np.minimum(group, len(cells) - 1)] == cell
         return group[hit], (dead_rows - s.offsets[cell])[hit]
 
-    def _scan_sparse(self, s, q, k, probe, probe_cells, table, ws, dead, delta):
+    def _scan_sparse(self, s, k, probe, probe_cells, table, ws, dead, delta, dead_delta):
         """The cell-grouped kernel: every probed cell is one tile, once.
 
         Group ``g`` — the queries probing cell ``cells[g]`` — is a ``(queries
-        × width)`` tile against that cell's rows, ``width`` being the widest
-        probed cell. The codec evaluates the groups a chunk at a time
-        (:meth:`Quantizer.adc_cell_tiles`; one batched matmul over windows of
-        the scan operand for the GEMM codecs, the per-cell loop for PQ/OPQ),
-        chunks sized so tiles and windows stay under
-        :data:`_TILE_BUDGET` floats. Pad columns and deleted rows become
-        ``inf``. Then at ``k == 1`` (the sample search) each tile row is
-        argmin-reduced and the winners compared across the query's probe
-        slots; at ``k > 1`` the rows land in a slot-major buffer — slot ``r``
-        of query ``qi`` owns columns ``[r*width, (r+1)*width)`` — for one
-        stable ``top_k``, whose winners map back to stored ids by pure
-        arithmetic. Both read the very same tiles and break ties the same
-        way (probe slot, then within-cell position), so the ``k == 1``
-        answer is column 0 of any ``k`` bit for bit.
-
-        The ``m`` delta rows are one more ``(nq, m)`` tile every query scans
-        in full, ordered after every slot: at ``k == 1`` its best row wins
-        only when strictly closer than the slots' winner, at ``k > 1`` it is
-        the buffer's last ``m`` columns.
+        × width)`` tile against that cell's rows (``width``: the widest probed
+        cell), evaluated by the codec a chunk of groups at a time
+        (:meth:`Quantizer.adc_cell_tiles`) under :data:`_TILE_BUDGET` floats.
+        Pad columns and the *dead* storage rows are ``inf``. At ``k == 1``
+        each tile row is argmin-reduced and the winners compared across the
+        query's probe slots; at ``k > 1`` the rows fill a slot-major buffer
+        (slot ``r`` of a query owns columns ``[r*width, (r+1)*width)``) for
+        one stable ``top_k``. Both break ties by probe slot, then within-cell
+        position, so the ``k == 1`` answer is column 0 of any ``k`` bit for
+        bit. The ``m`` delta rows are one more ``(nq, m)`` tile after every
+        slot. Returns shifted distances and scan columns.
         """
-        nq, n = len(q), len(s.ids)
+        nq, n = len(probe_cells), len(s.ids)
         m = 0 if delta is None else delta.ntotal
         offsets = s.offsets
         order, cells, bounds = self._probe_groups(probe_cells)
@@ -985,15 +973,12 @@ class IVFIndex(VectorIndex):
         width = int(sizes.max())
         if width == 0 and not m:
             return _padding(nq, k)
-        # Dead columns split at n: sealed storage rows, then delta columns.
-        cut = 0 if dead is None else int(np.searchsorted(dead, n))
-        dead_delta = None if dead is None or cut == len(dead) else dead[cut:] - n
         # Pair i (cell-major) is row row_of[i] of group group_of[i]'s tile.
         group_of = np.repeat(np.arange(len(cells)), counts)
         row_of = np.arange(len(order)) - bounds[group_of]
         pair_q = order // probe
-        if cut:
-            dead_g, dead_col = self._dead_in_groups(s, dead[:cut], cells)
+        if dead is not None:
+            dead_g, dead_col = self._dead_in_groups(s, dead, cells)
         slots = probe * width
         if k == 1:
             # A pair of an empty cell (width 0: no tile at all) keeps inf.
@@ -1016,7 +1001,7 @@ class IVFIndex(VectorIndex):
                 codes=s.codes, operand=s.operand, code_sqnorms=s.sqnorms, ws=ws,
             )
             np.copyto(tiles, np.inf, where=pad[g0:g1])
-            if cut:
+            if dead is not None:
                 mine = (dead_g >= g0) & (dead_g < g1)
                 tiles[dead_g[mine] - g0, :, dead_col[mine]] = np.inf
             if k == 1:
@@ -1025,6 +1010,9 @@ class IVFIndex(VectorIndex):
                 best_d[a:b] = tiles[g, r, win]
             else:
                 slot_buf[pair_q[a:b], pair_slot[a:b]] = tiles[g, r]
+        if m:
+            tail = ws.take("adc_dists", (nq, m)) if k == 1 else buf[:, slots:]
+            self._scan_delta(table, delta, dead_delta, tail, ws)
 
         rows = np.arange(nq)
         if k == 1:
@@ -1037,35 +1025,23 @@ class IVFIndex(VectorIndex):
             slot = slot_d.argmin(axis=1)
             # A query probing only empty cells keeps a position past the end
             # (a sparse scan always has sealed rows, so n - 1 is one).
-            pos = np.minimum(slot_pos[rows, slot], n - 1)
-            out_d, out_i = slot_d[rows, slot], s.ids[pos]
+            out_d, pos = slot_d[rows, slot], np.minimum(slot_pos[rows, slot], n - 1)
             if m:
-                tile = ws.take("adc_dists", (nq, m))
-                self._delta_distances(table, delta, tile, ws)
-                if dead_delta is not None:
-                    tile[:, dead_delta] = np.inf
-                j = tile.argmin(axis=1)
-                closer = tile[rows, j] < out_d
-                out_d = np.where(closer, tile[rows, j], out_d)
-                out_i = np.where(closer, n + j, out_i)
-            return out_d[:, np.newaxis], out_i[:, np.newaxis]
-        if m:
-            self._delta_distances(table, delta, buf[:, slots:], ws)
-            if dead_delta is not None:
-                buf[:, slots + dead_delta] = np.inf
+                out_d, pos = _nearer_delta(out_d, pos, tail, n)
+            return out_d[:, np.newaxis], pos[:, np.newaxis]
         out_d, pos = top_k(buf, k)
-        out_i = np.full(pos.shape, -1, dtype=np.int64)
+        cols = pos
         if width:
-            # Map winning buffer positions back to stored ids: position ->
-            # probe slot -> cell -> CSR offset + within-cell rank.
+            # Buffer position -> probe slot -> cell -> CSR offset + within-cell
+            # rank; pad positions read any row and are dropped as inf.
             slot_of = pos // width
             within = pos - slot_of * width
             cells_of = probe_cells[rows[:, np.newaxis], np.clip(slot_of, 0, probe - 1)]
-            out_i = s.ids[np.clip(offsets[cells_of] + within, 0, n - 1)]
+            cols = np.clip(offsets[cells_of] + within, 0, n - 1)
         if m:
-            # Delta column slots + j is local id n + j.
-            np.copyto(out_i, pos - slots + n, where=pos >= slots)
-        return out_d, out_i
+            # Buffer position slots + j is delta column n + j.
+            np.copyto(cols, pos - slots + n, where=pos >= slots)
+        return out_d, cols
 
     def search(
         self,
@@ -1073,35 +1049,25 @@ class IVFIndex(VectorIndex):
         k: int,
         *,
         nprobe: int | None = None,
-        dead: np.ndarray | None = None,
         live: "LiveView | None" = None,
         kept: "KeptScan | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k search, optionally overriding the index's default nProbe.
 
-        ``dead`` lists ids (as :meth:`add` assigned them) to leave out: the
-        result is the top-k of the other rows, exactly what an index built
-        without them would return, padded with ``inf`` / ``-1`` when fewer
-        than ``k`` of the probed rows are left. ``live`` is a live shard's
-        :class:`LiveView` (delta rows and dead columns derived when the shard
-        was written): its delta row ``j`` is returned as local id
-        ``ntotal + j``. Pass one or the other. ``kept`` is a
+        ``live`` is a live shard's :class:`LiveView`: its dead columns
+        (:meth:`dead_columns`) are never returned, and its delta row ``j``
+        is returned as local id ``ntotal + j``. ``kept`` is a
         :class:`KeptScan` hand-over: an empty one keeps a dense scan's
         distances, a filled one is selected from instead of scanning when it
-        is of this cut (see :meth:`_search`).
+        is of this cut (:meth:`plan`). ``k`` must be positive.
         """
-        if dead is not None and live is not None:
-            raise ValueError("pass dead ids or a live view, not both")
         if not self.is_trained:
             raise RuntimeError("IVFIndex must be trained before search()")
+        k = int(k)
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
         q = as_matrix(queries)
         self._check_dim(q)
-        k = int(k)
-        delta = None if live is None else live.delta
-        if not self.ntotal and (delta is None or not delta.ntotal):
-            return _padding(len(q), k)
-        if dead is not None and len(dead):
-            live = LiveView(self.dead_columns(dead))
         return self._search(q, k, nprobe=nprobe, live=live, kept=kept)
 
     def memory_bytes(self) -> int:

@@ -12,7 +12,7 @@ from repro.ann.flat import FlatIndex
 from repro.ann.ivf import IVFIndex, default_nlist
 from repro.ann.quantization import make_quantizer
 from repro.metrics.recall import recall_at_k
-from tests.oracles import ivf_search_reference
+from tests.oracles import dead_view, ivf_search_reference
 
 
 @pytest.fixture(scope="module")
@@ -203,9 +203,9 @@ class TestSealedRecordSwap:
                     worker = threading.Thread(target=index.warm_scan_state)
                 else:
                     worker = threading.Thread(
-                        target=index.search,
-                        args=(queries, 5),
-                        kwargs={"dead": np.array([0])},
+                        target=lambda: index.search(
+                            queries, 5, live=dead_view(index, np.array([0]))
+                        )
                     )
                 worker.start()
                 worker.join(timeout=30)
@@ -254,7 +254,7 @@ class TestSealedRecordSwap:
 def test_only_ivf_module_names_sealed_storage_fields():
     """Layout fence: everything outside ``ann/ivf.py`` reaches the sealed
     storage through export_state / from_state / rows_by_local_id — and names
-    deleted rows by local id (``search(dead=)``), never by storage row: the
+    deleted rows by local id (``dead_columns``), never by storage row: the
     record and its id → row ``positions`` map stay in the one module."""
     import repro
 

@@ -7,7 +7,6 @@ depths and batch shapes, plus the structural edge cases: empty cells,
 k larger than the candidate pool, and forced non-ADC kernels.
 """
 
-import contextlib
 import functools
 
 import numpy as np
@@ -21,7 +20,7 @@ from repro.ann.quantization import make_quantizer
 from repro.core.clustering import IndexShard
 from repro.obs import disable_tracing, enable_tracing
 from repro.obs.metrics import MetricsRegistry, set_registry
-from tests.oracles import ivf_search_reference
+from tests.oracles import FORCED, dead_view, forced_strategy, ivf_search_reference
 
 DIM = 24
 SCHEMES = ["flat", "sq8", "sq4", "pq8", "opq8"]
@@ -140,14 +139,10 @@ def test_dense_and_sparse_strategies_agree(data, queries):
     index = IVFIndex(DIM, "l2", nlist=16, quantizer=make_quantizer("sq8", DIM))
     index.train(data)
     index.add(data)
-    advantage = index.quantizer.adc_dense_advantage
-    try:
-        index.quantizer.adc_dense_advantage = float("inf")  # always dense
+    with forced_strategy(index, "dense"):
         dense = index.search(queries, 5, nprobe=4)
-        index.quantizer.adc_dense_advantage = 0.0  # always sparse
+    with forced_strategy(index, "sparse"):
         sparse = index.search(queries, 5, nprobe=4)
-    finally:
-        index.quantizer.adc_dense_advantage = advantage
     np.testing.assert_array_equal(dense[1], sparse[1])
     np.testing.assert_allclose(dense[0], sparse[0], rtol=1e-3, atol=5e-3)
 
@@ -186,23 +181,9 @@ def test_duplicate_ids_match_reference_exactly(scheme, metric):
 
 NN_DIM = 16
 NN_NLIST = 40
-# The scan strategy: "rule" leaves the dense/sparse choice to the codec's
-# ``adc_dense_advantage``; "sparse" and "dense" force one kernel at every
-# probe depth, so each kernel's tie-break is exercised across probe slots
-# whatever the codec's constant is.
-FORCED = {"rule": None, "sparse": 0.0, "dense": float("inf")}
-
-
-@contextlib.contextmanager
-def forced_strategy(index, strategy):
-    """Run the block with *strategy* forced on *index*'s codec."""
-    advantage = index.quantizer.adc_dense_advantage
-    if FORCED[strategy] is not None:
-        index.quantizer.adc_dense_advantage = FORCED[strategy]
-    try:
-        yield
-    finally:
-        index.quantizer.adc_dense_advantage = advantage
+# The scan strategy (``tests.oracles.FORCED``): forcing one kernel at every
+# probe depth exercises each kernel's tie-break across probe slots whatever
+# the codec's constant is.
 
 
 def nn_index(scheme, metric, layout, seed):
@@ -303,15 +284,11 @@ def test_k1_forced_kernels_agree(indexes, queries, scheme):
     the generic tile kernel) must agree with the reference."""
     index = indexes[(scheme, "l2")]
     ref_d, ref_i = ivf_search_reference(index, queries, 1, nprobe=2)
-    advantage = index.quantizer.adc_dense_advantage
-    try:
-        for forced in (float("inf"), 0.0):  # always dense, always sparse
-            index.quantizer.adc_dense_advantage = forced
+    for strategy in ("dense", "sparse"):
+        with forced_strategy(index, strategy):
             d, i = index.search(queries, 1, nprobe=2)
-            np.testing.assert_array_equal(i, ref_i)
-            np.testing.assert_allclose(d, ref_d, rtol=1e-3, atol=5e-3)
-    finally:
-        index.quantizer.adc_dense_advantage = advantage
+        np.testing.assert_array_equal(i, ref_i)
+        np.testing.assert_allclose(d, ref_d, rtol=1e-3, atol=5e-3)
 
 
 def test_the_scan_operand_is_derived_state():
@@ -344,7 +321,7 @@ def test_the_scan_operand_is_derived_state():
     # keep the very same array.
     for dead in (None, np.array([3, 200])):
         for k, nprobe in ((1, 1), (5, 1), (1, 8), (5, 8)):
-            index.search(data[:4], k, nprobe=nprobe, dead=dead)
+            index.search(data[:4], k, nprobe=nprobe, live=dead_view(index, dead))
     index.warm_scan_state()
     assert index._sealed.operand is operand
     exported = index.export_state()[1]
@@ -442,7 +419,7 @@ def scan_buffers(index, queries, k, nprobe, dead=None):
     index._workspace.clear()
     tracer = enable_tracing()
     try:
-        _, ids = index.search(queries, k, nprobe=nprobe, dead=dead)
+        _, ids = index.search(queries, k, nprobe=nprobe, live=dead_view(index, dead))
     finally:
         disable_tracing()
     (span,) = [s for root in tracer.roots for s in root.find_all("ivf_scan")]
@@ -501,10 +478,10 @@ def test_gather_codec_takes_the_one_selector():
 
 
 # -- deleted rows as a scan-time mask ------------------------------------------
-# ``search(dead=D)`` sets the rows of D to inf between the kernel and the
-# selection, in every strategy. Two oracles: what a live shard did before the
-# mask existed — over-fetch k + |D|, drop the dead, keep the first k — and an
-# index rebuilt from the surviving rows.
+# ``search(live=dead_view(index, D))`` sets the rows of D to inf between the
+# kernel and the selection, in every strategy. Two oracles: what a live shard
+# did before the mask existed — over-fetch k + |D|, drop the dead, keep the
+# first k — and an index rebuilt from the surviving rows.
 
 MASK_NLIST = 12
 
@@ -585,7 +562,7 @@ def test_dead_rows_are_masked_before_selection(
     ).astype(np.float32)
     dead = pick_dead(kind, index, rows, queries, nprobe)
 
-    got_d, got_i = index.search(queries, k, nprobe=nprobe, dead=dead)
+    got_d, got_i = index.search(queries, k, nprobe=nprobe, live=dead_view(index, dead))
     assert got_d.shape == got_i.shape == (nq, k)
     assert not np.isin(got_i, dead).any()
     np.testing.assert_array_equal(np.isfinite(got_d), got_i >= 0)
@@ -623,21 +600,22 @@ def test_duplicate_of_a_dead_row_is_served(metric):
         first_d, first = index.search(queries, 1, nprobe=nprobe)
         doomed = first[:, 0]
         twins = (doomed + 180) % 360
-        d, i = index.search(queries, 2, nprobe=nprobe, dead=doomed)
+        d, i = index.search(queries, 2, nprobe=nprobe, live=dead_view(index, doomed))
         np.testing.assert_array_equal(i[:, 0], twins)
         np.testing.assert_allclose(d[:, 0], first_d[:, 0], rtol=1e-6)
         assert not np.isin(i, doomed).any()
-        one_d, one_i = index.search(queries, 1, nprobe=nprobe, dead=doomed)
+        one_d, one_i = index.search(
+            queries, 1, nprobe=nprobe, live=dead_view(index, doomed)
+        )
         np.testing.assert_array_equal(one_i[:, 0], i[:, 0])
         np.testing.assert_array_equal(one_d[:, 0], d[:, 0])
 
 
 def test_dead_ids_out_of_range_are_refused():
     index, _, _ = mask_index("flat", "l2", "full")
-    queries = np.zeros((2, NN_DIM), dtype=np.float32)
     for bad in ([360], [-1], [0, 10**6]):
         with pytest.raises(ValueError, match="dead ids"):
-            index.search(queries, 3, dead=np.array(bad))
+            index.dead_columns(np.array(bad))
 
 
 def test_an_index_without_deletes_never_builds_the_position_map():
@@ -649,12 +627,12 @@ def test_an_index_without_deletes_never_builds_the_position_map():
     index = IVFIndex(NN_DIM, "ip", nlist=8, quantizer=make_quantizer("sq8", NN_DIM))
     index.train(data)
     index.add(data)
-    for kwargs in ({}, {"dead": None}, {"dead": np.empty(0, dtype=np.int64)}):
+    for dead in (None, np.empty(0, dtype=np.int64)):
         for k, nprobe in ((1, 2), (5, 2), (5, 8)):
-            index.search(data[:4], k, nprobe=nprobe, **kwargs)
+            index.search(data[:4], k, nprobe=nprobe, live=dead_view(index, dead))
     _, arrays = index.export_state()
     assert index._sealed.positions is None
-    index.search(data[:4], 5, dead=np.array([3]))
+    index.search(data[:4], 5, live=dead_view(index, np.array([3])))
     positions = index._sealed.positions
     np.testing.assert_array_equal(index._sealed.ids[positions], np.arange(300))
     assert positions.dtype == np.int32 and not positions.flags.writeable

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.ann.ivf import IVFIndex
 from repro.ann.quantization import make_quantizer
-from tests.oracles import sparse_scan_oracle
+from tests.oracles import dead_view, forced_strategy, sparse_scan_oracle
 
 DIM = 16
 NLIST = 12
@@ -81,12 +81,10 @@ def test_grouped_kernel_matches_the_per_cell_loop(
     ).astype(np.float32)
     dead = pick_dead(dead_kind, index, cells, queries, rng)
 
-    advantage = index.quantizer.adc_dense_advantage
-    index.quantizer.adc_dense_advantage = 0.0  # always the sparse kernel
-    try:
-        got_d, got_i = index.search(queries, k, nprobe=nprobe, dead=dead)
-    finally:
-        index.quantizer.adc_dense_advantage = advantage
+    with forced_strategy(index, "sparse"):
+        got_d, got_i = index.search(
+            queries, k, nprobe=nprobe, live=dead_view(index, dead)
+        )
     want_d, want_i = sparse_scan_oracle(index, queries, k, nprobe=nprobe, dead=dead)
 
     np.testing.assert_array_equal(got_i, want_i)

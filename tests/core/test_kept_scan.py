@@ -17,7 +17,6 @@ selects. Held here:
 from __future__ import annotations
 
 from contextlib import ExitStack
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from repro.obs import disable_tracing, enable_tracing
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.serving.faults import FaultInjector
 from repro.serving.replication import replicate_datastore
-from tests.oracles import whole_batch_deep_oracle
+from tests.oracles import forced_strategy, whole_batch_deep_oracle
 
 DIM = 16
 NLIST = 8
@@ -120,8 +119,7 @@ def test_searcher_matches_whole_batch_deep_oracle(
     with ExitStack() as stack:
         if force_sparse:
             for shard in datastore.shards:
-                stack.enter_context(mock.patch.object(
-                    shard.index.quantizer, "adc_dense_advantage", 0.0))
+                stack.enter_context(forced_strategy(shard.index, "sparse"))
         enable_tracing()
         stack.callback(disable_tracing)
         result = searcher.search(queries, k=K, deep_nprobe=deep_nprobe)

@@ -23,14 +23,46 @@ of something ``src/repro`` does fast, kept so a test can compare the two.
   with nothing to select from, to a search of its routed rows.
 - :func:`kmeans_reference` — Lloyd's with the full distance matrix and
   ``np.add.at`` scatter adds: the quality-parity baseline of ``train_kmeans``.
+
+Two helpers drive the fast path the way the oracles need:
+:func:`forced_strategy` pins the IVF scan to one kernel and
+:func:`dead_view` masks deleted rows of a frozen index.
 """
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 
 from repro.ann.distances import as_matrix, pairwise_distance, top_k
+from repro.ann.ivf import LiveView
 from repro.ann.kmeans import KMeansResult, _kmeanspp_init, _validate_problem
+
+#: The scan strategy a test asks for: "rule" leaves the dense / sparse choice
+#: to the codec's ``adc_dense_advantage``; "sparse" and "dense" force one
+#: kernel at every probe depth.
+FORCED = {"rule": None, "sparse": 0.0, "dense": float("inf")}
+
+
+@contextlib.contextmanager
+def forced_strategy(index, strategy):
+    """Run the block with *strategy* (a key of :data:`FORCED`) forced on
+    *index*'s codec."""
+    advantage = FORCED[strategy]
+    with contextlib.ExitStack() as stack:
+        if advantage is not None:
+            stack.enter_context(
+                mock.patch.object(index.quantizer, "adc_dense_advantage", advantage)
+            )
+        yield
+
+
+def dead_view(index, dead):
+    """The :class:`LiveView` that masks local ids *dead* of a frozen
+    *index* (``None`` for ``None``)."""
+    return None if dead is None else LiveView(index.dead_columns(dead))
 
 
 def _probe_order(index, queries, nprobe):
@@ -162,7 +194,7 @@ def delta_scan_oracle(quantizer, metric, codes, queries, k, *, dead=()):
 def live_shard_two_scan_oracle(shard, queries, k, *, nprobe=None):
     """``IndexShard.search`` as two scans and a merge, in global ids.
 
-    The sealed index searched with its tombstoned local ids as ``dead``, the
+    The sealed index searched with its tombstoned local ids masked, the
     delta rows scanned by :func:`delta_scan_oracle` with theirs, then the
     merge: at ``k == 1`` the delta winner replaces the sealed one only when
     strictly closer; at ``k > 1`` one stable ``top_k`` over the
@@ -171,7 +203,9 @@ def live_shard_two_scan_oracle(shard, queries, k, *, nprobe=None):
     index = shard.index
     n = index.ntotal
     local = np.array(sorted(shard.tombstones), dtype=np.int64)
-    s_d, s_l = index.search(queries, k, nprobe=nprobe, dead=local[local < n])
+    s_d, s_l = index.search(
+        queries, k, nprobe=nprobe, live=dead_view(index, local[local < n])
+    )
     s_g = _to_global(s_l, shard.global_ids)
     delta = shard.delta
     if delta is None or not delta.ntotal:
