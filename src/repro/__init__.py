@@ -31,8 +31,8 @@ Subpackages
     Platform models and the multi-node analysis tool (fleet provisioning,
     routed loads, latency / energy of a batch at nominal scale).
 ``repro.serving``
-    The live stride-scheduled pipeline, cache / batcher frontend, and the
-    discrete-event simulator (the timeline's contended, multi-batch run).
+    The live stride-scheduled pipeline, cache / batcher frontend, faults,
+    admission control and replication.
 ``repro.baselines``
     Monolithic retrieval and the RAGCache overlap analyses.
 ``repro.experiments``

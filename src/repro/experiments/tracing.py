@@ -10,9 +10,6 @@ paper's Fig. 7/12 stage decompositions:
   search, merge) on the wall clock;
 - ``generation``: the strided RAG generation timeline on a virtual clock,
   pipelined and prefix-cached, with cross-worker overlap visible;
-- ``serve-sim``: the discrete-event serving simulator's per-batch span
-  trees in simulated time — phase children tile each batch's latency
-  exactly;
 - ``e2e``: the **live** stride-scheduled serving pipeline
   (:class:`~repro.serving.pipeline.RAGServingPipeline`, lookahead
   discipline) on a small corpus: one ``request`` root per served request,
@@ -42,15 +39,10 @@ from ..llm.generation import (
 )
 from ..llm.inference import InferenceModel
 from ..metrics.reporting import latency_breakdown
-from ..obs.metrics import MetricsRegistry, get_registry, set_registry
+from ..obs.metrics import MetricsRegistry, set_registry
 from ..obs.trace import Tracer, chrome_trace, set_tracer
 from ..obs.validate import validate_trace
-from ..perfmodel.aggregate import expected_deep_loads
-from ..serving import PipelineSimulator, plan_from_models
 from . import serve_pipeline
-from .common import build_fleet
-
-TRACE_EXPERIMENTS = ("retrieval", "generation", "serve-sim", "e2e")
 
 
 @dataclass
@@ -136,34 +128,24 @@ def _traced_e2e(seed: int, tracer: Tracer) -> list:
     return tracer.finished_roots()
 
 
-def _traced_serve_sim(seed: int, tracer: Tracer) -> list:
-    config = GenerationConfig(batch=32, output_tokens=48, stride=16)
-    fleet = build_fleet(10e9, n_clusters=4, size_skew_exponent=0.0)
-    loads = expected_deep_loads(config.batch, fleet.access_frequency, 2)
-    plan = plan_from_models(config, fleet.model.hermes(config.batch, loads))
-    sim = PipelineSimulator(plan, batch_size=config.batch, tracer=tracer)
-    sim.run_poisson(4, mean_interval_s=1.0, seed=seed)
-    return tracer.finished_roots()
+_EXPERIMENTS = {
+    "retrieval": _traced_retrieval,
+    "generation": _traced_generation,
+    "e2e": _traced_e2e,
+}
 
 
 def run(experiment: str, *, seed: int = 0) -> TraceRun:
     """Run one seeded trace experiment; spans are invariant-validated."""
-    if experiment not in TRACE_EXPERIMENTS:
+    if experiment not in _EXPERIMENTS:
         raise ValueError(
             f"unknown trace experiment {experiment!r}; "
-            f"choose from {', '.join(TRACE_EXPERIMENTS)}"
+            f"choose from {', '.join(_EXPERIMENTS)}"
         )
     registry = MetricsRegistry()
     previous_registry = set_registry(registry)
     try:
-        if experiment == "retrieval":
-            roots = _traced_retrieval(seed, Tracer(enabled=True))
-        elif experiment == "generation":
-            roots = _traced_generation(seed, Tracer(enabled=True))
-        elif experiment == "serve-sim":
-            roots = _traced_serve_sim(seed, Tracer(enabled=True))
-        else:  # e2e: the live serving pipeline, per-request timelines
-            roots = _traced_e2e(seed, Tracer(enabled=True))
+        roots = _EXPERIMENTS[experiment](seed, Tracer(enabled=True))
     finally:
         set_registry(previous_registry)
     validate_trace(roots)
@@ -175,4 +157,4 @@ def run(experiment: str, *, seed: int = 0) -> TraceRun:
     )
 
 
-__all__ = ["TRACE_EXPERIMENTS", "TraceRun", "run"]
+__all__ = ["TraceRun", "run"]

@@ -10,7 +10,6 @@ from .generation import (
     RetrievalCost,
     constant_retrieval,
     simulate_generation,
-    steady_state_throughput_qps,
 )
 from .inference import InferenceModel, StageCost
 from .kvcache import CacheStats, IdealPrefixCache, PrefixCache
@@ -30,7 +29,6 @@ __all__ = [
     "RetrievalCost",
     "constant_retrieval",
     "simulate_generation",
-    "steady_state_throughput_qps",
     "InferenceModel",
     "StageCost",
     "CacheStats",

@@ -245,7 +245,7 @@ def stride_costs(
     Prefill covers the full context, or only the newly generated tokens
     after stride 0 under prefix caching; the last stride decodes whatever
     output remains. Every consumer of a per-stride inference cost (the
-    timeline, the DES stage plan, the inference window) reads it from here.
+    timeline, the inference window) reads it from here.
     """
     fraction = 1.0
     if config.prefix_cached:
@@ -350,23 +350,3 @@ def simulate_generation(
         + sum(d.energy_j for d in decode_costs),
         config=config,
     )
-
-
-def steady_state_throughput_qps(
-    retrieval_latency_s: float,
-    inference: InferenceModel,
-    config: GenerationConfig,
-) -> float:
-    """Saturated-pipeline *per-stride* throughput: queries flowing through
-    one retrieval+inference stride slot per second.
-
-    With retrieval on CPU nodes and inference on GPUs running concurrently on
-    different batches, each stride slot costs ``max(retrieval, prefill +
-    decode)`` and admits ``batch`` queries. A full request performing
-    ``config.n_strides`` strides therefore completes at ``1/n_strides`` of
-    this rate (see :mod:`repro.serving` for the event-driven validation).
-    """
-    bottleneck = max(retrieval_latency_s, inference_block_s(inference, config))
-    if bottleneck <= 0:
-        return math.inf
-    return config.batch / bottleneck

@@ -10,9 +10,10 @@ only — CI enforces it) with three parts:
 - :mod:`repro.obs.validate` — the latency-accounting invariants the test
   harness asserts over every traced run.
 
-Instrumented modules (hierarchical searcher, IVF scan, build pipeline, DES
-simulator, generation timeline) report to the process-wide tracer and
-registry, both of which start disabled/no-op; ``enable_tracing()`` opts in.
+Instrumented modules (hierarchical searcher, IVF scan, build pipeline,
+generation timeline, live serving pipeline) report to the process-wide
+tracer and registry, both of which start disabled/no-op;
+``enable_tracing()`` opts in.
 """
 
 from .metrics import (

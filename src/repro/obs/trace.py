@@ -11,16 +11,15 @@ Perfetto event format.
 Design points:
 
 - **Clock injection.** A tracer owns a ``clock`` callable returning seconds.
-  The default is ``time.perf_counter`` (wall clock); the DES simulator
-  passes its event-loop clock so *simulated* traces decompose on the virtual
-  timeline exactly like measured ones, and tests pass a :class:`ManualClock`
-  they advance by hand.
+  The default is ``time.perf_counter`` (wall clock); tests pass a
+  :class:`ManualClock` they advance by hand.
 - **Two recording APIs.** ``tracer.span(...)`` is a context manager (and
   via :meth:`Tracer.traced` a decorator) that nests through a thread-local
   stack — the natural fit for instrumenting call trees. ``start_span`` /
   ``record`` take explicit parents and timestamps — the fit for
-  callback-driven code like the event-loop simulator where "the current
-  span" is not a property of the Python stack.
+  code that reports intervals after the fact, like the generation timeline
+  (:func:`repro.llm.generation.record_timeline`), whose spans sit on a
+  virtual clock rather than the Python stack.
 - **Workers.** Every span carries a ``worker`` label (thread, shard, node,
   device — the unit that executes serially). Spans on one worker must not
   overlap; spans on different workers may. ``worker=None`` inherits the

@@ -15,8 +15,8 @@ and breakdown table relies on:
    exceeds the parent's duration.
 
 ``eps`` absorbs floating-point timestamp arithmetic; it defaults to zero
-because both the wall clock (monotonic ``perf_counter`` reads) and the DES
-virtual clock produce exactly ordered timestamps.
+because both the wall clock (monotonic ``perf_counter`` reads) and the
+generation timeline's virtual clock produce exactly ordered timestamps.
 """
 
 from __future__ import annotations

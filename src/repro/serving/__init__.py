@@ -1,13 +1,12 @@
-"""Online serving: cache/batching frontend plus the event-driven simulator.
+"""Online serving: the cache/batching frontend, faults, overload control and
+the live stride pipeline.
 
-Three layers:
+Four layers:
 
 - the **serve-time frontend** (:mod:`repro.serving.cache`,
   :mod:`repro.serving.frontend`): an exact-digest LRU retrieval cache and a
   dynamic batcher that coalesces and dedupes cache-missing queries in front
   of the hierarchical searcher;
-- the **discrete-event simulator** complementing the closed-form multi-node
-  model with batches contending for the GPU and the retrieval fleet;
 - the **fault models** (crash-stop, transient, straggler) that chaos-test
   the fleet per batch (:mod:`repro.serving.faults` wrapping live shards);
 - the **overload layer** (:mod:`repro.serving.admission`,
@@ -34,7 +33,6 @@ from .cache import (
     RetrievalCache,
     RetrievalCacheStats,
 )
-from .events import EventLoop, Resource
 from .frontend import (
     BatcherStats,
     DynamicBatcher,
@@ -63,13 +61,6 @@ from .pipeline import (
     StrideRecord,
 )
 from .replication import ReplicaGroup, kill_replica, replica_groups, replicate_datastore
-from .simulator import (
-    BatchRecord,
-    PipelineSimulator,
-    ServingReport,
-    StagePlan,
-    plan_from_models,
-)
 
 __all__ = [
     "MISS",
@@ -91,8 +82,6 @@ __all__ = [
     "kill_replica",
     "replica_groups",
     "replicate_datastore",
-    "EventLoop",
-    "Resource",
     "CrashStop",
     "FaultEvent",
     "FaultInjector",
@@ -111,9 +100,4 @@ __all__ = [
     "RAGServingPipeline",
     "RequestResult",
     "StrideRecord",
-    "BatchRecord",
-    "PipelineSimulator",
-    "ServingReport",
-    "StagePlan",
-    "plan_from_models",
 ]

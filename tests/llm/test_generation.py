@@ -13,7 +13,6 @@ from repro.llm.generation import (
     constant_retrieval,
     record_timeline,
     simulate_generation,
-    steady_state_throughput_qps,
     stride_costs,
     stride_timeline,
 )
@@ -149,22 +148,6 @@ class TestEnergyAccounting:
     def test_stage_seconds_keys(self, inference):
         stages = run(1.0, inference).stage_seconds
         assert set(stages) == {"encoding", "retrieval", "prefill", "decoding"}
-
-
-class TestThroughput:
-    def test_bottleneck_is_retrieval_when_large(self, inference):
-        cfg = GenerationConfig()
-        qps = steady_state_throughput_qps(10.0, inference, cfg)
-        assert qps == pytest.approx(cfg.batch / 10.0)
-
-    def test_bottleneck_is_inference_when_retrieval_hidden(self, inference):
-        cfg = GenerationConfig()
-        block = (
-            inference.prefill(cfg.batch, cfg.input_tokens).latency_s
-            + inference.decode(cfg.batch, cfg.stride).latency_s
-        )
-        qps = steady_state_throughput_qps(0.001, inference, cfg)
-        assert qps == pytest.approx(cfg.batch / block)
 
 
 class TestMeterIntegration:

@@ -23,15 +23,14 @@ from repro.obs.trace import trace_skeleton
 pytestmark = pytest.mark.obs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-#: generation and the DES (serve-sim) run on a virtual clock (fully
-#: deterministic ordering); retrieval exercises the threaded build + shard
-#: fan-out (completion-order nondeterminism is what the canonicalization
-#: absorbs).
-GOLDEN_EXPERIMENTS = ("retrieval", "generation", "serve-sim")
+#: generation runs on a virtual clock (fully deterministic ordering);
+#: retrieval exercises the threaded build + shard fan-out (completion-order
+#: nondeterminism is what the canonicalization absorbs).
+GOLDEN_EXPERIMENTS = ("retrieval", "generation")
 
 
 def golden_path(experiment) -> Path:
-    return GOLDEN_DIR / f"{experiment.replace('-', '_')}_skeleton.json"
+    return GOLDEN_DIR / f"{experiment}_skeleton.json"
 
 
 def canonicalize(skeleton):

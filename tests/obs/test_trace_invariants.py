@@ -1,13 +1,10 @@
 """Latency-accounting invariants over real pipeline traces.
 
 The harness half of the observability PR: every traced slice of the
-pipeline — hierarchical retrieval on the wall clock, the DES simulator and
-the generation timeline on virtual clocks — must produce span trees where
-time is accounted coherently (children inside parents, same-worker siblings
+pipeline — hierarchical retrieval on the wall clock, the generation
+timeline on a virtual clock — must produce span trees where time is
+accounted coherently (children inside parents, same-worker siblings
 serialized, same-worker child durations summing to at most the parent).
-The DES case is held to the strictest bar: phase children tile each batch's
-interval exactly, so their durations reconstruct the simulator's own
-reported latency to the last bit.
 """
 
 import numpy as np
@@ -22,13 +19,11 @@ from repro.llm.generation import (
 )
 from repro.llm.inference import InferenceModel
 from repro.obs.trace import Tracer, set_tracer
-from repro.perfmodel.aggregate import DistributedRetrievalResult, PhaseResult
 from repro.obs.validate import (
     TraceInvariantError,
     validate_span_tree,
     validate_trace,
 )
-from repro.serving.simulator import PipelineSimulator, StagePlan
 
 pytestmark = pytest.mark.obs
 
@@ -191,84 +186,6 @@ class TestTracedRetrieval:
     def test_no_trace_by_default(self, clustered, small_queries):
         result = HermesSearcher(clustered).search(small_queries.embeddings)
         assert result.trace is None
-
-
-# ---------------------------------------------------------------------------
-# DES simulator: virtual-time spans reconstruct reported latency exactly
-# ---------------------------------------------------------------------------
-
-
-def _phase(seconds) -> PhaseResult:
-    seconds = np.array(seconds)
-    return PhaseResult(float(seconds.max()), 0.0, seconds, np.zeros_like(seconds))
-
-
-def _plan(n_strides: int = 3) -> StagePlan:
-    sample, deep = _phase([0.001, 0.0015, 0.001]), _phase([0.011, 0.0, 0.023])
-    return StagePlan(
-        encode_s=0.002,
-        retrieval=DistributedRetrievalResult(
-            sample.latency_s + deep.latency_s, 0.0, sample, deep
-        ),
-        # full prefill, then prefix-cached ones; a ragged last decode
-        strides=((0.031, 0.041),) + ((0.0052, 0.041),) * (n_strides - 2)
-        + ((0.0052, 0.017),),
-    )
-
-
-class TestSimulatorVirtualTime:
-    def test_phase_children_tile_batch_latency_exactly(self):
-        tracer = Tracer(enabled=True)
-        sim = PipelineSimulator(_plan(), batch_size=16, tracer=tracer)
-        report = sim.run(5)
-        roots = tracer.finished_roots()
-        assert len(roots) == len(report.batches)
-        validate_trace(roots)
-        for root, batch in zip(roots, report.batches):
-            assert root.attrs["batch_id"] == batch.batch_id
-            # exact reconstruction: no tolerance — children share boundaries
-            assert root.duration_s == batch.latency_s
-            assert sum(c.duration_s for c in root.children) == batch.latency_s
-
-    def test_phase_order_per_stride(self):
-        tracer = Tracer(enabled=True)
-        sim = PipelineSimulator(_plan(n_strides=2), batch_size=4, tracer=tracer)
-        sim.run(1)
-        (root,) = tracer.finished_roots()
-        assert [c.name for c in root.children] == [
-            "encode",
-            "sample", "deep_search", "prefill", "decode",
-            "sample", "deep_search", "prefill", "decode",
-        ]
-
-    def test_node_busy_spans_nest_in_their_phase(self):
-        tracer = Tracer(enabled=True)
-        sim = PipelineSimulator(_plan(), batch_size=4, tracer=tracer)
-        sim.run(2)
-        roots = tracer.finished_roots()
-        deep_phases = [s for r in roots for s in r.find_all("deep_search")]
-        assert deep_phases
-        for phase in deep_phases:
-            # plan routes deep search to nodes 0 and 2 only
-            assert sorted(c.attrs["node"] for c in phase.children) == [0, 2]
-            for child in phase.children:
-                assert child.worker == f"node{child.attrs['node']}"
-
-    def test_queued_batches_still_account_exactly(self):
-        """A closed burst makes batches queue behind the GPU and each
-        other's nodes; queue waits are charged to phases, never lost."""
-        tracer = Tracer(enabled=True)
-        sim = PipelineSimulator(_plan(), batch_size=8, tracer=tracer)
-        report = sim.run(8, arrival_interval_s=0.0)
-        roots = tracer.finished_roots()
-        validate_trace(roots)
-        for root, batch in zip(roots, report.batches):
-            assert sum(c.duration_s for c in root.children) == batch.latency_s
-
-    def test_untraced_simulator_emits_nothing(self):
-        sim = PipelineSimulator(_plan(), batch_size=4)
-        sim.run(2)
-        assert sim.tracer is None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ class TestParser:
         commands = set(sub.choices)
         assert commands == {
             "build", "accuracy", "profile", "multinode",
-            "serve-sim", "cache", "faults", "overload", "mutate", "serve",
+            "cache", "faults", "overload", "mutate", "serve",
             "trace", "reproduce",
         }
 
@@ -73,14 +73,6 @@ class TestModelCommands:
             "--inference-window", "2.0",
         ]) == 0
         assert "dvfs=enhanced" in capsys.readouterr().out
-
-    def test_serve_sim(self, capsys):
-        assert main([
-            "serve-sim", "--batches", "3", "--output-tokens", "32",
-            "--batch", "32",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "throughput" in out and "gpu utilization" in out
 
     def test_cache_sweep_writes_artifact(self, tmp_path, capsys):
         import json

@@ -39,9 +39,6 @@ ALLOWLIST = {
     # event-level simulation of one node; tests/serving/test_node_sim.py holds
     # RetrievalCostModel.waves (every figure's batching closed form) to it
     "repro.serving.node_sim": REFERENCE,
-    # max(retrieval, inference block) closed form; tests/serving/
-    # test_simulator.py holds the DES's steady-state throughput to it
-    "repro.llm.generation:steady_state_throughput_qps": REFERENCE,
     # the hand-advanced reference clock: tests/obs and the retry-accounting
     # tests hold Tracer durations and shard latency_s to exact values with it
     "repro.obs.trace:ManualClock": REFERENCE,
