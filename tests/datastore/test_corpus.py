@@ -10,6 +10,7 @@ from repro.datastore.corpus import (
     chunk_documents,
     datastore_tokens,
 )
+from repro.datastore.encoder import OOV_TOKEN_OFFSET, SyntheticEncoder
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,21 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             vocab.topic_pool(4)
 
+    @pytest.mark.parametrize("token", [-1, 450, 10_000, int(OOV_TOKEN_OFFSET) + 5])
+    def test_out_of_range_token_rejected(self, vocab, token):
+        # 450 is vocab.size; an OOV id from tokenize is far past it and used
+        # to report a topic far past n_topics
+        with pytest.raises(ValueError, match="out of range"):
+            vocab.topic_of_token(token)
+
+    def test_hashed_word_has_no_topic(self, vocab):
+        (token,) = SyntheticEncoder.tokenize("hello")
+        with pytest.raises(ValueError, match="out of range"):
+            vocab.topic_of_token(int(token))
+
+    def test_last_token_has_last_topic(self, vocab):
+        assert vocab.topic_of_token(vocab.size - 1) == vocab.n_topics - 1
+
 
 class TestGenerator:
     def test_document_length(self, docs):
@@ -75,6 +91,23 @@ class TestGenerator:
     def test_bad_fraction_rejected(self, vocab):
         with pytest.raises(ValueError, match="topical_fraction"):
             CorpusGenerator(vocab, topical_fraction=1.5)
+
+    def test_no_common_tokens_needs_all_topical(self):
+        # with no common ids, a "common" draw was id 0 — topic 0's first
+        # token — in every document of every topic
+        vocab = TokenVocabulary(n_topics=3, pool_size=10, common_size=0)
+        with pytest.raises(ValueError, match="common tokens"):
+            CorpusGenerator(vocab, topical_fraction=0.7)
+        docs = CorpusGenerator(vocab, doc_tokens=40, topical_fraction=1.0, seed=1).generate(30)
+        for doc in docs:
+            assert {vocab.topic_of_token(int(t)) for t in doc.tokens} == {doc.topic}
+
+    @pytest.mark.parametrize(
+        "weights", [[0.5, 0.5], [0.6, 0.6, -0.2, 0.0], [0.3, 0.3, 0.3, 0.3]]
+    )
+    def test_bad_topic_weights_rejected(self, vocab, weights):
+        with pytest.raises(ValueError, match="topic_weights"):
+            CorpusGenerator(vocab, topic_weights=np.array(weights))
 
 
 class TestChunking:

@@ -25,8 +25,9 @@ pytestmark = pytest.mark.obs
 GOLDEN_DIR = Path(__file__).parent / "golden"
 #: generation runs on a virtual clock (fully deterministic ordering);
 #: retrieval exercises the threaded build + shard fan-out (completion-order
-#: nondeterminism is what the canonicalization absorbs).
-GOLDEN_EXPERIMENTS = ("retrieval", "generation")
+#: nondeterminism is what the canonicalization absorbs); e2e is the live
+#: stride-scheduled pipeline, whose encode spans run through the encoder.
+GOLDEN_EXPERIMENTS = ("retrieval", "generation", "e2e")
 
 
 def golden_path(experiment) -> Path:
@@ -78,7 +79,8 @@ def test_golden_has_no_timing_fields():
 def test_seeded_runs_are_reproducible():
     # same seed, two fresh runs: canonical skeletons must agree even though
     # thread scheduling differs
-    assert current_skeleton("retrieval") == current_skeleton("retrieval")
+    for experiment in GOLDEN_EXPERIMENTS:
+        assert current_skeleton(experiment) == current_skeleton(experiment), experiment
 
 
 def _regenerate():

@@ -23,6 +23,13 @@ of something ``src/repro`` does fast, kept so a test can compare the two.
   with nothing to select from, to a search of its routed rows.
 - :func:`kmeans_reference` — Lloyd's with the full distance matrix and
   ``np.add.at`` scatter adds: the quality-parity baseline of ``train_kmeans``.
+- :func:`reference_encode_tokens` — the bag-of-tokens encoder as one
+  ``acc += token_vector(t)`` step per token; the token-table encoder's
+  ordered gathers (``tests/datastore/test_ingest_equivalence.py``) are held
+  to it bit for bit.
+- :func:`reference_generate` — the corpus generator as per-document
+  ``Generator.choice`` calls; ``CorpusGenerator.generate`` must produce the
+  same documents.
 
 Two helpers drive the fast path the way the oracles need:
 :func:`forced_strategy` pins the IVF scan to one kernel and
@@ -32,13 +39,15 @@ Two helpers drive the fast path the way the oracles need:
 from __future__ import annotations
 
 import contextlib
+import functools
 from unittest import mock
 
 import numpy as np
 
-from repro.ann.distances import as_matrix, pairwise_distance, top_k
+from repro.ann.distances import as_matrix, normalize, pairwise_distance, top_k
 from repro.ann.ivf import LiveView
 from repro.ann.kmeans import KMeansResult, _kmeanspp_init, _validate_problem
+from repro.datastore.corpus import Document
 
 #: The scan strategy a test asks for: "rule" leaves the dense / sparse choice
 #: to the codec's ``adc_dense_advantage``; "sparse" and "dense" force one
@@ -316,3 +325,42 @@ def kmeans_reference(
         n_iter=n_iter,
         seed=seed,
     )
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _reference_token_vector(seed, dim, token):
+    rng = np.random.default_rng((seed << 32) ^ (token + 1))
+    return normalize(rng.normal(size=dim))[0].astype(np.float32)
+
+
+def reference_encode_tokens(tokens, *, dim, seed):
+    """``SyntheticEncoder(dim, seed=seed).encode_tokens(tokens)`` as a loop:
+    start from a float32 zero, add each token's vector in order, divide by
+    the length, normalise."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if len(tokens) == 0:
+        raise ValueError("cannot encode an empty token sequence")
+    acc = np.zeros(dim, dtype=np.float32)
+    for token in tokens:
+        acc += _reference_token_vector(seed, dim, int(token))
+    return normalize(acc / len(tokens))[0]
+
+
+def reference_generate(
+    vocabulary, n_docs, *, topic_weights=None, doc_tokens=256, topical_fraction=0.7, seed=0
+):
+    """``CorpusGenerator(...).generate(n_docs)`` from a fresh generator, with
+    ``Generator.choice`` drawing each document's topic and topical tokens."""
+    rng = np.random.default_rng(seed)
+    if topic_weights is None:
+        topic_weights = np.full(vocabulary.n_topics, 1.0 / vocabulary.n_topics)
+    docs = []
+    for doc_id in range(n_docs):
+        topic = int(rng.choice(vocabulary.n_topics, p=topic_weights))
+        n_topical = int(round(doc_tokens * topical_fraction))
+        topical = rng.choice(vocabulary.topic_pool(topic), size=n_topical)
+        common = rng.integers(0, max(vocabulary.common_size, 1), size=doc_tokens - n_topical)
+        tokens = np.concatenate([topical, common])
+        rng.shuffle(tokens)
+        docs.append(Document(doc_id=doc_id, tokens=tokens.astype(np.int64), topic=topic))
+    return docs
