@@ -562,8 +562,8 @@ class ClusteredDatastore:
         self._record_mutation("datastore_deletes_total", len(targets))
         return len(targets)
 
-    def compact(self, shard_ids=None) -> int:
-        """Compact shards (all by default); returns how many changed.
+    def compact(self) -> int:
+        """Compact every shard; returns how many changed.
 
         Each changed shard's sealed index is rebuilt warmed and swapped
         atomically under its ``generation`` counter; searches running
@@ -573,12 +573,7 @@ class ClusteredDatastore:
         counter — retrieval-cache entries stay valid across a compaction;
         only the per-shard generations move.
         """
-        shards = (
-            self.shards
-            if shard_ids is None
-            else [self.shards[int(s)] for s in shard_ids]
-        )
-        changed = sum(1 for shard in shards if shard.compact())
+        changed = sum(1 for shard in self.shards if shard.compact())
         if changed:
             self._update_delta_gauge()
         return changed

@@ -80,10 +80,6 @@ class SearchResult:
     failed_shards: tuple = ()
     #: per-shard latency / attempt / outcome accounting
     shard_stats: tuple = ()
-    #: root :class:`~repro.obs.trace.Span` of this batch's trace, populated
-    #: when the search ran under an enabled tracer (``trace=True`` or a
-    #: process-wide tracer via :func:`repro.obs.enable_tracing`)
-    trace: "Span | None" = None
 
     @property
     def batch_size(self) -> int:
@@ -174,7 +170,6 @@ class HierarchicalSearcher:
         config: HermesConfig | None = None,
         max_workers: int | None = None,
         policy: RetrievalPolicy | None = None,
-        tracer: "Tracer | None" = None,
         clock=None,
     ) -> None:
         if max_workers is not None and max_workers <= 0:
@@ -191,8 +186,6 @@ class HierarchicalSearcher:
                 threshold=policy.breaker_threshold,
                 cooldown=policy.breaker_cooldown,
             )
-        #: explicit tracer override; ``None`` defers to the process-wide one
-        self.tracer = tracer
         # Injectable time source (deterministic latency-accounting tests);
         # production uses the monotonic wall clock.
         self._clock = clock if clock is not None else time.perf_counter
@@ -206,7 +199,6 @@ class HierarchicalSearcher:
         clusters_to_search: int | None = None,
         deep_nprobe: int | None = None,
         exclude_clusters: "frozenset | set | None" = None,
-        trace: bool = False,
         deadline_s: float | None = None,
     ) -> SearchResult:
         """Route then deep-search a query batch; returns global top-k.
@@ -222,13 +214,9 @@ class HierarchicalSearcher:
         ``retrieval_deadline_exceeded_total`` — callers under admission
         control shed the request instead of serving it late.
 
-        ``trace=True`` opts this batch into span tracing even when no
-        process-wide tracer is enabled: the returned
-        :attr:`SearchResult.trace` carries the batch's span tree
-        (``retrieval`` → ``route`` / ``deep_search`` / ``merge``, with
-        per-shard children). When a tracer is already active (searcher
-        ``tracer=`` or :func:`repro.obs.enable_tracing`), spans are always
-        recorded there and ``trace`` is implied.
+        Under the process-wide tracer (:func:`repro.obs.enable_tracing`)
+        each batch records one span tree (``retrieval`` → ``route`` /
+        ``deep_search`` / ``merge``, with per-shard children).
 
         Queries of the wrong dimension or with a NaN / inf entry raise
         ``ValueError`` (:func:`check_queries`) before anything is routed, so
@@ -258,11 +246,7 @@ class HierarchicalSearcher:
                 raise DeadlineExceededError(deadline_s, stage="submit")
             deadline_at = self._clock() + float(deadline_s)
 
-        tracer = self.tracer if self.tracer is not None else get_tracer()
-        if trace and not tracer.enabled:
-            # Per-call opt-in: a private tracer so the caller gets a span
-            # tree on the result without turning on process-wide tracing.
-            tracer = Tracer(clock=self._clock)
+        tracer = get_tracer()
         batch_start = self._clock()
         breaker_open = self._tick_breakers()
         exclude = user_exclude | breaker_open
@@ -539,7 +523,6 @@ class HierarchicalSearcher:
             shard_queries=shard_queries,
             failed_shards=tuple(failed),
             shard_stats=tuple(answer.stats for answer in answers),
-            trace=batch.root if batch.tracer.enabled else None,
         )
 
 

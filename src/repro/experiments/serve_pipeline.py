@@ -200,12 +200,12 @@ def run(
                     np.mean([r.retrieval_s for r in report.completed])
                 )
                 if report.completed
-                else 0.0,
+                else float("nan"),
                 mean_encode_s=float(
                     np.mean([r.encode_s for r in report.completed])
                 )
                 if report.completed
-                else 0.0,
+                else float("nan"),
                 mean_energy_j=report.mean_energy_j,
                 block_s=report.block_s,
                 gpu_batch=report.gpu_batch,

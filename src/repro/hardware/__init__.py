@@ -1,4 +1,4 @@
-"""Hardware substrate: CPU/GPU platform models, DVFS mechanics, energy meter.
+"""Hardware substrate: CPU/GPU platform models and DVFS mechanics.
 
 Replaces the paper's measured Intel/ARM CPUs (via RAPL) and NVIDIA GPUs (via
 pynvml) with calibrated analytical models — the same role the paper's own
@@ -28,7 +28,6 @@ from .gpu import (
     tensor_parallel_speedup,
 )
 from .node import NodeCluster, RetrievalNode
-from .power import EnergyInterval, EnergyMeter
 
 __all__ = [
     "CPU_PLATFORMS",
@@ -49,6 +48,4 @@ __all__ = [
     "tensor_parallel_speedup",
     "NodeCluster",
     "RetrievalNode",
-    "EnergyInterval",
-    "EnergyMeter",
 ]

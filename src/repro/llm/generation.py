@@ -27,15 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from ..obs.trace import Tracer
 from ..perfmodel.measurements import EncoderCostModel
 from .inference import InferenceModel, StageCost
 from .kvcache import IdealPrefixCache
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..hardware.power import EnergyMeter
 
 
 @dataclass(frozen=True)
@@ -272,8 +269,6 @@ def simulate_generation(
     inference: InferenceModel,
     config: GenerationConfig,
     *,
-    encoder: EncoderCostModel | None = None,
-    meter: "EnergyMeter | None" = None,
     tracer: Tracer | None = None,
 ) -> GenerationResult:
     """Run the strided-generation timeline and return its latency/energy.
@@ -283,30 +278,17 @@ def simulate_generation(
     decodes ``stride`` tokens. Under pipelining, every later stride's
     retrieval overlaps the previous stride's inference; energy is unaffected
     by overlap (both devices are busy), only wall-clock latency changes.
-
-    A :class:`~repro.hardware.power.EnergyMeter` may be passed to receive
-    per-stage energy intervals (RAPL-style device + label accounting),
-    letting the Figs. 7/14/17 energy breakdowns be audited stage by stage.
-    With an enabled ``tracer`` the timeline is emitted as a ``generation``
-    span tree on a virtual clock from t=0.
+    Encoding is costed by :class:`EncoderCostModel`. With an enabled
+    ``tracer`` the timeline is emitted as a ``generation`` span tree on a
+    virtual clock from t=0.
     """
-    encoder = encoder or EncoderCostModel()
+    encoder = EncoderCostModel()
     n_strides = config.n_strides
     encode_s = encoder.batch_latency(config.batch)
     retrieval_costs = [retrieval(i) for i in range(n_strides)]
     prefill_costs, decode_costs = zip(
         *(stride_costs(inference, config, i) for i in range(n_strides))
     )
-
-    if meter is not None:
-        meter.record("gpu", encoder.power_w, encode_s, label="encoding")
-        for r in retrieval_costs:
-            power = r.energy_j / r.latency_s if r.latency_s > 0 else 0.0
-            meter.record("cpu", power, r.latency_s, label="retrieval")
-        for p in prefill_costs:
-            meter.record("gpu", p.power_w, p.latency_s, label="prefill")
-        for d in decode_costs:
-            meter.record("gpu", d.power_w, d.latency_s, label="decoding")
 
     timeline = stride_timeline(
         [

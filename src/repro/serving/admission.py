@@ -18,11 +18,11 @@ overload-safe alternative bounds every stage:
   current speed.
 - **Brownout ladder** — before shedding, quality degrades stepwise: the
   controller watches the queue *sojourn* delay CoDel-style (persistent
-  delay above ``delay_target_s`` for ``escalate_after_s`` escalates; delay
-  below target for the longer ``clear_after_s`` de-escalates — the
-  hysteresis that prevents level flapping). Each level maps to
-  :class:`BrownoutKnobs`: a smaller deep-search fan-out and probe depth,
-  trading bounded accuracy for capacity.
+  delay above ``delay_target_s`` for :data:`ESCALATE_AFTER_S` escalates;
+  delay below target for the longer :data:`CLEAR_AFTER_S` de-escalates —
+  the hysteresis that prevents level flapping). Each level of
+  :data:`LADDER` is a :class:`BrownoutKnobs`: a smaller deep-search fan-out
+  and probe depth, trading bounded accuracy for capacity.
 
 The controller is passive and clock-injectable: the batcher calls
 :meth:`AdmissionController.admit` on submit and
@@ -78,14 +78,23 @@ class BrownoutKnobs:
         )
 
 
-#: The default degradation ladder, mildest first; every level searches
-#: shallower than the one before. Level 0 (full quality) is implicit; the
-#: deepest level still searches (m, nprobe floored at 1) — shedding, not
-#: level N, is the final overload response.
-DEFAULT_LADDER = (
+#: The degradation ladder, mildest first; every level searches shallower
+#: than the one before. Level 0 (full quality) is implicit; the deepest level
+#: still searches (m, nprobe floored at 1) — shedding, not level N, is the
+#: final overload response.
+LADDER = (
     BrownoutKnobs(m_scale=0.67, nprobe_scale=0.5),
     BrownoutKnobs(m_scale=0.34, nprobe_scale=0.25),
 )
+#: Sojourns above ``delay_target_s`` for this long raise the brownout level
+#: one step.
+ESCALATE_AFTER_S = 0.05
+#: Sojourns below ``delay_target_s`` for this long lower it one step; longer
+#: than :data:`ESCALATE_AFTER_S`, which is the ladder's hysteresis.
+CLEAR_AFTER_S = 0.2
+#: Weight of the newest batch in the service-time EWMA that deadline
+#: shedding compares a request's remaining budget against.
+SERVICE_EWMA_ALPHA = 0.3
 
 
 @dataclass(frozen=True)
@@ -95,21 +104,12 @@ class AdmissionConfig:
     ``max_queue`` bounds the waiting-request count (submit past it rejects).
     ``default_deadline_s`` applies to requests submitted without an explicit
     deadline (``None`` = such requests never expire). ``delay_target_s`` is
-    the CoDel-style acceptable queue sojourn; sojourns above it for
-    ``escalate_after_s`` raise the brownout level, sojourns below it for
-    ``clear_after_s`` lower it (``clear_after_s`` > ``escalate_after_s``
-    gives the ladder hysteresis). ``ladder`` lists the knobs per level
-    above 0. ``service_ewma_alpha`` smooths the per-request service-time
-    estimate used by deadline shedding.
+    the CoDel-style acceptable queue sojourn the brownout ladder climbs on.
     """
 
     max_queue: int = 256
     default_deadline_s: float | None = None
     delay_target_s: float = 0.005
-    escalate_after_s: float = 0.05
-    clear_after_s: float = 0.2
-    ladder: tuple = DEFAULT_LADDER
-    service_ewma_alpha: float = 0.3
 
     def __post_init__(self) -> None:
         if self.max_queue < 1:
@@ -120,24 +120,6 @@ class AdmissionConfig:
             )
         if self.delay_target_s <= 0:
             raise ValueError(f"delay_target_s must be positive, got {self.delay_target_s}")
-        if self.escalate_after_s <= 0 or self.clear_after_s <= 0:
-            raise ValueError("escalate_after_s and clear_after_s must be positive")
-        if self.clear_after_s < self.escalate_after_s:
-            raise ValueError(
-                "clear_after_s must be >= escalate_after_s (hysteresis), got "
-                f"{self.clear_after_s} < {self.escalate_after_s}"
-            )
-        if not 0.0 < self.service_ewma_alpha <= 1.0:
-            raise ValueError(
-                f"service_ewma_alpha must be in (0, 1], got {self.service_ewma_alpha}"
-            )
-        for level, knobs in enumerate(self.ladder, start=1):
-            if not isinstance(knobs, BrownoutKnobs):
-                raise TypeError(f"ladder level {level} is not BrownoutKnobs: {knobs!r}")
-
-    @property
-    def max_level(self) -> int:
-        return len(self.ladder)
 
 
 class AdmissionController:
@@ -165,8 +147,6 @@ class AdmissionController:
         self._above_since: float | None = None
         self._below_since: float | None = None
         self._service_ewma: float | None = None
-        self.rejected = 0
-        self.shed = 0
 
     # -- submit side ---------------------------------------------------------
     def admit(self, queue_depth: int) -> None:
@@ -176,8 +156,6 @@ class AdmissionController:
             "serving_queue_depth", "requests waiting in the serving queue"
         ).set(queue_depth)
         if queue_depth >= self.config.max_queue:
-            with self._lock:
-                self.rejected += 1
             registry.counter(
                 "serving_admission_rejected_total",
                 "requests fail-fast rejected by the bounded serving queue",
@@ -207,8 +185,6 @@ class AdmissionController:
         return estimate is not None and remaining_s < estimate
 
     def record_shed(self) -> None:
-        with self._lock:
-            self.shed += 1
         get_registry().counter(
             "serving_deadline_shed_total",
             "requests dropped at dequeue because their deadline was unmeetable",
@@ -217,12 +193,11 @@ class AdmissionController:
     def record_service_time(self, seconds: float) -> None:
         """Feed one batch's *per-request-visible* service time into the EWMA."""
         seconds = max(float(seconds), 0.0)
-        alpha = self.config.service_ewma_alpha
         with self._lock:
             if self._service_ewma is None:
                 self._service_ewma = seconds
             else:
-                self._service_ewma += alpha * (seconds - self._service_ewma)
+                self._service_ewma += SERVICE_EWMA_ALPHA * (seconds - self._service_ewma)
 
     @property
     def service_estimate_s(self) -> float | None:
@@ -234,19 +209,18 @@ class AdmissionController:
 
         CoDel-flavoured: a single delay spike does nothing — the level
         rises only when the sojourn stays above ``delay_target_s`` for
-        ``escalate_after_s`` straight, and falls only after
-        ``clear_after_s`` continuously below it.
+        :data:`ESCALATE_AFTER_S` straight, and falls only after
+        :data:`CLEAR_AFTER_S` continuously below it.
         """
         now = self._clock()
-        cfg = self.config
         with self._lock:
-            if queue_delay_s > cfg.delay_target_s:
+            if queue_delay_s > self.config.delay_target_s:
                 self._below_since = None
                 if self._above_since is None:
                     self._above_since = now
                 elif (
-                    now - self._above_since >= cfg.escalate_after_s
-                    and self._level < cfg.max_level
+                    now - self._above_since >= ESCALATE_AFTER_S
+                    and self._level < len(LADDER)
                 ):
                     self._level += 1
                     self._above_since = now  # one step per escalation window
@@ -254,7 +228,7 @@ class AdmissionController:
                 self._above_since = None
                 if self._below_since is None:
                     self._below_since = now
-                elif now - self._below_since >= cfg.clear_after_s and self._level > 0:
+                elif now - self._below_since >= CLEAR_AFTER_S and self._level > 0:
                     self._level -= 1
                     self._below_since = now
             level = self._level
@@ -279,8 +253,7 @@ class AdmissionController:
             level = self.level
         if level <= 0:
             return BrownoutKnobs()
-        ladder = self.config.ladder
-        return ladder[min(int(level), len(ladder)) - 1]
+        return LADDER[min(int(level), len(LADDER)) - 1]
 
     def reset(self) -> None:
         with self._lock:
@@ -288,5 +261,3 @@ class AdmissionController:
             self._above_since = None
             self._below_since = None
             self._service_ewma = None
-            self.rejected = 0
-            self.shed = 0

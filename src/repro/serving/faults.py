@@ -66,34 +66,15 @@ class FaultModel(abc.ABC):
 
 
 class CrashStop(FaultModel):
-    """Crash-stop: every call from ``at_call`` on raises, forever.
+    """Crash-stop: every call from ``at_call`` on raises, forever."""
 
-    With ``probability`` set, each call before ``at_call``-style triggering
-    instead *becomes* the crash point with that probability (seeded), after
-    which the shard stays dead — crash-stop, not crash-recover.
-    """
-
-    def __init__(self, at_call: int | None = 0, *, probability: float = 0.0) -> None:
-        if at_call is None and probability <= 0:
-            raise ValueError("need at_call or a positive probability")
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
+    def __init__(self, at_call: int = 0) -> None:
         self.at_call = at_call
-        self.probability = probability
-        self._crashed = False
 
     def on_call(self, call_index: int, shard_id: int, rng: np.random.Generator) -> float:
-        if not self._crashed:
-            if self.at_call is not None and call_index >= self.at_call:
-                self._crashed = True
-            elif self.probability > 0 and rng.random() < self.probability:
-                self._crashed = True
-        if self._crashed:
+        if call_index >= self.at_call:
             raise ShardCrashedError(shard_id)
         return 0.0
-
-    def reset(self) -> None:
-        self._crashed = False
 
 
 class TransientFault(FaultModel):
@@ -299,8 +280,6 @@ class FaultInjector:
         self,
         datastore: ClusteredDatastore,
         faults: Mapping[int, FaultModel | Iterable[FaultModel]],
-        *,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> ClusteredDatastore:
         """A shallow copy of *datastore* with faults injected per shard id.
 
@@ -312,7 +291,7 @@ class FaultInjector:
         if unknown:
             raise ValueError(f"fault map names unknown shard ids {unknown} (0..{n - 1})")
         shards = [
-            self.wrap_shard(s, faults[s.shard_id], sleep=sleep)
+            self.wrap_shard(s, faults[s.shard_id])
             if s.shard_id in faults
             else s
             for s in datastore.shards

@@ -14,8 +14,8 @@ serve-time component. Two layers:
   cached answer (:meth:`ServingFrontend.cached_answer`) and, on a hit,
   returns an already-resolved future from the caller's thread; everything
   else is queued, and a worker thread drains the queue: it takes the first
-  request of a batch and every compatible request (same search parameters)
-  already queued behind it, up to ``max_batch``, holds the batch open for at
+  request of a batch and every compatible request (same ``k``) already
+  queued behind it, up to ``max_batch``, holds the batch open for at
   most ``max_wait_s`` for more — and only when one is likely to come — then
   executes the merged batch through the frontend under a ``coalesce`` span.
   This is the deadline-budget batching that converts redundant serve traffic
@@ -127,8 +127,7 @@ class FrontendResult:
     (:data:`~repro.serving.cache.MISS` / ``EXACT_HIT``); ``searched`` counts
     the unique queries that actually reached the searcher after dedupe, and
     ``shard_queries`` the deep-search work they issued (0 for a fully
-    cache-served batch). ``degradation_level`` records the brownout level
-    the batch was served at (0 = full quality).
+    cache-served batch).
     """
 
     distances: np.ndarray
@@ -136,7 +135,6 @@ class FrontendResult:
     kinds: np.ndarray
     searched: int
     shard_queries: int
-    degradation_level: int = 0
 
 
 class ServingFrontend:
@@ -148,42 +146,33 @@ class ServingFrontend:
         searcher: HierarchicalSearcher,
         *,
         cache_config: CacheConfig | None = None,
-        clock=None,
     ) -> None:
         self.searcher = searcher
         self.cache = RetrievalCache(cache_config)
-        self._clock = clock if clock is not None else time.perf_counter
 
     def search(
         self,
         queries: np.ndarray,
         *,
         k: int | None = None,
-        clusters_to_search: int | None = None,
-        deep_nprobe: int | None = None,
         deadline_s: float | None = None,
-        exclude_clusters: "frozenset | set | None" = None,
         brownout: BrownoutKnobs | None = None,
-        degradation_level: int = 0,
     ) -> FrontendResult:
         """Serve a query batch through the cache, searching only the misses.
 
+        The fan-out and probe depth are the searcher's configured ones.
         ``deadline_s`` is the batch's remaining end-to-end budget; it is
         threaded into the searcher call so deep search is clamped to what
         is left (see :meth:`HierarchicalSearcher.search`). ``brownout``
         applies one brownout level's quality knobs: the deep-search
         fan-out/nprobe are scaled down, and degraded results are cached under
         their *effective* parameters, so they never shadow full-quality
-        entries. ``exclude_clusters`` is passed to the searcher (down nodes
-        are neither sampled nor deep-searched), and an answer searched with
-        exclusions is not cached.
+        entries.
         """
         q = as_matrix(queries)
         check_queries(q, self.searcher.datastore.dim)
         nq = len(q)
-        k_eff, m_eff, nprobe_eff = self.searcher.resolve_params(
-            k, clusters_to_search, deep_nprobe
-        )
+        k_eff, m_eff, nprobe_eff = self.searcher.resolve_params(k)
         if brownout is not None:
             m_eff, nprobe_eff = brownout.apply(m_eff, nprobe_eff)
         params_key = (k_eff, m_eff, nprobe_eff)
@@ -193,7 +182,7 @@ class ServingFrontend:
         if deadline_s is not None:
             if deadline_s <= 0:
                 raise DeadlineExceededError(deadline_s, stage="submit")
-            deadline_at = self._clock() + float(deadline_s)
+            deadline_at = time.perf_counter() + float(deadline_s)
 
         # Snapshot the datastore's mutation generation once per batch: entries
         # cached under an older generation were computed against a corpus that
@@ -214,7 +203,6 @@ class ServingFrontend:
                 out_d,
                 out_i,
                 params_key,
-                exclude_clusters=exclude_clusters,
                 deadline_at=deadline_at,
                 generation=generation,
             )
@@ -233,16 +221,10 @@ class ServingFrontend:
             kinds=lookup.kinds,
             searched=searched,
             shard_queries=shard_queries,
-            degradation_level=int(degradation_level),
         )
 
     def cached_answer(
-        self,
-        query: np.ndarray,
-        *,
-        k: int | None = None,
-        clusters_to_search: int | None = None,
-        deep_nprobe: int | None = None,
+        self, query: np.ndarray, *, k: int | None = None
     ) -> "tuple | None":
         """Full-quality ``(distances, ids)`` for one query if the cache
         holds them, else ``None`` — the probe :meth:`DynamicBatcher.submit`
@@ -260,7 +242,7 @@ class ServingFrontend:
         """
         query = np.asarray(query, dtype=np.float32)
         check_queries(query[np.newaxis], self.searcher.datastore.dim)
-        params_key = self.searcher.resolve_params(k, clusters_to_search, deep_nprobe)
+        params_key = self.searcher.resolve_params(k)
         answer = self.cache.probe_exact(
             query, params_key, generation=self.searcher.datastore.generation
         )
@@ -279,7 +261,6 @@ class ServingFrontend:
         out_i: np.ndarray,
         params_key: tuple,
         *,
-        exclude_clusters=None,
         deadline_at: float | None = None,
         generation: int | None = None,
     ) -> tuple:
@@ -287,9 +268,7 @@ class ServingFrontend:
 
         Identical queries (same digest) collapse to one representative; the
         representatives are searched as one batch, their rows fanned back out
-        to every duplicate, and inserted — unless shards were excluded: the
-        key does not carry the exclusions, so a partial answer would later
-        be served as the full one.
+        to every duplicate, and inserted.
         """
         k_eff, m_eff, nprobe_eff = params_key
         groups: dict = {}
@@ -297,26 +276,20 @@ class ServingFrontend:
             groups.setdefault(lookup.digests[i], []).append(i)
         reps = [rows[0] for rows in groups.values()]
         sub = q[np.asarray(reps, dtype=np.int64)]
-        remaining = None if deadline_at is None else deadline_at - self._clock()
+        remaining = None if deadline_at is None else deadline_at - time.perf_counter()
         result = self.searcher.search(
             sub,
             k=k_eff,
             clusters_to_search=m_eff,
             deep_nprobe=nprobe_eff,
-            exclude_clusters=exclude_clusters,
             deadline_s=remaining,
         )
         for j, rows in enumerate(groups.values()):
             out_d[rows] = result.distances[j]
             out_i[rows] = result.ids[j]
-        if not exclude_clusters:
-            self.cache.insert(
-                sub,
-                result,
-                params_key,
-                digests=list(groups),
-                generation=generation,
-            )
+        self.cache.insert(
+            sub, result, params_key, digests=list(groups), generation=generation
+        )
         return len(reps), result.shard_queries
 
 
@@ -360,11 +333,11 @@ class ServedQuery(NamedTuple):
 
 
 class _Pending:
-    __slots__ = ("query", "params", "future", "enqueued_s", "deadline_at")
+    __slots__ = ("query", "k", "future", "enqueued_s", "deadline_at")
 
-    def __init__(self, query, params, future, enqueued_s, deadline_at=None):
+    def __init__(self, query, k, future, enqueued_s, deadline_at=None):
         self.query = query
-        self.params = params
+        self.k = k
         self.future = future
         self.enqueued_s = enqueued_s
         self.deadline_at = deadline_at
@@ -410,14 +383,14 @@ class DynamicBatcher:
     (``EXACT_HIT``, ``degradation_level`` 0) without touching the queue, the
     worker or the admission controller, at any brownout level. Every other
     request is queued: the worker takes the head request and the compatible
-    requests (identical search parameters) queued behind it, up to
+    requests (the same ``k``) queued behind it, up to
     ``max_batch``, and holds the batch open for at most ``max_wait_s`` after
     it picked the head (the deadline budget), and only when a companion is
     likely: the head queued behind a busy worker, or at least half of the
     last ``max_batch`` gaps between queued submits were shorter than
     ``max_wait_s`` (or there are none yet). Otherwise the batch goes as soon
-    as the queue is empty. Requests with different parameters stay queued
-    for the next batch.
+    as the queue is empty. Requests with a different ``k`` stay queued for
+    the next batch.
 
     ``admission`` (an :class:`AdmissionController` or an
     :class:`AdmissionConfig`) turns on the overload layer: bounded-queue
@@ -466,8 +439,6 @@ class DynamicBatcher:
         query: np.ndarray,
         *,
         k: int | None = None,
-        clusters_to_search: int | None = None,
-        deep_nprobe: int | None = None,
         deadline_s: float | None = None,
     ) -> Future:
         """Enqueue one query; resolves to a :class:`ServedQuery`.
@@ -492,9 +463,7 @@ class DynamicBatcher:
         if self._closed:
             raise RuntimeError("batcher is closed")
         future: Future = Future()
-        answer = self.frontend.cached_answer(
-            query, k=k, clusters_to_search=clusters_to_search, deep_nprobe=deep_nprobe
-        )
+        answer = self.frontend.cached_answer(query, k=k)
         if answer is not None:
             with self._cv:
                 self.stats.requests += 1
@@ -505,7 +474,6 @@ class DynamicBatcher:
             ).inc()
             future.set_result(ServedQuery(*answer, EXACT_HIT, 0))
             return future
-        params = (k, clusters_to_search, deep_nprobe)
         with self._cv:
             if self._closed:
                 raise RuntimeError("batcher is closed")
@@ -517,7 +485,7 @@ class DynamicBatcher:
                     raise
             now = self._clock()
             deadline_at = None if deadline_s is None else now + float(deadline_s)
-            self._queue.append(_Pending(query, params, future, now, deadline_at))
+            self._queue.append(_Pending(query, k, future, now, deadline_at))
             self._gaps.record(now)
             self._cv.notify()
         return future
@@ -559,7 +527,7 @@ class DynamicBatcher:
                         break
                     self._cv.wait(min(remaining, 0.05))
                     continue
-                if self._queue[0].params != head.params:
+                if self._queue[0].k != head.k:
                     break  # incompatible request opens the next batch
                 batch.append(self._queue.popleft())
         return batch, held
@@ -623,7 +591,6 @@ class DynamicBatcher:
             started = self._clock()
             try:
                 queries = np.stack([p.query for p in batch])
-                k, m, nprobe = batch[0].params
                 with tracer.span(
                     "coalesce",
                     batch=len(batch),
@@ -632,13 +599,7 @@ class DynamicBatcher:
                     held=held,
                 ):
                     result = self.frontend.search(
-                        queries,
-                        k=k,
-                        clusters_to_search=m,
-                        deep_nprobe=nprobe,
-                        deadline_s=budget_s,
-                        brownout=knobs,
-                        degradation_level=level,
+                        queries, k=batch[0].k, deadline_s=budget_s, brownout=knobs
                     )
             except BaseException as exc:  # noqa: BLE001 — fail the futures, not the worker
                 free_at = self._clock()

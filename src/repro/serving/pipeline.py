@@ -11,9 +11,8 @@ stride by stride — where
 - **retrieval is real**: every stride's query batch flows through the live
   :class:`DynamicBatcher` → :class:`ServingFrontend` →
   :class:`~repro.core.hierarchical.HierarchicalSearcher` path (coalescing,
-  exact-digest cache with generation-aware lookups, admission control, deadline
-  shedding, degraded results), and its latency is *measured* wall-clock from
-  submit to future completion;
+  exact-digest cache with generation-aware lookups, deadline shedding), and
+  its latency is *measured* wall-clock from submit to future completion;
 - **GPU stages are modelled**: prefill/decode advance on the calibrated
   :class:`~repro.llm.inference.InferenceModel` clock (there is no GPU in the
   loop), exactly as the paper composes measured CPU-side retrieval with its
@@ -70,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.errors import AdmissionRejectedError, DeadlineExceededError
+from ..core.errors import DeadlineExceededError
 from ..core.hierarchical import HierarchicalSearcher
 from ..core.session import grounded_decode
 from ..datastore.chunkstore import ChunkStore
@@ -81,8 +80,6 @@ from ..llm.inference import InferenceModel
 from ..obs.metrics import get_registry
 from ..obs.trace import Tracer, get_tracer
 from ..perfmodel.measurements import ENCODE_POWER_W
-from .admission import AdmissionConfig, AdmissionController
-from .cache import CacheConfig
 from .frontend import DynamicBatcher, ServedQuery, ServingFrontend
 
 __all__ = [
@@ -101,49 +98,44 @@ PIPELINE_MODES = ("sequential", "pipelined", "lookahead")
 #: should fail the run, not hang it).
 RESULT_TIMEOUT_S = 120.0
 
+#: Trailing context tokens a query embedding is encoded from.
+CONTEXT_WINDOW = 512
+#: Modelled prefill context size per stride.
+INPUT_TOKENS = 512
+#: Power charged for a retrieval's measured wall time (the CPU node).
+RETRIEVAL_POWER_W = XEON_GOLD_6448Y.active_power_w
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """One serving run's configuration.
 
-    ``gpu_batch=None`` models the whole cohort riding one GPU batch (the
-    stride scheduler advances all requests in lockstep, so the cohort *is*
-    the inference batch); ``input_tokens`` is the modelled prefill context
-    size per stride. ``deadline_s`` is each request's end-to-end wall-clock
-    budget, propagated into every per-stride retrieval submit so admission
-    control can shed requests whose budget is spent. The speculation
-    threshold is the cosine floor between the speculative and true query
-    embeddings for a lookahead hit.
+    The whole cohort rides one GPU batch: the stride scheduler advances all
+    requests in lockstep, so the cohort *is* the inference batch.
+    ``deadline_s`` is each request's end-to-end wall-clock budget,
+    propagated into every per-stride retrieval submit so the batcher sheds
+    a request whose budget is spent. The speculation threshold is the
+    cosine floor between the speculative and true query embeddings for a
+    lookahead hit.
     """
 
     mode: str = "sequential"
     n_strides: int = 4
     stride_tokens: int = 16
-    context_window: int = 512
     grounding: float = 0.5
     k: int = 10
-    input_tokens: int = 512
-    gpu_batch: int | None = None
     speculation_threshold: float = 0.9
     deadline_s: float | None = None
-    retrieval_power_w: float = XEON_GOLD_6448Y.active_power_w
-    encode_power_w: float = ENCODE_POWER_W
 
     def __post_init__(self) -> None:
         if self.mode not in PIPELINE_MODES:
             raise ValueError(f"mode must be one of {PIPELINE_MODES}, got {self.mode!r}")
-        if min(self.n_strides, self.stride_tokens, self.context_window, self.k) <= 0:
-            raise ValueError(
-                "n_strides, stride_tokens, context_window, k must be positive"
-            )
+        if min(self.n_strides, self.stride_tokens, self.k) <= 0:
+            raise ValueError("n_strides, stride_tokens, k must be positive")
         if not 0.0 <= self.grounding <= 1.0:
             raise ValueError("grounding must be in [0, 1]")
         if not 0.0 < self.speculation_threshold <= 1.0:
             raise ValueError("speculation_threshold must be in (0, 1]")
-        if self.input_tokens <= 0:
-            raise ValueError("input_tokens must be positive")
-        if self.gpu_batch is not None and self.gpu_batch <= 0:
-            raise ValueError("gpu_batch must be positive")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
 
@@ -227,7 +219,12 @@ class RequestResult:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """One cohort's serving outcome plus the modelled GPU operating point."""
+    """One cohort's serving outcome plus the modelled GPU operating point.
+
+    The latency and energy summaries are over completed requests; with none
+    completed (a fully shed cohort) they are NaN, not the 0.0 of a perfect
+    run.
+    """
 
     mode: str
     requests: tuple
@@ -244,7 +241,7 @@ class PipelineReport:
 
     def _values(self, attr: str) -> np.ndarray:
         vals = [getattr(r, attr) for r in self.completed]
-        return np.asarray(vals, dtype=np.float64) if vals else np.zeros(1)
+        return np.asarray(vals, dtype=np.float64) if vals else np.full(1, np.nan)
 
     @property
     def mean_ttft_s(self) -> float:
@@ -331,8 +328,9 @@ class _Call:
 class RAGServingPipeline:
     """Stride scheduler driving live retrieval under a modelled GPU clock.
 
-    Owns a :class:`ServingFrontend` + :class:`DynamicBatcher` over the given
-    searcher (close with :meth:`close` or use as a context manager). One
+    Owns a :class:`ServingFrontend` (default cache) + :class:`DynamicBatcher`
+    (default window, no admission control) over the given searcher (close
+    with :meth:`close` or use as a context manager). One
     pipeline serves one mode; run separate pipelines (fresh caches) to
     compare modes fairly.
     """
@@ -345,10 +343,6 @@ class RAGServingPipeline:
         *,
         config: PipelineConfig | None = None,
         inference: InferenceModel | None = None,
-        cache_config: CacheConfig | None = None,
-        admission: "AdmissionController | AdmissionConfig | None" = None,
-        max_batch: int = 32,
-        max_wait_s: float = 0.002,
         tracer: Tracer | None = None,
         seed: int = 0,
     ) -> None:
@@ -356,13 +350,8 @@ class RAGServingPipeline:
         self.encoder = encoder
         self.chunk_store = chunk_store
         self.inference = inference or InferenceModel()
-        self.frontend = ServingFrontend(searcher, cache_config=cache_config)
-        self.batcher = DynamicBatcher(
-            self.frontend,
-            max_batch=max_batch,
-            max_wait_s=max_wait_s,
-            admission=admission,
-        )
+        self.frontend = ServingFrontend(searcher)
+        self.batcher = DynamicBatcher(self.frontend)
         self.tracer = tracer
         self.seed = seed
         self._wall = time.perf_counter
@@ -381,7 +370,7 @@ class RAGServingPipeline:
     def _encode(self, req: _Request) -> tuple:
         """Encode the request's current windowed context; measured."""
         t0 = self._wall()
-        emb = self.encoder.encode_tokens(req.context[-self.config.context_window:])
+        emb = self.encoder.encode_tokens(req.context[-CONTEXT_WINDOW:])
         return emb.astype(np.float32, copy=False), self._wall() - t0
 
     def _generate(self, req: _Request) -> None:
@@ -402,7 +391,7 @@ class RAGServingPipeline:
         req.shed = f"{type(exc).__name__}: {exc}"
         registry.counter(
             "pipeline_shed_total",
-            "pipeline requests shed by admission control or a spent deadline",
+            "pipeline requests shed by a spent deadline",
         ).inc()
 
     def _submit_wave(self, calls: Sequence[_Call], registry) -> list:
@@ -420,7 +409,7 @@ class RAGServingPipeline:
                 call.future = self.batcher.submit(
                     call.emb, k=self.config.k, deadline_s=deadline
                 )
-            except (AdmissionRejectedError, DeadlineExceededError) as exc:
+            except DeadlineExceededError as exc:
                 self._shed(req, exc, registry)
                 continue
             # Completion timestamp from the resolving thread, so wall_s is
@@ -437,7 +426,7 @@ class RAGServingPipeline:
         for call in calls:
             try:
                 call.served = call.future.result(timeout=RESULT_TIMEOUT_S)
-            except (AdmissionRejectedError, DeadlineExceededError) as exc:
+            except DeadlineExceededError as exc:
                 self._shed(call.req, exc, registry)
                 continue
             if not call.done_s:  # pragma: no cover - callback always ran
@@ -455,9 +444,8 @@ class RAGServingPipeline:
         return {c.req.rid: c for c in resolved}
 
     def _charge_cpu(self, req: _Request, call: _Call, verify_s: float = 0.0) -> None:
-        cfg = self.config
-        req.cpu_j += cfg.retrieval_power_w * call.wall_s
-        req.cpu_j += cfg.encode_power_w * (call.encode_s + verify_s)
+        req.cpu_j += RETRIEVAL_POWER_W * call.wall_s
+        req.cpu_j += ENCODE_POWER_W * (call.encode_s + verify_s)
 
     # -- main loop -----------------------------------------------------------
     def serve(self, requests: Sequence[np.ndarray]) -> PipelineReport:
@@ -484,8 +472,8 @@ class RAGServingPipeline:
             for req in reqs:
                 req.deadline_at = start + cfg.deadline_s
 
-        gpu_batch = cfg.gpu_batch if cfg.gpu_batch is not None else len(reqs)
-        prefill = self.inference.prefill(gpu_batch, cfg.input_tokens)
+        gpu_batch = len(reqs)
+        prefill = self.inference.prefill(gpu_batch, INPUT_TOKENS)
         decode = self.inference.decode(gpu_batch, cfg.stride_tokens)
         # Batch-shared modelled GPU energy per stride per request.
         gpu_stride_j = (prefill.energy_j + decode.energy_j) / gpu_batch
@@ -575,7 +563,7 @@ class RAGServingPipeline:
                 live = [r for r in live if r.shed is None]
                 for call, verify_s, wasted_s in fallback:
                     if call.req.shed is None:
-                        call.req.cpu_j += cfg.retrieval_power_w * call.wall_s
+                        call.req.cpu_j += RETRIEVAL_POWER_W * call.wall_s
                         record(
                             call.req, i + 1, call,
                             verify_s=verify_s, fallback_s=wasted_s,

@@ -24,11 +24,11 @@ Selection and failover:
   immediately; transient errors count toward its threshold. A
   :class:`~repro.core.errors.ShardTimeoutError` counts too, but ends the
   call: the call's ``timeout_s`` is spent, so no replica could answer in it.
-- **background recovery**: every ``probe_interval`` group calls, one downed
-  replica is probed by putting it first in the failover order — its success
-  serves the call (replicas are exact copies), its failure falls through to
-  a healthy replica. After ``recovery_successes`` *consecutive* probe
-  successes the replica is re-admitted to normal selection
+- **background recovery**: every :data:`PROBE_INTERVAL` group calls, one
+  downed replica is probed by putting it first in the failover order — its
+  success serves the call (replicas are exact copies), its failure falls
+  through to a healthy replica. After :data:`RECOVERY_SUCCESSES`
+  *consecutive* probe successes the replica is re-admitted to normal selection
   (``retrieval_replica_recoveries_total``); any probe failure resets the
   streak. Until re-admission, a flaky replica sees at most one call per
   probe interval.
@@ -42,9 +42,7 @@ for an unreplicated shard.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import Iterable
 
 from ..core.clustering import ClusteredDatastore
 from ..core.errors import ShardCrashedError, ShardError, ShardTimeoutError
@@ -53,18 +51,19 @@ from ..obs.metrics import get_registry
 
 __all__ = ["ReplicaGroup", "replicate_datastore", "replica_groups", "kill_replica"]
 
+#: A downed replica is probed on every this-many-th group call.
+PROBE_INTERVAL = 8
+#: Consecutive probe successes that re-admit a downed replica.
+RECOVERY_SUCCESSES = 3
+#: Transient failures that take a replica out of selection (a crash takes
+#: it out at once).
+BREAKER_THRESHOLD = 1
+
 
 class ReplicaGroup:
     """N replicas of one shard behind the standard shard surface."""
 
-    def __init__(
-        self,
-        replicas: Iterable,
-        *,
-        probe_interval: int = 8,
-        recovery_successes: int = 3,
-        breaker_threshold: int = 1,
-    ) -> None:
+    def __init__(self, replicas: Iterable) -> None:
         self.replicas = list(replicas)
         if not self.replicas:
             raise ValueError("a replica group needs at least one replica")
@@ -72,19 +71,11 @@ class ReplicaGroup:
         if len(ids) != 1:
             raise ValueError(f"replicas disagree on shard_id: {sorted(ids)}")
         self.shard_id = ids.pop()
-        if probe_interval < 1:
-            raise ValueError(f"probe_interval must be >= 1, got {probe_interval}")
-        if recovery_successes < 1:
-            raise ValueError(
-                f"recovery_successes must be >= 1, got {recovery_successes}"
-            )
-        self.probe_interval = probe_interval
-        self.recovery_successes = recovery_successes
         # The fleet breaker, repurposed per replica: cooldown is irrelevant
         # because the group never tick()s — an open replica stays out until
         # the probe loop closes it explicitly.
         self.health = ShardHealth(
-            len(self.replicas), threshold=breaker_threshold, cooldown=1
+            len(self.replicas), threshold=BREAKER_THRESHOLD, cooldown=1
         )
         self._lock = threading.Lock()
         self._calls = 0
@@ -115,7 +106,7 @@ class ReplicaGroup:
         """Healthy replicas in preference order, a due probe prepended."""
         with self._lock:
             self._calls += 1
-            probe_due = self._calls % self.probe_interval == 0
+            probe_due = self._calls % PROBE_INTERVAL == 0
         out = set()
         healthy = []
         for i in range(len(self.replicas)):
@@ -153,7 +144,7 @@ class ReplicaGroup:
             return
         with self._lock:
             self._probe_streak[idx] += 1
-            recovered = self._probe_streak[idx] >= self.recovery_successes
+            recovered = self._probe_streak[idx] >= RECOVERY_SUCCESSES
             if recovered:
                 self._probe_streak[idx] = 0
                 self.recoveries += 1
@@ -200,45 +191,19 @@ class ReplicaGroup:
 
 
 def replicate_datastore(
-    datastore: ClusteredDatastore,
-    n_replicas: int = 2,
-    *,
-    probe_interval: int = 8,
-    recovery_successes: int = 3,
-    breaker_threshold: int = 1,
-    wrap: "Callable | None" = None,
+    datastore: ClusteredDatastore, n_replicas: int = 2
 ) -> ClusteredDatastore:
     """A datastore whose every shard is an ``n_replicas``-wide ReplicaGroup.
 
     Replicas share the underlying index (this process models N nodes serving
-    the same cluster; memory is not duplicated). ``wrap(shard_id,
-    replica_index, shard)`` optionally decorates each replica — the hook for
-    per-replica fault injection::
-
-        injector = FaultInjector(seed=7)
-        chaos = lambda sid, r, s: (
-            injector.wrap_shard(s, CrashStop(at_call=40)) if r == 0 else s
-        )
-        replicated = replicate_datastore(datastore, 2, wrap=chaos)
+    the same cluster; memory is not duplicated). To inject a fault into one
+    replica, wrap it in place afterwards, as :func:`kill_replica` does.
     """
     from dataclasses import replace
 
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    groups = []
-    for shard in datastore.shards:
-        replicas = [
-            wrap(shard.shard_id, r, shard) if wrap is not None else shard
-            for r in range(n_replicas)
-        ]
-        groups.append(
-            ReplicaGroup(
-                replicas,
-                probe_interval=probe_interval,
-                recovery_successes=recovery_successes,
-                breaker_threshold=breaker_threshold,
-            )
-        )
+    groups = [ReplicaGroup([shard] * n_replicas) for shard in datastore.shards]
     return replace(datastore, shards=groups)
 
 
@@ -247,10 +212,10 @@ def replica_groups(datastore: ClusteredDatastore) -> list:
     return [s for s in datastore.shards if isinstance(s, ReplicaGroup)]
 
 
-def kill_replica(group: ReplicaGroup, replica_index: int, *, seed: int = 0, at_call: int = 0) -> None:
-    """Crash-stop one replica in place (chaos helper for tests/experiments)."""
+def kill_replica(group: ReplicaGroup, replica_index: int, *, seed: int = 0) -> None:
+    """Crash-stop one replica in place from its next call."""
     from .faults import CrashStop, FaultInjector
 
     group.replicas[replica_index] = FaultInjector(seed).wrap_shard(
-        group.replicas[replica_index], CrashStop(at_call=at_call)
+        group.replicas[replica_index], CrashStop()
     )

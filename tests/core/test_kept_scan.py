@@ -120,12 +120,13 @@ def test_searcher_matches_whole_batch_deep_oracle(
         if force_sparse:
             for shard in datastore.shards:
                 stack.enter_context(forced_strategy(shard.index, "sparse"))
-        enable_tracing()
+        tracer = enable_tracing()
         stack.callback(disable_tracing)
         result = searcher.search(queries, k=K, deep_nprobe=deep_nprobe)
         disable_tracing()
-        sampled = scan_strategies(result.trace, "sample")
-        deep = scan_strategies(result.trace, "shard_search")
+        [root] = [r for r in tracer.finished_roots() if r.name == "retrieval"]
+        sampled = scan_strategies(root, "sample")
+        deep = scan_strategies(root, "shard_search")
         written = set(datastore.assignments[doomed].tolist())
         for sid, strategies in deep.items():
             reuses = (

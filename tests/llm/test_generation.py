@@ -150,37 +150,6 @@ class TestEnergyAccounting:
         assert set(stages) == {"encoding", "retrieval", "prefill", "decoding"}
 
 
-class TestMeterIntegration:
-    def test_meter_totals_match_result(self, inference):
-        from repro.hardware.power import EnergyMeter
-
-        meter = EnergyMeter()
-        provider = constant_retrieval(RetrievalCost(latency_s=1.0, energy_j=150.0))
-        result = simulate_generation(
-            provider, inference, GenerationConfig(), meter=meter
-        )
-        assert meter.total_joules() == pytest.approx(result.total_energy_j, rel=1e-6)
-
-    def test_meter_labels_cover_stages(self, inference):
-        from repro.hardware.power import EnergyMeter
-
-        meter = EnergyMeter()
-        provider = constant_retrieval(RetrievalCost(latency_s=0.5, energy_j=50.0))
-        simulate_generation(provider, inference, GenerationConfig(), meter=meter)
-        by_label = meter.joules_by_label()
-        assert set(by_label) == {"encoding", "retrieval", "prefill", "decoding"}
-        by_device = meter.joules_by_device()
-        assert by_device["cpu"] == pytest.approx(50.0 * 16)
-
-    def test_zero_latency_retrieval_recorded_safely(self, inference):
-        from repro.hardware.power import EnergyMeter
-
-        meter = EnergyMeter()
-        provider = constant_retrieval(RetrievalCost(latency_s=0.0, energy_j=0.0))
-        simulate_generation(provider, inference, GenerationConfig(), meter=meter)
-        assert meter.joules_by_label()["retrieval"] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # The stride-overlap rule itself (property tests)
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.llm.generation import (
     simulate_generation,
 )
 from repro.llm.inference import InferenceModel
-from repro.obs.trace import Tracer, set_tracer
+from repro.obs.trace import Tracer, disable_tracing, enable_tracing, get_tracer
 from repro.obs.validate import (
     TraceInvariantError,
     validate_span_tree,
@@ -113,39 +113,45 @@ class TestValidatorSemantics:
 # ---------------------------------------------------------------------------
 
 
+def _traced(search):
+    """Run *search* under a fresh process-wide tracer: ``(result, the
+    batch's retrieval root span, tracer)``."""
+    tracer = enable_tracing()
+    try:
+        result = search()
+    finally:
+        disable_tracing()
+    [root] = [r for r in tracer.finished_roots() if r.name == "retrieval"]
+    return result, root, tracer
+
+
 class TestTracedRetrieval:
     @pytest.fixture(scope="class")
     def traced_result(self, clustered, small_queries):
-        tracer = Tracer(enabled=True)
-        searcher = HermesSearcher(clustered, tracer=tracer)
-        result = searcher.search(
-            small_queries.embeddings, k=5, clusters_to_search=3
+        return _traced(
+            lambda: HermesSearcher(clustered).search(small_queries.embeddings, k=5)
         )
-        return result, tracer
 
     def test_trace_validates(self, traced_result):
-        result, tracer = traced_result
+        _, _, tracer = traced_result
         assert validate_trace(tracer.finished_roots()) > 0
 
-    def test_result_carries_root_span(self, traced_result):
-        result, _ = traced_result
-        assert result.trace is not None
-        assert result.trace.name == "retrieval"
-        assert result.trace.finished
+    def test_batch_has_one_finished_root_span(self, traced_result):
+        _, root, _ = traced_result
+        assert root.finished
 
     def test_phase_children_in_order(self, traced_result):
-        result, _ = traced_result
-        names = [c.name for c in result.trace.children]
+        _, root, _ = traced_result
+        names = [c.name for c in root.children]
         assert names == ["route", "deep_search", "merge"]
 
     def test_phases_sum_to_at_most_total(self, traced_result):
-        result, _ = traced_result
-        total = result.trace.duration_s
-        assert sum(c.duration_s for c in result.trace.children) <= total
+        _, root, _ = traced_result
+        assert sum(c.duration_s for c in root.children) <= root.duration_s
 
     def test_shard_fanout_spans_cover_routed_shards(self, traced_result, clustered):
-        result, _ = traced_result
-        shard_spans = result.trace.find_all("shard_search")
+        result, root, _ = traced_result
+        shard_spans = root.find_all("shard_search")
         routed = set(np.unique(result.routing.clusters))
         assert {s.attrs["shard"] for s in shard_spans} == routed
         assert all(s.worker == f"shard{s.attrs['shard']}" for s in shard_spans)
@@ -153,39 +159,30 @@ class TestTracedRetrieval:
     def test_threaded_fanout_also_validates(self, clustered, small_queries):
         """Parallel shard spans overlap in time but live on distinct
         workers, so the same-worker serialization invariant still holds."""
-        tracer = Tracer(enabled=True)
-        searcher = HermesSearcher(clustered, max_workers=4, tracer=tracer)
-        result = searcher.search(small_queries.embeddings, clusters_to_search=3)
+        searcher = HermesSearcher(clustered, max_workers=4)
+        _, root, tracer = _traced(lambda: searcher.search(small_queries.embeddings))
         assert validate_trace(tracer.finished_roots()) > 0
-        assert result.trace is not None
+        assert root.find_all("shard_search")
 
     def test_deadline_attempts_hold_the_shard_spans(self, clustered, small_queries):
         """A deadline runs each attempt on the caller's thread, so the
         shard's own scan span nests under its ``attempt`` span."""
-        tracer = Tracer(enabled=True)
-        previous = set_tracer(tracer)  # the scan reports to the process tracer
-        try:
-            result = HermesSearcher(clustered).search(
-                small_queries.embeddings, clusters_to_search=3, deadline_s=30.0
+        _, root, tracer = _traced(
+            lambda: HermesSearcher(clustered).search(
+                small_queries.embeddings, deadline_s=30.0
             )
-        finally:
-            set_tracer(previous)
+        )
         assert validate_trace(tracer.finished_roots()) > 0
-        attempts = result.trace.find_all("attempt")
-        assert len(attempts) == len(result.trace.find_all("shard_search")) > 0
+        attempts = root.find_all("attempt")
+        assert len(attempts) == len(root.find_all("shard_search")) > 0
         assert all(a.find("ivf_scan") is not None for a in attempts)
 
-    def test_opt_in_trace_flag(self, clustered, small_queries):
-        """``search(trace=True)`` yields a validated local trace even with
-        the process-wide tracer disabled."""
-        searcher = HermesSearcher(clustered)
-        result = searcher.search(small_queries.embeddings, trace=True)
-        assert result.trace is not None
-        assert validate_span_tree(result.trace) > 0
-
     def test_no_trace_by_default(self, clustered, small_queries):
-        result = HermesSearcher(clustered).search(small_queries.embeddings)
-        assert result.trace is None
+        """Tracing is off until someone opts in: a search records no span."""
+        tracer = get_tracer()
+        assert not tracer.enabled
+        HermesSearcher(clustered).search(small_queries.embeddings)
+        assert tracer.finished_roots() == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 from repro.core.errors import AdmissionRejectedError, DeadlineExceededError
 from repro.core.hierarchical import HermesSearcher
 from repro.serving.admission import (
-    DEFAULT_LADDER,
+    CLEAR_AFTER_S,
+    ESCALATE_AFTER_S,
+    LADDER,
     AdmissionConfig,
     AdmissionController,
     BrownoutKnobs,
@@ -52,28 +54,13 @@ class _StubFrontend:
         self.gate.set()
         self.calls = []
 
-    def cached_answer(self, query, *, k=None, clusters_to_search=None, deep_nprobe=None):
+    def cached_answer(self, query, *, k=None):
         return None  # no cache: every submit queues
 
-    def search(
-        self,
-        queries,
-        *,
-        k=None,
-        clusters_to_search=None,
-        deep_nprobe=None,
-        deadline_s=None,
-        brownout=None,
-        degradation_level=0,
-    ):
+    def search(self, queries, *, k=None, deadline_s=None, brownout=None):
         self.gate.wait(10)
         self.calls.append(
-            {
-                "n": len(queries),
-                "deadline_s": deadline_s,
-                "brownout": brownout,
-                "level": degradation_level,
-            }
+            {"n": len(queries), "deadline_s": deadline_s, "brownout": brownout}
         )
         nq = len(queries)
         kk = self.k if k is None else int(k)
@@ -83,7 +70,6 @@ class _StubFrontend:
             kinds=np.zeros(nq, dtype=np.int8),
             searched=nq,
             shard_queries=nq,
-            degradation_level=degradation_level,
         )
 
 
@@ -103,7 +89,7 @@ class TestBrownoutKnobs:
         """Every level searches shallower than the one below it: a level
         that changed neither fan-out nor probe depth would be a step of the
         ladder that buys no capacity."""
-        levels = [BrownoutKnobs()] + list(DEFAULT_LADDER)
+        levels = [BrownoutKnobs()] + list(LADDER)
         for lower, upper in zip(levels, levels[1:]):
             assert upper.m_scale <= lower.m_scale and upper.nprobe_scale <= lower.nprobe_scale
             assert upper.m_scale < lower.m_scale or upper.nprobe_scale < lower.nprobe_scale
@@ -117,17 +103,21 @@ class TestAdmissionConfig:
             AdmissionConfig(default_deadline_s=0.0)
         with pytest.raises(ValueError):
             AdmissionConfig(delay_target_s=0.0)
-        # Hysteresis: clearing must be at least as slow as escalating.
-        with pytest.raises(ValueError):
-            AdmissionConfig(escalate_after_s=0.2, clear_after_s=0.1)
-        with pytest.raises(TypeError):
-            AdmissionConfig(ladder=("not knobs",))
-        with pytest.raises(ValueError):
-            AdmissionConfig(service_ewma_alpha=0.0)
+
+    def test_clearing_is_slower_than_escalating(self):
+        """The ladder's hysteresis: a level is left only after a longer
+        quiet period than the one that raised it."""
+        assert CLEAR_AFTER_S > ESCALATE_AFTER_S > 0
 
     def test_max_level_tracks_ladder(self):
-        assert AdmissionConfig().max_level == len(DEFAULT_LADDER)
-        assert AdmissionConfig(ladder=(BrownoutKnobs(),)).max_level == 1
+        """Sustained delay climbs to the top of the ladder and no further."""
+        clock = FakeClock()
+        ctl = AdmissionController(AdmissionConfig(delay_target_s=0.01), clock=clock)
+        for _ in range(3 * len(LADDER)):
+            ctl.observe(1.0)
+            clock.advance(ESCALATE_AFTER_S)
+        assert ctl.level == len(LADDER)
+        assert ctl.knobs() == LADDER[-1]
 
 
 class TestAdmissionController:
@@ -138,7 +128,6 @@ class TestAdmissionController:
         with pytest.raises(AdmissionRejectedError) as exc:
             ctl.admit(2)
         assert exc.value.queue_depth == 2 and exc.value.max_queue == 2
-        assert ctl.rejected == 1
 
     def test_deadline_resolution(self):
         ctl = AdmissionController(AdmissionConfig(default_deadline_s=0.5))
@@ -154,13 +143,13 @@ class TestAdmissionController:
         assert not ctl.should_shed(1e-9)
 
     def test_should_shed_tracks_service_ewma(self):
-        ctl = AdmissionController(AdmissionConfig(service_ewma_alpha=0.5))
+        ctl = AdmissionController()
         ctl.record_service_time(0.1)
         assert ctl.service_estimate_s == pytest.approx(0.1)
         ctl.record_service_time(0.2)
-        assert ctl.service_estimate_s == pytest.approx(0.15)
-        assert ctl.should_shed(0.1)
-        assert not ctl.should_shed(0.2)
+        assert ctl.service_estimate_s == pytest.approx(0.13)  # alpha 0.3
+        assert ctl.should_shed(0.12)
+        assert not ctl.should_shed(0.14)
 
     def test_single_spike_does_not_escalate(self):
         clock = FakeClock()
@@ -169,58 +158,47 @@ class TestAdmissionController:
 
     def test_escalation_one_step_per_window(self):
         clock = FakeClock()
-        cfg = AdmissionConfig(
-            delay_target_s=0.01, escalate_after_s=0.1, clear_after_s=0.3
-        )
-        ctl = AdmissionController(cfg, clock=clock)
+        ctl = AdmissionController(AdmissionConfig(delay_target_s=0.01), clock=clock)
         assert ctl.observe(0.02) == 0  # opens the above-target window
-        clock.advance(0.05)
+        clock.advance(ESCALATE_AFTER_S / 2)
         assert ctl.observe(0.02) == 0  # window not yet elapsed
-        clock.advance(0.05)
+        clock.advance(ESCALATE_AFTER_S / 2)
         assert ctl.observe(0.02) == 1
         assert ctl.observe(0.02) == 1  # window restarted: no double step
-        clock.advance(0.1)
+        clock.advance(ESCALATE_AFTER_S)
         assert ctl.observe(0.02) == 2
-        clock.advance(1.0)
-        assert ctl.observe(0.02) == 2  # capped at max_level
 
     def test_clearing_needs_longer_quiet_period(self):
         clock = FakeClock()
-        cfg = AdmissionConfig(
-            delay_target_s=0.01, escalate_after_s=0.1, clear_after_s=0.3
-        )
-        ctl = AdmissionController(cfg, clock=clock)
+        ctl = AdmissionController(AdmissionConfig(delay_target_s=0.01), clock=clock)
         ctl.observe(0.02)
-        clock.advance(0.1)
+        clock.advance(ESCALATE_AFTER_S)
         assert ctl.observe(0.02) == 1
         assert ctl.observe(0.001) == 1  # opens the below-target window
-        clock.advance(0.2)
+        clock.advance(ESCALATE_AFTER_S)
         assert ctl.observe(0.001) == 1  # escalate_after quiet is not enough
-        clock.advance(0.1)
+        clock.advance(CLEAR_AFTER_S - ESCALATE_AFTER_S)
         assert ctl.observe(0.001) == 0  # clear_after quiet de-escalates
 
     def test_spike_resets_quiet_window(self):
         clock = FakeClock()
-        cfg = AdmissionConfig(
-            delay_target_s=0.01, escalate_after_s=0.1, clear_after_s=0.3
-        )
-        ctl = AdmissionController(cfg, clock=clock)
+        ctl = AdmissionController(AdmissionConfig(delay_target_s=0.01), clock=clock)
         ctl.observe(0.02)
-        clock.advance(0.1)
+        clock.advance(ESCALATE_AFTER_S)
         assert ctl.observe(0.02) == 1
         ctl.observe(0.001)
-        clock.advance(0.25)
+        clock.advance(0.8 * CLEAR_AFTER_S)
         ctl.observe(0.02)  # spike: the quiet window restarts
         ctl.observe(0.001)
-        clock.advance(0.25)
+        clock.advance(0.8 * CLEAR_AFTER_S)
         assert ctl.observe(0.001) == 1  # still not cleared
 
     def test_knobs_mapping(self):
         ctl = AdmissionController()
         assert ctl.knobs(0) == BrownoutKnobs()
-        assert ctl.knobs(1) == DEFAULT_LADDER[0]
-        assert ctl.knobs(2) == DEFAULT_LADDER[1]
-        assert ctl.knobs(99) == DEFAULT_LADDER[-1]  # clamped
+        assert ctl.knobs(1) == LADDER[0]
+        assert ctl.knobs(2) == LADDER[1]
+        assert ctl.knobs(99) == LADDER[-1]  # clamped
 
     def test_reset(self):
         ctl = AdmissionController(AdmissionConfig(max_queue=1))
@@ -229,7 +207,6 @@ class TestAdmissionController:
         ctl.record_shed()
         ctl.record_service_time(0.1)
         ctl.reset()
-        assert ctl.rejected == 0 and ctl.shed == 0
         assert ctl.service_estimate_s is None and ctl.level == 0
 
 
@@ -297,19 +274,15 @@ class TestBatcherAdmission:
                 doomed.result(timeout=10)
             assert exc.value.stage == "queue"
             assert batcher.stats.shed == 1
-            assert batcher.admission.shed == 1
         finally:
             stub.gate.set()
             batcher.close()
 
     def test_brownout_level_reaches_search_and_result(self):
         fake = FakeClock()
-        cfg = AdmissionConfig(
-            delay_target_s=0.001, escalate_after_s=0.01, clear_after_s=100.0
-        )
-        ctl = AdmissionController(cfg, clock=fake)
+        ctl = AdmissionController(AdmissionConfig(delay_target_s=0.001), clock=fake)
         ctl.observe(1.0)
-        fake.advance(0.02)
+        fake.advance(ESCALATE_AFTER_S)
         assert ctl.observe(1.0) == 1  # force level 1; frozen clock keeps it
         stub = _StubFrontend()
         with DynamicBatcher(stub, max_wait_s=0.0, admission=ctl) as batcher:
@@ -317,17 +290,15 @@ class TestBatcherAdmission:
                 timeout=10
             )
         assert served.degradation_level == 1
-        call = stub.calls[0]
-        assert call["level"] == 1
-        assert call["brownout"] == DEFAULT_LADDER[0]
+        assert stub.calls[0]["brownout"] == LADDER[0]
 
 
 class TestBrownoutFrontend:
     def test_brownout_shrinks_deep_search(self, searcher, queries):
         q = queries[:4]
-        full = exact_only_frontend(searcher).search(q, k=5, clusters_to_search=3)
+        full = exact_only_frontend(searcher).search(q, k=5)  # config m = 3
         degraded = exact_only_frontend(searcher).search(
-            q, k=5, clusters_to_search=3, brownout=BrownoutKnobs(m_scale=0.34)
+            q, k=5, brownout=BrownoutKnobs(m_scale=0.34)
         )
         assert full.shard_queries == 4 * 3
         assert degraded.shard_queries == 4 * 1
@@ -336,13 +307,13 @@ class TestBrownoutFrontend:
         q = queries[:3]
         knobs = BrownoutKnobs(m_scale=0.34)
         frontend = exact_only_frontend(searcher)
-        first = frontend.search(q, k=5, clusters_to_search=3, brownout=knobs)
+        first = frontend.search(q, k=5, brownout=knobs)
         assert (first.kinds == MISS).all()
         # A full-quality request must not be served the degraded entry.
-        full = frontend.search(q, k=5, clusters_to_search=3)
+        full = frontend.search(q, k=5)
         assert (full.kinds == MISS).all()
         # ... but an equally-degraded repeat hits it exactly.
-        again = frontend.search(q, k=5, clusters_to_search=3, brownout=knobs)
+        again = frontend.search(q, k=5, brownout=knobs)
         assert (again.kinds == EXACT_HIT).all()
         assert np.array_equal(again.ids, first.ids)
 

@@ -307,17 +307,14 @@ class TestWrappersSeeEveryDeepSearch:
         datastore, queries = fleet
         healthy = HermesSearcher(datastore).search(queries, k=5)
         injector = FaultInjector(seed=0)
-
-        def kill_primary_after_probe(shard_id, replica, shard):
-            if replica == 0:
-                return injector.wrap_shard(shard, CrashStop(at_call=1))
-            return shard
-
         seen = {}
         for mode, workers in self.MODES.items():
-            replicated = replicate_datastore(
-                datastore, 2, wrap=kill_primary_after_probe
-            )
+            replicated = replicate_datastore(datastore, 2)
+            for group in replica_groups(replicated):
+                # The primary dies after its sampling probe.
+                group.replicas[0] = injector.wrap_shard(
+                    group.replicas[0], CrashStop(at_call=1)
+                )
             searcher = HermesSearcher(replicated, max_workers=workers)
             result = searcher.search(queries, k=5)
             groups = replica_groups(replicated)

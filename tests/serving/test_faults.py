@@ -34,24 +34,6 @@ class TestCrashStop:
             with pytest.raises(ShardCrashedError):
                 model.on_call(0, 1, rng())
 
-    def test_probabilistic_crash_is_permanent(self):
-        model = CrashStop(at_call=None, probability=0.5)
-        r = rng()
-        crashed_at = None
-        for i in range(100):
-            try:
-                model.on_call(i, 0, r)
-            except ShardCrashedError:
-                crashed_at = i
-                break
-        assert crashed_at is not None
-        with pytest.raises(ShardCrashedError):
-            model.on_call(crashed_at + 1, 0, r)
-
-    def test_requires_trigger(self):
-        with pytest.raises(ValueError):
-            CrashStop(at_call=None, probability=0.0)
-
 
 class TestTransientFault:
     def test_fails_with_probability_and_recovers(self):

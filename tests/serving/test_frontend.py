@@ -70,26 +70,6 @@ class TestExactPathEquivalence:
         assert other_k.ids.shape == (2, 3)
 
 
-class TestExcludedSearchesAreNotCached:
-    def test_an_answer_searched_with_exclusions_never_serves_a_full_one(
-        self, searcher, queries
-    ):
-        """Caller excludes are not failed shards, so the result is not
-        degraded — but it is partial, and the cache key has no room for the
-        exclusions: it must not be cached under the full-quality key."""
-        q = queries[:8]
-        direct = searcher.search(q, k=5)
-        frontend = exact_only_frontend(searcher)
-        excluded = set(direct.routing.clusters[0, :2].tolist())
-        partial = frontend.search(q, k=5, exclude_clusters=excluded)
-        assert (partial.ids != direct.ids).any()
-        full = frontend.search(q, k=5)
-        assert (full.kinds == MISS).all()
-        assert np.array_equal(full.ids, direct.ids)
-        assert np.array_equal(full.distances, direct.distances)
-        assert (frontend.search(q, k=5).kinds == EXACT_HIT).all()
-
-
 class TestGenerationAwareCaching:
     def test_mutation_invalidates_cached_results(self):
         # A private datastore: mutation would poison the shared fixture.

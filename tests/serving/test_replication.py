@@ -9,6 +9,9 @@ from repro.core.errors import ShardCrashedError, ShardTimeoutError, TransientSha
 from repro.core.hierarchical import HermesSearcher
 from repro.serving.faults import CrashStop, FaultInjector, FaultyShard, Straggler
 from repro.serving.replication import (
+    BREAKER_THRESHOLD,
+    PROBE_INTERVAL,
+    RECOVERY_SUCCESSES,
     ReplicaGroup,
     kill_replica,
     replica_groups,
@@ -64,23 +67,18 @@ class TestReplicaGroup:
             ReplicaGroup([])
         with pytest.raises(ValueError, match="disagree on shard_id"):
             ReplicaGroup([clustered.shards[0], clustered.shards[1]])
-        shard = clustered.shards[0]
-        with pytest.raises(ValueError):
-            ReplicaGroup([shard], probe_interval=0)
-        with pytest.raises(ValueError):
-            ReplicaGroup([shard], recovery_successes=0)
 
     def test_crash_fails_over_within_the_call(self, clustered, queries):
         shard = clustered.shards[2]
         dead = FaultInjector(7).wrap_shard(shard, CrashStop(at_call=0))
-        group = ReplicaGroup([dead, shard], probe_interval=1000)
+        group = ReplicaGroup([dead, shard])
         direct = shard.search(queries[:4], 5)
         served = group.search(queries[:4], 5)
         assert np.array_equal(served[1], direct[1])
         assert group.failovers == 1
         assert group.out_replicas() == (0,)
         # The tripped replica is skipped entirely until a probe is due.
-        for _ in range(5):
+        for _ in range(PROBE_INTERVAL - 2):
             group.search(queries[:4], 5)
         assert dead.calls == 1
         assert group.failovers == 1
@@ -88,36 +86,32 @@ class TestReplicaGroup:
     def test_transient_failures_count_to_threshold(self, clustered, queries):
         shard = clustered.shards[1]
         flaky = _FlakyReplica(shard)
-        group = ReplicaGroup(
-            [flaky, shard], probe_interval=1000, breaker_threshold=2
-        )
-        group.search(queries[:2], 5)  # failure 1: still under threshold
-        assert group.out_replicas() == ()
-        group.search(queries[:2], 5)  # failure 2: breaker opens
-        assert group.out_replicas() == (0,)
+        group = ReplicaGroup([flaky, shard])
+        for _ in range(BREAKER_THRESHOLD):
+            assert group.out_replicas() == ()  # still under threshold
+            group.search(queries[:2], 5)
+        assert group.out_replicas() == (0,)  # the threshold opens the breaker
         group.search(queries[:2], 5)
-        assert flaky.calls == 2  # no longer tried once open
-        assert group.failovers == 2
+        assert flaky.calls == BREAKER_THRESHOLD  # no longer tried once open
+        assert group.failovers == BREAKER_THRESHOLD
 
     def test_timeout_ends_the_call_without_failover(self, clustered, queries):
         """A straggling replica gets the call's ``timeout_s`` and times out:
         the budget is spent, so the group re-raises instead of trying the
-        next replica, and the straggler's breaker counts the failure."""
+        next replica, and the straggler's breaker counts the failure (one
+        opens it)."""
         shard = clustered.shards[4]
         slept = []
         slow = FaultInjector(3).wrap_shard(shard, Straggler(0.6), sleep=slept.append)
         spare = _FlakyReplica(shard)
         spare.failing = False
-        group = ReplicaGroup([slow, spare], probe_interval=1000, breaker_threshold=2)
+        group = ReplicaGroup([slow, spare])
         with pytest.raises(ShardTimeoutError):
             group.search(queries[:2], 5, timeout_s=0.1)
         assert slept == [0.1]
         assert spare.calls == 0
         assert group.failovers == 0
-        assert group.out_replicas() == ()  # one failure of two
-        with pytest.raises(ShardTimeoutError):
-            group.search(queries[:2], 5, timeout_s=0.1)
-        assert group.out_replicas() == (0,)
+        assert BREAKER_THRESHOLD == 1 and group.out_replicas() == (0,)
         group.search(queries[:2], 5, timeout_s=0.1)  # the spare serves now
         assert spare.calls == 1
 
@@ -140,38 +134,31 @@ class TestReplicaGroup:
     def test_probe_recovery_readmits_after_streak(self, clustered, queries):
         shard = clustered.shards[4]
         flaky = _FlakyReplica(shard, exc=ShardCrashedError)
-        group = ReplicaGroup(
-            [flaky, shard],
-            probe_interval=2,
-            recovery_successes=2,
-            breaker_threshold=1,
-        )
+        group = ReplicaGroup([flaky, shard])
         q = queries[:2]
         group.search(q, 5)  # call 1: crash trips the breaker, failover serves
         assert group.out_replicas() == (0,)
-        group.search(q, 5)  # call 2: probe due, still failing — streak stays 0
+        for _ in range(PROBE_INTERVAL - 1):  # the probe that ends these fails
+            group.search(q, 5)
         assert flaky.calls == 2
         flaky.failing = False
-        group.search(q, 5)  # call 3: probe not due, served by the healthy one
-        assert flaky.calls == 2
-        group.search(q, 5)  # call 4: probe success, streak 1 — still out
-        assert group.out_replicas() == (0,)
-        group.search(q, 5)  # call 5: no probe
-        group.search(q, 5)  # call 6: probe success, streak 2 — re-admitted
-        assert group.out_replicas() == ()
+        for streak in range(1, RECOVERY_SUCCESSES + 1):
+            assert group.out_replicas() == (0,)  # streak short: still out
+            for _ in range(PROBE_INTERVAL):  # healthy replica, then a probe
+                group.search(q, 5)
+            assert flaky.calls == 2 + streak
+        assert group.out_replicas() == ()  # the full streak re-admits it
         assert group.recoveries == 1
-        group.search(q, 5)  # call 7: back in normal selection
-        assert flaky.calls == 5
+        group.search(q, 5)  # back in normal selection
+        assert flaky.calls == 3 + RECOVERY_SUCCESSES
 
     def test_probes_are_rate_limited(self, clustered, queries):
         shard = clustered.shards[5]
         flaky = _FlakyReplica(shard, exc=ShardCrashedError)
-        group = ReplicaGroup(
-            [flaky, shard], probe_interval=4, breaker_threshold=1
-        )
-        for _ in range(12):
+        group = ReplicaGroup([flaky, shard])
+        for _ in range(3 * PROBE_INTERVAL):
             group.search(queries[:2], 5)
-        # Initial trip (call 1) + one probe per interval (calls 4, 8, 12).
+        # Initial trip (call 1) + one probe per interval (three of them).
         assert flaky.calls == 4
         assert group.out_replicas() == (0,)
 
@@ -188,19 +175,6 @@ class TestReplicateDatastore:
         ]
         with pytest.raises(ValueError):
             replicate_datastore(clustered, 0)
-
-    def test_wrap_hook_decorates_replicas(self, clustered):
-        injector = FaultInjector(7)
-
-        def chaos(shard_id, replica, shard):
-            if shard_id == 0 and replica == 0:
-                return injector.wrap_shard(shard, CrashStop(at_call=40))
-            return shard
-
-        rep = replicate_datastore(clustered, 2, wrap=chaos)
-        group = replica_groups(rep)[0]
-        assert isinstance(group.replicas[0], FaultyShard)
-        assert not isinstance(group.replicas[1], FaultyShard)
 
     def test_search_equivalent_to_unreplicated(self, clustered, queries):
         base = HermesSearcher(clustered).search(queries, k=5)

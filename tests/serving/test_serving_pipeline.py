@@ -91,7 +91,7 @@ class TestConfig:
             {"grounding": 1.5},
             {"speculation_threshold": 0.0},
             {"deadline_s": -1.0},
-            {"gpu_batch": 0},
+            {"k": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -214,6 +214,18 @@ class TestDeadlines:
             assert result.shed is not None
             assert "Deadline" in result.shed
         assert fresh_registry.snapshot()["pipeline_shed_total"] == len(requests)
+
+    def test_fully_shed_cohort_reports_no_latency_or_energy(
+        self, stack, requests, fresh_registry
+    ):
+        """With no request completed there is nothing to average: the
+        summaries are NaN, never the 0.0 s / 0.0 J of a perfect run."""
+        report = serve(stack, requests, "lookahead", deadline_s=1e-9)
+        assert not report.completed
+        assert np.isnan(report.mean_ttft_s)
+        assert np.isnan(report.mean_e2e_s)
+        assert np.isnan(report.e2e_percentile(99))
+        assert np.isnan(report.mean_energy_j)
 
     def test_generous_deadline_sheds_nothing(
         self, stack, requests, fresh_registry

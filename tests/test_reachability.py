@@ -1,21 +1,27 @@
 """Reachable or gone: nothing in ``src/repro`` exists only for its own tests.
 
 A pure-AST fence (no import of ``repro``; the whole walk is well under a
-second) with two rules:
+second) with three rules:
 
 1. every module under ``src/repro`` is imported, transitively, from a *root*
    — ``repro/cli.py``, an experiment, an example or a benchmark;
 2. every public top-level ``def`` / ``class`` is referenced in code — a
    name, an attribute, an import alias or an identifier-like string constant —
-   somewhere other than its own definition, in a non-test file.
+   somewhere other than its own definition, in a non-test file;
+3. every defaulted field of a ``@dataclass`` whose name ends in ``Config``
+   or ``Policy`` is set by keyword in a non-test file — in a call of the
+   class or of ``dataclasses.replace``, under any import alias. A field only
+   tests set is an option no workload runs with: make it a module constant.
+   ``HermesConfig`` is exempt: it is the paper's Table 2, whose every knob
+   is a tunable of the system being reproduced, swept or not.
 
-Neither rule counts a package ``__init__`` re-export, anything under
-``tests/``, a comment or a docstring as a use: a name that is exported,
-documented and unit-tested but that no CLI verb, experiment, example or
-benchmark can reach is the thing this fence exists to catch. A finding has
-three fixes — delete it, replace its caller's duplicate with it, or wire it
-into the path that should have called it — and moving it under ``tests/`` is
-not one of them.
+No rule counts a package ``__init__`` re-export, anything under ``tests/``,
+an import under ``if TYPE_CHECKING:``, a comment or a docstring as a use: a
+name that is exported, documented and unit-tested but that no CLI verb,
+experiment, example or benchmark can reach is the thing this fence exists to
+catch. A finding has three fixes — delete it, replace its caller's duplicate
+with it, or wire it into the path that should have called it — and moving it
+under ``tests/`` is not one of them.
 """
 
 import ast
@@ -35,6 +41,7 @@ REFERENCE = "reference a remaining test holds reachable code to"
 FAULT_MODEL = "fault model the chaos tests inject"
 
 #: ``module`` or ``module:name`` → one of the two reasons above. At most ten.
+#: Rules 1 and 2 only; rule 3 has no allowlist.
 ALLOWLIST = {
     # event-level simulation of one node; tests/serving/test_node_sim.py holds
     # RetrievalCostModel.waves (every figure's batching closed form) to it
@@ -72,6 +79,29 @@ def _is_root(path):
     return path == PACKAGE / "cli.py" or path.parent == PACKAGE / "experiments"
 
 
+def _is_type_checking(node):
+    """An ``if TYPE_CHECKING:`` (or ``typing.TYPE_CHECKING``) statement."""
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _walk(tree):
+    """``ast.walk`` without the bodies of ``if TYPE_CHECKING:`` blocks: an
+    import only a type checker runs is not a use."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if _is_type_checking(node):
+            stack.extend(node.orelse)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _from_imports(path, tree):
     """``(base module, imported name)`` for every ``from base import name``
     and ``(module, None)`` for every ``import module``, relative imports
@@ -81,7 +111,7 @@ def _from_imports(path, tree):
     if inside:
         name = _module_name(path)
         package = name if name in PACKAGES else name.rpartition(".")[0]
-    for node in ast.walk(tree):
+    for node in _walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "repro":
@@ -182,6 +212,9 @@ def _references(path, tree):
         node = stack.pop()
         if _all_assignment(node):
             continue  # an export list names things; it does not use them
+        if _is_type_checking(node):
+            stack.extend(node.orelse)
+            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if not is_init:
                 for alias in node.names:
@@ -228,11 +261,79 @@ def _unreferenced_names():
     )
 
 
+#: The paper's Table 2 (``repro.core.config``): exempt from rule 3.
+TABLE_2 = "HermesConfig"
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _config_fields():
+    """``(path, class, field)`` for every defaulted field of a dataclass
+    named ``*Config`` / ``*Policy`` under ``src/repro``, Table 2 aside."""
+    for path, tree in SRC_TREES.items():
+        for node in _walk(tree):
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith(("Config", "Policy"))
+                and node.name != TABLE_2
+                and _is_dataclass(node)
+            ):
+                for stmt in node.body:
+                    if (
+                        isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.value is not None
+                        and "ClassVar" not in ast.unparse(stmt.annotation)
+                    ):
+                        yield path, node.name, stmt.target.id
+
+
+@lru_cache(maxsize=None)
+def _keyword_calls():
+    """``(callee, keyword)`` for every call with a keyword argument in a
+    non-test file, the callee's name resolved through that file's import
+    aliases (``replace as dc_replace`` is ``replace``)."""
+    found = set()
+    for tree in {**SRC_TREES, **ROOT_TREES}.values():
+        nodes = list(_walk(tree))
+        aliases = {
+            alias.asname: alias.name.rpartition(".")[2]
+            for node in nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if alias.asname
+        }
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                callee = aliases.get(callee, callee)
+                found.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+    return frozenset(found)
+
+
+def _unset_config_fields():
+    calls = _keyword_calls()
+    return sorted(
+        f"{_module_name(path)}:{cls}.{name}"
+        for path, cls, name in _config_fields()
+        if (cls, name) not in calls and ("replace", name) not in calls
+    )
+
+
 def test_found_the_tree():
     assert "repro.cli" in MODULES and "repro.core.hierarchical" in MODULES
     assert any(p.name == "quickstart.py" for p in ROOT_TREES)
     assert any(p.parent.name == "suite" for p in ROOT_TREES)
     assert any(_is_root(p) and p.name == "fig21.py" for p in SRC_TREES)
+    classes = {cls for _, cls, _ in _config_fields()}
+    assert {"AdmissionConfig", "PipelineConfig", "RetrievalPolicy"} <= classes
+    assert TABLE_2 not in classes
 
 
 def test_every_module_is_imported_from_a_root():
@@ -272,3 +373,13 @@ def test_allowlist_is_short_justified_and_live():
     flagged = _unreferenced_names() | (set(MODULES) - _reachable_modules())
     idle = [e for e in ALLOWLIST if e not in flagged]
     assert idle == [], f"allowlist entries the fence no longer needs: {idle}"
+
+
+def test_every_config_field_is_set_outside_tests():
+    unset = _unset_config_fields()
+    assert unset == [], (
+        "config fields no non-test code sets by keyword:\n  "
+        + "\n  ".join(unset)
+        + "\nmake the default a module constant (and delete the field) or "
+        "wire in the caller that needs another value"
+    )
