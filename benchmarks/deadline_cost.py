@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     store = cluster_datastore(corpus.embeddings, HermesConfig(k=10))
     searcher = HermesSearcher(store)
     pool = trivia_queries(corpus.topic_model, 512, seed=8).embeddings
-    searcher.search(pool[:32])  # warm the scan state and scratch arenas
+    searcher.search(pool[:32])  # warm the scratch arenas
 
     print(f"{docs} docs x 64, k = 10, deadline_s = {DEADLINE_S:g} on one side")
     print(f"{'batch':>5} {'pairs':>5} {'no deadline ms':>14} {'deadline ms':>11} "

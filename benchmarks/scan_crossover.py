@@ -82,8 +82,6 @@ def sweep(docs, repeats, quantization, seed=1):
     corpus = make_corpus(docs, dim=64, seed=seed)
     store = cluster_datastore(corpus.embeddings, HermesConfig(quantization=quantization))
     indexes = [shard.index for shard in store.shards]
-    for index in indexes:
-        index.warm_scan_state()
     pool = trivia_queries(corpus.topic_model, max(BATCHES), seed=seed + 7).embeddings
     rows = []
     for nq in BATCHES:

@@ -18,23 +18,12 @@ class FlatIndex(VectorIndex):
 
     def __init__(self, dim: int, metric: str = "l2") -> None:
         super().__init__(dim, metric)
-        self._chunks: list[np.ndarray] = []
-        self._vectors: np.ndarray | None = None
+        #: the stored vectors as one contiguous ``(ntotal, dim)`` array
+        self.vectors = np.empty((0, dim), dtype=np.float32)
         self.is_trained = True  # no training phase
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """The stored vectors as one contiguous ``(ntotal, dim)`` array."""
-        if self._vectors is None or sum(len(c) for c in self._chunks) != len(self._vectors):
-            if self._chunks:
-                self._vectors = np.concatenate(self._chunks, axis=0)
-            else:
-                self._vectors = np.empty((0, self.dim), dtype=np.float32)
-        return self._vectors
-
     def _add(self, vectors: np.ndarray) -> None:
-        self._chunks.append(vectors.copy())
-        self._vectors = None
+        self.vectors = np.concatenate([self.vectors, vectors])
 
     def _search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         dists = pairwise_distance(queries, self.vectors, self.metric)

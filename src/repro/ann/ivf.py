@@ -10,8 +10,10 @@ index once with a *small* nProbe (sampling) and again with a *large* nProbe
 The default ``nlist`` follows the paper's rule of thumb ``nlist ≈ sqrt(N)``.
 
 Storage is one immutable sealed record (:class:`SealedLists`: CSR ``codes`` /
-``ids`` by cell plus lazily derived scan state). This module is the only one
-that knows its fields; everything else goes through
+``ids`` by cell plus the scan state derived when it is made). Every write
+(``add``, :meth:`IVFIndex.install_rows`, :meth:`IVFIndex.from_state`)
+publishes a complete record, so a search builds nothing. This module is the
+only one that knows its fields; everything else goes through
 :meth:`IVFIndex.export_state` / :meth:`IVFIndex.from_state` /
 :meth:`IVFIndex.rows_by_local_id`, and names deleted rows by local id
 (:meth:`IVFIndex.dead_columns`). A search is plan → kernel → tail: the plan
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -78,40 +80,67 @@ class SealedLists:
     """The sealed half of an IVF index: CSR storage plus derived scan state.
 
     Cell ``c`` owns rows ``[offsets[c], offsets[c + 1])`` of ``codes`` /
-    ``ids``; ``cells`` is the row → cell map the dense scan masks with.
-    ``sqnorms`` (``|decode(code)|²``, for ADC metrics that need it) is
-    ``None`` until a scan that consumes it asks. So is ``operand``, a GEMM
-    codec's levels stored dimension-major (``(dim, n + widest cell)``, in the
-    codec's dtype: :meth:`Quantizer.scan_operand`) — the one array both scan
-    kernels multiply against. It is derived from ``codes``, so it is never
-    exported: a loaded index derives its own. So is
-    ``positions``, the local id → storage row map (the inverse of ``ids``)
-    :meth:`IVFIndex.dead_columns` looks deleted rows up in: an index nothing
-    was ever deleted from never builds it.
+    ``ids``; ``cells`` is the row → cell map the dense scan masks with. The
+    constructor derives, from the codec and metric, everything a scan or a
+    delete reads, so a record is complete when it is made:
 
-    A record and its arrays are never modified once published (the arrays
-    are marked read-only): every builder makes a new record and
-    :class:`IVFIndex` swaps it in with one assignment, so a scan that read
-    the attribute once finishes on a consistent snapshot whatever is rebuilt
-    meanwhile.
+    - ``sqnorms``: ``|decode(code)|²`` per row for ADC metrics that need it
+      (:meth:`Quantizer.needs_code_sqnorms`), else ``None``; norms passed in
+      (an exported state's) are adopted instead of recomputed;
+    - ``operand``: a GEMM codec's levels stored dimension-major (``(dim, n +
+      widest cell)``, in the codec's dtype: :meth:`Quantizer.scan_operand`),
+      the one array both scan kernels multiply against, else ``None``. It is
+      derived from ``codes``, so it is never exported;
+    - ``positions``: the local id → storage row map (the inverse of
+      ``ids``) :meth:`IVFIndex.dead_columns` looks deleted rows up in, ``-1``
+      for a local id ``ids`` misses.
+
+    A record and its arrays are never modified once made (the arrays are
+    marked read-only): every writer makes a new record and :class:`IVFIndex`
+    swaps it in with one assignment, so a scan that read the attribute once
+    finishes on a consistent snapshot whatever is published meanwhile.
     """
 
     codes: np.ndarray
     ids: np.ndarray
     offsets: np.ndarray
     cells: np.ndarray
+    quantizer: InitVar[Quantizer]
+    metric: InitVar[str]
     sqnorms: np.ndarray | None = None
-    operand: np.ndarray | None = None
-    positions: np.ndarray | None = None
+    operand: np.ndarray | None = field(init=False)
+    positions: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, quantizer: Quantizer, metric: str) -> None:
+        sqnorms = operand = None
+        if quantizer.needs_code_sqnorms(metric):
+            sqnorms = self.sqnorms
+            if sqnorms is None:
+                sqnorms = quantizer.code_sqnorms(self.codes)
+        if quantizer.has_scan_operand:
+            # Padded by the widest cell, so every cell's scan window
+            # [lo, lo + width) stays inside the array.
+            widest = int(np.diff(self.offsets).max(initial=0))
+            operand = quantizer.scan_operand(self.codes, widest)
+        n = len(self.ids)
+        positions = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
+        positions[self.ids] = np.arange(n)
+        object.__setattr__(self, "sqnorms", sqnorms)
+        object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "positions", positions)
         for array in vars(self).values():
             if array is not None:
                 array.flags.writeable = False
 
     @classmethod
     def from_rows(
-        cls, codes: np.ndarray, cells: np.ndarray, ids: np.ndarray, nlist: int
+        cls,
+        codes: np.ndarray,
+        cells: np.ndarray,
+        ids: np.ndarray,
+        nlist: int,
+        quantizer: Quantizer,
+        metric: str,
     ) -> "SealedLists":
         """Group rows into CSR cell order with a *stable* sort, so rows
         sharing a cell keep their input order — the stable tie-break of every
@@ -120,10 +149,12 @@ class SealedLists:
         offsets = np.zeros(nlist + 1, dtype=np.int64)
         np.cumsum(np.bincount(cells, minlength=nlist), out=offsets[1:])
         return cls(
-            codes=np.ascontiguousarray(np.asarray(codes)[order]),
-            ids=ids[order],
-            offsets=offsets,
-            cells=cells[order].astype(np.int32),
+            np.ascontiguousarray(np.asarray(codes)[order]),
+            ids[order],
+            offsets,
+            cells[order].astype(np.int32),
+            quantizer,
+            metric,
         )
 
 
@@ -343,20 +374,12 @@ class IVFIndex(VectorIndex):
         self.quantizer = quantizer if quantizer is not None else IdentityQuantizer(dim)
         self.train_seed = train_seed
         self.centroids = None
-        # ``(codes, cells)`` fragments appended by add() since the last
-        # compaction; their ids continue the sealed ids in append order.
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        # The published sealed record; replaced whole, never edited.
+        # The published sealed record (``None`` until trained); replaced
+        # whole by add() / install_rows(), never edited.
         self._sealed: SealedLists | None = None
-        # Serialises the lazy builders (compaction, norms, positions) so two
-        # first searches on a cold index build once; warm scans never take it.
-        self._build_lock = threading.Lock()
         # Per-thread scratch arenas (created lazily: threading.local does not
         # survive copy/pickle, so it must not exist on a fresh index).
         self._ws_local: "threading.local | None" = None
-        #: number of compaction passes run — a diagnostics counter used by
-        #: the regression tests to prove steady-state searches don't rebuild.
-        self.compactions = 0
 
     @property
     def centroids(self) -> np.ndarray | None:
@@ -386,8 +409,7 @@ class IVFIndex(VectorIndex):
         self.centroids = result.centroids
         if not self.quantizer.is_trained:
             self.quantizer.train(vectors)
-        self._pending = []
-        self._sealed = None
+        self._sealed = self._empty_record()
 
     # -- population ---------------------------------------------------------
     def assign_cells(self, vectors: np.ndarray) -> np.ndarray:
@@ -397,100 +419,31 @@ class IVFIndex(VectorIndex):
         return self._cell_distances(vectors, self._workspace).argmin(axis=1)
 
     def _add(self, vectors: np.ndarray) -> None:
+        """Seal the stored rows, then the new ones, into one new record:
+        within a cell the new rows follow the old, and their local ids
+        continue the old ones in input order."""
+        s = self._sealed
+        n = len(s.ids)
+        codes = self.quantizer.encode(vectors)
         cells = assign_to_centroids(vectors, self.centroids, "l2")
-        self._pending.append((self.quantizer.encode(vectors), cells))
+        ids = np.arange(n, n + len(cells), dtype=np.int64)
+        if n:
+            codes = np.concatenate([s.codes, codes])
+            cells = np.concatenate([s.cells, cells])
+            ids = np.concatenate([s.ids, ids])
+        self._sealed = self._seal_rows(codes, cells, ids)
 
     # -- storage ------------------------------------------------------------
-    @property
-    def is_compacted(self) -> bool:
-        """True when all payloads live in the sealed record."""
-        return not self._pending and self._sealed is not None
-
-    def _warm(
-        self, *, sqnorms: bool = False, operand: bool = False, positions: bool = False
-    ) -> SealedLists:
-        """The sealed record, compacted and carrying the derived state asked for.
-
-        A warm call returns the published record without locking. Anything
-        missing is built under the per-index lock behind a second check, and
-        published as a *new* record: compaction folds the pending fragments
-        in behind the sealed rows (so the sealed-then-append order within a
-        cell survives); norms, operand and positions follow the storage order.
-        """
-        # Read order matters: a builder publishes the record and *then*
-        # clears the fragments, so "no fragments" implies the record read
-        # after it already contains them.
-        stale = bool(self._pending)
-        s = self._sealed
-        if not (
-            stale
-            or s is None
-            or (sqnorms and s.sqnorms is None)
-            or (operand and s.operand is None)
-            or (positions and s.positions is None)
-        ):
-            return s
-        with self._build_lock:
-            s = self._sealed
-            pending = self._pending
-            if pending or s is None:
-                with get_tracer().span("ivf_compact", nlist=self.nlist, ntotal=self.ntotal):
-                    s = self._compacted(s, pending)
-            if sqnorms and s.sqnorms is None:
-                s = replace(s, sqnorms=self.quantizer.code_sqnorms(s.codes))
-            if operand and s.operand is None:
-                # Padded by the widest cell, so every cell's scan window
-                # [lo, lo + width) stays inside the array.
-                widest = int(np.diff(s.offsets).max(initial=0))
-                s = replace(s, operand=self.quantizer.scan_operand(s.codes, widest))
-            if positions and s.positions is None:
-                n = len(s.ids)
-                rows = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
-                rows[s.ids] = np.arange(n)
-                s = replace(s, positions=rows)
-            self._sealed = s
-            if pending:
-                self._pending = []
-        return s
-
-    def _compacted(self, sealed: SealedLists | None, pending) -> SealedLists:
-        rows = list(pending)
-        n_sealed = 0 if sealed is None else len(sealed.ids)
-        if n_sealed:
-            rows.insert(0, (sealed.codes, sealed.cells))
-        self.compactions += 1
-        if not rows:
-            rows = [(np.empty((0, 0), dtype=np.uint8), np.empty(0, dtype=np.int64))]
-        if len(rows) == 1:  # the offline build: one add(), nothing to join
-            codes, cells = rows[0]
-        else:
-            codes = np.concatenate([r[0] for r in rows])
-            cells = np.concatenate([r[1] for r in rows])
-        ids = np.arange(len(cells), dtype=np.int64)
-        if n_sealed:
-            ids[:n_sealed] = sealed.ids
-        return SealedLists.from_rows(codes, cells, ids, self.nlist)
-
-    def compact(self) -> None:
-        """Merge pending fragments into the contiguous sealed record.
-
-        Runs lazily on the first search after an ``add()``; idempotent and
-        cheap (a no-op) when nothing changed since the last compaction.
-        """
-        self._warm()
-
-    def warm_scan_state(self) -> None:
-        """Precompute every lazy structure a search consumes (compaction,
-        ADC norms where the codec needs them, the GEMM codecs' scan operand),
-        so the next search runs entirely warm."""
-        self._scan_record()
-
-    def _scan_record(self) -> SealedLists:
-        """The sealed record with every derived array a scan reads."""
-        return self._warm(
-            sqnorms=self.quantizer.needs_code_sqnorms(self.metric),
-            operand=self.quantizer.has_scan_operand,
+    def _seal_rows(self, codes, cells, ids) -> SealedLists:
+        return SealedLists.from_rows(
+            codes, cells, ids, self.nlist, self.quantizer, self.metric
         )
+
+    def _empty_record(self) -> SealedLists:
+        """The record of a trained index holding no rows."""
+        codes = self.quantizer.encode(np.empty((0, self.dim), dtype=np.float32))
+        no_rows = np.empty(0, dtype=np.int64)
+        return self._seal_rows(codes, no_rows, no_rows)
 
     def fresh_sealed_like(self) -> "IVFIndex":
         """An empty index sharing this one's trained coarse/fine quantizers.
@@ -512,6 +465,7 @@ class IVFIndex(VectorIndex):
         )
         clone.centroids = self.centroids
         clone.is_trained = True
+        clone._sealed = clone._empty_record()
         return clone
 
     def install_rows(self, codes: np.ndarray, cells: np.ndarray) -> None:
@@ -531,34 +485,28 @@ class IVFIndex(VectorIndex):
             raise ValueError(f"{len(codes)} code rows for {n} cell assignments")
         if n and (cells.min() < 0 or cells.max() >= self.nlist):
             raise ValueError("cell assignment out of range")
-        with self._build_lock:
-            self._sealed = self._compacted(None, [(codes, cells)])
-            self._pending = []
-            self.ntotal = n
+        self._sealed = self._seal_rows(codes, cells, np.arange(n, dtype=np.int64))
+        self.ntotal = n
 
     def rows_by_local_id(self) -> tuple[np.ndarray, np.ndarray]:
         """``(codes, cells)`` with row ``r`` holding local id ``r`` — what
         :meth:`install_rows` would need to rebuild this index."""
-        s = self._warm()
-        codes = np.empty_like(s.codes)
-        codes[s.ids] = s.codes
-        cells = np.empty(len(s.ids), dtype=np.int64)
-        cells[s.ids] = s.cells
-        return codes, cells
+        s = self._sealed
+        return s.codes[s.positions], s.cells[s.positions].astype(np.int64)
 
     def export_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """The trained index as ``(header, named arrays)``, norms warm.
+        """The trained index as ``(header, named arrays)``.
 
         The one serialised form of an index: ``.npz`` persistence writes it
         and :meth:`from_state` rebuilds an index that searches
         bit-identically.
-        The arrays are the published record's own (not copies). The scan
-        operand is derived state the reader rebuilds, so it is neither
-        exported nor built here.
+        The arrays are the published record's own (not copies). Of its
+        derived state only the ADC norms are exported (a decode pass to
+        recompute); the reader derives the scan operand and ``positions``.
         """
         if not self.is_trained:
             raise ValueError("cannot export an untrained IVF index")
-        s = self._warm(sqnorms=self.quantizer.needs_code_sqnorms(self.metric))
+        s = self._sealed
         quantizer_spec, arrays = self.quantizer.export_state()
         header = {
             "format": FORMAT_VERSION,
@@ -625,17 +573,23 @@ class IVFIndex(VectorIndex):
             raise _invalid("ids", f"has shape {ids.shape} for ntotal={ntotal}")
         if ntotal and (ids.min() < 0 or ids.max() >= ntotal):
             raise _invalid("ids", f"fall outside [0, {ntotal})")
-        sealed = SealedLists(
-            codes=codes,
-            ids=ids,
-            offsets=offsets,
-            cells=np.repeat(np.arange(index.nlist, dtype=np.int32), np.diff(offsets)),
-        )
-        if "code_sqnorms" in arrays:
+        sqnorms = None
+        if "code_sqnorms" in arrays and index.quantizer.needs_code_sqnorms(index.metric):
             sqnorms = arrays["code_sqnorms"]
             if sqnorms.shape != (ntotal,):
                 raise _invalid("code_sqnorms", f"has shape {sqnorms.shape} for ntotal={ntotal}")
-            sealed = replace(sealed, sqnorms=sqnorms)
+        sealed = SealedLists(
+            codes,
+            ids,
+            offsets,
+            np.repeat(np.arange(index.nlist, dtype=np.int32), np.diff(offsets)),
+            index.quantizer,
+            index.metric,
+            sqnorms,
+        )
+        # An id stored twice leaves another unstored: no storage row.
+        if ntotal and sealed.positions.min() < 0:
+            raise _invalid("ids", f"are not a permutation of [0, {ntotal})")
         index.centroids = centroids
         index.is_trained = True
         index.ntotal = ntotal
@@ -644,7 +598,7 @@ class IVFIndex(VectorIndex):
 
     def cell_codes(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
         """Contiguous ``(codes, ids)`` views of one inverted list."""
-        s = self._warm()
+        s = self._sealed
         lo, hi = int(s.offsets[cell]), int(s.offsets[cell + 1])
         return s.codes[lo:hi], s.ids[lo:hi]
 
@@ -664,17 +618,14 @@ class IVFIndex(VectorIndex):
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """Decode every stored vector; returns ``(vectors, local_ids)``."""
-        s = self._warm()
+        s = self._sealed
         return self._decode_chunked(s.codes), s.ids.copy()
 
     def list_sizes(self) -> np.ndarray:
         """Number of stored vectors per inverted list."""
-        sizes = np.zeros(self.nlist, dtype=np.int64)
-        if self._sealed is not None:
-            sizes += np.diff(self._sealed.offsets)
-        for _, cells in self._pending:
-            sizes += np.bincount(cells, minlength=self.nlist)
-        return sizes
+        if self._sealed is None:
+            return np.zeros(self.nlist, dtype=np.int64)
+        return np.diff(self._sealed.offsets)
 
     @property
     def _workspace(self) -> Workspace:
@@ -707,13 +658,13 @@ class IVFIndex(VectorIndex):
         dead = np.sort(np.asarray(local_ids, dtype=np.int64))
         if not len(dead):
             return _NO_COLUMNS
-        s = self._warm()
+        s = self._sealed
         n = len(s.ids)
         if dead[0] < 0 or dead[-1] >= n + delta_rows:
             raise ValueError(f"dead ids fall outside [0, {n + delta_rows})")
         cut = int(np.searchsorted(dead, n))
         if cut:
-            rows = self._warm(positions=True).positions[dead[:cut]]
+            rows = s.positions[dead[:cut]]
             dead = np.concatenate([np.sort(rows), dead[cut:]])
         dead.flags.writeable = False
         return dead
@@ -730,7 +681,7 @@ class IVFIndex(VectorIndex):
         sealed record for these arguments."""
         probe = self._resolve_probe(nprobe)
         q = as_matrix(queries)
-        return self._plan(self._scan_record(), q, probe, live, kept, self._workspace)
+        return self._plan(self._sealed, q, probe, live, kept, self._workspace)
 
     def _plan(self, s, q, probe, live, kept, ws) -> ScanPlan:
         """Pick the scan of *q* over record *s* at *probe*: kept, dense or
@@ -787,7 +738,7 @@ class IVFIndex(VectorIndex):
             return _padding(nq, k)
         probe = self._resolve_probe(nprobe)
         # The one read of the sealed record: everything below scans `s`.
-        s = self._scan_record()
+        s = self._sealed
         n = len(s.ids)
         ws = self._workspace
         plan = self._plan(s, q, probe, live, kept, ws)

@@ -22,8 +22,9 @@ def save_ivf(index: IVFIndex, path: "str | Path") -> None:
     """Persist a trained IVF index (any quantizer) to *path* (.npz).
 
     Writes :meth:`IVFIndex.export_state` as is — the sealed storage plus the
-    derived scan state a default search consumes, so a loaded index serves
-    its first search fully warm.
+    ADC norms a loader would need a decode pass to recompute; the loaded
+    index is sealed by :meth:`IVFIndex.from_state`, so its first search
+    builds nothing.
     """
     header, arrays = index.export_state()
     np.savez_compressed(path, header=json.dumps(header), **arrays)

@@ -270,9 +270,9 @@ class IndexShard:
         Survivor rows keep their *original codes* (no re-encode) and their
         insert-time cell assignments, ordered sealed-survivors-then-delta —
         exactly the rows an offline rebuild over the live set would install.
-        The new index is warmed (``IVFIndex.warm_scan_state``) before the
-        atomic swap, so no search ever observes a cold or half-built sealed
-        index. The shard's mutation lock is held for the
+        ``IVFIndex.install_rows`` seals them with every derived array a scan
+        reads before the atomic swap, so no search ever observes a cold or
+        half-built sealed index. The shard's mutation lock is held for the
         whole rebuild, so a concurrent insert/delete blocks until the swap
         instead of landing in the rebuild window and being dropped by it;
         searches keep serving the old sealed state throughout. Returns True
@@ -319,7 +319,6 @@ class IndexShard:
                     np.ascontiguousarray(np.concatenate(parts_codes, axis=0)),
                     np.concatenate(parts_cells),
                 )
-            fresh.warm_scan_state()
             new_gids = gids[survivors]
             with self._lock:
                 self.index = fresh
@@ -565,7 +564,7 @@ class ClusteredDatastore:
     def compact(self) -> int:
         """Compact every shard; returns how many changed.
 
-        Each changed shard's sealed index is rebuilt warmed and swapped
+        Each changed shard's sealed index is rebuilt and swapped
         atomically under its ``generation`` counter; searches running
         concurrently keep using the old sealed state until the swap.
         Compaction is result-preserving (the mutation-equivalence

@@ -45,7 +45,6 @@ class StageCost:
 
     latency_s: float
     energy_j: float
-    power_w: float
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class InferenceModel:
             work_ratio, PREFILL_FLOOR_FRACTION
         )
         power = ANCHOR_PREFILL_POWER_W / ANCHOR_GPU.tdp_w * self.gpu.tdp_w * self.n_gpus
-        return StageCost(latency_s=latency, energy_j=power * latency, power_w=power)
+        return StageCost(latency_s=latency, energy_j=power * latency)
 
     def decode(self, batch: int, n_tokens: int) -> StageCost:
         """Cost of generating *n_tokens* per query for a batch.
@@ -120,7 +119,7 @@ class InferenceModel:
             * batch_factor
         )
         power = ANCHOR_DECODE_POWER_W / ANCHOR_GPU.tdp_w * self.gpu.tdp_w * self.n_gpus
-        return StageCost(latency_s=latency, energy_j=power * latency, power_w=power)
+        return StageCost(latency_s=latency, energy_j=power * latency)
 
     # -- conveniences -------------------------------------------------------------
     def prefill_qps(self, batch: int, input_tokens: int) -> float:

@@ -247,10 +247,8 @@ class AdmissionController:
         with self._lock:
             return self._level
 
-    def knobs(self, level: int | None = None) -> BrownoutKnobs:
-        """The quality knobs for *level* (default: the current level)."""
-        if level is None:
-            level = self.level
+    def knobs(self, level: int) -> BrownoutKnobs:
+        """The quality knobs for brownout *level*."""
         if level <= 0:
             return BrownoutKnobs()
         return LADDER[min(int(level), len(LADDER)) - 1]

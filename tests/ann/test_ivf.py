@@ -1,7 +1,6 @@
 """Tests for the IVF index."""
 
 import re
-import sys
 import threading
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import pytest
 from repro.ann.flat import FlatIndex
 from repro.ann.ivf import IVFIndex, default_nlist
 from repro.ann.quantization import make_quantizer
+from repro.core.clustering import IndexShard
 from repro.metrics.recall import recall_at_k
 from tests.oracles import dead_view, ivf_search_reference
 
@@ -124,48 +124,35 @@ class TestSearchQuality:
 
 
 class TestCompaction:
-    def test_add_marks_index_dirty(self, data):
-        index = IVFIndex(24, nlist=16)
-        index.train(data)
-        index.add(data)
-        assert not index.is_compacted
+    """Rows are sealed when they are written: the record a search reads is
+    complete when it is published, and no search publishes another."""
 
-    def test_first_search_compacts(self, data):
-        index = trained_ivf(data, nlist=16)
-        index.search(data[:2], 3)
-        assert index.is_compacted
-        assert index.compactions == 1
-
-    def test_repeated_search_does_not_recompact(self, data):
-        """Steady-state searches must not rebuild the CSR arrays."""
-        index = trained_ivf(data, nlist=16)
-        index.search(data[:2], 3)
-        count = index.compactions
-        for _ in range(5):
-            index.search(data[:2], 3, nprobe=4)
-        assert index.compactions == count
-
-    def test_add_then_search_compacts_exactly_once_more(self, data):
-        index = trained_ivf(data, nlist=16)
-        index.search(data[:2], 3)
-        index.add(data[:50])
-        assert not index.is_compacted
-        index.search(data[:2], 3)
-        index.search(data[:2], 3)
-        assert index.compactions == 2
-
-    def test_compact_is_idempotent(self, data):
-        index = trained_ivf(data, nlist=16)
-        index.compact()
-        index.compact()
-        assert index.compactions == 1
+    def test_repeated_search_does_not_recompact(self, data, queries):
+        """After each way rows become searchable — add, from_state,
+        install_rows, a shard compaction — searches, masked or not, leave
+        the published record the very same object."""
+        built = trained_ivf(data, nlist=16, quantizer=make_quantizer("sq8", 24))
+        installed = built.fresh_sealed_like()
+        installed.install_rows(*built.rows_by_local_id())
+        n = len(data)
+        shard = IndexShard(0, trained_ivf(data, nlist=16), np.arange(n), data.mean(axis=0))
+        shard.insert(queries, np.arange(n, n + len(queries)))
+        shard.delete(np.array([3]))
+        assert shard.compact()
+        loaded = IVFIndex.from_state(*built.export_state())
+        for index in (built, loaded, installed, shard.index):
+            sealed = index._sealed
+            for k, nprobe in ((1, 1), (5, 4), (5, 16)):
+                index.search(queries, k, nprobe=nprobe)
+            index.search(queries, 5, live=dead_view(index, np.array([0, 7])))
+            assert index._sealed is sealed
 
     def test_incremental_adds_match_single_add(self, data):
         whole = trained_ivf(data, nlist=16, nprobe=16)
         split = IVFIndex(24, nlist=16, nprobe=16)
         split.train(data)
         split.add(data[:500])
-        split.search(data[:2], 3)  # compact mid-stream
+        split.search(data[:2], 3)  # a search between the adds
         split.add(data[500:])
         d1, i1 = whole.search(data[:8], 5)
         d2, i2 = split.search(data[:8], 5)
@@ -180,33 +167,36 @@ class TestCompaction:
 
 
 class TestSealedRecordSwap:
-    """Builders publish a new sealed record instead of editing the one a
-    scan may be holding, and lazy builds run once."""
+    """Writers publish a new sealed record instead of editing the one a scan
+    may be holding."""
 
     @pytest.mark.parametrize("scheme", ["sq8", "pq8"])
-    @pytest.mark.parametrize("rebuild", ["warm_scan_state", "masked_search"])
+    @pytest.mark.parametrize("rebuild", ["install_rows", "add", "masked_search"])
     def test_scan_survives_a_concurrent_rebuild(self, data, queries, scheme, rebuild):
         """A scan that already holds the sealed storage finishes on it while
-        another thread publishes a new record — the warm-up's, or the one a
-        search with deleted rows builds its id → row map into under the
-        build lock."""
+        another thread publishes a new record — rows installed in reverse
+        local-id order, or more rows added, either of which moves stored
+        rows — or runs a masked search of its own."""
         index = trained_ivf(
             data, nlist=16, nprobe=16, quantizer=make_quantizer(scheme, 24)
         )
+        ref_d, ref_i = ivf_search_reference(index, queries, 5)
         real = index.quantizer.adc_distances
         fired = []
+
+        def write():
+            if rebuild == "install_rows":
+                codes, cells = index.rows_by_local_id()
+                index.install_rows(codes[::-1], cells[::-1])
+            elif rebuild == "add":
+                index.add(data[:50] + 0.5)
+            else:
+                index.search(queries, 5, live=dead_view(index, np.array([0])))
 
         def rebuild_then_scan(*args, **kwargs):
             if not fired:  # from inside the outer search's first kernel
                 fired.append(True)
-                if rebuild == "warm_scan_state":
-                    worker = threading.Thread(target=index.warm_scan_state)
-                else:
-                    worker = threading.Thread(
-                        target=lambda: index.search(
-                            queries, 5, live=dead_view(index, np.array([0]))
-                        )
-                    )
+                worker = threading.Thread(target=write)
                 worker.start()
                 worker.join(timeout=30)
                 assert not worker.is_alive()
@@ -218,37 +208,8 @@ class TestSealedRecordSwap:
         finally:
             del index.quantizer.adc_distances
         assert fired
-        ref_d, ref_i = ivf_search_reference(index, queries, 5)
         np.testing.assert_array_equal(ids, ref_i)
         np.testing.assert_allclose(dists, ref_d, rtol=1e-3, atol=5e-3)
-
-    def test_cold_index_builds_once_under_concurrent_first_searches(self, data, queries):
-        index = trained_ivf(
-            data, nlist=16, nprobe=16, quantizer=make_quantizer("sq8", 24)
-        )
-        barrier = threading.Barrier(2)
-        results = [None, None]
-
-        def first_search(slot):
-            barrier.wait(timeout=30)
-            results[slot] = index.search(queries, 5)
-
-        threads = [threading.Thread(target=first_search, args=(i,)) for i in range(2)]
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old_interval)
-        assert not any(t.is_alive() for t in threads)
-        assert index.compactions == 1
-        ref_d, ref_i = ivf_search_reference(index, queries, 5)
-        for dists, ids in results:
-            np.testing.assert_array_equal(ids, ref_i)
-            np.testing.assert_allclose(dists, ref_d, rtol=1e-3, atol=5e-3)
 
 
 def test_only_ivf_module_names_sealed_storage_fields():
@@ -261,7 +222,7 @@ def test_only_ivf_module_names_sealed_storage_fields():
     # (?<!\w): the attribute, not e.g. ``needs_code_sqnorms`` / ``_dead_sealed``.
     fenced = re.compile(
         r"(?<!\w)(_cell_offsets|_code_cells|_code_sqnorms"
-        r"|_pending_codes|_pending_ids|_sealed|SealedLists)\b"
+        r"|_sealed|SealedLists)\b"
         r"|\.positions\b"
     )
     root = Path(repro.__file__).parent

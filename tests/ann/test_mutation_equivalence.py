@@ -140,7 +140,6 @@ def rebuild_from_scratch(shard: IndexShard, oracle: FlatOracle) -> IVFIndex:
     fresh = shard.index.fresh_sealed_like()
     if oracle.live:
         fresh.add(np.stack([oracle.raw[g] for g in oracle.live]))
-    fresh.warm_scan_state()
     return fresh
 
 
@@ -300,7 +299,7 @@ class TestConcurrentMutation:
 
     def test_mutation_during_compaction_blocks_and_survives(self, monkeypatch):
         # Freeze a compaction inside its rebuild window (after the fresh
-        # index is warmed, before the swap) and fire an insert + a delete at
+        # index is sealed, before the swap) and fire an insert + a delete at
         # the shard. Both must block on the mutation lock until the swap —
         # the unserialized version let them update the pre-swap state, which
         # the swap then silently discarded (lost inserts, resurrected
@@ -314,14 +313,14 @@ class TestConcurrentMutation:
 
         in_rebuild = threading.Event()
         resume = threading.Event()
-        real_warm = IVFIndex.warm_scan_state
+        real_install = IVFIndex.install_rows
 
-        def stalled_warm(index):
-            real_warm(index)
+        def stalled_install(index, codes, cells):
+            real_install(index, codes, cells)
             in_rebuild.set()
             assert resume.wait(timeout=10)
 
-        monkeypatch.setattr(IVFIndex, "warm_scan_state", stalled_warm)
+        monkeypatch.setattr(IVFIndex, "install_rows", stalled_install)
         compactor = threading.Thread(target=shard.compact)
         compactor.start()
         assert in_rebuild.wait(timeout=10)

@@ -292,57 +292,64 @@ def test_k1_forced_kernels_agree(indexes, queries, scheme):
 
 
 def test_the_scan_operand_is_derived_state():
-    """Structural guard: a GEMM codec's dimension-major scan operand is built
-    once per sealed record (by the first search or ``warm_scan_state()``),
-    read-only and never exported — ``export_state()`` neither builds nor
-    writes it, so the format-5 array keys are unchanged — a
-    ``fresh_sealed_like()`` index has none, shard compaction warms the new
-    index's before the swap, and a gather codec never builds one."""
+    """Structural guard: every published record — trained empty, added to
+    twice, loaded, fresh, installed, compacted — carries exactly the derived
+    arrays its codec × metric reads: ADC norms iff the codec's ADC wants them
+    for the metric, the dimension-major scan operand iff it is a GEMM codec,
+    the local id → storage row map always. They are read-only, and
+    ``export_state()`` exports none of them but the norms, so the format-5
+    array keys are unchanged."""
     rng = np.random.default_rng(12)
     data = rng.normal(size=(300, NN_DIM)).astype(np.float32)
-    index = IVFIndex(NN_DIM, "l2", nlist=8, quantizer=make_quantizer("sq8", NN_DIM))
-    index.train(data)
-    index.add(data)
-    _, arrays = index.export_state()
-    assert set(arrays) == {
-        "sq_vmin", "sq_scale", "centroids", "codes", "ids", "cell_offsets", "code_sqnorms"
-    }
-    assert index._sealed.operand is None
+    for scheme in ("flat", "sq8", "sq4", "pq8"):
+        for metric in ("l2", "ip"):
+            q = make_quantizer(scheme, NN_DIM)
+            index = IVFIndex(NN_DIM, metric, nlist=8, quantizer=q)
+            index.train(data)
+            records = [index._sealed]
+            index.add(data[:200])
+            records.append(index._sealed)
+            index.add(data[200:])
+            records.append(index._sealed)
+            header, arrays = index.export_state()
+            records.append(IVFIndex.from_state(header, arrays)._sealed)
+            fresh = index.fresh_sealed_like()
+            records.append(fresh._sealed)
+            fresh.install_rows(*index.rows_by_local_id())
+            records.append(fresh._sealed)
+            shard = IndexShard(0, index, np.arange(300, dtype=np.int64), data.mean(0))
+            shard.insert(data[:5] + 0.01, np.arange(300, 305, dtype=np.int64))
+            shard.delete(np.array([7]))
+            assert shard.compact()
+            records.append(shard.index._sealed)
 
-    index.search(data[:4], 5, nprobe=2)
-    operand = index._sealed.operand
-    widest = int(index.list_sizes().max())
-    assert operand.shape == (NN_DIM, 300 + widest) and operand.dtype == np.uint8
-    assert not operand.flags.writeable
-    np.testing.assert_array_equal(operand[:, :300], index._sealed.codes.T)
-    assert not operand[:, 300:].any()
-    # Built once: plain and masked searches of both strategies (the masked
-    # one publishes a new record for its position map) and the warm-up all
-    # keep the very same array.
-    for dead in (None, np.array([3, 200])):
-        for k, nprobe in ((1, 1), (5, 1), (1, 8), (5, 8)):
-            index.search(data[:4], k, nprobe=nprobe, live=dead_view(index, dead))
-    index.warm_scan_state()
-    assert index._sealed.operand is operand
-    exported = index.export_state()[1]
-    assert set(exported) == set(arrays)
-    assert not any(np.shares_memory(operand, a) for a in exported.values())
-    assert index.fresh_sealed_like()._sealed is None
-
-    shard = IndexShard(0, index, np.arange(300, dtype=np.int64), data.mean(0))
-    shard.insert(data[:5] + 0.01, np.arange(300, 305, dtype=np.int64))
-    shard.delete(np.array([7]))
-    assert shard.compact()
-    rebuilt = shard.index._sealed  # nothing searched the new index yet
-    assert rebuilt.operand is not None and rebuilt.operand is not operand
-    np.testing.assert_array_equal(rebuilt.operand[:, :304], rebuilt.codes.T)
-
-    pq = IVFIndex(NN_DIM, "l2", nlist=8, quantizer=make_quantizer("pq8", NN_DIM))
-    pq.train(data)
-    pq.add(data)
-    pq.warm_scan_state()
-    pq.search(data[:4], 5, nprobe=2)
-    assert pq._sealed.operand is None
+            norms = q.needs_code_sqnorms(metric)
+            for s in records:
+                n = len(s.ids)
+                assert (s.sqnorms is not None) == norms
+                if norms:
+                    np.testing.assert_array_equal(s.sqnorms, q.code_sqnorms(s.codes))
+                if q.has_scan_operand:
+                    widest = int(np.diff(s.offsets).max(initial=0))
+                    assert s.operand.shape == (NN_DIM, n + widest)
+                    np.testing.assert_array_equal(s.operand, q.scan_operand(s.codes, widest))
+                else:
+                    assert s.operand is None
+                np.testing.assert_array_equal(s.ids[s.positions], np.arange(n))
+                assert s.positions.dtype == np.int32
+                assert not any(
+                    a.flags.writeable for a in vars(s).values() if a is not None
+                )
+            s = index._sealed
+            assert set(arrays) == set(q.export_state()[1]) | {
+                "centroids", "codes", "ids", "cell_offsets"
+            } | ({"code_sqnorms"} if norms else set())
+            assert not any(
+                np.shares_memory(a, derived)
+                for a in arrays.values()
+                for derived in (s.operand, s.positions)
+                if derived is not None
+            )
 
 
 @given(
@@ -457,7 +464,6 @@ def test_gather_codec_takes_the_one_selector():
     index = IVFIndex(NN_DIM, "l2", nlist=NN_NLIST, quantizer=make_quantizer("pq8", NN_DIM))
     index.train(data)
     index.add(data)
-    index.warm_scan_state()
     registry = MetricsRegistry()
     previous = set_registry(registry)
     tracer = enable_tracing()
@@ -616,30 +622,6 @@ def test_dead_ids_out_of_range_are_refused():
     for bad in ([360], [-1], [0, 10**6]):
         with pytest.raises(ValueError, match="dead ids"):
             index.dead_columns(np.array(bad))
-
-
-def test_an_index_without_deletes_never_builds_the_position_map():
-    """Structural guard: the id → storage-row map exists only once a search
-    carried a dead row; plain searches, an empty ``dead`` and the warm-up a
-    process-pool export runs leave it unbuilt (and it is never exported)."""
-    rng = np.random.default_rng(12)
-    data = rng.normal(size=(300, NN_DIM)).astype(np.float32)
-    index = IVFIndex(NN_DIM, "ip", nlist=8, quantizer=make_quantizer("sq8", NN_DIM))
-    index.train(data)
-    index.add(data)
-    for dead in (None, np.empty(0, dtype=np.int64)):
-        for k, nprobe in ((1, 2), (5, 2), (5, 8)):
-            index.search(data[:4], k, nprobe=nprobe, live=dead_view(index, dead))
-    _, arrays = index.export_state()
-    assert index._sealed.positions is None
-    index.search(data[:4], 5, live=dead_view(index, np.array([3])))
-    positions = index._sealed.positions
-    np.testing.assert_array_equal(index._sealed.ids[positions], np.arange(300))
-    assert positions.dtype == np.int32 and not positions.flags.writeable
-    assert not any(positions is a for a in index.export_state()[1].values())
-    assert set(index.export_state()[1]) == set(arrays)
-    # ...and a rebuilt index (what compaction installs) starts without one.
-    assert index.fresh_sealed_like()._sealed is None
 
 
 def test_masked_k1_sparse_scan_stays_a_reduction():

@@ -22,6 +22,16 @@ def mutable_store():
     return cluster_datastore(corpus.embeddings, config)
 
 
+def test_first_search_builds_nothing(mutable_store, small_queries, tmp_path):
+    """A built or loaded datastore is sealed: its first search publishes no
+    new record on any shard."""
+    save_datastore(mutable_store, tmp_path / "store")
+    for store in (mutable_store, load_datastore(tmp_path / "store")):
+        before = [shard.index._sealed for shard in store.shards]
+        HermesSearcher(store).search(small_queries.embeddings[:8])
+        assert all(shard.index._sealed is s for shard, s in zip(store.shards, before))
+
+
 class TestDatastoreRoundTrip:
     def test_structure_preserved(self, clustered, tmp_path):
         save_datastore(clustered, tmp_path / "store")
@@ -46,15 +56,13 @@ class TestDatastoreRoundTrip:
         assert np.allclose(loaded.centroids(), clustered.centroids())
 
     def test_warm_scan_state_survives_round_trip(self, clustered, tmp_path):
-        # save_datastore delegates to save_ivf, which writes the warm scan
-        # state: every reloaded shard comes back compacted, with what its
-        # scan consumes (ADC norms iff the codec needs them) and nothing it
-        # does not.
+        # save_datastore delegates to save_ivf, which writes the scan state
+        # a loader would otherwise recompute: ADC norms iff the codec needs
+        # them, and nothing a scan does not read.
         save_datastore(clustered, tmp_path / "store")
         loaded = load_datastore(tmp_path / "store")
         for shard in loaded.shards:
             index = shard.index
-            assert index.is_compacted
             norms = index.quantizer.needs_code_sqnorms(index.metric)
             _, arrays = index.export_state()
             with np.load(tmp_path / "store" / f"shard_{shard.shard_id}.npz") as saved:

@@ -117,7 +117,7 @@ class TestAdmissionConfig:
             ctl.observe(1.0)
             clock.advance(ESCALATE_AFTER_S)
         assert ctl.level == len(LADDER)
-        assert ctl.knobs() == LADDER[-1]
+        assert ctl.knobs(ctl.level) == LADDER[-1]
 
 
 class TestAdmissionController:
