@@ -31,8 +31,9 @@ class VectorIndex(abc.ABC):
 
         Indices without a training phase (e.g. Flat) are trained trivially.
         """
-        self._check_dim(vectors)
-        self._train(as_matrix(vectors))
+        vecs = as_matrix(vectors)
+        self._check_dim(vecs)
+        self._train(vecs)
         self.is_trained = True
 
     def add(self, vectors: np.ndarray) -> np.ndarray:
@@ -85,10 +86,9 @@ class VectorIndex(abc.ABC):
     def _search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]: ...
 
     def _check_dim(self, vectors: np.ndarray) -> None:
-        arr = np.asarray(vectors)
-        d = arr.shape[-1]
-        if d != self.dim:
-            raise ValueError(f"vector dim {d} != index dim {self.dim}")
+        """Refuse a matrix (from :func:`as_matrix`) of the wrong width."""
+        if vectors.shape[-1] != self.dim:
+            raise ValueError(f"vector dim {vectors.shape[-1]} != index dim {self.dim}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -22,6 +22,8 @@ import numpy as np
 #: Metrics accepted throughout :mod:`repro.ann`.
 VALID_METRICS = ("l2", "ip")
 
+_FLOAT32 = np.dtype(np.float32)
+
 
 def validate_metric(metric: str) -> str:
     """Return *metric* if supported, else raise ``ValueError``."""
@@ -33,8 +35,12 @@ def validate_metric(metric: str) -> str:
 def as_matrix(x: np.ndarray, *, name: str = "x") -> np.ndarray:
     """Coerce *x* to a 2-D contiguous float array.
 
-    A single vector of shape ``(d,)`` is promoted to ``(1, d)``.
+    A single vector of shape ``(d,)`` is promoted to ``(1, d)``. An array
+    that already is one (a query batch handed down the search stack) is
+    returned as is.
     """
+    if type(x) is np.ndarray and x.dtype is _FLOAT32 and x.ndim == 2 and x.flags.c_contiguous:
+        return x
     arr = np.asarray(x, dtype=np.float32)
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
@@ -167,7 +173,8 @@ def top_k(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if how == "bounded":
             w = n // 8
             minima = distances[:, : 8 * w].reshape(nq, 8, w).min(axis=1)
-            kth = np.partition(minima, kk - 1, axis=1)[:, kk - 1]
+            minima.partition(kk - 1, axis=1)  # a fresh array: in place
+            kth = minima[:, kk - 1]
         else:
             kth = np.partition(distances, kk - 1, axis=1)[:, kk - 1]
         # 1-D nonzero: several times faster than the 2-D form.
@@ -192,7 +199,7 @@ def top_k(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _sorted_prefix(distances: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
     """``(columns, values)`` of each row's first *kk* in stable sort order."""
     order = np.argsort(distances, axis=1, kind="stable")[:, :kk]
-    return order, np.take_along_axis(distances, order, axis=1)
+    return order, distances[np.arange(len(order))[:, np.newaxis], order]
 
 
 def normalize(vectors: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:

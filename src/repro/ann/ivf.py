@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..obs.metrics import get_registry
+from ..obs.metrics import MetricHandle, MetricsRegistry
 from ..obs.trace import get_tracer
 from .base import VectorIndex
 from .delta import DeltaRows
@@ -64,6 +64,11 @@ def check_format(found) -> None:
         )
 
 
+#: Every scan counts once here, by strategy.
+_SCANS = MetricHandle(
+    MetricsRegistry.counter, "ivf_scans_total", "IVF batched scans by strategy"
+)
+
 #: Floats one chunk of the cell-grouped sparse kernel may hold in its tile
 #: stack or its gathered operand windows (4 MiB of float32); wider batches
 #: are scanned in more chunks of probed cells.
@@ -80,17 +85,22 @@ class SealedLists:
     """The sealed half of an IVF index: CSR storage plus derived scan state.
 
     Cell ``c`` owns rows ``[offsets[c], offsets[c + 1])`` of ``codes`` /
-    ``ids``; ``cells`` is the row → cell map the dense scan masks with. The
-    constructor derives, from the codec and metric, everything a scan or a
-    delete reads, so a record is complete when it is made:
+    ``ids``; ``cells`` is the row → cell map. The constructor derives, from
+    the codec and metric, everything a scan or a delete reads, so a record is
+    complete when it is made and a search derives nothing from it:
 
+    - ``sizes``: rows per cell (``np.diff(offsets)``), which the plan weighs
+      probed work by and the dense scan stretches its probe mask over;
     - ``sqnorms``: ``|decode(code)|²`` per row for ADC metrics that need it
       (:meth:`Quantizer.needs_code_sqnorms`), else ``None``; norms passed in
       (an exported state's) are adopted instead of recomputed;
-    - ``operand``: a GEMM codec's levels stored dimension-major (``(dim, n +
-      widest cell)``, in the codec's dtype: :meth:`Quantizer.scan_operand`),
-      the one array both scan kernels multiply against, else ``None``. It is
-      derived from ``codes``, so it is never exported;
+    - ``operand``: a GEMM codec's levels stored dimension-major as float32
+      (``(dim, n + widest cell)``: :meth:`Quantizer.scan_operand`), the one
+      array both scan kernels hand BLAS as is, else ``None``. SQ8 / SQ4 keep
+      it beside their codes (4 bytes per dimension per row against the
+      codes' 1 or ½), so no scan converts levels; :meth:`IVFIndex.
+      memory_bytes` still counts the stored payload only. It is derived from
+      ``codes``, so it is never exported;
     - ``positions``: the local id → storage row map (the inverse of
       ``ids``) :meth:`IVFIndex.dead_columns` looks deleted rows up in, ``-1``
       for a local id ``ids`` misses.
@@ -108,11 +118,13 @@ class SealedLists:
     quantizer: InitVar[Quantizer]
     metric: InitVar[str]
     sqnorms: np.ndarray | None = None
+    sizes: np.ndarray = field(init=False)
     operand: np.ndarray | None = field(init=False)
     positions: np.ndarray = field(init=False)
 
     def __post_init__(self, quantizer: Quantizer, metric: str) -> None:
         sqnorms = operand = None
+        sizes = np.diff(self.offsets)
         if quantizer.needs_code_sqnorms(metric):
             sqnorms = self.sqnorms
             if sqnorms is None:
@@ -120,11 +132,11 @@ class SealedLists:
         if quantizer.has_scan_operand:
             # Padded by the widest cell, so every cell's scan window
             # [lo, lo + width) stays inside the array.
-            widest = int(np.diff(self.offsets).max(initial=0))
-            operand = quantizer.scan_operand(self.codes, widest)
+            operand = quantizer.scan_operand(self.codes, int(sizes.max(initial=0)))
         n = len(self.ids)
         positions = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
         positions[self.ids] = np.arange(n)
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "sqnorms", sqnorms)
         object.__setattr__(self, "operand", operand)
         object.__setattr__(self, "positions", positions)
@@ -193,21 +205,22 @@ class KeptScan:
     thread's next keeping scan of the index — in a search, the next batch's
     sample, after every deep call of this batch has returned — and a
     hand-over whose lease has lapsed is not read.
+
+    An empty hand-over is one object with no state of its own (the fields
+    below are class defaults until :meth:`keep` sets them), so the router's
+    one per sampled shard costs an allocation and nothing more.
     """
 
-    __slots__ = ("dists", "bias", "probe", "sealed", "live", "lease", "rows")
-
-    def __init__(self) -> None:
-        #: ``(nq, n + m)`` shifted distances, or ``None`` while empty
-        self.dists: np.ndarray | None = None
-        self.bias: np.ndarray | None = None
-        self.probe = 0
-        self.sealed: SealedLists | None = None
-        self.live: LiveView | None = None
-        #: ``(workspace, lease number)`` of ``dists``
-        self.lease: tuple | None = None
-        #: the sample's batch rows the holder's queries are; ``None``: all
-        self.rows: np.ndarray | None = None
+    #: ``(nq, n + m)`` shifted distances, or ``None`` while empty
+    dists: "np.ndarray | None" = None
+    bias: "np.ndarray | None" = None
+    probe = 0
+    sealed: "SealedLists | None" = None
+    live: "LiveView | None" = None
+    #: ``(workspace, lease number)`` of ``dists``
+    lease: "tuple | None" = None
+    #: the sample's batch rows the holder's queries are; ``None``: all
+    rows: "np.ndarray | None" = None
 
     def keep(self, dists, bias, probe, sealed, live, lease) -> None:
         self.dists, self.bias, self.probe = dists, bias, probe
@@ -254,6 +267,9 @@ class ScanPlan(NamedTuple):
     kept: KeptScan | None = None
 
 
+#: The dense scans' probe penalty: 0 on a probed cell, ``inf`` elsewhere.
+_OPEN, _SHUT = np.float32(0.0), np.float32(np.inf)
+
 #: The dead columns of a view with nothing deleted.
 _NO_COLUMNS = np.empty(0, dtype=np.int64)
 _NO_COLUMNS.flags.writeable = False
@@ -296,7 +312,8 @@ def _probed_cells(cell_d: np.ndarray, probe: int) -> np.ndarray:
     nq, nlist = cell_d.shape
     if probe == nlist:
         return np.ones((nq, nlist), dtype=bool)
-    part = np.partition(cell_d, (probe - 1, probe), axis=1)
+    part = cell_d.copy()
+    part.partition((probe - 1, probe), axis=1)
     kth = part[:, probe - 1 : probe]
     if (part[:, probe : probe + 1] > kth).all():
         return cell_d <= kth
@@ -625,7 +642,7 @@ class IVFIndex(VectorIndex):
         """Number of stored vectors per inverted list."""
         if self._sealed is None:
             return np.zeros(self.nlist, dtype=np.int64)
-        return np.diff(self._sealed.offsets)
+        return self._sealed.sizes.copy()
 
     @property
     def _workspace(self) -> Workspace:
@@ -705,7 +722,7 @@ class IVFIndex(VectorIndex):
         else:
             cell_d = self._cell_distances(q, ws)
             probed = _probed_cells(cell_d, probe)
-            pair_work = int(probed.sum(axis=0) @ np.diff(s.offsets))
+            pair_work = int(probed.sum(axis=0) @ s.sizes)
         if dense_wins(pair_work, nq, n, full, self.quantizer.adc_dense_advantage):
             return ScanPlan("dense", probed, pair_work, kept)
         if full:
@@ -756,9 +773,7 @@ class IVFIndex(VectorIndex):
                 cut = len(dead) if dead[-1] < n else int(np.searchsorted(dead, n))
                 dead_sealed = dead[:cut] if cut else None
                 dead_delta = dead[cut:] - n if cut < len(dead) else None
-        get_registry().counter(
-            "ivf_scans_total", "IVF batched scans by strategy"
-        ).inc(strategy=plan.strategy)
+        _SCANS().inc(strategy=plan.strategy)
         with get_tracer().span(
             "ivf_scan",
             strategy=plan.strategy,
@@ -801,13 +816,14 @@ class IVFIndex(VectorIndex):
                 out_d, cols = self._select_dense(s, dists, k, plan.probes, m)
         # A non-finite pick is a masked (dead, unprobed or pad) row chosen for
         # want of live ones, or a pad column of ``top_k``: no result.
-        invalid = ~np.isfinite(out_d)
+        finite = np.isfinite(out_d)
         out_i = _local_ids(s.ids, cols, m)
         if bias is not None:
             out_d += bias[:, np.newaxis]
         if self.metric == "l2":
             np.maximum(out_d, 0.0, out=out_d)
-        if invalid.any():
+        if not finite.all():
+            invalid = ~finite
             out_d[invalid] = np.inf
             out_i[invalid] = -1
         ws.flush_stats()
@@ -854,8 +870,7 @@ class IVFIndex(VectorIndex):
             # Unprobed cells to inf: a per-(query, cell) penalty, 0 or inf,
             # stretched over each cell's run of sealed columns and summed
             # into that stretch, out of place.
-            penalty = np.where(probed, np.float32(0.0), np.float32(np.inf))
-            masked = np.repeat(penalty, np.diff(s.offsets), axis=1)
+            masked = np.where(probed, _OPEN, _SHUT).repeat(s.sizes, axis=1)
             masked += dists[:, :n]
             if k == 1 and m:
                 pos = masked.argmin(axis=1)
@@ -920,7 +935,7 @@ class IVFIndex(VectorIndex):
         order, cells, bounds = self._probe_groups(probe_cells)
         counts = np.diff(bounds)
         lo = offsets[cells]
-        sizes = offsets[cells + 1] - lo
+        sizes = s.sizes[cells]
         width = int(sizes.max())
         if width == 0 and not m:
             return _padding(nq, k)

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .distances import as_matrix, validate_metric
+from .distances import VALID_METRICS, as_matrix, validate_metric
 from .kmeans import train_kmeans
 
 
@@ -139,12 +139,13 @@ class Quantizer(abc.ABC):
         """The array a GEMM scan multiplies query weights against, or ``None``.
 
         GEMM codecs (:attr:`has_scan_operand`) return their levels
-        *dimension-major*: a ``(dim, len(codes) + pad)`` array in the codec's
-        own dtype (uint8 levels for SQ, float32 rows for flat) whose column
-        ``j`` is code ``j`` and whose last ``pad`` columns are zero, so a
-        window ``[lo, lo + width)`` of a cell-major scan never runs off the
-        end. That is the layout BLAS wants for a ``(queries, dim) @ (dim,
-        codes)`` product. Gather codecs have no operand.
+        *dimension-major* as float32: a ``(dim, len(codes) + pad)`` array
+        (SQ levels converted exactly, flat rows as stored) whose column ``j``
+        is code ``j`` and whose last ``pad`` columns are zero, so a window
+        ``[lo, lo + width)`` of a cell-major scan never runs off the end. That
+        is the array BLAS multiplies in a ``(queries, dim) @ (dim, codes)``
+        product, as is: no scan converts levels. Gather codecs have no
+        operand.
         """
         del codes, pad
         return None
@@ -217,20 +218,21 @@ class Quantizer(abc.ABC):
     def _decode(self, codes: np.ndarray) -> np.ndarray: ...
 
 
-def _fold_weights(w: np.ndarray, metric: str, out: np.ndarray | None = None) -> np.ndarray:
+def _fold_weights(w: np.ndarray, metric: str) -> np.ndarray:
     """The GEMM codecs' query weights with the distance's sign and scale
     folded in: ``-w`` for inner product, ``-2 w`` for L2. Negating or doubling
     one operand negates or doubles every partial sum exactly, so a scan needs
-    no per-tile sign/scale pass. ``out=w`` folds a scratch *w* in place."""
-    return np.negative(w, out=out) if metric == "ip" else np.multiply(w, -2.0, out=out)
+    no per-tile sign/scale pass."""
+    return np.negative(w) if metric == "ip" else np.multiply(w, -2.0)
 
 
 def _dim_major(levels: np.ndarray, dim: int, pad: int) -> np.ndarray:
-    """``(n, dim)`` rows as a ``(dim, n + pad)`` array, pad columns zero."""
+    """``(n, dim)`` rows as a ``(dim, n + pad)`` float32 array, pad columns
+    zero (integer levels convert exactly)."""
     n = len(levels)
-    out = np.zeros((dim, n + pad), dtype=levels.dtype)
-    if n:
-        out[:, :n] = levels.T
+    out = np.empty((dim, n + pad), dtype=np.float32)
+    out[:, n:] = 0.0
+    out[:, :n] = levels.T
     return out
 
 
@@ -252,10 +254,8 @@ def _gemm_cell_tiles(wf, operand, code_sqnorms, rows, lo, width, ws):
     """``adc_cell_tiles`` of the GEMM codecs: one batched matmul.
 
     Cell ``g``'s window is columns ``lo[g] : lo[g] + width`` of the padded
-    operand. A strided view holds every such window, so one fancy index
-    gathers them all as a ``(G, dim, width)`` stack in the codec's dtype;
-    integer levels are then converted into the workspace's ``cell_windows``
-    buffer, so only the probed cells are ever converted. The stack is
+    float32 operand. A strided view holds every such window, so one fancy
+    index gathers them all as a ``(G, dim, width)`` stack, which is
     multiplied by the gathered query weights as ``(G, P, dim) @ (G, dim,
     width)``.
     """
@@ -266,12 +266,6 @@ def _gemm_cell_tiles(wf, operand, code_sqnorms, rows, lo, width, ws):
         strides=(step_c, step_d, step_c),
     )
     windows = every_window[lo]
-    if windows.dtype != np.float32:
-        image = np.empty(windows.shape, np.float32) if ws is None else ws.take(
-            "cell_windows", windows.shape
-        )
-        np.copyto(image, windows)
-        windows = image
     shape = rows.shape + (width,)
     out = np.empty(shape, dtype=np.float32) if ws is None else ws.take("cell_tiles", shape)
     np.matmul(wf[rows], windows, out=out)
@@ -314,8 +308,7 @@ class _GemmQuantizer(Quantizer):
         wf = table["wf"] if rows is None else table["wf"][rows]
         if operand is None:
             operand = self.scan_operand(codes)
-        # Integer levels are converted per call; float operands (flat) as is.
-        levels = operand[:, : len(codes)].astype(np.float32, copy=False)
+        levels = operand[:, : len(codes)]
         l2 = table["metric"] == "l2"
         if l2 and code_sqnorms is None:
             code_sqnorms = self.code_sqnorms(codes)
@@ -401,6 +394,9 @@ class ScalarQuantizer(_GemmQuantizer):
         self._levels = (1 << bits) - 1
         self._vmin: np.ndarray | None = None
         self._scale: np.ndarray | None = None
+        # metric -> (scale, vmin) with the table's sign and factor folded in;
+        # empty until trained (see _set_range).
+        self._folded: dict = {}
 
     def code_size(self) -> int:
         if self.bits == 8:
@@ -414,15 +410,25 @@ class ScalarQuantizer(_GemmQuantizer):
     @classmethod
     def _restore(cls, spec, arrays):
         quantizer = cls(spec["dim"], bits=spec["bits"])
-        quantizer._vmin = arrays["sq_vmin"]
-        quantizer._scale = arrays["sq_scale"]
+        quantizer._set_range(arrays["sq_vmin"], arrays["sq_scale"])
         return quantizer
 
     def _train(self, vectors: np.ndarray) -> None:
-        self._vmin = vectors.min(axis=0)
-        vmax = vectors.max(axis=0)
-        span = np.maximum(vmax - self._vmin, 1e-12)
-        self._scale = span / self._levels
+        vmin = vectors.min(axis=0)
+        span = np.maximum(vectors.max(axis=0) - vmin, 1e-12)
+        self._set_range(vmin, span / self._levels)
+
+    def _set_range(self, vmin: np.ndarray, scale: np.ndarray) -> None:
+        """Adopt the trained ``(vmin, scale)``, deriving what the ADC table
+        multiplies queries by: ``scale`` and ``vmin`` through
+        :func:`_fold_weights`, per metric. Negating or doubling a factor
+        negates or doubles a product (and a dot product) exactly, so the
+        table is the unfolded one folded afterwards, bit for bit, with no
+        folding pass per call."""
+        self._vmin, self._scale = vmin, scale
+        self._folded = {
+            m: (_fold_weights(scale, m), _fold_weights(vmin, m)) for m in VALID_METRICS
+        }
 
     def _quantize_levels(self, vectors: np.ndarray) -> np.ndarray:
         levels = np.rint((vectors - self._vmin) / self._scale)
@@ -464,22 +470,23 @@ class ScalarQuantizer(_GemmQuantizer):
 
     def adc_table(self, queries: np.ndarray, metric: str, *, ws=None):
         del ws  # the affine table (w, bias) is batch-sized, not corpus-sized
-        validate_metric(metric)
-        if not self.is_trained:
+        folded = self._folded.get(metric)
+        if folded is None:
+            validate_metric(metric)
             raise RuntimeError(f"{type(self).__name__} must be trained before adc_table()")
+        scale, vmin = folded
         q = as_matrix(queries)
-        w = (q * self._scale).astype(np.float32, copy=False)
-        b = (q @ self._vmin).astype(np.float32, copy=False)
-        # Shifted distances are wf . L (+ |dec|^2 for L2), wf = -w or -2 w;
-        # w is this call's own array, so it is folded in place.
-        wf = _fold_weights(w, metric, out=w)
+        # With w = q * scale and b = q . vmin, shifted distances are wf . L
+        # (+ |dec|^2 for L2), wf = -w or -2 w; fb = -b or -2 b.
+        wf = (q * scale).astype(np.float32, copy=False)
+        fb = (q @ vmin).astype(np.float32, copy=False)
         if metric == "ip":
             # dist = -(q . dec) = -(w . L) - b
-            return {"metric": metric, "wf": wf, "bias": np.negative(b, out=b)}
+            return {"metric": metric, "wf": wf, "bias": fb}
         # dist = |q|^2 - 2 (w . L + b) + |dec|^2
         #      = (|dec|^2 - 2 w . L) + (|q|^2 - 2 b)
         qnorm = np.einsum("ij,ij->i", q, q).astype(np.float32, copy=False)
-        return {"metric": metric, "wf": wf, "bias": qnorm - 2.0 * b}
+        return {"metric": metric, "wf": wf, "bias": qnorm + fb}
 
 
 class ProductQuantizer(Quantizer):

@@ -22,7 +22,9 @@ Contract for callers:
 
 Hit/miss counts accumulate locally and are drained into the process metrics
 registry (``workspace_hits_total`` / ``workspace_misses_total``) once per
-search, keeping the per-``take`` cost to a dict lookup.
+search, keeping the per-``take`` cost to a dict lookup; the two counters are
+bound once (:class:`~repro.obs.metrics.MetricHandle`), not looked up per
+drain.
 """
 
 from __future__ import annotations
@@ -31,11 +33,25 @@ import math
 
 import numpy as np
 
-from ..obs.metrics import get_registry
+from ..obs.metrics import MetricHandle, MetricsRegistry
+
+_HITS = MetricHandle(
+    MetricsRegistry.counter, "workspace_hits_total", "scratch-arena buffer reuses"
+)
+_MISSES = MetricHandle(
+    MetricsRegistry.counter, "workspace_misses_total", "scratch-arena buffer (re)allocations"
+)
 
 
 class Workspace:
-    """Grow-only keyed scratch arena handing out sized array views."""
+    """Grow-only keyed scratch arena handing out sized array views.
+
+    It holds a search's transient state only: coarse distances, ADC tables,
+    distance tiles, candidate buffers and the leased dense matrix of a kept
+    sample scan. What a scan multiplies against (an index's float32 scan
+    operand) is derived when the index is written, never converted into an
+    arena buffer per call.
+    """
 
     __slots__ = ("_buffers", "_leases", "hits", "misses")
 
@@ -62,8 +78,7 @@ class Workspace:
         A miss allocates at least ``reserve`` elements: headroom for a
         request the caller knows may grow by a little.
         """
-        dtype = np.dtype(dtype)
-        n = int(math.prod(shape)) if shape else 1
+        n = math.prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.dtype != dtype or buf.size < n:
             grow = n if buf is None or buf.dtype != dtype else max(n, 2 * buf.size)
@@ -100,16 +115,9 @@ class Workspace:
 
     def flush_stats(self) -> None:
         """Drain accumulated hit/miss counts into the metrics registry."""
-        if not (self.hits or self.misses):
-            return
-        registry = get_registry()
         if self.hits:
-            registry.counter(
-                "workspace_hits_total", "scratch-arena buffer reuses"
-            ).inc(self.hits)
+            _HITS().inc(self.hits)
             self.hits = 0
         if self.misses:
-            registry.counter(
-                "workspace_misses_total", "scratch-arena buffer (re)allocations"
-            ).inc(self.misses)
+            _MISSES().inc(self.misses)
             self.misses = 0

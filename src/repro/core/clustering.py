@@ -118,9 +118,11 @@ class IndexShard:
     compaction, when ``global_ids`` is rebuilt to match — so the
     local→global translation is always positional.
 
-    What a search reads of that state — the delta's published rows and the
-    dead scan columns, as one :class:`~repro.ann.ivf.LiveView` — is derived
-    by :meth:`insert`, :meth:`delete` and :meth:`compact`, never per search.
+    What a search reads of that state — the index, the local → global id
+    map, and the delta's published rows and the dead scan columns as one
+    :class:`~repro.ann.ivf.LiveView` — is derived by :meth:`insert`,
+    :meth:`delete` and :meth:`compact` and published as one tuple, never
+    derived per search.
     """
 
     shard_id: int
@@ -136,7 +138,7 @@ class IndexShard:
     tombstones: set = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        self.global_ids = np.asarray(self.global_ids, dtype=np.int64)
+        self._set_ids(np.asarray(self.global_ids, dtype=np.int64))
         delta_rows = self.delta.ntotal if self.delta is not None else 0
         if len(self.global_ids) != self.index.ntotal + delta_rows:
             raise ValueError(
@@ -144,8 +146,8 @@ class IndexShard:
                 f"{self.index.ntotal + delta_rows} indexed vectors"
             )
         # ``_lock`` guards attribute snapshots/swaps and is held only for
-        # O(state-size) copies, never across a scan or rebuild — searches
-        # take it briefly and are otherwise lock-free. ``_mutate_lock``
+        # O(state-size) copies, never across a scan or rebuild; searches
+        # never take it (they read the published ``_cut``). ``_mutate_lock``
         # serializes the mutators (insert/delete/compact) against each
         # other so nothing can land inside compaction's rebuild window and
         # be dropped by the swap; searches never touch it, so serving keeps
@@ -156,6 +158,16 @@ class IndexShard:
             self.delta.snapshot() if self.delta is not None and self.delta.ntotal else None
         )
         self._index_tombstones()
+
+    def _set_ids(self, *parts: np.ndarray) -> None:
+        """Store the local -> global id map, the concatenated *parts* with a
+        trailing ``-1`` so the padding local id ``-1`` reads ``-1`` in one
+        gather (caller holds ``_lock`` once the shard is built). ``global_ids``
+        is its view without the ``-1``; both are read-only once set."""
+        gid_map = np.concatenate([*parts, _PAD_ID])
+        gid_map.flags.writeable = False
+        self._gid_map = gid_map
+        self.global_ids = gid_map[:-1]
 
     def _index_tombstones(self) -> None:
         """Derive the scan state of ``tombstones`` (caller holds ``_lock``).
@@ -171,13 +183,16 @@ class IndexShard:
         self._tomb_global = self.global_ids[local]
         delta_n = self._delta_rows.ntotal if self._delta_rows is not None else 0
         self._dead = self.index.dead_columns(local, delta_n)
-        self._publish_live()
+        self._publish()
 
-    def _publish_live(self) -> None:
-        """Publish the :class:`~repro.ann.ivf.LiveView` searches read
-        (caller holds ``_lock``): ``None`` while nothing is mutated."""
+    def _publish(self) -> None:
+        """Publish the cut searches read (caller holds ``_lock``): the
+        index, the id map (``_gid_map``) and the
+        :class:`~repro.ann.ivf.LiveView`, ``None`` while nothing is mutated,
+        as one tuple that a search reads with one attribute read."""
         live = len(self._dead) or self._delta_rows is not None
-        self._live = LiveView(self._dead, self._delta_rows) if live else None
+        view = LiveView(self._dead, self._delta_rows) if live else None
+        self._cut = (self.index, self._gid_map, view)
 
     def quiesce(self):
         """Context manager blocking mutations (insert/delete/compact).
@@ -229,8 +244,8 @@ class IndexShard:
                 self.delta = DeltaIndex(self.index)
             self.delta.add(vectors)
             self._delta_rows = self.delta.snapshot()
-            self._publish_live()
-            self.global_ids = np.concatenate([self.global_ids, global_ids])
+            self._set_ids(self.global_ids, global_ids)
+            self._publish()
             total = old_size + len(vectors)
             # vectors.mean(axis=0), bit for bit, without its wrapper's cost
             mean = np.add.reduce(vectors, axis=0)
@@ -322,7 +337,7 @@ class IndexShard:
             new_gids = gids[survivors]
             with self._lock:
                 self.index = fresh
-                self.global_ids = new_gids
+                self._set_ids(new_gids)
                 self.delta = None
                 self._delta_rows = None
                 self.tombstones = set()
@@ -353,11 +368,12 @@ class IndexShard:
         exact distance ties resolve sealed-first — the insertion order a
         flat rebuild over the live set would produce.
 
-        Concurrency: the index, ids and live view are read in one locked
-        read, and the whole search runs against that point-in-time cut. The
-        view's arrays are never written after they are published, so
-        concurrent inserts, deletes and compaction swaps can never mix
-        generations mid-search or grow the delta under the scan.
+        Concurrency: the index, ids and live view are published together as
+        one tuple and read with one attribute read, and the whole search runs
+        against that point-in-time cut. The view's arrays are never written
+        after they are published, so concurrent inserts, deletes and
+        compaction swaps can never mix generations mid-search or grow the
+        delta under the scan.
 
         ``kept`` (see :meth:`Shard.search`) is that cut's too: a sample keeps
         its dense scan together with the index record and view it read, and
@@ -365,12 +381,9 @@ class IndexShard:
         a write between the two calls makes the deep call scan.
         ``timeout_s`` is ignored: the search is bounded in-process compute.
         """
-        with self._lock:
-            index = self.index
-            gids = self.global_ids
-            live = self._live
+        index, gid_map, live = self._cut
         dists, local = index.search(queries, k, nprobe=nprobe, live=live, kept=kept)
-        return dists, _to_global(local, gids)
+        return dists, gid_map[local]
 
     def memory_bytes(self) -> int:
         total = self.index.memory_bytes()
@@ -394,13 +407,8 @@ def _local_ids_of(gids: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return pos[found]
 
 
-def _to_global(local: np.ndarray, gids: np.ndarray) -> np.ndarray:
-    """Positional local ids -> global ids, keeping the ``-1`` padding."""
-    if not len(gids):
-        return np.full_like(local, -1)
-    out = gids[local]  # a -1 reads the last id; the mask puts the -1 back
-    out[local < 0] = -1
-    return out
+#: The global id a padding local id ``-1`` maps to (``IndexShard._set_ids``)
+_PAD_ID = np.array([-1], dtype=np.int64)
 
 
 #: Training-row cap of a shard's PQ / OPQ codebooks: they train on a

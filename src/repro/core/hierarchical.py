@@ -51,7 +51,7 @@ import numpy as np
 
 from ..ann.distances import as_matrix, check_finite_rows
 from ..ann.ivf import KeptScan
-from ..obs.metrics import get_registry
+from ..obs.metrics import MetricHandle, MetricsRegistry, get_registry
 from ..obs.trace import Span, Tracer, get_tracer
 from .clustering import ClusteredDatastore, Shard
 from .config import HermesConfig
@@ -127,8 +127,7 @@ class ShardAnswer(NamedTuple):
     stats: ShardCallStats
 
 
-@dataclass(frozen=True)
-class _Batch:
+class _Batch(NamedTuple):
     """One ``search`` call's resolved inputs and trace handle, for its steps."""
 
     queries: np.ndarray
@@ -141,6 +140,19 @@ class _Batch:
 #: What a shard call runs under when the searcher has no policy: one attempt,
 #: no deadline — and a failure raises instead of degrading.
 _FAIL_FAST = RetrievalPolicy()
+
+#: The searcher's per-batch metrics, bound once (they follow set_registry).
+_PHASE_LATENCY = MetricHandle(
+    MetricsRegistry.histogram,
+    "retrieval_latency_seconds",
+    "hierarchical search phase latency (route/deep/merge/total)",
+)
+_BATCHES = MetricHandle(
+    MetricsRegistry.counter, "retrieval_batches_total", "hierarchical search batches served"
+)
+_SHARD_QUERIES = MetricHandle(
+    MetricsRegistry.counter, "retrieval_shard_queries_total", "deep-search (query, shard) pairs issued"
+)
 
 
 def check_queries(queries: np.ndarray, dim: int) -> None:
@@ -270,9 +282,7 @@ class HierarchicalSearcher:
             if root.end_s is None:
                 root.finish(tracer.clock() if tracer.enabled else 0.0)
             self._observe_phase("total", batch_start)
-            get_registry().counter(
-                "retrieval_batches_total", "hierarchical search batches served"
-            ).inc()
+            _BATCHES().inc()
 
     # -- step 1: validate + resolve ------------------------------------------
     def resolve_params(
@@ -302,8 +312,10 @@ class HierarchicalSearcher:
 
     def _validated_exclude(self, exclude_clusters) -> frozenset:
         """Check user excludes up front: fail clearly, not deep inside the router."""
+        if not exclude_clusters:
+            return frozenset()
         n = self.datastore.n_clusters
-        exclude = frozenset(int(c) for c in (exclude_clusters or ()))
+        exclude = frozenset(int(c) for c in exclude_clusters)
         unknown = sorted(c for c in exclude if c < 0 or c >= n)
         if unknown:
             raise ValueError(
@@ -329,10 +341,7 @@ class HierarchicalSearcher:
         return breaker_open
 
     def _observe_phase(self, phase: str, start: float) -> None:
-        get_registry().histogram(
-            "retrieval_latency_seconds",
-            "hierarchical search phase latency (route/deep/merge/total)",
-        ).observe(self._clock() - start, phase=phase)
+        _PHASE_LATENCY().observe(self._clock() - start, phase=phase)
 
     # -- step 2: route -------------------------------------------------------
     def _route(self, batch: _Batch, m: int, exclude: frozenset) -> RoutingDecision:
@@ -359,16 +368,28 @@ class HierarchicalSearcher:
     # -- step 3: plan --------------------------------------------------------
     def plan(self, routing: RoutingDecision) -> "list[ShardTask]":
         """The deep phase's work list: one task per shard any query routed to,
-        carrying the rows of that shard's kept sample scan, if it has one."""
+        carrying the rows of that shard's kept sample scan, if it has one.
+
+        The routing matrix is grouped by shard in one stable sort: a shard's
+        ``(row, slot)`` pairs come out in row-major order, ``np.nonzero(
+        clusters == shard_id)``'s."""
         tasks = []
         kept = routing.kept
+        clusters = routing.clusters
+        flat = clusters.ravel()
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=self.datastore.n_clusters)
+        bounds = [0] + np.cumsum(counts).tolist()
+        rows_of, slots_of = np.divmod(order, clusters.shape[1])
         for shard in self.datastore.shards:
-            rows, slots = np.nonzero(routing.clusters == shard.shard_id)
-            if len(rows):
-                scan = None if kept is None else kept[shard.shard_id]
+            sid = shard.shard_id
+            start, end = bounds[sid], bounds[sid + 1]
+            if end > start:
+                rows = rows_of[start:end]
+                scan = None if kept is None else kept[sid]
                 if scan is not None:
                     scan = scan.for_rows(rows)
-                tasks.append(ShardTask(shard, rows, slots, scan))
+                tasks.append(ShardTask(shard, rows, slots_of[start:end], scan))
         return tasks
 
     # -- step 4: run ---------------------------------------------------------
@@ -487,15 +508,16 @@ class HierarchicalSearcher:
         with batch.tracer.span("merge", parent=batch.root, k=k):
             cand_d = np.full((nq, routing.fanout * k), np.inf, dtype=np.float32)
             cand_i = np.full((nq, routing.fanout * k), -1, dtype=np.int64)
-            kcols = np.arange(k)
+            # Slot s of a row owns candidate columns [s * k, (s + 1) * k).
+            slot_d = cand_d.reshape(nq, routing.fanout, k)
+            slot_i = cand_i.reshape(nq, routing.fanout, k)
             deep_failed = []
             for task, dists, ids, stats in answers:
                 if dists is None:
                     deep_failed.append(stats.shard_id)
                     continue
-                cols = task.slots[:, np.newaxis] * k + kcols[np.newaxis, :]
-                cand_d[task.rows[:, np.newaxis], cols] = dists
-                cand_i[task.rows[:, np.newaxis], cols] = ids
+                slot_d[task.rows, task.slots] = dists
+                slot_i[task.rows, task.slots] = ids
             failed = sorted(
                 set(deep_failed) | set(routing.failed_clusters) | breaker_open
             )
@@ -503,14 +525,10 @@ class HierarchicalSearcher:
             rows = np.arange(nq)[:, np.newaxis]
         self._observe_phase("merge", phase_start)
 
-        registry = get_registry()
         shard_queries = sum(len(answer.task.rows) for answer in answers)
-        registry.counter(
-            "retrieval_shard_queries_total",
-            "deep-search (query, shard) pairs issued",
-        ).inc(shard_queries)
+        _SHARD_QUERIES().inc(shard_queries)
         if failed:
-            registry.counter(
+            get_registry().counter(
                 "retrieval_degraded_batches_total",
                 "batches merged without at least one shard's candidates",
             ).inc()
@@ -519,7 +537,7 @@ class HierarchicalSearcher:
             distances=cand_d[rows, order],
             ids=cand_i[rows, order],
             # The kept scans served the deep phase; the result does not hold them.
-            routing=replace(routing, kept=None),
+            routing=RoutingDecision(routing.clusters, routing.scores, routing.failed_clusters),
             shard_queries=shard_queries,
             failed_shards=tuple(failed),
             shard_stats=tuple(answer.stats for answer in answers),

@@ -29,7 +29,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..obs.metrics import get_registry
+from ..obs.metrics import MetricHandle, MetricsRegistry, get_registry
 from ..obs.trace import Tracer
 from .errors import ShardCrashedError, ShardTimeoutError, TransientShardError
 
@@ -305,18 +305,21 @@ def run_call(
     return value, stats, None if stats.ok else failure
 
 
+_RETRIES = MetricHandle(
+    MetricsRegistry.counter,
+    "retrieval_retries_total",
+    "transient-error retries issued by the deep-search fan-out",
+)
+_SHARD_LATENCY = MetricHandle(
+    MetricsRegistry.histogram, "retrieval_shard_latency_seconds", "per-shard in-flight deep-search time"
+)
+
+
 def account(stats: ShardCallStats, health: "ShardHealth | None") -> None:
     """Registry counters and breaker state for one policy-governed call."""
-    registry = get_registry()
     if stats.attempts > 1:
-        registry.counter(
-            "retrieval_retries_total",
-            "transient-error retries issued by the deep-search fan-out",
-        ).inc(stats.attempts - 1)
-    registry.histogram(
-        "retrieval_shard_latency_seconds",
-        "per-shard in-flight deep-search time",
-    ).observe(stats.latency_s, outcome=stats.outcome)
+        _RETRIES().inc(stats.attempts - 1)
+    _SHARD_LATENCY().observe(stats.latency_s, outcome=stats.outcome)
     if health is not None:
         if stats.ok:
             health.record_success(stats.shard_id)

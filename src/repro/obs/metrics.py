@@ -32,6 +32,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MetricHandle",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "get_registry",
@@ -46,7 +47,7 @@ DEFAULT_LATENCY_BUCKETS = tuple(
 
 
 def _label_key(labels: Mapping[str, object]) -> tuple:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    return tuple(sorted(zip(labels, map(str, labels.values()))))
 
 
 def format_labels(key: tuple) -> str:
@@ -318,6 +319,31 @@ class MetricsRegistry:
 
 #: Process-wide default registry, the sink instrumented modules report to.
 _DEFAULT = MetricsRegistry()
+
+
+class MetricHandle:
+    """One named metric of the process-wide registry, for a hot path.
+
+    ``MetricHandle(MetricsRegistry.counter, name, description)()`` is
+    ``get_registry().counter(name, description)``, looked up once per
+    registry instead of on every call: again after :func:`set_registry` swaps
+    the registry or :meth:`MetricsRegistry.reset` empties it, so an
+    instrumented module keeps reporting wherever the registry currently is.
+    """
+
+    __slots__ = ("_make", "_name", "_description", "_table", "_metric")
+
+    def __init__(self, make, name: str, description: str) -> None:
+        self._make, self._name, self._description = make, name, description
+        self._table = self._metric = None
+
+    def __call__(self):
+        registry = _DEFAULT
+        table = registry._metrics
+        if table is not self._table:
+            self._metric = self._make(registry, self._name, self._description)
+            self._table = table
+        return self._metric
 
 
 def get_registry() -> MetricsRegistry:

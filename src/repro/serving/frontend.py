@@ -235,12 +235,16 @@ class ServingFrontend:
         generation), so a hit is never degraded and never stale, whatever
         level the batch path is at. A hit is one served request, counted as
         :meth:`search` counts one; ``None`` counts nothing — the caller goes
-        on to :meth:`search`, which does. A query that is not a finite
-        vector of the datastore's dimension raises ``ValueError``
-        (:func:`~repro.core.hierarchical.check_queries`) before the cache is
-        probed, so ``submit`` never queues it.
+        on to :meth:`search`, which does. A query that is not one ``(dim,)``
+        vector (the refusal names its shape), or not a finite vector of the
+        datastore's dimension
+        (:func:`~repro.core.hierarchical.check_queries`), raises
+        ``ValueError`` before the cache is probed, so ``submit`` never queues
+        it.
         """
         query = np.asarray(query, dtype=np.float32)
+        if query.ndim != 1:
+            raise ValueError(f"a query is one (dim,) vector, got shape {query.shape}")
         check_queries(query[np.newaxis], self.searcher.datastore.dim)
         params_key = self.searcher.resolve_params(k)
         answer = self.cache.probe_exact(
@@ -454,8 +458,6 @@ class DynamicBatcher:
         bounded queue is full.
         """
         query = np.asarray(query, dtype=np.float32)
-        if query.ndim != 1:
-            raise ValueError(f"submit takes one (dim,) query, got shape {query.shape}")
         if self.admission is not None:
             deadline_s = self.admission.deadline_for(deadline_s)
         if deadline_s is not None and deadline_s <= 0:

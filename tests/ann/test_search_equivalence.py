@@ -296,9 +296,11 @@ def test_the_scan_operand_is_derived_state():
     twice, loaded, fresh, installed, compacted — carries exactly the derived
     arrays its codec × metric reads: ADC norms iff the codec's ADC wants them
     for the metric, the dimension-major scan operand iff it is a GEMM codec,
-    the local id → storage row map always. They are read-only, and
-    ``export_state()`` exports none of them but the norms, so the format-5
-    array keys are unchanged."""
+    the cell sizes and the local id → storage row map always. They are
+    read-only, and ``export_state()`` exports none of them but the norms, so
+    the format-5 array keys are unchanged. The operand is float32 — for SQ8 /
+    SQ4 the unpacked levels, pad columns zero — so BLAS multiplies it as
+    stored, and a live shard's delta operand is float32 too."""
     rng = np.random.default_rng(12)
     data = rng.normal(size=(300, NN_DIM)).astype(np.float32)
     for scheme in ("flat", "sq8", "sq4", "pq8"):
@@ -319,6 +321,12 @@ def test_the_scan_operand_is_derived_state():
             records.append(fresh._sealed)
             shard = IndexShard(0, index, np.arange(300, dtype=np.int64), data.mean(0))
             shard.insert(data[:5] + 0.01, np.arange(300, 305, dtype=np.int64))
+            delta = shard.delta.snapshot()
+            if q.has_scan_operand:
+                assert delta.operand.dtype == np.float32
+                np.testing.assert_array_equal(delta.operand, q.scan_operand(delta.codes))
+            else:
+                assert delta.operand is None
             shard.delete(np.array([7]))
             assert shard.compact()
             records.append(shard.index._sealed)
@@ -329,10 +337,17 @@ def test_the_scan_operand_is_derived_state():
                 assert (s.sqnorms is not None) == norms
                 if norms:
                     np.testing.assert_array_equal(s.sqnorms, q.code_sqnorms(s.codes))
+                np.testing.assert_array_equal(s.sizes, np.diff(s.offsets))
                 if q.has_scan_operand:
                     widest = int(np.diff(s.offsets).max(initial=0))
                     assert s.operand.shape == (NN_DIM, n + widest)
+                    assert s.operand.dtype == np.float32
                     np.testing.assert_array_equal(s.operand, q.scan_operand(s.codes, widest))
+                    if scheme.startswith("sq"):
+                        np.testing.assert_array_equal(
+                            s.operand[:, :n], q._unpack_levels(s.codes).T
+                        )
+                        assert not s.operand[:, n:].any()
                 else:
                     assert s.operand is None
                 np.testing.assert_array_equal(s.ids[s.positions], np.arange(n))
@@ -436,9 +451,9 @@ def scan_buffers(index, queries, k, nprobe, dead=None):
 def test_k1_sparse_scan_takes_no_candidate_buffer():
     """Structural guard: the sparse scan is one cell-grouped kernel. k == 1
     and k > 1 take the same tile stack (``cell_tiles``, multiplied against
-    the probed cells' operand windows converted into ``cell_windows``); only
-    k > 1 takes the slot-major candidate buffer (``slot_tiles``), and only
-    k == 1 tags its span ``reduced``."""
+    the probed cells' windows of the float32 operand as they are: no
+    converted-window buffer); only k > 1 takes the slot-major candidate
+    buffer (``slot_tiles``), and only k == 1 tags its span ``reduced``."""
     rng = np.random.default_rng(11)
     data = rng.normal(size=(400, NN_DIM)).astype(np.float32)
     index = IVFIndex(NN_DIM, "ip", nlist=NN_NLIST, quantizer=make_quantizer("sq8", NN_DIM))
@@ -448,10 +463,11 @@ def test_k1_sparse_scan_takes_no_candidate_buffer():
 
     attrs, taken, _ = scan_buffers(index, queries, 1, 1)
     assert attrs["strategy"] == "sparse" and attrs["reduced"] is True
-    assert {"cell_tiles", "cell_windows"} <= taken and "slot_tiles" not in taken
+    assert "cell_tiles" in taken and "slot_tiles" not in taken
+    assert "cell_windows" not in taken
     attrs, taken, _ = scan_buffers(index, queries, 2, 1)
     assert attrs["strategy"] == "sparse" and attrs["reduced"] is False
-    assert {"cell_tiles", "cell_windows", "slot_tiles"} <= taken
+    assert {"cell_tiles", "slot_tiles"} <= taken and "cell_windows" not in taken
 
 
 def test_gather_codec_takes_the_one_selector():

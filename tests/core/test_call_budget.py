@@ -1,0 +1,97 @@
+"""Call-count ratchet for the batch-1 miss path.
+
+A cache miss on a skewed single-query stream is a batch of one, where a
+search costs its fixed per-call overhead more than its arithmetic: ten
+sample calls and a few deep calls, each through ``IndexShard.search`` →
+``IVFIndex.search``. This test counts the Python calls into ``src/repro``
+(``sys.setprofile``, filtered by file name) that one warm batch-1
+``HermesSearcher.search`` and one warm batch-1 sample call make on a small
+seeded datastore, and holds each to a budget. The counts are deterministic:
+the same code on the same data takes the same path. A budget may only go
+down — lower it when a change removes calls; a change that needs more calls
+on this path has to say why in review.
+"""
+
+import os
+import sys
+
+import numpy as np
+import pytest
+
+import repro
+from repro.ann.ivf import KeptScan
+from repro.core.clustering import cluster_datastore
+from repro.core.config import HermesConfig
+from repro.core.hierarchical import HermesSearcher
+from repro.datastore.embeddings import make_corpus
+from repro.datastore.queries import trivia_queries
+
+#: The interpreter the budgets were counted on, the one CI runs. Another
+#: makes a different number of Python-level calls for the same code (3.12
+#: inlines comprehensions, PEP 709), so its counts are not comparable.
+MEASURED_ON = (3, 11)
+pytestmark = pytest.mark.skipif(
+    sys.version_info[:2] != MEASURED_ON,
+    reason="call budgets were counted on Python 3.11; another interpreter "
+    "makes a different number of Python-level calls for the same code",
+)
+
+#: Calls into ``src/repro`` of one warm batch-1 ``HermesSearcher.search``.
+SEARCH_BUDGET = 569
+#: Calls into ``src/repro`` of one warm batch-1 sample ``IndexShard.search``.
+SAMPLE_BUDGET = 34
+
+PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+
+def repro_calls(fn) -> int:
+    """Python-level calls of functions defined under ``src/repro`` while
+    *fn* runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def stack():
+    corpus = make_corpus(4_000, dim=64, seed=1)
+    store = cluster_datastore(corpus.embeddings, HermesConfig(k=10))
+    searcher = HermesSearcher(store)
+    pool = trivia_queries(corpus.topic_model, 8, seed=8).embeddings
+    searcher.search(pool[:4])  # warm every scratch arena
+    return store, searcher, pool
+
+
+def test_a_batch_1_search_stays_within_its_call_budget(stack):
+    _, searcher, pool = stack
+    q = pool[4:5]
+    searcher.search(q)  # warm at this batch shape
+    calls = repro_calls(lambda: searcher.search(q))
+    assert calls == repro_calls(lambda: searcher.search(q)), "not deterministic"
+    assert calls <= SEARCH_BUDGET, f"{calls} calls, budget {SEARCH_BUDGET}"
+
+
+def test_a_batch_1_sample_call_stays_within_its_call_budget(stack):
+    store, _, pool = stack
+    q = pool[5:6]
+    shard = store.shards[0]
+    nprobe = store.config.sample_nprobe
+    shard.search(q, 1, nprobe=nprobe, kept=KeptScan())
+    calls = repro_calls(lambda: shard.search(q, 1, nprobe=nprobe, kept=KeptScan()))
+    assert calls == repro_calls(lambda: shard.search(q, 1, nprobe=nprobe, kept=KeptScan()))
+    assert calls <= SAMPLE_BUDGET, f"{calls} calls, budget {SAMPLE_BUDGET}"
+    # The sample took the dense kernel, the one a batch-1 sample runs here.
+    scan = KeptScan()
+    shard.search(q, 1, nprobe=nprobe, kept=scan)
+    assert scan.dists is not None
+    np.testing.assert_array_equal(scan.dists.shape, (1, len(shard)))

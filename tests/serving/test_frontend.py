@@ -224,6 +224,20 @@ class TestMalformedRequests:
         np.testing.assert_array_equal(served.ids, searcher.search(queries[5:6], k=5).ids[0])
         assert batcher.stats.requests == 1 and batcher.stats.failed == 0
 
+    def test_a_batch_row_is_refused_by_its_shape(self, searcher, queries):
+        """A ``(1, dim)`` row is not one query: the refusal names its shape,
+        not a dimension mismatch, and nothing is probed, counted or queued."""
+        frontend = exact_only_frontend(searcher)
+        shape = rf"got shape \(1, {queries.shape[1]}\)"
+        with pytest.raises(ValueError, match=shape) as refused:
+            frontend.cached_answer(queries[:1], k=5)
+        assert "dim 1" not in str(refused.value)
+        with DynamicBatcher(frontend, max_batch=8, max_wait_s=0.05) as batcher:
+            with pytest.raises(ValueError, match=shape):
+                batcher.submit(queries[:1], k=5)
+            assert batcher.stats == BatcherStats()
+        assert len(frontend.cache) == 0 and frontend.cache.stats.lookups == 0
+
     def test_a_wrong_dimension_is_refused_and_the_batch_still_served(
         self, searcher, queries
     ):
