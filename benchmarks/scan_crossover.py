@@ -1,24 +1,29 @@
-"""Dense / sparse crossover of the IVF scan for the GEMM codecs.
+"""Dense / gather crossover of the IVF scan for the GEMM codecs.
 
-``IVFIndex`` scans a batch one of two ways: the cell-grouped sparse kernel
-over the probed cells only, or one dense kernel over every stored code with
-unprobed cells masked. Its scan plan (``IVFIndex.plan``) counts the probed
-work and ``repro.ann.ivf.dense_wins`` picks the kernel from it and the
-codec's ``adc_dense_advantage``; the *coverage ratio* ``r = nq * n_codes /
-pair_work`` says how far a scan is from probing everything. This bench times
-both kernels, forced, on every shard of a ``make_corpus`` datastore (40 k x
-64, one BLAS thread) over batch 1 / 8 / 32 x nprobe 1..64 x k 1 / 10, and
-reports the advantage that minimises the grid's total time when every shard
-takes the kernel the rule picks for it. ``--quantization`` picks the GEMM
-codec (SQ8, the production codec, by default; flat or SQ4).
+``IVFIndex`` scans a batch one of two ways: the gather kernel, which reads
+each query's probed rows of the row-major codes, or one dense kernel over
+every stored row's float32 operand with unprobed cells masked. Its scan plan
+(``IVFIndex.plan``) counts the probed (query, row) pairs and
+``repro.ann.ivf.dense_wins`` goes dense once ``pair_work >= n_rows * (row +
+nq * pair)``, ``(row, pair)`` being the codec's ``dense_costs``: the dense
+kernel's cost per stored row (its operand is read once per batch) and per
+(query, row) pair, in units of one gathered pair. This bench times both
+kernels, forced, on every shard of a ``make_corpus`` datastore (40 k x 64,
+one BLAS thread) over batch 1 / 8 / 32 x nprobe 1..64 x k 1 / 10, fits the
+``(row, pair)`` that minimises the grid's total time when every shard takes
+the kernel the rule picks for it, and prints both. A grid cell is flagged
+(``!``) where the codec's current constants pick a kernel slower than the
+faster forced one by more than the spread (interquartile range) of that
+kernel's own repeats. ``--quantization`` picks the GEMM codec (SQ8, the
+production codec, by default; flat or SQ4).
 
 Run from the repository root::
 
-    python benchmarks/scan_crossover.py                     # SQ8 grid, ~15 s
+    python benchmarks/scan_crossover.py                     # SQ8 grid, ~1 min
     python benchmarks/scan_crossover.py --quantization sq4  # flat / sq4
     python benchmarks/scan_crossover.py --quick             # 2 000 docs, smoke run
 
-Dense and sparse are timed alternately on the same shard, so slow phases of
+Dense and gather are timed alternately on the same shard, so slow phases of
 a noisy host hit both; each cell of the table is the median over repeats of
 the per-repeat sum over shards.
 """
@@ -51,31 +56,30 @@ BATCHES = (1, 8, 32)
 NPROBES = (1, 2, 4, 8, 16, 32, 64)
 KS = (1, 10)
 GEMM_CODECS = ("sq8", "flat", "sq4")
+#: ``dense_costs`` that force one kernel short of a full probe.
+FORCE = {"gather": (np.inf, np.inf), "dense": (0.0, 0.0)}
+#: The ``(row, pair)`` candidates the fit searches.
+ROW_COSTS = np.concatenate([[0.0], np.geomspace(0.01, 20.0, 60)])
+PAIR_COSTS = np.concatenate([[0.0], np.geomspace(0.001, 2.0, 60)])
 
 
 def rule_inputs(index, queries, nprobe):
-    """The dense / sparse rule's inputs but the advantage, for one scan:
-    ``(pair_work, nq, n_codes, full probe)``, the work from the index's plan."""
+    """The dense / sparse rule's inputs but the costs, for one scan:
+    ``(pair_work, nq, n_rows, full probe)``, the work from the index's plan."""
     plan = index.plan(queries, nprobe=nprobe)
     return plan.pair_work, len(queries), index.ntotal, nprobe >= index.nlist
 
 
 def time_both(index, queries, k, nprobe, repeats):
-    """Per-repeat seconds of the forced sparse and forced dense scans."""
+    """Per-repeat seconds of the forced gather and forced dense scans."""
     times = np.empty((repeats, 2))
     for r in range(repeats):
-        for col, forced in enumerate((0.0, np.inf)):
-            with mock.patch.object(index.quantizer, "adc_dense_advantage", forced):
+        for col, forced in enumerate(FORCE.values()):
+            with mock.patch.object(index.quantizer, "dense_costs", forced):
                 t0 = time.perf_counter()
                 index.search(queries, k, nprobe=nprobe)
                 times[r, col] = time.perf_counter() - t0
     return times
-
-
-def coverage_ratio(shard):
-    """``r = nq * n_codes / pair_work`` of one scan's rule inputs."""
-    pair_work, nq, n_codes, _ = shard
-    return nq * n_codes / max(pair_work, 1)
 
 
 def sweep(docs, repeats, quantization, seed=1):
@@ -94,23 +98,52 @@ def sweep(docs, repeats, quantization, seed=1):
     return rows
 
 
-def rule_time(inputs, per_shard, advantage):
-    """Per-repeat total seconds when each shard takes the rule's kernel."""
-    dense = np.array([dense_wins(*shard, advantage) for shard in inputs])
+def picks(inputs, costs):
+    """Per shard, True where the plan with *costs* goes dense: at a full
+    probe, as ``IVFIndex.plan`` does, without asking the rule."""
+    return np.array(
+        [full or dense_wins(pw, nq, n, costs) for pw, nq, n, full in inputs]
+    )
+
+
+def per_repeat(per_shard, dense):
+    """Per-repeat total seconds when shard ``i`` takes dense iff ``dense[i]``."""
     picked = np.where(dense[:, np.newaxis], per_shard[:, :, 1], per_shard[:, :, 0])
-    return np.median(picked.sum(axis=0))
+    return picked.sum(axis=0)
 
 
-def grid_seconds(rows, advantage):
-    """Total seconds of the grid when the rule picks with ``advantage``."""
-    return sum(rule_time(inputs, per_shard, advantage) for *_, inputs, per_shard in rows)
+def grid_seconds(rows, costs):
+    """Total seconds of the grid when the rule picks with *costs*."""
+    return sum(
+        np.median(per_repeat(per_shard, picks(inputs, costs)))
+        for *_, inputs, per_shard in rows
+    )
 
 
-def best_advantage(rows):
-    """The advantage, among the measured ratios, with the least grid time."""
-    ratios = {coverage_ratio(shard) for *_, inputs, _ in rows for shard in inputs}
-    candidates = [1.0] + [r * 1.0001 for r in sorted(ratios) if r >= 1.0]
-    return min((grid_seconds(rows, a), a) for a in candidates)
+def fit_costs(rows):
+    """The ``(row, pair)`` among the candidates with the least grid time.
+
+    The rule goes dense iff ``pair_work / n_rows >= row + nq * pair`` (or at
+    a full probe), so each candidate's picks come from one comparison per
+    shard; ties in grid time go to the smaller constants."""
+    x = np.array([[pw / max(n, 1) for pw, _, n, _ in inputs] for *_, inputs, _ in rows])
+    nq = np.array([[s[1] for s in inputs] for *_, inputs, _ in rows])
+    full = np.array([[s[3] for s in inputs] for *_, inputs, _ in rows])
+    times = np.stack([per_shard for *_, per_shard in rows])  # (cell, shard, repeat, 2)
+    best = None
+    for row in ROW_COSTS:
+        for pair in PAIR_COSTS:
+            dense = full | (x >= row + nq * pair)
+            picked = np.where(dense[:, :, np.newaxis], times[..., 1], times[..., 0])
+            total = np.median(picked.sum(axis=1), axis=1).sum()
+            if best is None or total < best[0]:
+                best = (total, (float(row), float(pair)))
+    return best
+
+
+def iqr(values):
+    q1, q3 = np.percentile(values, [25, 75])
+    return q3 - q1
 
 
 def main(argv=None) -> int:
@@ -122,26 +155,37 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     docs, repeats = (2_000, 3) if args.quick else (args.docs, args.repeats)
     rows = sweep(docs, repeats, args.quantization)
+    current = make_quantizer(args.quantization, 64).dense_costs
 
-    print(f"codec {args.quantization}, {docs} docs x 64")
-    print(f"{'batch':>5} {'nprobe':>6} {'k':>3} {'r':>6} {'sparse ms':>10} "
-          f"{'dense ms':>9}  faster")
+    print(f"codec {args.quantization}, {docs} docs x 64, current dense_costs {current}")
+    print(f"{'batch':>5} {'nprobe':>6} {'k':>3} {'probed':>6} {'gather ms':>10} "
+          f"{'dense ms':>9} {'rule ms':>8} {'dense/10':>8}")
+    flagged = 0
     for nq, nprobe, k, inputs, per_shard in rows:
-        sparse, dense = (np.median(per_shard[:, :, c].sum(axis=0)) * 1e3 for c in (0, 1))
-        ratio = 1.0 / np.mean([1.0 / coverage_ratio(shard) for shard in inputs])
-        print(f"{nq:>5} {nprobe:>6} {k:>3} {ratio:>6.2f} {sparse:>10.2f} "
-              f"{dense:>9.2f}  {'dense' if dense < sparse else 'sparse'}")
-    seconds, advantage = best_advantage(rows)
-    current = make_quantizer(args.quantization, 64).adc_dense_advantage
+        totals = [per_shard[:, :, c].sum(axis=0) for c in (0, 1)]
+        gather, dense = (np.median(t) for t in totals)
+        dense_picks = picks(inputs, current)
+        rule = np.median(per_repeat(per_shard, dense_picks))
+        fastest = int(dense < gather)
+        slow = rule > min(gather, dense) + iqr(totals[fastest])
+        flagged += slow
+        share = np.mean([pw / (q * n) for pw, q, n, _ in inputs])
+        print(f"{nq:>5} {nprobe:>6} {k:>3} {share:>6.3f} {gather * 1e3:>10.2f} "
+              f"{dense * 1e3:>9.2f} {rule * 1e3:>8.2f} {int(dense_picks.sum()):>8d}"
+              f"{'  !' if slow else ''}")
+    seconds, fitted = fit_costs(rows)
     ideal = sum(
         min(np.median(per_shard[:, :, c].sum(axis=0)) for c in (0, 1))
         for *_, per_shard in rows
     )
-    print("\nr = batch * codes / probed codes (harmonic mean over shards); "
-          "the rule goes dense when r <= advantage")
+    print("\nprobed = probed pairs / (batch * rows), mean over shards; dense/10 = "
+          "shards the current rule sends dense; ! = the rule's pick is slower "
+          "than the faster kernel by more than that kernel's repeat IQR")
+    print(f"flagged cells: {flagged} of {len(rows)}")
     print(f"grid total, faster kernel per configuration: {ideal * 1e3:.1f} ms")
-    print(f"best advantage {advantage:.2f}: grid total {seconds * 1e3:.1f} ms")
-    print(f"current advantage {current:.2f}: grid total "
+    print(f"fitted dense_costs (row, pair) = ({fitted[0]:.3g}, {fitted[1]:.3g}): "
+          f"grid total {seconds * 1e3:.1f} ms")
+    print(f"current dense_costs {current}: grid total "
           f"{grid_seconds(rows, current) * 1e3:.1f} ms")
     return 0
 

@@ -67,8 +67,11 @@ def squared_l2(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     q = as_matrix(queries, name="queries")
     p = as_matrix(points, name="points")
     shape = (len(q), len(p))
+    # Double the smaller side: the Gram product is the same bit for bit.
+    two = np.float32(2.0)
+    q2, p2 = (q * two, p) if len(q) < len(p) else (q, p * two)
     return squared_l2_into(
-        q, p,
+        q2, p2,
         np.einsum("ij,ij->i", q, q)[:, np.newaxis], np.einsum("ij,ij->i", p, p),
         np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.float32),
     )
@@ -76,7 +79,7 @@ def squared_l2(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def squared_l2_into(
     q: np.ndarray,
-    p: np.ndarray,
+    p2: np.ndarray,
     q_norms: np.ndarray,
     p_norms: np.ndarray,
     out: np.ndarray,
@@ -84,14 +87,18 @@ def squared_l2_into(
 ) -> np.ndarray:
     """The arithmetic of :func:`squared_l2`, on float32 matrices and buffers.
 
-    ``q_norms`` is the ``(nq, 1)`` column of ``|q_i|^2`` and ``p_norms`` the
-    ``(np,)`` row of ``|p_j|^2``; ``out`` and ``gram`` are ``(nq, np)`` float32
-    arrays (result and GEMM scratch). A loop that calls this many times at one
-    shape (k-means++ seeding) hoists the norms of whichever side stays fixed
-    and reuses the buffers. Returns *out*.
+    ``p2`` is the points doubled (``2 p``): ``q @ (2 p).T`` is ``2 (q @
+    p.T)`` bit for bit, since doubling is exact through every product, sum
+    and FMA, so a caller holding fixed points keeps them doubled and the
+    kernel runs no scaling pass (doubling ``q`` instead gives the same
+    product). ``q_norms`` is the ``(nq, 1)`` column of
+    ``|q_i|^2`` and ``p_norms`` the ``(np,)`` row of ``|p_j|^2``; ``out`` and
+    ``gram`` are ``(nq, np)`` float32 arrays (result and GEMM scratch). A loop
+    that calls this many times at one shape (k-means++ seeding) hoists the
+    norms of whichever side stays fixed and reuses the buffers. Returns
+    *out*.
     """
-    np.matmul(q, p.T, out=gram)
-    np.multiply(gram, 2.0, out=gram)
+    np.matmul(q, p2.T, out=gram)
     np.add(q_norms, p_norms, out=out)
     np.subtract(out, gram, out=out)
     np.maximum(out, 0.0, out=out)

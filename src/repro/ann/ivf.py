@@ -17,8 +17,8 @@ only one that knows its fields; everything else goes through
 :meth:`IVFIndex.export_state` / :meth:`IVFIndex.from_state` /
 :meth:`IVFIndex.rows_by_local_id`, and names deleted rows by local id
 (:meth:`IVFIndex.dead_columns`). A search is plan → kernel → tail: the plan
-(:meth:`IVFIndex.plan`) picks the cell-grouped sparse kernel over the probed
-cells, one dense kernel over every code (:func:`dense_wins` decides between
+(:meth:`IVFIndex.plan`) picks the gather kernel over each query's probed
+rows, one dense kernel over every code (:func:`dense_wins` decides between
 the two) or the rows of a kept dense matrix (:class:`KeptScan`); a live
 shard's :class:`LiveView` adds its delta rows as columns of the same scan;
 one tail maps the picks to ids. Distances are computed on the codes (ADC,
@@ -69,12 +69,6 @@ _SCANS = MetricHandle(
     MetricsRegistry.counter, "ivf_scans_total", "IVF batched scans by strategy"
 )
 
-#: Floats one chunk of the cell-grouped sparse kernel may hold in its tile
-#: stack or its gathered operand windows (4 MiB of float32); wider batches
-#: are scanned in more chunks of probed cells.
-_TILE_BUDGET = 1 << 20
-
-
 def default_nlist(n_vectors: int) -> int:
     """Paper heuristic: ``nlist ≈ sqrt(N)``, at least 1."""
     return max(1, int(round(math.sqrt(max(n_vectors, 1)))))
@@ -90,17 +84,19 @@ class SealedLists:
     complete when it is made and a search derives nothing from it:
 
     - ``sizes``: rows per cell (``np.diff(offsets)``), which the plan weighs
-      probed work by and the dense scan stretches its probe mask over;
+      probed work by, the gather kernel reads CSR windows by and the dense
+      scan stretches its probe mask over;
     - ``sqnorms``: ``|decode(code)|²`` per row for ADC metrics that need it
       (:meth:`Quantizer.needs_code_sqnorms`), else ``None``; norms passed in
       (an exported state's) are adopted instead of recomputed;
     - ``operand``: a GEMM codec's levels stored dimension-major as float32
-      (``(dim, n + widest cell)``: :meth:`Quantizer.scan_operand`), the one
-      array both scan kernels hand BLAS as is, else ``None``. SQ8 / SQ4 keep
-      it beside their codes (4 bytes per dimension per row against the
-      codes' 1 or ½), so no scan converts levels; :meth:`IVFIndex.
-      memory_bytes` still counts the stored payload only. It is derived from
-      ``codes``, so it is never exported;
+      (``(dim, n)``: :meth:`Quantizer.scan_operand`), the array the dense
+      kernel hands BLAS as is, else ``None``. SQ8 / SQ4 keep it beside
+      their codes (4 bytes per dimension per row against the codes' 1 or
+      ½), so the dense scan converts no levels; the gather kernel reads the
+      row-major ``codes``. :meth:`IVFIndex.memory_bytes` still counts the
+      stored payload only. It is derived from ``codes``, so it is never
+      exported;
     - ``positions``: the local id → storage row map (the inverse of
       ``ids``) :meth:`IVFIndex.dead_columns` looks deleted rows up in, ``-1``
       for a local id ``ids`` misses.
@@ -130,9 +126,7 @@ class SealedLists:
             if sqnorms is None:
                 sqnorms = quantizer.code_sqnorms(self.codes)
         if quantizer.has_scan_operand:
-            # Padded by the widest cell, so every cell's scan window
-            # [lo, lo + width) stays inside the array.
-            operand = quantizer.scan_operand(self.codes, int(sizes.max(initial=0)))
+            operand = quantizer.scan_operand(self.codes)
         n = len(self.ids)
         positions = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
         positions[self.ids] = np.arange(n)
@@ -251,14 +245,14 @@ _KEPT = "kept_dists"
 class ScanPlan(NamedTuple):
     """How one search scans, as :meth:`IVFIndex.plan` decides it.
 
-    ``strategy`` is ``"dense"``, ``"sparse"`` or ``"kept"``. ``probes`` is
-    the sparse kernel's ``(nq, probe)`` ranked cells, or the dense and kept
-    selections' ``(nq, nlist)`` probed-cell mask (``None`` at a full
-    probe). ``pair_work`` counts the (query, stored row) pairs the probe
-    covers; a kept scan runs no kernel and counts 0. ``kept`` picks the
-    dense matrix: the filled hand-over a kept scan selects rows of, the
-    empty one a dense scan leases its buffer for and fills, or ``None`` for
-    workspace scratch.
+    ``strategy`` is ``"dense"``, ``"sparse"`` (the gather kernel) or
+    ``"kept"``. ``probes`` is the ``(nq, nlist)`` probed-cell mask every
+    strategy reads (``None`` at a full probe, which is never sparse).
+    ``pair_work`` counts the (query, stored row) pairs the probe covers; a
+    kept scan runs no kernel and counts 0. ``kept`` picks the dense matrix:
+    the filled hand-over a kept scan selects rows of, the empty one a dense
+    scan leases its buffer for and fills, or ``None`` for workspace scratch
+    (always, for a sparse scan: it keeps nothing).
     """
 
     strategy: str
@@ -322,20 +316,21 @@ def _probed_cells(cell_d: np.ndarray, probe: int) -> np.ndarray:
     return probed
 
 
-def dense_wins(
-    pair_work: int, nq: int, n_codes: int, full: bool, advantage: float
-) -> bool:
-    """The dense / sparse rule: True when one dense kernel over all
-    *n_codes* rows beats the sparse kernel over the *pair_work* probed ones.
+def dense_wins(pair_work: int, nq: int, n_codes: int, costs: tuple[float, float]) -> bool:
+    """The dense / sparse rule short of a full probe: True when one dense
+    kernel over all *n_codes* rows costs no more than gathering the
+    *pair_work* probed ones.
 
-    The dense kernel costs about ``nq * n_codes`` whatever the probe, the
-    sparse one the probed work plus per-cell overhead; *advantage*
-    (:attr:`Quantizer.adc_dense_advantage`, a codec property) is how much
-    cheaper a dense element is. A tie goes dense. A *full* probe covers
-    every row, so at ``advantage >= 1`` it is dense whatever *pair_work*
-    says: nothing has to rank the cells to count it.
+    Costs are in units of one gathered (query, row) pair, so the gather
+    kernel costs *pair_work*. *costs* is the codec's ``(row, pair)``
+    (:attr:`Quantizer.dense_costs`): the dense kernel reads its operand once
+    per batch, ``row`` per stored row, and evaluates every (query, row)
+    pair, ``pair`` each. So a growing batch moves the crossover to smaller
+    probes. A tie goes dense. (A full probe is dense without asking:
+    :meth:`IVFIndex._plan` does not rank the cells to count its work.)
     """
-    return (full and advantage >= 1.0) or advantage * pair_work >= nq * n_codes
+    row, pair = costs
+    return pair_work >= n_codes * (row + nq * pair)
 
 
 def _nearer_delta(best_d, best_col, tile, n):
@@ -406,13 +401,14 @@ class IVFIndex(VectorIndex):
     @centroids.setter
     def centroids(self, centroids: np.ndarray | None) -> None:
         # The coarse ranking's derived state, set with the centroids: their
-        # float32 matrix and squared norms, so a search ranks cells with one
-        # GEMM (the arithmetic of ``squared_l2``). Never exported.
+        # float32 matrix doubled and their squared norms, so a search ranks
+        # cells with one GEMM (the arithmetic of ``squared_l2``; doubling is
+        # exact through every product and sum). Never exported.
         self._centroids = centroids
         self._coarse = None
         if centroids is not None:
             c = as_matrix(centroids, name="centroids")
-            self._coarse = (c, np.einsum("ij,ij->i", c, c))
+            self._coarse = (c * np.float32(2.0), np.einsum("ij,ij->i", c, c))
 
     # -- training ----------------------------------------------------------
     def _train(self, vectors: np.ndarray) -> None:
@@ -706,10 +702,9 @@ class IVFIndex(VectorIndex):
 
         A filled *kept* that :meth:`KeptScan.reads` this cut is selected
         from; a filled one of another cut is dropped, so nothing is kept.
-        Otherwise :func:`dense_wins` decides from the probed work. Cells are
-        ranked only as far as the chosen scan reads them: a full probe not
-        at all unless it runs sparse, a dense scan to the set of probed
-        cells, a sparse one to their order.
+        Otherwise :func:`dense_wins` decides from the probed work. A full
+        probe is dense without ranking a cell; any other ranks the cells
+        to the set of probed ones, which both kernels read.
         """
         nq, n, full = len(q), len(s.ids), probe == self.nlist
         if kept is not None and kept.dists is not None:
@@ -718,16 +713,12 @@ class IVFIndex(VectorIndex):
                 return ScanPlan("kept", probed, 0, kept)
             kept = None
         if full:
-            probed, pair_work = None, nq * n
-        else:
-            cell_d = self._cell_distances(q, ws)
-            probed = _probed_cells(cell_d, probe)
-            pair_work = int(probed.sum(axis=0) @ s.sizes)
-        if dense_wins(pair_work, nq, n, full, self.quantizer.adc_dense_advantage):
+            return ScanPlan("dense", None, nq * n, kept)
+        probed = _probed_cells(self._cell_distances(q, ws), probe)
+        pair_work = int(probed.sum(axis=0) @ s.sizes)
+        if dense_wins(pair_work, nq, n, self.quantizer.dense_costs):
             return ScanPlan("dense", probed, pair_work, kept)
-        if full:
-            cell_d = self._cell_distances(q, ws)
-        return ScanPlan("sparse", top_k(cell_d, probe)[1], pair_work)
+        return ScanPlan("sparse", probed, pair_work)
 
     def _search(
         self,
@@ -784,8 +775,8 @@ class IVFIndex(VectorIndex):
             delta_rows=m,
         ):
             if plan.strategy == "sparse":
-                out_d, cols = self._scan_sparse(
-                    s, k, probe, plan.probes, table, ws, dead_sealed, delta, dead_delta
+                out_d, cols = self._scan_gather(
+                    s, k, plan.probes, table, ws, dead_sealed, delta, dead_delta
                 )
             else:
                 if plan.strategy == "kept":
@@ -835,10 +826,10 @@ class IVFIndex(VectorIndex):
         The arithmetic of ``squared_l2(q, centroids)`` against the centroid
         norms derived with the centroids, into workspace buffers.
         """
-        centroids, norms = self._coarse
+        doubled, norms = self._coarse
         shape = (len(q), self.nlist)
         return squared_l2_into(
-            q, centroids, np.einsum("ij,ij->i", q, q)[:, np.newaxis], norms,
+            q, doubled, np.einsum("ij,ij->i", q, q)[:, np.newaxis], norms,
             ws.take("coarse_dists", shape), ws.take("coarse_gram", shape),
         )
 
@@ -883,130 +874,77 @@ class IVFIndex(VectorIndex):
         pos = dists.argmin(axis=1)
         return dists[np.arange(nq), pos][:, np.newaxis], pos[:, np.newaxis]
 
-    @staticmethod
-    def _probe_groups(probe_cells):
-        """Invert the (query, slot) probe matrix into cell-major groups.
+    def _scan_gather(self, s, k, probed, table, ws, dead, delta, dead_delta):
+        """The gather kernel: each query reads only its probed rows.
 
-        Returns ``(order, cells, bounds)``: ``order`` lists the flat
-        ``query * probe + slot`` pairs sorted by probed cell (stably, so a
-        group keeps query order) and group ``g`` — the pairs probing
-        ``cells[g]`` (ascending) — is ``order[bounds[g]:bounds[g + 1]]``.
+        Row ``q`` of the ``(nq, width)`` gather index lists the storage rows
+        of query ``q``'s probed cells in ascending storage order
+        (``np.nonzero`` of the probe mask yields each query's cells
+        ascending), ``width`` being the most rows any query probes. Their
+        row-major codes are gathered once and evaluated by the codec
+        (:meth:`Quantizer.adc_gathered`); pad columns and the *dead*
+        storage rows are ``inf``. The ``m`` delta rows of *delta* are the
+        columns after ``width``. A first-occurrence ``argmin`` (k == 1) or
+        the stable ``top_k`` then picks, so an exact tie goes to the lower
+        storage row and then to the sealed rows; the picks map back to scan
+        columns through the gather index. Returns shifted distances and scan
+        columns.
+
+        A sealed row's distance depends only on its code and its query
+        (:meth:`Quantizer.adc_gathered`), so rows stored as equal codes tie
+        exactly and come in storage order. Delta rows go through the delta's
+        own product (:meth:`_scan_delta`, as in the dense kernel), so a
+        delta row holding a sealed row's code may round one ulp apart from
+        it, and their order is that rounding's.
+
+        At batch 1 the gather index is the one query's probed rows, with no
+        pad to build: a batch-1 sample calls this once per shard, and the
+        padded form costs about 25 µs more a call.
         """
-        flat = probe_cells.ravel()
-        order = np.argsort(flat, kind="stable")
-        sorted_cells = flat[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1]))
-        )
-        return order, sorted_cells[starts], np.append(starts, len(order))
-
-    @staticmethod
-    def _dead_in_groups(s, dead_rows, cells):
-        """``(group, column)`` of every deleted row inside a probed cell.
-
-        ``cells`` are the probe groups' cells, ascending, so one binary
-        search maps each dead row's cell to its group; dead rows in cells
-        nobody probes are dropped.
-        """
-        cell = s.cells[dead_rows]
-        group = np.searchsorted(cells, cell)
-        hit = cells[np.minimum(group, len(cells) - 1)] == cell
-        return group[hit], (dead_rows - s.offsets[cell])[hit]
-
-    def _scan_sparse(self, s, k, probe, probe_cells, table, ws, dead, delta, dead_delta):
-        """The cell-grouped kernel: every probed cell is one tile, once.
-
-        Group ``g`` — the queries probing cell ``cells[g]`` — is a ``(queries
-        × width)`` tile against that cell's rows (``width``: the widest probed
-        cell), evaluated by the codec a chunk of groups at a time
-        (:meth:`Quantizer.adc_cell_tiles`) under :data:`_TILE_BUDGET` floats.
-        Pad columns and the *dead* storage rows are ``inf``. At ``k == 1``
-        each tile row is argmin-reduced and the winners compared across the
-        query's probe slots; at ``k > 1`` the rows fill a slot-major buffer
-        (slot ``r`` of a query owns columns ``[r*width, (r+1)*width)``) for
-        one stable ``top_k``. Both break ties by probe slot, then within-cell
-        position, so the ``k == 1`` answer is column 0 of any ``k`` bit for
-        bit. The ``m`` delta rows are one more ``(nq, m)`` tile after every
-        slot. Returns shifted distances and scan columns.
-        """
-        nq, n = len(probe_cells), len(s.ids)
+        nq, n = len(probed), len(s.ids)
         m = 0 if delta is None else delta.ntotal
-        offsets = s.offsets
-        order, cells, bounds = self._probe_groups(probe_cells)
-        counts = np.diff(bounds)
-        lo = offsets[cells]
-        sizes = s.sizes[cells]
-        width = int(sizes.max())
-        if width == 0 and not m:
-            return _padding(nq, k)
-        # Pair i (cell-major) is row row_of[i] of group group_of[i]'s tile.
-        group_of = np.repeat(np.arange(len(cells)), counts)
-        row_of = np.arange(len(order)) - bounds[group_of]
-        pair_q = order // probe
-        if dead is not None:
-            dead_g, dead_col = self._dead_in_groups(s, dead, cells)
-        slots = probe * width
-        if k == 1:
-            # A pair of an empty cell (width 0: no tile at all) keeps inf.
-            best = np.zeros(len(order), dtype=np.int64)
-            best_d = np.full(len(order), np.inf, dtype=np.float32)
+        if nq == 1:
+            idx, pad = probed[0].repeat(s.sizes).nonzero()[0][np.newaxis], None
         else:
-            buf = ws.take("slot_tiles", (nq, slots + m))
-            slot_buf = buf[:, :slots].reshape(nq, probe, width)
-            pair_slot = order - pair_q * probe
-        pad = np.arange(width) >= sizes[:, np.newaxis, np.newaxis]
-        step = max(1, _TILE_BUDGET // max(width * max(int(counts.max()), self.dim), 1))
-        for g0 in range(0, len(cells) if width else 0, step):
-            g1 = min(g0 + step, len(cells))
-            a, b = bounds[g0], bounds[g1]
-            g, r = group_of[a:b] - g0, row_of[a:b]
-            rows = np.zeros((g1 - g0, int(counts[g0:g1].max())), dtype=np.intp)
-            rows[g, r] = pair_q[a:b]
-            tiles = self.quantizer.adc_cell_tiles(
-                table, rows, counts[g0:g1], lo[g0:g1], sizes[g0:g1], width,
-                codes=s.codes, operand=s.operand, code_sqnorms=s.sqnorms, ws=ws,
-            )
-            np.copyto(tiles, np.inf, where=pad[g0:g1])
-            if dead is not None:
-                mine = (dead_g >= g0) & (dead_g < g1)
-                tiles[dead_g[mine] - g0, :, dead_col[mine]] = np.inf
-            if k == 1:
-                win = tiles.argmin(axis=2)[g, r]
-                best[a:b] = win
-                best_d[a:b] = tiles[g, r, win]
-            else:
-                slot_buf[pair_q[a:b], pair_slot[a:b]] = tiles[g, r]
-        if m:
-            tail = ws.take("adc_dists", (nq, m)) if k == 1 else buf[:, slots:]
-            self._scan_delta(table, delta, dead_delta, tail, ws)
-
-        rows = np.arange(nq)
-        if k == 1:
-            # Winners back to slot-major, then the first-best slot per query.
-            slot_d = np.empty(nq * probe, dtype=np.float32)
-            slot_pos = np.empty(nq * probe, dtype=np.int64)
-            slot_d[order] = best_d
-            slot_pos[order] = lo[group_of] + best
-            slot_d, slot_pos = slot_d.reshape(nq, probe), slot_pos.reshape(nq, probe)
-            slot = slot_d.argmin(axis=1)
-            # A query probing only empty cells keeps a position past the end
-            # (a sparse scan always has sealed rows, so n - 1 is one).
-            out_d, pos = slot_d[rows, slot], np.minimum(slot_pos[rows, slot], n - 1)
-            if m:
-                out_d, pos = _nearer_delta(out_d, pos, tail, n)
-            return out_d[:, np.newaxis], pos[:, np.newaxis]
-        out_d, pos = top_k(buf, k)
-        cols = pos
+            # Query q's probed rows are its run of the flat nonzero list.
+            hits = probed.repeat(s.sizes, axis=1).ravel().nonzero()[0]
+            q_of, rows = np.divmod(hits, n)
+            per_q = probed @ s.sizes
+            width = int(per_q.max())
+            idx = np.zeros((nq, width), dtype=np.intp)
+            idx[q_of, np.arange(len(rows)) - (np.cumsum(per_q) - per_q)[q_of]] = rows
+            pad = np.arange(width) >= per_q[:, np.newaxis]
+        width = idx.shape[1]
+        if not width and not m:
+            return _padding(nq, k)
         if width:
-            # Buffer position -> probe slot -> cell -> CSR offset + within-cell
-            # rank; pad positions read any row and are dropped as inf.
-            slot_of = pos // width
-            within = pos - slot_of * width
-            cells_of = probe_cells[rows[:, np.newaxis], np.clip(slot_of, 0, probe - 1)]
-            cols = np.clip(offsets[cells_of] + within, 0, n - 1)
+            norms = None if s.sqnorms is None else s.sqnorms[idx]
+            dists = self.quantizer.adc_gathered(
+                table, s.codes.take(idx, axis=0), code_sqnorms=norms
+            )
+            if dead is not None:
+                gone = np.zeros(n, dtype=bool)
+                gone[dead] = True
+                gone = gone[idx]
+                pad = gone if pad is None else pad | gone
+            if pad is not None:
+                np.copyto(dists, np.inf, where=pad)
         if m:
-            # Buffer position slots + j is delta column n + j.
-            np.copyto(cols, pos - slots + n, where=pos >= slots)
+            tail = np.empty((nq, m), dtype=np.float32)
+            self._scan_delta(table, delta, dead_delta, tail, ws)
+            dists = np.concatenate((dists, tail), axis=1) if width else tail
+        at = np.arange(nq)[:, np.newaxis]
+        if k == 1:
+            pos = dists.argmin(axis=1)[:, np.newaxis]
+            out_d = dists[at, pos]
+        else:
+            # top_k pads with column -1 past width + m: dropped as inf.
+            out_d, pos = top_k(dists, k)
+        if not m:
+            return out_d, idx[at, pos]
+        cols = pos + (n - width)
+        if width:
+            np.copyto(cols, idx[at, np.minimum(pos, width - 1)], where=pos < width)
         return out_d, cols
 
     def search(

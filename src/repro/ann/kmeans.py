@@ -120,7 +120,7 @@ def _kmeanspp_init(
             cdf /= cdf[-1]
             choice = cdf.searchsorted(rng.random(), side="right")
         centroids[i] = vectors[choice]
-        squared_l2_into(vectors, centroids[i : i + 1], row_sq, row_sq[choice], d_new, gram)
+        squared_l2_into(vectors, centroids[i : i + 1] * 2, row_sq, row_sq[choice], d_new, gram)
         np.minimum(closest, d_new, out=closest)
     return centroids
 

@@ -39,12 +39,13 @@ class Quantizer(abc.ABC):
     #: short name used in reports (e.g. the rows of Table 1)
     name: str = "quantizer"
 
-    #: how much cheaper one big ADC kernel is per element than the sparse
-    #: scan's per-cell tiles. The IVF scan switches to its dense full-corpus
-    #: strategy once ``advantage * probed_work >= batch * corpus``. Lookup
-    #: table ADC (PQ/OPQ) is a gather that costs the same per element either
-    #: way, so the dense scan only pays off at full probe coverage.
-    adc_dense_advantage: float = 1.0
+    #: ``(row, pair)``: what the IVF scan's dense kernel costs per stored row
+    #: (read once per batch) and per (query, row) pair, in units of one
+    #: (query, row) pair of the gather kernel. ``repro.ann.ivf.dense_wins``
+    #: goes dense once ``probed_pairs >= rows * (row + batch * pair)``.
+    #: Lookup-table ADC (PQ/OPQ) costs the same per pair either way, so the
+    #: dense scan only pays off at full probe coverage.
+    dense_costs: "tuple[float, float]" = (0.0, 1.0)
 
     #: whether the codec's ADC is a GEMM against a dimension-major scan
     #: operand (:meth:`scan_operand`), which an IVF index derives once per
@@ -135,64 +136,37 @@ class Quantizer(abc.ABC):
         is written into and returned as; the values are the same.
         """
 
-    def scan_operand(self, codes: np.ndarray, pad: int = 0) -> np.ndarray | None:
+    def scan_operand(self, codes: np.ndarray) -> np.ndarray | None:
         """The array a GEMM scan multiplies query weights against, or ``None``.
 
         GEMM codecs (:attr:`has_scan_operand`) return their levels
-        *dimension-major* as float32: a ``(dim, len(codes) + pad)`` array
-        (SQ levels converted exactly, flat rows as stored) whose column ``j``
-        is code ``j`` and whose last ``pad`` columns are zero, so a window
-        ``[lo, lo + width)`` of a cell-major scan never runs off the end. That
-        is the array BLAS multiplies in a ``(queries, dim) @ (dim, codes)``
-        product, as is: no scan converts levels. Gather codecs have no
-        operand.
+        *dimension-major* as float32: a ``(dim, len(codes))`` array (SQ
+        levels converted exactly, flat rows as stored) whose column ``j`` is
+        code ``j``. That is the array BLAS multiplies in a ``(queries, dim)
+        @ (dim, codes)`` product, as is: the dense scan converts no levels.
+        Gather codecs have no operand.
         """
-        del codes, pad
+        del codes
         return None
 
-    def adc_cell_tiles(
-        self,
-        table,
-        rows: np.ndarray,
-        counts: np.ndarray,
-        lo: np.ndarray,
-        sizes: np.ndarray,
-        width: int,
-        *,
-        codes: np.ndarray,
-        operand: np.ndarray | None = None,
-        code_sqnorms: np.ndarray | None = None,
-        ws=None,
+    @abc.abstractmethod
+    def adc_gathered(
+        self, table, codes: np.ndarray, *, code_sqnorms: np.ndarray | None = None
     ) -> np.ndarray:
-        """Shifted distances of a group of probed cells, as one tile stack.
+        """Shifted distances of each table query to its own block of codes.
 
-        Group ``g`` is the table queries ``rows[g, :counts[g]]`` against the
-        stored codes ``lo[g] : lo[g] + sizes[g]``. The result is a ``(G, P,
-        width)`` float32 array (``(G, P) = rows.shape``): ``[g, r, j]`` is
-        the shifted distance of query ``rows[g, r]`` to code ``lo[g] + j``,
-        as ``adc_distances(..., rows=rows[g, :counts[g]], shifted=True)``
-        computes it — bit for bit when a group is evaluated alone, up to
-        float32 reassociation otherwise. Rows past ``counts[g]`` and columns
-        past ``sizes[g]`` hold arbitrary values; the caller masks them.
-
-        This default is a per-cell loop (the gather codecs'). The GEMM codecs
-        evaluate every group in one batched matmul against per-cell windows
-        of their :meth:`scan_operand` (:func:`_gemm_cell_tiles`). With ``ws``
-        the tiles live in the arena until the next call on it.
+        *codes* is an ``(nq, P, code)`` block of row-major codes gathered
+        for the ``nq`` table queries (pad rows hold any code; the caller
+        masks them) and *code_sqnorms* their ``(nq, P)`` ``|decode(code)|²``
+        when the metric needs them. Returns a fresh ``(nq, P)`` float32
+        matrix whose ``[q, p]`` is what ``adc_distances(table, codes[q],
+        rows=[q], shifted=True)`` computes, up to float32 reassociation.
+        A distance depends only on its code and its query, never on where
+        the row sits in the block, so equal codes get equal distances. The
+        GEMM codecs decode the block to float32 levels and multiply them by
+        the query weights in one ``einsum``; PQ / OPQ sum lookups in
+        ``adc_distances``' order.
         """
-        shape = rows.shape + (width,)
-        out = np.empty(shape, dtype=np.float32) if ws is None else ws.take("cell_tiles", shape)
-        for g, (c, a, n) in enumerate(zip(counts.tolist(), lo.tolist(), sizes.tolist())):
-            if n:
-                out[g, :c, :n] = self.adc_distances(
-                    table,
-                    codes[a : a + n],
-                    rows=rows[g, :c],
-                    code_sqnorms=None if code_sqnorms is None else code_sqnorms[a : a + n],
-                    shifted=True,
-                    ws=ws,
-                )
-        return out
 
     def code_sqnorms(self, codes: np.ndarray) -> np.ndarray:
         """``|decode(code)|^2`` per code, chunked to bound peak memory."""
@@ -226,13 +200,11 @@ def _fold_weights(w: np.ndarray, metric: str) -> np.ndarray:
     return np.negative(w) if metric == "ip" else np.multiply(w, -2.0)
 
 
-def _dim_major(levels: np.ndarray, dim: int, pad: int) -> np.ndarray:
-    """``(n, dim)`` rows as a ``(dim, n + pad)`` float32 array, pad columns
-    zero (integer levels convert exactly)."""
-    n = len(levels)
-    out = np.empty((dim, n + pad), dtype=np.float32)
-    out[:, n:] = 0.0
-    out[:, :n] = levels.T
+def _dim_major(levels: np.ndarray) -> np.ndarray:
+    """``(n, dim)`` rows as a fresh ``(dim, n)`` float32 array (integer
+    levels convert exactly)."""
+    out = np.empty(levels.shape[::-1], dtype=np.float32)
+    out[...] = levels.T
     return out
 
 
@@ -250,52 +222,29 @@ def _gemm_distances(wf, levels, code_sqnorms, ws, out=None):
     return dists
 
 
-def _gemm_cell_tiles(wf, operand, code_sqnorms, rows, lo, width, ws):
-    """``adc_cell_tiles`` of the GEMM codecs: one batched matmul.
-
-    Cell ``g``'s window is columns ``lo[g] : lo[g] + width`` of the padded
-    float32 operand. A strided view holds every such window, so one fancy
-    index gathers them all as a ``(G, dim, width)`` stack, which is
-    multiplied by the gathered query weights as ``(G, P, dim) @ (G, dim,
-    width)``.
-    """
-    dim, n_cols = operand.shape
-    step_d, step_c = operand.strides
-    every_window = np.ndarray(
-        (n_cols - width + 1, dim, width), operand.dtype, buffer=operand,
-        strides=(step_c, step_d, step_c),
-    )
-    windows = every_window[lo]
-    shape = rows.shape + (width,)
-    out = np.empty(shape, dtype=np.float32) if ws is None else ws.take("cell_tiles", shape)
-    np.matmul(wf[rows], windows, out=out)
-    if code_sqnorms is not None:
-        at = lo[:, np.newaxis] + np.arange(width)
-        out += np.take(code_sqnorms, at, mode="clip")[:, np.newaxis, :]
-    return out
-
-
 class _GemmQuantizer(Quantizer):
     """A codec whose ADC is one GEMM against its levels (flat, SQ8, SQ4).
 
     The table carries the query weights ``wf`` with the distance's sign and
     scale folded in (:func:`_fold_weights`), so shifted distances are ``wf @
     levels`` plus, for L2, the precomputed ``|decode(code)|²``. Subclasses
-    supply :meth:`scan_operand` (the dimension-major levels) and
-    ``adc_table``.
+    supply :meth:`scan_operand` (the dimension-major levels the dense scan
+    multiplies), ``_gathered_levels`` (a gathered ``(nq, P, code)`` block
+    as the ``(nq, P, dim)`` float32 levels :meth:`adc_gathered` multiplies)
+    and ``adc_table``.
     """
 
     has_scan_operand = True
 
-    #: Measured by ``benchmarks/scan_crossover.py`` (40 k x 64 shards, one
-    #: BLAS thread, batch 1 / 8 / 32 x nprobe 1..64 x k 1 / 10) for each of
-    #: the three codecs, with ``r = batch * corpus / probed_work``: at batch 8
-    #: and 32 the dense kernel wins for r <= 8 (nprobe >= 8) and the sparse
-    #: one for r >= 30 (nprobe <= 2); near r = 15 (nprobe 4) SQ8 and SQ4 go
-    #: sparse, flat is a tie. The grid's total time is least at 8-9 for SQ8
-    #: and SQ4 and at 14-15 for flat (two runs each); 12 is within 0.3 % of
-    #: each codec's least.
-    adc_dense_advantage = 12.0
+    #: Fit by ``benchmarks/scan_crossover.py`` (40 k x 64 shards, one BLAS
+    #: thread, batch 1 / 8 / 32 x nprobe 1..64 x k 1 / 10) for flat and SQ8:
+    #: the gather kernel wins up to a probed share of about 0.13-0.26 at
+    #: batch 1 and 0.033-0.064 at batch 8; at batch 32 the share of 0.032
+    #: goes dense at k 1 and gathers at k 10, which the rule does not read.
+    #: These constants put the crossover at 0.22 / 0.052 / 0.034. The
+    #: fitted optimum is flat (nine runs fit 0.12-0.25 and 0.019-0.048);
+    #: each codec's grid total is within 0.5 % of its least here.
+    dense_costs = (0.19, 0.028)
 
     def needs_code_sqnorms(self, metric: str) -> bool:
         return metric == "l2"
@@ -321,18 +270,14 @@ class _GemmQuantizer(Quantizer):
                 np.maximum(dists, 0.0, out=dists)
         return dists
 
-    def adc_cell_tiles(
-        self, table, rows, counts, lo, sizes, width, *, codes, operand=None,
-        code_sqnorms=None, ws=None,
-    ):
-        del counts, sizes  # every tile is computed whole; the caller masks
-        if operand is None:
-            operand = self.scan_operand(codes, width)
-        l2 = table["metric"] == "l2"
-        if l2 and code_sqnorms is None:
-            code_sqnorms = self.code_sqnorms(codes)
-        norms = code_sqnorms if l2 else None
-        return _gemm_cell_tiles(table["wf"], operand, norms, rows, lo, width, ws)
+    def adc_gathered(self, table, codes, *, code_sqnorms=None):
+        # einsum, not a BLAS product: BLAS blocks its rows, so two equal
+        # rows of one call can round apart by their position in it, where
+        # einsum runs every row through the same inner loop.
+        dists = np.einsum("qpd,qd->qp", self._gathered_levels(codes), table["wf"])
+        if code_sqnorms is not None:
+            dists += code_sqnorms
+        return dists
 
 
 class IdentityQuantizer(_GemmQuantizer):
@@ -363,8 +308,11 @@ class IdentityQuantizer(_GemmQuantizer):
     # Identity "ADC" degenerates to the plain kernel on the raw payload; it
     # exists so IVF's fast path is uniform across quantizers. Precomputed
     # code norms plus the shifted form still save the per-cell norm terms.
-    def scan_operand(self, codes, pad=0):
-        return _dim_major(as_matrix(codes), self.dim, pad)
+    def scan_operand(self, codes):
+        return _dim_major(as_matrix(codes))
+
+    def _gathered_levels(self, codes):
+        return codes  # gathered float32 rows are the levels
 
     def adc_table(self, queries: np.ndarray, metric: str, *, ws=None):
         del ws  # raw-payload tables carry only references; nothing bulky
@@ -391,6 +339,10 @@ class ScalarQuantizer(_GemmQuantizer):
             raise ValueError(f"bits must be 4 or 8, got {bits}")
         self.bits = bits
         self.name = f"sq{bits}"
+        if bits == 4:
+            # Unpacking nibbles makes SQ4's gather dearer: the same fit puts
+            # its crossover at 0.11 / 0.03 / 0.02 of the rows probed.
+            self.dense_costs = (0.09, 0.02)
         self._levels = (1 << bits) - 1
         self._vmin: np.ndarray | None = None
         self._scale: np.ndarray | None = None
@@ -465,8 +417,14 @@ class ScalarQuantizer(_GemmQuantizer):
     #   q . decode = (q * scale) . L + q . vmin
     # One GEMM against the raw levels replaces reconstruct-then-GEMM; for L2
     # the ``|decode|^2`` term is the caller-precomputed ``code_sqnorms``.
-    def scan_operand(self, codes, pad=0):
-        return _dim_major(self._unpack_levels(np.asarray(codes)), self.dim, pad)
+    def scan_operand(self, codes):
+        return _dim_major(self._unpack_levels(np.asarray(codes)))
+
+    def _gathered_levels(self, codes):
+        if self.bits == 8:
+            return codes.astype(np.float32)
+        levels = self._unpack_levels(codes.reshape(-1, codes.shape[2]))
+        return levels.astype(np.float32).reshape(codes.shape[:2] + (self.dim,))
 
     def adc_table(self, queries: np.ndarray, metric: str, *, ws=None):
         del ws  # the affine table (w, bias) is batch-sized, not corpus-sized
@@ -610,12 +568,7 @@ class ProductQuantizer(Quantizer):
         del code_sqnorms, operand
         tables = table["tables"]
         if rows is not None:
-            if ws is not None:
-                sub = ws.take("pq_row_tables", (len(rows),) + tables.shape[1:])
-                np.take(tables, rows, axis=0, out=sub)
-                tables = sub
-            else:
-                tables = tables[rows]
+            tables = tables[rows]
         codes = np.asarray(codes)
         shape = (len(tables), len(codes))
         if ws is None and out is None:
@@ -636,6 +589,16 @@ class ProductQuantizer(Quantizer):
             bias = table["bias"] if rows is None else table["bias"][rows]
             acc += bias[:, np.newaxis]
             np.maximum(acc, 0.0, out=acc)
+        return acc
+
+    def adc_gathered(self, table, codes, *, code_sqnorms=None):
+        del code_sqnorms
+        # Query q's subquantizer j table starts at flat (q * m + j) * ksub.
+        flat = table["tables"].reshape(-1)
+        base = (np.arange(len(codes)) * (self.m * self.ksub))[:, np.newaxis]
+        acc = flat[base + codes[:, :, 0]]
+        for j in range(1, self.m):
+            acc += flat[base + (j * self.ksub) + codes[:, :, j]]
         return acc
 
 
@@ -728,6 +691,9 @@ class OPQQuantizer(Quantizer):
             table, codes, rows=rows, code_sqnorms=code_sqnorms, shifted=shifted, ws=ws,
             out=out,
         )
+
+    def adc_gathered(self, table, codes, *, code_sqnorms=None):
+        return self.pq.adc_gathered(table, codes, code_sqnorms=code_sqnorms)
 
 
 def restore_quantizer(spec_json: str, arrays) -> Quantizer:

@@ -32,6 +32,8 @@ Design points:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -152,19 +154,26 @@ class _NullSpan:
         return self
 
 
+_NULL_SPAN = _NullSpan()
+
+
 class _NullSpanContext:
-    """Shared no-op context manager: the disabled-tracing fast path."""
+    """Shared no-op context manager: the disabled-tracing fast path.
+
+    Entering and leaving it run no Python frame. ``__enter__`` is
+    ``next`` of an endless repeat of the null span, which returns the span
+    called bare (the ``with`` statement) or with the context as ``next``'s
+    unused default (``type(cm).__enter__(cm)``, as ``ExitStack`` calls it).
+    ``__exit__`` is ``"".format``, which returns ``""`` (falsy, so an
+    exception propagates) for the exception arguments, with or without the
+    context before them.
+    """
 
     __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return _NULL_SPAN
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
+    __enter__ = functools.partial(next, itertools.repeat(_NULL_SPAN))
+    __exit__ = "".format
 
 
-_NULL_SPAN = _NullSpan()
 _NULL_CONTEXT = _NullSpanContext()
 
 

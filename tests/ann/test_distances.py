@@ -105,7 +105,7 @@ class TestSquaredL2:
         # dirty buffers: every cell must be overwritten, none read
         out = np.full((nq, npts), np.nan, dtype=np.float32)
         gram = np.full((nq, npts), np.nan, dtype=np.float32)
-        assert squared_l2_into(q, p, norms[:nq, np.newaxis], norms[nq:], out, gram) is out
+        assert squared_l2_into(q, 2 * p, norms[:nq, np.newaxis], norms[nq:], out, gram) is out
         np.testing.assert_array_equal(out, plain)
 
 

@@ -154,10 +154,14 @@ class TestFactory:
 
 
 class TestTileKernel:
-    """``adc_cell_tiles`` is ``adc_distances(rows=..., shifted=True)``: bit
-    for bit for a group evaluated alone — including the GEMM codecs' sign /
-    scale folded into the query weights and their dimension-major operand —
-    and up to float32 reassociation when groups share one batched call."""
+    """``adc_gathered`` evaluates the gather kernel's tile — each table
+    query against its own block of gathered row-major codes — as
+    ``adc_distances(rows=[q], shifted=True)`` evaluates that block. The
+    lookup codecs (PQ / OPQ) sum the same lookups in the same order, so
+    they match bit for bit; the GEMM codecs multiply row-major float32
+    levels where ``adc_distances`` multiplies the dimension-major operand,
+    so they may sum in another order: they match to float32
+    reassociation. Tiles of one query and of many are checked."""
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     @pytest.mark.parametrize("scheme", ["flat", "sq8", "sq4", "pq4", "opq4"])
@@ -165,48 +169,57 @@ class TestTileKernel:
         quantizer = make_quantizer(scheme, 16)
         quantizer.train(data)
         codes = quantizer.encode(data)
-        operand = quantizer.scan_operand(codes, 300)
-        assert (operand is not None) == quantizer.has_scan_operand
         rng = np.random.default_rng(1)
         queries = rng.normal(size=(9, 16)).astype(np.float32)
-        table = quantizer.adc_table(queries, metric)
         norms = (
             quantizer.code_sqnorms(codes)
             if quantizer.needs_code_sqnorms(metric)
             else None
         )
-        # three groups of 1, 4 and 7 queries against cells of 33, 1 and 300
-        groups = [[3], [0, 2, 5, 8], [1, 2, 3, 4, 6, 7, 8]]
-        cells = [(0, 33), (33, 34), (200, 500)]
-        want = []
-        for queries_of, (lo, hi) in zip(groups, cells):
-            cell_norms = None if norms is None else norms[lo:hi]
-            want.append(quantizer.adc_distances(
-                table, codes[lo:hi], rows=np.array(queries_of),
-                code_sqnorms=cell_norms, shifted=True,
-            ))
-            alone = quantizer.adc_cell_tiles(
-                table, np.array([queries_of]), np.array([len(queries_of)]),
-                np.array([lo]), np.array([hi - lo]), hi - lo,
-                codes=codes, operand=operand, code_sqnorms=norms,
+        # Ascending runs of rows, as the kernel gathers them, repeats included.
+        rows = np.sort(rng.integers(0, len(codes), size=(9, 37)), axis=1)
+        exact = not quantizer.has_scan_operand
+        for nq in (1, 9):
+            table = quantizer.adc_table(queries[:nq], metric)
+            got = quantizer.adc_gathered(
+                table, codes[rows[:nq]],
+                code_sqnorms=None if norms is None else norms[rows[:nq]],
             )
-            np.testing.assert_array_equal(alone[0], want[-1])
+            assert got.shape == (nq, 37) and got.dtype == np.float32
+            for q in range(nq):
+                want = quantizer.adc_distances(
+                    table, codes[rows[q]], rows=np.array([q]),
+                    code_sqnorms=None if norms is None else norms[rows[q]],
+                    shifted=True,
+                )[0]
+                if exact:
+                    np.testing.assert_array_equal(got[q], want)
+                else:
+                    scale = float(np.abs(want).max())
+                    np.testing.assert_allclose(got[q], want, rtol=1e-5, atol=1e-6 * scale)
 
-        rows = np.zeros((3, 7), dtype=np.intp)
-        for g, queries_of in enumerate(groups):
-            rows[g, : len(queries_of)] = queries_of
-        counts = np.array([len(g) for g in groups])
-        lo = np.array([c[0] for c in cells])
-        sizes = np.array([c[1] - c[0] for c in cells])
-        together = quantizer.adc_cell_tiles(
-            table, rows, counts, lo, sizes, int(sizes.max()),
-            codes=codes, operand=operand, code_sqnorms=norms,
-        )
-        assert together.shape == (3, 7, 300)
-        for g, expected in enumerate(want):
-            np.testing.assert_allclose(
-                together[g, : counts[g], : sizes[g]], expected, rtol=1e-5, atol=1e-4
+    @pytest.mark.parametrize("dim", [16, 64])
+    @pytest.mark.parametrize("scheme", ["flat", "sq8", "sq4", "pq4"])
+    def test_equal_codes_get_equal_distances(self, scheme, dim):
+        """A distance depends on its code alone, not on where the row sits
+        in the tile: the gather kernel's storage-order tie-break rests on
+        it. Hundreds of copies of one code, among other codes, at batch 1
+        and 8 (a BLAS product over such a block rounds some copies apart)."""
+        rng = np.random.default_rng(dim)
+        data = rng.normal(size=(600, dim)).astype(np.float32)
+        quantizer = make_quantizer(scheme, dim)
+        quantizer.train(data)
+        codes = quantizer.encode(data)
+        norms = quantizer.code_sqnorms(codes)
+        rows = rng.integers(0, 3, size=(8, 467))  # codes 0, 1, 2, repeated
+        for nq in (1, 8):
+            table = quantizer.adc_table(data[100 : 100 + nq], "l2")
+            got = quantizer.adc_gathered(
+                table, codes[rows[:nq]], code_sqnorms=norms[rows[:nq]]
             )
+            for q in range(nq):
+                for code in range(3):
+                    assert len(np.unique(got[q][rows[q] == code])) == 1
 
 
 class TestSampledTraining:

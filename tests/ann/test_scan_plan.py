@@ -1,7 +1,12 @@
 """The scan plan: one function picks how an IVF search scans.
 
 - The dense / sparse rule (:func:`repro.ann.ivf.dense_wins`) keeps its tie
-  contract, checked without building an index.
+  contract, checked without building an index: dense once the probed pairs
+  reach ``rows * (row + nq * pair)``, so a growing batch moves the
+  crossover to smaller probes. A full probe is dense without consulting
+  it.
+- At the suite's operating point a batch-1 sample plans the gather kernel
+  and keeps nothing, a batch-32 one plans dense and keeps.
 - :meth:`IVFIndex.plan` is what a search runs: its strategy and probed work
   are the ``ivf_scan`` span's, over codecs × batch × probe × frozen / live
   index × kept hand-over (empty, of this cut, of another cut).
@@ -18,6 +23,7 @@ import pytest
 from repro.ann.delta import DeltaIndex
 from repro.ann.ivf import IVFIndex, KeptScan, LiveView, dense_wins
 from repro.ann.quantization import make_quantizer
+from repro.datastore.embeddings import make_corpus
 from repro.obs import disable_tracing, enable_tracing
 from tests.oracles import forced_strategy
 
@@ -27,26 +33,63 @@ PROBES = {"one": 1, "mid": NLIST // 2, "full": NLIST}
 
 
 def test_a_tie_goes_dense():
-    """``advantage × pair_work == nq × n_codes`` is dense; one pair less is
-    sparse."""
-    for advantage, pair_work in ((12.0, 96), (1.0, 1152), (4.5, 256)):
-        assert advantage * pair_work == 4 * 288
-        assert dense_wins(pair_work, 4, 288, False, advantage)
-        assert not dense_wins(pair_work - 1, 4, 288, False, advantage)
+    """``pair_work == n_rows * (row + nq * pair)`` is dense; one pair less is
+    sparse. At one probed share the batch decides: the dense kernel reads
+    its operand once per batch, so batch 1 gathers and batch 32 goes dense."""
+    for costs, nq, n in (((0.375, 0.0625), 1, 512), ((0.5, 0.25), 4, 288), ((0.0, 1.0), 4, 288)):
+        tie = n * (costs[0] + nq * costs[1])
+        assert tie == int(tie)
+        assert dense_wins(int(tie), nq, n, costs)
+        assert not dense_wins(int(tie) - 1, nq, n, costs)
+    costs = make_quantizer("sq8", DIM).dense_costs
+    rows_probed = 140  # of 1000 per query: nprobe 8 of 56 cells
+    assert not dense_wins(rows_probed, 1, 1000, costs)
+    assert dense_wins(32 * rows_probed, 32, 1000, costs)
 
 
 def test_a_full_probe_is_dense_without_ranking_the_cells():
-    """At ``advantage >= 1`` a full probe is dense whatever the pair work
-    says, so the plan ranks no cell; below 1 the work decides."""
-    for advantage in (1.0, 12.0, float("inf")):
-        assert dense_wins(0, 32, 1000, True, advantage)
-    assert not dense_wins(32 * 1000, 32, 1000, True, 0.5)
-
+    """A full probe is dense whatever the codec's costs say — forced sparse
+    included — so the plan ranks no cell."""
     index, data = frozen_index("sq8")
-    index._workspace.clear()
-    plan = index.plan(data[:8], nprobe=NLIST + 3)
-    assert (plan.strategy, plan.probes, plan.pair_work) == ("dense", None, 8 * len(data))
-    assert "coarse_dists" not in index._workspace._buffers
+    for strategy in ("rule", "sparse"):
+        index._workspace.clear()
+        with forced_strategy(index, strategy):
+            plan = index.plan(data[:8], nprobe=NLIST + 3)
+        assert (plan.strategy, plan.probes, plan.pair_work) == ("dense", None, 8 * len(data))
+        assert "coarse_dists" not in index._workspace._buffers
+
+
+@functools.lru_cache(maxsize=None)
+def suite_shard():
+    """An SQ8 inner-product shard of the suite's shape: about 3,200 rows of
+    64 dimensions in 56 cells, the size of a ``serve_zipf`` shard."""
+    corpus = make_corpus(3_200, dim=64, seed=3)
+    index = IVFIndex(64, "ip", nlist=56, quantizer=make_quantizer("sq8", 64))
+    index.train(corpus.embeddings)
+    index.add(corpus.embeddings)
+    return index, corpus.embeddings
+
+
+@pytest.mark.parametrize("nq", [1, 32])
+def test_a_batch_1_sample_gathers_and_a_batch_32_sample_keeps(nq):
+    """At nprobe 8 of 56 cells a batch-1 sample plans the gather kernel and
+    keeps nothing for its deep call; a batch-32 sample plans dense and
+    keeps its matrix, which the deep call at a full probe selects from."""
+    index, data = suite_shard()
+    rng = np.random.default_rng(nq)
+    queries = (data[rng.choice(len(data), nq)] + 0.05).astype(np.float32)
+    kept = KeptScan()
+    plan = index.plan(queries, nprobe=8, kept=kept)
+    assert plan.pair_work < nq * len(data) / 4
+    index.search(queries, 1, nprobe=8, kept=kept)
+    if nq == 1:
+        assert plan.strategy == "sparse" and plan.kept is None
+        assert kept.dists is None
+    else:
+        assert plan.strategy == "dense" and plan.kept is kept
+        assert kept.dists.shape == (nq, len(data))
+        deep = index.plan(queries, nprobe=56, kept=kept)
+        assert deep.strategy == "kept"
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ann.distances import top_k
+from repro.ann.distances import squared_l2, top_k
 from repro.ann.ivf import IVFIndex, _probed_cells
 from repro.ann.quantization import make_quantizer
 from repro.core.clustering import IndexShard
@@ -299,8 +299,8 @@ def test_the_scan_operand_is_derived_state():
     the cell sizes and the local id → storage row map always. They are
     read-only, and ``export_state()`` exports none of them but the norms, so
     the format-5 array keys are unchanged. The operand is float32 — for SQ8 /
-    SQ4 the unpacked levels, pad columns zero — so BLAS multiplies it as
-    stored, and a live shard's delta operand is float32 too."""
+    SQ4 the unpacked levels, one column per stored row — so BLAS multiplies
+    it as stored, and a live shard's delta operand is float32 too."""
     rng = np.random.default_rng(12)
     data = rng.normal(size=(300, NN_DIM)).astype(np.float32)
     for scheme in ("flat", "sq8", "sq4", "pq8"):
@@ -339,15 +339,11 @@ def test_the_scan_operand_is_derived_state():
                     np.testing.assert_array_equal(s.sqnorms, q.code_sqnorms(s.codes))
                 np.testing.assert_array_equal(s.sizes, np.diff(s.offsets))
                 if q.has_scan_operand:
-                    widest = int(np.diff(s.offsets).max(initial=0))
-                    assert s.operand.shape == (NN_DIM, n + widest)
+                    assert s.operand.shape == (NN_DIM, n)
                     assert s.operand.dtype == np.float32
-                    np.testing.assert_array_equal(s.operand, q.scan_operand(s.codes, widest))
+                    np.testing.assert_array_equal(s.operand, q.scan_operand(s.codes))
                     if scheme.startswith("sq"):
-                        np.testing.assert_array_equal(
-                            s.operand[:, :n], q._unpack_levels(s.codes).T
-                        )
-                        assert not s.operand[:, n:].any()
+                        np.testing.assert_array_equal(s.operand, q._unpack_levels(s.codes).T)
                 else:
                     assert s.operand is None
                 np.testing.assert_array_equal(s.ids[s.positions], np.arange(n))
@@ -411,9 +407,10 @@ def test_tied_cells_probe_like_the_reference(scheme, metric):
 
 
 def test_the_centroid_norms_are_derived_state():
-    """Structural guard: the coarse ranking's centroid norms are derived with
-    the centroids — on training, on loading and on any reassignment — and
-    never exported."""
+    """Structural guard: the coarse ranking's doubled centroids and centroid
+    norms are derived with the centroids — on training, on loading and on
+    any reassignment — and never exported; the ranking is ``squared_l2``
+    against the centroids bit for bit."""
     rng = np.random.default_rng(14)
     data = rng.normal(size=(300, NN_DIM)).astype(np.float32)
     index = IVFIndex(NN_DIM, "ip", nlist=8, quantizer=make_quantizer("sq8", NN_DIM))
@@ -422,9 +419,14 @@ def test_the_centroid_norms_are_derived_state():
     index.add(data)
 
     def assert_derived(ix):
-        centroids, norms = ix._coarse
-        np.testing.assert_array_equal(centroids, ix.centroids)
+        doubled, norms = ix._coarse
+        centroids = ix.centroids
+        np.testing.assert_array_equal(doubled, 2 * centroids)
         np.testing.assert_array_equal(norms, np.einsum("ij,ij->i", centroids, centroids))
+        queries = data[:5] + np.float32(0.1)
+        np.testing.assert_array_equal(
+            ix._cell_distances(queries, ix._workspace), squared_l2(queries, centroids)
+        )
 
     assert_derived(index)
     header, arrays = index.export_state()
@@ -449,11 +451,12 @@ def scan_buffers(index, queries, k, nprobe, dead=None):
 
 
 def test_k1_sparse_scan_takes_no_candidate_buffer():
-    """Structural guard: the sparse scan is one cell-grouped kernel. k == 1
-    and k > 1 take the same tile stack (``cell_tiles``, multiplied against
-    the probed cells' windows of the float32 operand as they are: no
-    converted-window buffer); only k > 1 takes the slot-major candidate
-    buffer (``slot_tiles``), and only k == 1 tags its span ``reduced``."""
+    """Structural guard: the sparse scan is the gather kernel. Its gathered
+    codes, their float32 levels and the ``(nq, probed rows)`` distances are
+    sized by the probe, so at k == 1 and k > 1 it takes no arena buffer
+    but the coarse ranking's: never the dense scan's ``(nq, n)`` candidate
+    matrix (``adc_dists``) or a kept lease. Only k == 1 tags its span
+    ``reduced``."""
     rng = np.random.default_rng(11)
     data = rng.normal(size=(400, NN_DIM)).astype(np.float32)
     index = IVFIndex(NN_DIM, "ip", nlist=NN_NLIST, quantizer=make_quantizer("sq8", NN_DIM))
@@ -461,13 +464,10 @@ def test_k1_sparse_scan_takes_no_candidate_buffer():
     index.add(data)
     queries = data[:8]
 
-    attrs, taken, _ = scan_buffers(index, queries, 1, 1)
-    assert attrs["strategy"] == "sparse" and attrs["reduced"] is True
-    assert "cell_tiles" in taken and "slot_tiles" not in taken
-    assert "cell_windows" not in taken
-    attrs, taken, _ = scan_buffers(index, queries, 2, 1)
-    assert attrs["strategy"] == "sparse" and attrs["reduced"] is False
-    assert {"cell_tiles", "slot_tiles"} <= taken and "cell_windows" not in taken
+    for k in (1, 2):
+        attrs, taken, _ = scan_buffers(index, queries, k, 1)
+        assert attrs["strategy"] == "sparse" and attrs["reduced"] is (k == 1)
+        assert taken == {"coarse_dists", "coarse_gram"}
 
 
 def test_gather_codec_takes_the_one_selector():
@@ -642,9 +642,9 @@ def test_dead_ids_out_of_range_are_refused():
 
 def test_masked_k1_sparse_scan_stays_a_reduction():
     """Structural guard: masking does not push the nearest-neighbour scan
-    onto the slot-major candidate buffer — still ``reduced``, still no
-    ``slot_tiles`` — and a full-probe dense scan is handed no probe order
-    yet reports the whole index as its work."""
+    onto a dense candidate matrix — still ``reduced``, still no arena
+    buffer but the coarse ranking's — and a full-probe dense scan ranks no
+    cells yet reports the whole index as its work."""
     rng = np.random.default_rng(11)
     data = rng.normal(size=(400, NN_DIM)).astype(np.float32)
     index = IVFIndex(NN_DIM, "ip", nlist=NN_NLIST, quantizer=make_quantizer("sq8", NN_DIM))
@@ -655,9 +655,10 @@ def test_masked_k1_sparse_scan_stays_a_reduction():
 
     attrs, taken, ids = scan_buffers(index, queries, 1, 1, winners[:, 0])
     assert attrs["strategy"] == "sparse" and attrs["reduced"] is True
-    assert "cell_tiles" in taken and "slot_tiles" not in taken
+    assert taken == {"coarse_dists", "coarse_gram"}
     assert not np.isin(ids, winners).any() and (ids >= 0).all()
     for dead in (None, winners[:, 0]):
-        attrs, _, _ = scan_buffers(index, queries, 5, NN_NLIST, dead)
+        attrs, taken, _ = scan_buffers(index, queries, 5, NN_NLIST, dead)
         assert attrs["strategy"] == "dense" and attrs["reduced"] is False
         assert attrs["pair_work"] == len(queries) * len(data)
+        assert "coarse_dists" not in taken

@@ -1,5 +1,6 @@
 """Unit tests for the span tracer: clocks, nesting, workers, exporters."""
 
+import contextlib
 import json
 import threading
 
@@ -141,6 +142,22 @@ class TestDisabled:
         with ctx1 as span:
             span.set(anything="goes")  # null span absorbs attribute writes
         assert tracer.finished_roots() == []
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_a_span_enters_through_an_exit_stack(self, enabled):
+        """``ExitStack.enter_context`` calls ``type(cm).__enter__(cm)`` and
+        the exit with the context first: the null context takes both forms
+        as the recording one does, and lets an exception through."""
+        tracer = Tracer(enabled=enabled)
+        with contextlib.ExitStack() as stack:
+            span = stack.enter_context(tracer.span("x"))
+            span.set(a=1)
+        with pytest.raises(KeyError):
+            with contextlib.ExitStack() as stack:
+                stack.enter_context(tracer.span("y"))
+                raise KeyError("y")
+        names = [r.name for r in tracer.finished_roots()]
+        assert names == (["x", "y"] if enabled else [])
 
     def test_module_default_starts_disabled(self):
         assert get_tracer().enabled is False

@@ -8,8 +8,8 @@ of something ``src/repro`` does fast, kept so a test can compare the two.
   ``tests/ann/test_search_equivalence.py`` and the hierarchical searcher's
   reference path.
 - :func:`sparse_scan_oracle` — the sparse IVF scan as a per-(query, probed
-  cell) loop of ``adc_distances`` calls with the deleted-row mask, against
-  which the cell-grouped kernel is held (``tests/ann/test_sparse_scan.py``).
+  row) loop of ``adc_distances`` calls with the deleted-row mask, against
+  which the gather kernel is held (``tests/ann/test_sparse_scan.py``).
 - :func:`live_shard_two_scan_oracle` — a live shard's read as two scans plus
   a merge: the sealed IVF scan with its tombstones masked, a brute-force scan
   of the delta rows with theirs, and a ``[sealed | delta]`` merge. The
@@ -50,21 +50,20 @@ from repro.ann.kmeans import KMeansResult, _kmeanspp_init, _validate_problem
 from repro.datastore.corpus import Document
 
 #: The scan strategy a test asks for: "rule" leaves the dense / sparse choice
-#: to the codec's ``adc_dense_advantage``; "sparse" and "dense" force one
-#: kernel at every probe depth.
-FORCED = {"rule": None, "sparse": 0.0, "dense": float("inf")}
+#: to the codec's ``dense_costs``; "sparse" and "dense" force one kernel at
+#: every probe depth short of a full probe, which is always dense.
+_INF = float("inf")
+FORCED = {"rule": None, "sparse": (_INF, _INF), "dense": (0.0, 0.0)}
 
 
 @contextlib.contextmanager
 def forced_strategy(index, strategy):
     """Run the block with *strategy* (a key of :data:`FORCED`) forced on
     *index*'s codec."""
-    advantage = FORCED[strategy]
+    costs = FORCED[strategy]
     with contextlib.ExitStack() as stack:
-        if advantage is not None:
-            stack.enter_context(
-                mock.patch.object(index.quantizer, "adc_dense_advantage", advantage)
-            )
+        if costs is not None:
+            stack.enter_context(mock.patch.object(index.quantizer, "dense_costs", costs))
         yield
 
 
@@ -118,12 +117,14 @@ def ivf_search_reference(index, queries, k, *, nprobe=None):
 
 
 def sparse_scan_oracle(index, queries, k, *, nprobe, dead=None):
-    """The sparse scan, one ``adc_distances`` call per (query, probed cell).
+    """The sparse scan, one ``adc_distances`` call per (query, probed row).
 
-    Same coarse ranking, same shifted ADC arithmetic per cell, deleted rows
-    (local ids) set to ``inf`` before selection, candidates laid out in probe
-    order and selected by the stable ``top_k`` — then the per-query bias and
-    the L2 clamp, as the scan applies them. Returns ``(distances, ids)``.
+    Same coarse ranking, same shifted ADC arithmetic, each row evaluated on
+    its own so that rows holding equal codes get equal distances, deleted
+    rows (local ids) set to ``inf`` before selection, candidates laid out in
+    storage order (probed cells ascending, as the dense scan's columns run)
+    and selected by the stable ``top_k`` — then the per-query bias and the
+    L2 clamp, as the scan applies them. Returns ``(distances, ids)``.
     """
     quantizer = index.quantizer
     q = as_matrix(queries)
@@ -137,17 +138,21 @@ def sparse_scan_oracle(index, queries, k, *, nprobe, dead=None):
     wants_norms = quantizer.needs_code_sqnorms(index.metric)
     for qi, cells in enumerate(_probe_order(index, q, nprobe)):
         cand_d, cand_i = [], []
-        for cell in cells.tolist():
+        for cell in sorted(cells.tolist()):
             codes, ids = index.cell_codes(cell)
             if not len(ids):
                 continue
-            d = quantizer.adc_distances(
-                table,
-                codes,
-                rows=np.array([qi]),
-                code_sqnorms=quantizer.code_sqnorms(codes) if wants_norms else None,
-                shifted=True,
-            )[0].copy()
+            norms = quantizer.code_sqnorms(codes) if wants_norms else None
+            d = np.array([
+                quantizer.adc_distances(
+                    table,
+                    codes[j : j + 1],
+                    rows=np.array([qi]),
+                    code_sqnorms=None if norms is None else norms[j : j + 1],
+                    shifted=True,
+                )[0, 0]
+                for j in range(len(ids))
+            ], dtype=np.float32)
             d[[j for j, i in enumerate(ids.tolist()) if i in dead]] = np.inf
             cand_d.append(d)
             cand_i.append(ids)
